@@ -637,7 +637,7 @@ def main(argv=None) -> int:
         report["timing_seconds"] = time.perf_counter() - started
         _emit(report, args.out)
         return 1 if isinstance(exc, BoundViolated) else 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["timing_seconds"] = time.perf_counter() - started
         _emit(report, args.out)

@@ -33,6 +33,8 @@ from .determinant import (
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
+    SignScan,
+    _sign_scan,
     collocation_det,
     collocation_matrix,
     det,
@@ -81,35 +83,18 @@ class ConvexityVerdict:
 
 
 def _direct_scan(system: ChebyshevSystem, f: FunctionSpec, grid_pts: tuple,
-                 budget: int, seed: int, tol_factor: float):
-    """Evaluate the extended determinant on increasing (n+1)-tuples and
-    split the outcomes into violations and near-zero indeterminates."""
+                 budget: int, seed: int, tol_factor: float) -> SignScan:
+    """Sign scan of the extended determinant on increasing (n+1)-tuples:
+    negative values are violations, or near zero inside the float
+    tolerance band."""
     n = system.dim
     if len(grid_pts) < n + 1:
         raise InsufficientGrid(f"grid has {len(grid_pts)} points, need at least {n + 1}")
     for x in grid_pts:
         if not system.domain.contains(x):
             raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
-    fns = system.basis + (f,)
-    tuples, exhaustive = increasing_tuples(grid_pts, n + 1, budget=budget, seed=seed)
-    violations: list[tuple] = []
-    near_zero: list[tuple] = []
-    values: dict[tuple, Scalar] = {}
-    for t in tuples:
-        m = collocation_matrix(fns, t)
-        value = det(m)
-        if m.backend() is Backend.FLOAT:
-            tol = positivity_tolerance(m, tol_factor)
-            if value < -tol:
-                violations.append(t)
-                values[t] = value
-            elif value < 0:
-                near_zero.append(t)
-                values[t] = value
-        elif value < 0:
-            violations.append(t)
-            values[t] = value
-    return tuples, exhaustive, violations, near_zero, values
+    return _sign_scan(system.basis + (f,), grid_pts, budget, seed, tol_factor,
+                      positive=False)
 
 
 def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
@@ -117,21 +102,13 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
                         seed: int = DEFAULT_SEED,
                         tol_factor: float = DEFAULT_TOL_FACTOR) -> ConvexityVerdict:
     """Nonnegativity of the extended collocation determinant on all
-    sampled increasing (n+1)-tuples of the grid."""
-    pts = sorted_grid(grid)
-    tuples, _, violations, near_zero, values = _direct_scan(
-        system, f, pts, budget, seed, tol_factor)
-    if violations:
-        witness = min(violations)
-        return ConvexityVerdict("direct", "violated", len(tuples), seed,
-                                witness=witness, witness_value=values[witness],
-                                indeterminate_count=len(near_zero))
-    if near_zero:
-        witness = min(near_zero)
-        return ConvexityVerdict("direct", "indeterminate", len(tuples), seed,
-                                witness=witness, witness_value=values[witness],
-                                indeterminate_count=len(near_zero))
-    return ConvexityVerdict("direct", "convex_on_sample", len(tuples), seed)
+    sampled increasing (n+1)-tuples of the grid.  Raises
+    :class:`NonFiniteValue` on an infinite or NaN value."""
+    scan = _direct_scan(system, f, sorted_grid(grid), budget, seed, tol_factor)
+    return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
+                            scan.tuples_checked, seed, witness=scan.witness,
+                            witness_value=scan.witness_value,
+                            indeterminate_count=scan.indeterminate_count)
 
 
 def _restricted_points(pts: tuple, base: tuple, ell: int | None) -> tuple:

@@ -5,7 +5,8 @@ determinant identity.
 Exact determinants clear row denominators and run fraction-free
 (Bareiss) elimination over the integers, which keeps intermediate
 entries polynomially sized.  Float determinants use row-pivoted
-Gaussian elimination.
+Gaussian elimination.  Grid scans evaluate each function once per grid
+point and share elimination between tuples with a common prefix.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     PointTuple,
     Scalar,
     collection_backend,
+    combine_backends,
     evaluate,
     validate_tuple,
 )
@@ -34,6 +36,7 @@ from .errors import (
     IndexOutOfRange,
     InputError,
     InsufficientGrid,
+    NonFiniteValue,
     NonSquareMatrix,
 )
 
@@ -194,8 +197,11 @@ def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequen
 def positivity_tolerance(m: Matrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> float:
     """Tolerance below which a float determinant is indistinguishable
     from zero: tol_factor * (max |entry|)**n."""
-    biggest = max(abs(float(e)) for e in m.entries)
-    return tol_factor * biggest ** m.rows
+    return _tolerance(max(abs(float(e)) for e in m.entries), m.rows, tol_factor)
+
+
+def _tolerance(biggest: float, n: int, tol_factor: float) -> float:
+    return tol_factor * biggest ** n
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +219,277 @@ def increasing_tuples(sorted_points: Sequence[Scalar], k: int,
     n = len(sorted_points)
     if k > n:
         raise InsufficientGrid(f"grid of {n} points cannot supply {k}-tuples")
-    total = math.comb(n, k)
-    if total <= budget:
+    if math.comb(n, k) <= budget:
         return [tuple(c) for c in itertools.combinations(sorted_points, k)], True
+    return [tuple(sorted_points[i] for i in t)
+            for t in _sampled_index_tuples(n, k, budget, seed)], False
+
+
+def _sampled_index_tuples(n: int, k: int, budget: int, seed: int) -> list[tuple]:
+    """``budget`` sorted k-subsets of range(n), duplicates possible.
+    ``random.sample`` picks positions from the population's length
+    alone, so these index the same tuples as sampling the sorted points
+    themselves."""
     rng = random.Random(seed)
-    picked = [tuple(sorted(rng.sample(sorted_points, k))) for _ in range(budget)]
-    return picked, False
+    return [tuple(sorted(rng.sample(range(n), k))) for _ in range(budget)]
 
 
 def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> tuple:
     """Sort a grid and validate strict increase (duplicates rejected)."""
     pts = sorted(grid)
     return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap).points
+
+
+# ---------------------------------------------------------------------------
+# the sign scan behind grid positivity and direct convexity
+#
+# Every function is evaluated once per grid point the scan touches.  An
+# exhaustive scan then walks the increasing tuples depth first in
+# lexicographic order and eliminates one tuple point (one matrix column)
+# per level, so all extensions of a prefix share its elimination.  The
+# float walk replays the row swaps, multipliers and pivot products of
+# _det_float column by column, so its determinants are bit-identical to
+# per-tuple elimination; the exact walk runs Bareiss on integer columns.
+# A sampled scan eliminates each sampled tuple from the table.
+
+_NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
+
+
+@dataclass(frozen=True)
+class SignScan:
+    """Outcome of one sign scan.  ``verdict`` is "violated" or
+    "indeterminate", with the lexicographically smallest such tuple as
+    witness, or ``None`` when every tuple passed."""
+
+    tuples_checked: int
+    exhaustive: bool
+    verdict: str | None = None
+    witness: tuple | None = None
+    witness_value: Scalar | None = None
+    indeterminate_count: int = 0
+
+
+class _Tally:
+    """Smallest violating and near-zero index tuples of the grid ``pts``
+    with their values, and the number of near-zero tuples."""
+
+    def __init__(self, positive: bool, pts: tuple, tol_factor: float):
+        self.positive = positive
+        self.pts = pts
+        self.tol_factor = tol_factor
+        self.first: dict[str, tuple] = {}
+        self.near_zero = 0
+
+    def add(self, t: tuple, value: Scalar, biggest: float | None = None) -> None:
+        """The sign rule of every scan.  ``positive`` asks for value > 0:
+        a value at most -tol is a violation, one at most tol near zero.
+        Otherwise value >= 0 is asked: below -tol is a violation, below 0
+        near zero.  A float value gets tol from ``biggest``, the largest
+        |entry| of its matrix; an exact one has tol = 0, so nothing is
+        near zero."""
+        tol = 0
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise NonFiniteValue(
+                    f"determinant {value} at {tuple(self.pts[j] for j in t)}")
+            tol = _tolerance(biggest, len(t), self.tol_factor)
+        if self.positive:
+            kind = _VIOLATION if value <= -tol else _NEAR_ZERO if value <= tol else None
+        else:
+            kind = _VIOLATION if value < -tol else _NEAR_ZERO if value < 0 else None
+        if kind is None:
+            return
+        if kind is _NEAR_ZERO:
+            self.near_zero += 1
+        best = self.first.get(kind)
+        if best is None or t < best[0]:
+            self.first[kind] = (t, value)
+
+
+def _sign_scan(fns: Sequence[FunctionSpec], pts: tuple, budget: int, seed: int,
+               tol_factor: float, positive: bool) -> SignScan:
+    """Classify det(fns[i](x_j)) on the increasing len(fns)-tuples of
+    the sorted grid ``pts`` (exhaustive within ``budget``, else
+    ``budget`` seeded samples) by the rule of :meth:`_Tally.add`."""
+    n, m = len(fns), len(pts)
+    exhaustive = math.comb(m, n) <= budget
+    if exhaustive:
+        tuples = itertools.combinations(range(m), n)
+        checked = math.comb(m, n)
+        cols, backends = _tabulate(fns, pts, [range(n)] + [(j,) for j in range(n, m)])
+    else:
+        tuples = _sampled_index_tuples(m, n, budget, seed)
+        checked = len(tuples)
+        cols, backends = _tabulate(fns, pts, tuples)
+    used = set(backends.values()) - {None}
+    tally = _Tally(positive, pts, tol_factor)
+    scale = None
+    if not exhaustive or len(used) > 1:
+        # Every tuple takes its own backend, so one that mixes exact and
+        # float points raises as det would, and one that does not passes.
+        _scan_each(cols, backends, tuples, tally)
+    elif used == {Backend.FLOAT}:
+        _walk_float([cols[j] for j in range(m)], n, tally)
+    else:
+        scale = _walk_exact([cols[j] for j in range(m)], n, tally)
+
+    for verdict in (_VIOLATION, _NEAR_ZERO):
+        if verdict in tally.first:
+            t, value = tally.first[verdict]
+            if scale is not None:
+                value = Fraction(value, math.prod(scale[j] for j in t))
+            return SignScan(checked, exhaustive, verdict, tuple(pts[j] for j in t),
+                            value, tally.near_zero)
+    return SignScan(checked, exhaustive)
+
+
+def _tabulate(fns, pts: tuple, touched) -> tuple[dict, dict]:
+    """Columns [fn(pts[j]) for fn in fns] for every point index in
+    ``touched``, evaluated once each, and the backend of each column.
+    Points are taken group by group and row by row within a group, the
+    order in which a scan that builds each tuple's matrix first meets
+    them, so the first failing evaluation is the same."""
+    cols: dict[int, list] = {}
+    backends: dict[int, Backend | None] = {}
+    for group in touched:
+        new = [j for j in group if j not in cols]
+        if not new:
+            continue
+        rows = [[evaluate(fn, pts[j]) for j in new] for fn in fns]
+        for pos, j in enumerate(new):
+            col = [row[pos] for row in rows]
+            backends[j] = collection_backend(col)
+            if backends[j] is Backend.FLOAT:
+                for v in col:
+                    if not math.isfinite(v):
+                        raise NonFiniteValue(f"function value {v} at grid point {pts[j]}")
+            cols[j] = col
+    return cols, backends
+
+
+def _scan_each(cols: dict, backends: dict, tuples, tally: _Tally) -> None:
+    """Per-tuple elimination from the table, in tuple order."""
+    for t in tuples:
+        rows = [[cols[j][i] for j in t] for i in range(len(t))]
+        if combine_backends(*(backends[j] for j in t)) is Backend.FLOAT:
+            biggest = max(abs(float(v)) for j in t for v in cols[j])
+            tally.add(t, _det_float(rows), biggest)
+        else:
+            tally.add(t, _det_exact(rows))
+
+
+def _walk(cols: list, n: int, root, step, leaf, zero, tally: _Tally) -> None:
+    """Depth-first walk over the increasing n-tuples of column indices
+    in lexicographic order.  Level d eliminates the tuple's d-th column:
+    ``step(state, j, c, d, rest)`` pivots on column j (``c``, already
+    reduced by the prefix) and returns the new state with every later
+    column in ``rest`` reduced by this step, or ``None`` when the pivot
+    column is zero, which makes every extension's determinant zero.
+    ``leaf(state, j, v)`` turns the last reduced entry into the
+    arguments of :meth:`_Tally.add` after the tuple, ``zero(t)`` gives
+    them for a zero determinant."""
+    last = n - 1
+
+    def visit(d, prefix, state, cands):
+        for pos in range(len(cands) - (last - d)):
+            j, c = cands[pos]
+            t = prefix + (j,)
+            if d == last:
+                tally.add(t, *leaf(state, j, c[last]))
+                continue
+            rest = cands[pos + 1:]
+            child = step(state, j, c, d, rest)
+            if child is None:
+                for tail in itertools.combinations(rest, last - d):
+                    u = t + tuple(i for i, _ in tail)
+                    tally.add(u, *zero(u))
+                continue
+            visit(d + 1, t, *child)
+
+    visit(0, (), root, list(enumerate(cols)))
+
+
+def _walk_float(cols: list, n: int, tally: _Tally) -> None:
+    """_det_float's partial pivoting replayed one column at a time.  The
+    state is (running pivot product with swap signs, max |entry| of the
+    prefix's columns)."""
+    cols = [[float(v) for v in c] for c in cols]
+    colmax = [max(abs(v) for v in c) for c in cols]
+
+    def step(state, j, c, d, rest):
+        result, biggest = state
+        p, best = d, abs(c[d])
+        for r in range(d + 1, n):
+            if abs(c[r]) > best:
+                p, best = r, abs(c[r])
+        if c[p] == 0.0:
+            return None
+        if p != d:
+            result = -result
+        pivot = c[p]
+        pivot_col = c[:]
+        pivot_col[d], pivot_col[p] = pivot, c[d]
+        factors = [(i, pivot_col[i] / pivot) for i in range(d + 1, n)]
+        reduced = []
+        for j2, c2 in rest:
+            r = c2[:]
+            r[d], r[p] = r[p], r[d]
+            rd = r[d]
+            for i, factor in factors:
+                r[i] -= factor * rd
+            reduced.append((j2, r))
+        return (result * pivot, max(biggest, colmax[j])), reduced
+
+    def leaf(state, j, v):
+        result, biggest = state
+        return result * v if v != 0.0 else 0.0, max(biggest, colmax[j])
+
+    def zero(t):
+        return 0.0, max(colmax[j] for j in t)
+
+    _walk(cols, n, (1.0, 0.0), step, leaf, zero, tally)
+
+
+def _walk_exact(cols: list, n: int, tally: _Tally) -> list:
+    """Bareiss elimination one column at a time.  Each column is scaled
+    to integers by the lcm of its denominators, so the walk records
+    integer determinants of the scaled matrix, which carry the sign;
+    returns the column scales.  The state is (swap sign, previous
+    pivot)."""
+    scale, ints = [], []
+    for c in cols:
+        fracs = [Fraction(v) for v in c]
+        lcm = math.lcm(*(x.denominator for x in fracs))
+        scale.append(lcm)
+        ints.append([x.numerator * (lcm // x.denominator) for x in fracs])
+
+    def step(state, j, c, d, rest):
+        sign, prev = state
+        p = next((r for r in range(d, n) if c[r]), None)
+        if p is None:
+            return None
+        if p != d:
+            sign = -sign
+        pivot = c[p]
+        pivot_col = c[:]
+        pivot_col[d], pivot_col[p] = pivot, c[d]
+        below = [(i, pivot_col[i]) for i in range(d + 1, n)]
+        reduced = []
+        for j2, c2 in rest:
+            r = c2[:]
+            r[d], r[p] = r[p], r[d]
+            rd = r[d]
+            for i, a in below:
+                # Bareiss step: the division by the previous pivot is exact.
+                r[i] = (pivot * r[i] - a * rd) // prev
+            reduced.append((j2, r))
+        return (sign, pivot), reduced
+
+    def leaf(state, j, v):
+        return (state[0] * v,)
+
+    _walk(ints, n, (1, 1), step, leaf, lambda t: (0,), tally)
+    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +522,9 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     positive on every sampled increasing k-tuple of the grid.
 
     Exact backend: any value <= 0 is a violation.  Float backend: values
-    below -tol are violations and values in (-tol, tol] are recorded as
-    indeterminate, with tol from :func:`positivity_tolerance`.
+    at most -tol are violations and values in (-tol, tol] are recorded
+    as indeterminate, with tol from :func:`positivity_tolerance`.
+    Raises :class:`NonFiniteValue` on an infinite or NaN value.
     """
     pts = sorted_grid(grid)
     if len(pts) < k:
@@ -269,36 +535,10 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
 
-    tuples, exhaustive = increasing_tuples(pts, k, budget=budget, seed=seed)
-    fns = system.basis[:k]
-    violations: list[tuple] = []
-    near_zero: list[tuple] = []
-    values: dict[tuple, Scalar] = {}
-    for t in tuples:
-        m = collocation_matrix(fns, t)
-        value = det(m)
-        if m.backend() is Backend.FLOAT:
-            tol = positivity_tolerance(m, tol_factor)
-            if value <= -tol:
-                violations.append(t)
-                values[t] = value
-            elif value <= tol:
-                near_zero.append(t)
-                values[t] = value
-        else:
-            if value <= 0:
-                violations.append(t)
-                values[t] = value
-
-    if violations:
-        witness = min(violations)
-        return PositivityReport("violated", k, len(tuples), exhaustive, seed,
-                                witness, values[witness], len(near_zero))
-    if near_zero:
-        witness = min(near_zero)
-        return PositivityReport("indeterminate", k, len(tuples), exhaustive, seed,
-                                witness, values[witness], len(near_zero))
-    return PositivityReport("positive_on_grid", k, len(tuples), exhaustive, seed)
+    scan = _sign_scan(system.basis[:k], pts, budget, seed, tol_factor, positive=True)
+    return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
+                            scan.exhaustive, seed, scan.witness, scan.witness_value,
+                            scan.indeterminate_count)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,11 @@ class SingularDenominator(InputError):
     given points."""
 
 
+class NonFiniteValue(InputError):
+    """A function value or determinant is infinite or NaN, so no sign
+    verdict can be drawn from it."""
+
+
 class DomainTooLong(InputError):
     """A trigonometric system was requested on an interval longer than
     the admissible maximum."""

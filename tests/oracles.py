@@ -3,12 +3,28 @@
 Everything here is implemented by a different algorithm than the
 package uses (Laplace cofactor expansion vs elimination, monomial
 enumeration vs accumulation, unsorted two-ended recursion vs the Newton
-table), so matching values certify both sides.
+table, one pivoted determinant per tuple vs prefix-shared elimination),
+so matching values certify both sides.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+
+from chebconvex.convexity import ConvexityVerdict
+from chebconvex.core import Backend
+from chebconvex.determinant import (
+    DEFAULT_SEED,
+    DEFAULT_TOL_FACTOR,
+    DEFAULT_TUPLE_BUDGET,
+    PositivityReport,
+    collocation_matrix,
+    det,
+    positivity_tolerance,
+    sorted_grid,
+)
+from chebconvex.errors import DimensionMismatch, EvaluationOutsideSupport, InsufficientGrid
 
 
 def cofactor_det(rows):
@@ -75,3 +91,107 @@ def rand_increasing_floats(rng: random.Random, count: int, lo: float, hi: float,
         pts = sorted(rng.uniform(lo, hi) for _ in range(count))
         if all(pts[i + 1] - pts[i] >= gap for i in range(count - 1)):
             return tuple(pts)
+
+
+# ---------------------------------------------------------------------------
+# per-tuple sign scans: the loops the package ran before its scan kernel,
+# kept unchanged as references.  Each tuple builds its own matrix,
+# evaluates every entry and takes a pivoted determinant.
+
+def _increasing_tuples(sorted_points, k, budget, seed):
+    n = len(sorted_points)
+    if k > n:
+        raise InsufficientGrid(f"grid of {n} points cannot supply {k}-tuples")
+    total = math.comb(n, k)
+    if total <= budget:
+        return [tuple(c) for c in itertools.combinations(sorted_points, k)], True
+    rng = random.Random(seed)
+    picked = [tuple(sorted(rng.sample(sorted_points, k))) for _ in range(budget)]
+    return picked, False
+
+
+def positivity_loop(system, k, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
+                    tol_factor=DEFAULT_TOL_FACTOR) -> PositivityReport:
+    """Grid positivity by one determinant per tuple."""
+    pts = sorted_grid(grid)
+    if len(pts) < k:
+        raise InsufficientGrid(f"grid has {len(pts)} points, need at least {k}")
+    for x in pts:
+        if not system.domain.contains(x):
+            raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
+    if not 1 <= k <= system.dim:
+        raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
+
+    tuples, exhaustive = _increasing_tuples(pts, k, budget=budget, seed=seed)
+    fns = system.basis[:k]
+    violations: list[tuple] = []
+    near_zero: list[tuple] = []
+    values: dict = {}
+    for t in tuples:
+        m = collocation_matrix(fns, t)
+        value = det(m)
+        if m.backend() is Backend.FLOAT:
+            tol = positivity_tolerance(m, tol_factor)
+            if value <= -tol:
+                violations.append(t)
+                values[t] = value
+            elif value <= tol:
+                near_zero.append(t)
+                values[t] = value
+        else:
+            if value <= 0:
+                violations.append(t)
+                values[t] = value
+
+    if violations:
+        witness = min(violations)
+        return PositivityReport("violated", k, len(tuples), exhaustive, seed,
+                                witness, values[witness], len(near_zero))
+    if near_zero:
+        witness = min(near_zero)
+        return PositivityReport("indeterminate", k, len(tuples), exhaustive, seed,
+                                witness, values[witness], len(near_zero))
+    return PositivityReport("positive_on_grid", k, len(tuples), exhaustive, seed)
+
+
+def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
+                tol_factor=DEFAULT_TOL_FACTOR) -> ConvexityVerdict:
+    """Direct convexity by one determinant per tuple."""
+    grid_pts = sorted_grid(grid)
+    n = system.dim
+    if len(grid_pts) < n + 1:
+        raise InsufficientGrid(f"grid has {len(grid_pts)} points, need at least {n + 1}")
+    for x in grid_pts:
+        if not system.domain.contains(x):
+            raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
+    fns = system.basis + (f,)
+    tuples, exhaustive = _increasing_tuples(grid_pts, n + 1, budget=budget, seed=seed)
+    violations: list[tuple] = []
+    near_zero: list[tuple] = []
+    values: dict = {}
+    for t in tuples:
+        m = collocation_matrix(fns, t)
+        value = det(m)
+        if m.backend() is Backend.FLOAT:
+            tol = positivity_tolerance(m, tol_factor)
+            if value < -tol:
+                violations.append(t)
+                values[t] = value
+            elif value < 0:
+                near_zero.append(t)
+                values[t] = value
+        elif value < 0:
+            violations.append(t)
+            values[t] = value
+
+    if violations:
+        witness = min(violations)
+        return ConvexityVerdict("direct", "violated", len(tuples), seed,
+                                witness=witness, witness_value=values[witness],
+                                indeterminate_count=len(near_zero))
+    if near_zero:
+        witness = min(near_zero)
+        return ConvexityVerdict("direct", "indeterminate", len(tuples), seed,
+                                witness=witness, witness_value=values[witness],
+                                indeterminate_count=len(near_zero))
+    return ConvexityVerdict("direct", "convex_on_sample", len(tuples), seed)

@@ -49,6 +49,12 @@ class TestChebcheck:
         assert code == 0
         assert rep["results"]["positivity"]["verdict"] == "positive_on_grid"
 
+    def test_overflowing_determinant_is_input_error(self, capsys):
+        code, rep = run_cli(capsys, "chebcheck", "--system", "poly:3", "--backend",
+                            "float", "--grid", "list:1e150,2e150,3e150")
+        assert code == 2
+        assert rep["error"]["type"] == "NonFiniteValue"
+
 
 class TestDivdiff:
     def test_poly_example(self, capsys):
@@ -71,6 +77,13 @@ class TestDivdiff:
                             "--function", "power:3", "--grid", "list:-1,1")
         assert code == 2
         assert rep["error"]["type"] == "SingularDenominator"
+
+    def test_overflow_is_input_error(self, capsys):
+        code, rep = run_cli(capsys, "divdiff", "--system", "poly:2",
+                            "--function", "exp", "--grid", "list:1,800",
+                            "--backend", "float")
+        assert code == 2
+        assert rep["error"]["type"] == "OverflowError"
 
 
 class TestConvexity:
@@ -218,7 +231,9 @@ class TestReportContract:
         code1, rep1 = run_cli(capsys, *argv)
         code2, rep2 = run_cli(capsys, *argv)
         assert code1 == code2 == 0
-        assert rep1["timing_seconds"] != rep2["timing_seconds"] or True
+        for rep in (rep1, rep2):
+            assert isinstance(rep["timing_seconds"], float)
+            assert rep["timing_seconds"] >= 0
         assert json.dumps(without_timing(rep1), sort_keys=True) \
             == json.dumps(without_timing(rep2), sort_keys=True)
 

@@ -1,0 +1,143 @@
+"""The sign-scan kernel behind grid positivity and direct convexity,
+checked against the per-tuple loops in ``oracles.py``.  Reports must be
+identical, float values included (compared by repr), and so must the
+exception a scan raises."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from chebconvex.convexity import check_convex_direct
+from chebconvex.core import ExpFn, Interval, PowerFn, SampledFn, affine
+from chebconvex.determinant import increasing_tuples, is_positive_chebyshev
+from chebconvex.errors import BackendMismatch, InputError, NonFiniteValue
+from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
+
+from oracles import direct_loop, positivity_loop
+
+
+def outcome(fn, *args, **kwargs) -> str:
+    try:
+        return repr(fn(*args, **kwargs))
+    except (InputError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def same(kernel, oracle, *args, **kwargs) -> str:
+    got = outcome(kernel, *args, **kwargs)
+    assert got == outcome(oracle, *args, **kwargs)
+    return got
+
+
+def grids(rng: random.Random, size: int, lo: int, hi: int):
+    """An exact grid of eighths and its float twin."""
+    idx = sorted(rng.sample(range(lo * 8, hi * 8 + 1), size))
+    return [Fraction(i, 8) for i in idx], [i / 8 for i in idx]
+
+
+def functions(rng: random.Random, system, grid, exact: bool):
+    """Convex, non-convex and degenerate targets for ``system``."""
+    n = system.dim
+    coef = (lambda: Fraction(rng.randint(-12, 12), 4)) if exact \
+        else (lambda: rng.randint(-12, 12) / 4)
+    out = [affine((coef(), PowerFn(n)), (coef(), PowerFn(n + 1))),
+           system.basis[-1],     # every extended determinant is zero
+           SampledFn(tuple(grid), tuple(coef() for _ in grid))]
+    if not exact:
+        out.append(ExpFn())
+    return out
+
+
+SYSTEMS = [polynomial_system(n) for n in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: f"poly:{s.dim}")
+def test_polynomial_scans_match_oracle(system):
+    rng = random.Random(system.dim)
+    for trial in range(3):
+        for grid in grids(rng, 8, -3, 3):
+            exact = isinstance(grid[0], Fraction)
+            total = math.comb(len(grid), system.dim + 1)
+            for budget in (total, total // 2):
+                kw = dict(budget=budget, seed=trial)
+                for k in range(1, system.dim + 1):
+                    same(is_positive_chebyshev, positivity_loop, system, k, grid, **kw)
+                for f in functions(rng, system, grid, exact):
+                    same(check_convex_direct, direct_loop, system, f, grid, **kw)
+
+
+def test_trig_scans_match_oracle():
+    system = trig_odd_system(1, -math.pi, 0.0)
+    rng = random.Random(7)
+    for _ in range(3):
+        grid = sorted(rng.uniform(-3.1, -0.05) for _ in range(9))
+        for budget, tol in ((200, 1e-10), (40, 1e-10), (200, 0.05), (200, -0.05)):
+            kw = dict(budget=budget, tol_factor=tol)
+            for k in (1, 2, 3):
+                same(is_positive_chebyshev, positivity_loop, system, k, grid, **kw)
+            for f in (ExpFn(), system.basis[1], affine((-1.5, PowerFn(2)))):
+                same(check_convex_direct, direct_loop, system, f, grid, **kw)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_zero_pivots_on_the_full_line(exact):
+    # (1, x^2) on the whole line: every symmetric pair zeroes a pivot
+    system = one_xsq_system(Interval(), allow_unsafe_domain=True)
+    grid = [Fraction(i, 2) if exact else i / 2 for i in range(-4, 5)]
+    seen = set()
+    for budget in (200, 50):
+        for k in (1, 2):
+            seen.add(same(is_positive_chebyshev, positivity_loop, system, k, grid,
+                          budget=budget))
+        for f in (PowerFn(4), affine((-1, PowerFn(4))), PowerFn(1), PowerFn(2)):
+            seen.add(same(check_convex_direct, direct_loop, system, f, grid,
+                          budget=budget))
+    assert any("violated" in s for s in seen)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_duplicate_samples_are_counted(exact):
+    grid = [Fraction(i) if exact else float(i) for i in range(6)]
+    tuples, exhaustive = increasing_tuples(grid, 3, budget=19, seed=4)
+    assert not exhaustive and len(set(tuples)) < len(tuples)
+    for f in (affine((-1, PowerFn(2))), PowerFn(2)):
+        got = same(check_convex_direct, direct_loop, polynomial_system(2), f, grid,
+                   budget=19, seed=4)
+        assert "tuples_checked=19" in got
+    same(is_positive_chebyshev, positivity_loop, polynomial_system(3), 3, grid,
+         budget=19, seed=4)
+
+
+def test_mixed_int_float_grid_keeps_per_tuple_backends():
+    # Neutral ints give exact entries, 0.5 float ones: single points never
+    # mix, pairs do.
+    system = polynomial_system(2)
+    grid = [0, 0.5, 1]
+    k1 = same(is_positive_chebyshev, positivity_loop, system, 1, grid)
+    assert "positive_on_grid" in k1
+    assert same(is_positive_chebyshev, positivity_loop, system, 2, grid) \
+        == BackendMismatch.__name__
+
+
+def test_infinite_function_value_raises():
+    f = affine((1e308, PowerFn(2)), (1e308, PowerFn(3)))
+    with pytest.raises(NonFiniteValue):
+        check_convex_direct(polynomial_system(2), f, [0.5, 1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("budget", [200, 2])
+def test_overflowing_tolerance_raises_as_before(budget):
+    # the determinant is finite, tol_factor * (max |entry|)**2 is not
+    grid = [1e200, 2e200, 3e200]
+    assert same(is_positive_chebyshev, positivity_loop, polynomial_system(2), 2, grid,
+                budget=budget) == "OverflowError"
+
+
+@pytest.mark.parametrize("budget", [200, 2])
+def test_overflowing_determinant_raises(budget):
+    # entries stay below 1e301, the Vandermonde product is about 2e450
+    grid = [1e150, 2e150, 3e150, 4e150]
+    with pytest.raises(NonFiniteValue):
+        is_positive_chebyshev(polynomial_system(3), 3, grid, budget=budget)
