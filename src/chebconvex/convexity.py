@@ -17,6 +17,7 @@ than forced into a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
     OrderingClass,
     PointTuple,
     Scalar,
+    evaluate,
     validate_tuple,
 )
 from .determinant import (
@@ -35,6 +37,7 @@ from .determinant import (
     PositivityReport,
     SignScan,
     _sign_scan,
+    _tabulate,
     collocation_det,
     collocation_matrix,
     det,
@@ -52,7 +55,7 @@ from .errors import (
     InsufficientGrid,
     SingularDenominator,
 )
-from .induced import induced_system
+from .induced import _DerivedTable, induced_system
 
 #: Base-tuple sampling switches from exhaustive enumeration to seeded
 #: random sampling above this count.
@@ -82,19 +85,20 @@ class ConvexityVerdict:
         return self.verdict == "convex_on_sample"
 
 
-def _direct_scan(system: ChebyshevSystem, f: FunctionSpec, grid_pts: tuple,
-                 budget: int, seed: int, tol_factor: float) -> SignScan:
-    """Sign scan of the extended determinant on increasing (n+1)-tuples:
-    negative values are violations, or near zero inside the float
-    tolerance band."""
+def _direct_scan(system, grid_pts: tuple, table, budget: int, seed: int,
+                 tol_factor: float) -> SignScan:
+    """Sign scan of the extended determinant on increasing (n+1)-tuples
+    of a ``system`` of dimension n (a ChebyshevSystem or an
+    InducedSystem), whose extended columns ``table`` gives: negative
+    values are violations, or near zero inside the float tolerance
+    band."""
     n = system.dim
     if len(grid_pts) < n + 1:
         raise InsufficientGrid(f"grid has {len(grid_pts)} points, need at least {n + 1}")
     for x in grid_pts:
         if not system.domain.contains(x):
             raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
-    return _sign_scan(system.basis + (f,), grid_pts, budget, seed, tol_factor,
-                      positive=False)
+    return _sign_scan(table, n + 1, grid_pts, budget, seed, tol_factor, positive=False)
 
 
 def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
@@ -104,7 +108,9 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
     """Nonnegativity of the extended collocation determinant on all
     sampled increasing (n+1)-tuples of the grid.  Raises
     :class:`NonFiniteValue` on an infinite or NaN value."""
-    scan = _direct_scan(system, f, sorted_grid(grid), budget, seed, tol_factor)
+    pts = sorted_grid(grid)
+    scan = _direct_scan(system, pts, partial(_tabulate, evaluate, system.basis + (f,), pts),
+                        budget, seed, tol_factor)
     return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
                             scan.tuples_checked, seed, witness=scan.witness,
                             witness_value=scan.witness_value,
@@ -128,7 +134,12 @@ def _restricted_points(pts: tuple, base: tuple, ell: int | None) -> tuple:
 def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          grid: Iterable[Scalar], ell: int | None,
                          base_budget: int, budget: int, seed: int,
-                         tol_factor: float) -> ConvexityVerdict:
+                         tol_factor: float,
+                         table: _DerivedTable | None = None) -> ConvexityVerdict:
+    """The induced (``ell`` None) or interval check.  Each base's scan
+    reads its derived columns from ``table``, which a caller may share
+    between checks of the same system and ``f``; a table of the check's
+    own drops each base's derived values after its scan."""
     n = system.dim
     if not 1 <= k <= n - 1:
         raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
@@ -137,13 +148,15 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
     pts = sorted_grid(grid)
     bases, _ = increasing_tuples(pts, k, budget=base_budget, seed=seed)
     mode = "induced" if ell is None else "interval"
+    own = table is None
+    if own:
+        table = _DerivedTable(system, f)
 
     tuples_checked = 0
     bases_checked = 0
     bases_skipped = 0
     indeterminate = 0
-    first_violation: ConvexityVerdict | None = None
-    first_indeterminate: ConvexityVerdict | None = None
+    first: dict[str, tuple] = {}     # verdict -> (witness, value, base) of its first base
     for base in sorted(bases):
         local = _restricted_points(pts, base, ell)
         if len(local) < n - k + 1:
@@ -152,31 +165,22 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
         bases_checked += 1
         ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
                                                        min_gap=0.0))
-        inner = check_convex_direct(ind.as_system(), ind.derived(f), local,
-                                    budget=budget, seed=seed, tol_factor=tol_factor)
-        tuples_checked += inner.tuples_checked
-        indeterminate += inner.indeterminate_count
-        if inner.verdict == "violated" and first_violation is None:
-            first_violation = ConvexityVerdict(
-                mode, "violated", 0, seed, ell=ell, witness=inner.witness,
-                witness_value=inner.witness_value, witness_base=base)
-        elif inner.verdict == "indeterminate" and first_indeterminate is None:
-            first_indeterminate = ConvexityVerdict(
-                mode, "indeterminate", 0, seed, ell=ell, witness=inner.witness,
-                witness_value=inner.witness_value, witness_base=base)
+        scan = _direct_scan(ind, local, partial(table.columns, ind, local),
+                            budget, seed, tol_factor)
+        if own:
+            table.release()
+        tuples_checked += scan.tuples_checked
+        indeterminate += scan.indeterminate_count
+        if scan.verdict is not None:
+            first.setdefault(scan.verdict, (scan.witness, scan.witness_value, base))
 
     counts = dict(tuples_checked=tuples_checked, bases_checked=bases_checked,
                   bases_skipped=bases_skipped, indeterminate_count=indeterminate)
-    if first_violation is not None:
-        return ConvexityVerdict(mode, "violated", seed=seed, ell=ell,
-                                witness=first_violation.witness,
-                                witness_value=first_violation.witness_value,
-                                witness_base=first_violation.witness_base, **counts)
-    if first_indeterminate is not None:
-        return ConvexityVerdict(mode, "indeterminate", seed=seed, ell=ell,
-                                witness=first_indeterminate.witness,
-                                witness_value=first_indeterminate.witness_value,
-                                witness_base=first_indeterminate.witness_base, **counts)
+    for verdict in ("violated", "indeterminate"):
+        if verdict in first:
+            witness, value, base = first[verdict]
+            return ConvexityVerdict(mode, verdict, seed=seed, ell=ell, witness=witness,
+                                    witness_value=value, witness_base=base, **counts)
     if bases_checked == 0:
         # Nothing checkable (all restricted grids too small): report that
         # honestly instead of inventing a verdict.
@@ -284,23 +288,25 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
                          seed: int = DEFAULT_SEED,
                          tol_factor: float = DEFAULT_TOL_FACTOR) -> AgreementReport:
     """Run the direct mode, the induced mode for each k, and the
-    interval mode for each (k, ell), and compare definite verdicts."""
+    interval mode for each (k, ell), and compare definite verdicts.
+    The pinned modes share one table, so each base is eliminated and
+    each derived value computed once."""
     n = system.dim
     if k_list is None:
         k_list = list(range(1, n))
     labeled: list[tuple[str, ConvexityVerdict]] = []
     labeled.append(("direct", check_convex_direct(system, f, grid, budget=budget,
                                                   seed=seed, tol_factor=tol_factor)))
+    table = _DerivedTable(system, f)
+    pinned = dict(base_budget=base_budget, budget=budget, seed=seed, tol_factor=tol_factor,
+                  table=table)
     for k in k_list:
         labeled.append((f"induced:k={k}",
-                        check_convex_induced(system, k, f, grid, base_budget=base_budget,
-                                             budget=budget, seed=seed,
-                                             tol_factor=tol_factor)))
+                        _check_convex_pinned(system, k, f, grid, None, **pinned)))
         for ell in range(k + 1):
             labeled.append((f"interval:k={k}:ell={ell}",
-                            check_convex_interval(system, k, ell, f, grid,
-                                                  base_budget=base_budget, budget=budget,
-                                                  seed=seed, tol_factor=tol_factor)))
+                            _check_convex_pinned(system, k, f, grid, ell, **pinned)))
+        table.release()     # bases of size k serve only the modes of this k
     definite = [(label, v.verdict) for label, v in labeled
                 if v.verdict != "indeterminate"]
     disagreements = tuple(

@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -241,16 +242,17 @@ def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the sign scan behind grid positivity and direct convexity
+# the sign scan behind grid positivity and every convexity mode
 #
-# Every function is evaluated once per grid point the scan touches.  An
-# exhaustive scan then walks the increasing tuples depth first in
-# lexicographic order and eliminates one tuple point (one matrix column)
-# per level, so all extensions of a prefix share its elimination.  The
-# float walk replays the row swaps, multipliers and pivot products of
-# _det_float column by column, so its determinants are bit-identical to
-# per-tuple elimination; the exact walk runs Bareiss on integer columns.
-# A sampled scan eliminates each sampled tuple from the table.
+# A scan reads its columns from a table filled once per grid point it
+# touches.  An exhaustive scan then walks the increasing tuples depth
+# first in lexicographic order and eliminates one tuple point (one
+# matrix column) per level, so all extensions of a prefix share its
+# elimination.  The float walk replays the row swaps, multipliers and
+# pivot products of _det_float column by column, so its determinants
+# are bit-identical to per-tuple elimination; the exact walk runs
+# Bareiss on integer columns.  A sampled scan eliminates each sampled
+# tuple from the table.
 
 _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 
@@ -306,21 +308,24 @@ class _Tally:
             self.first[kind] = (t, value)
 
 
-def _sign_scan(fns: Sequence[FunctionSpec], pts: tuple, budget: int, seed: int,
+def _sign_scan(table, n: int, pts: tuple, budget: int, seed: int,
                tol_factor: float, positive: bool) -> SignScan:
-    """Classify det(fns[i](x_j)) on the increasing len(fns)-tuples of
-    the sorted grid ``pts`` (exhaustive within ``budget``, else
-    ``budget`` seeded samples) by the rule of :meth:`_Tally.add`."""
-    n, m = len(fns), len(pts)
+    """Classify the n x n determinants of the columns ``table`` gives
+    for the increasing n-tuples of the sorted grid ``pts`` (exhaustive
+    within ``budget``, else ``budget`` seeded samples) by the rule of
+    :meth:`_Tally.add`.  ``table(touched)`` returns the columns and
+    their backends at the point indices in ``touched``, as
+    :func:`_tabulate` does."""
+    m = len(pts)
     exhaustive = math.comb(m, n) <= budget
     if exhaustive:
         tuples = itertools.combinations(range(m), n)
         checked = math.comb(m, n)
-        cols, backends = _tabulate(fns, pts, [range(n)] + [(j,) for j in range(n, m)])
+        cols, backends = table([range(n)] + [(j,) for j in range(n, m)])
     else:
         tuples = _sampled_index_tuples(m, n, budget, seed)
         checked = len(tuples)
-        cols, backends = _tabulate(fns, pts, tuples)
+        cols, backends = table(tuples)
     used = set(backends.values()) - {None}
     tally = _Tally(positive, pts, tol_factor)
     scale = None
@@ -343,21 +348,22 @@ def _sign_scan(fns: Sequence[FunctionSpec], pts: tuple, budget: int, seed: int,
     return SignScan(checked, exhaustive)
 
 
-def _tabulate(fns, pts: tuple, touched) -> tuple[dict, dict]:
-    """Columns [fn(pts[j]) for fn in fns] for every point index in
-    ``touched``, evaluated once each, and the backend of each column.
-    Points are taken group by group and row by row within a group, the
-    order in which a scan that builds each tuple's matrix first meets
-    them, so the first failing evaluation is the same."""
+def _tabulate(value, rows, pts: tuple, touched) -> tuple[dict, dict]:
+    """Columns [value(r, pts[j]) for r in rows] for every point index in
+    ``touched``, computed once each, and the backend of each column
+    (``value`` is :func:`evaluate` for rows of functions).  Points are
+    taken group by group and row by row within a group, the order in
+    which a scan that builds each tuple's matrix first meets them, so
+    the first failing evaluation is the same."""
     cols: dict[int, list] = {}
     backends: dict[int, Backend | None] = {}
     for group in touched:
         new = [j for j in group if j not in cols]
         if not new:
             continue
-        rows = [[evaluate(fn, pts[j]) for j in new] for fn in fns]
+        entries = [[value(r, pts[j]) for j in new] for r in rows]
         for pos, j in enumerate(new):
-            col = [row[pos] for row in rows]
+            col = [row[pos] for row in entries]
             backends[j] = collection_backend(col)
             if backends[j] is Backend.FLOAT:
                 for v in col:
@@ -378,16 +384,98 @@ def _scan_each(cols: dict, backends: dict, tuples, tally: _Tally) -> None:
             tally.add(t, _det_exact(rows))
 
 
-def _walk(cols: list, n: int, root, step, leaf, zero, tally: _Tally) -> None:
+def _float_pivot(result: float, c: list, d: int):
+    """Level d of _det_float on the reduced column ``c``: the row p of
+    the largest |c[r]|, r >= d (the first on ties).  Returns ``None``
+    when c[p] is zero, else the pivot product ``result`` times c[p],
+    negated on a row swap, and the step that reduces any column of the
+    same matrix (see :func:`_float_reduce`)."""
+    n = len(c)
+    p, best = d, abs(c[d])
+    for r in range(d + 1, n):
+        if abs(c[r]) > best:
+            p, best = r, abs(c[r])
+    if c[p] == 0.0:
+        return None
+    pivot = c[p]
+    pivot_col = c[:]
+    pivot_col[d], pivot_col[p] = pivot, c[d]
+    factors = [(i, pivot_col[i] / pivot) for i in range(d + 1, n)]
+    return (-result if p != d else result) * pivot, (d, p, factors)
+
+
+def _float_reduce(cands: list, step) -> list:
+    """The (index, column) pairs ``cands`` after one step of
+    :func:`_float_pivot`: rows d and p swapped, then rows below d less
+    their multiple of row d."""
+    d, p, factors = step
+    out = []
+    for j, c in cands:
+        r = c[:]
+        r[d], r[p] = r[p], r[d]
+        rd = r[d]
+        for i, factor in factors:
+            r[i] -= factor * rd
+        out.append((j, r))
+    return out
+
+
+def _float_last(result: float, v: float) -> float:
+    """_det_float's last level: the pivot product times the last reduced
+    entry, or 0.0 when that entry is zero."""
+    return result * v if v != 0.0 else 0.0
+
+
+def _exact_pivot(state: tuple, c: list, d: int):
+    """Level d of Bareiss elimination on the reduced integer column
+    ``c``; ``state`` is (swap sign, previous pivot).  Returns ``None``
+    when c[d:] is zero, else the new state and the step that reduces any
+    column of the same matrix (see :func:`_exact_reduce`)."""
+    sign, prev = state
+    n = len(c)
+    p = next((r for r in range(d, n) if c[r]), None)
+    if p is None:
+        return None
+    pivot = c[p]
+    pivot_col = c[:]
+    pivot_col[d], pivot_col[p] = pivot, c[d]
+    below = [(i, pivot_col[i]) for i in range(d + 1, n)]
+    return (-sign if p != d else sign, pivot), (d, p, pivot, prev, below)
+
+
+def _exact_reduce(cands: list, step) -> list:
+    """The (index, column) pairs ``cands`` after one step of
+    :func:`_exact_pivot`."""
+    d, p, pivot, prev, below = step
+    out = []
+    for j, c in cands:
+        r = c[:]
+        r[d], r[p] = r[p], r[d]
+        rd = r[d]
+        for i, a in below:
+            # Bareiss step: the division by the previous pivot is exact.
+            r[i] = (pivot * r[i] - a * rd) // prev
+        out.append((j, r))
+    return out
+
+
+def _integer_column(c) -> tuple[list, int]:
+    """The exact column ``c`` (of Fractions and ints) times the lcm of
+    its denominators, and that lcm."""
+    lcm = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (lcm // x.denominator) for x in c], lcm
+
+
+def _walk(cols: list, n: int, root, pivot, reduce, leaf, zero, tally: _Tally) -> None:
     """Depth-first walk over the increasing n-tuples of column indices
     in lexicographic order.  Level d eliminates the tuple's d-th column:
-    ``step(state, j, c, d, rest)`` pivots on column j (``c``, already
-    reduced by the prefix) and returns the new state with every later
-    column in ``rest`` reduced by this step, or ``None`` when the pivot
-    column is zero, which makes every extension's determinant zero.
-    ``leaf(state, j, v)`` turns the last reduced entry into the
-    arguments of :meth:`_Tally.add` after the tuple, ``zero(t)`` gives
-    them for a zero determinant."""
+    ``pivot(state, j, c, d)`` pivots on column j (``c``, already reduced
+    by the prefix) and returns the new state and the step that
+    ``reduce(rest, step)`` applies to the later (index, column) pairs,
+    or ``None`` when the pivot column is zero, which makes every
+    extension's determinant zero.  ``leaf(state, j, v)`` turns the last
+    reduced entry into the arguments of :meth:`_Tally.add` after the
+    tuple, ``zero(t)`` gives them for a zero determinant."""
     last = n - 1
 
     def visit(d, prefix, state, cands):
@@ -398,13 +486,14 @@ def _walk(cols: list, n: int, root, step, leaf, zero, tally: _Tally) -> None:
                 tally.add(t, *leaf(state, j, c[last]))
                 continue
             rest = cands[pos + 1:]
-            child = step(state, j, c, d, rest)
-            if child is None:
+            pivoted = pivot(state, j, c, d)
+            if pivoted is None:
                 for tail in itertools.combinations(rest, last - d):
                     u = t + tuple(i for i, _ in tail)
                     tally.add(u, *zero(u))
                 continue
-            visit(d + 1, t, *child)
+            child, step = pivoted
+            visit(d + 1, t, child, reduce(rest, step))
 
     visit(0, (), root, list(enumerate(cols)))
 
@@ -416,80 +505,67 @@ def _walk_float(cols: list, n: int, tally: _Tally) -> None:
     cols = [[float(v) for v in c] for c in cols]
     colmax = [max(abs(v) for v in c) for c in cols]
 
-    def step(state, j, c, d, rest):
+    def pivot(state, j, c, d):
         result, biggest = state
-        p, best = d, abs(c[d])
-        for r in range(d + 1, n):
-            if abs(c[r]) > best:
-                p, best = r, abs(c[r])
-        if c[p] == 0.0:
+        pivoted = _float_pivot(result, c, d)
+        if pivoted is None:
             return None
-        if p != d:
-            result = -result
-        pivot = c[p]
-        pivot_col = c[:]
-        pivot_col[d], pivot_col[p] = pivot, c[d]
-        factors = [(i, pivot_col[i] / pivot) for i in range(d + 1, n)]
-        reduced = []
-        for j2, c2 in rest:
-            r = c2[:]
-            r[d], r[p] = r[p], r[d]
-            rd = r[d]
-            for i, factor in factors:
-                r[i] -= factor * rd
-            reduced.append((j2, r))
-        return (result * pivot, max(biggest, colmax[j])), reduced
+        return (pivoted[0], max(biggest, colmax[j])), pivoted[1]
 
     def leaf(state, j, v):
         result, biggest = state
-        return result * v if v != 0.0 else 0.0, max(biggest, colmax[j])
+        return _float_last(result, v), max(biggest, colmax[j])
 
     def zero(t):
         return 0.0, max(colmax[j] for j in t)
 
-    _walk(cols, n, (1.0, 0.0), step, leaf, zero, tally)
+    _walk(cols, n, (1.0, 0.0), pivot, _float_reduce, leaf, zero, tally)
 
 
 def _walk_exact(cols: list, n: int, tally: _Tally) -> list:
     """Bareiss elimination one column at a time.  Each column is scaled
     to integers by the lcm of its denominators, so the walk records
     integer determinants of the scaled matrix, which carry the sign;
-    returns the column scales.  The state is (swap sign, previous
-    pivot)."""
-    scale, ints = [], []
-    for c in cols:
-        fracs = [Fraction(v) for v in c]
-        lcm = math.lcm(*(x.denominator for x in fracs))
-        scale.append(lcm)
-        ints.append([x.numerator * (lcm // x.denominator) for x in fracs])
+    returns the column scales."""
+    ints, scale = zip(*map(_integer_column, cols))
+    _walk(list(ints), n, (1, 1), lambda state, j, c, d: _exact_pivot(state, c, d),
+          _exact_reduce, lambda state, j, v: (state[0] * v,), lambda t: (0,), tally)
+    return list(scale)
 
-    def step(state, j, c, d, rest):
-        sign, prev = state
-        p = next((r for r in range(d, n) if c[r]), None)
-        if p is None:
-            return None
-        if p != d:
-            sign = -sign
-        pivot = c[p]
-        pivot_col = c[:]
-        pivot_col[d], pivot_col[p] = pivot, c[d]
-        below = [(i, pivot_col[i]) for i in range(d + 1, n)]
-        reduced = []
-        for j2, c2 in rest:
-            r = c2[:]
-            r[d], r[p] = r[p], r[d]
-            rd = r[d]
-            for i, a in below:
-                # Bareiss step: the division by the previous pivot is exact.
-                r[i] = (pivot * r[i] - a * rd) // prev
-            reduced.append((j2, r))
-        return (sign, pivot), reduced
 
-    def leaf(state, j, v):
-        return (state[0] * v,)
+def _appended_det(base_cols: list, exact: bool):
+    """The function col -> det[base_cols..., col] over square matrices
+    that share their first columns.  Those are eliminated once, as one
+    path of :func:`_walk` eliminates them; each ``col`` is then reduced
+    by the recorded steps.  Float: the value _det_float gives, bit for
+    bit.  Exact: the Fraction, from Bareiss on integer-scaled columns."""
+    if exact:
+        ints, scales = zip(*map(_integer_column, base_cols))
+        cols, state, pivot, reduce = list(ints), (1, 1), _exact_pivot, _exact_reduce
+        base_scale = math.prod(scales)
+    else:
+        cols = [[float(v) for v in c] for c in base_cols]
+        state, pivot, reduce = 1.0, _float_pivot, _float_reduce
+    steps, rest = [], list(enumerate(cols))
+    for d in range(len(cols)):
+        (_, c), rest = rest[0], rest[1:]
+        pivoted = pivot(state, c, d)
+        if pivoted is None:         # a zero pivot column: every det is zero
+            return lambda col: Fraction(0) if exact else 0.0
+        state, step = pivoted
+        steps.append(step)
+        rest = reduce(rest, step)
 
-    _walk(ints, n, (1, 1), step, leaf, lambda t: (0,), tally)
-    return scale
+    def det(col):
+        c, scale = _integer_column(col) if exact else ([float(v) for v in col], 1)
+        last = [(None, c)]
+        for step in steps:
+            last = reduce(last, step)
+        v = last[0][1][-1]
+        if exact:
+            return Fraction(state[0] * v, base_scale * scale)
+        return _float_last(state, v)
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +611,8 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
 
-    scan = _sign_scan(system.basis[:k], pts, budget, seed, tol_factor, positive=True)
+    scan = _sign_scan(partial(_tabulate, evaluate, system.basis[:k], pts), k, pts,
+                      budget, seed, tol_factor, positive=True)
     return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
                             scan.exhaustive, seed, scan.witness, scan.witness_value,
                             scan.indeterminate_count)

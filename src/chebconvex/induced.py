@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_MIN_GAP,
+    Backend,
     ChebyshevSystem,
     Domain,
     FunctionSpec,
@@ -26,7 +28,9 @@ from .core import (
     PointTuple,
     Scalar,
     as_backend,
+    collection_backend,
     combine_backends,
+    evaluate,
     puncture,
     scalar_backend,
     validate_tuple,
@@ -36,13 +40,16 @@ from .determinant import (
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
+    _appended_det,
+    _tabulate,
+    _tolerance,
     collocation_det,
     increasing_tuples,
     is_positive_chebyshev,
     sorted_grid,
 )
 from .divdiff import ResidualReport, divided_difference
-from .errors import DimensionMismatch, DuplicatePoint, InputError
+from .errors import DimensionMismatch, DuplicatePoint, InputError, SingularDenominator
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,116 @@ class DerivedFn(FunctionSpec):
         dd = divided_difference(self.parent, self.k + 1, self.target,
                                 self.base.points + (x,))
         return as_backend(dd.value, backend)
+
+
+class _DerivedTable:
+    """Derived columns of the bases pinned in one check of ``f`` against
+    ``parent``: [g(x) for g in the induced basis + (derived f,)].
+
+    ``parent.basis + (f,)`` is evaluated once per point, entry by entry
+    in the order in which DerivedFn first needs each entry.  For each
+    base and each target t in basis[k:] + (f,), the k base columns of
+    the rows basis[:k] + (t,) are eliminated once; the rows of basis[k]
+    give the denominator.  A value at x then reduces one column per
+    determinant.  Float values replay _det_float and equal DerivedFn's
+    bit for bit; exact values are the same Fractions.  Every check of
+    DerivedFn is made at the first evaluation of each value, in its
+    order and with its error and message.
+    """
+
+    def __init__(self, parent: ChebyshevSystem, f: FunctionSpec):
+        self.fns = parent.basis + (f,)
+        self._values = [{} for _ in self.fns]
+        self._bases: dict[tuple, _PinnedBase] = {}
+
+    def value(self, i: int, x: Scalar) -> Scalar:
+        """fns[i](x), evaluated once."""
+        row = self._values[i]
+        value = row.get(x)
+        if value is None:
+            value = row[x] = evaluate(self.fns[i], x)
+        return value
+
+    def columns(self, ind: "InducedSystem", pts: tuple, touched) -> tuple[dict, dict]:
+        """The derived columns of ``ind``'s base at the point indices in
+        ``touched`` and their backends, as determinant._tabulate gives
+        them for ``ind.basis + (ind.derived(f),)``."""
+        pinned = self._bases.get(ind.base.points)
+        if pinned is None:
+            pinned = self._bases[ind.base.points] = _PinnedBase(self, ind)
+        return _tabulate(pinned.value, range(ind.dim + 1), pts, touched)
+
+    def release(self) -> None:
+        """Drop the derived values of every base; the parent's stay."""
+        self._bases.clear()
+
+
+class _PinnedBase:
+    """The derived values of one base, read from a :class:`_DerivedTable`."""
+
+    def __init__(self, table: _DerivedTable, ind: "InducedSystem"):
+        self.parent = table.value
+        self.k = ind.k
+        self.base = ind.base.points
+        self.derived = ind.basis + (ind.derived(table.fns[-1]),)
+        self.backends: dict[int, Backend | None] = {}   # what each derived fn requires
+        self.dens: dict = {}        # x -> (denominator, backend of its entries)
+        self.dets: dict = {}        # (target, backend) -> _appended_det
+        self.values: dict = {}      # (target, x) -> value
+
+    def value(self, t: int, x: Scalar) -> Scalar:
+        """The value at x of target t's derived function: evaluate() of
+        DerivedFn, then divided_difference, check by check."""
+        value = self.values.get((t, x))
+        if value is not None:
+            return value
+        if t not in self.backends:
+            self.backends[t] = self.derived[t].required_backend()
+        backend = combine_backends(scalar_backend(x), self.backends[t],
+                                   default=Backend.EXACT)
+        pts = self.base + (x,)
+        checked = self.dens.get(x)
+        if checked is None:
+            checked = self.dens[x] = self._denominator(pts)
+        den, den_backend = checked
+        if t == 0:
+            num = den
+        else:
+            row = [self.parent(self.k + t, p) for p in pts]
+            num_backend = combine_backends(den_backend, collection_backend(row))
+            col = [self.parent(i, x) for i in range(self.k)] + [row[-1]]
+            num = self._det(t, num_backend, col)
+        value = self.values[(t, x)] = as_backend(num / den, backend)
+        return value
+
+    def _denominator(self, pts: tuple) -> tuple:
+        """The denominator at pts = (base..., x) and the backend of its
+        entries, checked as divided_difference checks them."""
+        validate_tuple(pts, OrderingClass.PAIRWISE_DISTINCT, min_gap=DEFAULT_MIN_GAP)
+        size = self.k + 1
+        # collocation_matrix's row-major order, then Matrix's backend check
+        entries = [self.parent(i, p) for i in range(size) for p in pts]
+        backend = collection_backend(entries)
+        den = self._det(0, backend, entries[self.k::size])
+        if backend is Backend.FLOAT:
+            if abs(den) <= _tolerance(max(abs(float(e)) for e in entries), size,
+                                      DEFAULT_TOL_FACTOR):
+                raise SingularDenominator(
+                    f"prefix collocation determinant {den} within tolerance at {pts}")
+        elif den == 0:
+            raise SingularDenominator(f"prefix collocation determinant vanishes at {pts}")
+        return den, backend
+
+    def _det(self, t: int, backend: Backend | None, col: list) -> Scalar:
+        """det of the rows basis[:k] + (target t,) at (base..., x), x's
+        column being ``col``."""
+        key = (t, backend)
+        if key not in self.dets:
+            rows = (*range(self.k), self.k + t)
+            self.dets[key] = _appended_det([[self.parent(i, b) for i in rows]
+                                            for b in self.base],
+                                           exact=backend is not Backend.FLOAT)
+        return self.dets[key](col)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Everything here is implemented by a different algorithm than the
 package uses (Laplace cofactor expansion vs elimination, monomial
 enumeration vs accumulation, unsorted two-ended recursion vs the Newton
-table, one pivoted determinant per tuple vs prefix-shared elimination),
-so matching values certify both sides.
+table, one pivoted determinant per tuple vs prefix-shared elimination,
+two fresh determinants per derived value vs bases eliminated once), so
+matching values certify both sides.
 """
 
 import itertools
@@ -12,8 +13,13 @@ import math
 import random
 from fractions import Fraction
 
-from chebconvex.convexity import ConvexityVerdict
-from chebconvex.core import Backend
+from chebconvex.convexity import (
+    DEFAULT_BASE_BUDGET,
+    ConvexityVerdict,
+    _restricted_points,
+    check_convex_direct,
+)
+from chebconvex.core import Backend, OrderingClass, validate_tuple
 from chebconvex.determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
@@ -21,10 +27,17 @@ from chebconvex.determinant import (
     PositivityReport,
     collocation_matrix,
     det,
+    increasing_tuples,
     positivity_tolerance,
     sorted_grid,
 )
-from chebconvex.errors import DimensionMismatch, EvaluationOutsideSupport, InsufficientGrid
+from chebconvex.errors import (
+    DimensionMismatch,
+    EvaluationOutsideSupport,
+    InputError,
+    InsufficientGrid,
+)
+from chebconvex.induced import induced_system
 
 
 def cofactor_det(rows):
@@ -195,3 +208,69 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
                                 witness=witness, witness_value=values[witness],
                                 indeterminate_count=len(near_zero))
     return ConvexityVerdict("direct", "convex_on_sample", len(tuples), seed)
+
+
+# ---------------------------------------------------------------------------
+# per-base pinned checks: the loop the package ran before its derived
+# tables, kept unchanged as a reference.  Each base builds its induced
+# system and runs a direct check of the derived function, whose every
+# value is a divided difference of two fresh determinants (DerivedFn).
+
+def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
+                budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
+                tol_factor=DEFAULT_TOL_FACTOR) -> ConvexityVerdict:
+    """The induced (``ell`` None) or interval check, one base at a time."""
+    n = system.dim
+    if not 1 <= k <= n - 1:
+        raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
+    if ell is not None and not 0 <= ell <= k:
+        raise InputError(f"interval index {ell} outside 0..{k}")
+    pts = sorted_grid(grid)
+    bases, _ = increasing_tuples(pts, k, budget=base_budget, seed=seed)
+    mode = "induced" if ell is None else "interval"
+
+    tuples_checked = 0
+    bases_checked = 0
+    bases_skipped = 0
+    indeterminate = 0
+    first_violation: ConvexityVerdict | None = None
+    first_indeterminate: ConvexityVerdict | None = None
+    for base in sorted(bases):
+        local = _restricted_points(pts, base, ell)
+        if len(local) < n - k + 1:
+            bases_skipped += 1
+            continue
+        bases_checked += 1
+        ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
+                                                       min_gap=0.0))
+        inner = check_convex_direct(ind.as_system(), ind.derived(f), local,
+                                    budget=budget, seed=seed, tol_factor=tol_factor)
+        tuples_checked += inner.tuples_checked
+        indeterminate += inner.indeterminate_count
+        if inner.verdict == "violated" and first_violation is None:
+            first_violation = ConvexityVerdict(
+                mode, "violated", 0, seed, ell=ell, witness=inner.witness,
+                witness_value=inner.witness_value, witness_base=base)
+        elif inner.verdict == "indeterminate" and first_indeterminate is None:
+            first_indeterminate = ConvexityVerdict(
+                mode, "indeterminate", 0, seed, ell=ell, witness=inner.witness,
+                witness_value=inner.witness_value, witness_base=base)
+
+    counts = dict(tuples_checked=tuples_checked, bases_checked=bases_checked,
+                  bases_skipped=bases_skipped, indeterminate_count=indeterminate)
+    if first_violation is not None:
+        return ConvexityVerdict(mode, "violated", seed=seed, ell=ell,
+                                witness=first_violation.witness,
+                                witness_value=first_violation.witness_value,
+                                witness_base=first_violation.witness_base, **counts)
+    if first_indeterminate is not None:
+        return ConvexityVerdict(mode, "indeterminate", seed=seed, ell=ell,
+                                witness=first_indeterminate.witness,
+                                witness_value=first_indeterminate.witness_value,
+                                witness_base=first_indeterminate.witness_base, **counts)
+    if bases_checked == 0:
+        # Nothing checkable (all restricted grids too small): report that
+        # honestly instead of inventing a verdict.
+        return ConvexityVerdict(mode, "indeterminate", seed=seed, ell=ell, **counts)
+    return ConvexityVerdict(mode, "convex_on_sample", seed=seed, ell=ell, **counts)
+

@@ -1,0 +1,245 @@
+"""The induced, interval and agreement modes, whose derived values come
+from per-base tables (``induced._DerivedTable``), checked against the
+per-base loop in ``oracles.py``, which evaluates every derived value as
+a divided difference of two fresh determinants.  Reports must be
+identical, float values included (compared by repr), and so must the
+error a check raises, message included."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from chebconvex.convexity import (
+    check_convex_direct,
+    check_convex_induced,
+    check_convex_interval,
+    cross_mode_agreement,
+)
+from chebconvex.core import (
+    Backend,
+    ExpFn,
+    Interval,
+    PowerFn,
+    SampledFn,
+    affine,
+    evaluate,
+)
+from chebconvex.determinant import increasing_tuples
+from chebconvex.errors import (
+    BackendMismatch,
+    EvaluationOutsideSupport,
+    InputError,
+    SingularDenominator,
+)
+from chebconvex.induced import _DerivedTable, induced_system
+from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
+
+from oracles import pinned_loop
+
+
+def result(fn, *args, **kwargs):
+    """What ``fn`` returns, or the error it raises as "Class: message"."""
+    try:
+        return fn(*args, **kwargs)
+    except (InputError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def pinned(system, k, f, grid, ell=None, **kw):
+    if ell is None:
+        return check_convex_induced(system, k, f, grid, **kw)
+    return check_convex_interval(system, k, ell, f, grid, **kw)
+
+
+def check_every_mode(system, f, grid, **kw) -> list:
+    """Each induced and interval mode of every k against the oracle, then
+    cross_mode_agreement, whose modes share one table, against the
+    oracle's verdicts in its order (or the first error among them).
+    Returns the labelled oracle results."""
+    direct_kw = {key: v for key, v in kw.items() if key != "base_budget"}
+    labeled = [("direct", result(check_convex_direct, system, f, grid, **direct_kw))]
+    for k in range(1, system.dim):
+        for ell in (None, *range(k + 1)):
+            label = f"induced:k={k}" if ell is None else f"interval:k={k}:ell={ell}"
+            oracle = result(pinned_loop, system, k, f, grid, ell, **kw)
+            assert repr(result(pinned, system, k, f, grid, ell, **kw)) == repr(oracle), label
+            labeled.append((label, oracle))
+    errors = [r for _, r in labeled if isinstance(r, str)]
+    got = result(cross_mode_agreement, system, f, grid, **kw)
+    assert repr(getattr(got, "verdicts", got)) == repr(errors[0] if errors else tuple(labeled))
+    return labeled
+
+
+def outcomes(labeled) -> set:
+    """Verdicts and error lines of labelled results."""
+    return {getattr(r, "verdict", r) for _, r in labeled}
+
+
+def grids(rng: random.Random, size: int, lo: int, hi: int):
+    """An exact grid of eighths and its float twin."""
+    idx = sorted(rng.sample(range(lo * 8, hi * 8 + 1), size))
+    return [Fraction(i, 8) for i in idx], [i / 8 for i in idx]
+
+
+def functions(rng: random.Random, system, grid, exact: bool):
+    """Convex, non-convex and degenerate targets for ``system``."""
+    n = system.dim
+    coef = (lambda: Fraction(rng.randint(-12, 12), 4)) if exact \
+        else (lambda: rng.randint(-12, 12) / 4)
+    out = [affine((coef(), PowerFn(n)), (coef(), PowerFn(n + 1))),
+           affine((abs(coef()) + 1, PowerFn(n))),
+           system.basis[-1],     # every derived determinant is zero
+           SampledFn(tuple(grid), tuple(coef() for _ in grid))]
+    if not exact:
+        out.append(ExpFn())
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_polynomial_pinned_modes_match_oracle(n):
+    system = polynomial_system(n)
+    rng = random.Random(n)
+    seen = set()
+    for grid in grids(rng, 6, -3, 3):
+        exact = isinstance(grid[0], Fraction)
+        targets = functions(rng, system, grid, exact)
+        if n == 3:      # the slower oracles: fewer targets
+            del targets[1]
+        elif n == 4:    # one target per backend, exhaustive only
+            targets = targets[2:3] if exact else targets[3:4]
+        for f in targets:
+            seen |= outcomes(check_every_mode(system, f, grid))
+        # inner scans sampled, then bases sampled (with duplicates)
+        for kw in (dict(budget=3, seed=1), dict(base_budget=4, seed=2)) if n < 4 else ():
+            seen |= outcomes(check_every_mode(system, targets[0], grid, **kw))
+    assert {"violated", "convex_on_sample"} <= seen
+
+
+def test_trig_pinned_modes_match_oracle():
+    system = trig_odd_system(1, -math.pi, 0.0)
+    rng = random.Random(7)
+    grid = sorted(rng.uniform(-3.1, -0.05) for _ in range(7))
+    sampled = SampledFn(tuple(grid), tuple(rng.uniform(-1, 1) for _ in grid))
+    seen = set()
+    for f, kw in ((ExpFn(), dict(tol_factor=1e-10)), (sampled, dict(tol_factor=1e-10)),
+                  (sampled, dict(tol_factor=0.05)), (ExpFn(), dict(tol_factor=-0.05)),
+                  (system.basis[1], dict(budget=4)), (sampled, dict(base_budget=5, seed=3))):
+        seen |= outcomes(check_every_mode(system, f, grid, **kw))
+    assert {"violated", "indeterminate", "convex_on_sample"} <= seen
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_duplicate_sampled_bases_are_counted(exact):
+    grid = [Fraction(i) if exact else float(i) for i in range(7)]
+    bases, exhaustive = increasing_tuples(grid, 2, budget=9, seed=5)
+    assert not exhaustive and len(set(bases)) < len(bases)
+    system = polynomial_system(3)
+    for f in (affine((-1, PowerFn(3))), PowerFn(4)):
+        assert pinned(system, 2, f, grid, base_budget=9, seed=5).bases_checked == 9
+        check_every_mode(system, f, grid, base_budget=9, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# errors: the same class and message, from the same first failing check
+
+ONE_XSQ = one_xsq_system(Interval(), allow_unsafe_domain=True)
+EXACT_LINE = [Fraction(i) for i in range(-2, 4)]
+FLOAT_LINE = [float(i) for i in range(-2, 4)]
+
+
+def errors(labeled) -> list:
+    """The errors of labelled results; cross_mode_agreement raises the first."""
+    return [r for _, r in labeled if isinstance(r, str)]
+
+
+def test_singular_denominator_exact_agreement():
+    labeled = check_every_mode(ONE_XSQ, PowerFn(4), EXACT_LINE)
+    assert errors(labeled)[0] == ("SingularDenominator: prefix collocation determinant "
+                                  "vanishes at (Fraction(-2, 1), Fraction(2, 1))")
+
+
+def test_singular_denominator_float_induced():
+    labeled = dict(check_every_mode(ONE_XSQ, PowerFn(4), FLOAT_LINE))
+    assert labeled["induced:k=1"] == ("SingularDenominator: prefix collocation "
+                                      "determinant 0.0 within tolerance at (-2.0, 2.0)")
+    # nonzero, but inside the tolerance band of the denominator's entries
+    near = [-2.0, -1.0, 0.0, 1.0, 2.0 + 2.0 ** -40, 3.0]
+    labeled = dict(check_every_mode(ONE_XSQ, PowerFn(4), near))
+    assert labeled["induced:k=1"] == (
+        "SingularDenominator: prefix collocation determinant 3.637978807091713e-12 "
+        "within tolerance at (-2.0, 2.0000000000009095)")
+
+
+def test_gap_below_min_gap():
+    system = polynomial_system(3)
+    for grid in ([0.0, 1e-10, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 2.0 + 1e-10, 3.0, 4.0]):
+        labeled = dict(check_every_mode(system, PowerFn(3), grid))
+        assert labeled["induced:k=1"] == \
+            "OrderingViolation: |points[0] - points[1]| < min gap 1e-09"
+
+
+def test_sampled_function_missing_a_grid_point():
+    system = polynomial_system(3)
+    for grid, missing, shown in (([i / 2 for i in range(6)], 1.5, "1.5"),
+                                 ([Fraction(i, 2) for i in range(6)], Fraction(3, 2),
+                                  "Fraction(3, 2)")):
+        kept = [x for x in grid if x != missing]
+        f = SampledFn(tuple(kept), tuple(x * x for x in kept))
+        labeled = dict(check_every_mode(system, f, grid))
+        assert labeled["induced:k=1"] == \
+            f"EvaluationOutsideSupport: sampled function has no value at {shown}"
+
+
+@pytest.mark.parametrize("grid, missing, error", [
+    # x = 2 makes the denominator over base -2 vanish, and f has no value there
+    (EXACT_LINE, 2, SingularDenominator),
+    # the first scan group is (-1, 2): target-major order meets the
+    # denominator at 2 before f at -1
+    ([Fraction(i) for i in (-2, -1, 2, 3, 4)], -1, SingularDenominator),
+    # the first scan group is (-1, 0): f at -1 fails before x = 2 is reached
+    (EXACT_LINE, -1, EvaluationOutsideSupport),
+])
+def test_singular_denominator_meets_missing_value(grid, missing, error):
+    kept = [x for x in grid if x != missing]
+    f = SampledFn(tuple(kept), tuple(x ** 4 for x in kept))
+    labeled = dict(check_every_mode(ONE_XSQ, f, grid))
+    assert labeled["induced:k=1"].startswith(error.__name__)
+
+
+def test_mixed_int_float_grid_raises_backend_mismatch():
+    grid = [0, 0.5, 1, 2, 3]
+    for n in (2, 3):
+        labeled = check_every_mode(polynomial_system(n), PowerFn(3), grid)
+        assert {r.split(":")[0] for r in errors(labeled)} == {BackendMismatch.__name__}
+        assert all(isinstance(r, str) for label, r in labeled if label != "direct")
+
+
+# ---------------------------------------------------------------------------
+# the derived table itself
+
+@pytest.mark.parametrize("system, grid", [
+    (polynomial_system(3), [Fraction(i, 3) for i in range(-3, 4)]),
+    (polynomial_system(4), [i / 4 - 1 for i in range(6)]),
+    (trig_odd_system(1, -math.pi, 0.0), [-3.0, -2.5, -2.0, -1.25, -0.75, -0.5, -0.125]),
+])
+def test_derived_columns_equal_derived_functions(system, grid):
+    exact = isinstance(grid[0], Fraction)
+    fns = [affine((Fraction(3, 2) if exact else 1.5, PowerFn(system.dim + 1))),
+           system.basis[-1]]
+    if not exact:
+        fns.append(ExpFn())
+    for f in fns:
+        table = _DerivedTable(system, f)
+        for k in range(1, system.dim):
+            for base in increasing_tuples(grid, k)[0]:
+                ind = induced_system(system, k, base)
+                pts = tuple(x for x in grid if x not in base)
+                cols, backends = table.columns(ind, pts, [range(len(pts))])
+                targets = ind.basis + (ind.derived(f),)
+                for j, x in enumerate(pts):
+                    assert [repr(v) for v in cols[j]] == \
+                        [repr(evaluate(g, x)) for g in targets]
+                    assert repr(cols[j][0]) == ("Fraction(1, 1)" if exact else "1.0")
+                    assert backends[j] is (Backend.EXACT if exact else Backend.FLOAT)
