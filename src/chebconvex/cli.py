@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -255,6 +257,8 @@ def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
 # report plumbing
 
 def _jsonify(value):
+    """JSON form of a report value; a report dataclass becomes the dict
+    of all its fields."""
     if value is None or isinstance(value, (bool, str, int, float)):
         return scalar_to_json(value) if isinstance(value, (int, float)) \
             and not isinstance(value, bool) else value
@@ -264,36 +268,14 @@ def _jsonify(value):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonify(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return str(value)
 
 
-def _verdict_dict(v) -> dict:
-    return {
-        "mode": v.mode,
-        "ell": v.ell,
-        "verdict": v.verdict,
-        "tuples_checked": v.tuples_checked,
-        "bases_checked": v.bases_checked,
-        "bases_skipped": v.bases_skipped,
-        "indeterminate_count": v.indeterminate_count,
-        "witness": _jsonify(v.witness),
-        "witness_value": _jsonify(v.witness_value),
-        "witness_base": _jsonify(v.witness_base),
-        "seed": v.seed,
-    }
-
-
-def _positivity_dict(r) -> dict:
-    return {
-        "verdict": r.verdict,
-        "k": r.k,
-        "tuples_checked": r.tuples_checked,
-        "exhaustive": r.exhaustive,
-        "witness": _jsonify(r.witness),
-        "witness_value": _jsonify(r.witness_value),
-        "indeterminate_count": r.indeterminate_count,
-        "seed": r.seed,
-    }
+def _estimate_dict(est) -> dict:
+    return {"partial_sums": _jsonify(est.partial_sums), "best": _jsonify(est.best),
+            "converged": est.converged}
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -320,7 +302,7 @@ def _cmd_chebcheck(args) -> tuple[dict, int]:
     k = args.k if args.k is not None else system.dim
     report = is_positive_chebyshev(system, k, grid, budget=args.budget,
                                    seed=args.seed, tol_factor=args.tol)
-    return {"positivity": _positivity_dict(report)}, 0 if report.is_positive else 1
+    return {"positivity": _jsonify(report)}, 0 if report.is_positive else 1
 
 
 def _cmd_divdiff(args) -> tuple[dict, int]:
@@ -347,35 +329,29 @@ def _cmd_convexity(args) -> tuple[dict, int]:
     f = _parse_function(args.function, backend)
     grid = _parse_grid(args.grid, backend)
     common = dict(budget=args.budget, seed=args.seed, tol_factor=args.tol)
-    if args.mode == "direct":
-        verdict = check_convex_direct(system, f, grid, **common)
-        results = {"check": _verdict_dict(verdict)}
-        code = 1 if verdict.verdict == "violated" else 0
-    elif args.mode == "induced":
-        if args.k is None:
-            raise InputError("--k is required for mode induced")
-        verdict = check_convex_induced(system, args.k, f, grid, **common)
-        results = {"check": _verdict_dict(verdict)}
-        code = 1 if verdict.verdict == "violated" else 0
-    elif args.mode == "interval":
-        if args.k is None or args.ell is None:
-            raise InputError("--k and --ell are required for mode interval")
-        verdict = check_convex_interval(system, args.k, args.ell, f, grid, **common)
-        results = {"check": _verdict_dict(verdict)}
-        code = 1 if verdict.verdict == "violated" else 0
-    elif args.mode == "agreement":
+    if args.mode == "agreement":
         k_list = [args.k] if args.k is not None else None
         rep = cross_mode_agreement(system, f, grid, k_list=k_list, **common)
         results = {
-            "verdicts": {label: _verdict_dict(v) for label, v in rep.verdicts},
+            "verdicts": {label: _jsonify(v) for label, v in rep.verdicts},
             "disagreements": _jsonify(rep.disagreements),
             "agreed": rep.agreed,
         }
         any_violated = any(v.verdict == "violated" for _, v in rep.verdicts)
-        code = 1 if (rep.disagreements or any_violated) else 0
+        return results, 1 if (rep.disagreements or any_violated) else 0
+    if args.mode == "direct":
+        verdict = check_convex_direct(system, f, grid, **common)
+    elif args.mode == "induced":
+        if args.k is None:
+            raise InputError("--k is required for mode induced")
+        verdict = check_convex_induced(system, args.k, f, grid, **common)
+    elif args.mode == "interval":
+        if args.k is None or args.ell is None:
+            raise InputError("--k and --ell are required for mode interval")
+        verdict = check_convex_interval(system, args.k, args.ell, f, grid, **common)
     else:
         raise InputError(f"unknown mode {args.mode!r}")
-    return results, code
+    return {"check": _jsonify(verdict)}, 1 if verdict.verdict == "violated" else 0
 
 
 def _cmd_identities(args) -> tuple[dict, int]:
@@ -421,14 +397,9 @@ def _cmd_variation(args) -> tuple[dict, int]:
                     "anchors": _jsonify(exc.anchors),
                 },
             }, 1
-        est = report.estimate
         return {
             "bound_holds": True,
-            "estimate": {
-                "partial_sums": _jsonify(est.partial_sums),
-                "best": _jsonify(est.best),
-                "converged": est.converged,
-            },
+            "estimate": _estimate_dict(report.estimate),
             "bound": _jsonify(report.bound),
             "margin": _jsonify(report.margin),
             "anchors": {"a": _jsonify(report.a_anchors), "b": _jsonify(report.b_anchors)},
@@ -438,13 +409,7 @@ def _cmd_variation(args) -> tuple[dict, int]:
         raise InputError("--function (or --g/--h) is required")
     f = _parse_function(args.function, backend)
     est = estimate_variation(system, f, a, b, strategy=strategy, tol_factor=args.tol)
-    return {
-        "estimate": {
-            "partial_sums": _jsonify(est.partial_sums),
-            "best": _jsonify(est.best),
-            "converged": est.converged,
-        },
-    }, 0
+    return {"estimate": _estimate_dict(est)}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +531,15 @@ def _run_identity_suite(suite: str, trials: int, seed: int, backend: Backend) ->
 # entry point
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every main() call reuses it.  A plain function over
+    the cached builder, so that bench/tracer.py, which wraps only plain
+    functions, traces it."""
+    return _cached_parser()
+
+
+@functools.cache
+def _cached_parser() -> argparse.ArgumentParser:
     parser = _JsonArgumentParser(prog="chebconvex")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -625,24 +599,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     report = {"version": __version__, "command": args.command,
               "config": _config_echo(args)}
     try:
-        results, code = args.func(args)
-    except ChebconvexError as exc:
+        report["results"], code = args.func(args)
+    except (ChebconvexError, OSError, json.JSONDecodeError, ValueError,
+            OverflowError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["timing_seconds"] = time.perf_counter() - started
-        _emit(report, args.out)
-        return 1 if isinstance(exc, BoundViolated) else 2
-    except (OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["timing_seconds"] = time.perf_counter() - started
-        _emit(report, args.out)
-        return 2
-    report["results"] = results
+        code = 1 if isinstance(exc, BoundViolated) else 2
     report["timing_seconds"] = time.perf_counter() - started
     _emit(report, args.out)
     return code

@@ -21,7 +21,6 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .core import (
-    Backend,
     ChebyshevSystem,
     FunctionSpec,
     OrderingClass,
@@ -38,13 +37,13 @@ from .determinant import (
     SignScan,
     _sign_scan,
     _tabulate,
+    check_denominator,
     collocation_det,
     collocation_matrix,
     det,
     increasing_tuples,
     is_positive_chebyshev,
     matrix_from_rows,
-    positivity_tolerance,
     sorted_grid,
 )
 from .divdiff import ResidualReport, divided_difference
@@ -53,7 +52,6 @@ from .errors import (
     EvaluationOutsideSupport,
     InputError,
     InsufficientGrid,
-    SingularDenominator,
 )
 from .induced import _DerivedTable, induced_system
 
@@ -245,13 +243,8 @@ def convexity_identity_check(system: ChebyshevSystem, k: int, f: FunctionSpec,
     for x in tail:
         den_matrix = collocation_matrix(system.basis[:k + 1], head + (x,))
         denom = det(den_matrix)
-        if den_matrix.backend() is Backend.FLOAT:
-            if abs(denom) <= positivity_tolerance(den_matrix, tol_factor=DEFAULT_TOL_FACTOR):
-                raise SingularDenominator(
-                    f"(k+1)-prefix determinant within tolerance at {head + (x,)}")
-        elif denom == 0:
-            raise SingularDenominator(
-                f"(k+1)-prefix determinant vanishes at {head + (x,)}")
+        check_denominator(denom, den_matrix.entries, den_matrix.backend(), head + (x,),
+                          name="(k+1)-prefix determinant", show_value=False)
         lhs = lhs / denom
 
     targets = system.basis[k:] + (f,)

@@ -607,9 +607,23 @@ def function_from_json(d: dict) -> FunctionSpec:
         if kind == "sampled":
             return SampledFn(tuple(scalar_from_json(p) for p in d["points"]),
                              tuple(scalar_from_json(v) for v in d["values"]))
-    except KeyError as exc:
-        raise InputError(f"function spec {kind!r} is missing field {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise _json_error(f"function spec {kind!r}", exc) from None
     raise InputError(f"unknown function kind {kind!r}")
+
+
+def _json_object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _json_error(what: str, exc: Exception) -> InputError:
+    """A missing field (KeyError) or a value of the wrong JSON type
+    (TypeError) in a spec, as an input error."""
+    if isinstance(exc, KeyError):
+        return InputError(f"{what} is missing field {exc}")
+    return InputError(f"bad {what}: {exc}")
 
 
 def tuple_to_json(t: PointTuple) -> dict:
@@ -639,18 +653,21 @@ def domain_to_json(dom: Domain) -> dict:
 
 
 def domain_from_json(d: dict) -> Domain:
-    kind = d.get("kind")
-    if kind == "interval":
-        lo = d.get("lo")
-        hi = d.get("hi")
-        return Interval(None if lo is None else scalar_from_json(lo),
-                        None if hi is None else scalar_from_json(hi),
-                        bool(d.get("lo_open", True)), bool(d.get("hi_open", True)))
-    if kind == "finite_set":
-        return FiniteSet(tuple(scalar_from_json(p) for p in d["points"]))
-    if kind == "punctured_interval":
-        return PuncturedInterval(domain_from_json(d["base"]),
-                                 tuple(scalar_from_json(p) for p in d["excluded"]))
+    kind = _json_object(d, "domain spec").get("kind")
+    try:
+        if kind == "interval":
+            lo = d.get("lo")
+            hi = d.get("hi")
+            return Interval(None if lo is None else scalar_from_json(lo),
+                            None if hi is None else scalar_from_json(hi),
+                            bool(d.get("lo_open", True)), bool(d.get("hi_open", True)))
+        if kind == "finite_set":
+            return FiniteSet(tuple(scalar_from_json(p) for p in d["points"]))
+        if kind == "punctured_interval":
+            return PuncturedInterval(domain_from_json(d["base"]),
+                                     tuple(scalar_from_json(p) for p in d["excluded"]))
+    except (KeyError, TypeError) as exc:
+        raise _json_error(f"domain spec {kind!r}", exc) from None
     raise InputError(f"unknown domain kind {kind!r}")
 
 
@@ -661,6 +678,10 @@ def system_to_json(system: ChebyshevSystem) -> dict:
 
 
 def system_from_json(d: dict) -> ChebyshevSystem:
-    return ChebyshevSystem(tuple(function_from_json(f) for f in d["basis"]),
-                           domain_from_json(d["domain"]),
+    _json_object(d, "system spec")
+    try:
+        basis, domain = tuple(function_from_json(f) for f in d["basis"]), d["domain"]
+    except (KeyError, TypeError) as exc:
+        raise _json_error("system spec", exc) from None
+    return ChebyshevSystem(basis, domain_from_json(domain),
                            SignClaim(d.get("claimed_sign", "unverified")))

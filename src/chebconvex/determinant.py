@@ -2,11 +2,12 @@
 Chebyshev systems, grid positivity verdicts, and the Sylvester
 determinant identity.
 
-Exact determinants clear row denominators and run fraction-free
-(Bareiss) elimination over the integers, which keeps intermediate
-entries polynomially sized.  Float determinants use row-pivoted
-Gaussian elimination.  Grid scans evaluate each function once per grid
-point and share elimination between tuples with a common prefix.
+Every determinant is one column-step elimination.  Exact determinants
+clear column denominators and run fraction-free (Bareiss) elimination
+over the integers, which keeps intermediate entries polynomially sized.
+Float determinants use Gaussian elimination with partial pivoting.
+Grid scans evaluate each function once per grid point and share the
+elimination steps of a common tuple prefix.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     InsufficientGrid,
     NonFiniteValue,
     NonSquareMatrix,
+    SingularDenominator,
 )
 
 #: Default scale factor of the positivity tolerance: a float determinant
@@ -74,10 +76,6 @@ class Matrix:
         i, j = ij
         return self.entries[i * self.cols + j]
 
-    def row_lists(self) -> list[list]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
-
     def backend(self, default: Backend = Backend.EXACT) -> Backend:
         return collection_backend(self.entries, default=default)
 
@@ -97,76 +95,167 @@ def matrix_from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
 # determinants
 
 def det(m: Matrix) -> Scalar:
-    """Determinant of a square matrix.
+    """Determinant of a square matrix, by the column-step elimination
+    below.
 
     Exact backend: fraction-free elimination over the integers after
-    clearing denominators row by row, so the result is exact.  Float
-    backend: Gaussian elimination with partial pivoting.
+    clearing denominators column by column, so the result is exact.
+    Float backend: Gaussian elimination with partial pivoting.
     """
     if m.rows != m.cols:
         raise NonSquareMatrix(f"determinant of a {m.rows}x{m.cols} matrix")
-    if m.backend() is Backend.FLOAT:
-        return _det_float(m.row_lists())
-    return _det_exact(m.row_lists())
+    return _columns_det([m.entries[j::m.cols] for j in range(m.cols)],
+                        exact=m.backend() is not Backend.FLOAT)
 
 
-def _det_exact(rows: list[list]) -> Fraction:
-    n = len(rows)
-    # Clear denominators: row i times lcm of its denominators is integral.
-    scale = 1
-    a: list[list[int]] = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale *= lcm
-        a.append([int(x * lcm) for x in fr])
+# ---------------------------------------------------------------------------
+# column-step elimination
+#
+# Every determinant in the package is eliminated here, one column at a
+# time: a pivot step on a column records what reduces every later column
+# of the same matrix.  A column keeps only its rows not yet pivoted.
+# Float: partial pivoting (the first largest |entry| on ties), with the
+# pivot product negated on each row swap.  Exact: fraction-free
+# (Bareiss, Math. Comp. 22, 1968) elimination with the first nonzero
+# pivot, on columns scaled to integers.  Grid scans share the steps of a
+# tuple prefix between its extensions (see _walk).
 
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                # Bareiss step: the division by the previous pivot is exact.
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+def _below(c: list, p: int) -> list:
+    """The rows of ``c`` after row 0 once rows 0 and p are swapped."""
+    rest = c[1:]
+    if p:
+        rest[p - 1] = c[0]
+    return rest
 
 
-def _det_float(rows: list[list]) -> float:
-    n = len(rows)
-    a = [[float(x) for x in row] for row in rows]
-    result = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
-        if a[p][k] == 0.0:
-            return 0.0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            result = -result
-        pivot = a[k][k]
-        result *= pivot
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] -= factor * row_k[j]
-    return result
+def _float_pivot(result: float, c: list):
+    """Pivot on the float column ``c``: the row p of its largest |entry|.
+    Returns ``None`` when c[p] is zero, else the pivot product
+    ``result`` times c[p], negated on a row swap, and the step that
+    :func:`_float_reduce` applies."""
+    p, best = 0, abs(c[0])
+    for r in range(1, len(c)):
+        if abs(c[r]) > best:
+            p, best = r, abs(c[r])
+    pivot = c[p]
+    if pivot == 0.0:
+        return None
+    factors = [(i, v / pivot) for i, v in enumerate(_below(c, p))]
+    return (-result if p else result) * pivot, (p, factors)
+
+
+def _float_reduce(cols: list, step) -> list:
+    """The columns ``cols`` after one :func:`_float_pivot` step: rows 0
+    and p swapped, then the rows below row 0 less their multiple of it."""
+    p, factors = step
+    out = []
+    for c in cols:
+        top, r = c[p], c[1:]        # _below, inlined in this hot loop
+        if p:
+            r[p - 1] = c[0]
+        for i, f in factors:
+            r[i] -= f * top
+        out.append(r)
+    return out
+
+
+def _float_last(result: float, v: float) -> float:
+    """The last level: the pivot product times the last reduced entry,
+    or 0.0 when that entry is zero."""
+    return result * v if v != 0.0 else 0.0
+
+
+def _exact_pivot(state: tuple, c: list):
+    """Bareiss pivot on the integer column ``c``; ``state`` is (swap
+    sign, previous pivot).  Returns ``None`` when c is zero, else the
+    new state and the step that :func:`_exact_reduce` applies."""
+    sign, prev = state
+    p = next((r for r, v in enumerate(c) if v), None)
+    if p is None:
+        return None
+    pivot = c[p]
+    below = list(enumerate(_below(c, p)))
+    return (-sign if p else sign, pivot), (p, pivot, prev, below)
+
+
+def _exact_reduce(cols: list, step) -> list:
+    """The columns ``cols`` after one :func:`_exact_pivot` step."""
+    p, pivot, prev, below = step
+    out = []
+    for c in cols:
+        top, r = c[p], c[1:]        # _below, inlined in this hot loop
+        if p:
+            r[p - 1] = c[0]
+        for i, a in below:
+            # Bareiss step: the division by the previous pivot is exact.
+            r[i] = (pivot * r[i] - a * top) // prev
+        out.append(r)
+    return out
+
+
+def _integer_column(c) -> tuple[list, int]:
+    """The exact column ``c`` (of Fractions and ints) times the lcm of
+    its denominators, and that lcm."""
+    lcm = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (lcm // x.denominator) for x in c], lcm
+
+
+def _eliminate(cols: list, k: int, exact: bool):
+    """Pivot on the first k of ``cols`` in turn, each step reducing the
+    later columns, after making every column float, or integer when
+    ``exact``.  Returns the pivot state, the k steps, the reduced later
+    columns and the product of the integer scales, or ``None`` when a
+    pivot column is zero, so that every determinant with these k
+    leading columns is zero."""
+    if exact:
+        scaled = [_integer_column(c) for c in cols]
+        cols = [c for c, _ in scaled]
+        scale = math.prod(s for _, s in scaled)
+        state, pivot, reduce = (1, 1), _exact_pivot, _exact_reduce
+    else:
+        cols = [[float(v) for v in c] for c in cols]
+        scale, state, pivot, reduce = 1, 1.0, _float_pivot, _float_reduce
+    steps = []
+    for _ in range(k):
+        pivoted = pivot(state, cols[0])
+        if pivoted is None:
+            return None
+        state, step = pivoted
+        steps.append(step)
+        cols = reduce(cols[1:], step)
+    return state, steps, cols, scale
+
+
+def _last(state, v, scale: int, exact: bool) -> Scalar:
+    """The determinant from the pivot state and the last reduced entry."""
+    return Fraction(state[0] * v, scale) if exact else _float_last(state, v)
+
+
+def _columns_det(cols: list, exact: bool) -> Scalar:
+    """det of the square matrix with columns ``cols``."""
+    done = _eliminate(cols, len(cols) - 1, exact)
+    if done is None:
+        return Fraction(0) if exact else 0.0
+    state, _, (last,), scale = done
+    return _last(state, last[0], scale, exact)
+
+
+def _appended_det(base_cols: list, exact: bool):
+    """The function col -> det[base_cols..., col] over the square
+    matrices that share their first columns.  Those are eliminated once;
+    each ``col`` is then reduced by the recorded steps."""
+    done = _eliminate(base_cols, len(base_cols), exact)
+    if done is None:
+        return lambda col: Fraction(0) if exact else 0.0
+    state, steps, _, base_scale = done
+    reduce = _exact_reduce if exact else _float_reduce
+
+    def det(col):
+        c, scale = _integer_column(col) if exact else ([float(v) for v in col], 1)
+        for step in steps:
+            c, = reduce([c], step)
+        return _last(state, c[0], base_scale * scale, exact)
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +284,26 @@ def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequen
     return det(collocation_matrix(system.basis[:k], pts))
 
 
-def positivity_tolerance(m: Matrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> float:
-    """Tolerance below which a float determinant is indistinguishable
-    from zero: tol_factor * (max |entry|)**n."""
-    return _tolerance(max(abs(float(e)) for e in m.entries), m.rows, tol_factor)
-
-
 def _tolerance(biggest: float, n: int, tol_factor: float) -> float:
+    """Tolerance below which a float n x n determinant whose largest
+    |entry| is ``biggest`` is indistinguishable from zero."""
     return tol_factor * biggest ** n
+
+
+def check_denominator(den: Scalar, entries, backend: Backend | None, at: tuple,
+                      tol_factor: float = DEFAULT_TOL_FACTOR,
+                      name: str = "prefix collocation determinant",
+                      show_value: bool = True) -> None:
+    """The singular-denominator rule of every divided difference: raise
+    :class:`SingularDenominator` when ``den``, the determinant of the
+    collocation matrix with ``entries`` at the points ``at``, is within
+    its positivity tolerance (float backend) or zero (exact)."""
+    if backend is Backend.FLOAT:
+        if abs(den) <= _tolerance(max(abs(float(e)) for e in entries), len(at), tol_factor):
+            shown = f"{name} {den}" if show_value else name
+            raise SingularDenominator(f"{shown} within tolerance at {at}")
+    elif den == 0:
+        raise SingularDenominator(f"{name} vanishes at {at}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +349,9 @@ def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> tuple:
 # touches.  An exhaustive scan then walks the increasing tuples depth
 # first in lexicographic order and eliminates one tuple point (one
 # matrix column) per level, so all extensions of a prefix share its
-# elimination.  The float walk replays the row swaps, multipliers and
-# pivot products of _det_float column by column, so its determinants
-# are bit-identical to per-tuple elimination; the exact walk runs
-# Bareiss on integer columns.  A sampled scan eliminates each sampled
-# tuple from the table.
+# pivot steps, which are those of det: its determinants are
+# bit-identical to det's of each tuple.  A sampled scan calls det's
+# elimination on each sampled tuple's columns of the table.
 
 _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 
@@ -376,138 +475,55 @@ def _tabulate(value, rows, pts: tuple, touched) -> tuple[dict, dict]:
 def _scan_each(cols: dict, backends: dict, tuples, tally: _Tally) -> None:
     """Per-tuple elimination from the table, in tuple order."""
     for t in tuples:
-        rows = [[cols[j][i] for j in t] for i in range(len(t))]
+        tcols = [cols[j] for j in t]
         if combine_backends(*(backends[j] for j in t)) is Backend.FLOAT:
-            biggest = max(abs(float(v)) for j in t for v in cols[j])
-            tally.add(t, _det_float(rows), biggest)
+            biggest = max(abs(float(v)) for c in tcols for v in c)
+            tally.add(t, _columns_det(tcols, exact=False), biggest)
         else:
-            tally.add(t, _det_exact(rows))
-
-
-def _float_pivot(result: float, c: list, d: int):
-    """Level d of _det_float on the reduced column ``c``: the row p of
-    the largest |c[r]|, r >= d (the first on ties).  Returns ``None``
-    when c[p] is zero, else the pivot product ``result`` times c[p],
-    negated on a row swap, and the step that reduces any column of the
-    same matrix (see :func:`_float_reduce`)."""
-    n = len(c)
-    p, best = d, abs(c[d])
-    for r in range(d + 1, n):
-        if abs(c[r]) > best:
-            p, best = r, abs(c[r])
-    if c[p] == 0.0:
-        return None
-    pivot = c[p]
-    pivot_col = c[:]
-    pivot_col[d], pivot_col[p] = pivot, c[d]
-    factors = [(i, pivot_col[i] / pivot) for i in range(d + 1, n)]
-    return (-result if p != d else result) * pivot, (d, p, factors)
-
-
-def _float_reduce(cands: list, step) -> list:
-    """The (index, column) pairs ``cands`` after one step of
-    :func:`_float_pivot`: rows d and p swapped, then rows below d less
-    their multiple of row d."""
-    d, p, factors = step
-    out = []
-    for j, c in cands:
-        r = c[:]
-        r[d], r[p] = r[p], r[d]
-        rd = r[d]
-        for i, factor in factors:
-            r[i] -= factor * rd
-        out.append((j, r))
-    return out
-
-
-def _float_last(result: float, v: float) -> float:
-    """_det_float's last level: the pivot product times the last reduced
-    entry, or 0.0 when that entry is zero."""
-    return result * v if v != 0.0 else 0.0
-
-
-def _exact_pivot(state: tuple, c: list, d: int):
-    """Level d of Bareiss elimination on the reduced integer column
-    ``c``; ``state`` is (swap sign, previous pivot).  Returns ``None``
-    when c[d:] is zero, else the new state and the step that reduces any
-    column of the same matrix (see :func:`_exact_reduce`)."""
-    sign, prev = state
-    n = len(c)
-    p = next((r for r in range(d, n) if c[r]), None)
-    if p is None:
-        return None
-    pivot = c[p]
-    pivot_col = c[:]
-    pivot_col[d], pivot_col[p] = pivot, c[d]
-    below = [(i, pivot_col[i]) for i in range(d + 1, n)]
-    return (-sign if p != d else sign, pivot), (d, p, pivot, prev, below)
-
-
-def _exact_reduce(cands: list, step) -> list:
-    """The (index, column) pairs ``cands`` after one step of
-    :func:`_exact_pivot`."""
-    d, p, pivot, prev, below = step
-    out = []
-    for j, c in cands:
-        r = c[:]
-        r[d], r[p] = r[p], r[d]
-        rd = r[d]
-        for i, a in below:
-            # Bareiss step: the division by the previous pivot is exact.
-            r[i] = (pivot * r[i] - a * rd) // prev
-        out.append((j, r))
-    return out
-
-
-def _integer_column(c) -> tuple[list, int]:
-    """The exact column ``c`` (of Fractions and ints) times the lcm of
-    its denominators, and that lcm."""
-    lcm = math.lcm(*(x.denominator for x in c))
-    return [x.numerator * (lcm // x.denominator) for x in c], lcm
+            tally.add(t, _columns_det(tcols, exact=True))
 
 
 def _walk(cols: list, n: int, root, pivot, reduce, leaf, zero, tally: _Tally) -> None:
     """Depth-first walk over the increasing n-tuples of column indices
     in lexicographic order.  Level d eliminates the tuple's d-th column:
-    ``pivot(state, j, c, d)`` pivots on column j (``c``, already reduced
+    ``pivot(state, j, c)`` pivots on column j (``c``, already reduced
     by the prefix) and returns the new state and the step that
-    ``reduce(rest, step)`` applies to the later (index, column) pairs,
-    or ``None`` when the pivot column is zero, which makes every
-    extension's determinant zero.  ``leaf(state, j, v)`` turns the last
-    reduced entry into the arguments of :meth:`_Tally.add` after the
-    tuple, ``zero(t)`` gives them for a zero determinant."""
+    ``reduce(rest, step)`` applies to the later columns, or ``None``
+    when the pivot column is zero, which makes every extension's
+    determinant zero.  ``leaf(state, j, v)`` turns the last reduced
+    entry into the arguments of :meth:`_Tally.add` after the tuple,
+    ``zero(t)`` gives them for a zero determinant."""
     last = n - 1
 
-    def visit(d, prefix, state, cands):
+    def visit(d, prefix, state, idx, cands):
         for pos in range(len(cands) - (last - d)):
-            j, c = cands[pos]
+            j, c = idx[pos], cands[pos]
             t = prefix + (j,)
             if d == last:
-                tally.add(t, *leaf(state, j, c[last]))
+                tally.add(t, *leaf(state, j, c[0]))
                 continue
-            rest = cands[pos + 1:]
-            pivoted = pivot(state, j, c, d)
+            pivoted = pivot(state, j, c)
             if pivoted is None:
-                for tail in itertools.combinations(rest, last - d):
-                    u = t + tuple(i for i, _ in tail)
+                for tail in itertools.combinations(idx[pos + 1:], last - d):
+                    u = t + tail
                     tally.add(u, *zero(u))
                 continue
             child, step = pivoted
-            visit(d + 1, t, child, reduce(rest, step))
+            visit(d + 1, t, child, idx[pos + 1:], reduce(cands[pos + 1:], step))
 
-    visit(0, (), root, list(enumerate(cols)))
+    visit(0, (), root, list(range(len(cols))), cols)
 
 
 def _walk_float(cols: list, n: int, tally: _Tally) -> None:
-    """_det_float's partial pivoting replayed one column at a time.  The
-    state is (running pivot product with swap signs, max |entry| of the
-    prefix's columns)."""
+    """Partial pivoting one column at a time.  The state is (running
+    pivot product with swap signs, max |entry| of the prefix's
+    columns)."""
     cols = [[float(v) for v in c] for c in cols]
     colmax = [max(abs(v) for v in c) for c in cols]
 
-    def pivot(state, j, c, d):
+    def pivot(state, j, c):
         result, biggest = state
-        pivoted = _float_pivot(result, c, d)
+        pivoted = _float_pivot(result, c)
         if pivoted is None:
             return None
         return (pivoted[0], max(biggest, colmax[j])), pivoted[1]
@@ -528,44 +544,9 @@ def _walk_exact(cols: list, n: int, tally: _Tally) -> list:
     integer determinants of the scaled matrix, which carry the sign;
     returns the column scales."""
     ints, scale = zip(*map(_integer_column, cols))
-    _walk(list(ints), n, (1, 1), lambda state, j, c, d: _exact_pivot(state, c, d),
+    _walk(list(ints), n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
           _exact_reduce, lambda state, j, v: (state[0] * v,), lambda t: (0,), tally)
     return list(scale)
-
-
-def _appended_det(base_cols: list, exact: bool):
-    """The function col -> det[base_cols..., col] over square matrices
-    that share their first columns.  Those are eliminated once, as one
-    path of :func:`_walk` eliminates them; each ``col`` is then reduced
-    by the recorded steps.  Float: the value _det_float gives, bit for
-    bit.  Exact: the Fraction, from Bareiss on integer-scaled columns."""
-    if exact:
-        ints, scales = zip(*map(_integer_column, base_cols))
-        cols, state, pivot, reduce = list(ints), (1, 1), _exact_pivot, _exact_reduce
-        base_scale = math.prod(scales)
-    else:
-        cols = [[float(v) for v in c] for c in base_cols]
-        state, pivot, reduce = 1.0, _float_pivot, _float_reduce
-    steps, rest = [], list(enumerate(cols))
-    for d in range(len(cols)):
-        (_, c), rest = rest[0], rest[1:]
-        pivoted = pivot(state, c, d)
-        if pivoted is None:         # a zero pivot column: every det is zero
-            return lambda col: Fraction(0) if exact else 0.0
-        state, step = pivoted
-        steps.append(step)
-        rest = reduce(rest, step)
-
-    def det(col):
-        c, scale = _integer_column(col) if exact else ([float(v) for v in col], 1)
-        last = [(None, c)]
-        for step in steps:
-            last = reduce(last, step)
-        v = last[0][1][-1]
-        if exact:
-            return Fraction(state[0] * v, base_scale * scale)
-        return _float_last(state, v)
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +580,7 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
 
     Exact backend: any value <= 0 is a violation.  Float backend: values
     at most -tol are violations and values in (-tol, tol] are recorded
-    as indeterminate, with tol from :func:`positivity_tolerance`.
+    as indeterminate, with tol = tol_factor * (max |entry|)**k.
     Raises :class:`NonFiniteValue` on an infinite or NaN value.
     """
     pts = sorted_grid(grid)

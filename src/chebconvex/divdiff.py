@@ -28,15 +28,14 @@ from .core import (
 )
 from .determinant import (
     DEFAULT_TOL_FACTOR,
+    check_denominator,
     collocation_matrix,
     det,
-    positivity_tolerance,
 )
 from .errors import (
     DimensionMismatch,
     EvaluationOutsideSupport,
     InputError,
-    SingularDenominator,
 )
 
 
@@ -95,13 +94,8 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
 
     den_matrix = collocation_matrix(system.basis[:k], pts.points)
     denominator = det(den_matrix)
-    if den_matrix.backend() is Backend.FLOAT:
-        if abs(denominator) <= positivity_tolerance(den_matrix, tol_factor):
-            raise SingularDenominator(
-                f"prefix collocation determinant {denominator} within tolerance at {pts.points}")
-    elif denominator == 0:
-        raise SingularDenominator(
-            f"prefix collocation determinant vanishes at {pts.points}")
+    check_denominator(denominator, den_matrix.entries, den_matrix.backend(), pts.points,
+                      tol_factor)
     numerator = det(collocation_matrix(system.basis[:k - 1] + (f,), pts.points))
     return DividedDifference(numerator / denominator, numerator, denominator,
                              k - 1, pts)

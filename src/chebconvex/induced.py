@@ -42,14 +42,14 @@ from .determinant import (
     PositivityReport,
     _appended_det,
     _tabulate,
-    _tolerance,
+    check_denominator,
     collocation_det,
     increasing_tuples,
     is_positive_chebyshev,
     sorted_grid,
 )
 from .divdiff import ResidualReport, divided_difference
-from .errors import DimensionMismatch, DuplicatePoint, InputError, SingularDenominator
+from .errors import DimensionMismatch, DuplicatePoint, InputError
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class _DerivedTable:
     base and each target t in basis[k:] + (f,), the k base columns of
     the rows basis[:k] + (t,) are eliminated once; the rows of basis[k]
     give the denominator.  A value at x then reduces one column per
-    determinant.  Float values replay _det_float and equal DerivedFn's
-    bit for bit; exact values are the same Fractions.  Every check of
+    determinant by det's own pivot steps, so it equals DerivedFn's bit
+    for bit (float) or as a Fraction (exact).  Every check of
     DerivedFn is made at the first evaluation of each value, in its
     order and with its error and message.
     """
@@ -168,13 +168,7 @@ class _PinnedBase:
         entries = [self.parent(i, p) for i in range(size) for p in pts]
         backend = collection_backend(entries)
         den = self._det(0, backend, entries[self.k::size])
-        if backend is Backend.FLOAT:
-            if abs(den) <= _tolerance(max(abs(float(e)) for e in entries), size,
-                                      DEFAULT_TOL_FACTOR):
-                raise SingularDenominator(
-                    f"prefix collocation determinant {den} within tolerance at {pts}")
-        elif den == 0:
-            raise SingularDenominator(f"prefix collocation determinant vanishes at {pts}")
+        check_denominator(den, entries, backend, pts)
         return den, backend
 
     def _det(self, t: int, backend: Backend | None, col: list) -> Scalar:

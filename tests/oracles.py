@@ -3,9 +3,10 @@
 Everything here is implemented by a different algorithm than the
 package uses (Laplace cofactor expansion vs elimination, monomial
 enumeration vs accumulation, unsorted two-ended recursion vs the Newton
-table, one pivoted determinant per tuple vs prefix-shared elimination,
-two fresh determinants per derived value vs bases eliminated once), so
-matching values certify both sides.
+table, row-wise vs column-step elimination, one row-wise determinant
+per tuple vs prefix-shared elimination, two fresh determinants per
+derived value vs bases eliminated once), so matching values certify
+both sides.
 """
 
 import itertools
@@ -26,9 +27,7 @@ from chebconvex.determinant import (
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
     collocation_matrix,
-    det,
     increasing_tuples,
-    positivity_tolerance,
     sorted_grid,
 )
 from chebconvex.errors import (
@@ -54,6 +53,76 @@ def cofactor_det(rows):
         else:
             total = total + term if j % 2 == 0 else total - term
     return total
+
+
+# ---------------------------------------------------------------------------
+# row-wise elimination, a second implementation of det kept as a
+# reference for the package's column-step kernel.  Exact clears row
+# denominators and runs Bareiss; float pivots partially, row by row.
+
+def row_det(m):
+    """det of the Matrix ``m`` by the row-wise elimination below."""
+    rows = [list(m.entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
+    return _det_float(rows) if m.backend() is Backend.FLOAT else _det_exact(rows)
+
+
+def _det_exact(rows: list[list]) -> Fraction:
+    n = len(rows)
+    # Clear denominators: row i times lcm of its denominators is integral.
+    scale = 1
+    a: list[list[int]] = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        lcm = 1
+        for x in fr:
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        scale *= lcm
+        a.append([int(x * lcm) for x in fr])
+
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, n):
+                # Bareiss step: the division by the previous pivot is exact.
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], scale)
+
+
+def _det_float(rows: list[list]) -> float:
+    n = len(rows)
+    a = [[float(x) for x in row] for row in rows]
+    result = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda r: abs(a[r][k]))
+        if a[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            result = -result
+        pivot = a[k][k]
+        result *= pivot
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, n):
+                row_i[j] -= factor * row_k[j]
+    return result
 
 
 def homogeneous_by_enumeration(degree, points):
@@ -111,6 +180,11 @@ def rand_increasing_floats(rng: random.Random, count: int, lo: float, hi: float,
 # kept unchanged as references.  Each tuple builds its own matrix,
 # evaluates every entry and takes a pivoted determinant.
 
+def positivity_tolerance(m, tol_factor):
+    """tol_factor * (max |entry|)**n for the n x n Matrix ``m``."""
+    return tol_factor * max(abs(float(e)) for e in m.entries) ** m.rows
+
+
 def _increasing_tuples(sorted_points, k, budget, seed):
     n = len(sorted_points)
     if k > n:
@@ -142,7 +216,7 @@ def positivity_loop(system, k, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_S
     values: dict = {}
     for t in tuples:
         m = collocation_matrix(fns, t)
-        value = det(m)
+        value = row_det(m)
         if m.backend() is Backend.FLOAT:
             tol = positivity_tolerance(m, tol_factor)
             if value <= -tol:
@@ -184,7 +258,7 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
     values: dict = {}
     for t in tuples:
         m = collocation_matrix(fns, t)
-        value = det(m)
+        value = row_det(m)
         if m.backend() is Backend.FLOAT:
             tol = positivity_tolerance(m, tol_factor)
             if value < -tol:

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from chebconvex.cli import main
+import pytest
+
+import chebconvex
+from chebconvex.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -269,11 +276,9 @@ class TestReportContract:
     def test_version_field(self, capsys):
         _, rep = run_cli(capsys, "chebcheck", "--system", "poly:2",
                          "--grid", "uniform:0,1,5")
-        import chebconvex
         assert rep["version"] == chebconvex.__version__
 
     def test_argparse_errors_are_json(self, capsys):
-        import pytest
         with pytest.raises(SystemExit) as err:
             main(["chebcheck", "--backend", "bogus"])
         assert err.value.code == 2
@@ -331,3 +336,69 @@ class TestFileInputs:
         code, rep = run_cli(capsys, "chebcheck", "--system", str(bad),
                             "--grid", "uniform:0,1,5")
         assert code == 2
+
+
+def run_fresh(*argv):
+    """(exit code, report) of one command in a new interpreter."""
+    src = str(Path(chebconvex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "chebconvex.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return done.returncode, json.loads(done.stdout)
+
+
+class TestParserReuse:
+    FIRST = ("convexity", "--system", "poly:2", "--function", "power:3",
+             "--grid", "uniform:0,2,6", "--mode", "interval", "--k", "1",
+             "--ell", "0", "--budget", "40", "--seed", "3", "--tol", "0.05")
+    SECOND = ("chebcheck", "--system", "poly:3", "--grid", "uniform:0,4,8")
+
+    def test_second_call_sees_no_option_of_the_first(self, capsys):
+        assert build_parser() is build_parser()
+        in_process = [run_cli(capsys, *self.FIRST), run_cli(capsys, *self.SECOND)]
+        fresh = [run_fresh(*self.FIRST), run_fresh(*self.SECOND)]
+        for (code, rep), (fresh_code, fresh_rep) in zip(in_process, fresh):
+            assert code == fresh_code
+            assert without_timing(rep) == without_timing(fresh_rep)
+        config = in_process[1][1]["config"]
+        assert "mode" not in config
+        assert (config["k"], config["ell"], config["seed"]) == (None, None, 0)
+
+
+MALFORMED_SYSTEMS = {
+    "no basis": ({"domain": {"kind": "interval"}},
+                 "system spec is missing field 'basis'"),
+    "top-level list": ([{"kind": "power", "k": 0}],
+                       "system spec must be a JSON object, got list"),
+    "domain list": ({"basis": [{"kind": "power", "k": 0}], "domain": []},
+                    "domain spec must be a JSON object, got list"),
+    "finite set without points": (
+        {"basis": [{"kind": "power", "k": 0}], "domain": {"kind": "finite_set"}},
+        "domain spec 'finite_set' is missing field 'points'"),
+    "affine term not an object": (
+        {"basis": [{"kind": "power", "k": 0},
+                   {"kind": "affine", "terms": [1]}],
+         "domain": {"kind": "interval"}},
+        "bad function spec 'affine': 'int' object is not subscriptable"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SYSTEMS)
+def test_malformed_system_json_is_input_error(capsys, tmp_path, name):
+    spec, message = MALFORMED_SYSTEMS[name]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(spec))
+    code, rep = run_cli(capsys, "chebcheck", "--system", str(path),
+                        "--grid", "list:0,1,2")
+    assert code == 2
+    assert rep["error"] == {"type": "InputError", "message": message}
+
+
+def test_malformed_function_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "affine", "terms": [1]}))
+    code, rep = run_cli(capsys, "divdiff", "--system", "poly:2",
+                        "--function", str(path), "--grid", "list:0,1")
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"

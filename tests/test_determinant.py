@@ -24,11 +24,62 @@ from chebconvex.errors import (
 )
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
-from oracles import cofactor_det, rand_fraction, rand_increasing_fractions
+from oracles import cofactor_det, rand_fraction, rand_increasing_fractions, row_det
 
 
 def identity_rows(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def float_entry(rng: random.Random):
+    """Small magnitudes, so pivot ties and exact zeros are common, mixed
+    with ints and with unrounded floats."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((-2, -1, 0, 1, 2))
+    if kind == 1:
+        return float(rng.choice((-2, -1, 0, 1, 2)))
+    if kind == 2:
+        return rng.choice((-1.5, -0.5, 0.5, 1.5))
+    return rng.uniform(-3.0, 3.0)
+
+
+def exact_matrix(rng: random.Random, n: int) -> list:
+    kind = rng.randrange(3)
+    if kind == 0:       # int-only
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [[rand_fraction(rng, 4, 4) if rng.random() < 0.7 else Fraction(0)
+                 for _ in range(n)] for _ in range(n)]
+    if kind == 2:       # a zero column
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+class TestDetMatchesRowElimination:
+    """det against the row-wise elimination of oracles.py: floats equal
+    by repr, exact results equal Fractions."""
+
+    def test_float(self):
+        rng = random.Random(11)
+        for n in range(1, 8):
+            for _ in range(300):
+                rows = [[float_entry(rng) for _ in range(n)] for _ in range(n)]
+                if all(isinstance(v, int) for row in rows for v in row):
+                    rows[0][0] = float(rows[0][0])
+                m = matrix_from_rows(rows)
+                assert repr(det(m)) == repr(row_det(m)), rows
+
+    def test_exact(self):
+        rng = random.Random(12)
+        for n in range(1, 8):
+            for _ in range(300):
+                m = matrix_from_rows(exact_matrix(rng, n))
+                got = det(m)
+                assert isinstance(got, Fraction)
+                assert got == row_det(m), m
 
 
 class TestDet:
