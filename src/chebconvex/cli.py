@@ -435,6 +435,8 @@ def _rand_distinct_fractions(rng: random.Random, count: int) -> tuple:
 
 
 def _run_identity_suite(suite: str, trials: int, seed: int, backend: Backend) -> dict:
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     failures: list[dict] = []
     max_abs = 0.0

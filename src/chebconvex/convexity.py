@@ -21,6 +21,7 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .core import (
+    DEFAULT_MIN_GAP,
     ChebyshevSystem,
     FunctionSpec,
     OrderingClass,
@@ -105,8 +106,10 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
                         tol_factor: float = DEFAULT_TOL_FACTOR) -> ConvexityVerdict:
     """Nonnegativity of the extended collocation determinant on all
     sampled increasing (n+1)-tuples of the grid.  Raises
+    :class:`OrderingViolation` on a float grid with two points closer
+    than the minimum gap, as the induced and interval modes do, and
     :class:`NonFiniteValue` on an infinite or NaN value."""
-    pts = sorted_grid(grid)
+    pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
     scan = _direct_scan(system, pts, partial(_tabulate, evaluate, system.basis + (f,), pts),
                         budget, seed, tol_factor)
     return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",

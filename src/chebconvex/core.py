@@ -19,6 +19,7 @@ between threads.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,12 +180,21 @@ def validate_tuple(points, ordering: OrderingClass | str,
     if (ordering is not OrderingClass.UNCONSTRAINED
             and pt.backend() is Backend.FLOAT and min_gap > 0):
         pts = pt.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) < min_gap:
-                    raise OrderingViolation(
-                        i, j, f"|points[{i}] - points[{j}]| < min gap {min_gap}")
+        if ordering is OrderingClass.STRICTLY_INCREASING:
+            # A rounded difference grows with its larger point, so the
+            # first pair closer than min_gap is a consecutive one.
+            pairs = ((i, i + 1) for i in range(len(pts) - 1))
+        else:
+            pairs = itertools.combinations(range(len(pts)), 2)
+        for i, j in pairs:
+            if abs(pts[i] - pts[j]) < min_gap:
+                raise min_gap_violation(i, j, min_gap)
     return pt
+
+
+def min_gap_violation(i: int, j: int, min_gap: float) -> OrderingViolation:
+    """The error of a tuple whose points i and j are closer than min_gap."""
+    return OrderingViolation(i, j, f"|points[{i}] - points[{j}]| < min gap {min_gap}")
 
 
 # ---------------------------------------------------------------------------

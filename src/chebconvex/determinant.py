@@ -200,21 +200,26 @@ def _integer_column(c) -> tuple[list, int]:
     return [x.numerator * (lcm // x.denominator) for x in c], lcm
 
 
-def _eliminate(cols: list, k: int, exact: bool):
-    """Pivot on the first k of ``cols`` in turn, each step reducing the
-    later columns, after making every column float, or integer when
-    ``exact``.  Returns the pivot state, the k steps, the reduced later
-    columns and the product of the integer scales, or ``None`` when a
-    pivot column is zero, so that every determinant with these k
-    leading columns is zero."""
+def _prepare(cols: list, exact: bool) -> tuple[list, int]:
+    """The columns ``cols`` as elimination takes them: each scaled to
+    integers when ``exact``, with the product of the scales, else made
+    float, with scale 1."""
     if exact:
         scaled = [_integer_column(c) for c in cols]
-        cols = [c for c, _ in scaled]
-        scale = math.prod(s for _, s in scaled)
+        return [c for c, _ in scaled], math.prod(s for _, s in scaled)
+    return [[float(v) for v in c] for c in cols], 1
+
+
+def _eliminate(cols: list, k: int, exact: bool):
+    """Pivot on the first k of the prepared columns ``cols`` (see
+    :func:`_prepare`) in turn, each step reducing the later columns,
+    which are left unchanged.  Returns the pivot state, the k steps and
+    the reduced later columns, or ``None`` when a pivot column is zero,
+    so that every determinant with these k leading columns is zero."""
+    if exact:
         state, pivot, reduce = (1, 1), _exact_pivot, _exact_reduce
     else:
-        cols = [[float(v) for v in c] for c in cols]
-        scale, state, pivot, reduce = 1, 1.0, _float_pivot, _float_reduce
+        state, pivot, reduce = 1.0, _float_pivot, _float_reduce
     steps = []
     for _ in range(k):
         pivoted = pivot(state, cols[0])
@@ -223,7 +228,7 @@ def _eliminate(cols: list, k: int, exact: bool):
         state, step = pivoted
         steps.append(step)
         cols = reduce(cols[1:], step)
-    return state, steps, cols, scale
+    return state, steps, cols
 
 
 def _last(state, v, scale: int, exact: bool) -> Scalar:
@@ -231,23 +236,30 @@ def _last(state, v, scale: int, exact: bool) -> Scalar:
     return Fraction(state[0] * v, scale) if exact else _float_last(state, v)
 
 
-def _columns_det(cols: list, exact: bool) -> Scalar:
-    """det of the square matrix with columns ``cols``."""
+def _prepared_det(cols: list, scale: int, exact: bool) -> Scalar:
+    """det of the square matrix whose prepared columns are ``cols``
+    with the product of scales ``scale`` (see :func:`_prepare`)."""
     done = _eliminate(cols, len(cols) - 1, exact)
     if done is None:
         return Fraction(0) if exact else 0.0
-    state, _, (last,), scale = done
+    state, _, (last,) = done
     return _last(state, last[0], scale, exact)
+
+
+def _columns_det(cols: list, exact: bool) -> Scalar:
+    """det of the square matrix with columns ``cols``."""
+    return _prepared_det(*_prepare(cols, exact), exact)
 
 
 def _appended_det(base_cols: list, exact: bool):
     """The function col -> det[base_cols..., col] over the square
     matrices that share their first columns.  Those are eliminated once;
     each ``col`` is then reduced by the recorded steps."""
+    base_cols, base_scale = _prepare(base_cols, exact)
     done = _eliminate(base_cols, len(base_cols), exact)
     if done is None:
         return lambda col: Fraction(0) if exact else 0.0
-    state, steps, _, base_scale = done
+    state, steps, _ = done
     reduce = _exact_reduce if exact else _float_reduce
 
     def det(col):
@@ -331,7 +343,11 @@ def _sampled_index_tuples(n: int, k: int, budget: int, seed: int) -> list[tuple]
     """``budget`` sorted k-subsets of range(n), duplicates possible.
     ``random.sample`` picks positions from the population's length
     alone, so these index the same tuples as sampling the sorted points
-    themselves."""
+    themselves.  Every budget reaches this function when it is below
+    the (nonzero) number of tuples, so a budget below 1, which would
+    check no tuple at all, is rejected here."""
+    if budget < 1:
+        raise InputError(f"tuple budget must be >= 1, got {budget}")
     rng = random.Random(seed)
     return [tuple(sorted(rng.sample(range(n), k))) for _ in range(budget)]
 

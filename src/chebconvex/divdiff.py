@@ -11,6 +11,8 @@ can certify each other.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .core import (
@@ -23,19 +25,22 @@ from .core import (
     Scalar,
     DEFAULT_MIN_GAP,
     collection_backend,
+    combine_backends,
     evaluate,
+    scalar_backend,
     validate_tuple,
 )
 from .determinant import (
     DEFAULT_TOL_FACTOR,
+    _integer_column,
+    _prepared_det,
     check_denominator,
-    collocation_matrix,
-    det,
 )
 from .errors import (
     DimensionMismatch,
     EvaluationOutsideSupport,
     InputError,
+    NonFiniteValue,
 )
 
 
@@ -92,13 +97,118 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
         if not system.domain.contains(x):
             raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
 
-    den_matrix = collocation_matrix(system.basis[:k], pts.points)
-    denominator = det(den_matrix)
-    check_denominator(denominator, den_matrix.entries, den_matrix.backend(), pts.points,
-                      tol_factor)
-    numerator = det(collocation_matrix(system.basis[:k - 1] + (f,), pts.points))
-    return DividedDifference(numerator / denominator, numerator, denominator,
-                             k - 1, pts)
+    table = _PointTable(system.basis[:k], f)
+    value, numerator, denominator = _ratio(table, table.points(pts), pts.points, tol_factor)
+    return DividedDifference(value, numerator, denominator, k - 1, pts)
+
+
+def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
+    """``value``, unless it is an infinite or NaN float, which no
+    result may carry: then :class:`NonFiniteValue` names ``what`` and
+    the points ``at``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NonFiniteValue(f"{what} at {at} is {value}")
+    return value
+
+
+class _PointTable:
+    """The columns of divided differences of ``f`` with respect to the
+    k functions ``basis``, point by point: the denominator's column
+    [basis[i](x)] and the numerator's, whose last entry is f(x).
+
+    Each value is evaluated once, when a divided difference first needs
+    it, and its backend is read once; each column is made float, or
+    scaled to integers, once.  A divided difference over points that
+    share earlier ones (sliding windows, nested partitions) evaluates
+    only its new points."""
+
+    def __init__(self, basis: tuple, f: FunctionSpec):
+        self.basis = basis
+        self.f = f
+        self._points: dict = {}
+
+    def points(self, xs) -> list:
+        """The table's record of each point in ``xs``."""
+        return [self._points.get(x) or self._points.setdefault(x, _Point())
+                for x in xs]
+
+    def denominator(self, points: list, at: tuple) -> tuple:
+        """The denominator at ``at``, whose records are ``points``, as
+        :func:`_columns` gives it.  New values are evaluated row by row,
+        as collocation_matrix does."""
+        new = [(p, x) for p, x in zip(points, at) if p.den is None]
+        if new:
+            rows = [[evaluate(fn, x) for _, x in new] for fn in self.basis]
+            for j, (p, _) in enumerate(new):
+                values = [row[j] for row in rows]
+                p.den = _Column(values, [scalar_backend(v) for v in values])
+        return _columns([p.den for p in points])
+
+    def numerator(self, points: list, at: tuple) -> tuple:
+        """The numerator at ``at``, after :meth:`denominator` at the same
+        points; f is evaluated at the new ones in their order."""
+        for p, x in zip(points, at):
+            if p.num is None:
+                v = evaluate(self.f, x)
+                p.num = _Column(p.den.values[:-1] + [v], p.den.tags[:-1] + [scalar_backend(v)])
+        return _columns([p.num for p in points])
+
+
+class _Point:
+    """A point's denominator and numerator columns, once evaluated."""
+
+    __slots__ = ("den", "num")
+
+    def __init__(self):
+        self.den = self.num = None
+
+
+class _Column:
+    """One column's values, the backend of each, and its float or
+    integer-scaled form, each made once."""
+
+    __slots__ = ("values", "tags", "forms")
+
+    def __init__(self, values: list, tags: list):
+        self.values = values
+        self.tags = tags
+        self.forms: dict = {}
+
+    def form(self, exact: bool) -> tuple:
+        """The column prepared for elimination and its scale."""
+        form = self.forms.get(exact)
+        if form is None:
+            if exact:
+                form = _integer_column(self.values)
+            else:
+                form = [float(v) for v in self.values], 1
+            self.forms[exact] = form
+        return form
+
+
+def _columns(cols: list) -> tuple:
+    """The backend of the matrix with the columns ``cols``
+    (``BackendMismatch`` when they mix exact and float, as a Matrix of
+    their entries would raise), the prepared columns and their scale."""
+    backend = combine_backends(*(t for c in cols for t in c.tags), default=Backend.EXACT)
+    forms = [c.form(backend is not Backend.FLOAT) for c in cols]
+    return backend, [c for c, _ in forms], math.prod(s for _, s in forms)
+
+
+def _ratio(table: _PointTable, points: list, at: tuple, tol_factor: float) -> tuple:
+    """The divided difference at the points ``at``, whose records in
+    ``table`` are ``points``, with its numerator and denominator: the
+    denominator's determinant, the singular-denominator rule, the
+    numerator's, then their ratio.  Neither f's values nor the
+    numerator are touched before the denominator passes; a non-finite
+    denominator or ratio raises :class:`NonFiniteValue`."""
+    backend, cols, scale = table.denominator(points, at)
+    den = _prepared_det(cols, scale, backend is not Backend.FLOAT)
+    check_denominator(den, itertools.chain.from_iterable(cols), backend, at, tol_factor)
+    _finite(den, "prefix collocation determinant", at)
+    backend, cols, scale = table.numerator(points, at)
+    num = _prepared_det(cols, scale, backend is not Backend.FLOAT)
+    return _finite(num / den, "divided difference", at), num, den
 
 
 def classical_divided_difference(f: FunctionSpec, points,
@@ -113,7 +223,7 @@ def classical_divided_difference(f: FunctionSpec, points,
     for level in range(1, m):
         vals = [(vals[i + 1] - vals[i]) / (xs[i + level] - xs[i])
                 for i in range(m - level)]
-    return vals[0]
+    return _finite(vals[0], "classical divided difference", pts.points)
 
 
 def _homogeneous_sums(max_degree: int, points: tuple) -> list:

@@ -27,16 +27,18 @@ from .core import (
     DEFAULT_MIN_GAP,
     affine,
     combine_backends,
+    min_gap_violation,
     scalar_backend,
     to_exact,
     validate_tuple,
 )
 from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR
-from .divdiff import divided_difference
+from .divdiff import _finite, _PointTable, _ratio, divided_difference
 from .errors import (
     AnchorInfeasible,
     BoundViolated,
     DimensionMismatch,
+    EvaluationOutsideSupport,
     InputError,
     OrderingViolation,
 )
@@ -87,6 +89,8 @@ class RefinementStrategy:
             raise InputError("need at least one refinement round")
         if self.initial_intervals is not None and self.initial_intervals < 1:
             raise InputError("initial_intervals must be >= 1")
+        if self.perturb_rounds < 0:
+            raise InputError(f"perturb_rounds must be >= 0, got {self.perturb_rounds}")
 
 
 @dataclass(frozen=True)
@@ -107,20 +111,59 @@ def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition
                   tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Sum over consecutive n-point windows of the partition of the
     absolute difference of neighbouring divided differences."""
+    return _window_sum(_PointTable(system.basis, f), system, partition, min_gap,
+                       tol_factor)
+
+
+def _window_sum(table: _PointTable, system: ChebyshevSystem, partition: Partition,
+                min_gap: float, tol_factor: float) -> Scalar:
+    """:func:`variation_sum` with the values of ``table``, which holds
+    the system's basis and f and may be shared between partitions.
+    Each window's divided difference is divided_difference's, check by
+    check: its points' checks (:func:`_rejected_window`), then the
+    shared ratio step on the table's columns."""
     n = system.dim
     pts = partition.points.points
     m = len(pts) - 1
     if m < n:
         raise DimensionMismatch(
             f"partition has {m} intervals, need at least {n} for dimension {n}")
-    window_values = [
-        divided_difference(system, n, f, pts[i:i + n],
-                           min_gap=min_gap, tol_factor=tol_factor).value
-        for i in range(m - n + 2)]
+    stop, error = _rejected_window(pts, n, system, min_gap)
+    points = table.points(pts)
+    window_values = [_ratio(table, points[i:i + n], pts[i:i + n], tol_factor)[0]
+                     for i in range(stop)]
+    if error is not None:
+        raise error
     total = window_values[0] - window_values[0]  # zero of the right backend
     for i in range(m - n + 1):
         total += abs(window_values[i + 1] - window_values[i])
-    return total
+    return _finite(total, f"partition sum over {m} intervals", (pts[0], pts[-1]))
+
+
+def _rejected_window(pts: tuple, n: int, system: ChebyshevSystem,
+                     min_gap: float) -> tuple:
+    """The first n-point window of the increasing ``pts`` whose points
+    divided_difference rejects, with the error it raises: the first pair
+    closer than ``min_gap`` if a point is float (from the consecutive
+    gaps, as validate_tuple finds it), else the first point outside the
+    domain.  (the number of windows, None) when it rejects none."""
+    windows = len(pts) - n + 1
+    floats = [isinstance(x, float) for x in pts]
+    close = [False] * len(pts)
+    if min_gap > 0 and any(floats):
+        close = [abs(pts[i] - pts[i + 1]) < min_gap for i in range(len(pts) - 1)]
+    outside = [not system.domain.contains(x) for x in pts]
+    if not (any(close) or any(outside)):
+        return windows, None
+    for s in range(windows):
+        if any(floats[s:s + n]):
+            for i in range(s, s + n - 1):
+                if close[i]:
+                    return s, min_gap_violation(i - s, i - s + 1, min_gap)
+        for x, out in zip(pts[s:s + n], outside[s:s + n]):
+            if out:
+                return s, EvaluationOutsideSupport(f"point {x} is outside the system domain")
+    return windows, None
 
 
 def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> Partition:
@@ -183,12 +226,14 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
     best_partition: tuple = ()
     converged = False
     rng = random.Random(strategy.seed)
+    # uniform partitions nest, so later rounds read earlier points' values
+    table = _PointTable(system.basis, f)
 
     m = m0
     prev_best = None
     for _ in range(strategy.rounds):
         part = _uniform_partition(a, b, m, backend)
-        value = variation_sum(system, f, part, min_gap=min_gap, tol_factor=tol_factor)
+        value = _window_sum(table, system, part, min_gap, tol_factor)
         partial_sums.append((m, value))
         if best is None or value > best:
             best = value
@@ -202,7 +247,7 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
 
     for _ in range(strategy.perturb_rounds):
         part = _jitter_partition(_uniform_partition(a, b, finest, backend), rng, backend)
-        value = variation_sum(system, f, part, min_gap=min_gap, tol_factor=tol_factor)
+        value = _window_sum(table, system, part, min_gap, tol_factor)
         partial_sums.append((finest, value))
         if value > best:
             best = value
@@ -237,7 +282,7 @@ def variation_bound(system: ChebyshevSystem, g: FunctionSpec, h: FunctionSpec,
                                tol_factor=tol_factor).value
     lower = divided_difference(system, n, total, a_t, min_gap=min_gap,
                                tol_factor=tol_factor).value
-    return upper - lower
+    return _finite(upper - lower, "variation bound", (a_t, b_t))
 
 
 def _anchor_tuple(anchors, n: int, min_gap: float) -> tuple:

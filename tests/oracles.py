@@ -5,7 +5,8 @@ package uses (Laplace cofactor expansion vs elimination, monomial
 enumeration vs accumulation, unsorted two-ended recursion vs the Newton
 table, row-wise vs column-step elimination, one row-wise determinant
 per tuple vs prefix-shared elimination, two fresh determinants per
-derived value vs bases eliminated once), so matching values certify
+derived value vs bases eliminated once, one divided_difference per
+window vs one point table per partition), so matching values certify
 both sides.
 """
 
@@ -18,9 +19,8 @@ from chebconvex.convexity import (
     DEFAULT_BASE_BUDGET,
     ConvexityVerdict,
     _restricted_points,
-    check_convex_direct,
 )
-from chebconvex.core import Backend, OrderingClass, validate_tuple
+from chebconvex.core import DEFAULT_MIN_GAP, Backend, OrderingClass, validate_tuple
 from chebconvex.determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
@@ -30,6 +30,7 @@ from chebconvex.determinant import (
     increasing_tuples,
     sorted_grid,
 )
+from chebconvex.divdiff import divided_difference
 from chebconvex.errors import (
     DimensionMismatch,
     EvaluationOutsideSupport,
@@ -289,6 +290,9 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
 # tables, kept unchanged as a reference.  Each base builds its induced
 # system and runs a direct check of the derived function, whose every
 # value is a divided difference of two fresh determinants (DerivedFn).
+# The direct check is direct_loop: like the package's per-base scans,
+# and unlike check_convex_direct, it puts no minimum gap between the
+# grid points themselves (DerivedFn checks each point against the base).
 
 def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
                 budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
@@ -317,8 +321,8 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
         bases_checked += 1
         ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
                                                        min_gap=0.0))
-        inner = check_convex_direct(ind.as_system(), ind.derived(f), local,
-                                    budget=budget, seed=seed, tol_factor=tol_factor)
+        inner = direct_loop(ind.as_system(), ind.derived(f), local,
+                            budget=budget, seed=seed, tol_factor=tol_factor)
         tuples_checked += inner.tuples_checked
         indeterminate += inner.indeterminate_count
         if inner.verdict == "violated" and first_violation is None:
@@ -348,3 +352,29 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
         return ConvexityVerdict(mode, "indeterminate", seed=seed, ell=ell, **counts)
     return ConvexityVerdict(mode, "convex_on_sample", seed=seed, ell=ell, **counts)
 
+
+
+# ---------------------------------------------------------------------------
+# per-window partition sums: the loop the package ran before its point
+# tables, kept unchanged as a reference.  Every window is a fresh
+# divided_difference: its points validated, every value evaluated, two
+# collocation matrices built.
+
+def variation_loop(system, f, partition, min_gap=DEFAULT_MIN_GAP,
+                   tol_factor=DEFAULT_TOL_FACTOR):
+    """Sum over consecutive n-point windows of the partition of the
+    absolute difference of neighbouring divided differences."""
+    n = system.dim
+    pts = partition.points.points
+    m = len(pts) - 1
+    if m < n:
+        raise DimensionMismatch(
+            f"partition has {m} intervals, need at least {n} for dimension {n}")
+    window_values = [
+        divided_difference(system, n, f, pts[i:i + n],
+                           min_gap=min_gap, tol_factor=tol_factor).value
+        for i in range(m - n + 2)]
+    total = window_values[0] - window_values[0]  # zero of the right backend
+    for i in range(m - n + 1):
+        total += abs(window_values[i + 1] - window_values[i])
+    return total

@@ -16,6 +16,17 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+def strict_json(text: str) -> dict:
+    """The report, parsed as JSON proper: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+BIG_CUBE = '{"kind": "affine", "terms": [{"coef": 1e308, "spec": {"kind": "power", "k": 3}}]}'
+CLOSE_GRID = "list:0.0,1e-10,1.0,2.0,3.0,4.0"
+
+
 def without_timing(report: dict) -> dict:
     report = dict(report)
     report.pop("timing_seconds", None)
@@ -62,6 +73,14 @@ class TestChebcheck:
         assert code == 2
         assert rep["error"]["type"] == "NonFiniteValue"
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_budget_is_input_error(self, capsys, budget):
+        code, rep = run_cli(capsys, "chebcheck", "--system", "poly:3",
+                            "--grid", "list:0,1,2,3", "--budget", budget)
+        assert code == 2
+        assert rep["error"] == {"type": "InputError",
+                                "message": f"tuple budget must be >= 1, got {budget}"}
+
 
 class TestDivdiff:
     def test_poly_example(self, capsys):
@@ -91,6 +110,16 @@ class TestDivdiff:
                             "--backend", "float")
         assert code == 2
         assert rep["error"]["type"] == "OverflowError"
+
+    def test_non_finite_value_is_input_error(self, capsys, tmp_path):
+        spec = tmp_path / "big.json"
+        spec.write_text(BIG_CUBE)
+        code = main(["divdiff", "--system", "poly:3", "--grid", "list:1.0,2.0,3.0",
+                     "--backend", "float", "--function", str(spec)])
+        rep = strict_json(capsys.readouterr().out)
+        assert code == 2
+        assert rep["error"] == {"type": "NonFiniteValue",
+                                "message": "divided difference at (1.0, 2.0, 3.0) is nan"}
 
 
 class TestConvexity:
@@ -147,6 +176,25 @@ class TestConvexity:
         assert rep["results"]["agreed"] is True
 
 
+class TestConvexityInputChecks:
+    @pytest.mark.parametrize("mode", [[], ["--mode", "induced", "--k", "1"],
+                                      ["--mode", "interval", "--k", "1", "--ell", "1"],
+                                      ["--mode", "agreement"]])
+    def test_points_closer_than_min_gap_in_every_mode(self, capsys, mode):
+        code, rep = run_cli(capsys, "convexity", "--system", "poly:3", "--function",
+                            "power:4", "--grid", CLOSE_GRID, "--backend", "float", *mode)
+        assert code == 2
+        assert rep["error"] == {"type": "OrderingViolation",
+                                "message": "|points[0] - points[1]| < min gap 1e-09"}
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "induced", "--k", "1"]])
+    def test_non_positive_budget_is_input_error(self, capsys, mode):
+        code, rep = run_cli(capsys, "convexity", "--system", "poly:2", "--function",
+                            "power:3", "--grid", "list:0,1,2,3", "--budget", "-1", *mode)
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+
+
 class TestIdentities:
     def test_power_sum_hundred_trials(self, capsys):
         code, rep = run_cli(capsys, "identities", "--suite", "power-sum",
@@ -175,6 +223,14 @@ class TestIdentities:
     def test_unknown_suite(self, capsys):
         code, rep = run_cli(capsys, "identities", "--suite", "bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_non_positive_trials_is_input_error(self, capsys, trials):
+        code, rep = run_cli(capsys, "identities", "--suite", "sylvester",
+                            "--trials", trials)
+        assert code == 2
+        assert rep["error"] == {"type": "InputError",
+                                "message": f"trials must be >= 1, got {trials}"}
 
 
 class TestVariation:
@@ -229,6 +285,22 @@ class TestVariation:
         code, rep = run_cli(capsys, "variation", "--system", "poly:2",
                             "--function", "power:2")
         assert code == 2
+
+    def test_non_finite_estimate_is_input_error(self, capsys, tmp_path):
+        spec = tmp_path / "big.json"
+        spec.write_text(BIG_CUBE)
+        code = main(["variation", "--system", "poly:2", "--a", "1.0", "--b", "2.0",
+                     "--backend", "float", "--function", str(spec)])
+        rep = strict_json(capsys.readouterr().out)
+        assert code == 2
+        assert rep["error"] == {"type": "NonFiniteValue",
+                                "message": "divided difference at (1.0, 1.125) is inf"}
+
+    def test_negative_perturb_rounds_is_input_error(self, capsys):
+        code, rep = run_cli(capsys, "variation", "--system", "poly:2", "--function",
+                            "power:3", "--a", "0", "--b", "1", "--perturb-rounds", "-1")
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
 
 
 class TestReportContract:

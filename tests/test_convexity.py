@@ -22,7 +22,7 @@ from chebconvex.convexity import (
     is_strictly_convex,
 )
 from chebconvex.divdiff import divided_difference
-from chebconvex.errors import DimensionMismatch, InputError
+from chebconvex.errors import DimensionMismatch, InputError, OrderingViolation
 from chebconvex.systems import polynomial_system, trig_odd_system
 
 from oracles import rand_distinct_fractions, rand_increasing_floats
@@ -68,6 +68,17 @@ class TestDirect:
         with pytest.raises(InsufficientGrid):
             check_convex_direct(polynomial_system(3), PowerFn(3), [0, 1, 2])
 
+    def test_float_points_closer_than_min_gap(self):
+        # as in the induced and interval modes; the gap is found between
+        # neighbours of the sorted grid
+        for grid, pair in (([0.0, 1e-10, 1.0, 2.0, 3.0, 4.0], (0, 1)),
+                           ([4.0, 3.0, 2.0 + 1e-10, 2.0, 1.0, 0.0], (2, 3))):
+            with pytest.raises(OrderingViolation) as err:
+                check_convex_direct(polynomial_system(3), PowerFn(4), grid)
+            assert (err.value.i, err.value.j) == pair
+        exact = [Fraction(0), Fraction(1, 10 ** 12), Fraction(1), Fraction(2), Fraction(3)]
+        assert check_convex_direct(polynomial_system(3), PowerFn(4), exact).is_convex
+
 
 class TestInduced:
     def test_square_convex_via_slopes(self):
@@ -91,6 +102,12 @@ class TestInduced:
         slope = ind.derived(PowerFn(2))
         values = [evaluate(slope, Fraction(x)) for x in (0, 1, 3, 4)]
         assert values == sorted(values)
+
+    def test_budget_below_one_is_rejected(self):
+        with pytest.raises(InputError, match="tuple budget must be >= 1"):
+            check_convex_induced(polynomial_system(2), 1, PowerFn(2), GRID6, budget=0)
+        with pytest.raises(InputError, match="tuple budget must be >= 1"):
+            check_convex_induced(polynomial_system(2), 1, PowerFn(2), GRID6, base_budget=0)
 
     def test_k_range_checked(self):
         with pytest.raises(DimensionMismatch):

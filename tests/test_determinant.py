@@ -19,6 +19,7 @@ from chebconvex.determinant import (
 )
 from chebconvex.errors import (
     IndexOutOfRange,
+    InputError,
     InsufficientGrid,
     NonSquareMatrix,
 )
@@ -214,6 +215,13 @@ class TestPositivity:
         tuples, exhaustive = increasing_tuples(tuple(range(30)), 3, budget=11, seed=5)
         assert not exhaustive and len(tuples) == 11
         assert all(a < b < c for a, b, c in tuples)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_checks_nothing_and_is_rejected(self, budget):
+        with pytest.raises(InputError, match="tuple budget must be >= 1"):
+            increasing_tuples((1, 2, 3), 2, budget=budget)
+        with pytest.raises(InputError, match="tuple budget must be >= 1"):
+            is_positive_chebyshev(polynomial_system(3), 3, (0, 1, 2, 3), budget=budget)
 
 
 class TestSylvester:

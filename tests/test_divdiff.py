@@ -24,6 +24,7 @@ from chebconvex.divdiff import (
 from chebconvex.errors import (
     DimensionMismatch,
     InputError,
+    NonFiniteValue,
     SingularDenominator,
 )
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
@@ -77,6 +78,13 @@ class TestGeneralizedDivdiff:
         wide = one_xsq_system(Interval(), allow_unsafe_domain=True)
         with pytest.raises(SingularDenominator):
             divided_difference(wide, 2, PowerFn(3), (-1, 1))
+
+    def test_non_finite_value(self):
+        big = affine((1e308, PowerFn(3)))
+        with pytest.raises(NonFiniteValue, match=r"divided difference at \(1.0, 2.0, 3.0\) is nan"):
+            divided_difference(polynomial_system(3), 3, big, (1.0, 2.0, 3.0))
+        with pytest.raises(NonFiniteValue, match="classical divided difference"):
+            classical_divided_difference(big, (1.0, 2.0, 3.0))
 
     def test_dimension_checks(self):
         system = polynomial_system(3)

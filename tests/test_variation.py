@@ -20,6 +20,7 @@ from chebconvex.errors import (
     BoundViolated,
     DimensionMismatch,
     InputError,
+    NonFiniteValue,
     OrderingViolation,
 )
 from chebconvex.systems import polynomial_system, trig_odd_system
@@ -70,6 +71,14 @@ class TestVariationSum:
             first = divided_difference(SLOPE_SYSTEM, n, PowerFn(2), pts[:n]).value
             last = divided_difference(SLOPE_SYSTEM, n, PowerFn(2), pts[-n:]).value
             assert got == last - first
+
+    def test_overflowing_sum_is_non_finite(self):
+        # every window value is finite (-1.5e308, then 1.5e308); their
+        # difference is not
+        f = affine((1.5e308, PowerFn(2)))
+        part = Partition(validate_tuple([-1.0, 0.0, 1.0], OrderingClass.STRICTLY_INCREASING))
+        with pytest.raises(NonFiniteValue, match="partition sum over 2 intervals"):
+            variation_sum(SLOPE_SYSTEM, f, part)
 
     def test_invariant_under_adding_basis_combination(self):
         rng = random.Random(61)
@@ -149,6 +158,10 @@ class TestEstimate:
         with pytest.raises(InputError):
             estimate_variation(SLOPE_SYSTEM, PowerFn(2), 1, 0)
 
+    def test_negative_perturb_rounds_rejected(self):
+        with pytest.raises(InputError, match="perturb_rounds"):
+            RefinementStrategy(perturb_rounds=-1)
+
 
 class TestBound:
     def test_square_bound_example(self):
@@ -168,6 +181,11 @@ class TestBound:
         bound = variation_bound(SLOPE_SYSTEM, PowerFn(1), ConstFn(0),
                                 (-1, 0), (1, 2))
         assert bound == 0
+
+    def test_overflowing_bound_is_non_finite(self):
+        with pytest.raises(NonFiniteValue, match=r"variation bound at .* is inf"):
+            variation_bound(SLOPE_SYSTEM, affine((1.5e308, PowerFn(2))), ConstFn(0),
+                            (-1.0, 0.0), (0.25, 0.75))
 
     def test_anchor_alignment_enforced(self):
         with pytest.raises(OrderingViolation):
