@@ -17,7 +17,6 @@ from .core import (
     PowerFn,
     PuncturedInterval,
     SampledFn,
-    SignClaim,
     SinFn,
     affine,
     evaluate,

@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 import time
 from fractions import Fraction
@@ -47,35 +46,23 @@ from .determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
-    Matrix,
     is_positive_chebyshev,
-    matrix_from_rows,
-    sylvester_check,
 )
-from .divdiff import (
-    classical_divided_difference,
-    divided_difference,
-    power_divdiff_check,
-)
+from .divdiff import classical_divided_difference, divided_difference
 from .convexity import (
     check_convex_direct,
     check_convex_induced,
     check_convex_interval,
-    convexity_identity_check,
     cross_mode_agreement,
 )
 from .errors import BoundViolated, ChebconvexError, InputError
-from .induced import verify_induced_system
+from .identities import IDENTITY_SUITES, run_suite
 from .systems import one_xsq_system, polynomial_system, trig_even_system, trig_odd_system
 from .variation import (
     RefinementStrategy,
     check_variation_bound,
     estimate_variation,
 )
-
-IDENTITY_SUITES = ("sylvester", "induced-det", "convexity-det", "slope-diff",
-                   "power-sum", "trig-cot")
-
 
 class _JsonArgumentParser(argparse.ArgumentParser):
     """Argument errors come back as structured JSON, never bare text."""
@@ -360,13 +347,9 @@ def _cmd_identities(args) -> tuple[dict, int]:
     for s in suites:
         if s not in IDENTITY_SUITES:
             raise InputError(f"unknown suite {s!r}; known: {IDENTITY_SUITES} or all")
-    results = {}
-    failures_total = 0
-    for suite in suites:
-        rep = _run_identity_suite(suite, args.trials, args.seed, backend)
-        results[suite] = rep
-        failures_total += len(rep["failures"])
-    return {"suites": results, "failed": failures_total}, 1 if failures_total else 0
+    results = {suite: run_suite(suite, args.trials, args.seed, backend) for suite in suites}
+    failures_total = sum(len(rep["failures"]) for rep in results.values())
+    return {"suites": _jsonify(results), "failed": failures_total}, 1 if failures_total else 0
 
 
 def _cmd_variation(args) -> tuple[dict, int]:
@@ -410,123 +393,6 @@ def _cmd_variation(args) -> tuple[dict, int]:
     f = _parse_function(args.function, backend)
     est = estimate_variation(system, f, a, b, strategy=strategy, tol_factor=args.tol)
     return {"estimate": _estimate_dict(est)}, 0
-
-
-# ---------------------------------------------------------------------------
-# identity fuzz suites
-
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-def _rand_matrix(rng: random.Random, n: int, backend: Backend) -> Matrix:
-    if backend is Backend.EXACT:
-        return matrix_from_rows([[_rand_fraction(rng) for _ in range(n)]
-                                 for _ in range(n)])
-    return matrix_from_rows([[rng.uniform(-1.0, 1.0) for _ in range(n)]
-                             for _ in range(n)])
-
-
-def _rand_distinct_fractions(rng: random.Random, count: int) -> tuple:
-    pool: set[Fraction] = set()
-    while len(pool) < count:
-        pool.add(_rand_fraction(rng))
-    return tuple(pool)
-
-
-def _run_identity_suite(suite: str, trials: int, seed: int, backend: Backend) -> dict:
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    max_abs = 0.0
-    max_rel = 0.0
-
-    def record(ok: bool, abs_res: float, rel_res: float, detail: dict):
-        nonlocal max_abs, max_rel
-        max_abs = max(max_abs, abs_res)
-        max_rel = max(max_rel, rel_res)
-        if not ok and len(failures) < 10:
-            failures.append(detail)
-
-    for trial in range(trials):
-        if suite == "sylvester":
-            n = rng.randint(2, 6)
-            k = rng.randint(1, n - 1)
-            rep = sylvester_check(_rand_matrix(rng, n, backend), k)
-            abs_res = float(rep.residual)
-            rel_res = rep.relative_residual
-            ok = rep.residual == 0 if backend is Backend.EXACT else rel_res <= 1e-9
-            record(ok, abs_res, rel_res, {"trial": trial, "n": n, "k": k,
-                                          "residual": _jsonify(rep.residual)})
-        elif suite == "power-sum":
-            degree = rng.randint(1, 8)
-            k = rng.randint(1, min(6, degree + 1))
-            pts = _rand_distinct_fractions(rng, k)
-            if backend is Backend.FLOAT:
-                pts = tuple(float(p) for p in pts)
-            rep = power_divdiff_check(degree, pts)
-            ok = rep.residual == 0 if backend is Backend.EXACT \
-                else rep.relative_residual <= 1e-9
-            record(ok, float(rep.residual), rep.relative_residual,
-                   {"trial": trial, "degree": degree, "points": _jsonify(pts),
-                    "residual": _jsonify(rep.residual)})
-        elif suite == "induced-det":
-            n = rng.randint(3, 5)
-            k = rng.randint(1, n - 1)
-            pts = sorted(_rand_distinct_fractions(rng, n))
-            if backend is Backend.FLOAT:
-                pts = [float(p) for p in pts]
-            system = polynomial_system(n)
-            rep = verify_induced_system(system, k, tuple(pts[:k]), tuple(pts[k:]),
-                                        seed=seed)
-            ok = rep.max_abs_residual == 0 if backend is Backend.EXACT \
-                else rep.max_rel_residual <= 1e-8
-            record(ok, rep.max_abs_residual, rep.max_rel_residual,
-                   {"trial": trial, "n": n, "k": k, "base": _jsonify(pts[:k])})
-        elif suite in ("convexity-det", "slope-diff"):
-            n = rng.randint(2, 5)
-            k = n - 1 if suite == "slope-diff" else rng.randint(1, n - 1)
-            pts = list(_rand_distinct_fractions(rng, n + 1))
-            rng.shuffle(pts)
-            if backend is Backend.FLOAT:
-                pts = [float(p) for p in pts]
-            degree = rng.randint(0, n + 1)
-            f = PowerFn(degree)
-            system = polynomial_system(n)
-            rep = convexity_identity_check(system, k, f, tuple(pts))
-            ok = rep.residual == 0 if backend is Backend.EXACT \
-                else rep.relative_residual <= 1e-8
-            detail = {"trial": trial, "n": n, "k": k, "degree": degree,
-                      "points": _jsonify(pts), "residual": _jsonify(rep.residual)}
-            if ok and suite == "slope-diff":
-                # rhs must equal the difference of the two slope values
-                head = tuple(pts[:n - 1])
-                dd_hi = divided_difference(system, n, f, head + (pts[n],)).value
-                dd_lo = divided_difference(system, n, f, head + (pts[n - 1],)).value
-                diff = dd_hi - dd_lo
-                res2 = abs(rep.rhs - diff)
-                ok = res2 == 0 if backend is Backend.EXACT \
-                    else float(res2) <= 1e-8 * max(1.0, abs(float(diff)))
-                detail["slope_difference"] = _jsonify(diff)
-            record(ok, float(rep.residual), rep.relative_residual, detail)
-        elif suite == "trig-cot":
-            while True:
-                x = rng.uniform(-math.pi + 0.05, -0.05)
-                y = rng.uniform(-math.pi + 0.05, -0.05)
-                if abs(x - y) >= 0.05:
-                    break
-            lhs = (math.sin(x) - math.sin(y)) / (math.cos(x) - math.cos(y))
-            u = (x + y) / 2.0
-            rhs = -math.cos(u) / math.sin(u)
-            rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-            record(rel <= 1e-12, abs(lhs - rhs), rel,
-                   {"trial": trial, "x": x, "y": y, "lhs": lhs, "rhs": rhs})
-        else:
-            raise InputError(f"unknown suite {suite!r}")
-
-    return {"trials": trials, "failures": failures,
-            "max_abs_residual": max_abs, "max_rel_residual": max_rel}
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ than forced into a verdict.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 from .core import (
@@ -25,9 +25,7 @@ from .core import (
     ChebyshevSystem,
     FunctionSpec,
     OrderingClass,
-    PointTuple,
     Scalar,
-    evaluate,
     validate_tuple,
 )
 from .determinant import (
@@ -36,25 +34,22 @@ from .determinant import (
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
     SignScan,
+    _PointTable,
     _sign_scan,
-    _tabulate,
     check_denominator,
-    collocation_det,
-    collocation_matrix,
-    det,
+    det,    # unused here; bench/test_bench.py checks that the tracer wraps it here
     increasing_tuples,
     is_positive_chebyshev,
-    matrix_from_rows,
     sorted_grid,
 )
-from .divdiff import ResidualReport, divided_difference
+from .divdiff import ResidualReport
 from .errors import (
     DimensionMismatch,
     EvaluationOutsideSupport,
     InputError,
     InsufficientGrid,
 )
-from .induced import _DerivedTable, induced_system
+from .induced import _PinnedBase, induced_system
 
 #: Base-tuple sampling switches from exhaustive enumeration to seeded
 #: random sampling above this count.
@@ -97,7 +92,8 @@ def _direct_scan(system, grid_pts: tuple, table, budget: int, seed: int,
     for x in grid_pts:
         if not system.domain.contains(x):
             raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
-    return _sign_scan(table, n + 1, grid_pts, budget, seed, tol_factor, positive=False)
+    return _sign_scan(table, tuple(range(n + 1)), grid_pts, budget, seed, tol_factor,
+                      positive=False)
 
 
 def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
@@ -109,9 +105,16 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
     :class:`OrderingViolation` on a float grid with two points closer
     than the minimum gap, as the induced and interval modes do, and
     :class:`NonFiniteValue` on an infinite or NaN value."""
+    return _check_convex_direct(system, f, grid, _PointTable(system.basis + (f,)),
+                                budget, seed, tol_factor)
+
+
+def _check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid, table: _PointTable,
+                         budget: int, seed: int, tol_factor: float) -> ConvexityVerdict:
+    """:func:`check_convex_direct`, reading the values of
+    ``system.basis + (f,)`` from ``table``."""
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
-    scan = _direct_scan(system, pts, partial(_tabulate, evaluate, system.basis + (f,), pts),
-                        budget, seed, tol_factor)
+    scan = _direct_scan(system, pts, table, budget, seed, tol_factor)
     return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
                             scan.tuples_checked, seed, witness=scan.witness,
                             witness_value=scan.witness_value,
@@ -136,11 +139,15 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          grid: Iterable[Scalar], ell: int | None,
                          base_budget: int, budget: int, seed: int,
                          tol_factor: float,
-                         table: _DerivedTable | None = None) -> ConvexityVerdict:
+                         table: _PointTable | None = None,
+                         derived: dict | None = None) -> ConvexityVerdict:
     """The induced (``ell`` None) or interval check.  Each base's scan
-    reads its derived columns from ``table``, which a caller may share
-    between checks of the same system and ``f``; a table of the check's
-    own drops each base's derived values after its scan."""
+    reads its derived table, a point table whose values the base's
+    :class:`_PinnedBase` gives, from ``derived`` (base -> table); all of
+    them read ``table``, the point table of ``system.basis + (f,)``.  A
+    caller may share both between checks of the same system and ``f``;
+    without ``derived``, each base's derived values are dropped after its
+    scan."""
     n = system.dim
     if not 1 <= k <= n - 1:
         raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
@@ -149,9 +156,9 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
     pts = sorted_grid(grid)
     bases, _ = increasing_tuples(pts, k, budget=base_budget, seed=seed)
     mode = "induced" if ell is None else "interval"
-    own = table is None
-    if own:
-        table = _DerivedTable(system, f)
+    table = table or _PointTable(system.basis + (f,))
+    own = derived is None
+    derived = {} if own else derived
 
     tuples_checked = 0
     bases_checked = 0
@@ -166,10 +173,11 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
         bases_checked += 1
         ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
                                                        min_gap=0.0))
-        scan = _direct_scan(ind, local, partial(table.columns, ind, local),
-                            budget, seed, tol_factor)
+        if base not in derived:
+            derived[base] = _PointTable(value=_PinnedBase(table, system.domain, k, base).value)
+        scan = _direct_scan(ind, local, derived[base], budget, seed, tol_factor)
         if own:
-            table.release()
+            derived.clear()
         tuples_checked += scan.tuples_checked
         indeterminate += scan.indeterminate_count
         if scan.verdict is not None:
@@ -232,29 +240,41 @@ def convexity_identity_check(system: ChebyshevSystem, k: int, f: FunctionSpec,
     The left side is one big determinant, the right side is built from
     (n-k+1)^2 small ones, so the two sides certify each other.
     """
+    return _convexity_identity(system, k, f, points)[0]
+
+
+def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
+                        points) -> tuple:
+    """:func:`convexity_identity_check` and its right side's cells by
+    appended point x: the divided differences of basis[k:] + (f,) over
+    (first k points, x), all read from one pinned base at the first k
+    points."""
     n = system.dim
     if not 1 <= k <= n - 1:
         raise DimensionMismatch(f"prefix size {k} outside 1..{n - 1}")
-    pts = points.points if isinstance(points, PointTuple) else tuple(points)
-    pts = validate_tuple(pts, OrderingClass.PAIRWISE_DISTINCT).points
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT).points
     if len(pts) != n + 1:
         raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
     head, tail = pts[:k], pts[k:]
+    for x in head:
+        if not system.domain.contains(x):
+            raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
 
-    kminor = collocation_det(system, k, head)
-    lhs = det(collocation_matrix(system.basis + (f,), pts)) * kminor ** (n - k)
+    table = _PointTable(system.basis + (f,))
+    kminor = table.det(tuple(range(k)), head)
+    lhs = table.det(tuple(range(n + 1)), pts) * kminor ** (n - k)
+    pinned = _PinnedBase(table, system.domain, k, head)
     for x in tail:
-        den_matrix = collocation_matrix(system.basis[:k + 1], head + (x,))
-        denom = det(den_matrix)
-        check_denominator(denom, den_matrix.entries, den_matrix.backend(), head + (x,),
-                          name="(k+1)-prefix determinant", show_value=False)
+        denom, backend, forms = pinned.denominator(x)
+        check_denominator(denom, itertools.chain.from_iterable(c for c, _ in forms), backend,
+                          head + (x,), name="(k+1)-prefix determinant", show_value=False)
         lhs = lhs / denom
 
-    targets = system.basis[k:] + (f,)
-    rows = [[divided_difference(system, k + 1, target, head + (x,)).value
-             for x in tail] for target in targets]
-    rhs = det(matrix_from_rows(rows))
-    return ResidualReport(lhs, rhs, abs(lhs - rhs))
+    cells = _PointTable(value=pinned.ratio)
+    rows = tuple(range(n - k + 1))
+    rhs = cells.det(rows, tail)
+    return (ResidualReport(lhs, rhs, abs(lhs - rhs)),
+            [c.values for c in cells.columns(rows, cells.points(tail))])
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +305,25 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
                          tol_factor: float = DEFAULT_TOL_FACTOR) -> AgreementReport:
     """Run the direct mode, the induced mode for each k, and the
     interval mode for each (k, ell), and compare definite verdicts.
-    The pinned modes share one table, so each base is eliminated and
-    each derived value computed once."""
+    All modes read one point table, and the pinned modes share their
+    derived tables, so each base is eliminated and each derived value
+    computed once."""
     n = system.dim
     if k_list is None:
         k_list = list(range(1, n))
-    labeled: list[tuple[str, ConvexityVerdict]] = []
-    labeled.append(("direct", check_convex_direct(system, f, grid, budget=budget,
-                                                  seed=seed, tol_factor=tol_factor)))
-    table = _DerivedTable(system, f)
+    table = _PointTable(system.basis + (f,))
+    labeled: list[tuple[str, ConvexityVerdict]] = [
+        ("direct", _check_convex_direct(system, f, grid, table, budget, seed, tol_factor))]
+    derived: dict = {}
     pinned = dict(base_budget=base_budget, budget=budget, seed=seed, tol_factor=tol_factor,
-                  table=table)
+                  table=table, derived=derived)
     for k in k_list:
         labeled.append((f"induced:k={k}",
                         _check_convex_pinned(system, k, f, grid, None, **pinned)))
         for ell in range(k + 1):
             labeled.append((f"interval:k={k}:ell={ell}",
                             _check_convex_pinned(system, k, f, grid, ell, **pinned)))
-        table.release()     # bases of size k serve only the modes of this k
+        derived.clear()     # bases of size k serve only the modes of this k
     definite = [(label, v.verdict) for label, v in labeled
                 if v.verdict != "indeterminate"]
     disagreements = tuple(

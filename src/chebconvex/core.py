@@ -51,11 +51,6 @@ class OrderingClass(enum.Enum):
     UNCONSTRAINED = "unconstrained"
 
 
-class SignClaim(enum.Enum):
-    POSITIVE = "positive"
-    UNVERIFIED = "unverified"
-
-
 # ---------------------------------------------------------------------------
 # scalar helpers
 
@@ -219,12 +214,6 @@ class Interval:
         if self.hi is not None and (x > self.hi or (self.hi_open and x == self.hi)):
             return False
         return True
-
-    def length(self) -> Scalar | None:
-        """``hi - lo``, or ``None`` when unbounded."""
-        if self.lo is None or self.hi is None:
-            return None
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -484,16 +473,10 @@ def affine(*terms) -> AffineFn:
 
 @dataclass(frozen=True)
 class ChebyshevSystem:
-    """An ordered tuple of basis functions on a common domain.
-
-    ``claimed_sign`` records whether the collocation determinant is
-    asserted positive on all strictly increasing tuples of the domain;
-    the determinant module can verify the claim on a grid.
-    """
+    """An ordered tuple of basis functions on a common domain."""
 
     basis: tuple
     domain: Domain
-    claimed_sign: SignClaim = SignClaim.UNVERIFIED
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -515,11 +498,11 @@ class ChebyshevSystem:
             raise InputError(f"prefix size {k} outside 1..{self.dim}")
         if k == self.dim:
             return self
-        return ChebyshevSystem(self.basis[:k], self.domain, SignClaim.UNVERIFIED)
+        return ChebyshevSystem(self.basis[:k], self.domain)
 
     def with_appended(self, f: FunctionSpec) -> "ChebyshevSystem":
         """The (dim+1)-tuple obtained by appending ``f`` to the basis."""
-        return ChebyshevSystem(self.basis + (f,), self.domain, SignClaim.UNVERIFIED)
+        return ChebyshevSystem(self.basis + (f,), self.domain)
 
     def required_backend(self) -> Backend | None:
         return combine_backends(*(fn.required_backend() for fn in self.basis))
@@ -683,8 +666,7 @@ def domain_from_json(d: dict) -> Domain:
 
 def system_to_json(system: ChebyshevSystem) -> dict:
     return {"basis": [function_to_json(f) for f in system.basis],
-            "domain": domain_to_json(system.domain),
-            "claimed_sign": system.claimed_sign.value}
+            "domain": domain_to_json(system.domain)}
 
 
 def system_from_json(d: dict) -> ChebyshevSystem:
@@ -693,5 +675,4 @@ def system_from_json(d: dict) -> ChebyshevSystem:
         basis, domain = tuple(function_from_json(f) for f in d["basis"]), d["domain"]
     except (KeyError, TypeError) as exc:
         raise _json_error("system spec", exc) from None
-    return ChebyshevSystem(basis, domain_from_json(domain),
-                           SignClaim(d.get("claimed_sign", "unverified")))
+    return ChebyshevSystem(basis, domain_from_json(domain))

@@ -6,8 +6,9 @@ Every determinant is one column-step elimination.  Exact determinants
 clear column denominators and run fraction-free (Bareiss) elimination
 over the integers, which keeps intermediate entries polynomially sized.
 Float determinants use Gaussian elimination with partial pivoting.
-Grid scans evaluate each function once per grid point and share the
-elimination steps of a common tuple prefix.
+Grid scans, pinned bases, divided differences and variation windows
+read one point table, which evaluates each function once per point, and
+grid scans share the elimination steps of a common tuple prefix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -104,8 +104,8 @@ def det(m: Matrix) -> Scalar:
     """
     if m.rows != m.cols:
         raise NonSquareMatrix(f"determinant of a {m.rows}x{m.cols} matrix")
-    return _columns_det([m.entries[j::m.cols] for j in range(m.cols)],
-                        exact=m.backend() is not Backend.FLOAT)
+    exact = m.backend() is not Backend.FLOAT
+    return _prepared_det([_form(m.entries[j::m.cols], exact) for j in range(m.cols)], exact)
 
 
 # ---------------------------------------------------------------------------
@@ -193,33 +193,26 @@ def _exact_reduce(cols: list, step) -> list:
     return out
 
 
-def _integer_column(c) -> tuple[list, int]:
-    """The exact column ``c`` (of Fractions and ints) times the lcm of
-    its denominators, and that lcm."""
+def _form(c, exact: bool) -> tuple[list, int]:
+    """The column ``c`` as elimination takes it, with its scale: when
+    ``exact``, c (of Fractions and ints) times the lcm of its
+    denominators, and that lcm; else c made float, with scale 1."""
+    if not exact:
+        return [float(v) for v in c], 1
     lcm = math.lcm(*(x.denominator for x in c))
     return [x.numerator * (lcm // x.denominator) for x in c], lcm
 
 
-def _prepare(cols: list, exact: bool) -> tuple[list, int]:
-    """The columns ``cols`` as elimination takes them: each scaled to
-    integers when ``exact``, with the product of the scales, else made
-    float, with scale 1."""
-    if exact:
-        scaled = [_integer_column(c) for c in cols]
-        return [c for c, _ in scaled], math.prod(s for _, s in scaled)
-    return [[float(v) for v in c] for c in cols], 1
-
-
-def _eliminate(cols: list, k: int, exact: bool):
-    """Pivot on the first k of the prepared columns ``cols`` (see
-    :func:`_prepare`) in turn, each step reducing the later columns,
-    which are left unchanged.  Returns the pivot state, the k steps and
-    the reduced later columns, or ``None`` when a pivot column is zero,
-    so that every determinant with these k leading columns is zero."""
-    if exact:
-        state, pivot, reduce = (1, 1), _exact_pivot, _exact_reduce
-    else:
-        state, pivot, reduce = 1.0, _float_pivot, _float_reduce
+def _eliminate(cols: list, k: int, exact: bool, state=None):
+    """Pivot on the first k of the prepared columns ``cols`` in turn,
+    each step reducing the later columns, which are left unchanged,
+    starting from the pivot ``state`` of an earlier elimination (default:
+    none).  Returns the pivot state, the k steps and the reduced later
+    columns, or ``None`` when a pivot column is zero, so that every
+    determinant with these k leading columns is zero."""
+    if state is None:
+        state = (1, 1) if exact else 1.0
+    pivot, reduce = (_exact_pivot, _exact_reduce) if exact else (_float_pivot, _float_reduce)
     steps = []
     for _ in range(k):
         pivoted = pivot(state, cols[0])
@@ -231,43 +224,134 @@ def _eliminate(cols: list, k: int, exact: bool):
     return state, steps, cols
 
 
-def _last(state, v, scale: int, exact: bool) -> Scalar:
-    """The determinant from the pivot state and the last reduced entry."""
-    return Fraction(state[0] * v, scale) if exact else _float_last(state, v)
-
-
-def _prepared_det(cols: list, scale: int, exact: bool) -> Scalar:
-    """det of the square matrix whose prepared columns are ``cols``
-    with the product of scales ``scale`` (see :func:`_prepare`)."""
-    done = _eliminate(cols, len(cols) - 1, exact)
+def _prepared_det(forms: list, exact: bool, state=None, scale: int = 1) -> Scalar:
+    """det of the square matrix whose columns have the prepared forms
+    ``forms`` (pairs of a column and its scale, see :func:`_form`), or,
+    from the pivot ``state`` of eliminated leading columns whose scales
+    multiply to ``scale``, of the matrix those columns extend."""
+    done = _eliminate([c for c, _ in forms], len(forms) - 1, exact, state)
     if done is None:
         return Fraction(0) if exact else 0.0
     state, _, (last,) = done
-    return _last(state, last[0], scale, exact)
+    if not exact:
+        return _float_last(state, last[0])
+    return Fraction(state[0] * last[0], scale * math.prod(s for _, s in forms))
 
 
-def _columns_det(cols: list, exact: bool) -> Scalar:
-    """det of the square matrix with columns ``cols``."""
-    return _prepared_det(*_prepare(cols, exact), exact)
+# ---------------------------------------------------------------------------
+# the point table, which every evaluate-once path reads: grid scans,
+# pinned bases, divided differences and variation windows
+
+class _PointTable:
+    """The values ``value(i, x)`` of functions at points, each computed
+    once, in the order its caller first needs them, and the columns
+    [value(i, x) for i in rows] of tuples of function indices ``rows``,
+    each made once, with its backend and its prepared forms.  By default
+    ``value(i, x)`` is evaluate(fns[i], x)."""
+
+    def __init__(self, fns: tuple = (), value=None):
+        self.fns = fns
+        self._value = value or (lambda i, x: evaluate(fns[i], x))
+        self._points: dict = {}
+
+    def points(self, xs) -> list:
+        """The table's record of each point in ``xs``."""
+        found = self._points
+        return [found.get(x) or found.setdefault(x, _Point(x)) for x in xs]
+
+    def columns(self, rows: tuple, points: list) -> list:
+        """The columns of ``rows`` at the points whose records are
+        ``points``, each made once.  Values not computed yet are computed
+        row by row over the points, the order in which a matrix of these
+        columns built row by row first needs them."""
+        new = [p for p in points if rows not in p.columns]
+        if new:
+            value = self._value
+            for i in rows:
+                for p in new:
+                    values = p.values
+                    if i not in values:
+                        values[i] = value(i, p.x)
+            for p in new:
+                p.columns[rows] = _Column(list(map(p.values.__getitem__, rows)))
+        return [p.columns[rows] for p in points]
+
+    def det(self, rows: tuple, xs) -> Scalar:
+        """det of the square matrix of the columns of ``rows`` at xs."""
+        backend, forms = _matrix(self.columns(rows, self.points(xs)))
+        return _prepared_det(forms, backend is not Backend.FLOAT)
+
+    def appended_det(self, rows: tuple, base: tuple):
+        """The function xs -> (det, backend, prepared columns) of the
+        square matrix of the columns of ``rows`` at base + xs.  The base
+        columns are eliminated once per backend; each call reduces the
+        columns at xs by the recorded steps and eliminates the rest."""
+        base_points, k = self.points(base), len(base)
+        eliminated = {}     # exact -> (the base's pivot steps or None, its scale)
+
+        def det(xs):
+            backend, forms = _matrix(self.columns(rows, base_points + self.points(xs)))
+            exact = backend is not Backend.FLOAT
+            if exact not in eliminated:
+                eliminated[exact] = (_eliminate([c for c, _ in forms[:k]], k, exact),
+                                     math.prod(s for _, s in forms[:k]))
+            done, scale = eliminated[exact]
+            if done is None:
+                return (Fraction(0) if exact else 0.0), backend, forms
+            state, steps, _ = done
+            appended = forms[k:]
+            cols = [c for c, _ in appended]
+            for step in steps:
+                cols = (_exact_reduce if exact else _float_reduce)(cols, step)
+            return (_prepared_det([(c, s) for c, (_, s) in zip(cols, appended)], exact,
+                                  state, scale), backend, forms)
+        return det
 
 
-def _appended_det(base_cols: list, exact: bool):
-    """The function col -> det[base_cols..., col] over the square
-    matrices that share their first columns.  Those are eliminated once;
-    each ``col`` is then reduced by the recorded steps."""
-    base_cols, base_scale = _prepare(base_cols, exact)
-    done = _eliminate(base_cols, len(base_cols), exact)
-    if done is None:
-        return lambda col: Fraction(0) if exact else 0.0
-    state, steps, _ = done
-    reduce = _exact_reduce if exact else _float_reduce
+class _Point:
+    """A point's values by function index and its columns by rows."""
 
-    def det(col):
-        c, scale = _integer_column(col) if exact else ([float(v) for v in col], 1)
-        for step in steps:
-            c, = reduce([c], step)
-        return _last(state, c[0], base_scale * scale, exact)
-    return det
+    __slots__ = ("x", "values", "columns")
+
+    def __init__(self, x):
+        self.x = x
+        self.values: dict = {}
+        self.columns: dict = {}
+
+
+_UNKNOWN = object()
+
+
+class _Column:
+    """One column's values, with its backend and its float and
+    integer-scaled forms, each made once, when first asked for."""
+
+    __slots__ = ("values", "_backend", "_forms")
+
+    def __init__(self, values: list):
+        self.values = values
+        self._backend = _UNKNOWN
+        self._forms: dict = {}
+
+    def backend(self) -> Backend | None:
+        if self._backend is _UNKNOWN:
+            self._backend = collection_backend(self.values)
+        return self._backend
+
+    def form(self, exact: bool) -> tuple[list, int]:
+        form = self._forms.get(exact)
+        if form is None:
+            form = self._forms[exact] = _form(self.values, exact)
+        return form
+
+
+def _matrix(columns: list) -> tuple:
+    """The backend of the matrix with the table's ``columns``
+    (``BackendMismatch`` when they mix exact and float, as a Matrix of
+    their entries would raise) and the forms elimination takes."""
+    backend = combine_backends(*(c.backend() for c in columns), default=Backend.EXACT)
+    exact = backend is not Backend.FLOAT
+    return backend, [c.form(exact) for c in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +445,13 @@ def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> tuple:
 # ---------------------------------------------------------------------------
 # the sign scan behind grid positivity and every convexity mode
 #
-# A scan reads its columns from a table filled once per grid point it
+# A scan reads its columns from a point table, at each grid point it
 # touches.  An exhaustive scan then walks the increasing tuples depth
 # first in lexicographic order and eliminates one tuple point (one
 # matrix column) per level, so all extensions of a prefix share its
 # pivot steps, which are those of det: its determinants are
 # bit-identical to det's of each tuple.  A sampled scan calls det's
-# elimination on each sampled tuple's columns of the table.
+# elimination on each sampled tuple's prepared columns.
 
 _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 
@@ -423,35 +507,33 @@ class _Tally:
             self.first[kind] = (t, value)
 
 
-def _sign_scan(table, n: int, pts: tuple, budget: int, seed: int,
+def _sign_scan(table: _PointTable, rows: tuple, pts: tuple, budget: int, seed: int,
                tol_factor: float, positive: bool) -> SignScan:
-    """Classify the n x n determinants of the columns ``table`` gives
-    for the increasing n-tuples of the sorted grid ``pts`` (exhaustive
-    within ``budget``, else ``budget`` seeded samples) by the rule of
-    :meth:`_Tally.add`.  ``table(touched)`` returns the columns and
-    their backends at the point indices in ``touched``, as
-    :func:`_tabulate` does."""
-    m = len(pts)
+    """Classify the determinants of the columns of ``rows`` in ``table``
+    for the increasing len(rows)-tuples of the sorted grid ``pts``
+    (exhaustive within ``budget``, else ``budget`` seeded samples) by the
+    rule of :meth:`_Tally.add`."""
+    m, n = len(pts), len(rows)
     exhaustive = math.comb(m, n) <= budget
     if exhaustive:
         tuples = itertools.combinations(range(m), n)
         checked = math.comb(m, n)
-        cols, backends = table([range(n)] + [(j,) for j in range(n, m)])
+        cols = _scan_columns(table, rows, pts, [range(n)] + [(j,) for j in range(n, m)])
     else:
         tuples = _sampled_index_tuples(m, n, budget, seed)
         checked = len(tuples)
-        cols, backends = table(tuples)
-    used = set(backends.values()) - {None}
+        cols = _scan_columns(table, rows, pts, tuples)
+    used = {c.backend() for c in cols.values()} - {None}
     tally = _Tally(positive, pts, tol_factor)
     scale = None
     if not exhaustive or len(used) > 1:
         # Every tuple takes its own backend, so one that mixes exact and
         # float points raises as det would, and one that does not passes.
-        _scan_each(cols, backends, tuples, tally)
+        _scan_each(cols, tuples, tally)
     elif used == {Backend.FLOAT}:
-        _walk_float([cols[j] for j in range(m)], n, tally)
+        _walk_float([cols[j].form(False)[0] for j in range(m)], n, tally)
     else:
-        scale = _walk_exact([cols[j] for j in range(m)], n, tally)
+        scale = _walk_exact([cols[j].form(True) for j in range(m)], n, tally)
 
     for verdict in (_VIOLATION, _NEAR_ZERO):
         if verdict in tally.first:
@@ -463,40 +545,35 @@ def _sign_scan(table, n: int, pts: tuple, budget: int, seed: int,
     return SignScan(checked, exhaustive)
 
 
-def _tabulate(value, rows, pts: tuple, touched) -> tuple[dict, dict]:
-    """Columns [value(r, pts[j]) for r in rows] for every point index in
-    ``touched``, computed once each, and the backend of each column
-    (``value`` is :func:`evaluate` for rows of functions).  Points are
-    taken group by group and row by row within a group, the order in
-    which a scan that builds each tuple's matrix first meets them, so
-    the first failing evaluation is the same."""
-    cols: dict[int, list] = {}
-    backends: dict[int, Backend | None] = {}
+def _scan_columns(table: _PointTable, rows: tuple, pts: tuple, touched) -> dict:
+    """The table's columns of ``rows`` at every point index in
+    ``touched``, asked for group by group, the order in which a scan that
+    builds each tuple's matrix first meets the points, so the first
+    failing evaluation is the same.  A float column holding an infinite
+    or NaN value raises :class:`NonFiniteValue`."""
+    cols: dict = {}
     for group in touched:
         new = [j for j in group if j not in cols]
         if not new:
             continue
-        entries = [[value(r, pts[j]) for j in new] for r in rows]
-        for pos, j in enumerate(new):
-            col = [row[pos] for row in entries]
-            backends[j] = collection_backend(col)
-            if backends[j] is Backend.FLOAT:
-                for v in col:
+        for j, col in zip(new, table.columns(rows, table.points(pts[j] for j in new))):
+            if col.backend() is Backend.FLOAT:
+                for v in col.values:
                     if not math.isfinite(v):
                         raise NonFiniteValue(f"function value {v} at grid point {pts[j]}")
             cols[j] = col
-    return cols, backends
+    return cols
 
 
-def _scan_each(cols: dict, backends: dict, tuples, tally: _Tally) -> None:
+def _scan_each(cols: dict, tuples, tally: _Tally) -> None:
     """Per-tuple elimination from the table, in tuple order."""
     for t in tuples:
-        tcols = [cols[j] for j in t]
-        if combine_backends(*(backends[j] for j in t)) is Backend.FLOAT:
-            biggest = max(abs(float(v)) for c in tcols for v in c)
-            tally.add(t, _columns_det(tcols, exact=False), biggest)
+        backend, forms = _matrix([cols[j] for j in t])
+        if backend is Backend.FLOAT:
+            biggest = max(abs(v) for c, _ in forms for v in c)
+            tally.add(t, _prepared_det(forms, exact=False), biggest)
         else:
-            tally.add(t, _columns_det(tcols, exact=True))
+            tally.add(t, _prepared_det(forms, exact=True))
 
 
 def _walk(cols: list, n: int, root, pivot, reduce, leaf, zero, tally: _Tally) -> None:
@@ -531,10 +608,9 @@ def _walk(cols: list, n: int, root, pivot, reduce, leaf, zero, tally: _Tally) ->
 
 
 def _walk_float(cols: list, n: int, tally: _Tally) -> None:
-    """Partial pivoting one column at a time.  The state is (running
-    pivot product with swap signs, max |entry| of the prefix's
-    columns)."""
-    cols = [[float(v) for v in c] for c in cols]
+    """Partial pivoting one column at a time over the float columns
+    ``cols``.  The state is (running pivot product with swap signs, max
+    |entry| of the prefix's columns)."""
     colmax = [max(abs(v) for v in c) for c in cols]
 
     def pivot(state, j, c):
@@ -554,12 +630,12 @@ def _walk_float(cols: list, n: int, tally: _Tally) -> None:
     _walk(cols, n, (1.0, 0.0), pivot, _float_reduce, leaf, zero, tally)
 
 
-def _walk_exact(cols: list, n: int, tally: _Tally) -> list:
-    """Bareiss elimination one column at a time.  Each column is scaled
-    to integers by the lcm of its denominators, so the walk records
-    integer determinants of the scaled matrix, which carry the sign;
-    returns the column scales."""
-    ints, scale = zip(*map(_integer_column, cols))
+def _walk_exact(forms: list, n: int, tally: _Tally) -> list:
+    """Bareiss elimination one column at a time over the columns scaled
+    to integers by the lcm of their denominators (``forms``, pairs of a
+    column and its scale), so the walk records integer determinants of
+    the scaled matrix, which carry the sign; returns the column scales."""
+    ints, scale = zip(*forms)
     _walk(list(ints), n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
           _exact_reduce, lambda state, j, v: (state[0] * v,), lambda t: (0,), tally)
     return list(scale)
@@ -599,6 +675,13 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     as indeterminate, with tol = tol_factor * (max |entry|)**k.
     Raises :class:`NonFiniteValue` on an infinite or NaN value.
     """
+    return _positivity(system, k, grid, _PointTable(system.basis), budget, seed, tol_factor)
+
+
+def _positivity(system: ChebyshevSystem, k: int, grid, table: _PointTable,
+                budget: int, seed: int, tol_factor: float) -> PositivityReport:
+    """:func:`is_positive_chebyshev`, reading the basis values from
+    ``table``, whose function i is the system's basis function i."""
     pts = sorted_grid(grid)
     if len(pts) < k:
         raise InsufficientGrid(f"grid has {len(pts)} points, need at least {k}")
@@ -608,7 +691,7 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
 
-    scan = _sign_scan(partial(_tabulate, evaluate, system.basis[:k], pts), k, pts,
+    scan = _sign_scan(table, tuple(range(k)), pts,
                       budget, seed, tol_factor, positive=True)
     return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
                             scan.exhaustive, seed, scan.witness, scan.witness_value,

@@ -7,6 +7,11 @@ determinants: the (k-1)-prefix extended by the target function over the
 k-prefix itself.  For the polynomial basis this reduces to the familiar
 Newton recursion, which is implemented independently so the two routes
 can certify each other.
+
+Both determinants read the point table (determinant._PointTable), and
+one step, :func:`_ratio`, takes them and checks the denominator; the
+pinned bases of the induced module and the variation windows take the
+same checks.
 """
 
 from __future__ import annotations
@@ -25,14 +30,13 @@ from .core import (
     Scalar,
     DEFAULT_MIN_GAP,
     collection_backend,
-    combine_backends,
     evaluate,
-    scalar_backend,
     validate_tuple,
 )
 from .determinant import (
     DEFAULT_TOL_FACTOR,
-    _integer_column,
+    _matrix,
+    _PointTable,
     _prepared_det,
     check_denominator,
 )
@@ -71,12 +75,6 @@ class ResidualReport:
         return float(self.residual) / denom
 
 
-def _as_distinct_tuple(points, min_gap: float) -> PointTuple:
-    if isinstance(points, PointTuple):
-        points = points.points
-    return validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
-
-
 def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
                        points, min_gap: float = DEFAULT_MIN_GAP,
                        tol_factor: float = DEFAULT_TOL_FACTOR) -> DividedDifference:
@@ -88,7 +86,7 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     determinant vanishes there, i.e. the prefix is not a Chebyshev
     system on these points.
     """
-    pts = _as_distinct_tuple(points, min_gap)
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
     if len(pts) != k:
@@ -97,8 +95,9 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
         if not system.domain.contains(x):
             raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
 
-    table = _PointTable(system.basis[:k], f)
-    value, numerator, denominator = _ratio(table, table.points(pts), pts.points, tol_factor)
+    table = _PointTable(system.basis[:k] + (f,))
+    value, numerator, denominator = _ratio(table, k, table.points(pts), pts.points,
+                                           tol_factor)
     return DividedDifference(value, numerator, denominator, k - 1, pts)
 
 
@@ -111,103 +110,29 @@ def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
     return value
 
 
-class _PointTable:
-    """The columns of divided differences of ``f`` with respect to the
-    k functions ``basis``, point by point: the denominator's column
-    [basis[i](x)] and the numerator's, whose last entry is f(x).
-
-    Each value is evaluated once, when a divided difference first needs
-    it, and its backend is read once; each column is made float, or
-    scaled to integers, once.  A divided difference over points that
-    share earlier ones (sliding windows, nested partitions) evaluates
-    only its new points."""
-
-    def __init__(self, basis: tuple, f: FunctionSpec):
-        self.basis = basis
-        self.f = f
-        self._points: dict = {}
-
-    def points(self, xs) -> list:
-        """The table's record of each point in ``xs``."""
-        return [self._points.get(x) or self._points.setdefault(x, _Point())
-                for x in xs]
-
-    def denominator(self, points: list, at: tuple) -> tuple:
-        """The denominator at ``at``, whose records are ``points``, as
-        :func:`_columns` gives it.  New values are evaluated row by row,
-        as collocation_matrix does."""
-        new = [(p, x) for p, x in zip(points, at) if p.den is None]
-        if new:
-            rows = [[evaluate(fn, x) for _, x in new] for fn in self.basis]
-            for j, (p, _) in enumerate(new):
-                values = [row[j] for row in rows]
-                p.den = _Column(values, [scalar_backend(v) for v in values])
-        return _columns([p.den for p in points])
-
-    def numerator(self, points: list, at: tuple) -> tuple:
-        """The numerator at ``at``, after :meth:`denominator` at the same
-        points; f is evaluated at the new ones in their order."""
-        for p, x in zip(points, at):
-            if p.num is None:
-                v = evaluate(self.f, x)
-                p.num = _Column(p.den.values[:-1] + [v], p.den.tags[:-1] + [scalar_backend(v)])
-        return _columns([p.num for p in points])
+def _checked_denominator(den: Scalar, backend: Backend, forms: list, at: tuple,
+                         tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
+    """``den``, the determinant of the prepared columns ``forms`` at the
+    points ``at``, after the singular-denominator rule and the check that
+    it is finite."""
+    check_denominator(den, itertools.chain.from_iterable(c for c, _ in forms), backend,
+                      at, tol_factor)
+    return _finite(den, "prefix collocation determinant", at)
 
 
-class _Point:
-    """A point's denominator and numerator columns, once evaluated."""
-
-    __slots__ = ("den", "num")
-
-    def __init__(self):
-        self.den = self.num = None
-
-
-class _Column:
-    """One column's values, the backend of each, and its float or
-    integer-scaled form, each made once."""
-
-    __slots__ = ("values", "tags", "forms")
-
-    def __init__(self, values: list, tags: list):
-        self.values = values
-        self.tags = tags
-        self.forms: dict = {}
-
-    def form(self, exact: bool) -> tuple:
-        """The column prepared for elimination and its scale."""
-        form = self.forms.get(exact)
-        if form is None:
-            if exact:
-                form = _integer_column(self.values)
-            else:
-                form = [float(v) for v in self.values], 1
-            self.forms[exact] = form
-        return form
-
-
-def _columns(cols: list) -> tuple:
-    """The backend of the matrix with the columns ``cols``
-    (``BackendMismatch`` when they mix exact and float, as a Matrix of
-    their entries would raise), the prepared columns and their scale."""
-    backend = combine_backends(*(t for c in cols for t in c.tags), default=Backend.EXACT)
-    forms = [c.form(backend is not Backend.FLOAT) for c in cols]
-    return backend, [c for c, _ in forms], math.prod(s for _, s in forms)
-
-
-def _ratio(table: _PointTable, points: list, at: tuple, tol_factor: float) -> tuple:
-    """The divided difference at the points ``at``, whose records in
-    ``table`` are ``points``, with its numerator and denominator: the
-    denominator's determinant, the singular-denominator rule, the
-    numerator's, then their ratio.  Neither f's values nor the
-    numerator are touched before the denominator passes; a non-finite
-    denominator or ratio raises :class:`NonFiniteValue`."""
-    backend, cols, scale = table.denominator(points, at)
-    den = _prepared_det(cols, scale, backend is not Backend.FLOAT)
-    check_denominator(den, itertools.chain.from_iterable(cols), backend, at, tol_factor)
-    _finite(den, "prefix collocation determinant", at)
-    backend, cols, scale = table.numerator(points, at)
-    num = _prepared_det(cols, scale, backend is not Backend.FLOAT)
+def _ratio(table: _PointTable, k: int, points: list, at: tuple, tol_factor: float) -> tuple:
+    """The divided difference of the table's function k with respect to
+    its functions 0..k-1 at the points ``at`` (records ``points``), with
+    its numerator and denominator: the denominator's determinant, its
+    checks (:func:`_checked_denominator`), the numerator's, then their
+    ratio, which must be finite.  f's values and the numerator are not
+    touched before the denominator passes."""
+    rows = tuple(range(k))
+    backend, forms = _matrix(table.columns(rows, points))
+    den = _checked_denominator(_prepared_det(forms, backend is not Backend.FLOAT),
+                               backend, forms, at, tol_factor)
+    backend, forms = _matrix(table.columns(rows[:-1] + (k,), points))
+    num = _prepared_det(forms, backend is not Backend.FLOAT)
     return _finite(num / den, "divided difference", at), num, den
 
 
@@ -216,7 +141,7 @@ def classical_divided_difference(f: FunctionSpec, points,
     """Newton's recursive divided difference of ``f`` at pairwise
     distinct points (symmetric in the points, so they are sorted first
     for numerical stability)."""
-    pts = _as_distinct_tuple(points, min_gap)
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
     xs = sorted(pts.points)
     vals = [evaluate(f, x) for x in xs]
     m = len(xs)
@@ -259,7 +184,7 @@ def power_divdiff_check(degree: int, points,
     vs. symmetric-polynomial accumulation), so a zero residual certifies
     both.
     """
-    pts = _as_distinct_tuple(points, min_gap)
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
     k = len(pts)
     if k > degree + 1:
         raise DimensionMismatch(
@@ -280,7 +205,7 @@ def power_divdiff_expansion(base, degree: int, x: Scalar,
     where h[d] is the complete homogeneous polynomial of the base points
     and k their number.
     """
-    pts = _as_distinct_tuple(base, min_gap)
+    pts = validate_tuple(base, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
     k = len(pts)
     if degree < k:
         raise DimensionMismatch(f"degree {degree} below base size {k}")

@@ -12,6 +12,12 @@ k+1 prefixes are.  This module builds that system, carries the sign
 bookkeeping for how the appended point interleaves the base, and
 verifies both positivity and the determinant factorization identity
 numerically on a grid.
+
+:class:`DerivedFn` evaluates one value at a time, through
+divided_difference.  The checks pin a base once instead
+(:class:`_PinnedBase`): its derived values are the values of a point
+table, computed from the parent's point table with the base columns
+eliminated once (Mühlbach's recurrence), bit for bit DerivedFn's.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .core import (
     as_backend,
     collection_backend,
     combine_backends,
-    evaluate,
     puncture,
     scalar_backend,
     validate_tuple,
@@ -40,16 +45,13 @@ from .determinant import (
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
-    _appended_det,
-    _tabulate,
-    check_denominator,
-    collocation_det,
+    _PointTable,
+    _positivity,
     increasing_tuples,
-    is_positive_chebyshev,
     sorted_grid,
 )
-from .divdiff import ResidualReport, divided_difference
-from .errors import DimensionMismatch, DuplicatePoint, InputError
+from .divdiff import ResidualReport, _checked_denominator, _finite, divided_difference
+from .errors import DimensionMismatch, DuplicatePoint, EvaluationOutsideSupport, InputError
 
 
 @dataclass(frozen=True)
@@ -79,108 +81,63 @@ class DerivedFn(FunctionSpec):
         return as_backend(dd.value, backend)
 
 
-class _DerivedTable:
-    """Derived columns of the bases pinned in one check of ``f`` against
-    ``parent``: [g(x) for g in the induced basis + (derived f,)].
-
-    ``parent.basis + (f,)`` is evaluated once per point, entry by entry
-    in the order in which DerivedFn first needs each entry.  For each
-    base and each target t in basis[k:] + (f,), the k base columns of
-    the rows basis[:k] + (t,) are eliminated once; the rows of basis[k]
-    give the denominator.  A value at x then reduces one column per
-    determinant by det's own pivot steps, so it equals DerivedFn's bit
-    for bit (float) or as a Fraction (exact).  Every check of
-    DerivedFn is made at the first evaluation of each value, in its
-    order and with its error and message.
-    """
-
-    def __init__(self, parent: ChebyshevSystem, f: FunctionSpec):
-        self.fns = parent.basis + (f,)
-        self._values = [{} for _ in self.fns]
-        self._bases: dict[tuple, _PinnedBase] = {}
-
-    def value(self, i: int, x: Scalar) -> Scalar:
-        """fns[i](x), evaluated once."""
-        row = self._values[i]
-        value = row.get(x)
-        if value is None:
-            value = row[x] = evaluate(self.fns[i], x)
-        return value
-
-    def columns(self, ind: "InducedSystem", pts: tuple, touched) -> tuple[dict, dict]:
-        """The derived columns of ``ind``'s base at the point indices in
-        ``touched`` and their backends, as determinant._tabulate gives
-        them for ``ind.basis + (ind.derived(f),)``."""
-        pinned = self._bases.get(ind.base.points)
-        if pinned is None:
-            pinned = self._bases[ind.base.points] = _PinnedBase(self, ind)
-        return _tabulate(pinned.value, range(ind.dim + 1), pts, touched)
-
-    def release(self) -> None:
-        """Drop the derived values of every base; the parent's stay."""
-        self._bases.clear()
-
-
 class _PinnedBase:
-    """The derived values of one base, read from a :class:`_DerivedTable`."""
+    """The value source of one base's derived table: value(t, x) is the
+    divided difference of the target fns[k + t] of ``table`` over
+    (base..., x) with respect to fns[:k+1].  The k base columns of the
+    rows fns[:k] + (target,) are eliminated once per target, and a value
+    reduces x's column by det's own pivot steps, so it equals DerivedFn's
+    bit for bit (float) or as a Fraction (exact).  Each check of DerivedFn
+    is made at the first value that needs it, in its order and with its
+    error and message.  The base points need not increase."""
 
-    def __init__(self, table: _DerivedTable, ind: "InducedSystem"):
-        self.parent = table.value
-        self.k = ind.k
-        self.base = ind.base.points
-        self.derived = ind.basis + (ind.derived(table.fns[-1]),)
-        self.backends: dict[int, Backend | None] = {}   # what each derived fn requires
-        self.dens: dict = {}        # x -> (denominator, backend of its entries)
-        self.dets: dict = {}        # (target, backend) -> _appended_det
-        self.values: dict = {}      # (target, x) -> value
+    def __init__(self, table: _PointTable, domain: Domain, k: int, base: tuple):
+        self.table = table
+        self.domain = domain
+        self.k = k
+        self.base = base
+        self.base_backend = collection_backend(base)
+        self.dets = [table.appended_det((*range(k), k + t), base)
+                     for t in range(len(table.fns) - k)]
+        self.backends: dict = {}    # t -> what the derived function of target t requires
+        self.dens: dict = {}        # x -> the denominator at (base..., x), see denominator()
+        self.checked: set = set()   # points whose denominator passed its checks
 
     def value(self, t: int, x: Scalar) -> Scalar:
         """The value at x of target t's derived function: evaluate() of
-        DerivedFn, then divided_difference, check by check."""
-        value = self.values.get((t, x))
-        if value is not None:
-            return value
+        DerivedFn, then :meth:`ratio`."""
         if t not in self.backends:
-            self.backends[t] = self.derived[t].required_backend()
-        backend = combine_backends(scalar_backend(x), self.backends[t],
-                                   default=Backend.EXACT)
-        pts = self.base + (x,)
-        checked = self.dens.get(x)
-        if checked is None:
-            checked = self.dens[x] = self._denominator(pts)
-        den, den_backend = checked
-        if t == 0:
-            num = den
-        else:
-            row = [self.parent(self.k + t, p) for p in pts]
-            num_backend = combine_backends(den_backend, collection_backend(row))
-            col = [self.parent(i, x) for i in range(self.k)] + [row[-1]]
-            num = self._det(t, num_backend, col)
-        value = self.values[(t, x)] = as_backend(num / den, backend)
-        return value
+            fns = self.table.fns
+            self.backends[t] = combine_backends(
+                self.base_backend, fns[self.k + t].required_backend(),
+                *(fn.required_backend() for fn in fns[:self.k + 1]))
+        backend = combine_backends(scalar_backend(x), self.backends[t], default=Backend.EXACT)
+        return as_backend(self.ratio(t, x), backend)
 
-    def _denominator(self, pts: tuple) -> tuple:
-        """The denominator at pts = (base..., x) and the backend of its
-        entries, checked as divided_difference checks them."""
-        validate_tuple(pts, OrderingClass.PAIRWISE_DISTINCT, min_gap=DEFAULT_MIN_GAP)
-        size = self.k + 1
-        # collocation_matrix's row-major order, then Matrix's backend check
-        entries = [self.parent(i, p) for i in range(size) for p in pts]
-        backend = collection_backend(entries)
-        den = self._det(0, backend, entries[self.k::size])
-        check_denominator(den, entries, backend, pts)
-        return den, backend
+    def denominator(self, x: Scalar) -> tuple:
+        """The (k+1)-minor of fns[:k+1] at (base..., x), the backend of its
+        entries and its prepared columns, once the points pass
+        divided_difference's ordering check."""
+        den = self.dens.get(x)
+        if den is None:
+            validate_tuple(self.base + (x,), OrderingClass.PAIRWISE_DISTINCT,
+                           min_gap=DEFAULT_MIN_GAP)
+            den = self.dens[x] = self.dets[0]((x,))
+        return den
 
-    def _det(self, t: int, backend: Backend | None, col: list) -> Scalar:
-        """det of the rows basis[:k] + (target t,) at (base..., x), x's
-        column being ``col``."""
-        key = (t, backend)
-        if key not in self.dets:
-            rows = (*range(self.k), self.k + t)
-            self.dets[key] = _appended_det([[self.parent(i, b) for i in rows]
-                                            for b in self.base],
-                                           exact=backend is not Backend.FLOAT)
-        return self.dets[key](col)
+    def ratio(self, t: int, x: Scalar) -> Scalar:
+        """divided_difference's value for target t at (base..., x), check
+        by check: its points' domain, the denominator's checks, then the
+        ratio's (divdiff._ratio's step)."""
+        den, backend, forms = self.denominator(x)
+        at = self.base + (x,)
+        if x not in self.checked:
+            if not self.domain.contains(x):
+                raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
+            _checked_denominator(den, backend, forms, at)
+            self.checked.add(x)
+        num = den if t == 0 else self.dets[t]((x,))[0]
+        return _finite(num / den, "divided difference", at)
 
 
 @dataclass(frozen=True)
@@ -292,22 +249,25 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     identity holds on every sampled increasing (n-k)-tuple."""
     ind = induced_system(parent, k, base)
     system = ind.as_system()
-    d = ind.dim
+    n, d = parent.dim, ind.dim
     pts = sorted_grid(grid)
-    positivity = is_positive_chebyshev(system, d, pts, budget=budget, seed=seed,
-                                       tol_factor=tol_factor)
+    table = _PointTable(parent.basis)
+    base_pts = ind.base.points
+    pinned = _PinnedBase(table, parent.domain, k, base_pts)
+    derived = _PointTable(value=pinned.value)
+    positivity = _positivity(system, d, pts, derived, budget, seed, tol_factor)
 
     tuples, exhaustive = increasing_tuples(pts, d, budget=budget, seed=seed)
-    base_pts = ind.base.points
-    kminor = collocation_det(parent, k, base_pts)
+    kminor = table.det(tuple(range(k)), base_pts)
+    extended = table.appended_det(tuple(range(n)), base_pts)
     max_abs = 0.0
     max_rel = 0.0
     worst: ResidualReport | None = None
     for t in tuples:
-        lhs = collocation_det(parent, parent.dim, base_pts + t) * kminor ** (d - 1)
+        lhs = extended(t)[0] * kminor ** (d - 1)
         for x in t:
-            lhs = lhs / collocation_det(parent, k + 1, base_pts + (x,))
-        rhs = collocation_det(system, d, t)
+            lhs = lhs / pinned.denominator(x)[0]
+        rhs = derived.det(tuple(range(d)), t)
         report = ResidualReport(lhs, rhs, abs(lhs - rhs))
         if float(report.residual) >= max_abs:
             max_abs = float(report.residual)

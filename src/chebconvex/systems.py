@@ -30,7 +30,6 @@ from .core import (
     REAL_LINE,
     POSITIVE_HALF_LINE,
     Scalar,
-    SignClaim,
     SinFn,
     scalar_backend,
 )
@@ -59,8 +58,7 @@ def polynomial_system(n: int) -> ChebyshevSystem:
     (Vandermonde)."""
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
-    return ChebyshevSystem(tuple(PowerFn(i) for i in range(n)), REAL_LINE,
-                           SignClaim.POSITIVE)
+    return ChebyshevSystem(tuple(PowerFn(i) for i in range(n)), REAL_LINE)
 
 
 def trig_odd_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
@@ -72,7 +70,7 @@ def trig_odd_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
     basis: list = [ConstFn(1)]
     for m in range(1, n + 1):
         basis += [CosFn(m), SinFn(m)]
-    return ChebyshevSystem(tuple(basis), Interval(lo, hi), SignClaim.POSITIVE)
+    return ChebyshevSystem(tuple(basis), Interval(lo, hi))
 
 
 def trig_even_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
@@ -84,7 +82,7 @@ def trig_even_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
     basis: list = []
     for m in range(1, n + 1):
         basis += [CosFn(m), SinFn(m)]
-    return ChebyshevSystem(tuple(basis), Interval(lo, hi), SignClaim.POSITIVE)
+    return ChebyshevSystem(tuple(basis), Interval(lo, hi))
 
 
 def one_xsq_system(domain: Domain | None = None,
@@ -98,12 +96,12 @@ def one_xsq_system(domain: Domain | None = None,
     """
     basis = (PowerFn(0), PowerFn(2))
     if domain is None:
-        return ChebyshevSystem(basis, POSITIVE_HALF_LINE, SignClaim.POSITIVE)
+        return ChebyshevSystem(basis, POSITIVE_HALF_LINE)
     if not allow_unsafe_domain:
         raise InputError(
             "overriding the (1, x^2) domain can break positivity; "
             "pass allow_unsafe_domain=True to accept that")
-    return ChebyshevSystem(basis, domain, SignClaim.UNVERIFIED)
+    return ChebyshevSystem(basis, domain)
 
 
 def trig_induced_closed_form(x1: Scalar, lo: Scalar = -math.pi,
@@ -115,8 +113,7 @@ def trig_induced_closed_form(x1: Scalar, lo: Scalar = -math.pi,
     if not base_interval.contains(x1):
         raise InputError(f"base point {x1} is outside the interval ({lo}, {hi})")
     return ChebyshevSystem((ConstFn(1), NegCotFn(x1)),
-                           PuncturedInterval(base_interval, (x1,)),
-                           SignClaim.UNVERIFIED)
+                           PuncturedInterval(base_interval, (x1,)))
 
 
 def _check_interval_length(lo: Scalar, hi: Scalar, max_length: float) -> None:

@@ -32,8 +32,8 @@ from .core import (
     to_exact,
     validate_tuple,
 )
-from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR
-from .divdiff import _finite, _PointTable, _ratio, divided_difference
+from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _PointTable
+from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
     AnchorInfeasible,
     BoundViolated,
@@ -111,7 +111,7 @@ def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition
                   tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Sum over consecutive n-point windows of the partition of the
     absolute difference of neighbouring divided differences."""
-    return _window_sum(_PointTable(system.basis, f), system, partition, min_gap,
+    return _window_sum(_PointTable(system.basis + (f,)), system, partition, min_gap,
                        tol_factor)
 
 
@@ -130,7 +130,7 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, partition: Partitio
             f"partition has {m} intervals, need at least {n} for dimension {n}")
     stop, error = _rejected_window(pts, n, system, min_gap)
     points = table.points(pts)
-    window_values = [_ratio(table, points[i:i + n], pts[i:i + n], tol_factor)[0]
+    window_values = [_ratio(table, n, points[i:i + n], pts[i:i + n], tol_factor)[0]
                      for i in range(stop)]
     if error is not None:
         raise error
@@ -227,7 +227,7 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
     converged = False
     rng = random.Random(strategy.seed)
     # uniform partitions nest, so later rounds read earlier points' values
-    table = _PointTable(system.basis, f)
+    table = _PointTable(system.basis + (f,))
 
     m = m0
     prev_best = None

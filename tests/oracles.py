@@ -1,13 +1,22 @@
 """Independent oracles for the test suite.
 
 Everything here is implemented by a different algorithm than the
-package uses (Laplace cofactor expansion vs elimination, monomial
-enumeration vs accumulation, unsorted two-ended recursion vs the Newton
-table, row-wise vs column-step elimination, one row-wise determinant
-per tuple vs prefix-shared elimination, two fresh determinants per
-derived value vs bases eliminated once, one divided_difference per
-window vs one point table per partition), so matching values certify
-both sides.
+package uses, so matching values certify both sides:
+
+* Laplace cofactor expansion vs elimination (``cofactor_det``);
+* row-wise vs column-step elimination (``row_det``);
+* monomial enumeration vs accumulation (``homogeneous_by_enumeration``);
+* unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
+* one row-wise determinant per tuple vs prefix-shared elimination
+  (``positivity_loop``, ``direct_loop``);
+* two fresh determinants per derived value (DerivedFn) vs pinned bases
+  eliminated once (``pinned_loop``);
+* one divided_difference per window vs one point table per call
+  (``variation_loop``);
+* one fresh collocation determinant per minor and one divided_difference
+  or DerivedFn value per cell vs one pinned base per check
+  (``induced_identity_loop``, ``convexity_identity_loop``, and
+  ``identity_suite_loop``, the identity suites as the CLI ran them).
 """
 
 import itertools
@@ -15,29 +24,47 @@ import math
 import random
 from fractions import Fraction
 
+from chebconvex.cli import _jsonify
 from chebconvex.convexity import (
     DEFAULT_BASE_BUDGET,
     ConvexityVerdict,
     _restricted_points,
 )
-from chebconvex.core import DEFAULT_MIN_GAP, Backend, OrderingClass, validate_tuple
+from chebconvex.core import (
+    DEFAULT_MIN_GAP,
+    Backend,
+    ChebyshevSystem,
+    FunctionSpec,
+    OrderingClass,
+    PointTuple,
+    PowerFn,
+    validate_tuple,
+)
 from chebconvex.determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
+    Matrix,
     PositivityReport,
+    check_denominator,
+    collocation_det,
     collocation_matrix,
+    det,
     increasing_tuples,
+    is_positive_chebyshev,
+    matrix_from_rows,
     sorted_grid,
+    sylvester_check,
 )
-from chebconvex.divdiff import divided_difference
+from chebconvex.divdiff import ResidualReport, divided_difference, power_divdiff_check
 from chebconvex.errors import (
     DimensionMismatch,
     EvaluationOutsideSupport,
     InputError,
     InsufficientGrid,
 )
-from chebconvex.induced import induced_system
+from chebconvex.induced import InducedCheckReport, induced_system
+from chebconvex.systems import polynomial_system
 
 
 def cofactor_det(rows):
@@ -378,3 +405,196 @@ def variation_loop(system, f, partition, min_gap=DEFAULT_MIN_GAP,
     for i in range(m - n + 1):
         total += abs(window_values[i + 1] - window_values[i])
     return total
+
+
+# ---------------------------------------------------------------------------
+# the identity checks and suites as the package ran them before they read
+# pinned bases, kept unchanged as references.  Every (k+1)-minor, every
+# extended determinant and every right-hand cell is its own fresh
+# collocation determinant or divided_difference; induced values go
+# through DerivedFn.
+
+def induced_identity_loop(parent: ChebyshevSystem, k: int, base, grid,
+                          budget: int = DEFAULT_TUPLE_BUDGET,
+                          seed: int = DEFAULT_SEED,
+                          tol_factor: float = DEFAULT_TOL_FACTOR) -> InducedCheckReport:
+    """Build the induced system over ``base`` and check, over the grid,
+    that it is a positive Chebyshev system and that the factorization
+    identity holds on every sampled increasing (n-k)-tuple."""
+    ind = induced_system(parent, k, base)
+    system = ind.as_system()
+    d = ind.dim
+    pts = sorted_grid(grid)
+    positivity = is_positive_chebyshev(system, d, pts, budget=budget, seed=seed,
+                                       tol_factor=tol_factor)
+
+    tuples, exhaustive = increasing_tuples(pts, d, budget=budget, seed=seed)
+    base_pts = ind.base.points
+    kminor = collocation_det(parent, k, base_pts)
+    max_abs = 0.0
+    max_rel = 0.0
+    worst: ResidualReport | None = None
+    for t in tuples:
+        lhs = collocation_det(parent, parent.dim, base_pts + t) * kminor ** (d - 1)
+        for x in t:
+            lhs = lhs / collocation_det(parent, k + 1, base_pts + (x,))
+        rhs = collocation_det(system, d, t)
+        report = ResidualReport(lhs, rhs, abs(lhs - rhs))
+        if float(report.residual) >= max_abs:
+            max_abs = float(report.residual)
+            worst = report
+        max_rel = max(max_rel, report.relative_residual)
+    return InducedCheckReport(positivity, len(tuples), max_abs, max_rel,
+                              worst, exhaustive, seed)
+
+
+def convexity_identity_loop(system: ChebyshevSystem, k: int, f: FunctionSpec,
+                             points) -> ResidualReport:
+    """Check, at one pairwise-distinct (n+1)-tuple, that the scaled
+    extended collocation determinant equals the determinant of derived
+    divided differences:
+
+        det(basis+f at all points) * (k-minor at first k)**(n-k)
+        / prod over appended points of (k+1)-minor
+        == det of [basis[k..n-1]+f differenced over (first k, appended)]
+
+    The left side is one big determinant, the right side is built from
+    (n-k+1)^2 small ones, so the two sides certify each other.
+    """
+    n = system.dim
+    if not 1 <= k <= n - 1:
+        raise DimensionMismatch(f"prefix size {k} outside 1..{n - 1}")
+    pts = points.points if isinstance(points, PointTuple) else tuple(points)
+    pts = validate_tuple(pts, OrderingClass.PAIRWISE_DISTINCT).points
+    if len(pts) != n + 1:
+        raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
+    head, tail = pts[:k], pts[k:]
+
+    kminor = collocation_det(system, k, head)
+    lhs = det(collocation_matrix(system.basis + (f,), pts)) * kminor ** (n - k)
+    for x in tail:
+        den_matrix = collocation_matrix(system.basis[:k + 1], head + (x,))
+        denom = det(den_matrix)
+        check_denominator(denom, den_matrix.entries, den_matrix.backend(), head + (x,),
+                          name="(k+1)-prefix determinant", show_value=False)
+        lhs = lhs / denom
+
+    targets = system.basis[k:] + (f,)
+    rows = [[divided_difference(system, k + 1, target, head + (x,)).value
+             for x in tail] for target in targets]
+    rhs = det(matrix_from_rows(rows))
+    return ResidualReport(lhs, rhs, abs(lhs - rhs))
+
+
+def _rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _rand_matrix(rng: random.Random, n: int, backend: Backend) -> Matrix:
+    if backend is Backend.EXACT:
+        return matrix_from_rows([[_rand_fraction(rng) for _ in range(n)]
+                                 for _ in range(n)])
+    return matrix_from_rows([[rng.uniform(-1.0, 1.0) for _ in range(n)]
+                             for _ in range(n)])
+
+
+def _rand_distinct_fractions(rng: random.Random, count: int) -> tuple:
+    pool: set[Fraction] = set()
+    while len(pool) < count:
+        pool.add(_rand_fraction(rng))
+    return tuple(pool)
+
+
+def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) -> dict:
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    rng = random.Random(seed)
+    failures: list[dict] = []
+    max_abs = 0.0
+    max_rel = 0.0
+
+    def record(ok: bool, abs_res: float, rel_res: float, detail: dict):
+        nonlocal max_abs, max_rel
+        max_abs = max(max_abs, abs_res)
+        max_rel = max(max_rel, rel_res)
+        if not ok and len(failures) < 10:
+            failures.append(detail)
+
+    for trial in range(trials):
+        if suite == "sylvester":
+            n = rng.randint(2, 6)
+            k = rng.randint(1, n - 1)
+            rep = sylvester_check(_rand_matrix(rng, n, backend), k)
+            abs_res = float(rep.residual)
+            rel_res = rep.relative_residual
+            ok = rep.residual == 0 if backend is Backend.EXACT else rel_res <= 1e-9
+            record(ok, abs_res, rel_res, {"trial": trial, "n": n, "k": k,
+                                          "residual": _jsonify(rep.residual)})
+        elif suite == "power-sum":
+            degree = rng.randint(1, 8)
+            k = rng.randint(1, min(6, degree + 1))
+            pts = _rand_distinct_fractions(rng, k)
+            if backend is Backend.FLOAT:
+                pts = tuple(float(p) for p in pts)
+            rep = power_divdiff_check(degree, pts)
+            ok = rep.residual == 0 if backend is Backend.EXACT \
+                else rep.relative_residual <= 1e-9
+            record(ok, float(rep.residual), rep.relative_residual,
+                   {"trial": trial, "degree": degree, "points": _jsonify(pts),
+                    "residual": _jsonify(rep.residual)})
+        elif suite == "induced-det":
+            n = rng.randint(3, 5)
+            k = rng.randint(1, n - 1)
+            pts = sorted(_rand_distinct_fractions(rng, n))
+            if backend is Backend.FLOAT:
+                pts = [float(p) for p in pts]
+            system = polynomial_system(n)
+            rep = induced_identity_loop(system, k, tuple(pts[:k]), tuple(pts[k:]),
+                                        seed=seed)
+            ok = rep.max_abs_residual == 0 if backend is Backend.EXACT \
+                else rep.max_rel_residual <= 1e-8
+            record(ok, rep.max_abs_residual, rep.max_rel_residual,
+                   {"trial": trial, "n": n, "k": k, "base": _jsonify(pts[:k])})
+        elif suite in ("convexity-det", "slope-diff"):
+            n = rng.randint(2, 5)
+            k = n - 1 if suite == "slope-diff" else rng.randint(1, n - 1)
+            pts = list(_rand_distinct_fractions(rng, n + 1))
+            rng.shuffle(pts)
+            if backend is Backend.FLOAT:
+                pts = [float(p) for p in pts]
+            degree = rng.randint(0, n + 1)
+            f = PowerFn(degree)
+            system = polynomial_system(n)
+            rep = convexity_identity_loop(system, k, f, tuple(pts))
+            ok = rep.residual == 0 if backend is Backend.EXACT \
+                else rep.relative_residual <= 1e-8
+            detail = {"trial": trial, "n": n, "k": k, "degree": degree,
+                      "points": _jsonify(pts), "residual": _jsonify(rep.residual)}
+            if ok and suite == "slope-diff":
+                # rhs must equal the difference of the two slope values
+                head = tuple(pts[:n - 1])
+                dd_hi = divided_difference(system, n, f, head + (pts[n],)).value
+                dd_lo = divided_difference(system, n, f, head + (pts[n - 1],)).value
+                diff = dd_hi - dd_lo
+                res2 = abs(rep.rhs - diff)
+                ok = res2 == 0 if backend is Backend.EXACT \
+                    else float(res2) <= 1e-8 * max(1.0, abs(float(diff)))
+                detail["slope_difference"] = _jsonify(diff)
+            record(ok, float(rep.residual), rep.relative_residual, detail)
+        elif suite == "trig-cot":
+            while True:
+                x = rng.uniform(-math.pi + 0.05, -0.05)
+                y = rng.uniform(-math.pi + 0.05, -0.05)
+                if abs(x - y) >= 0.05:
+                    break
+            lhs = (math.sin(x) - math.sin(y)) / (math.cos(x) - math.cos(y))
+            u = (x + y) / 2.0
+            rhs = -math.cos(u) / math.sin(u)
+            rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+            record(rel <= 1e-12, abs(lhs - rhs), rel,
+                   {"trial": trial, "x": x, "y": y, "lhs": lhs, "rhs": rhs})
+        else:
+            raise InputError(f"unknown suite {suite!r}")
+
+    return {"trials": trials, "failures": failures,
+            "max_abs_residual": max_abs, "max_rel_residual": max_rel}

@@ -187,6 +187,17 @@ class TestConvexityInputChecks:
         assert rep["error"] == {"type": "OrderingViolation",
                                 "message": "|points[0] - points[1]| < min gap 1e-09"}
 
+    def test_non_finite_derived_value_is_input_error(self, capsys, tmp_path):
+        spec = tmp_path / "big.json"
+        spec.write_text(BIG_CUBE)
+        code = main(["convexity", "--mode", "induced", "--k", "1", "--backend", "float",
+                     "--system", "poly:3", "--function", str(spec),
+                     "--grid", "list:1.0,2.0,3.0,4.0,5.0,6.0"])
+        rep = strict_json(capsys.readouterr().out)
+        assert code == 2
+        assert rep["error"] == {"type": "NonFiniteValue",
+                                "message": "divided difference at (1.0, 2.0) is inf"}
+
     @pytest.mark.parametrize("mode", [[], ["--mode", "induced", "--k", "1"]])
     def test_non_positive_budget_is_input_error(self, capsys, mode):
         code, rep = run_cli(capsys, "convexity", "--system", "poly:2", "--function",

@@ -261,6 +261,13 @@ class TestJsonRoundTrip:
                             Interval(Fraction(0), Fraction(10)))
         assert system_from_json(system_to_json(s)) == s
 
+    def test_system_json_has_no_sign_claim(self):
+        s = ChebyshevSystem((PowerFn(0), PowerFn(1)), Interval())
+        spec = system_to_json(s)
+        assert set(spec) == {"basis", "domain"}
+        # an old "claimed_sign" key is ignored like any unknown key, whatever its value
+        assert system_from_json({**spec, "claimed_sign": "bogus"}) == s
+
     @given(st.one_of(
         st.integers(-10 ** 12, 10 ** 12),
         st.floats(allow_nan=False, allow_infinity=False),

@@ -1,5 +1,5 @@
 """The induced, interval and agreement modes, whose derived values come
-from per-base tables (``induced._DerivedTable``), checked against the
+from per-base point tables (``induced._PinnedBase``), checked against the
 per-base loop in ``oracles.py``, which evaluates every derived value as
 a divided difference of two fresh determinants.  Reports must be
 identical, float values included (compared by repr), and so must the
@@ -26,14 +26,14 @@ from chebconvex.core import (
     affine,
     evaluate,
 )
-from chebconvex.determinant import increasing_tuples
+from chebconvex.determinant import _PointTable, increasing_tuples
 from chebconvex.errors import (
     BackendMismatch,
     EvaluationOutsideSupport,
     InputError,
     SingularDenominator,
 )
-from chebconvex.induced import _DerivedTable, induced_system
+from chebconvex.induced import _PinnedBase, induced_system
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
 from oracles import pinned_loop
@@ -172,6 +172,13 @@ def test_singular_denominator_float_induced():
         "within tolerance at (-2.0, 2.0000000000009095)")
 
 
+def test_non_finite_derived_value():
+    # f(2.0) = 8e308 overflows, so the divided difference over (1.0, 2.0) is inf
+    grid = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    labeled = dict(check_every_mode(polynomial_system(3), affine((1e308, PowerFn(3))), grid))
+    assert labeled["induced:k=1"] == "NonFiniteValue: divided difference at (1.0, 2.0) is inf"
+
+
 def test_gap_below_min_gap():
     system = polynomial_system(3)
     for grid in ([0.0, 1e-10, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 2.0 + 1e-10, 3.0, 4.0]):
@@ -190,6 +197,18 @@ def test_sampled_function_missing_a_grid_point():
         labeled = dict(check_every_mode(system, f, grid))
         assert labeled["induced:k=1"] == \
             f"EvaluationOutsideSupport: sampled function has no value at {shown}"
+
+
+def test_agreement_shares_the_direct_scans_values():
+    # The sampled direct scan meets grid points 0-4 only; the pinned modes
+    # read its values and evaluate f at 5 and 6 themselves, and f has no
+    # value at 6.
+    grid = [Fraction(i) for i in range(7)]
+    f = SampledFn(tuple(grid[:-1]), tuple(x * x for x in grid[:-1]))
+    labeled = check_every_mode(polynomial_system(2), f, grid, budget=2, seed=1)
+    assert labeled[0][1].verdict == "convex_on_sample"
+    assert errors(labeled)[0] == \
+        "EvaluationOutsideSupport: sampled function has no value at Fraction(6, 1)"
 
 
 @pytest.mark.parametrize("grid, missing, error", [
@@ -231,15 +250,16 @@ def test_derived_columns_equal_derived_functions(system, grid):
     if not exact:
         fns.append(ExpFn())
     for f in fns:
-        table = _DerivedTable(system, f)
+        table = _PointTable(system.basis + (f,))
         for k in range(1, system.dim):
             for base in increasing_tuples(grid, k)[0]:
                 ind = induced_system(system, k, base)
                 pts = tuple(x for x in grid if x not in base)
-                cols, backends = table.columns(ind, pts, [range(len(pts))])
+                derived = _PointTable(value=_PinnedBase(table, system.domain, k, base).value)
+                cols = derived.columns(tuple(range(ind.dim + 1)), derived.points(pts))
                 targets = ind.basis + (ind.derived(f),)
-                for j, x in enumerate(pts):
-                    assert [repr(v) for v in cols[j]] == \
+                for x, col in zip(pts, cols):
+                    assert [repr(v) for v in col.values] == \
                         [repr(evaluate(g, x)) for g in targets]
-                    assert repr(cols[j][0]) == ("Fraction(1, 1)" if exact else "1.0")
-                    assert backends[j] is (Backend.EXACT if exact else Backend.FLOAT)
+                    assert repr(col.values[0]) == ("Fraction(1, 1)" if exact else "1.0")
+                    assert col.backend() is (Backend.EXACT if exact else Backend.FLOAT)

@@ -47,7 +47,7 @@ def result(fn, *args, **kwargs):
 
 
 def loop_sum(table, system, partition, min_gap, tol_factor):
-    return variation_loop(system, table.f, partition, min_gap, tol_factor)
+    return variation_loop(system, table.fns[-1], partition, min_gap, tol_factor)
 
 
 @pytest.fixture
