@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -30,14 +29,9 @@ from .core import (
     Backend,
     ChebyshevSystem,
     ConstFn,
-    CosFn,
-    ExpFn,
     FunctionSpec,
     Interval,
-    NegCotFn,
-    PowerFn,
     SampledFn,
-    SinFn,
     function_from_json,
     scalar_to_json,
     system_from_json,
@@ -57,7 +51,7 @@ from .convexity import (
 )
 from .errors import BoundViolated, ChebconvexError, InputError
 from .identities import IDENTITY_SUITES, run_suite
-from .systems import one_xsq_system, polynomial_system, trig_even_system, trig_odd_system
+from .systems import _system_from_id
 from .variation import (
     RefinementStrategy,
     check_variation_bound,
@@ -89,42 +83,53 @@ def _parse_scalar(text: str, backend: Backend):
         raise InputError(f"bad float scalar {text!r}: {exc}") from None
 
 
+def _read_scalars(items, backend: Backend, header: bool = False) -> tuple:
+    """The scalars of ``backend`` that ``items`` spell, as strings or as
+    JSON numbers (read as their decimal literals).  With ``header``,
+    items that do not read before the first one that does are a header,
+    and skipped."""
+    out = []
+    for item in items:
+        try:
+            out.append(_parse_scalar(str(item), backend))
+        except InputError:
+            if out or not header:
+                raise
+    return tuple(out)
+
+
 def _parse_system(spec: str, backend: Backend, unsafe_domain: str | None) -> ChebyshevSystem:
     if spec is None:
         raise InputError("--system is required")
     if os.path.exists(spec):
+        if unsafe_domain is not None:
+            raise InputError(f"--unsafe-domain overrides the one-xsq domain only, "
+                             f"not the system in {spec!r}")
         with open(spec) as fh:
             return system_from_json(json.load(fh))
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "poly":
-        if len(parts) != 2:
-            raise InputError("poly system spec is poly:N")
-        return polynomial_system(int(parts[1]))
-    if kind in ("trig-odd", "trig-even"):
-        if len(parts) == 2:
-            lo, hi = (-math.pi, 0.0) if kind == "trig-odd" else (-math.pi / 2, 0.0)
-        elif len(parts) == 3:
-            lo_s, hi_s = parts[2].split(",")
-            lo, hi = float(lo_s), float(hi_s)
-        else:
-            raise InputError(f"{kind} system spec is {kind}:N[:lo,hi]")
-        n = int(parts[1])
-        return trig_odd_system(n, lo, hi) if kind == "trig-odd" \
-            else trig_even_system(n, lo, hi)
-    if kind == "one-xsq":
-        if unsafe_domain is None:
-            return one_xsq_system()
-        if unsafe_domain == "full":
-            domain = Interval()
-        else:
-            lo_s, hi_s = unsafe_domain.split(",")
-            domain = Interval(None if not lo_s else _parse_scalar(lo_s, backend),
-                              None if not hi_s else _parse_scalar(hi_s, backend))
-        return one_xsq_system(domain, allow_unsafe_domain=True)
-    raise InputError(f"unknown system spec {spec!r} "
-                     "(expected a JSON path or poly:N / trig-odd:N[:lo,hi] / "
-                     "trig-even:N[:lo,hi] / one-xsq)")
+    if unsafe_domain is None:
+        return _system_from_id(spec)
+    if unsafe_domain == "full":
+        return _system_from_id(spec, Interval())
+    try:
+        lo_s, hi_s = unsafe_domain.split(",")
+    except ValueError:
+        raise InputError(f"--unsafe-domain is 'full' or 'lo,hi', got {unsafe_domain!r}") from None
+    return _system_from_id(spec, Interval(None if not lo_s else _parse_scalar(lo_s, backend),
+                                          None if not hi_s else _parse_scalar(hi_s, backend)))
+
+
+#: Builtin function ids kind[:param]: each kind's form, the field of its
+#: JSON spec that the parameter fills (None: it takes none) and the
+#: parameter's reader.  A parameter in brackets may be left out.
+_FUNCTION_IDS = {
+    "power": ("power:k", "k", lambda s, backend: int(s)),
+    "cos": ("cos[:m]", "freq", lambda s, backend: int(s)),
+    "sin": ("sin[:m]", "freq", lambda s, backend: int(s)),
+    "exp": ("exp", None, None),
+    "const": ("const:c", "c", lambda s, backend: scalar_to_json(_parse_scalar(s, backend))),
+    "negcot": ("negcot:shift", "shift", lambda s, backend: _parse_scalar(s, Backend.FLOAT)),
+}
 
 
 def _parse_function(spec: str, backend: Backend) -> FunctionSpec:
@@ -135,30 +140,32 @@ def _parse_function(spec: str, backend: Backend) -> FunctionSpec:
             return _sampled_from_csv(spec, backend)
         with open(spec) as fh:
             return function_from_json(json.load(fh))
-    parts = spec.split(":")
-    kind = parts[0]
+    return function_from_json(_function_id_spec(spec, backend))
+
+
+def _function_id_spec(spec: str, backend: Backend) -> dict:
+    """The JSON spec that the builtin function id ``spec`` stands for,
+    e.g. {"kind": "power", "k": 3} for power:3."""
+    kind, *params = spec.split(":")
+    if kind not in _FUNCTION_IDS:
+        raise InputError(f"unknown function spec {spec!r} (expected a JSON/CSV path or "
+                         f"{' / '.join(form for form, _, _ in _FUNCTION_IDS.values())})")
+    form, field, read = _FUNCTION_IDS[kind]
+    if len(params) > (field is not None):
+        raise InputError(f"malformed function spec {spec!r}; expected {form}")
+    if not params:
+        if field is not None and "[" not in form:
+            raise InputError(f"function spec {spec!r} is missing its parameter")
+        return {"kind": kind}
     try:
-        if kind == "power":
-            return PowerFn(int(parts[1]))
-        if kind == "cos":
-            return CosFn(int(parts[1]) if len(parts) > 1 else 1)
-        if kind == "sin":
-            return SinFn(int(parts[1]) if len(parts) > 1 else 1)
-        if kind == "exp":
-            return ExpFn()
-        if kind == "const":
-            return ConstFn(_parse_scalar(parts[1], backend))
-        if kind == "negcot":
-            return NegCotFn(_parse_scalar(parts[1], Backend.FLOAT))
-    except IndexError:
-        raise InputError(f"function spec {spec!r} is missing its parameter") from None
-    raise InputError(f"unknown function spec {spec!r} "
-                     "(expected a JSON/CSV path or power:k / cos[:m] / sin[:m] / "
-                     "exp / const:c / negcot:shift)")
+        return {"kind": kind, field: read(params[0], backend)}
+    except ValueError:
+        raise InputError(f"malformed function spec {spec!r}; expected {form}") from None
 
 
 def _sampled_from_csv(path: str, backend: Backend) -> SampledFn:
-    """Two columns point,value; a non-numeric first row is a header."""
+    """Two columns point,value; non-numeric rows before the first data
+    row are a header."""
     points, values = [], []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -198,26 +205,18 @@ def _parse_grid(spec: str, backend: Backend) -> tuple:
                          for i in range(m))
         return tuple(float(a) + (float(b) - float(a)) * (i / (m - 1)) for i in range(m))
     if spec.startswith("list:"):
-        return tuple(_parse_scalar(s, backend) for s in spec[len("list:"):].split(","))
+        return _read_scalars(spec[len("list:"):].split(","), backend)
     if os.path.exists(spec):
         if spec.endswith(".csv"):
-            pts = []
             with open(spec, newline="") as fh:
-                for row in csv.reader(fh):
-                    if row and row[0].strip():
-                        try:
-                            pts.append(_parse_scalar(row[0], backend))
-                        except InputError:
-                            if pts:
-                                raise
-            return tuple(pts)
+                firsts = (row[0] for row in csv.reader(fh) if row and row[0].strip())
+                return _read_scalars(firsts, backend, header=True)
         with open(spec) as fh:
             data = json.load(fh)
         if not isinstance(data, list):
             raise InputError(f"grid JSON must be a list, got {type(data).__name__}")
         # JSON floats in an exact grid are read as decimal literals
-        return tuple(_parse_scalar(v if isinstance(v, str) else repr(v), backend)
-                     for v in data)
+        return _read_scalars(data, backend)
     raise InputError(f"grid {spec!r} is neither a file nor uniform:a,b,m nor list:v1,v2,...")
 
 
@@ -227,15 +226,12 @@ def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
         with open(spec) as fh:
             data = json.load(fh)
         try:
-            a = tuple(_parse_scalar(str(v), backend) for v in data["a"])
-            b = tuple(_parse_scalar(str(v), backend) for v in data["b"])
+            return _read_scalars(data["a"], backend), _read_scalars(data["b"], backend)
         except (KeyError, TypeError) as exc:
             raise InputError(f"anchor JSON needs lists 'a' and 'b': {exc}") from None
-        return a, b
     try:
         a_s, b_s = spec.split(";")
-        return (tuple(_parse_scalar(s, backend) for s in a_s.split(",")),
-                tuple(_parse_scalar(s, backend) for s in b_s.split(",")))
+        return _read_scalars(a_s.split(","), backend), _read_scalars(b_s.split(","), backend)
     except ValueError as exc:
         raise InputError(f"bad anchors {spec!r}: {exc}") from None
 

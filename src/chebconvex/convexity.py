@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .core import (
     DEFAULT_MIN_GAP,
     ChebyshevSystem,
+    Domain,
     FunctionSpec,
     OrderingClass,
     Scalar,
@@ -49,7 +50,7 @@ from .errors import (
     InputError,
     InsufficientGrid,
 )
-from .induced import _PinnedBase, induced_system
+from .induced import _PinnedBase, _check_base
 
 #: Base-tuple sampling switches from exhaustive enumeration to seeded
 #: random sampling above this count.
@@ -79,18 +80,16 @@ class ConvexityVerdict:
         return self.verdict == "convex_on_sample"
 
 
-def _direct_scan(system, grid_pts: tuple, table, budget: int, seed: int,
+def _direct_scan(n: int, domain: Domain, grid_pts: tuple, table, budget: int, seed: int,
                  tol_factor: float) -> SignScan:
     """Sign scan of the extended determinant on increasing (n+1)-tuples
-    of a ``system`` of dimension n (a ChebyshevSystem or an
-    InducedSystem), whose extended columns ``table`` gives: negative
-    values are violations, or near zero inside the float tolerance
-    band."""
-    n = system.dim
+    of a system of dimension n on ``domain``, whose extended columns
+    ``table`` gives: negative values are violations, or near zero inside
+    the float tolerance band."""
     if len(grid_pts) < n + 1:
         raise InsufficientGrid(f"grid has {len(grid_pts)} points, need at least {n + 1}")
     for x in grid_pts:
-        if not system.domain.contains(x):
+        if not domain.contains(x):
             raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
     return _sign_scan(table, tuple(range(n + 1)), grid_pts, budget, seed, tol_factor,
                       positive=False)
@@ -114,7 +113,7 @@ def _check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid, table: 
     """:func:`check_convex_direct`, reading the values of
     ``system.basis + (f,)`` from ``table``."""
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
-    scan = _direct_scan(system, pts, table, budget, seed, tol_factor)
+    scan = _direct_scan(system.dim, system.domain, pts, table, budget, seed, tol_factor)
     return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
                             scan.tuples_checked, seed, witness=scan.witness,
                             witness_value=scan.witness_value,
@@ -142,7 +141,8 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          table: _PointTable | None = None,
                          derived: dict | None = None) -> ConvexityVerdict:
     """The induced (``ell`` None) or interval check.  Each base's scan
-    reads its derived table, a point table whose values the base's
+    is a direct check of the (n-k)-dimensional induced system; it reads
+    its derived table, a point table whose values the base's
     :class:`_PinnedBase` gives, from ``derived`` (base -> table); all of
     them read ``table``, the point table of ``system.basis + (f,)``.  A
     caller may share both between checks of the same system and ``f``;
@@ -171,11 +171,13 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
             bases_skipped += 1
             continue
         bases_checked += 1
-        ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
-                                                       min_gap=0.0))
+        _check_base(system.domain, base)
         if base not in derived:
             derived[base] = _PointTable(value=_PinnedBase(table, system.domain, k, base).value)
-        scan = _direct_scan(ind, local, derived[base], budget, seed, tol_factor)
+        # the induced system's punctured domain holds the points of local
+        # (all off the base) that the system's domain holds
+        scan = _direct_scan(n - k, system.domain, local, derived[base], budget, seed,
+                            tol_factor)
         if own:
             derived.clear()
         tuples_checked += scan.tuples_checked

@@ -86,6 +86,18 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     determinant vanishes there, i.e. the prefix is not a Chebyshev
     system on these points.
     """
+    pts = _checked_points(system, k, points, min_gap)
+    table = _PointTable(system.basis[:k] + (f,))
+    value, numerator, denominator = _ratio(table, k, table.points(pts), pts.points,
+                                           tol_factor)
+    return DividedDifference(value, numerator, denominator, k - 1, pts)
+
+
+def _checked_points(system: ChebyshevSystem, k: int, points,
+                    min_gap: float = DEFAULT_MIN_GAP) -> PointTuple:
+    """``points`` after divided_difference's checks, in its order: k
+    pairwise-distinct points (``min_gap`` apart on the float backend)
+    for a k-prefix of ``system``, each in its domain."""
     pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
@@ -94,11 +106,7 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     for x in pts:
         if not system.domain.contains(x):
             raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
-
-    table = _PointTable(system.basis[:k] + (f,))
-    value, numerator, denominator = _ratio(table, k, table.points(pts), pts.points,
-                                           tol_factor)
-    return DividedDifference(value, numerator, denominator, k - 1, pts)
+    return pts
 
 
 def _finite(value: Scalar, what: str, at: tuple) -> Scalar:

@@ -13,11 +13,12 @@ bookkeeping for how the appended point interleaves the base, and
 verifies both positivity and the determinant factorization identity
 numerically on a grid.
 
-:class:`DerivedFn` evaluates one value at a time, through
-divided_difference.  The checks pin a base once instead
-(:class:`_PinnedBase`): its derived values are the values of a point
-table, computed from the parent's point table with the base columns
-eliminated once (Mühlbach's recurrence), bit for bit DerivedFn's.
+Every derived value comes from a pinned base (:class:`_PinnedBase`):
+the base columns are eliminated once, and each value reduces the
+appended point's column by the recorded steps (Mühlbach's recurrence),
+bit for bit divided_difference's value over (base..., x).  The checks
+pin each of their bases once, with every target on one point table;
+:class:`DerivedFn` pins its base afresh for each value, with one target.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .determinant import (
     increasing_tuples,
     sorted_grid,
 )
-from .divdiff import ResidualReport, _checked_denominator, _finite, divided_difference
+from .divdiff import ResidualReport, _checked_denominator, _checked_points, _finite
 from .errors import DimensionMismatch, DuplicatePoint, EvaluationOutsideSupport, InputError
 
 
@@ -59,9 +60,12 @@ class DerivedFn(FunctionSpec):
     """x ↦ divided difference of ``target`` over (base..., x) with
     respect to the (k+1)-prefix of ``parent``.
 
-    Evaluation delegates to the determinant-ratio divided difference, so
-    the same code path serves every parent system; closed forms (powers,
-    cotangent) are used as test oracles, not as evaluation shortcuts.
+    Evaluation takes divided_difference's checks of (base..., x) first
+    (a pinned base assumes its base in the domain, and evaluates the
+    prefix at x before it checks x's domain), then reads a pinned base
+    of its own, built for that value alone, so that no value depends on
+    the points evaluated before it; closed forms (powers, cotangent) are
+    test oracles, not shortcuts.
     """
 
     parent: ChebyshevSystem
@@ -70,15 +74,28 @@ class DerivedFn(FunctionSpec):
     target: FunctionSpec
 
     def required_backend(self):
-        return combine_backends(
-            self.base.backend(),
-            self.target.required_backend(),
-            *(fn.required_backend() for fn in self.parent.basis[:self.k + 1]))
+        return _derived_backend(self.base.points, self.target, self.parent.basis[:self.k + 1])
 
     def _eval(self, x, backend):
-        dd = divided_difference(self.parent, self.k + 1, self.target,
-                                self.base.points + (x,))
-        return as_backend(dd.value, backend)
+        _checked_points(self.parent, self.k + 1, self.base.points + (x,))
+        table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
+        pinned = _PinnedBase(table, self.parent.domain, self.k, self.base.points)
+        return as_backend(pinned.ratio(1, x), backend)
+
+
+def _derived_backend(base: tuple, target: FunctionSpec, prefix: tuple) -> Backend | None:
+    """The backend that the derived function of ``target`` over the
+    points ``base``, with respect to the functions ``prefix``, requires."""
+    return combine_backends(collection_backend(base), target.required_backend(),
+                            *(fn.required_backend() for fn in prefix))
+
+
+def _check_base(domain: Domain, base) -> None:
+    """:func:`induced_system`'s check that the base lies in the parent's
+    domain."""
+    for x in base:
+        if not domain.contains(x):
+            raise InputError(f"base point {x} is outside the parent domain")
 
 
 class _PinnedBase:
@@ -86,17 +103,17 @@ class _PinnedBase:
     divided difference of the target fns[k + t] of ``table`` over
     (base..., x) with respect to fns[:k+1].  The k base columns of the
     rows fns[:k] + (target,) are eliminated once per target, and a value
-    reduces x's column by det's own pivot steps, so it equals DerivedFn's
-    bit for bit (float) or as a Fraction (exact).  Each check of DerivedFn
-    is made at the first value that needs it, in its order and with its
-    error and message.  The base points need not increase."""
+    reduces x's column by det's own pivot steps, so it equals
+    divided_difference's bit for bit (float) or as a Fraction (exact).
+    Each of its checks is made at the first value that needs it, in its
+    order and with its error and message.  The base points need not
+    increase."""
 
     def __init__(self, table: _PointTable, domain: Domain, k: int, base: tuple):
         self.table = table
         self.domain = domain
         self.k = k
         self.base = base
-        self.base_backend = collection_backend(base)
         self.dets = [table.appended_det((*range(k), k + t), base)
                      for t in range(len(table.fns) - k)]
         self.backends: dict = {}    # t -> what the derived function of target t requires
@@ -105,12 +122,10 @@ class _PinnedBase:
 
     def value(self, t: int, x: Scalar) -> Scalar:
         """The value at x of target t's derived function: evaluate() of
-        DerivedFn, then :meth:`ratio`."""
+        :class:`DerivedFn`, then :meth:`ratio`."""
         if t not in self.backends:
             fns = self.table.fns
-            self.backends[t] = combine_backends(
-                self.base_backend, fns[self.k + t].required_backend(),
-                *(fn.required_backend() for fn in fns[:self.k + 1]))
+            self.backends[t] = _derived_backend(self.base, fns[self.k + t], fns[:self.k + 1])
         backend = combine_backends(scalar_backend(x), self.backends[t], default=Backend.EXACT)
         return as_backend(self.ratio(t, x), backend)
 
@@ -180,9 +195,7 @@ def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
         raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
     if len(base) != k:
         raise DimensionMismatch(f"base has {len(base)} points, expected {k}")
-    for x in base:
-        if not parent.domain.contains(x):
-            raise InputError(f"base point {x} is outside the parent domain")
+    _check_base(parent.domain, base)
     basis = tuple(DerivedFn(parent, k, base, parent.basis[j])
                   for j in range(k, n))
     return InducedSystem(parent, k, base, basis, puncture(parent.domain, base.points))

@@ -36,8 +36,6 @@ from .core import (
 from .determinant import DEFAULT_SEED, DEFAULT_TUPLE_BUDGET, is_positive_chebyshev
 from .errors import DomainTooLong, InputError
 
-CATALOG_IDS = ("poly", "trig-odd", "trig-even", "one-xsq")
-
 DEFAULT_GRID_SIZE = 12
 
 
@@ -102,6 +100,43 @@ def one_xsq_system(domain: Domain | None = None,
             "overriding the (1, x^2) domain can break positivity; "
             "pass allow_unsafe_domain=True to accept that")
     return ChebyshevSystem(basis, domain)
+
+
+#: Catalog id -> its form, the reader of its ':'-separated parameters into
+#: positional arguments of its constructor, and the constructor.
+_CATALOG = {
+    "poly": ("poly:N", lambda n: (int(n),), polynomial_system),
+    "trig-odd": ("trig-odd:N[:lo,hi]", lambda n, interval=None: (
+        int(n), *((-math.pi, 0.0) if interval is None else map(float, interval.split(",")))),
+        trig_odd_system),
+    "trig-even": ("trig-even:N[:lo,hi]", lambda n, interval=None: (
+        int(n), *((-math.pi / 2, 0.0) if interval is None else map(float, interval.split(",")))),
+        trig_even_system),
+    "one-xsq": ("one-xsq", lambda: (), one_xsq_system),
+}
+
+CATALOG_IDS = tuple(_CATALOG)
+
+
+def _system_from_id(spec: str, domain: Domain | None = None) -> ChebyshevSystem:
+    """The system a catalog id names: poly:N, trig-odd:N[:lo,hi] (the
+    interval defaults to (-pi, 0)), trig-even:N[:lo,hi] (to (-pi/2, 0))
+    or one-xsq.  Each id takes exactly the parameters of its form.
+    ``domain`` overrides the one-xsq domain, with
+    ``allow_unsafe_domain=True``; no other id takes it."""
+    kind, *params = spec.split(":")
+    if kind not in _CATALOG:
+        raise InputError(f"unknown system spec {spec!r} (expected a JSON path or "
+                         f"{' / '.join(form for form, _, _ in _CATALOG.values())})")
+    form, read, build = _CATALOG[kind]
+    if domain is not None and build is not one_xsq_system:
+        raise InputError(f"system spec {spec!r} takes no domain override; only one-xsq does")
+    kwargs = {} if domain is None else {"domain": domain, "allow_unsafe_domain": True}
+    try:
+        # a wrong count of parameters or of interval ends is a TypeError
+        return build(*read(*params), **kwargs)
+    except (TypeError, ValueError):
+        raise InputError(f"malformed system spec {spec!r}; expected {form}") from None
 
 
 def trig_induced_closed_form(x1: Scalar, lo: Scalar = -math.pi,
@@ -178,23 +213,17 @@ def catalog_entry(system_id: str, **params) -> CatalogEntry:
     prefix depth.
 
     ids: "poly" (n), "trig-odd" (n, lo, hi), "trig-even" (n, lo, hi),
-    "one-xsq" (optional domain override).
+    "one-xsq" (optional domain override): the keyword arguments of
+    the id's constructor.
     """
-    if system_id == "poly":
-        system = polynomial_system(params["n"])
-        depth = system.dim  # Vandermonde: analytic, not grid-limited
-    elif system_id == "trig-odd":
-        system = trig_odd_system(params["n"], params["lo"], params["hi"])
-        depth = verified_prefix_depth(system)
-    elif system_id == "trig-even":
-        system = trig_even_system(params["n"], params["lo"], params["hi"])
-        depth = verified_prefix_depth(system)
-    elif system_id == "one-xsq":
-        domain = params.get("domain")
-        system = one_xsq_system(domain, allow_unsafe_domain=params.get(
-            "allow_unsafe_domain", False))
-        depth = 2 if domain is None else verified_prefix_depth(system)
-    else:
+    if system_id not in _CATALOG:
         raise InputError(f"unknown catalog id {system_id!r}; known: {CATALOG_IDS}")
+    system = _CATALOG[system_id][2](**params)
+    if system_id == "poly":
+        depth = system.dim  # Vandermonde: analytic, not grid-limited
+    elif system_id == "one-xsq" and params.get("domain") is None:
+        depth = 2
+    else:
+        depth = verified_prefix_depth(system)
     return CatalogEntry(system_id, tuple(sorted(params.items(), key=lambda kv: kv[0])),
                         system, depth)

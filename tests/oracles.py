@@ -9,12 +9,14 @@ package uses, so matching values certify both sides:
 * unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
 * one row-wise determinant per tuple vs prefix-shared elimination
   (``positivity_loop``, ``direct_loop``);
-* two fresh determinants per derived value (DerivedFn) vs pinned bases
-  eliminated once (``pinned_loop``);
+* one divided_difference of two fresh determinants per derived value vs
+  a pinned base eliminated once (``derived_value`` and ``OracleDerivedFn``,
+  DerivedFn as it was before it read a pinned base);
+* the same derived values vs pinned bases per check (``pinned_loop``);
 * one divided_difference per window vs one point table per call
   (``variation_loop``);
 * one fresh collocation determinant per minor and one divided_difference
-  or DerivedFn value per cell vs one pinned base per check
+  or derived_value per cell vs one pinned base per check
   (``induced_identity_loop``, ``convexity_identity_loop``, and
   ``identity_suite_loop``, the identity suites as the CLI ran them).
 """
@@ -38,6 +40,9 @@ from chebconvex.core import (
     OrderingClass,
     PointTuple,
     PowerFn,
+    as_backend,
+    combine_backends,
+    scalar_backend,
     validate_tuple,
 )
 from chebconvex.determinant import (
@@ -63,7 +68,7 @@ from chebconvex.errors import (
     InputError,
     InsufficientGrid,
 )
-from chebconvex.induced import InducedCheckReport, induced_system
+from chebconvex.induced import DerivedFn, InducedCheckReport, induced_system
 from chebconvex.systems import polynomial_system
 
 
@@ -313,13 +318,49 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
 
 
 # ---------------------------------------------------------------------------
+# one derived value: DerivedFn's evaluation before it read a pinned base,
+# kept unchanged as a reference.  Every value is a divided_difference of
+# two fresh determinants.
+
+def derived_value(fn: DerivedFn, x):
+    """``fn(x)``: evaluate()'s backend of x and of what ``fn`` requires,
+    then the divided difference of its target over (base..., x) with
+    respect to the (k+1)-prefix of its parent."""
+    backend = combine_backends(
+        scalar_backend(x), fn.base.backend(), fn.target.required_backend(),
+        *(g.required_backend() for g in fn.parent.basis[:fn.k + 1]), default=Backend.EXACT)
+    dd = divided_difference(fn.parent, fn.k + 1, fn.target, fn.base.points + (x,))
+    return as_backend(dd.value, backend)
+
+
+class OracleDerivedFn(DerivedFn):
+    """A DerivedFn whose values are derived_value's."""
+
+    def required_backend(self):
+        return combine_backends(
+            self.base.backend(), self.target.required_backend(),
+            *(g.required_backend() for g in self.parent.basis[:self.k + 1]))
+
+    def _eval(self, x, backend):
+        return derived_value(self, x)
+
+
+def oracle_induced(ind) -> tuple:
+    """The induced system ``ind`` as a ChebyshevSystem, and the maker of
+    its derived functions, all of them OracleDerivedFn."""
+    def derived(target):
+        return OracleDerivedFn(ind.parent, ind.k, ind.base, target)
+    return ChebyshevSystem(tuple(map(derived, ind.parent.basis[ind.k:])), ind.domain), derived
+
+
+# ---------------------------------------------------------------------------
 # per-base pinned checks: the loop the package ran before its derived
 # tables, kept unchanged as a reference.  Each base builds its induced
 # system and runs a direct check of the derived function, whose every
-# value is a divided difference of two fresh determinants (DerivedFn).
+# value is a divided difference of two fresh determinants (derived_value).
 # The direct check is direct_loop: like the package's per-base scans,
 # and unlike check_convex_direct, it puts no minimum gap between the
-# grid points themselves (DerivedFn checks each point against the base).
+# grid points themselves (derived_value checks each point against the base).
 
 def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
                 budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
@@ -348,7 +389,8 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
         bases_checked += 1
         ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
                                                        min_gap=0.0))
-        inner = direct_loop(ind.as_system(), ind.derived(f), local,
+        induced, derived = oracle_induced(ind)
+        inner = direct_loop(induced, derived(f), local,
                             budget=budget, seed=seed, tol_factor=tol_factor)
         tuples_checked += inner.tuples_checked
         indeterminate += inner.indeterminate_count
@@ -412,7 +454,7 @@ def variation_loop(system, f, partition, min_gap=DEFAULT_MIN_GAP,
 # pinned bases, kept unchanged as references.  Every (k+1)-minor, every
 # extended determinant and every right-hand cell is its own fresh
 # collocation determinant or divided_difference; induced values go
-# through DerivedFn.
+# through derived_value.
 
 def induced_identity_loop(parent: ChebyshevSystem, k: int, base, grid,
                           budget: int = DEFAULT_TUPLE_BUDGET,
@@ -422,7 +464,7 @@ def induced_identity_loop(parent: ChebyshevSystem, k: int, base, grid,
     that it is a positive Chebyshev system and that the factorization
     identity holds on every sampled increasing (n-k)-tuple."""
     ind = induced_system(parent, k, base)
-    system = ind.as_system()
+    system, _ = oracle_induced(ind)
     d = ind.dim
     pts = sorted_grid(grid)
     positivity = is_positive_chebyshev(system, d, pts, budget=budget, seed=seed,

@@ -485,3 +485,95 @@ def test_malformed_function_json_is_input_error(capsys, tmp_path):
                         "--function", str(path), "--grid", "list:0,1")
     assert code == 2
     assert rep["error"]["type"] == "InputError"
+
+
+# Builtin ids take exactly the parameters of their form.  Each of these
+# used to run with the suffix dropped or end in a ValueError that named
+# no spec; each is now an InputError naming the spec and its form.
+MALFORMED_IDS = {
+    "power:2:junk": ("--function", "malformed function spec 'power:2:junk'; expected power:k"),
+    "cos:2:9": ("--function", "malformed function spec 'cos:2:9'; expected cos[:m]"),
+    "exp:7": ("--function", "malformed function spec 'exp:7'; expected exp"),
+    "power:x": ("--function", "malformed function spec 'power:x'; expected power:k"),
+    "one-xsq:3": ("--system", "malformed system spec 'one-xsq:3'; expected one-xsq"),
+    "poly:x": ("--system", "malformed system spec 'poly:x'; expected poly:N"),
+    "poly:2:junk": ("--system", "malformed system spec 'poly:2:junk'; expected poly:N"),
+    "trig-odd:1:-2": ("--system",
+                      "malformed system spec 'trig-odd:1:-2'; expected trig-odd:N[:lo,hi]"),
+}
+
+
+@pytest.mark.parametrize("spec", MALFORMED_IDS)
+def test_malformed_builtin_id_is_input_error(capsys, spec):
+    flag, message = MALFORMED_IDS[spec]
+    argv = {"--system": "poly:2", "--function": "power:2"} | {flag: spec}
+    code, rep = run_cli(capsys, "divdiff", "--grid", "list:1,2",
+                        *(x for kv in argv.items() for x in kv))
+    assert code == 2
+    assert rep["error"] == {"type": "InputError", "message": message}
+
+
+def test_stray_unsafe_domain_is_input_error(capsys):
+    code, rep = run_cli(capsys, "chebcheck", "--system", "poly:3", "--unsafe-domain", "full",
+                        "--grid", "list:0,1,2")
+    assert code == 2
+    assert rep["error"] == {
+        "type": "InputError",
+        "message": "system spec 'poly:3' takes no domain override; only one-xsq does"}
+
+
+@pytest.mark.parametrize("system", ["one-xsq", "poly:2"])
+@pytest.mark.parametrize("domain", ["junk", "1,2,3"])
+def test_malformed_unsafe_domain_is_input_error(capsys, system, domain):
+    code, rep = run_cli(capsys, "chebcheck", "--system", system, "--unsafe-domain", domain,
+                        "--grid", "list:1,2")
+    assert code == 2
+    assert rep["error"] == {
+        "type": "InputError",
+        "message": f"--unsafe-domain is 'full' or 'lo,hi', got {domain!r}"}
+
+
+def test_unsafe_domain_with_a_system_file_is_input_error(capsys):
+    path = Path(__file__).resolve().parent / "data" / "line_system.json"
+    code, rep = run_cli(capsys, "chebcheck", "--system", str(path), "--unsafe-domain", "0,5",
+                        "--grid", "list:0,1,2")
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    assert rep["error"]["message"].startswith("--unsafe-domain overrides the one-xsq domain only")
+
+
+# Each builtin function id and the JSON spec it stands for (README).
+FUNCTION_IDS = [
+    ("power:2", "exact", {"kind": "power", "k": 2}),
+    ("cos", "float", {"kind": "cos", "freq": 1}),
+    ("cos:3", "float", {"kind": "cos", "freq": 3}),
+    ("sin", "float", {"kind": "sin", "freq": 1}),
+    ("sin:2", "float", {"kind": "sin", "freq": 2}),
+    ("exp", "float", {"kind": "exp"}),
+    ("const:3/2", "exact", {"kind": "const", "c": "3/2"}),
+    ("const:0.5", "float", {"kind": "const", "c": 0.5}),
+    ("negcot:-2", "float", {"kind": "negcot", "shift": -2.0}),
+]
+
+
+@pytest.mark.parametrize("spec, backend, json_spec", FUNCTION_IDS)
+def test_function_id_is_its_json_spec(spec, backend, json_spec):
+    from chebconvex.cli import _parse_function
+    from chebconvex.core import Backend, function_from_json
+    f = _parse_function(spec, Backend(backend))
+    assert f == function_from_json(json_spec)
+    assert repr(f) == repr(function_from_json(json_spec))
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--grid", "x\n0\n1\nbad\n2\n"),
+    ("--function", "point,value\n0,0\n1,1\nbad,4\n2,4\n"),
+])
+def test_csv_header_rows_come_before_the_first_data_row(capsys, tmp_path, flag, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    argv = {"--system": "poly:2", "--function": "power:2", "--grid": "list:0,1"} | \
+        {flag: str(path)}
+    code, rep = run_cli(capsys, "divdiff", *(x for kv in argv.items() for x in kv))
+    assert code == 2
+    assert rep["error"]["message"].startswith("bad exact scalar 'bad'")

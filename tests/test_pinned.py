@@ -1,7 +1,8 @@
 """The induced, interval and agreement modes, whose derived values come
 from per-base point tables (``induced._PinnedBase``), checked against the
 per-base loop in ``oracles.py``, which evaluates every derived value as
-a divided difference of two fresh determinants.  Reports must be
+a divided difference of two fresh determinants; and ``DerivedFn``, a
+pinned base of its own, against ``oracles.derived_value``.  Reports must be
 identical, float values included (compared by repr), and so must the
 error a check raises, message included."""
 
@@ -19,8 +20,13 @@ from chebconvex.convexity import (
 )
 from chebconvex.core import (
     Backend,
+    ChebyshevSystem,
+    ConstFn,
+    CosFn,
     ExpFn,
     Interval,
+    NegCotFn,
+    PointTuple,
     PowerFn,
     SampledFn,
     affine,
@@ -33,10 +39,10 @@ from chebconvex.errors import (
     InputError,
     SingularDenominator,
 )
-from chebconvex.induced import _PinnedBase, induced_system
+from chebconvex.induced import DerivedFn, _PinnedBase, induced_system
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
-from oracles import pinned_loop
+from oracles import derived_value, pinned_loop
 
 
 def result(fn, *args, **kwargs):
@@ -263,3 +269,81 @@ def test_derived_columns_equal_derived_functions(system, grid):
                         [repr(evaluate(g, x)) for g in targets]
                     assert repr(col.values[0]) == ("Fraction(1, 1)" if exact else "1.0")
                     assert col.backend() is (Backend.EXACT if exact else Backend.FLOAT)
+
+
+# ---------------------------------------------------------------------------
+# DerivedFn, a pinned base of its own, against its old body (one
+# divided_difference of two fresh determinants per value): the value or
+# the error, message included.  One DerivedFn serves every x of a case,
+# so a value that depended on the points evaluated before it would show.
+
+def derived_targets(exact: bool, grid) -> list:
+    c = Fraction(3, 2) if exact else 1.5
+    targets = [PowerFn(5), ConstFn(c), affine((2, PowerFn(3)), (c, PowerFn(1))),
+               SampledFn(tuple(grid[::2]), tuple(c * i for i in range(len(grid[::2]))))]
+    if not exact:
+        targets += [ExpFn(), CosFn(2), NegCotFn(1.0)]    # NegCotFn has a pole at -1
+    return targets
+
+
+DERIVED_SYSTEMS = [
+    (polynomial_system(2), [-1.5, -1.0, -0.25, 0.0, 0.5, 2.0]),
+    (polynomial_system(3), [-1.5, -1.0, -0.25, 0.0, 0.5, 2.0]),
+    (polynomial_system(4), [-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0]),
+    (trig_odd_system(1, -math.pi, 0.0), [-3.0, -2.5, -1.25, -1.0, -0.5, -0.125, 0.5]),
+    (one_xsq_system(), [-1.0, 0.25, 0.5, 1.5, 3.0]),
+]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float", "neutral"])
+@pytest.mark.parametrize("system, grid", DERIVED_SYSTEMS)
+def test_derived_fn_matches_its_old_body(system, grid, backend):
+    """On the exact and float backends, and with int points, which take
+    the backend that the functions require."""
+    rng = random.Random(len(grid) + system.dim)
+    exact = backend == "exact"
+    if exact:
+        grid = [Fraction(x) for x in grid]
+    elif backend == "neutral":
+        grid = sorted({int(2 * x) for x in grid})
+    seen = set()
+    for k in range(system.dim + 1):
+        for target in derived_targets(exact, grid):
+            base = PointTuple(tuple(sorted(rng.sample(grid, k))))
+            fn = DerivedFn(system, k, base, target)
+            xs = list(grid)
+            if k and isinstance(base[0], float):
+                xs.append(base[0] + 1e-12)     # closer to the base than the minimum gap
+            for x in xs:
+                want = result(derived_value, fn, x)
+                assert repr(result(fn, x)) == repr(want), (k, base, x)
+                seen.add(want.split(":")[0] if isinstance(want, str) else "value")
+    assert "value" in seen and len(seen) >= 3
+
+
+def test_derived_fn_checks_its_base_against_the_domain():
+    fn = DerivedFn(trig_odd_system(1, -3.0, 0.0), 1, PointTuple((1.0,)), PowerFn(3))
+    want = "EvaluationOutsideSupport: point 1.0 is outside the system domain"
+    assert result(derived_value, fn, -1.25) == want
+    assert result(fn, -1.25) == want
+
+
+def test_derived_fn_checks_the_domain_before_evaluating_its_prefix():
+    """A prefix function with a pole outside the domain: the point's
+    domain error, as divided_difference reports it, not the pole."""
+    system = ChebyshevSystem((ConstFn(1), NegCotFn(1.0), PowerFn(2)), Interval(-0.5, 0.5))
+    fn = DerivedFn(system, 1, PointTuple((0.0,)), PowerFn(3))
+    want = "EvaluationOutsideSupport: point -1.0 is outside the system domain"
+    assert result(derived_value, fn, -1.0) == want
+    assert result(fn, -1.0) == want
+
+
+@pytest.mark.parametrize("points", [(0.5, Fraction(1, 2), 0.5), (1, 1.0, 1),
+                                    (Fraction(3), 3, 3.0)])
+def test_derived_fn_value_does_not_depend_on_earlier_points(points):
+    """Equal points of different types, one after the other, on one
+    DerivedFn: each value (or error) is the one it has alone."""
+    for k, base in ((1, (0,)), (2, (0, 2))):
+        fn = DerivedFn(polynomial_system(3), k, PointTuple(base), PowerFn(3))
+        for x in points:
+            assert repr(result(fn, x)) == repr(result(derived_value, fn, x)), (k, x)

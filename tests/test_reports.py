@@ -3,7 +3,8 @@
 Each case's report (without ``timing_seconds``) and exit code must equal
 its line in ``tests/data/reports.jsonl``.  The cases cover every
 subcommand, all four convexity modes, all six identity suites on both
-backends, and each family of input error (exit 2).  File inputs live in
+backends, each form of the catalog and builtin function ids, each grid
+file format, and each family of input error (exit 2).  File inputs live in
 ``tests/data`` and the commands run from there, so the echoed config
 names them the same way on every machine.
 
@@ -110,6 +111,43 @@ CASES = [
     ["variation", "--system", "poly:2", "--function", "power:2", "--a", "0", "--b", "1",
      "--m0", "1"],
     ["chebcheck", "--backend", "bogus"],
+    # catalog ids with their optional parts
+    ["chebcheck", "--system", "trig-odd:1:-2.5,-0.5", "--backend", "float", "--grid",
+     "uniform:-2.4,-0.6,6"],
+    ["chebcheck", "--system", "trig-even:1", "--backend", "float", "--grid",
+     "uniform:-1.5,-0.1,6"],
+    ["divdiff", "--system", "trig-even:1:-1.5,0", "--function", "sin:2", "--backend",
+     "float", "--grid", "list:-1.2,-0.4"],
+    ["chebcheck", "--system", "one-xsq", "--grid", "uniform:1,3,5"],
+    ["convexity", "--system", "one-xsq", "--unsafe-domain", "0,5", "--function", "power:4",
+     "--grid", "uniform:1,4,5"],
+    ["convexity", "--system", "one-xsq", "--unsafe-domain", "0,5", "--function", "power:4",
+     "--grid", "uniform:1,4,5", "--mode", "agreement"],
+    ["convexity", "--system", "one-xsq", "--function", "power:4", "--grid", "list:-1,1,2,3",
+     "--mode", "induced", "--k", "1"],
+    ["convexity", "--system", "one-xsq", "--function", "power:4", "--grid", "list:1,2,3,-1",
+     "--mode", "interval", "--k", "1", "--ell", "0"],
+    # function ids with default and scalar parameters
+    ["divdiff", "--system", "trig-odd:1", "--function", "cos", "--backend", "float",
+     "--grid", "list:-2.5,-1.5,-0.5"],
+    ["convexity", "--system", "poly:2", "--function", "sin", "--backend", "float",
+     "--grid", "uniform:-3,-0.5,6"],
+    ["divdiff", "--system", "poly:2", "--function", "const:1/2", "--grid", "list:1/2,3/2"],
+    ["divdiff", "--system", "poly:1", "--function", "const:0.5", "--backend", "float",
+     "--grid", "list:2.0"],
+    ["convexity", "--system", "poly:2", "--function", "negcot:-1", "--backend", "float",
+     "--grid", "uniform:-3,-0.5,6"],
+    # grid files
+    ["chebcheck", "--system", "poly:3", "--grid", "grid_column.csv"],
+    ["divdiff", "--system", "poly:4", "--function", "power:3", "--grid", "float_grid.json"],
+    # input errors of the spec readers, exit 2
+    ["divdiff", "--system", "poly:2", "--function", "bogus:1", "--grid", "list:0,1"],
+    ["divdiff", "--system", "poly:2", "--function", "power", "--grid", "list:0,1"],
+    ["divdiff", "--system", "poly:2", "--function", "sampled_one_column.csv", "--grid",
+     "list:0,2"],
+    ["chebcheck", "--system", "poly:2", "--grid", "grid_object.json"],
+    ["variation", "--system", "poly:2", "--g", "power:2", "--a", "0", "--b", "1",
+     "--anchors", "anchors_no_b.json", "--m0", "4", "--rounds", "1"],
 ]
 
 

@@ -17,6 +17,8 @@ from chebconvex.core import (
 from chebconvex.determinant import collocation_det, is_positive_chebyshev
 from chebconvex.errors import DomainTooLong, InputError
 from chebconvex.systems import (
+    CATALOG_IDS,
+    _system_from_id,
     catalog_entry,
     default_grid,
     one_xsq_system,
@@ -185,3 +187,42 @@ class TestVerifiedPrefixDepth:
         s = trig_odd_system(1, -math.pi, 0.0)
         grid = [-3.0, -2.5, -2.0, -1.5, -1.0, -0.5]
         assert verified_prefix_depth(s, grid) == 3
+
+
+class TestCatalogIds:
+    @pytest.mark.parametrize("spec, system", [
+        ("poly:3", polynomial_system(3)),
+        ("trig-odd:1", trig_odd_system(1, -math.pi, 0.0)),
+        ("trig-odd:2:-2.5,-0.5", trig_odd_system(2, -2.5, -0.5)),
+        ("trig-even:1", trig_even_system(1, -math.pi / 2, 0.0)),
+        ("trig-even:1:-1.5,0", trig_even_system(1, -1.5, 0.0)),
+        ("one-xsq", one_xsq_system()),
+    ])
+    def test_id_is_its_constructors_system(self, spec, system):
+        assert _system_from_id(spec) == system
+        assert repr(_system_from_id(spec)) == repr(system)
+
+    def test_domain_override_is_one_xsq_only(self):
+        wide = Interval()
+        assert _system_from_id("one-xsq", wide) == \
+            one_xsq_system(wide, allow_unsafe_domain=True)
+        with pytest.raises(InputError, match="takes no domain override"):
+            _system_from_id("poly:2", wide)
+
+    @pytest.mark.parametrize("spec", ["poly", "poly:", "poly:2:3", "trig-odd", "trig-odd:1:2",
+                                      "trig-odd:1:a,b", "trig-odd:1:-3,-2,-1", "trig-even:1:-1,0:x",
+                                      "one-xsq:"])
+    def test_malformed_id_names_spec_and_form(self, spec):
+        with pytest.raises(InputError, match=f"malformed system spec '{spec}'; expected "):
+            _system_from_id(spec)
+
+    def test_constructor_errors_pass_through(self):
+        with pytest.raises(InputError, match="dimension must be >= 1"):
+            _system_from_id("poly:0")
+        with pytest.raises(DomainTooLong):
+            _system_from_id("trig-even:1:-4,0")
+
+    def test_catalog_ids_are_the_parsed_ids(self):
+        assert CATALOG_IDS == ("poly", "trig-odd", "trig-even", "one-xsq")
+        with pytest.raises(InputError, match="unknown system spec 'mystery:1'"):
+            _system_from_id("mystery:1")
