@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -70,9 +71,20 @@ class _JsonArgumentParser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # input parsing
 
+#: A plain decimal literal [-]digits[.digits], in ASCII digits only.
+_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?").fullmatch
+
+
 def _parse_scalar(text: str, backend: Backend):
     text = text.strip()
     if backend is Backend.EXACT:
+        decimal = _DECIMAL(text)
+        if decimal:     # Fraction(text)'s value, read without its parser
+            whole, frac = decimal.groups(default="")
+            try:
+                return Fraction(int(whole + frac), 10 ** len(frac))
+            except ValueError:      # past int's digit limit: Fraction(text) says why
+                pass
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

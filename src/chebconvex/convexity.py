@@ -173,7 +173,7 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
         bases_checked += 1
         _check_base(system.domain, base)
         if base not in derived:
-            derived[base] = _PointTable(value=_PinnedBase(table, system.domain, k, base).value)
+            derived[base] = _PointTable(_PinnedBase(table, system.domain, k, base).derived())
         # the induced system's punctured domain holds the points of local
         # (all off the base) that the system's domain holds
         scan = _direct_scan(n - k, system.domain, local, derived[base], budget, seed,
@@ -272,7 +272,7 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
                           head + (x,), name="(k+1)-prefix determinant", show_value=False)
         lhs = lhs / denom
 
-    cells = _PointTable(value=pinned.ratio)
+    cells = _PointTable(pinned.derived())
     rows = tuple(range(n - k + 1))
     rhs = cells.det(rows, tail)
     return (ResidualReport(lhs, rhs, abs(lhs - rhs)),

@@ -109,8 +109,17 @@ def as_backend(x: Scalar, backend: Backend) -> Scalar:
     return float(x)
 
 
+#: The backend of each plain scalar type, as :func:`scalar_backend` reads it.
+_TYPE_BACKENDS = {float: Backend.FLOAT, Fraction: Backend.EXACT, int: None}
+
+
 def collection_backend(values, default: Backend | None = None) -> Backend | None:
-    return combine_backends(*(scalar_backend(v) for v in values), default=default)
+    """The backend of the sequence ``values``, read from their types when
+    all are plain float, Fraction or int, else value by value."""
+    types = set(map(type, values))
+    plain = types <= _TYPE_BACKENDS.keys()
+    return combine_backends(*map(_TYPE_BACKENDS.get, types) if plain else
+                            map(scalar_backend, values), default=default)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,7 @@ class PointTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        _check_ordering(self.points, self.ordering)
+        object.__setattr__(self, "_backend", _check_ordering(self.points, self.ordering))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -143,11 +152,12 @@ class PointTuple:
         return self.points[i]
 
     def backend(self, default: Backend | None = None) -> Backend | None:
-        return collection_backend(self.points, default=default)
+        return default if self._backend is None else self._backend
 
 
-def _check_ordering(points: tuple, ordering: OrderingClass) -> None:
-    collection_backend(points)  # reject mixed backends early
+def _check_ordering(points: tuple, ordering: OrderingClass) -> Backend | None:
+    """Check ``points`` against ``ordering``; their backend, read first."""
+    backend = collection_backend(points)
     if ordering is OrderingClass.STRICTLY_INCREASING:
         for i in range(len(points) - 1):
             if not points[i] < points[i + 1]:
@@ -159,6 +169,7 @@ def _check_ordering(points: tuple, ordering: OrderingClass) -> None:
                 if points[i] == points[j]:
                     raise OrderingViolation(i, j,
                                             f"points[{i}] == points[{j}] == {points[i]}")
+    return backend
 
 
 def validate_tuple(points, ordering: OrderingClass | str,

@@ -7,7 +7,8 @@ clear column denominators and run fraction-free (Bareiss) elimination
 over the integers, which keeps intermediate entries polynomially sized.
 Float determinants use Gaussian elimination with partial pivoting.
 Grid scans, pinned bases, divided differences and variation windows
-read one point table, which evaluates each function once per point, and
+read one point table, which evaluates each function once per point,
+resolves each backend once and builds columns of powers directly, and
 grid scans share the elimination steps of a common tuple prefix.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,10 +27,12 @@ from .core import (
     FunctionSpec,
     OrderingClass,
     PointTuple,
+    PowerFn,
     Scalar,
     collection_backend,
     combine_backends,
     evaluate,
+    scalar_backend,
     validate_tuple,
 )
 from .errors import (
@@ -61,6 +64,7 @@ class Matrix:
     rows: int
     cols: int
     entries: tuple
+    _backend: Backend | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -70,14 +74,14 @@ class Matrix:
             raise InputError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}")
-        collection_backend(self.entries)
+        object.__setattr__(self, "_backend", collection_backend(self.entries))
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         return self.entries[i * self.cols + j]
 
     def backend(self, default: Backend = Backend.EXACT) -> Backend:
-        return collection_backend(self.entries, default=default)
+        return default if self._backend is None else self._backend
 
 
 def matrix_from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -243,15 +247,19 @@ def _prepared_det(forms: list, exact: bool, state=None, scale: int = 1) -> Scala
 # pinned bases, divided differences and variation windows
 
 class _PointTable:
-    """The values ``value(i, x)`` of functions at points, each computed
-    once, in the order its caller first needs them, and the columns
-    [value(i, x) for i in rows] of tuples of function indices ``rows``,
-    each made once, with its backend and its prepared forms.  By default
-    ``value(i, x)`` is evaluate(fns[i], x)."""
+    """The values fns[i](x) of functions at points, each computed once,
+    in the order its caller first needs them, and the columns
+    [fns[i](x) for i in rows] of tuples of function indices ``rows``,
+    each made once, with its backend and its prepared forms.  A value is
+    fns[i]._eval at evaluate()'s backend, resolved once per function and
+    point backend, at the first value that needs it; a column of powers
+    is built directly (:func:`_power_column`)."""
 
-    def __init__(self, fns: tuple = (), value=None):
+    def __init__(self, fns: tuple):
         self.fns = fns
-        self._value = value or (lambda i, x: evaluate(fns[i], x))
+        self._powers = [f.k if type(f) is PowerFn else None for f in fns]
+        self._required: dict = {}   # i -> fns[i].required_backend()
+        self._tags: dict = {}       # (i, point backend) -> backend of fns[i] there
         self._points: dict = {}
 
     def points(self, xs) -> list:
@@ -266,15 +274,29 @@ class _PointTable:
         columns built row by row first needs them."""
         new = [p for p in points if rows not in p.columns]
         if new:
-            value = self._value
-            for i in rows:
+            powers = [self._powers[i] for i in rows]
+            if None not in powers:
                 for p in new:
-                    values = p.values
-                    if i not in values:
-                        values[i] = value(i, p.x)
-            for p in new:
-                p.columns[rows] = _Column(list(map(p.values.__getitem__, rows)))
+                    p.columns[rows] = _power_column(p, powers)
+            else:
+                for i in rows:
+                    for p in new:
+                        if i not in p.values:
+                            p.values[i] = self._value(i, p)
+                for p in new:
+                    p.columns[rows] = _Column([p.values[i] for i in rows],
+                                              [self._tags[i, p.backend] for i in rows])
         return [p.columns[rows] for p in points]
+
+    def _value(self, i: int, p: "_Point") -> Scalar:
+        """fns[i] at the point whose record is ``p``."""
+        backend = self._tags.get((i, p.backend))
+        if backend is None:
+            if i not in self._required:
+                self._required[i] = self.fns[i].required_backend()
+            backend = self._tags[i, p.backend] = combine_backends(
+                p.backend, self._required[i], default=Backend.EXACT)
+        return self.fns[i]._eval(p.x, backend)
 
     def det(self, rows: tuple, xs) -> Scalar:
         """det of the square matrix of the columns of ``rows`` at xs."""
@@ -309,33 +331,54 @@ class _PointTable:
 
 
 class _Point:
-    """A point's values by function index and its columns by rows."""
+    """A point, its backend, its values by function index and its
+    columns by rows."""
 
-    __slots__ = ("x", "values", "columns")
+    __slots__ = ("x", "backend", "values", "columns")
 
     def __init__(self, x):
         self.x = x
+        self.backend = scalar_backend(x)
         self.values: dict = {}
         self.columns: dict = {}
 
 
-_UNKNOWN = object()
+def _power_column(p: _Point, powers: list) -> "_Column":
+    """The column of x ** k, k in ``powers``, at the point ``p``: at a float
+    x evaluate's, at x = n/q its integer form [n^k q^(d-k)], scale q^d."""
+    x = p.x
+    if p.backend is Backend.FLOAT:
+        values = [x ** k for k in powers]
+        return _Column(values, [Backend.FLOAT], {False: (values, 1)})
+    num, den, d = x.numerator, x.denominator, max(powers)
+    return _Column(None, [Backend.EXACT], {True: ([num ** k * den ** (d - k) for k in powers],
+                                                  den ** d)})
 
 
 class _Column:
-    """One column's values, with its backend and its float and
-    integer-scaled forms, each made once, when first asked for."""
+    """One column's values, its rows' backends ``tags``, and its backend
+    and its float and integer-scaled forms (``forms``, by exact), each
+    made once, when first asked for, the values from the integer form."""
 
-    __slots__ = ("values", "_backend", "_forms")
+    __slots__ = ("_values", "_tags", "_backend", "_forms")
 
-    def __init__(self, values: list):
-        self.values = values
-        self._backend = _UNKNOWN
-        self._forms: dict = {}
+    def __init__(self, values: list | None, tags: list, forms: dict | None = None):
+        self._values = values
+        self._tags = tags
+        self._backend = tags[0] if len(tags) == 1 else None     # one row's is the column's
+        self._forms = forms or {}
 
-    def backend(self) -> Backend | None:
-        if self._backend is _UNKNOWN:
-            self._backend = collection_backend(self.values)
+    @property
+    def values(self) -> list:
+        if self._values is None:
+            ints, scale = self._forms[True]
+            self._values = [Fraction(v, scale) for v in ints]
+        return self._values
+
+    def backend(self) -> Backend:
+        """``BackendMismatch`` when the rows mix backends, as a Matrix would."""
+        if self._backend is None:
+            self._backend = combine_backends(*self._tags)
         return self._backend
 
     def form(self, exact: bool) -> tuple[list, int]:
@@ -523,13 +566,11 @@ def _sign_scan(table: _PointTable, rows: tuple, pts: tuple, budget: int, seed: i
         tuples = _sampled_index_tuples(m, n, budget, seed)
         checked = len(tuples)
         cols = _scan_columns(table, rows, pts, tuples)
-    used = {c.backend() for c in cols.values()} - {None}
+    used = {c.backend() for c in cols.values()}
     tally = _Tally(positive, pts, tol_factor)
     scale = None
     if not exhaustive or len(used) > 1:
-        # Every tuple takes its own backend, so one that mixes exact and
-        # float points raises as det would, and one that does not passes.
-        _scan_each(cols, tuples, tally)
+        _scan_each(cols, tuples, tally, used)
     elif used == {Backend.FLOAT}:
         _walk_float([cols[j].form(False)[0] for j in range(m)], n, tally)
     else:
@@ -556,24 +597,29 @@ def _scan_columns(table: _PointTable, rows: tuple, pts: tuple, touched) -> dict:
         new = [j for j in group if j not in cols]
         if not new:
             continue
-        for j, col in zip(new, table.columns(rows, table.points(pts[j] for j in new))):
-            if col.backend() is Backend.FLOAT:
-                for v in col.values:
-                    if not math.isfinite(v):
-                        raise NonFiniteValue(f"function value {v} at grid point {pts[j]}")
+        for j, col in zip(new, table.columns(rows, table.points([pts[j] for j in new]))):
+            if col.backend() is Backend.FLOAT and not all(map(math.isfinite, col.values)):
+                v = next(v for v in col.values if not math.isfinite(v))
+                raise NonFiniteValue(f"function value {v} at grid point {pts[j]}")
             cols[j] = col
     return cols
 
 
-def _scan_each(cols: dict, tuples, tally: _Tally) -> None:
-    """Per-tuple elimination from the table, in tuple order."""
+def _scan_each(cols: dict, tuples, tally: _Tally, used: set) -> None:
+    """Per-tuple elimination from the table, in tuple order.  Columns of
+    one backend (``used``) have their forms read once; else every tuple
+    takes its own, so one that mixes exact and float points raises as
+    det would, and one that does not passes."""
+    shared = next(iter(used)) if len(used) == 1 else None
+    forms = shared and {j: c.form(shared is not Backend.FLOAT) for j, c in cols.items()}
     for t in tuples:
-        backend, forms = _matrix([cols[j] for j in t])
+        backend, matrix = ((shared, [forms[j] for j in t]) if shared
+                           else _matrix([cols[j] for j in t]))
         if backend is Backend.FLOAT:
-            biggest = max(abs(v) for c, _ in forms for v in c)
-            tally.add(t, _prepared_det(forms, exact=False), biggest)
+            biggest = max(max(map(abs, c)) for c, _ in matrix)
+            tally.add(t, _prepared_det(matrix, exact=False), biggest)
         else:
-            tally.add(t, _prepared_det(forms, exact=True))
+            tally.add(t, _prepared_det(matrix, exact=True))
 
 
 def _walk(cols: list, n: int, root, pivot, reduce, leaf, zero, tally: _Tally) -> None:

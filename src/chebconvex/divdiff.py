@@ -179,7 +179,6 @@ def complete_homogeneous(degree: int, points) -> Scalar:
     pts = tuple(points.points if isinstance(points, PointTuple) else points)
     if not pts:
         raise InputError("complete homogeneous polynomial needs at least one point")
-    collection_backend(pts)
     return _homogeneous_sums(degree, pts)[degree]
 
 

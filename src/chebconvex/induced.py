@@ -99,9 +99,9 @@ def _check_base(domain: Domain, base) -> None:
 
 
 class _PinnedBase:
-    """The value source of one base's derived table: value(t, x) is the
-    divided difference of the target fns[k + t] of ``table`` over
-    (base..., x) with respect to fns[:k+1].  The k base columns of the
+    """The derived functions of one base: target t's value at x is the
+    divided difference of fns[k + t] of ``table`` over (base..., x)
+    with respect to fns[:k+1].  The k base columns of the
     rows fns[:k] + (target,) are eliminated once per target, and a value
     reduces x's column by det's own pivot steps, so it equals
     divided_difference's bit for bit (float) or as a Fraction (exact).
@@ -116,18 +116,12 @@ class _PinnedBase:
         self.base = base
         self.dets = [table.appended_det((*range(k), k + t), base)
                      for t in range(len(table.fns) - k)]
-        self.backends: dict = {}    # t -> what the derived function of target t requires
         self.dens: dict = {}        # x -> the denominator at (base..., x), see denominator()
         self.checked: set = set()   # points whose denominator passed its checks
 
-    def value(self, t: int, x: Scalar) -> Scalar:
-        """The value at x of target t's derived function: evaluate() of
-        :class:`DerivedFn`, then :meth:`ratio`."""
-        if t not in self.backends:
-            fns = self.table.fns
-            self.backends[t] = _derived_backend(self.base, fns[self.k + t], fns[:self.k + 1])
-        backend = combine_backends(scalar_backend(x), self.backends[t], default=Backend.EXACT)
-        return as_backend(self.ratio(t, x), backend)
+    def derived(self) -> tuple:
+        """The targets' derived functions, as a base's derived table reads them."""
+        return tuple(_Derived(self, t) for t in range(len(self.dets)))
 
     def denominator(self, x: Scalar) -> tuple:
         """The (k+1)-minor of fns[:k+1] at (base..., x), the backend of its
@@ -153,6 +147,22 @@ class _PinnedBase:
             self.checked.add(x)
         num = den if t == 0 else self.dets[t]((x,))[0]
         return _finite(num / den, "divided difference", at)
+
+
+@dataclass(frozen=True)
+class _Derived:
+    """Target t's derived function on ``pinned``: :class:`DerivedFn`'s
+    backend, and :meth:`_PinnedBase.ratio` in it."""
+
+    pinned: _PinnedBase
+    t: int
+
+    def required_backend(self) -> Backend | None:
+        fns, k = self.pinned.table.fns, self.pinned.k
+        return _derived_backend(self.pinned.base, fns[k + self.t], fns[:k + 1])
+
+    def _eval(self, x: Scalar, backend: Backend) -> Scalar:
+        return as_backend(self.pinned.ratio(self.t, x), backend)
 
 
 @dataclass(frozen=True)
@@ -267,7 +277,7 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     table = _PointTable(parent.basis)
     base_pts = ind.base.points
     pinned = _PinnedBase(table, parent.domain, k, base_pts)
-    derived = _PointTable(value=pinned.value)
+    derived = _PointTable(pinned.derived())
     positivity = _positivity(system, d, pts, derived, budget, seed, tol_factor)
 
     tuples, exhaustive = increasing_tuples(pts, d, budget=budget, seed=seed)

@@ -4,6 +4,9 @@ Everything here is implemented by a different algorithm than the
 package uses, so matching values certify both sides:
 
 * Laplace cofactor expansion vs elimination (``cofactor_det``);
+* evaluate() per value, backends read from the values, vs the point
+  table's backends resolved once and its power columns built directly
+  (``evaluate_columns``);
 * row-wise vs column-step elimination (``row_det``);
 * monomial enumeration vs accumulation (``homogeneous_by_enumeration``);
 * unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
@@ -41,7 +44,9 @@ from chebconvex.core import (
     PointTuple,
     PowerFn,
     as_backend,
+    collection_backend,
     combine_backends,
+    evaluate,
     scalar_backend,
     validate_tuple,
 )
@@ -51,6 +56,7 @@ from chebconvex.determinant import (
     DEFAULT_TUPLE_BUDGET,
     Matrix,
     PositivityReport,
+    _form,
     check_denominator,
     collocation_det,
     collocation_matrix,
@@ -206,6 +212,36 @@ def rand_increasing_floats(rng: random.Random, count: int, lo: float, hi: float,
         pts = sorted(rng.uniform(lo, hi) for _ in range(count))
         if all(pts[i + 1] - pts[i] >= gap for i in range(count - 1)):
             return tuple(pts)
+
+
+# ---------------------------------------------------------------------------
+# the point table's columns as it built them before it resolved backends
+# once and built power columns directly, kept as a reference: every value
+# by evaluate(), row by row over the points, and each column's backend
+# read from its values.
+
+class OracleColumn:
+    """One column's values, with its backend (``collection_backend`` of
+    the values, read when asked, as the table read it) and its forms."""
+
+    def __init__(self, values: list):
+        self.values = values
+
+    def backend(self):
+        return collection_backend(self.values)
+
+    def form(self, exact: bool) -> tuple:
+        return _form(self.values, exact)
+
+
+def evaluate_columns(fns, rows: tuple, xs) -> list:
+    """The columns [evaluate(fns[i], x) for i in rows] at the distinct
+    points ``xs``, each value computed row by row over the points."""
+    values = {}
+    for i in rows:
+        for j, x in enumerate(xs):
+            values[i, j] = evaluate(fns[i], x)
+    return [OracleColumn([values[i, j] for i in rows]) for j in range(len(xs))]
 
 
 # ---------------------------------------------------------------------------

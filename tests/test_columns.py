@@ -1,0 +1,182 @@
+"""The point table's columns, with backends resolved once and power
+columns built directly, checked against ``oracles.evaluate_columns``
+(evaluate() per value, backends read from the values): the values by
+repr, the backend and both forms, or the error, message included.  Also
+the order of the first error, and the CLI's decimal reader against
+``Fraction``."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chebconvex.cli import _parse_scalar
+from chebconvex.convexity import check_convex_direct
+from chebconvex.core import (
+    Backend,
+    ChebyshevSystem,
+    ConstFn,
+    ExpFn,
+    Interval,
+    NegCotFn,
+    PowerFn,
+    SampledFn,
+    affine,
+)
+from chebconvex.determinant import _PointTable, is_positive_chebyshev
+from chebconvex.errors import InputError
+from chebconvex.systems import polynomial_system
+
+from oracles import evaluate_columns
+
+
+def outcome(make) -> object:
+    """The columns that ``make()`` returns, each as (values, backend,
+    forms), or the first error as 'type: message'."""
+    try:
+        cols = make()
+        out = []
+        for c in cols:
+            backend = c.backend()
+            exact = backend is not Backend.FLOAT
+            forms = [c.form(True), c.form(False)] if exact else [c.form(False)]
+            out.append((repr(c.values), backend, repr(forms)))
+        return out
+    except (InputError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def same_columns(fns, rows, xs):
+    def table_columns():
+        table = _PointTable(tuple(fns))
+        return table.columns(tuple(rows), table.points(xs))
+    got = outcome(table_columns)
+    assert got == outcome(lambda: evaluate_columns(fns, tuple(rows), xs))
+    return got
+
+
+POWERS = tuple(PowerFn(k) for k in range(9))
+GAPPED = polynomial_system(3).basis + (PowerFn(7),)      # poly:3 + power:7
+EXACT_POINTS = [Fraction(-7, 3), Fraction(-1, 2), 0, Fraction(22, 7), 1, -2, 5,
+                Fraction(10 ** 20 + 1, 3 ** 30), Fraction(-(2 ** 70), 7)]
+FLOAT_POINTS = [-1.25, -0.0, 0.5, 3.0, 1e-3, 1e30, float("inf")]
+
+
+@pytest.mark.parametrize("fns, rows", [
+    (POWERS, range(9)), (POWERS, range(5)), (POWERS, (3,)), (POWERS, (8,)),
+    (POWERS, (0, 2, 5, 8)), (POWERS, (8, 1, 0)),
+    (GAPPED, range(4)), (GAPPED, (0, 1, 3)), (GAPPED, (0, 3)),
+])
+@pytest.mark.parametrize("xs", [EXACT_POINTS, FLOAT_POINTS, [1.0, 1e200], [0, 0.5, 1]])
+def test_power_columns_match_evaluate(fns, rows, xs):
+    same_columns(fns, rows, xs)
+
+
+def test_exact_power_column_is_its_integer_form():
+    table = _PointTable(GAPPED)
+    (col,) = table.columns((0, 1, 2, 3), table.points([Fraction(-5, 3)]))
+    assert col.form(True) == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
+    assert col._values is None          # no Fraction made until a caller reads them
+    assert col.values == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
+
+
+def test_integer_forms_of_a_sampled_grid_match():
+    """Every point of a C1-like sampled scan: poly:5 at dyadic points."""
+    rng = random.Random(5)
+    xs = [Fraction(i, 64) for i in rng.sample(range(-336 * 64, 336 * 64), 400)]
+    assert same_columns(polynomial_system(5).basis, range(5), xs)
+
+
+def other_rows(exact: bool) -> tuple:
+    """Power, affine, sampled and constant rows; on the float backend the
+    second affine row overflows to inf at a large point."""
+    c = Fraction(3, 2) if exact else 1.5
+    at = (Fraction(-1, 2), 0, 1, Fraction(5, 2)) if exact else (-0.5, 0.0, 1.0, 2.5)
+    return (PowerFn(0), PowerFn(1), affine((c, PowerFn(2)), (-1, PowerFn(1))),
+            SampledFn(at, (c, -c, 2 * c, 0 * c)),
+            affine((c if exact else 1e300, PowerFn(3))), ConstFn(c))
+
+
+@pytest.mark.parametrize("xs", [
+    [Fraction(-1, 2), 0, 1, Fraction(5, 2)],
+    [-0.5, 0.0, 1.0, 2.5],
+    [-0.5, 1.0, 1e110, 2.5],                    # the affine row overflows to inf
+    [0, 1, Fraction(5, 2)],
+    [0, 1, 3],                                  # 3 is off the sampled table
+])
+@pytest.mark.parametrize("rows", [range(6), (0, 1, 2), (0, 3), (4, 0)])
+def test_other_columns_match_evaluate(xs, rows):
+    exact = not any(isinstance(x, float) for x in xs)
+    same_columns(other_rows(exact), rows, xs)
+
+
+@pytest.mark.parametrize("xs", [[-1.0, 0.5, 2.0], [0.5, -1.0], [0, 0.5], [Fraction(1, 2), 2]])
+@pytest.mark.parametrize("rows", [range(4), (0, 2), (3, 0), (1,)])
+def test_float_only_columns_match_evaluate(xs, rows):
+    """exp and the cotangent (with its pole at -1) next to exact rows."""
+    same_columns((PowerFn(0), NegCotFn(1.0), ExpFn(), ConstFn(Fraction(1, 2))), rows, xs)
+
+
+def scan(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (InputError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("system, k, grid, expected", [
+    (polynomial_system(2), 1, [0, 0.5, 1], "PositivityReport(verdict='positive_on_grid', k=1, "
+     "tuples_checked=3, exhaustive=True, seed=0, witness=None, witness_value=None, "
+     "indeterminate_count=0)"),
+    (polynomial_system(2), 2, [0, 0.5, 1], "BackendMismatch: exact and float scalars mixed in "
+     "one computation; convert explicitly with to_exact()/to_float()"),
+    (polynomial_system(3), 3, [0.0, 1.0, 1e200],
+     "OverflowError: (34, 'Numerical result out of range')"),
+    (polynomial_system(3), 3, [0.0, 1.0, float("inf")],
+     "NonFiniteValue: function value inf at grid point inf"),
+    (ChebyshevSystem((PowerFn(0), affine((1e300, PowerFn(2)))), Interval()), 2,
+     [0.0, 1.0, 1e10], "NonFiniteValue: function value inf at grid point 10000000000.0"),
+])
+def test_scan_outcomes_as_recorded(system, k, grid, expected):
+    assert scan(is_positive_chebyshev, system, k, grid) == expected
+
+
+def test_first_error_is_the_first_evaluation_that_fails():
+    """The cotangent's pole at -1 is evaluated before the exact constant
+    meets a float point, so it is the error; a table that combined every
+    function's backend before evaluating would report BackendMismatch."""
+    system = ChebyshevSystem((PowerFn(0), NegCotFn(1.0)), Interval())
+    got = scan(check_convex_direct, system, ConstFn(Fraction(1, 2)), [-1.0, 0.5, 2.0])
+    assert got == "EvaluationOutsideSupport: cotangent pole at x=-1.0"
+
+
+# ---------------------------------------------------------------------------
+# the CLI's exact scalars: a plain decimal is read without Fraction's
+# parser, with Fraction's value; every other text, and every error, is
+# Fraction's
+
+LITERALS = ["-0", "007.50", ".5", "5.", "+1", "1e3", "1_000", " 2.5 ", "1/3", "٣", "²",
+            "-", "", "1.", "-.5", "0.000", "--1", "1.2.3", "1 2", "-12345678901234567890.5",
+            "1" * 5000, "0." + "9" * 5000]
+
+
+def fraction_outcome(text: str) -> tuple:
+    text = text.strip()
+    try:
+        return "value", Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return "error", f"bad exact scalar {text!r}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(LITERALS),
+                 st.from_regex(r"\A-?[0-9]{1,25}(\.[0-9]{1,25})?\Z"),
+                 st.text(alphabet="0123456789-+._ e/²٣\t", max_size=10)))
+def test_exact_scalar_reads_as_fraction(text):
+    try:
+        got = "value", _parse_scalar(text, Backend.EXACT)
+    except InputError as exc:
+        got = "error", str(exc)
+    want = fraction_outcome(text)
+    assert got == want and type(got[1]) is type(want[1])

@@ -261,7 +261,7 @@ def test_derived_columns_equal_derived_functions(system, grid):
             for base in increasing_tuples(grid, k)[0]:
                 ind = induced_system(system, k, base)
                 pts = tuple(x for x in grid if x not in base)
-                derived = _PointTable(value=_PinnedBase(table, system.domain, k, base).value)
+                derived = _PointTable(_PinnedBase(table, system.domain, k, base).derived())
                 cols = derived.columns(tuple(range(ind.dim + 1)), derived.points(pts))
                 targets = ind.basis + (ind.derived(f),)
                 for x, col in zip(pts, cols):

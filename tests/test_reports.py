@@ -148,6 +148,14 @@ CASES = [
     ["chebcheck", "--system", "poly:2", "--grid", "grid_object.json"],
     ["variation", "--system", "poly:2", "--g", "power:2", "--a", "0", "--b", "1",
      "--anchors", "anchors_no_b.json", "--m0", "4", "--rounds", "1"],
+    # a sampled scan over a CSV grid, and decimal literal forms, on both backends
+    *(["chebcheck", "--system", "poly:5", "--grid", "grid_200.csv", "--budget", "50",
+       "--seed", "9", "--backend", backend] for backend in ("exact", "float")),
+    *(["chebcheck", "--system", "poly:3", "--grid",
+       "list:-0,.5,+1,5.,007.50, 2.5 ,1e3,1_500,-2.000", "--backend", backend]
+      for backend in ("exact", "float")),
+    ["divdiff", "--system", "poly:3", "--function", "power:4", "--grid", "list:1/3,٣,-2.50"],
+    ["chebcheck", "--system", "poly:2", "--grid", "list:1,²"],
 ]
 
 
