@@ -33,6 +33,7 @@ from .core import (
     FunctionSpec,
     Interval,
     SampledFn,
+    _BACKEND_TYPES,
     function_from_json,
     scalar_to_json,
     system_from_json,
@@ -212,10 +213,8 @@ def _parse_grid(spec: str, backend: Backend) -> tuple:
             raise InputError(f"bad uniform grid {spec!r}: {exc}") from None
         if m < 2 or not a < b:
             raise InputError(f"uniform grid needs a < b and m >= 2, got {spec!r}")
-        if backend is Backend.EXACT:
-            return tuple(Fraction(a) + (Fraction(b) - Fraction(a)) * Fraction(i, m - 1)
-                         for i in range(m))
-        return tuple(float(a) + (float(b) - float(a)) * (i / (m - 1)) for i in range(m))
+        make = _BACKEND_TYPES[backend]
+        return tuple(a + (b - a) * (make(i) / (m - 1)) for i in range(m))
     if spec.startswith("list:"):
         return _read_scalars(spec[len("list:"):].split(","), backend)
     if os.path.exists(spec):

@@ -11,12 +11,14 @@ three provably equivalent ways on a grid:
 
 Verdicts are explicitly grid-relative.  On the float backend, values
 inside the tolerance band around zero are reported indeterminate rather
-than forced into a verdict.
+than forced into a verdict.  The determinant identity behind the
+equivalence (:func:`convexity_identity_check`) is the induced system's
+factorization identity for the basis extended by f, evaluated by the
+same pinned-base method (induced._PinnedBase.identity).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +29,7 @@ from .core import (
     FunctionSpec,
     OrderingClass,
     Scalar,
+    _check_domain,
     validate_tuple,
 )
 from .determinant import (
@@ -37,7 +40,6 @@ from .determinant import (
     SignScan,
     _PointTable,
     _sign_scan,
-    check_denominator,
     det,    # unused here; bench/test_bench.py checks that the tracer wraps it here
     increasing_tuples,
     is_positive_chebyshev,
@@ -46,7 +48,6 @@ from .determinant import (
 from .divdiff import ResidualReport
 from .errors import (
     DimensionMismatch,
-    EvaluationOutsideSupport,
     InputError,
     InsufficientGrid,
 )
@@ -88,9 +89,7 @@ def _direct_scan(n: int, domain: Domain, grid_pts: tuple, table, budget: int, se
     the float tolerance band."""
     if len(grid_pts) < n + 1:
         raise InsufficientGrid(f"grid has {len(grid_pts)} points, need at least {n + 1}")
-    for x in grid_pts:
-        if not domain.contains(x):
-            raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
+    _check_domain(domain, grid_pts, "grid point")
     return _sign_scan(table, tuple(range(n + 1)), grid_pts, budget, seed, tol_factor,
                       positive=False)
 
@@ -258,25 +257,11 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
     if len(pts) != n + 1:
         raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
     head, tail = pts[:k], pts[k:]
-    for x in head:
-        if not system.domain.contains(x):
-            raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
-
-    table = _PointTable(system.basis + (f,))
-    kminor = table.det(tuple(range(k)), head)
-    lhs = table.det(tuple(range(n + 1)), pts) * kminor ** (n - k)
-    pinned = _PinnedBase(table, system.domain, k, head)
-    for x in tail:
-        denom, backend, forms = pinned.denominator(x)
-        check_denominator(denom, itertools.chain.from_iterable(c for c, _ in forms), backend,
-                          head + (x,), name="(k+1)-prefix determinant", show_value=False)
-        lhs = lhs / denom
-
+    _check_domain(system.domain, head)
+    pinned = _PinnedBase(_PointTable(system.basis + (f,)), system.domain, k, head)
     cells = _PointTable(pinned.derived())
-    rows = tuple(range(n - k + 1))
-    rhs = cells.det(rows, tail)
-    return (ResidualReport(lhs, rhs, abs(lhs - rhs)),
-            [c.values for c in cells.columns(rows, cells.points(tail))])
+    return (pinned.identity(tail, cells),
+            [c.values for c in cells.columns(tuple(range(n - k + 1)), cells.points(tail))])
 
 
 # ---------------------------------------------------------------------------

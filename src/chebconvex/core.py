@@ -112,6 +112,9 @@ def as_backend(x: Scalar, backend: Backend) -> Scalar:
 #: The backend of each plain scalar type, as :func:`scalar_backend` reads it.
 _TYPE_BACKENDS = {float: Backend.FLOAT, Fraction: Backend.EXACT, int: None}
 
+#: The scalar type of each backend, the inverse of ``_TYPE_BACKENDS``.
+_BACKEND_TYPES = {Backend.FLOAT: float, Backend.EXACT: Fraction}
+
 
 def collection_backend(values, default: Backend | None = None) -> Backend | None:
     """The backend of the sequence ``values``, read from their types when
@@ -198,6 +201,14 @@ def validate_tuple(points, ordering: OrderingClass | str,
     return pt
 
 
+def _increasing(points) -> PointTuple:
+    """``points`` as a strictly increasing tuple: as is when it is one
+    already, else validated."""
+    if isinstance(points, PointTuple) and points.ordering is OrderingClass.STRICTLY_INCREASING:
+        return points
+    return validate_tuple(points, OrderingClass.STRICTLY_INCREASING)
+
+
 def min_gap_violation(i: int, j: int, min_gap: float) -> OrderingViolation:
     """The error of a tuple whose points i and j are closer than min_gap."""
     return OrderingViolation(i, j, f"|points[{i}] - points[{j}]| < min gap {min_gap}")
@@ -258,6 +269,14 @@ class PuncturedInterval:
 
 
 Domain = Union[Interval, FiniteSet, PuncturedInterval]
+
+
+def _check_domain(domain: Domain, points, what: str = "point") -> None:
+    """Raise :class:`EvaluationOutsideSupport` at the first of ``points``
+    outside ``domain``, naming it ``what``."""
+    for x in points:
+        if not domain.contains(x):
+            raise EvaluationOutsideSupport(f"{what} {x} is outside the system domain")
 
 REAL_LINE = Interval()
 POSITIVE_HALF_LINE = Interval(lo=0)

@@ -29,6 +29,7 @@ from .core import (
     PointTuple,
     PowerFn,
     Scalar,
+    _check_domain,
     collection_backend,
     combine_backends,
     evaluate,
@@ -37,7 +38,6 @@ from .core import (
 )
 from .errors import (
     DimensionMismatch,
-    EvaluationOutsideSupport,
     IndexOutOfRange,
     InputError,
     InsufficientGrid,
@@ -417,9 +417,7 @@ def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequen
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
     if len(pts) != k:
         raise DimensionMismatch(f"need {k} points, got {len(pts)}")
-    for x in pts:
-        if not system.domain.contains(x):
-            raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
+    _check_domain(system.domain, pts)
     return det(collocation_matrix(system.basis[:k], pts))
 
 
@@ -429,16 +427,23 @@ def _tolerance(biggest: float, n: int, tol_factor: float) -> float:
     return tol_factor * biggest ** n
 
 
-def check_denominator(den: Scalar, entries, backend: Backend | None, at: tuple,
+def _biggest(forms: list) -> float:
+    """The largest |entry| of the float prepared columns ``forms``, which
+    the float tolerance reads."""
+    return max(map(abs, itertools.chain.from_iterable(c for c, _ in forms)))
+
+
+def check_denominator(den: Scalar, forms: list, backend: Backend | None, at: tuple,
                       tol_factor: float = DEFAULT_TOL_FACTOR,
                       name: str = "prefix collocation determinant",
                       show_value: bool = True) -> None:
     """The singular-denominator rule of every divided difference: raise
     :class:`SingularDenominator` when ``den``, the determinant of the
-    collocation matrix with ``entries`` at the points ``at``, is within
-    its positivity tolerance (float backend) or zero (exact)."""
+    collocation matrix with the prepared columns ``forms`` at the points
+    ``at``, is within its positivity tolerance (float backend) or zero
+    (exact)."""
     if backend is Backend.FLOAT:
-        if abs(den) <= _tolerance(max(abs(float(e)) for e in entries), len(at), tol_factor):
+        if abs(den) <= _tolerance(_biggest(forms), len(at), tol_factor):
             shown = f"{name} {den}" if show_value else name
             raise SingularDenominator(f"{shown} within tolerance at {at}")
     elif den == 0:
@@ -460,23 +465,24 @@ def increasing_tuples(sorted_points: Sequence[Scalar], k: int,
     n = len(sorted_points)
     if k > n:
         raise InsufficientGrid(f"grid of {n} points cannot supply {k}-tuples")
-    if math.comb(n, k) <= budget:
-        return [tuple(c) for c in itertools.combinations(sorted_points, k)], True
-    return [tuple(sorted_points[i] for i in t)
-            for t in _sampled_index_tuples(n, k, budget, seed)], False
+    tuples, exhaustive = _index_tuples(n, k, budget, seed)
+    return [tuple(sorted_points[i] for i in t) for t in tuples], exhaustive
 
 
-def _sampled_index_tuples(n: int, k: int, budget: int, seed: int) -> list[tuple]:
-    """``budget`` sorted k-subsets of range(n), duplicates possible.
-    ``random.sample`` picks positions from the population's length
-    alone, so these index the same tuples as sampling the sorted points
-    themselves.  Every budget reaches this function when it is below
-    the (nonzero) number of tuples, so a budget below 1, which would
-    check no tuple at all, is rejected here."""
+def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
+    """The increasing k-tuples of range(m), and whether they are all of
+    them: all, lazily and in lexicographic order, when there are at most
+    ``budget``, else ``budget`` seeded samples, duplicates possible.
+    ``random.sample`` picks positions from the population's length alone,
+    so these index the same tuples as sampling the sorted points
+    themselves.  A budget below 1, which would check no tuple at all, is
+    rejected."""
+    if math.comb(m, k) <= budget:
+        return itertools.combinations(range(m), k), True
     if budget < 1:
         raise InputError(f"tuple budget must be >= 1, got {budget}")
     rng = random.Random(seed)
-    return [tuple(sorted(rng.sample(range(n), k))) for _ in range(budget)]
+    return [tuple(sorted(rng.sample(range(m), k))) for _ in range(budget)], False
 
 
 def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> tuple:
@@ -557,15 +563,10 @@ def _sign_scan(table: _PointTable, rows: tuple, pts: tuple, budget: int, seed: i
     (exhaustive within ``budget``, else ``budget`` seeded samples) by the
     rule of :meth:`_Tally.add`."""
     m, n = len(pts), len(rows)
-    exhaustive = math.comb(m, n) <= budget
-    if exhaustive:
-        tuples = itertools.combinations(range(m), n)
-        checked = math.comb(m, n)
-        cols = _scan_columns(table, rows, pts, [range(n)] + [(j,) for j in range(n, m)])
-    else:
-        tuples = _sampled_index_tuples(m, n, budget, seed)
-        checked = len(tuples)
-        cols = _scan_columns(table, rows, pts, tuples)
+    tuples, exhaustive = _index_tuples(m, n, budget, seed)
+    checked = math.comb(m, n) if exhaustive else len(tuples)
+    cols = _scan_columns(table, rows, pts, [range(n)] + [(j,) for j in range(n, m)]
+                         if exhaustive else tuples)
     used = {c.backend() for c in cols.values()}
     tally = _Tally(positive, pts, tol_factor)
     scale = None
@@ -616,8 +617,7 @@ def _scan_each(cols: dict, tuples, tally: _Tally, used: set) -> None:
         backend, matrix = ((shared, [forms[j] for j in t]) if shared
                            else _matrix([cols[j] for j in t]))
         if backend is Backend.FLOAT:
-            biggest = max(max(map(abs, c)) for c, _ in matrix)
-            tally.add(t, _prepared_det(matrix, exact=False), biggest)
+            tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
         else:
             tally.add(t, _prepared_det(matrix, exact=True))
 
@@ -731,9 +731,7 @@ def _positivity(system: ChebyshevSystem, k: int, grid, table: _PointTable,
     pts = sorted_grid(grid)
     if len(pts) < k:
         raise InsufficientGrid(f"grid has {len(pts)} points, need at least {k}")
-    for x in pts:
-        if not system.domain.contains(x):
-            raise EvaluationOutsideSupport(f"grid point {x} is outside the system domain")
+    _check_domain(system.domain, pts, "grid point")
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
 

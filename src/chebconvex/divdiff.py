@@ -16,10 +16,8 @@ same checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from .core import (
     Backend,
     ChebyshevSystem,
@@ -29,6 +27,8 @@ from .core import (
     PowerFn,
     Scalar,
     DEFAULT_MIN_GAP,
+    _BACKEND_TYPES,
+    _check_domain,
     collection_backend,
     evaluate,
     validate_tuple,
@@ -42,7 +42,6 @@ from .determinant import (
 )
 from .errors import (
     DimensionMismatch,
-    EvaluationOutsideSupport,
     InputError,
     NonFiniteValue,
 )
@@ -103,9 +102,7 @@ def _checked_points(system: ChebyshevSystem, k: int, points,
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
     if len(pts) != k:
         raise DimensionMismatch(f"need {k} points for the {k}-prefix, got {len(pts)}")
-    for x in pts:
-        if not system.domain.contains(x):
-            raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
+    _check_domain(system.domain, pts)
     return pts
 
 
@@ -123,8 +120,7 @@ def _checked_denominator(den: Scalar, backend: Backend, forms: list, at: tuple,
     """``den``, the determinant of the prepared columns ``forms`` at the
     points ``at``, after the singular-denominator rule and the check that
     it is finite."""
-    check_denominator(den, itertools.chain.from_iterable(c for c, _ in forms), backend,
-                      at, tol_factor)
+    check_denominator(den, forms, backend, at, tol_factor)
     return _finite(den, "prefix collocation determinant", at)
 
 
@@ -162,10 +158,8 @@ def classical_divided_difference(f: FunctionSpec, points,
 def _homogeneous_sums(max_degree: int, points: tuple) -> list:
     """h[d] = complete homogeneous symmetric polynomial of degree d in
     the given points, for d = 0..max_degree."""
-    backend = collection_backend(points, default=Backend.EXACT)
-    one = Fraction(1) if backend is Backend.EXACT else 1.0
-    zero = Fraction(0) if backend is Backend.EXACT else 0.0
-    h = [one] + [zero] * max_degree
+    make = _BACKEND_TYPES[collection_backend(points, default=Backend.EXACT)]
+    h = [make(1)] + [make(0)] * max_degree
     for x in points:
         for d in range(1, max_degree + 1):
             h[d] = h[d] + x * h[d - 1]
@@ -219,12 +213,9 @@ def power_divdiff_expansion(base, degree: int, x: Scalar,
     for i, p in enumerate(pts):
         if p == x:
             raise InputError(f"extra point {x} duplicates base point index {i}")
-    backend = collection_backend(pts.points + (x,), default=Backend.EXACT)
-    if backend is Backend.EXACT:
-        coerced, xv, total, xpow = [Fraction(p) for p in pts], Fraction(x), Fraction(0), Fraction(1)
-    else:
-        coerced, xv, total, xpow = [float(p) for p in pts], float(x), 0.0, 1.0
-    h = _homogeneous_sums(degree - k, tuple(coerced))
+    make = _BACKEND_TYPES[collection_backend(pts.points + (x,), default=Backend.EXACT)]
+    xv, total, xpow = make(x), make(0), make(1)
+    h = _homogeneous_sums(degree - k, tuple(map(make, pts)))
     for a in range(degree - k + 1):
         total += h[degree - k - a] * xpow
         xpow *= xv

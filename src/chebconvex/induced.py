@@ -11,7 +11,10 @@ is again a positive Chebyshev system whenever the parent and its k and
 k+1 prefixes are.  This module builds that system, carries the sign
 bookkeeping for how the appended point interleaves the base, and
 verifies both positivity and the determinant factorization identity
-numerically on a grid.
+numerically on a grid.  The identity is the paper's Sylvester
+factorization; :meth:`_PinnedBase.identity` evaluates it for this check
+and for convexity_identity_check, each (k+1)-minor after the
+singular-denominator rule.
 
 Every derived value comes from a pinned base (:class:`_PinnedBase`):
 the base columns are eliminated once, and each value reduces the
@@ -23,6 +26,7 @@ pin each of their bases once, with every target on one point table;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (
@@ -34,6 +38,8 @@ from .core import (
     OrderingClass,
     PointTuple,
     Scalar,
+    _check_domain,
+    _increasing,
     as_backend,
     collection_backend,
     combine_backends,
@@ -48,11 +54,12 @@ from .determinant import (
     PositivityReport,
     _PointTable,
     _positivity,
+    check_denominator,
     increasing_tuples,
     sorted_grid,
 )
 from .divdiff import ResidualReport, _checked_denominator, _checked_points, _finite
-from .errors import DimensionMismatch, DuplicatePoint, EvaluationOutsideSupport, InputError
+from .errors import DimensionMismatch, DuplicatePoint, InputError
 
 
 @dataclass(frozen=True)
@@ -116,37 +123,62 @@ class _PinnedBase:
         self.base = base
         self.dets = [table.appended_det((*range(k), k + t), base)
                      for t in range(len(table.fns) - k)]
-        self.dens: dict = {}        # x -> the denominator at (base..., x), see denominator()
-        self.checked: set = set()   # points whose denominator passed its checks
+        self.records: dict = {}     # x -> its denominator's record, see denominator()
 
     def derived(self) -> tuple:
         """The targets' derived functions, as a base's derived table reads them."""
         return tuple(_Derived(self, t) for t in range(len(self.dets)))
 
-    def denominator(self, x: Scalar) -> tuple:
-        """The (k+1)-minor of fns[:k+1] at (base..., x), the backend of its
-        entries and its prepared columns, once the points pass
+    def denominator(self, x: Scalar) -> list:
+        """The record of x: the (k+1)-minor of fns[:k+1] at (base..., x),
+        the backend of its entries, its prepared columns, and whether it
+        passed :meth:`ratio`'s checks; made once the points pass
         divided_difference's ordering check."""
-        den = self.dens.get(x)
-        if den is None:
+        record = self.records.get(x)
+        if record is None:
             validate_tuple(self.base + (x,), OrderingClass.PAIRWISE_DISTINCT,
                            min_gap=DEFAULT_MIN_GAP)
-            den = self.dens[x] = self.dets[0]((x,))
-        return den
+            record = self.records[x] = [*self.dets[0]((x,)), False]
+        return record
 
     def ratio(self, t: int, x: Scalar) -> Scalar:
         """divided_difference's value for target t at (base..., x), check
         by check: its points' domain, the denominator's checks, then the
         ratio's (divdiff._ratio's step)."""
-        den, backend, forms = self.denominator(x)
+        record = self.denominator(x)
+        den, backend, forms, checked = record
         at = self.base + (x,)
-        if x not in self.checked:
-            if not self.domain.contains(x):
-                raise EvaluationOutsideSupport(f"point {x} is outside the system domain")
+        if not checked:
+            _check_domain(self.domain, (x,))
             _checked_denominator(den, backend, forms, at)
-            self.checked.add(x)
+            record[3] = True
         num = den if t == 0 else self.dets[t]((x,))[0]
         return _finite(num / den, "divided difference", at)
+
+    @functools.cached_property
+    def _whole(self) -> tuple:
+        """The k-minor at the base, and xs -> the determinant of every
+        function of the table at (base..., xs)."""
+        rows = tuple(range(len(self.table.fns)))
+        return (self.table.det(rows[:self.k], self.base),
+                self.table.appended_det(rows, self.base))
+
+    def identity(self, xs: tuple, cells: _PointTable) -> ResidualReport:
+        """Both sides of the factorization identity at (base..., xs), with
+        len(xs) = len(fns) - k and ``cells`` the table of :meth:`derived`:
+        the determinant of every function at (base..., xs), times the
+        k-minor to the power len(xs) - 1, over the (k+1)-minor at
+        (base..., x) for each x in xs, each after the singular-denominator
+        rule; against the determinant of the derived values at xs."""
+        kminor, whole = self._whole
+        lhs = whole(xs)[0] * kminor ** (len(xs) - 1)
+        for x in xs:
+            den, backend, forms, _ = self.denominator(x)
+            check_denominator(den, forms, backend, self.base + (x,),
+                              name="(k+1)-prefix determinant", show_value=False)
+            lhs = lhs / den
+        rhs = cells.det(tuple(range(len(xs))), xs)
+        return ResidualReport(lhs, rhs, abs(lhs - rhs))
 
 
 @dataclass(frozen=True)
@@ -197,9 +229,7 @@ def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
     prefixes of the parent are positive (caller-asserted or verified via
     a grid check); otherwise evaluation surfaces SingularDenominator.
     """
-    if not isinstance(base, PointTuple) or base.ordering is not OrderingClass.STRICTLY_INCREASING:
-        base = validate_tuple(base.points if isinstance(base, PointTuple) else base,
-                              OrderingClass.STRICTLY_INCREASING)
+    base = _increasing(base)
     n = parent.dim
     if not 1 <= k <= n - 1:
         raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
@@ -229,9 +259,7 @@ def sign_index(base, x: Scalar) -> SignIndex:
     them: ell = how many base points lie below x, and the sign that a
     positive (k+1)-dimensional system's determinant takes on
     (base..., x)."""
-    if not isinstance(base, PointTuple) or base.ordering is not OrderingClass.STRICTLY_INCREASING:
-        base = validate_tuple(base.points if isinstance(base, PointTuple) else base,
-                              OrderingClass.STRICTLY_INCREASING)
+    base = _increasing(base)
     scalar_backend(x)
     for i, p in enumerate(base):
         if p == x:
@@ -271,27 +299,17 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     that it is a positive Chebyshev system and that the factorization
     identity holds on every sampled increasing (n-k)-tuple."""
     ind = induced_system(parent, k, base)
-    system = ind.as_system()
-    n, d = parent.dim, ind.dim
     pts = sorted_grid(grid)
-    table = _PointTable(parent.basis)
-    base_pts = ind.base.points
-    pinned = _PinnedBase(table, parent.domain, k, base_pts)
+    pinned = _PinnedBase(_PointTable(parent.basis), parent.domain, k, ind.base.points)
     derived = _PointTable(pinned.derived())
-    positivity = _positivity(system, d, pts, derived, budget, seed, tol_factor)
+    positivity = _positivity(ind.as_system(), ind.dim, pts, derived, budget, seed, tol_factor)
 
-    tuples, exhaustive = increasing_tuples(pts, d, budget=budget, seed=seed)
-    kminor = table.det(tuple(range(k)), base_pts)
-    extended = table.appended_det(tuple(range(n)), base_pts)
+    tuples, exhaustive = increasing_tuples(pts, ind.dim, budget=budget, seed=seed)
     max_abs = 0.0
     max_rel = 0.0
     worst: ResidualReport | None = None
     for t in tuples:
-        lhs = extended(t)[0] * kminor ** (d - 1)
-        for x in t:
-            lhs = lhs / pinned.denominator(x)[0]
-        rhs = derived.det(tuple(range(d)), t)
-        report = ResidualReport(lhs, rhs, abs(lhs - rhs))
+        report = pinned.identity(t, derived)
         if float(report.residual) >= max_abs:
             max_abs = float(report.residual)
             worst = report

@@ -25,11 +25,12 @@ from .core import (
     PointTuple,
     Scalar,
     DEFAULT_MIN_GAP,
+    _BACKEND_TYPES,
+    _increasing,
     affine,
     combine_backends,
     min_gap_violation,
     scalar_backend,
-    to_exact,
     validate_tuple,
 )
 from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _PointTable
@@ -51,12 +52,8 @@ class Partition:
     points: PointTuple
 
     def __post_init__(self):
-        pts = self.points
-        if not isinstance(pts, PointTuple) or pts.ordering is not OrderingClass.STRICTLY_INCREASING:
-            pts = validate_tuple(pts.points if isinstance(pts, PointTuple) else pts,
-                                 OrderingClass.STRICTLY_INCREASING)
-            object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
+        object.__setattr__(self, "points", _increasing(self.points))
+        if len(self.points) < 2:
             raise InputError("a partition needs at least two points")
 
     @property
@@ -167,12 +164,9 @@ def _rejected_window(pts: tuple, n: int, system: ChebyshevSystem,
 
 
 def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> Partition:
-    if backend is Backend.EXACT:
-        lo, hi = Fraction(a), Fraction(b)
-        pts = [lo + (hi - lo) * Fraction(i, m) for i in range(m)] + [hi]
-    else:
-        lo, hi = float(a), float(b)
-        pts = [lo + (hi - lo) * (i / m) for i in range(m)] + [hi]
+    make = _BACKEND_TYPES[backend]
+    lo, hi = make(a), make(b)
+    pts = [lo + (hi - lo) * (make(i) / m) for i in range(m)] + [hi]
     return Partition(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING))
 
 
@@ -305,9 +299,10 @@ def default_anchors(system: ChebyshevSystem, a: Scalar, b: Scalar,
     dom = system.domain
     backend = combine_backends(scalar_backend(a), scalar_backend(b),
                                system.required_backend(), default=Backend.EXACT)
+    make = _BACKEND_TYPES[backend]
 
     def spacing(margin):
-        cap = Fraction(1, 10) if backend is Backend.EXACT else 0.1
+        cap = make(1) / 10
         if margin is None:
             return cap
         if margin <= 0:
@@ -317,15 +312,9 @@ def default_anchors(system: ChebyshevSystem, a: Scalar, b: Scalar,
             raise AnchorInfeasible(f"anchor spacing {s} below the minimum gap {min_gap}")
         return s
 
-    if backend is Backend.EXACT:
-        lo = None if dom.lo is None else to_exact(dom.lo)
-        hi = None if dom.hi is None else to_exact(dom.hi)
-        a_v, b_v = Fraction(a), Fraction(b)
-    else:
-        lo = None if dom.lo is None else float(dom.lo)
-        hi = None if dom.hi is None else float(dom.hi)
-        a_v, b_v = float(a), float(b)
-
+    lo = None if dom.lo is None else make(dom.lo)
+    hi = None if dom.hi is None else make(dom.hi)
+    a_v, b_v = make(a), make(b)
     s_a = spacing(None if lo is None else a_v - lo)
     s_b = spacing(None if hi is None else hi - b_v)
     a_t = tuple(a_v - (n - 1 - i) * s_a for i in range(n))

@@ -19,9 +19,13 @@ package uses, so matching values certify both sides:
 * one divided_difference per window vs one point table per call
   (``variation_loop``);
 * one fresh collocation determinant per minor and one divided_difference
-  or derived_value per cell vs one pinned base per check
+  or derived_value per cell vs one pinned base per check, whose one
+  factorization evaluator both identity checks share
   (``induced_identity_loop``, ``convexity_identity_loop``, and
-  ``identity_suite_loop``, the identity suites as the CLI ran them).
+  ``identity_suite_loop``, the identity suites as the CLI ran them);
+* an exact and a float formula spelled out per site vs one map from a
+  backend to its scalar type (``uniform_grid``,
+  ``uniform_partition_points``, ``default_anchors_formula``).
 """
 
 import itertools
@@ -40,6 +44,7 @@ from chebconvex.core import (
     Backend,
     ChebyshevSystem,
     FunctionSpec,
+    Interval,
     OrderingClass,
     PointTuple,
     PowerFn,
@@ -48,6 +53,7 @@ from chebconvex.core import (
     combine_backends,
     evaluate,
     scalar_backend,
+    to_exact,
     validate_tuple,
 )
 from chebconvex.determinant import (
@@ -69,6 +75,7 @@ from chebconvex.determinant import (
 )
 from chebconvex.divdiff import ResidualReport, divided_difference, power_divdiff_check
 from chebconvex.errors import (
+    AnchorInfeasible,
     DimensionMismatch,
     EvaluationOutsideSupport,
     InputError,
@@ -553,7 +560,8 @@ def convexity_identity_loop(system: ChebyshevSystem, k: int, f: FunctionSpec,
     for x in tail:
         den_matrix = collocation_matrix(system.basis[:k + 1], head + (x,))
         denom = det(den_matrix)
-        check_denominator(denom, den_matrix.entries, den_matrix.backend(), head + (x,),
+        # all entries as one prepared column: the rule reads their largest |entry|
+        check_denominator(denom, [(den_matrix.entries, 1)], den_matrix.backend(), head + (x,),
                           name="(k+1)-prefix determinant", show_value=False)
         lhs = lhs / denom
 
@@ -676,3 +684,69 @@ def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) ->
 
     return {"trials": trials, "failures": failures,
             "max_abs_residual": max_abs, "max_rel_residual": max_rel}
+
+
+# ---------------------------------------------------------------------------
+# evenly spaced points as the package spelled them out before it made a
+# backend's scalars from one map, kept unchanged as references: one
+# formula for the exact backend and one for the float backend.
+
+def uniform_grid(a, b, m: int, backend: Backend) -> tuple:
+    """The points of the grid "uniform:a,b,m" at the parsed endpoints."""
+    if backend is Backend.EXACT:
+        return tuple(Fraction(a) + (Fraction(b) - Fraction(a)) * Fraction(i, m - 1)
+                     for i in range(m))
+    return tuple(float(a) + (float(b) - float(a)) * (i / (m - 1)) for i in range(m))
+
+
+def uniform_partition_points(a, b, m: int, backend: Backend) -> list:
+    """The points of the uniform partition of [a, b] into m intervals."""
+    if backend is Backend.EXACT:
+        lo, hi = Fraction(a), Fraction(b)
+        return [lo + (hi - lo) * Fraction(i, m) for i in range(m)] + [hi]
+    lo, hi = float(a), float(b)
+    return [lo + (hi - lo) * (i / m) for i in range(m)] + [hi]
+
+
+def default_anchors_formula(system: ChebyshevSystem, a, b,
+                            min_gap: float = DEFAULT_MIN_GAP) -> tuple:
+    """``variation.default_anchors``: n equally spaced points ending at a
+    and starting at b, with spacing min(1/10, margin to the domain
+    boundary / n)."""
+    n = system.dim
+    if not isinstance(system.domain, Interval):
+        raise AnchorInfeasible("default anchors need an interval domain")
+    if not a < b:
+        raise InputError(f"need a < b, got a={a}, b={b}")
+    dom = system.domain
+    backend = combine_backends(scalar_backend(a), scalar_backend(b),
+                               system.required_backend(), default=Backend.EXACT)
+
+    def spacing(margin):
+        cap = Fraction(1, 10) if backend is Backend.EXACT else 0.1
+        if margin is None:
+            return cap
+        if margin <= 0:
+            raise AnchorInfeasible("no room for anchors at the domain boundary")
+        s = min(cap, margin / n)
+        if backend is Backend.FLOAT and s < min_gap:
+            raise AnchorInfeasible(f"anchor spacing {s} below the minimum gap {min_gap}")
+        return s
+
+    if backend is Backend.EXACT:
+        lo = None if dom.lo is None else to_exact(dom.lo)
+        hi = None if dom.hi is None else to_exact(dom.hi)
+        a_v, b_v = Fraction(a), Fraction(b)
+    else:
+        lo = None if dom.lo is None else float(dom.lo)
+        hi = None if dom.hi is None else float(dom.hi)
+        a_v, b_v = float(a), float(b)
+
+    s_a = spacing(None if lo is None else a_v - lo)
+    s_b = spacing(None if hi is None else hi - b_v)
+    a_t = tuple(a_v - (n - 1 - i) * s_a for i in range(n))
+    b_t = tuple(b_v + i * s_b for i in range(n))
+    for p in a_t + b_t:
+        if not dom.contains(p):
+            raise AnchorInfeasible(f"anchor point {p} fell outside the domain")
+    return a_t, b_t

@@ -159,6 +159,37 @@ def test_convexity_identity_errors():
 
 
 # ---------------------------------------------------------------------------
+# one factorization behind both checks
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_identity_checks_are_one_factorization(exact):
+    """convexity_identity_check at head + tail is verify_induced_system of
+    the system extended by f, pinned at head, on the grid tail: the same
+    identity at the same points, equal by repr, or SingularDenominator
+    from both."""
+    rng = random.Random(17 + exact)
+    equal = 0
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        system, f = polynomial_system(n), PowerFn(rng.randint(0, n + 2))
+        # up to 256 wide, where the float tolerance, which ignores scale,
+        # calls some denominators singular
+        pts = tuple(sorted(points(rng, n + 1, exact, -2 ** rng.randint(0, 8),
+                                  2 ** rng.randint(0, 8))))
+        head, tail = pts[:k], pts[k:]
+        got = result(convexity_identity_check, system, k, f, head + tail)
+        induced = result(verify_induced_system, system.with_appended(f), k, head, tail)
+        if isinstance(got, str) or isinstance(induced, str):
+            assert got.startswith("SingularDenominator: ")
+            assert induced.startswith("SingularDenominator: ")
+        else:
+            assert repr(got) == repr(induced.worst)
+            equal += 1
+    assert equal >= 80
+
+
+# ---------------------------------------------------------------------------
 # the suites
 
 @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
