@@ -172,7 +172,8 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
         bases_checked += 1
         _check_base(system.domain, base)
         if base not in derived:
-            derived[base] = _PointTable(_PinnedBase(table, system.domain, k, base).derived())
+            derived[base] = _PointTable(
+                _PinnedBase(table, system.domain, k, base, tol_factor).derived())
         # the induced system's punctured domain holds the points of local
         # (all off the base) that the system's domain holds
         scan = _direct_scan(n - k, system.domain, local, derived[base], budget, seed,

@@ -8,12 +8,14 @@ over the integers, which keeps intermediate entries polynomially sized.
 Float determinants use Gaussian elimination with partial pivoting.
 Grid scans, pinned bases, divided differences and variation windows
 read one point table, which evaluates each function once per point,
-resolves each backend once and builds columns of powers directly, and
-grid scans share the elimination steps of a common tuple prefix.
+resolves each backend once and builds columns of polynomials with exact
+coefficients from an exact point's integers, and grid scans share the
+elimination steps of a common tuple prefix.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -22,8 +24,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
+    AffineFn,
     Backend,
     ChebyshevSystem,
+    ConstFn,
     FunctionSpec,
     OrderingClass,
     PointTuple,
@@ -37,6 +41,7 @@ from .core import (
     validate_tuple,
 )
 from .errors import (
+    ChebconvexError,
     DimensionMismatch,
     IndexOutOfRange,
     InputError,
@@ -233,13 +238,24 @@ def _prepared_det(forms: list, exact: bool, state=None, scale: int = 1) -> Scala
     ``forms`` (pairs of a column and its scale, see :func:`_form`), or,
     from the pivot ``state`` of eliminated leading columns whose scales
     multiply to ``scale``, of the matrix those columns extend."""
-    done = _eliminate([c for c, _ in forms], len(forms) - 1, exact, state)
+    if exact:
+        return Fraction(*_exact_det(forms, state, scale))
+    done = _eliminate([c for c, _ in forms], len(forms) - 1, False, state)
     if done is None:
-        return Fraction(0) if exact else 0.0
+        return 0.0
     state, _, (last,) = done
-    if not exact:
-        return _float_last(state, last[0])
-    return Fraction(state[0] * last[0], scale * math.prod(s for _, s in forms))
+    return _float_last(state, last[0])
+
+
+def _exact_det(forms: list, state=None, scale: int = 1) -> tuple[int, int]:
+    """The exact :func:`_prepared_det` as two integers, whose quotient it
+    is: the det of the integer columns and the product of their scales
+    and ``scale``."""
+    done = _eliminate([c for c, _ in forms], len(forms) - 1, True, state)
+    if done is None:
+        return 0, 1
+    state, _, (last,) = done
+    return state[0] * last[0], scale * math.prod(s for _, s in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +268,67 @@ class _PointTable:
     [fns[i](x) for i in rows] of tuples of function indices ``rows``,
     each made once, with its backend and its prepared forms.  A value is
     fns[i]._eval at evaluate()'s backend, resolved once per function and
-    point backend, at the first value that needs it; a column of powers
-    is built directly (:func:`_power_column`)."""
+    point backend, at the first value that needs it, except in the
+    columns built directly (see :meth:`_kind`).  Points of equal value
+    and other types (0.5 and Fraction(1, 2)) have their own records."""
 
     def __init__(self, fns: tuple):
         self.fns = fns
-        self._powers = [f.k if type(f) is PowerFn else None for f in fns]
+        self._polys = None          # [_polynomial(f) for f in fns], made once if needed
+        self._kinds: dict = {}      # rows -> _kind(rows)
         self._required: dict = {}   # i -> fns[i].required_backend()
         self._tags: dict = {}       # (i, point backend) -> backend of fns[i] there
-        self._points: dict = {}
+        self._points = collections.defaultdict(dict)    # type -> {value: record}
 
     def points(self, xs) -> list:
         """The table's record of each point in ``xs``."""
-        found = self._points
-        return [found.get(x) or found.setdefault(x, _Point(x)) for x in xs]
+        by_type = self._points
+        return [(found := by_type[type(x)]).get(x) or found.setdefault(x, _Point(x))
+                for x in xs]
+
+    def _kind(self, rows: tuple) -> tuple:
+        """How columns of ``rows`` are built directly: at a float point,
+        as evaluate's x ** k when all rows are powers (their k, else
+        None); at an exact point, by :func:`_polynomial_column` when all
+        are polynomials with exact coefficients (its arguments d, L and
+        terms, else None)."""
+        powers = [self.fns[i].k for i in rows if type(self.fns[i]) is PowerFn]
+        if len(powers) == len(rows):
+            return powers, (max(powers), 1, powers)
+        self._polys = self._polys or [_polynomial(f) for f in self.fns]
+        polys = [self._polys[i] for i in rows]
+        if None in polys:
+            return None, None
+        lcm = math.lcm(*(c.denominator for poly in polys for c in poly.values()))
+        terms = [[(k, int(c * lcm)) for k, c in poly.items() if c] for poly in polys]
+        return None, (max((k for row in terms for k, _ in row), default=0), lcm, terms)
 
     def columns(self, rows: tuple, points: list) -> list:
         """The columns of ``rows`` at the points whose records are
         ``points``, each made once.  Values not computed yet are computed
         row by row over the points, the order in which a matrix of these
-        columns built row by row first needs them."""
+        columns built row by row first needs them; a column built
+        directly raises nothing, so it leaves that order as it is."""
         new = [p for p in points if rows not in p.columns]
         if new:
-            powers = [self._powers[i] for i in rows]
-            if None not in powers:
-                for p in new:
-                    p.columns[rows] = _power_column(p, powers)
-            else:
+            if rows not in self._kinds:
+                self._kinds[rows] = self._kind(rows)
+            powers, poly = self._kinds[rows]
+            slow = []
+            for p in new:
+                if p.backend is Backend.FLOAT and powers is not None:
+                    values = [p.x ** k for k in powers]
+                    p.columns[rows] = _Column(values, [Backend.FLOAT], {False: (values, 1)})
+                elif p.backend is not Backend.FLOAT and poly is not None:
+                    p.columns[rows] = _polynomial_column(p.x, *poly)
+                else:
+                    slow.append(p)
+            if slow:
                 for i in rows:
-                    for p in new:
+                    for p in slow:
                         if i not in p.values:
                             p.values[i] = self._value(i, p)
-                for p in new:
+                for p in slow:
                     p.columns[rows] = _Column([p.values[i] for i in rows],
                                               [self._tags[i, p.backend] for i in rows])
         return [p.columns[rows] for p in points]
@@ -343,16 +388,40 @@ class _Point:
         self.columns: dict = {}
 
 
-def _power_column(p: _Point, powers: list) -> "_Column":
-    """The column of x ** k, k in ``powers``, at the point ``p``: at a float
-    x evaluate's, at x = n/q its integer form [n^k q^(d-k)], scale q^d."""
-    x = p.x
-    if p.backend is Backend.FLOAT:
-        values = [x ** k for k in powers]
-        return _Column(values, [Backend.FLOAT], {False: (values, 1)})
-    num, den, d = x.numerator, x.denominator, max(powers)
-    return _Column(None, [Backend.EXACT], {True: ([num ** k * den ** (d - k) for k in powers],
-                                                  den ** d)})
+def _polynomial(f) -> dict | None:
+    """f's coefficients by degree if f is a power, an int or Fraction
+    constant, or an affine combination of such functions with int or
+    Fraction coefficients; else None."""
+    if type(f) is PowerFn:
+        return {f.k: 1}
+    if type(f) is ConstFn:
+        return {0: f.c} if type(f.c) in (int, Fraction) else None
+    if type(f) is not AffineFn:
+        return None
+    out: dict = {}
+    for c, s in f.terms:
+        inner = _polynomial(s)
+        if inner is None or type(c) not in (int, Fraction):
+            return None
+        for k, v in inner.items():
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def _polynomial_column(x, d: int, lcm: int, terms: list) -> "_Column":
+    """The column at the exact point x = p/q of rows of degree at most d
+    whose coefficients' denominators have the lcm L, in integer form:
+    for each row's nonzero terms (k, c * L) in ``terms``, the sum of
+    c * L * p^k * q^(d-k), and the scale q^d * L, both over their gcd,
+    as :func:`_form` makes them.  Rows x^k, given as their exponents k,
+    need no gcd: that of x^d, p^d, is prime to q^d."""
+    p, q = x.numerator, x.denominator
+    if type(terms[0]) is int:
+        return _Column(None, [Backend.EXACT], {True: ([p ** k * q ** (d - k) for k in terms],
+                                                      q ** d)})
+    ints = [sum([c * p ** k * q ** (d - k) for k, c in row]) for row in terms]
+    g = math.gcd(q ** d * lcm, *ints)
+    return _Column(None, [Backend.EXACT], {True: ([v // g for v in ints], q ** d * lcm // g)})
 
 
 class _Column:
@@ -486,9 +555,14 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 
 
 def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> tuple:
-    """Sort a grid and validate strict increase (duplicates rejected)."""
-    pts = sorted(grid)
-    return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap).points
+    """Sort a grid and validate strict increase (duplicates rejected); a
+    grid that passes as given is sorted already."""
+    pts = tuple(grid)
+    try:
+        return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap).points
+    except ChebconvexError:
+        return validate_tuple(sorted(pts), OrderingClass.STRICTLY_INCREASING,
+                              min_gap=min_gap).points
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ can certify each other.
 Both determinants read the point table (determinant._PointTable), and
 one step, :func:`_ratio`, takes them and checks the denominator; the
 pinned bases of the induced module and the variation windows take the
-same checks.
+same checks.  An exact ratio stays in integers up to its one Fraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from .core import (
     Backend,
     ChebyshevSystem,
@@ -35,6 +36,7 @@ from .core import (
 )
 from .determinant import (
     DEFAULT_TOL_FACTOR,
+    _exact_det,
     _matrix,
     _PointTable,
     _prepared_det,
@@ -89,7 +91,7 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     table = _PointTable(system.basis[:k] + (f,))
     value, numerator, denominator = _ratio(table, k, table.points(pts), pts.points,
                                            tol_factor)
-    return DividedDifference(value, numerator, denominator, k - 1, pts)
+    return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)
 
 
 def _checked_points(system: ChebyshevSystem, k: int, points,
@@ -127,17 +129,32 @@ def _checked_denominator(den: Scalar, backend: Backend, forms: list, at: tuple,
 def _ratio(table: _PointTable, k: int, points: list, at: tuple, tol_factor: float) -> tuple:
     """The divided difference of the table's function k with respect to
     its functions 0..k-1 at the points ``at`` (records ``points``), with
-    its numerator and denominator: the denominator's determinant, its
-    checks (:func:`_checked_denominator`), the numerator's, then their
-    ratio, which must be finite.  f's values and the numerator are not
-    touched before the denominator passes."""
+    its numerator and denominator, each a float or an exact pair of
+    integers (det, scale): the denominator's determinant, its checks
+    (:func:`_checked_denominator`), the numerator's, then their ratio,
+    which must be finite, one Fraction n*t / (s*m) for exact n/s over
+    m/t.  f's values and the numerator are not touched before the
+    denominator passes."""
     rows = tuple(range(k))
+    den, backend, forms = _determinant(table, rows, points)
+    _checked_denominator(den[0] if type(den) is tuple else den, backend, forms, at, tol_factor)
+    num = _determinant(table, rows[:-1] + (k,), points)[0]
+    value = Fraction(num[0] * den[1], num[1] * den[0]) if type(num) is type(den) is tuple \
+        else _scalar(num) / _scalar(den)
+    return _finite(value, "divided difference", at), num, den
+
+
+def _determinant(table: _PointTable, rows: tuple, points: list) -> tuple:
+    """The determinant of the columns of ``rows`` at ``points`` as
+    :func:`_ratio` takes it, with its backend and prepared columns."""
     backend, forms = _matrix(table.columns(rows, points))
-    den = _checked_denominator(_prepared_det(forms, backend is not Backend.FLOAT),
-                               backend, forms, at, tol_factor)
-    backend, forms = _matrix(table.columns(rows[:-1] + (k,), points))
-    num = _prepared_det(forms, backend is not Backend.FLOAT)
-    return _finite(num / den, "divided difference", at), num, den
+    exact = backend is not Backend.FLOAT
+    return (_exact_det(forms) if exact else _prepared_det(forms, False)), backend, forms
+
+
+def _scalar(det) -> Scalar:
+    """A determinant of :func:`_determinant` as a scalar."""
+    return Fraction(*det) if type(det) is tuple else det
 
 
 def classical_divided_difference(f: FunctionSpec, points,

@@ -113,14 +113,17 @@ class _PinnedBase:
     reduces x's column by det's own pivot steps, so it equals
     divided_difference's bit for bit (float) or as a Fraction (exact).
     Each of its checks is made at the first value that needs it, in its
-    order and with its error and message.  The base points need not
+    order and with its error and message, the denominators' at the
+    tolerance factor ``tol_factor``.  The base points need not
     increase."""
 
-    def __init__(self, table: _PointTable, domain: Domain, k: int, base: tuple):
+    def __init__(self, table: _PointTable, domain: Domain, k: int, base: tuple,
+                 tol_factor: float = DEFAULT_TOL_FACTOR):
         self.table = table
         self.domain = domain
         self.k = k
         self.base = base
+        self.tol_factor = tol_factor
         self.dets = [table.appended_det((*range(k), k + t), base)
                      for t in range(len(table.fns) - k)]
         self.records: dict = {}     # x -> its denominator's record, see denominator()
@@ -150,7 +153,7 @@ class _PinnedBase:
         at = self.base + (x,)
         if not checked:
             _check_domain(self.domain, (x,))
-            _checked_denominator(den, backend, forms, at)
+            _checked_denominator(den, backend, forms, at, self.tol_factor)
             record[3] = True
         num = den if t == 0 else self.dets[t]((x,))[0]
         return _finite(num / den, "divided difference", at)
@@ -174,7 +177,7 @@ class _PinnedBase:
         lhs = whole(xs)[0] * kminor ** (len(xs) - 1)
         for x in xs:
             den, backend, forms, _ = self.denominator(x)
-            check_denominator(den, forms, backend, self.base + (x,),
+            check_denominator(den, forms, backend, self.base + (x,), self.tol_factor,
                               name="(k+1)-prefix determinant", show_value=False)
             lhs = lhs / den
         rhs = cells.det(tuple(range(len(xs))), xs)
@@ -300,7 +303,8 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     identity holds on every sampled increasing (n-k)-tuple."""
     ind = induced_system(parent, k, base)
     pts = sorted_grid(grid)
-    pinned = _PinnedBase(_PointTable(parent.basis), parent.domain, k, ind.base.points)
+    pinned = _PinnedBase(_PointTable(parent.basis), parent.domain, k, ind.base.points,
+                         tol_factor)
     derived = _PointTable(pinned.derived())
     positivity = _positivity(ind.as_system(), ind.dim, pts, derived, budget, seed, tol_factor)
 

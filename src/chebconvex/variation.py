@@ -143,13 +143,16 @@ def _rejected_window(pts: tuple, n: int, system: ChebyshevSystem,
     divided_difference rejects, with the error it raises: the first pair
     closer than ``min_gap`` if a point is float (from the consecutive
     gaps, as validate_tuple finds it), else the first point outside the
-    domain.  (the number of windows, None) when it rejects none."""
+    domain (an interval holds all of ``pts`` when it holds both ends).
+    (the number of windows, None) when it rejects none."""
     windows = len(pts) - n + 1
     floats = [isinstance(x, float) for x in pts]
     close = [False] * len(pts)
     if min_gap > 0 and any(floats):
         close = [abs(pts[i] - pts[i + 1]) < min_gap for i in range(len(pts) - 1)]
-    outside = [not system.domain.contains(x) for x in pts]
+    dom = system.domain
+    ends = isinstance(dom, Interval) and dom.contains(pts[0]) and dom.contains(pts[-1])
+    outside = [False] * len(pts) if ends else [not dom.contains(x) for x in pts]
     if not (any(close) or any(outside)):
         return windows, None
     for s in range(windows):
@@ -163,23 +166,31 @@ def _rejected_window(pts: tuple, n: int, system: ChebyshevSystem,
     return windows, None
 
 
-def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> Partition:
+def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend,
+                       half: Partition | None = None) -> Partition:
+    """The points lo + (hi - lo) * (i / m) of [a, b] and hi; with
+    ``half``, the partition into m / 2 intervals, whose points are the
+    even ones (make(2i) / (2m) and make(i) / m round one rational)."""
     make = _BACKEND_TYPES[backend]
     lo, hi = make(a), make(b)
-    pts = [lo + (hi - lo) * (make(i) / m) for i in range(m)] + [hi]
-    return Partition(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING))
+    step = 1 if half is None else 2
+    pts = [lo + (hi - lo) * (make(i) / m) for i in range(step - 1, m, step)]
+    if half is not None:
+        pts = [x for pair in zip(half.points.points, pts) for x in pair]
+    return Partition(validate_tuple(pts + [hi], OrderingClass.STRICTLY_INCREASING))
 
 
 def _jitter_partition(base: Partition, rng: random.Random, backend: Backend) -> Partition:
     """Move each interior point by less than a quarter of the local mesh
-    width, which preserves strict ordering."""
+    width, which preserves strict ordering: by (u - 1/2) * room / 2, u
+    uniform in [0, 1), one product room * (2r - 2**20) / 2**22 for an
+    exact u = r / 2**20."""
     pts = list(base.points.points)
     gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
     for i in range(1, len(pts) - 1):
         room = min(gaps[i - 1], gaps[i])
         if backend is Backend.EXACT:
-            u = Fraction(rng.getrandbits(20), 1 << 20)
-            pts[i] = pts[i] + (u - Fraction(1, 2)) * room / 2
+            pts[i] = pts[i] + room * Fraction(2 * rng.getrandbits(20) - (1 << 20), 1 << 22)
         else:
             pts[i] = pts[i] + (rng.random() - 0.5) * room / 2
     return Partition(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING))
@@ -220,13 +231,15 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
     best_partition: tuple = ()
     converged = False
     rng = random.Random(strategy.seed)
-    # uniform partitions nest, so later rounds read earlier points' values
+    # uniform partitions nest: each round takes the points of the one
+    # before, and their values
     table = _PointTable(system.basis + (f,))
 
-    m = m0
     prev_best = None
-    for _ in range(strategy.rounds):
-        part = _uniform_partition(a, b, m, backend)
+    part = None
+    for r in range(strategy.rounds):
+        m = m0 << r
+        part = _uniform_partition(a, b, m, backend, part)
         value = _window_sum(table, system, part, min_gap, tol_factor)
         partial_sums.append((m, value))
         if best is None or value > best:
@@ -236,16 +249,14 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
             improvement = float(best) - float(prev_best)
             converged = improvement < strategy.rel_tol * max(1.0, abs(float(best)))
         prev_best = best
-        m *= 2
-    finest = m // 2
 
     for _ in range(strategy.perturb_rounds):
-        part = _jitter_partition(_uniform_partition(a, b, finest, backend), rng, backend)
-        value = _window_sum(table, system, part, min_gap, tol_factor)
-        partial_sums.append((finest, value))
+        jittered = _jitter_partition(part, rng, backend)
+        value = _window_sum(table, system, jittered, min_gap, tol_factor)
+        partial_sums.append((m, value))
         if value > best:
             best = value
-            best_partition = part.points.points
+            best_partition = jittered.points.points
 
     return VariationEstimate(tuple(partial_sums), best, best_partition, converged)
 

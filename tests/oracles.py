@@ -25,12 +25,20 @@ package uses, so matching values certify both sides:
   ``identity_suite_loop``, the identity suites as the CLI ran them);
 * an exact and a float formula spelled out per site vs one map from a
   backend to its scalar type (``uniform_grid``,
-  ``uniform_partition_points``, ``default_anchors_formula``).
+  ``uniform_partition_points``, ``default_anchors_formula``);
+* both determinants of a divided difference made scalars and divided vs
+  one Fraction of their four integers (``ratio_two_fractions``);
+* every point of a partition computed anew, each jitter step as a
+  difference, a product and a quotient, vs nested partitions and one
+  product (``uniform_partition_points``, ``jittered_points``);
+* sorting every grid before one validation vs validating first
+  (``sorted_grid_formula``).
 """
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from chebconvex.cli import _jsonify
@@ -63,6 +71,8 @@ from chebconvex.determinant import (
     Matrix,
     PositivityReport,
     _form,
+    _matrix,
+    _prepared_det,
     check_denominator,
     collocation_det,
     collocation_matrix,
@@ -73,7 +83,13 @@ from chebconvex.determinant import (
     sorted_grid,
     sylvester_check,
 )
-from chebconvex.divdiff import ResidualReport, divided_difference, power_divdiff_check
+from chebconvex.divdiff import (
+    ResidualReport,
+    _checked_denominator,
+    _finite,
+    divided_difference,
+    power_divdiff_check,
+)
 from chebconvex.errors import (
     AnchorInfeasible,
     DimensionMismatch,
@@ -362,22 +378,27 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
 
 # ---------------------------------------------------------------------------
 # one derived value: DerivedFn's evaluation before it read a pinned base,
-# kept unchanged as a reference.  Every value is a divided_difference of
-# two fresh determinants.
+# kept as a reference.  Every value is a divided_difference of two fresh
+# determinants, whose denominator a check takes at its own tolerance
+# factor.
 
-def derived_value(fn: DerivedFn, x):
+def derived_value(fn: DerivedFn, x, tol_factor=DEFAULT_TOL_FACTOR):
     """``fn(x)``: evaluate()'s backend of x and of what ``fn`` requires,
     then the divided difference of its target over (base..., x) with
     respect to the (k+1)-prefix of its parent."""
     backend = combine_backends(
         scalar_backend(x), fn.base.backend(), fn.target.required_backend(),
         *(g.required_backend() for g in fn.parent.basis[:fn.k + 1]), default=Backend.EXACT)
-    dd = divided_difference(fn.parent, fn.k + 1, fn.target, fn.base.points + (x,))
+    dd = divided_difference(fn.parent, fn.k + 1, fn.target, fn.base.points + (x,),
+                            tol_factor=tol_factor)
     return as_backend(dd.value, backend)
 
 
+@dataclass(frozen=True)
 class OracleDerivedFn(DerivedFn):
-    """A DerivedFn whose values are derived_value's."""
+    """A DerivedFn whose values are derived_value's at ``tol_factor``."""
+
+    tol_factor: float = DEFAULT_TOL_FACTOR
 
     def required_backend(self):
         return combine_backends(
@@ -385,14 +406,14 @@ class OracleDerivedFn(DerivedFn):
             *(g.required_backend() for g in self.parent.basis[:self.k + 1]))
 
     def _eval(self, x, backend):
-        return derived_value(self, x)
+        return derived_value(self, x, self.tol_factor)
 
 
-def oracle_induced(ind) -> tuple:
+def oracle_induced(ind, tol_factor=DEFAULT_TOL_FACTOR) -> tuple:
     """The induced system ``ind`` as a ChebyshevSystem, and the maker of
-    its derived functions, all of them OracleDerivedFn."""
+    its derived functions, all of them OracleDerivedFn at ``tol_factor``."""
     def derived(target):
-        return OracleDerivedFn(ind.parent, ind.k, ind.base, target)
+        return OracleDerivedFn(ind.parent, ind.k, ind.base, target, tol_factor)
     return ChebyshevSystem(tuple(map(derived, ind.parent.basis[ind.k:])), ind.domain), derived
 
 
@@ -432,7 +453,7 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
         bases_checked += 1
         ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
                                                        min_gap=0.0))
-        induced, derived = oracle_induced(ind)
+        induced, derived = oracle_induced(ind, tol_factor)
         inner = direct_loop(induced, derived(f), local,
                             budget=budget, seed=seed, tol_factor=tol_factor)
         tuples_checked += inner.tuples_checked
@@ -507,7 +528,7 @@ def induced_identity_loop(parent: ChebyshevSystem, k: int, base, grid,
     that it is a positive Chebyshev system and that the factorization
     identity holds on every sampled increasing (n-k)-tuple."""
     ind = induced_system(parent, k, base)
-    system, _ = oracle_induced(ind)
+    system, _ = oracle_induced(ind, tol_factor)
     d = ind.dim
     pts = sorted_grid(grid)
     positivity = is_positive_chebyshev(system, d, pts, budget=budget, seed=seed,
@@ -750,3 +771,46 @@ def default_anchors_formula(system: ChebyshevSystem, a, b,
         if not dom.contains(p):
             raise AnchorInfeasible(f"anchor point {p} fell outside the domain")
     return a_t, b_t
+
+
+# ---------------------------------------------------------------------------
+# the divided-difference ratio as the package took it before exact ratios
+# stayed in integers, kept unchanged as a reference: both determinants
+# made scalars, then divided.
+
+def ratio_two_fractions(table, k: int, points: list, at: tuple, tol_factor: float) -> tuple:
+    """divdiff._ratio's value, numerator and denominator, each exact one a
+    Fraction of its own."""
+    rows = tuple(range(k))
+    backend, forms = _matrix(table.columns(rows, points))
+    den = _checked_denominator(_prepared_det(forms, backend is not Backend.FLOAT),
+                               backend, forms, at, tol_factor)
+    backend, forms = _matrix(table.columns(rows[:-1] + (k,), points))
+    num = _prepared_det(forms, backend is not Backend.FLOAT)
+    return _finite(num / den, "divided difference", at), num, den
+
+
+# ---------------------------------------------------------------------------
+# a jittered partition and a sorted grid as the package made them before
+# partitions nested and grids were validated before sorting, kept
+# unchanged as references.
+
+def jittered_points(points: tuple, rng: random.Random, backend: Backend) -> list:
+    """Each interior point moved by (u - 1/2) * room / 2, room the smaller
+    of its two gaps and u uniform in [0, 1)."""
+    pts = list(points)
+    gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
+    for i in range(1, len(pts) - 1):
+        room = min(gaps[i - 1], gaps[i])
+        if backend is Backend.EXACT:
+            u = Fraction(rng.getrandbits(20), 1 << 20)
+            pts[i] = pts[i] + (u - Fraction(1, 2)) * room / 2
+        else:
+            pts[i] = pts[i] + (rng.random() - 0.5) * room / 2
+    return pts
+
+
+def sorted_grid_formula(grid, min_gap: float = 0.0) -> tuple:
+    """Sort a grid and validate strict increase (duplicates rejected)."""
+    pts = sorted(grid)
+    return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap).points

@@ -2,8 +2,11 @@
 (``core._BACKEND_TYPES``) against the explicit exact and float formulas
 in ``oracles.py``: the CLI's uniform grid, the uniform partitions of the
 variation estimate and the default anchors must be the same Fractions
-and the same float bits (compared by repr), or raise the same error."""
+and the same float bits (compared by repr), or raise the same error.
+So must the nested partitions of the estimate, each taking the points
+of the one before, and its jittered partitions."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -18,9 +21,14 @@ from chebconvex.core import (
     validate_tuple,
 )
 from chebconvex.errors import InputError
-from chebconvex.variation import _uniform_partition, default_anchors
+from chebconvex.variation import _jitter_partition, _uniform_partition, default_anchors
 
-from oracles import default_anchors_formula, uniform_grid, uniform_partition_points
+from oracles import (
+    default_anchors_formula,
+    jittered_points,
+    uniform_grid,
+    uniform_partition_points,
+)
 
 BACKENDS = st.sampled_from([Backend.EXACT, Backend.FLOAT])
 
@@ -72,3 +80,35 @@ def test_default_anchors_match_formula(backend, values, bounded_below, bounded_a
     system = ChebyshevSystem(tuple(PowerFn(i) for i in range(n)), domain)
     assert outcome(default_anchors, system, a, b) == \
         outcome(default_anchors_formula, system, a, b)
+
+
+def increasing(points) -> tuple:
+    return validate_tuple(points, OrderingClass.STRICTLY_INCREASING).points
+
+
+@settings(max_examples=300, deadline=None)
+@given(BACKENDS, RATIONALS, RATIONALS, st.integers(1, 32), st.integers(1, 4))
+def test_nested_partitions_match_formula(backend, a, b, m0, rounds):
+    assume(a < b and m0 << (rounds - 1) <= 256)
+    a, b = scalar(a, backend), scalar(b, backend)
+
+    def nested():
+        part, out = None, []
+        for r in range(rounds):
+            part = _uniform_partition(a, b, m0 << r, backend, part)
+            out.append(part.points.points)
+        return out
+    assert outcome(nested) == outcome(
+        lambda: [increasing(uniform_partition_points(a, b, m0 << r, backend))
+                 for r in range(rounds)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(BACKENDS, RATIONALS, RATIONALS, st.integers(1, 256), st.integers(0, 2 ** 32))
+def test_jittered_partition_matches_formula(backend, a, b, m, seed):
+    assume(a < b)
+    a, b = scalar(a, backend), scalar(b, backend)
+    base = _uniform_partition(a, b, m, backend)
+    assert outcome(lambda: _jitter_partition(base, random.Random(seed), backend).points.points) \
+        == outcome(lambda: increasing(jittered_points(base.points.points, random.Random(seed),
+                                                      backend)))

@@ -1,8 +1,10 @@
-"""The point table's columns, with backends resolved once and power
-columns built directly, checked against ``oracles.evaluate_columns``
-(evaluate() per value, backends read from the values): the values by
-repr, the backend and both forms, or the error, message included.  Also
-the order of the first error, and the CLI's decimal reader against
+"""The point table's columns, with backends resolved once, power
+columns built directly at float points and polynomial columns built
+from an exact point's integers, checked against
+``oracles.evaluate_columns`` (evaluate() per value, backends read from
+the values): the values by repr, the backend and both forms, or the
+error, message included.  Also the order of the first error, points of
+equal value and different types, and the CLI's decimal reader against
 ``Fraction``."""
 
 import random
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from chebconvex.cli import _parse_scalar
 from chebconvex.convexity import check_convex_direct
 from chebconvex.core import (
+    AffineFn,
     Backend,
     ChebyshevSystem,
     ConstFn,
@@ -79,6 +82,64 @@ def test_exact_power_column_is_its_integer_form():
     assert col.form(True) == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
     assert col._values is None          # no Fraction made until a caller reads them
     assert col.values == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
+
+
+# ---------------------------------------------------------------------------
+# polynomial columns: powers, constants and (nested) affine combinations
+# with int or Fraction coefficients
+
+COEFS = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-9, 9),
+                                                st.integers(1, 12)))
+#: a float coefficient or constant makes a function no exact polynomial
+FLOAT_COEFS = st.sampled_from([0.5, -1.25])
+LEAVES = st.one_of(st.builds(PowerFn, st.integers(0, 8)), st.builds(ConstFn, COEFS))
+POLYNOMIALS = st.recursive(
+    LEAVES, lambda inner: st.lists(st.tuples(COEFS, inner), min_size=1, max_size=3)
+    .map(lambda terms: AffineFn(tuple(terms))), max_leaves=6)
+#: c * f - c * f, whose coefficients cancel to 0
+CANCELLED = st.tuples(COEFS, POLYNOMIALS).map(lambda cf: affine(cf, (-cf[0], cf[1])))
+EXACT_XS = st.one_of(st.integers(-6, 6), st.just(0),
+                     st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40)))
+FLOAT_XS = st.floats(-8, 8, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(POLYNOMIALS, CANCELLED, st.builds(ConstFn, FLOAT_COEFS),
+                          st.builds(lambda c, k: affine((3, affine((c, PowerFn(k))))),
+                                    FLOAT_COEFS, st.integers(0, 8))),
+                min_size=1, max_size=5),
+       st.data(), st.one_of(st.lists(EXACT_XS, min_size=1, max_size=4),
+                            st.lists(FLOAT_XS, min_size=1, max_size=3)))
+def test_polynomial_columns_match_evaluate(fns, data, xs):
+    rows = data.draw(st.lists(st.integers(0, len(fns) - 1), min_size=1, max_size=4))
+    same_columns(fns, tuple(dict.fromkeys(rows)), xs)
+
+
+def test_polynomial_column_is_its_reduced_integer_form():
+    """1/2 x + 1/2 and x^2 - x^2 at 1 have the values 1 and 0, whose
+    form has scale 1 (not the lcm 2 of the coefficients)."""
+    fns = (affine((Fraction(1, 2), PowerFn(1)), (Fraction(1, 2), ConstFn(1))),
+           affine((1, PowerFn(2)), (-1, PowerFn(2))))
+    table = _PointTable(fns)
+    (col,) = table.columns((0, 1), table.points([1]))
+    assert col.form(True) == ([1, 0], 1) and col._values is None
+    (col,) = table.columns((0, 1), table.points([Fraction(-1, 3)]))
+    assert col.form(True) == ([1, 0], 3)
+    assert same_columns(fns, (0, 1), [Fraction(-1, 3), 1, 0])
+
+
+@pytest.mark.parametrize("xs", [[Fraction(1, 2), 0.5], [0.5, Fraction(1, 2)], [1, 1.0],
+                                [1.0, 1], [1, Fraction(1)], [Fraction(1), 1, 1.0]])
+@pytest.mark.parametrize("fns, rows", [
+    (POWERS, (0, 1, 2)),
+    ((PowerFn(0), affine((2, PowerFn(1)), (-1, ConstFn(3)))), (0, 1)),
+    ((PowerFn(0), ConstFn(0.5)), (0, 1)),            # float at an int point only
+    ((PowerFn(0), ConstFn(Fraction(1, 2))), (0, 1)),  # exact at an int point only
+])
+def test_equal_points_of_other_types_have_their_own_records(xs, fns, rows):
+    """Each point of one table keeps its own type's columns, even when an
+    earlier point of another type has the same value."""
+    same_columns(fns, rows, xs)
 
 
 def test_integer_forms_of_a_sampled_grid_match():

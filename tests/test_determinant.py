@@ -15,6 +15,7 @@ from chebconvex.determinant import (
     increasing_tuples,
     is_positive_chebyshev,
     matrix_from_rows,
+    sorted_grid,
     sylvester_check,
 )
 from chebconvex.errors import (
@@ -25,7 +26,13 @@ from chebconvex.errors import (
 )
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
-from oracles import cofactor_det, rand_fraction, rand_increasing_fractions, row_det
+from oracles import (
+    cofactor_det,
+    rand_fraction,
+    rand_increasing_fractions,
+    row_det,
+    sorted_grid_formula,
+)
 
 
 def identity_rows(n):
@@ -327,3 +334,47 @@ class TestMatrixType:
     def test_indexing(self):
         m = matrix_from_rows([[1, 2], [3, 4]])
         assert m[0, 1] == 2 and m[1, 0] == 3
+
+
+# ---------------------------------------------------------------------------
+# sorted_grid validates a grid as given and sorts only one that fails
+
+def grid_outcome(fn, grid, min_gap):
+    try:
+        return repr(fn(grid, min_gap))
+    except (InputError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+EXACT_GRID = st.lists(st.one_of(st.integers(-4, 4),
+                                st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))),
+                      max_size=7)
+FLOAT_GRID = st.lists(st.one_of(st.integers(-4, 4), st.floats(-3, 3, allow_nan=False),
+                                st.sampled_from([0.5, 0.5 + 1e-12, 1.0, 1.0 + 2e-10])),
+                      max_size=7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(EXACT_GRID, FLOAT_GRID, st.lists(st.sampled_from(
+           [0, 1, Fraction(1, 2), 0.5, True, 2.0]), max_size=5)),
+       st.booleans(), st.sampled_from([0.0, 1e-9, 0.3]))
+def test_sorted_grid_matches_formula(values, presorted, min_gap):
+    """Increasing, unsorted, duplicate, too close and mixed-backend grids
+    give the grid or the error and message of sorting first."""
+    grid = sorted(values) if presorted else values
+    assert grid_outcome(sorted_grid, grid, min_gap) == \
+        grid_outcome(sorted_grid_formula, grid, min_gap)
+
+
+@pytest.mark.parametrize("grid, min_gap, message", [
+    ([0, Fraction(1, 2), 2], 0.0, None),
+    ([2, 0, Fraction(1, 2)], 0.0, None),
+    ([0, 1, 1, 2], 0.0, "points[1]=1 !< points[2]=1"),
+    ([2, 1, 0, 1], 0.0, "points[1]=1 !< points[2]=1"),
+    ([0.0, 0.5, 0.5 + 1e-12], 1e-9, "|points[1] - points[2]| < min gap 1e-09"),
+    ([0.5 + 1e-12, 0.0, 0.5], 1e-9, "|points[1] - points[2]| < min gap 1e-09"),
+])
+def test_sorted_grid_errors(grid, min_gap, message):
+    want = sorted_grid_formula(grid, min_gap) if message is None else f"OrderingViolation: {message}"
+    assert grid_outcome(sorted_grid, grid, min_gap) == \
+        (repr(want) if message is None else want)

@@ -14,7 +14,10 @@ from chebconvex.core import (
     affine,
     evaluate,
 )
+from chebconvex.determinant import _PointTable
 from chebconvex.divdiff import (
+    _ratio,
+    _scalar,
     classical_divided_difference,
     complete_homogeneous,
     divided_difference,
@@ -31,6 +34,7 @@ from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_syste
 
 from oracles import (
     homogeneous_by_enumeration,
+    ratio_two_fractions,
     rand_distinct_fractions,
     rand_increasing_floats,
     recursive_divdiff,
@@ -256,3 +260,53 @@ class TestPowerExpansion:
     def test_degree_below_base_rejected(self):
         with pytest.raises(DimensionMismatch):
             power_divdiff_expansion((1, 2, 3), 2, 9)
+
+
+# ---------------------------------------------------------------------------
+# the ratio step: one Fraction of four integers on the exact backend,
+# against both determinants made scalars and divided
+
+def ratio_outcome(ratio, fns, k, xs, tol_factor=1e-10):
+    """repr of (value, numerator, denominator) that ``ratio`` takes on a
+    fresh table of ``fns``, or its error as "Class: message"."""
+    table = _PointTable(tuple(fns))
+    try:
+        value, num, den = ratio(table, k, table.points(xs), tuple(xs), tol_factor)
+    except (InputError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((value, _scalar(num), _scalar(den)))
+
+
+COEFS = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9),
+                                                st.integers(1, 6)))
+TERMS = st.lists(st.tuples(COEFS, st.integers(0, 6)), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TERMS, min_size=2, max_size=5), st.data(), st.booleans())
+def test_ratio_matches_two_fractions(polys, data, floats):
+    """Polynomial bases, some dependent (a zero denominator), targets in
+    their span (a zero numerator), and unsorted points (determinants of
+    either sign), on both backends."""
+    fns = [affine(*((c, PowerFn(k)) for c, k in terms)) for terms in polys]
+    k = len(fns) - 1
+    xs = data.draw(st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 5)),
+                            min_size=k, max_size=k, unique=True))
+    if floats:
+        fns = [affine(*((float(c), PowerFn(j)) for c, j in terms)) for terms in polys]
+        xs = [float(x) for x in xs]
+    assert ratio_outcome(_ratio, fns, k, xs) == ratio_outcome(ratio_two_fractions, fns, k, xs)
+
+
+@pytest.mark.parametrize("fns, xs", [
+    ((PowerFn(0), PowerFn(1), PowerFn(2)), (Fraction(1, 2), 3)),        # positive
+    ((PowerFn(0), PowerFn(1), PowerFn(2)), (3, Fraction(1, 2))),        # negative
+    ((PowerFn(0), PowerFn(1), ConstFn(5)), (Fraction(-1, 3), 2)),       # zero numerator
+    ((PowerFn(1), PowerFn(1), PowerFn(3)), (1, 2)),                     # zero denominator
+    ((PowerFn(0), ExpFn()), (1,)),          # exact denominator, float numerator
+    ((ExpFn(), PowerFn(3)), (2,)),          # float denominator, exact numerator
+    ((PowerFn(0), PowerFn(1), PowerFn(3)), (0.5, 3.0)),
+])
+def test_ratio_signs_and_backends(fns, xs):
+    assert ratio_outcome(_ratio, fns, len(xs), xs) == \
+        ratio_outcome(ratio_two_fractions, fns, len(xs), xs)

@@ -131,7 +131,8 @@ def test_trig_pinned_modes_match_oracle():
     seen = set()
     for f, kw in ((ExpFn(), dict(tol_factor=1e-10)), (sampled, dict(tol_factor=1e-10)),
                   (sampled, dict(tol_factor=0.05)), (ExpFn(), dict(tol_factor=-0.05)),
-                  (system.basis[1], dict(budget=4)), (sampled, dict(base_budget=5, seed=3))):
+                  (system.basis[1], dict(budget=4)), (sampled, dict(base_budget=5, seed=3)),
+                  (affine((1.0, system.basis[1]), (-0.5, system.basis[2])), {})):
         seen |= outcomes(check_every_mode(system, f, grid, **kw))
     assert {"violated", "indeterminate", "convex_on_sample"} <= seen
 

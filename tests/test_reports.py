@@ -156,6 +156,26 @@ CASES = [
       for backend in ("exact", "float")),
     ["divdiff", "--system", "poly:3", "--function", "power:4", "--grid", "list:1/3,٣,-2.50"],
     ["chebcheck", "--system", "poly:2", "--grid", "list:1,²"],
+    # polynomial columns: nested affine and const functions on both backends
+    *(["divdiff", "--system", "poly:3", "--function", "affine_nested.json", "--grid", grid,
+       "--backend", backend]
+      for grid, backend in (("list:1/2,2,3", "exact"), ("list:0.5,2,3", "float"))),
+    *(["divdiff", "--system", "poly:3", "--function", "affine_halves.json", "--grid", grid,
+       "--backend", backend]
+      for grid, backend in (("list:1/3,2,-1", "exact"), ("list:0.5,2,-1", "float"))),
+    *(["divdiff", "--system", "poly:3", "--function", "const:-2", "--grid", grid,
+       "--backend", backend]
+      for grid, backend in (("list:-1,1/2,2", "exact"), ("list:-1,0.5,2", "float"))),
+    *(["variation", "--system", "poly:2", "--g", "convex_g.json", "--h", "convex_h.json",
+       "--a", "0", "--b", "1", "--m0", "4", "--rounds", "3", "--perturb-rounds", "2",
+       "--backend", backend] for backend in ("exact", "float")),
+    ["variation", "--system", "poly:3", "--function", "affine_halves.json", "--a", "1/3",
+     "--b", "2", "--m0", "5", "--rounds", "2", "--perturb-rounds", "1", "--seed", "3"],
+    # --tol reaches the denominators of divdiff and of the pinned modes alike
+    ["divdiff", "--system", "poly:3", "--function", "power:3", "--grid", "list:1,2,3",
+     "--backend", "float", "--tol", "1"],
+    ["convexity", "--mode", "induced", "--k", "1", "--system", "poly:3", "--function",
+     "power:3", "--grid", "list:1,2,3,4", "--backend", "float", "--tol", "1"],
 ]
 
 

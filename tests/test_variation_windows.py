@@ -15,6 +15,7 @@ import pytest
 from chebconvex import variation
 from chebconvex.core import (
     ChebyshevSystem,
+    ConstFn,
     CosFn,
     ExpFn,
     Interval,
@@ -147,6 +148,28 @@ def test_estimates_and_bounds_match_oracle(n, same):
     trig = trig_odd_system(1, -math.pi, 0.0)
     same(estimate_variation, trig, ExpFn(), -2.5, -0.5,
          RefinementStrategy(rounds=3, perturb_rounds=1, seed=4))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_affine_and_const_functions_match_oracle(n, same):
+    """Polynomial columns with Fraction coefficients, nested affine
+    terms and constants: g - h as check_variation_bound forms it, and
+    constant functions, whose divided differences vanish."""
+    system = polynomial_system(n)
+    g = affine((Fraction(3, 2), PowerFn(n + 1)),
+               (1, affine((Fraction(-1, 3), PowerFn(n - 1)), (2, ConstFn(Fraction(5, 7))))))
+    h = affine((Fraction(1, 4), PowerFn(n + 2)), (2, PowerFn(n - 1)), (-1, ConstFn(3)))
+    rng = random.Random(n)
+    for part in (uniform(Fraction(1, 3), Fraction(5, 3), 12),
+                 jittered(rng, uniform(Fraction(-3, 2), Fraction(7, 4), n + 3))):
+        for f in (affine((1, g), (-1, h)), ConstFn(Fraction(2, 3)), ConstFn(-3),
+                  affine((Fraction(1, 2), ConstFn(4)), (-2, ConstFn(1)))):
+            assert isinstance(sums_match(system, f, part), Fraction)
+    strategy = RefinementStrategy(initial_intervals=n + 2, rounds=3, perturb_rounds=2, seed=n)
+    assert same(check_variation_bound, system, g, h, Fraction(1, 3), Fraction(5, 3),
+                strategy=strategy).margin >= 0
+    assert same(estimate_variation, system, ConstFn(Fraction(-4, 9)), Fraction(1, 3),
+                Fraction(5, 3), strategy).best == 0
 
 
 def test_divided_difference_matches_row_elimination():

@@ -1,0 +1,143 @@
+"""Time each request slot of a benchmark workload in process.
+
+A slot is a request shape of a workload round, such as ``V1b.exact`` of
+``short`` (see bench/workloads.py, which this script only reads).  The
+script writes the requests of rounds 0..ROUNDS-1 of one seed, loads the
+package of each source tree given into one process (each under its own
+module name), and runs every request through each tree's ``cli.main``,
+the trees in alternating order from one request to the next.  For
+each tree it prints every slot's median time per round over the
+repetitions and the slot's share of the round; with two trees, also the
+ratio of the second to the first.
+
+    python3 tools/slots.py --workload short --seed 1 --rounds 6 --repeat 5 [TREE ...]
+
+TREE is the root of a checkout (default: this one).  ``--compare``
+instead checks that every request gives the same exit code and report,
+outside ``timing_seconds``, on each tree as on the first.
+"""
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+
+def load_cli(tree: Path, alias: str):
+    """The ``cli`` module of the package under ``tree``/src, imported
+    as the package ``alias``."""
+    pkg = tree / "src" / "chebconvex"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{alias}.cli")
+
+
+def run(cli, argv: list) -> tuple:
+    """(seconds, exit code, stdout) of one request."""
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return time.perf_counter() - t0, code, out.getvalue()
+
+
+def slot_of(request) -> str:
+    """The request id without its round: r3.V1b.exact -> V1b.exact."""
+    return request.id.split(".", 1)[1]
+
+
+def timings(clis: list, requests: list, rounds: int, repeat: int) -> list:
+    """For each tree, each slot's median seconds per round.  Each request
+    runs on every tree in turn, the first tree alternating from one
+    request to the next, so that a drift in machine speed reaches every
+    tree alike."""
+    per_round = [{} for _ in clis]      # tree -> slot -> [seconds per round, by repetition]
+    for rep in range(repeat):
+        totals = [{} for _ in clis]
+        for i, req in enumerate(requests):
+            order = list(range(len(clis)))
+            for t in order if (rep + i) % 2 == 0 else reversed(order):
+                seconds = run(clis[t], req.argv)[0]
+                totals[t][slot_of(req)] = totals[t].get(slot_of(req), 0.0) + seconds
+        for t, tree in enumerate(totals):
+            for slot, total in tree.items():
+                per_round[t].setdefault(slot, []).append(total / rounds)
+    return [{slot: statistics.median(v) for slot, v in tree.items()} for tree in per_round]
+
+
+def report(trees: list, medians: list) -> None:
+    slots = list(medians[0])
+    rounds = [sum(m.values()) for m in medians]
+    head = "".join(f" {'ms':>9} {'share':>6}" for _ in trees)
+    print(f"{'slot':<24}{head}" + ("   ratio" if len(trees) == 2 else ""))
+    for slot in slots + ["round"]:
+        cells, values = "", []
+        for m, total in zip(medians, rounds):
+            v = total if slot == "round" else m[slot]
+            values.append(v)
+            cells += f" {v * 1e3:>9.2f} {v / total:>6.1%}"
+        ratio = f" {values[1] / values[0]:>7.3f}" if len(values) == 2 else ""
+        print(f"{slot:<24}{cells}{ratio}")
+    for i, tree in enumerate(trees):
+        print(f"tree {i}: {tree}")
+
+
+def compare(clis: list, requests: list) -> int:
+    """The number of requests whose exit code or report, outside
+    timing_seconds, differs from the first tree's."""
+    def outcome(cli, argv):
+        _, code, text = run(cli, argv)
+        doc = json.loads(text)
+        doc.pop("timing_seconds", None)
+        return code, doc
+    differ = 0
+    for req in requests:
+        first = outcome(clis[0], req.argv)
+        for i, cli in enumerate(clis[1:], 1):
+            if outcome(cli, req.argv) != first:
+                differ += 1
+                print(f"differs on tree {i}: {req.id} {' '.join(req.argv)}")
+    print(f"{len(requests)} requests, {differ} differ")
+    return 1 if differ else 0
+
+
+def main(argv: list) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    parser.add_argument("--rounds", type=int, default=6)
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--compare", action="store_true")
+    parser.add_argument("trees", nargs="*", type=Path, default=[ROOT])
+    args = parser.parse_args(argv)
+    trees = [t.resolve() for t in args.trees]
+    clis = [load_cli(tree, f"chebconvex_tree{i}") for i, tree in enumerate(trees)]
+    with tempfile.TemporaryDirectory() as work:
+        requests = workloads.generate(workloads.WORKLOADS[args.workload], args.seed,
+                                      range(args.rounds), work)
+        if args.compare:
+            return compare(clis, requests)
+        report(trees, timings(clis, requests, args.rounds, args.repeat))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
