@@ -48,14 +48,11 @@ from .divdiff import (
     complete_homogeneous,
     divided_difference,
     power_divdiff_check,
-    power_divdiff_expansion,
 )
 from .induced import (
     DerivedFn,
     InducedSystem,
-    SignIndex,
     induced_system,
-    sign_index,
     verify_induced_system,
 )
 from .convexity import (
@@ -66,7 +63,6 @@ from .convexity import (
     check_convex_interval,
     convexity_identity_check,
     cross_mode_agreement,
-    is_strictly_convex,
 )
 from .variation import (
     Partition,
@@ -80,15 +76,10 @@ from .variation import (
     variation_sum,
 )
 from .systems import (
-    CatalogEntry,
-    catalog_entry,
-    default_grid,
     one_xsq_system,
     polynomial_system,
     trig_even_system,
-    trig_induced_closed_form,
     trig_odd_system,
-    verified_prefix_depth,
 )
 from . import errors
 

@@ -36,13 +36,11 @@ from .determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
-    PositivityReport,
     SignScan,
     _PointTable,
     _sign_scan,
     det,    # unused here; bench/test_bench.py checks that the tracer wraps it here
     increasing_tuples,
-    is_positive_chebyshev,
     sorted_grid,
 )
 from .divdiff import ResidualReport
@@ -320,15 +318,3 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
         for b_label, b_verdict in definite[i + 1:]
         if a_verdict != b_verdict)
     return AgreementReport(tuple(labeled), disagreements)
-
-
-def is_strictly_convex(system: ChebyshevSystem, f: FunctionSpec,
-                       grid: Iterable[Scalar],
-                       budget: int = DEFAULT_TUPLE_BUDGET,
-                       seed: int = DEFAULT_SEED,
-                       tol_factor: float = DEFAULT_TOL_FACTOR) -> PositivityReport:
-    """Strict convexity: the basis extended by ``f`` must itself pass
-    the strict grid positivity check as an (n+1)-dimensional system."""
-    extended = system.with_appended(f)
-    return is_positive_chebyshev(extended, extended.dim, grid, budget=budget,
-                                 seed=seed, tol_factor=tol_factor)

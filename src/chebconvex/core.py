@@ -649,16 +649,6 @@ def _json_error(what: str, exc: Exception) -> InputError:
     return InputError(f"bad {what}: {exc}")
 
 
-def tuple_to_json(t: PointTuple) -> dict:
-    return {"points": [scalar_to_json(p) for p in t.points],
-            "ordering": t.ordering.value}
-
-
-def tuple_from_json(d: dict) -> PointTuple:
-    return PointTuple(tuple(scalar_from_json(p) for p in d["points"]),
-                      OrderingClass(d.get("ordering", "unconstrained")))
-
-
 def domain_to_json(dom: Domain) -> dict:
     if isinstance(dom, Interval):
         return {"kind": "interval",

@@ -6,11 +6,12 @@ Every determinant is one column-step elimination.  Exact determinants
 clear column denominators and run fraction-free (Bareiss) elimination
 over the integers, which keeps intermediate entries polynomially sized.
 Float determinants use Gaussian elimination with partial pivoting.
-Grid scans, pinned bases, divided differences and variation windows
-read one point table, which evaluates each function once per point,
-resolves each backend once and builds columns of polynomials with exact
-coefficients from an exact point's integers, and grid scans share the
-elimination steps of a common tuple prefix.
+Every collocation determinant (grid scans, pinned bases, divided
+differences, variation windows and collocation_det) reads one point
+table, which evaluates each function once per point, resolves each
+backend once and builds columns of polynomials with exact coefficients
+from an exact point's integers, and grid scans share the elimination
+steps of a common tuple prefix.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
     _check_domain,
     collection_backend,
     combine_backends,
-    evaluate,
+    evaluate,   # unused here; bench/test_bench.py checks that the tracer wraps it here
     scalar_backend,
     validate_tuple,
 )
@@ -259,8 +260,7 @@ def _exact_det(forms: list, state=None, scale: int = 1) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the point table, which every evaluate-once path reads: grid scans,
-# pinned bases, divided differences and variation windows
+# the point table, which every collocation determinant reads
 
 class _PointTable:
     """The values fns[i](x) of functions at points, each computed once,
@@ -350,7 +350,8 @@ class _PointTable:
 
     def appended_det(self, rows: tuple, base: tuple):
         """The function xs -> (det, backend, prepared columns) of the
-        square matrix of the columns of ``rows`` at base + xs.  The base
+        square matrix of the columns of ``rows`` at base + xs, the det a
+        float or, exact, :func:`_exact_det`'s (det, scale) pair.  The base
         columns are eliminated once per backend; each call reduces the
         columns at xs by the recorded steps and eliminates the rest."""
         base_points, k = self.points(base), len(base)
@@ -364,14 +365,15 @@ class _PointTable:
                                      math.prod(s for _, s in forms[:k]))
             done, scale = eliminated[exact]
             if done is None:
-                return (Fraction(0) if exact else 0.0), backend, forms
+                return ((0, 1) if exact else 0.0), backend, forms
             state, steps, _ = done
             appended = forms[k:]
             cols = [c for c, _ in appended]
             for step in steps:
                 cols = (_exact_reduce if exact else _float_reduce)(cols, step)
-            return (_prepared_det([(c, s) for c, (_, s) in zip(cols, appended)], exact,
-                                  state, scale), backend, forms)
+            reduced = [(c, s) for c, (_, s) in zip(cols, appended)]
+            return (_exact_det(reduced, state, scale) if exact
+                    else _prepared_det(reduced, False, state)), backend, forms
         return det
 
 
@@ -470,12 +472,14 @@ def _matrix(columns: list) -> tuple:
 # collocation determinants
 
 def collocation_matrix(fns: Sequence[FunctionSpec], points: Sequence[Scalar]) -> Matrix:
-    """The square matrix with entry (i, j) = fns[i](points[j])."""
+    """The square matrix with entry (i, j) = fns[i](points[j]), read
+    from a point table."""
     if len(fns) != len(points):
         raise DimensionMismatch(
             f"{len(fns)} functions vs {len(points)} points")
-    rows = [[evaluate(fn, x) for x in points] for fn in fns]
-    return matrix_from_rows(rows)
+    table = _PointTable(tuple(fns))
+    columns = table.columns(tuple(range(len(fns))), table.points(points))
+    return matrix_from_rows(list(zip(*(c.values for c in columns))))
 
 
 def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequence[Scalar]) -> Scalar:
@@ -487,7 +491,7 @@ def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequen
     if len(pts) != k:
         raise DimensionMismatch(f"need {k} points, got {len(pts)}")
     _check_domain(system.domain, pts)
-    return det(collocation_matrix(system.basis[:k], pts))
+    return _PointTable(system.basis[:k]).det(tuple(range(k)), pts)
 
 
 def _tolerance(biggest: float, n: int, tol_factor: float) -> float:

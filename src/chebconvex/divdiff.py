@@ -1,6 +1,6 @@
 """Generalized divided differences with respect to a Chebyshev system,
-the classical recursive divided difference, and the closed forms they
-take on power functions.
+the classical recursive divided difference, and the power-sum identity
+that checks the latter on power functions.
 
 The generalized difference of order k-1 is the ratio of two collocation
 determinants: the (k-1)-prefix extended by the target function over the
@@ -11,7 +11,10 @@ can certify each other.
 Both determinants read the point table (determinant._PointTable), and
 one step, :func:`_ratio`, takes them and checks the denominator; the
 pinned bases of the induced module and the variation windows take the
-same checks.  An exact ratio stays in integers up to its one Fraction.
+same checks.  An exact ratio stays in integers up to its one Fraction
+(:func:`_quotient`, which the pinned bases share).  The closed forms of
+power and trigonometric divided differences are test oracles
+(tests/oracles.py), not shortcuts.
 """
 
 from __future__ import annotations
@@ -117,12 +120,12 @@ def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
     return value
 
 
-def _checked_denominator(den: Scalar, backend: Backend, forms: list, at: tuple,
-                         tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
+def _checked_denominator(den, backend: Backend, forms: list, at: tuple,
+                         tol_factor: float = DEFAULT_TOL_FACTOR):
     """``den``, the determinant of the prepared columns ``forms`` at the
-    points ``at``, after the singular-denominator rule and the check that
-    it is finite."""
-    check_denominator(den, forms, backend, at, tol_factor)
+    points ``at`` (a scalar or an exact (det, scale) pair), after the
+    singular-denominator rule and the check that it is finite."""
+    check_denominator(den[0] if type(den) is tuple else den, forms, backend, at, tol_factor)
     return _finite(den, "prefix collocation determinant", at)
 
 
@@ -131,17 +134,23 @@ def _ratio(table: _PointTable, k: int, points: list, at: tuple, tol_factor: floa
     its functions 0..k-1 at the points ``at`` (records ``points``), with
     its numerator and denominator, each a float or an exact pair of
     integers (det, scale): the denominator's determinant, its checks
-    (:func:`_checked_denominator`), the numerator's, then their ratio,
-    which must be finite, one Fraction n*t / (s*m) for exact n/s over
-    m/t.  f's values and the numerator are not touched before the
-    denominator passes."""
+    (:func:`_checked_denominator`), the numerator's, then their
+    :func:`_quotient`.  f's values and the numerator are not touched
+    before the denominator passes."""
     rows = tuple(range(k))
     den, backend, forms = _determinant(table, rows, points)
-    _checked_denominator(den[0] if type(den) is tuple else den, backend, forms, at, tol_factor)
+    _checked_denominator(den, backend, forms, at, tol_factor)
     num = _determinant(table, rows[:-1] + (k,), points)[0]
+    return _quotient(num, den, at), num, den
+
+
+def _quotient(num, den, at: tuple) -> Scalar:
+    """num / den for two determinants at the points ``at``, each a float
+    or an exact (det, scale) pair, which must be finite: one Fraction
+    n*t / (s*m) for exact n/s over m/t."""
     value = Fraction(num[0] * den[1], num[1] * den[0]) if type(num) is type(den) is tuple \
         else _scalar(num) / _scalar(den)
-    return _finite(value, "divided difference", at), num, den
+    return _finite(value, "divided difference", at)
 
 
 def _determinant(table: _PointTable, rows: tuple, points: list) -> tuple:
@@ -153,7 +162,8 @@ def _determinant(table: _PointTable, rows: tuple, points: list) -> tuple:
 
 
 def _scalar(det) -> Scalar:
-    """A determinant of :func:`_determinant` as a scalar."""
+    """A determinant of :func:`_determinant` or of an appended
+    determinant (a float or an exact (det, scale) pair) as a scalar."""
     return Fraction(*det) if type(det) is tuple else det
 
 
@@ -161,7 +171,9 @@ def classical_divided_difference(f: FunctionSpec, points,
                                  min_gap: float = DEFAULT_MIN_GAP) -> Scalar:
     """Newton's recursive divided difference of ``f`` at pairwise
     distinct points (symmetric in the points, so they are sorted first
-    for numerical stability)."""
+    for numerical stability).  Its values come from ``evaluate``, not a
+    point table: it is the independent check that certifies
+    :func:`divided_difference`, and a table would double its cost."""
     pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
     xs = sorted(pts.points)
     vals = [evaluate(f, x) for x in xs]
@@ -210,30 +222,3 @@ def power_divdiff_check(degree: int, points,
     lhs = classical_divided_difference(PowerFn(degree), pts, min_gap=min_gap)
     rhs = complete_homogeneous(degree - k + 1, pts)
     return ResidualReport(lhs, rhs, abs(lhs - rhs))
-
-
-def power_divdiff_expansion(base, degree: int, x: Scalar,
-                            min_gap: float = DEFAULT_MIN_GAP) -> Scalar:
-    """Value at ``x`` of the classical divided difference of x**degree
-    over the base points with one extra point appended, expanded as a
-    polynomial in the extra point:
-
-        sum over a = 0..degree-k of  h[degree-k-a] * x**a
-
-    where h[d] is the complete homogeneous polynomial of the base points
-    and k their number.
-    """
-    pts = validate_tuple(base, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
-    k = len(pts)
-    if degree < k:
-        raise DimensionMismatch(f"degree {degree} below base size {k}")
-    for i, p in enumerate(pts):
-        if p == x:
-            raise InputError(f"extra point {x} duplicates base point index {i}")
-    make = _BACKEND_TYPES[collection_backend(pts.points + (x,), default=Backend.EXACT)]
-    xv, total, xpow = make(x), make(0), make(1)
-    h = _homogeneous_sums(degree - k, tuple(map(make, pts)))
-    for a in range(degree - k + 1):
-        total += h[degree - k - a] * xpow
-        xpow *= xv
-    return total

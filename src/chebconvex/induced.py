@@ -8,13 +8,13 @@ point:
 
 These form an (n-k)-dimensional system on the punctured domain, and it
 is again a positive Chebyshev system whenever the parent and its k and
-k+1 prefixes are.  This module builds that system, carries the sign
-bookkeeping for how the appended point interleaves the base, and
-verifies both positivity and the determinant factorization identity
-numerically on a grid.  The identity is the paper's Sylvester
-factorization; :meth:`_PinnedBase.identity` evaluates it for this check
-and for convexity_identity_check, each (k+1)-minor after the
-singular-denominator rule.
+k+1 prefixes are.  This module builds that system and verifies both
+positivity and the determinant factorization identity numerically on a
+grid; the paper's sign formula for how the appended point interleaves
+the base is a test oracle (tests/oracles.py).  The identity is the
+paper's Sylvester factorization; :meth:`_PinnedBase.identity` evaluates
+it for this check and for convexity_identity_check, each (k+1)-minor
+after the singular-denominator rule.
 
 Every derived value comes from a pinned base (:class:`_PinnedBase`):
 the base columns are eliminated once, and each value reduces the
@@ -44,7 +44,6 @@ from .core import (
     collection_backend,
     combine_backends,
     puncture,
-    scalar_backend,
     validate_tuple,
 )
 from .determinant import (
@@ -58,8 +57,8 @@ from .determinant import (
     increasing_tuples,
     sorted_grid,
 )
-from .divdiff import ResidualReport, _checked_denominator, _checked_points, _finite
-from .errors import DimensionMismatch, DuplicatePoint, InputError
+from .divdiff import ResidualReport, _checked_denominator, _checked_points, _quotient, _scalar
+from .errors import DimensionMismatch, InputError
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,11 @@ class _PinnedBase:
         return tuple(_Derived(self, t) for t in range(len(self.dets)))
 
     def denominator(self, x: Scalar) -> list:
-        """The record of x: the (k+1)-minor of fns[:k+1] at (base..., x),
-        the backend of its entries, its prepared columns, and whether it
-        passed :meth:`ratio`'s checks; made once the points pass
-        divided_difference's ordering check."""
+        """The record of x: the (k+1)-minor of fns[:k+1] at (base..., x)
+        as an appended determinant gives it, the backend of its entries,
+        its prepared columns, and whether it passed :meth:`ratio`'s
+        checks; made once the points pass divided_difference's ordering
+        check."""
         record = self.records.get(x)
         if record is None:
             validate_tuple(self.base + (x,), OrderingClass.PAIRWISE_DISTINCT,
@@ -147,7 +147,7 @@ class _PinnedBase:
     def ratio(self, t: int, x: Scalar) -> Scalar:
         """divided_difference's value for target t at (base..., x), check
         by check: its points' domain, the denominator's checks, then the
-        ratio's (divdiff._ratio's step)."""
+        ratio's (divdiff._ratio's step, :func:`divdiff._quotient`)."""
         record = self.denominator(x)
         den, backend, forms, checked = record
         at = self.base + (x,)
@@ -156,7 +156,7 @@ class _PinnedBase:
             _checked_denominator(den, backend, forms, at, self.tol_factor)
             record[3] = True
         num = den if t == 0 else self.dets[t]((x,))[0]
-        return _finite(num / den, "divided difference", at)
+        return _quotient(num, den, at)
 
     @functools.cached_property
     def _whole(self) -> tuple:
@@ -174,9 +174,10 @@ class _PinnedBase:
         (base..., x) for each x in xs, each after the singular-denominator
         rule; against the determinant of the derived values at xs."""
         kminor, whole = self._whole
-        lhs = whole(xs)[0] * kminor ** (len(xs) - 1)
+        lhs = _scalar(whole(xs)[0]) * kminor ** (len(xs) - 1)
         for x in xs:
             den, backend, forms, _ = self.denominator(x)
+            den = _scalar(den)
             check_denominator(den, forms, backend, self.base + (x,), self.tol_factor,
                               name="(k+1)-prefix determinant", show_value=False)
             lhs = lhs / den
@@ -242,33 +243,6 @@ def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
     basis = tuple(DerivedFn(parent, k, base, parent.basis[j])
                   for j in range(k, n))
     return InducedSystem(parent, k, base, basis, puncture(parent.domain, base.points))
-
-
-# ---------------------------------------------------------------------------
-# sign bookkeeping for one appended point
-
-@dataclass(frozen=True)
-class SignIndex:
-    """Position of an appended point among the base points and the
-    predicted sign of the resulting collocation determinant:
-    (-1) ** (base size - number of base points below x)."""
-
-    ell: int
-    predicted_sign: int
-
-
-def sign_index(base, x: Scalar) -> SignIndex:
-    """For strictly increasing base points and x distinct from all of
-    them: ell = how many base points lie below x, and the sign that a
-    positive (k+1)-dimensional system's determinant takes on
-    (base..., x)."""
-    base = _increasing(base)
-    scalar_backend(x)
-    for i, p in enumerate(base):
-        if p == x:
-            raise DuplicatePoint(f"x={x} coincides with base point index {i}")
-    ell = sum(1 for p in base if p < x)
-    return SignIndex(ell, (-1) ** (len(base) - ell))
 
 
 # ---------------------------------------------------------------------------

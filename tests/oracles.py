@@ -6,7 +6,9 @@ package uses, so matching values certify both sides:
 * Laplace cofactor expansion vs elimination (``cofactor_det``);
 * evaluate() per value, backends read from the values, vs the point
   table's backends resolved once and its power columns built directly
-  (``evaluate_columns``);
+  (``evaluate_columns``, and ``collocation_matrix_per_value`` and
+  ``collocation_det_per_value``, the package's collocation matrix and
+  determinant as they were before they read the table);
 * row-wise vs column-step elimination (``row_det``);
 * monomial enumeration vs accumulation (``homogeneous_by_enumeration``);
 * unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
@@ -33,6 +35,16 @@ package uses, so matching values certify both sides:
   product (``uniform_partition_points``, ``jittered_points``);
 * sorting every grid before one validation vs validating first
   (``sorted_grid_formula``).
+
+The closed forms that the package once exported, kept here because only
+tests read them, check its general routes on special cases:
+
+* the power-function expansion of a divided difference
+  (``power_divdiff_expansion``) vs induced power systems;
+* the cotangent system that (1, cos, sin) induces at one base point
+  (``trig_induced_closed_form``) vs the generic induced system;
+* the paper's sign of a collocation determinant whose appended point
+  interleaves the base (``sign_index``) vs the determinants' signs.
 """
 
 import itertools
@@ -51,11 +63,17 @@ from chebconvex.core import (
     DEFAULT_MIN_GAP,
     Backend,
     ChebyshevSystem,
+    ConstFn,
     FunctionSpec,
     Interval,
+    NegCotFn,
     OrderingClass,
     PointTuple,
     PowerFn,
+    PuncturedInterval,
+    _BACKEND_TYPES,
+    _check_domain,
+    _increasing,
     as_backend,
     collection_backend,
     combine_backends,
@@ -74,8 +92,6 @@ from chebconvex.determinant import (
     _matrix,
     _prepared_det,
     check_denominator,
-    collocation_det,
-    collocation_matrix,
     det,
     increasing_tuples,
     is_positive_chebyshev,
@@ -87,12 +103,14 @@ from chebconvex.divdiff import (
     ResidualReport,
     _checked_denominator,
     _finite,
+    _homogeneous_sums,
     divided_difference,
     power_divdiff_check,
 )
 from chebconvex.errors import (
     AnchorInfeasible,
     DimensionMismatch,
+    DuplicatePoint,
     EvaluationOutsideSupport,
     InputError,
     InsufficientGrid,
@@ -267,6 +285,27 @@ def evaluate_columns(fns, rows: tuple, xs) -> list:
     return [OracleColumn([values[i, j] for i in rows]) for j in range(len(xs))]
 
 
+def collocation_matrix_per_value(fns, points) -> Matrix:
+    """The square matrix with entry (i, j) = fns[i](points[j])."""
+    if len(fns) != len(points):
+        raise DimensionMismatch(
+            f"{len(fns)} functions vs {len(points)} points")
+    rows = [[evaluate(fn, x) for x in points] for fn in fns]
+    return matrix_from_rows(rows)
+
+
+def collocation_det_per_value(system: ChebyshevSystem, k: int, points):
+    """Collocation determinant det(basis_i(x_j)) of the k-prefix of the
+    system at the given k points (checked to lie in the domain)."""
+    pts = tuple(points)
+    if not 1 <= k <= system.dim:
+        raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
+    if len(pts) != k:
+        raise DimensionMismatch(f"need {k} points, got {len(pts)}")
+    _check_domain(system.domain, pts)
+    return det(collocation_matrix_per_value(system.basis[:k], pts))
+
+
 # ---------------------------------------------------------------------------
 # per-tuple sign scans: the loops the package ran before its scan kernel,
 # kept unchanged as references.  Each tuple builds its own matrix,
@@ -307,7 +346,7 @@ def positivity_loop(system, k, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_S
     near_zero: list[tuple] = []
     values: dict = {}
     for t in tuples:
-        m = collocation_matrix(fns, t)
+        m = collocation_matrix_per_value(fns, t)
         value = row_det(m)
         if m.backend() is Backend.FLOAT:
             tol = positivity_tolerance(m, tol_factor)
@@ -349,7 +388,7 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
     near_zero: list[tuple] = []
     values: dict = {}
     for t in tuples:
-        m = collocation_matrix(fns, t)
+        m = collocation_matrix_per_value(fns, t)
         value = row_det(m)
         if m.backend() is Backend.FLOAT:
             tol = positivity_tolerance(m, tol_factor)
@@ -536,15 +575,15 @@ def induced_identity_loop(parent: ChebyshevSystem, k: int, base, grid,
 
     tuples, exhaustive = increasing_tuples(pts, d, budget=budget, seed=seed)
     base_pts = ind.base.points
-    kminor = collocation_det(parent, k, base_pts)
+    kminor = collocation_det_per_value(parent, k, base_pts)
     max_abs = 0.0
     max_rel = 0.0
     worst: ResidualReport | None = None
     for t in tuples:
-        lhs = collocation_det(parent, parent.dim, base_pts + t) * kminor ** (d - 1)
+        lhs = collocation_det_per_value(parent, parent.dim, base_pts + t) * kminor ** (d - 1)
         for x in t:
-            lhs = lhs / collocation_det(parent, k + 1, base_pts + (x,))
-        rhs = collocation_det(system, d, t)
+            lhs = lhs / collocation_det_per_value(parent, k + 1, base_pts + (x,))
+        rhs = collocation_det_per_value(system, d, t)
         report = ResidualReport(lhs, rhs, abs(lhs - rhs))
         if float(report.residual) >= max_abs:
             max_abs = float(report.residual)
@@ -576,10 +615,10 @@ def convexity_identity_loop(system: ChebyshevSystem, k: int, f: FunctionSpec,
         raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
     head, tail = pts[:k], pts[k:]
 
-    kminor = collocation_det(system, k, head)
-    lhs = det(collocation_matrix(system.basis + (f,), pts)) * kminor ** (n - k)
+    kminor = collocation_det_per_value(system, k, head)
+    lhs = det(collocation_matrix_per_value(system.basis + (f,), pts)) * kminor ** (n - k)
     for x in tail:
-        den_matrix = collocation_matrix(system.basis[:k + 1], head + (x,))
+        den_matrix = collocation_matrix_per_value(system.basis[:k + 1], head + (x,))
         denom = det(den_matrix)
         # all entries as one prepared column: the rule reads their largest |entry|
         check_denominator(denom, [(den_matrix.entries, 1)], den_matrix.backend(), head + (x,),
@@ -814,3 +853,69 @@ def sorted_grid_formula(grid, min_gap: float = 0.0) -> tuple:
     """Sort a grid and validate strict increase (duplicates rejected)."""
     pts = sorted(grid)
     return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap).points
+
+
+# ---------------------------------------------------------------------------
+# closed forms, kept as oracles: the package computes these values by its
+# general routes (induced systems, collocation determinants) and the tests
+# compare them with the formulas below.
+
+def power_divdiff_expansion(base, degree: int, x, min_gap: float = DEFAULT_MIN_GAP):
+    """Value at ``x`` of the classical divided difference of x**degree
+    over the base points with one extra point appended, expanded as a
+    polynomial in the extra point:
+
+        sum over a = 0..degree-k of  h[degree-k-a] * x**a
+
+    where h[d] is the complete homogeneous polynomial of the base points
+    and k their number.
+    """
+    pts = validate_tuple(base, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
+    k = len(pts)
+    if degree < k:
+        raise DimensionMismatch(f"degree {degree} below base size {k}")
+    for i, p in enumerate(pts):
+        if p == x:
+            raise InputError(f"extra point {x} duplicates base point index {i}")
+    make = _BACKEND_TYPES[collection_backend(pts.points + (x,), default=Backend.EXACT)]
+    xv, total, xpow = make(x), make(0), make(1)
+    h = _homogeneous_sums(degree - k, tuple(map(make, pts)))
+    for a in range(degree - k + 1):
+        total += h[degree - k - a] * xpow
+        xpow *= xv
+    return total
+
+
+def trig_induced_closed_form(x1, lo=-math.pi, hi=0) -> ChebyshevSystem:
+    """The two-dimensional system (1, -cot((x1 + x)/2)) on the interval
+    punctured at x1: the closed form of the system induced from
+    (1, cos, sin) by pinning the single base point x1."""
+    base_interval = Interval(lo, hi)
+    if not base_interval.contains(x1):
+        raise InputError(f"base point {x1} is outside the interval ({lo}, {hi})")
+    return ChebyshevSystem((ConstFn(1), NegCotFn(x1)),
+                           PuncturedInterval(base_interval, (x1,)))
+
+
+@dataclass(frozen=True)
+class SignIndex:
+    """Position of an appended point among the base points and the
+    predicted sign of the resulting collocation determinant:
+    (-1) ** (base size - number of base points below x)."""
+
+    ell: int
+    predicted_sign: int
+
+
+def sign_index(base, x) -> SignIndex:
+    """For strictly increasing base points and x distinct from all of
+    them: ell = how many base points lie below x, and the sign that a
+    positive (k+1)-dimensional system's determinant takes on
+    (base..., x)."""
+    base = _increasing(base)
+    scalar_backend(x)
+    for i, p in enumerate(base):
+        if p == x:
+            raise DuplicatePoint(f"x={x} coincides with base point index {i}")
+    ell = sum(1 for p in base if p < x)
+    return SignIndex(ell, (-1) ** (len(base) - ell))

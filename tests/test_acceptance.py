@@ -36,11 +36,10 @@ from chebconvex.divdiff import (
     divided_difference,
     power_divdiff_check,
 )
-from chebconvex.induced import induced_system, sign_index, verify_induced_system
+from chebconvex.induced import induced_system, verify_induced_system
 from chebconvex.systems import (
     one_xsq_system,
     polynomial_system,
-    trig_induced_closed_form,
     trig_odd_system,
 )
 from chebconvex.variation import (
@@ -57,6 +56,8 @@ from oracles import (
     rand_distinct_fractions,
     rand_increasing_fractions,
     rand_increasing_floats,
+    sign_index,
+    trig_induced_closed_form,
 )
 
 

@@ -19,13 +19,18 @@ from chebconvex.convexity import (
     check_convex_interval,
     convexity_identity_check,
     cross_mode_agreement,
-    is_strictly_convex,
 )
+from chebconvex.determinant import det, is_positive_chebyshev
 from chebconvex.divdiff import divided_difference
 from chebconvex.errors import DimensionMismatch, InputError, OrderingViolation
 from chebconvex.systems import polynomial_system, trig_odd_system
 
-from oracles import rand_distinct_fractions, rand_increasing_floats
+from oracles import (
+    collocation_matrix_per_value,
+    rand_distinct_fractions,
+    rand_increasing_floats,
+    trig_induced_closed_form,
+)
 
 
 GRID4 = [Fraction(i) for i in (0, 1, 2, 3)]
@@ -49,8 +54,7 @@ class TestDirect:
         system = polynomial_system(2)
         f = affine((-1, PowerFn(2)))
         verdict = check_convex_direct(system, f, GRID4)
-        from chebconvex.determinant import collocation_matrix, det
-        value = det(collocation_matrix(system.basis + (f,), verdict.witness))
+        value = det(collocation_matrix_per_value(system.basis + (f,), verdict.witness))
         assert value == verdict.witness_value < 0
 
     def test_exp_is_third_order_convex(self):
@@ -218,7 +222,6 @@ class TestPolynomialReduction:
         # For the polynomial parent the induced basis spans the same
         # space as (1, x, ..., x^(d-1)) via a unitriangular change of
         # basis, so the extended determinants agree exactly.
-        from chebconvex.determinant import collocation_matrix, det
         from chebconvex.induced import induced_system
         rng = random.Random(57)
         for _ in range(10):
@@ -231,9 +234,9 @@ class TestPolynomialReduction:
             f = PowerFn(n + 1)
             ind = induced_system(polynomial_system(n), k, base)
             g = ind.derived(f)
-            induced_det = det(collocation_matrix(ind.basis + (g,), rest))
+            induced_det = det(collocation_matrix_per_value(ind.basis + (g,), rest))
             plain = tuple(PowerFn(i) for i in range(d)) + (g,)
-            plain_det = det(collocation_matrix(plain, rest))
+            plain_det = det(collocation_matrix_per_value(plain, rest))
             assert induced_det == plain_det
 
 
@@ -252,7 +255,6 @@ class TestTrigExample:
         # induced pair and to its closed form (1, -cot((x1+.)/2)) must
         # coincide; so must the pinned check and the direct one.
         from chebconvex.induced import induced_system
-        from chebconvex.systems import trig_induced_closed_form
         rng = random.Random(56)
         trig = trig_odd_system(1, -math.pi, 0.0)
         grid = (-2.9, -2.4, -1.9, -1.5, -1.1, -0.7, -0.3)
@@ -277,13 +279,16 @@ class TestTrigExample:
 
 
 class TestStrictConvexity:
+    """Strict convexity of f: the basis extended by f passes the strict
+    grid positivity check as an (n+1)-dimensional system."""
+
     def test_square_is_strictly_convex(self):
-        rep = is_strictly_convex(polynomial_system(2), PowerFn(2), GRID4)
+        rep = is_positive_chebyshev(polynomial_system(2).with_appended(PowerFn(2)), 3, GRID4)
         assert rep.is_positive
 
     def test_affine_is_not_strict(self):
         f = affine((2, PowerFn(1)), (3, PowerFn(0)))
-        rep = is_strictly_convex(polynomial_system(2), f, GRID4)
+        rep = is_positive_chebyshev(polynomial_system(2).with_appended(f), 3, GRID4)
         assert rep.verdict == "violated"
         assert rep.witness_value == 0
 

@@ -31,8 +31,6 @@ from chebconvex.core import (
     scalar_to_json,
     system_from_json,
     system_to_json,
-    tuple_from_json,
-    tuple_to_json,
     validate_tuple,
 )
 from chebconvex.errors import (
@@ -251,10 +249,6 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("dom", DOMAINS)
     def test_domain_round_trip(self, dom):
         assert domain_from_json(domain_to_json(dom)) == dom
-
-    def test_tuple_round_trip(self):
-        t = validate_tuple([Fraction(1, 3), 1, 7], OrderingClass.STRICTLY_INCREASING)
-        assert tuple_from_json(tuple_to_json(t)) == t
 
     def test_system_round_trip(self):
         s = ChebyshevSystem((PowerFn(0), PowerFn(1), PowerFn(2)),

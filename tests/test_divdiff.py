@@ -22,7 +22,6 @@ from chebconvex.divdiff import (
     complete_homogeneous,
     divided_difference,
     power_divdiff_check,
-    power_divdiff_expansion,
 )
 from chebconvex.errors import (
     DimensionMismatch,
@@ -34,6 +33,7 @@ from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_syste
 
 from oracles import (
     homogeneous_by_enumeration,
+    power_divdiff_expansion,
     ratio_two_fractions,
     rand_distinct_fractions,
     rand_increasing_floats,

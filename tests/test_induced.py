@@ -7,7 +7,6 @@ import pytest
 
 from chebconvex.core import OrderingClass, evaluate, validate_tuple
 from chebconvex.determinant import collocation_det
-from chebconvex.divdiff import power_divdiff_expansion
 from chebconvex.errors import (
     DimensionMismatch,
     DuplicatePoint,
@@ -16,12 +15,11 @@ from chebconvex.errors import (
 )
 from chebconvex.induced import (
     induced_system,
-    sign_index,
     verify_induced_system,
 )
 from chebconvex.systems import polynomial_system, trig_odd_system
 
-from oracles import rand_increasing_fractions
+from oracles import power_divdiff_expansion, rand_increasing_fractions, sign_index
 
 
 def sigma(points, k):

@@ -2,7 +2,8 @@
 from per-base point tables (``induced._PinnedBase``), checked against the
 per-base loop in ``oracles.py``, which evaluates every derived value as
 a divided difference of two fresh determinants; and ``DerivedFn``, a
-pinned base of its own, against ``oracles.derived_value``.  Reports must be
+pinned base of its own, and a pinned base's ratios, against
+``oracles.derived_value`` and ``oracles.ratio_two_fractions``.  Reports must be
 identical, float values included (compared by repr), and so must the
 error a check raises, message included."""
 
@@ -32,7 +33,7 @@ from chebconvex.core import (
     affine,
     evaluate,
 )
-from chebconvex.determinant import _PointTable, increasing_tuples
+from chebconvex.determinant import DEFAULT_TOL_FACTOR, _PointTable, increasing_tuples
 from chebconvex.errors import (
     BackendMismatch,
     EvaluationOutsideSupport,
@@ -42,7 +43,7 @@ from chebconvex.errors import (
 from chebconvex.induced import DerivedFn, _PinnedBase, induced_system
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
-from oracles import derived_value, pinned_loop
+from oracles import derived_value, pinned_loop, ratio_two_fractions
 
 
 def result(fn, *args, **kwargs):
@@ -337,6 +338,42 @@ def test_derived_fn_checks_the_domain_before_evaluating_its_prefix():
     want = "EvaluationOutsideSupport: point -1.0 is outside the system domain"
     assert result(derived_value, fn, -1.0) == want
     assert result(fn, -1.0) == want
+
+
+@pytest.mark.parametrize("backend", ["exact", "float", "neutral"])
+@pytest.mark.parametrize("system, grid", DERIVED_SYSTEMS)
+def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
+    """One pinned base per k, every target on one table: each ratio at a
+    domain point (a pinned base's callers check the domain first), by
+    value and type, equals the parent's two-Fraction ratio step on a
+    fresh table, and, as a derived function's value, derived_value's,
+    errors included."""
+    rng = random.Random(len(grid) * system.dim)
+    exact = backend == "exact"
+    if exact:
+        grid = [Fraction(x) for x in grid]
+    elif backend == "neutral":
+        grid = sorted({int(2 * x) for x in grid})
+    targets = tuple(derived_targets(exact, grid))
+    inside = [x for x in grid if system.domain.contains(x)]
+    compared = 0
+    for k in range(system.dim):
+        base = PointTuple(tuple(sorted(rng.sample(inside, k))))
+        table = _PointTable(system.basis[:k + 1] + targets)
+        pinned = _PinnedBase(table, system.domain, k, base.points)
+        for t, derived in enumerate(pinned.derived()):
+            fn = DerivedFn(system, k, base, table.fns[k + t])
+            for x in inside:
+                want = result(derived_value, fn, x)
+                assert repr(result(evaluate, derived, x)) == repr(want), (k, base, t, x)
+                if isinstance(want, str):
+                    continue
+                at = base.points + (x,)
+                fresh = _PointTable(system.basis[:k + 1] + (table.fns[k + t],))
+                two = ratio_two_fractions(fresh, k + 1, fresh.points(at), at, DEFAULT_TOL_FACTOR)
+                assert repr(pinned.ratio(t, x)) == repr(two[0]), (k, base, t, x)
+                compared += 1
+    assert compared
 
 
 @pytest.mark.parametrize("points", [(0.5, Fraction(1, 2), 0.5), (1, 1.0, 1),

@@ -10,7 +10,6 @@ from chebconvex.core import (
     Interval,
     NegCotFn,
     PowerFn,
-    PuncturedInterval,
     SinFn,
     evaluate,
 )
@@ -19,15 +18,22 @@ from chebconvex.errors import DomainTooLong, InputError
 from chebconvex.systems import (
     CATALOG_IDS,
     _system_from_id,
-    catalog_entry,
-    default_grid,
     one_xsq_system,
     polynomial_system,
     trig_even_system,
-    trig_induced_closed_form,
     trig_odd_system,
-    verified_prefix_depth,
 )
+
+from oracles import trig_induced_closed_form
+
+
+def positive_prefixes(system, grid) -> int:
+    """The largest k such that the 1..k prefixes of ``system`` all pass
+    the grid positivity check; 0 if the 1-prefix fails."""
+    depth = 0
+    while depth < system.dim and is_positive_chebyshev(system, depth + 1, grid).is_positive:
+        depth += 1
+    return depth
 
 
 class TestPolynomial:
@@ -61,7 +67,7 @@ class TestTrigOdd:
 
     def test_grid_positivity(self):
         s = trig_odd_system(1, -math.pi, 0.0)
-        grid = default_grid(s.domain, 10)
+        grid = [-math.pi + math.pi * (i + 1) / 11 for i in range(10)]
         assert is_positive_chebyshev(s, 3, grid).is_positive
 
 
@@ -76,7 +82,7 @@ class TestTrigEven:
 
     def test_grid_positivity(self):
         s = trig_even_system(1, -1.5, 0.0)
-        grid = default_grid(s.domain, 10)
+        grid = [-1.5 + 1.5 * (i + 1) / 11 for i in range(10)]
         assert is_positive_chebyshev(s, 2, grid).is_positive
 
 
@@ -95,70 +101,45 @@ class TestOneXsq:
 
 
 class TestCatalogMetadata:
+    """Prefix positivity of the catalog systems, on the grids that each
+    system's domain gets below: 12 points spaced evenly inside a bounded
+    interval, the integers -6..5 on the real line and 1..12 on the
+    positive half-line."""
+
     def test_poly_prefixes_all_positive(self):
-        entry = catalog_entry("poly", n=3)
-        assert entry.prefix_positive_upto == 3
+        assert positive_prefixes(polynomial_system(3), [Fraction(i) for i in range(-6, 6)]) == 3
 
     def test_trig_odd_verified_depth(self):
-        entry = catalog_entry("trig-odd", n=1, lo=-math.pi, hi=0.0)
-        assert entry.prefix_positive_upto == 3
+        s = trig_odd_system(1, -math.pi, 0.0)
+        grid = [-math.pi + math.pi * (i + 1) / 13 for i in range(12)]
+        assert positive_prefixes(s, grid) == 3
 
     def test_trig_even_depth_depends_on_interval(self):
         # cos changes sign inside (-2.5, 0), so already the 1-prefix fails
         # even though the full pair is positive there.
-        entry = catalog_entry("trig-even", n=1, lo=-2.5, hi=0.0)
-        assert entry.prefix_positive_upto == 0
-        full = is_positive_chebyshev(entry.system, 2, default_grid(entry.system.domain))
-        assert full.is_positive
+        s = trig_even_system(1, -2.5, 0.0)
+        grid = [-2.5 + 2.5 * (i + 1) / 13 for i in range(12)]
+        assert positive_prefixes(s, grid) == 0
+        assert is_positive_chebyshev(s, 2, grid).is_positive
         # inside (-1.5, 0) the cosine keeps its sign and both prefixes pass
-        entry2 = catalog_entry("trig-even", n=1, lo=-1.5, hi=0.0)
-        assert entry2.prefix_positive_upto == 2
+        s2 = trig_even_system(1, -1.5, 0.0)
+        assert positive_prefixes(s2, [-1.5 + 1.5 * (i + 1) / 13 for i in range(12)]) == 2
 
     def test_one_xsq_depth(self):
-        assert catalog_entry("one-xsq").prefix_positive_upto == 2
-
-    def test_unknown_id(self):
-        with pytest.raises(InputError):
-            catalog_entry("mystery")
+        assert positive_prefixes(one_xsq_system(), range(1, 13)) == 2
 
     def test_catalog_systems_pass_default_grid_checks(self):
-        entries = [
-            catalog_entry("poly", n=1),
-            catalog_entry("poly", n=4),
-            catalog_entry("trig-odd", n=1, lo=-math.pi, hi=0.0),
-            catalog_entry("trig-even", n=1, lo=-1.5, hi=0.0),
-            catalog_entry("one-xsq"),
+        cases = [
+            (polynomial_system(1), [Fraction(i) for i in range(-6, 6)], 1),
+            (polynomial_system(4), [Fraction(i) for i in range(-6, 6)], 4),
+            (trig_odd_system(1, -math.pi, 0.0),
+             [-math.pi + math.pi * (i + 1) / 13 for i in range(12)], 3),
+            (trig_even_system(1, -1.5, 0.0), [-1.5 + 1.5 * (i + 1) / 13 for i in range(12)], 2),
+            (one_xsq_system(), range(1, 13), 2),
         ]
-        for entry in entries:
-            grid = default_grid(entry.system.domain)
-            for k in range(1, entry.prefix_positive_upto + 1):
-                assert is_positive_chebyshev(entry.system, k, grid).is_positive, \
-                    (entry.id, k)
-
-
-class TestDefaultGrid:
-    def test_bounded_float_interval(self):
-        grid = default_grid(Interval(-math.pi, 0.0), 12)
-        assert len(grid) == 12
-        assert all(-math.pi < x < 0 for x in grid)
-        assert all(grid[i] < grid[i + 1] for i in range(11))
-
-    def test_unbounded(self):
-        grid = default_grid(Interval(), 12)
-        assert len(grid) == 12 and all(isinstance(x, Fraction) for x in grid)
-
-    def test_half_line(self):
-        grid = default_grid(Interval(lo=0), 5)
-        assert all(x > 0 for x in grid)
-
-    def test_exact_bounds(self):
-        grid = default_grid(Interval(Fraction(0), Fraction(1)), 3)
-        assert grid == (Fraction(1, 4), Fraction(2, 4), Fraction(3, 4))
-
-    def test_punctured(self):
-        dom = PuncturedInterval(Interval(Fraction(0), Fraction(1)), (Fraction(1, 2),))
-        grid = default_grid(dom, 6)
-        assert all(dom.contains(x) for x in grid)
+        for system, grid, depth in cases:
+            for k in range(1, depth + 1):
+                assert is_positive_chebyshev(system, k, grid).is_positive, (system, k)
 
 
 class TestTrigIdentity:
@@ -186,7 +167,7 @@ class TestVerifiedPrefixDepth:
     def test_explicit_grid(self):
         s = trig_odd_system(1, -math.pi, 0.0)
         grid = [-3.0, -2.5, -2.0, -1.5, -1.0, -0.5]
-        assert verified_prefix_depth(s, grid) == 3
+        assert positive_prefixes(s, grid) == 3
 
 
 class TestCatalogIds:
