@@ -33,7 +33,6 @@ from .core import (
     FunctionSpec,
     Interval,
     SampledFn,
-    _BACKEND_TYPES,
     function_from_json,
     scalar_to_json,
     system_from_json,
@@ -42,6 +41,8 @@ from .determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
+    _Grid,
+    _uniform_grid,
     is_positive_chebyshev,
 )
 from .divdiff import classical_divided_difference, divided_difference
@@ -76,39 +77,55 @@ class _JsonArgumentParser(argparse.ArgumentParser):
 _DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?").fullmatch
 
 
-def _parse_scalar(text: str, backend: Backend):
-    text = text.strip()
-    if backend is Backend.EXACT:
-        decimal = _DECIMAL(text)
-        if decimal:     # Fraction(text)'s value, read without its parser
-            whole, frac = decimal.groups(default="")
-            try:
-                return Fraction(int(whole + frac), 10 ** len(frac))
-            except ValueError:      # past int's digit limit: Fraction(text) says why
-                pass
+def _read(text: str, backend: Backend):
+    """The scalar of ``backend`` that the stripped ``text`` spells, an
+    exact one as p/q in two integers: a plain decimal is the integer of
+    its digits over a power of ten, read without Fraction's parser;
+    every other text, and every error, is Fraction(text)'s."""
+    if backend is Backend.FLOAT:
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad exact scalar {text!r}: {exc}") from None
+            return float(text)
+        except ValueError as exc:
+            raise InputError(f"bad float scalar {text!r}: {exc}") from None
+    decimal = _DECIMAL(text)
+    if decimal:
+        whole, frac = decimal.groups(default="")
+        try:
+            return int(whole + frac), 10 ** len(frac)
+        except ValueError:      # past int's digit limit: Fraction(text) says why
+            pass
     try:
-        return float(text)
-    except ValueError as exc:
-        raise InputError(f"bad float scalar {text!r}: {exc}") from None
+        return Fraction(text).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad exact scalar {text!r}: {exc}") from None
 
 
-def _read_scalars(items, backend: Backend, header: bool = False) -> tuple:
-    """The scalars of ``backend`` that ``items`` spell, as strings or as
-    JSON numbers (read as their decimal literals).  With ``header``,
-    items that do not read before the first one that does are a header,
-    and skipped."""
+def _parse_scalar(text: str, backend: Backend):
+    """The scalar of ``backend`` that ``text`` spells, read as the one
+    point of a grid, so with the grid readers' value and error."""
+    return _read_grid([text], backend)[0]
+
+
+def _read_grid(items, backend: Backend, header: bool = False) -> _Grid:
+    """The grid of the scalars of ``backend`` that ``items`` spell, as
+    strings or as JSON numbers (read as their decimal literals), in
+    their order.  With ``header``, items that do not read before the
+    first one that does are a header, and skipped.  Exact points p/q are
+    the integers over one scale, the largest q, when every other q
+    divides it (a power of ten for decimals), else Fractions."""
     out = []
     for item in items:
         try:
-            out.append(_parse_scalar(str(item), backend))
+            out.append(_read(str(item).strip(), backend))
         except InputError:
             if out or not header:
                 raise
-    return tuple(out)
+    if backend is Backend.FLOAT:
+        return _Grid(out, backend)
+    q = max((d for _, d in out), default=1)
+    if all(q % d == 0 for _, d in out):
+        return _Grid(nums=[p * (q // d) for p, d in out], q=q)
+    return _Grid([Fraction(p, d) for p, d in out], backend)
 
 
 def _parse_system(spec: str, backend: Backend, unsafe_domain: str | None) -> ChebyshevSystem:
@@ -200,7 +217,7 @@ def _sampled_from_csv(path: str, backend: Backend) -> SampledFn:
     return SampledFn(tuple(points), tuple(values))
 
 
-def _parse_grid(spec: str, backend: Backend) -> tuple:
+def _parse_grid(spec: str, backend: Backend) -> _Grid:
     if spec is None:
         raise InputError("--grid is required")
     if spec.startswith("uniform:"):
@@ -213,21 +230,22 @@ def _parse_grid(spec: str, backend: Backend) -> tuple:
             raise InputError(f"bad uniform grid {spec!r}: {exc}") from None
         if m < 2 or not a < b:
             raise InputError(f"uniform grid needs a < b and m >= 2, got {spec!r}")
-        make = _BACKEND_TYPES[backend]
-        return tuple(a + (b - a) * (make(i) / (m - 1)) for i in range(m))
+        if backend is Backend.EXACT:
+            return _uniform_grid(a, b, m - 1)
+        return _Grid([a + (b - a) * (i / (m - 1)) for i in range(m)], backend)
     if spec.startswith("list:"):
-        return _read_scalars(spec[len("list:"):].split(","), backend)
+        return _read_grid(spec[len("list:"):].split(","), backend)
     if os.path.exists(spec):
         if spec.endswith(".csv"):
             with open(spec, newline="") as fh:
                 firsts = (row[0] for row in csv.reader(fh) if row and row[0].strip())
-                return _read_scalars(firsts, backend, header=True)
+                return _read_grid(firsts, backend, header=True)
         with open(spec) as fh:
             data = json.load(fh)
         if not isinstance(data, list):
             raise InputError(f"grid JSON must be a list, got {type(data).__name__}")
         # JSON floats in an exact grid are read as decimal literals
-        return _read_scalars(data, backend)
+        return _read_grid(data, backend)
     raise InputError(f"grid {spec!r} is neither a file nor uniform:a,b,m nor list:v1,v2,...")
 
 
@@ -237,12 +255,12 @@ def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
         with open(spec) as fh:
             data = json.load(fh)
         try:
-            return _read_scalars(data["a"], backend), _read_scalars(data["b"], backend)
+            return _read_grid(data["a"], backend), _read_grid(data["b"], backend)
         except (KeyError, TypeError) as exc:
             raise InputError(f"anchor JSON needs lists 'a' and 'b': {exc}") from None
     try:
         a_s, b_s = spec.split(";")
-        return _read_scalars(a_s.split(","), backend), _read_scalars(b_s.split(","), backend)
+        return _read_grid(a_s.split(","), backend), _read_grid(b_s.split(","), backend)
     except ValueError as exc:
         raise InputError(f"bad anchors {spec!r}: {exc}") from None
 

@@ -37,6 +37,8 @@ from .determinant import (
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
     SignScan,
+    _check_grid_domain,
+    _Grid,
     _PointTable,
     _sign_scan,
     det,    # unused here; bench/test_bench.py checks that the tracer wraps it here
@@ -79,16 +81,17 @@ class ConvexityVerdict:
         return self.verdict == "convex_on_sample"
 
 
-def _direct_scan(n: int, domain: Domain, grid_pts: tuple, table, budget: int, seed: int,
+def _direct_scan(n: int, domain: Domain, grid: _Grid, js, table, budget: int, seed: int,
                  tol_factor: float) -> SignScan:
     """Sign scan of the extended determinant on increasing (n+1)-tuples
-    of a system of dimension n on ``domain``, whose extended columns
+    of the increasing positions ``js`` of the sorted ``grid``, for a
+    system of dimension n on ``domain``, whose extended columns
     ``table`` gives: negative values are violations, or near zero inside
     the float tolerance band."""
-    if len(grid_pts) < n + 1:
-        raise InsufficientGrid(f"grid has {len(grid_pts)} points, need at least {n + 1}")
-    _check_domain(domain, grid_pts, "grid point")
-    return _sign_scan(table, tuple(range(n + 1)), grid_pts, budget, seed, tol_factor,
+    if len(js) < n + 1:
+        raise InsufficientGrid(f"grid has {len(js)} points, need at least {n + 1}")
+    _check_grid_domain(domain, grid, js, "grid point")
+    return _sign_scan(table, tuple(range(n + 1)), grid, js, budget, seed, tol_factor,
                       positive=False)
 
 
@@ -110,25 +113,24 @@ def _check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid, table: 
     """:func:`check_convex_direct`, reading the values of
     ``system.basis + (f,)`` from ``table``."""
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
-    scan = _direct_scan(system.dim, system.domain, pts, table, budget, seed, tol_factor)
+    scan = _direct_scan(system.dim, system.domain, pts, range(len(pts)), table, budget, seed,
+                        tol_factor)
     return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
                             scan.tuples_checked, seed, witness=scan.witness,
                             witness_value=scan.witness_value,
                             indeterminate_count=scan.indeterminate_count)
 
 
-def _restricted_points(pts: tuple, base: tuple, ell: int | None) -> tuple:
-    """Grid points off the base, optionally restricted to the single gap
-    selected by ell (0 = below the base, k = above it)."""
-    off = tuple(x for x in pts if x not in base)
+def _restricted_points(m: int, base: tuple, ell: int | None) -> list:
+    """The positions of an m-point increasing grid off the base
+    positions, optionally restricted to the single gap selected by ell
+    (0 = below the base, k = above it)."""
+    off = [j for j in range(m) if j not in base]
     if ell is None:
         return off
-    k = len(base)
-    if ell == 0:
-        return tuple(x for x in off if x < base[0])
-    if ell == k:
-        return tuple(x for x in off if x > base[-1])
-    return tuple(x for x in off if base[ell - 1] < x < base[ell])
+    lo = base[ell - 1] if ell > 0 else -1
+    hi = base[ell] if ell < len(base) else m
+    return [j for j in off if lo < j < hi]
 
 
 def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
@@ -151,7 +153,7 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
     if ell is not None and not 0 <= ell <= k:
         raise InputError(f"interval index {ell} outside 0..{k}")
     pts = sorted_grid(grid)
-    bases, _ = increasing_tuples(pts, k, budget=base_budget, seed=seed)
+    bases, _ = increasing_tuples(range(len(pts)), k, budget=base_budget, seed=seed)
     mode = "induced" if ell is None else "interval"
     table = table or _PointTable(system.basis + (f,))
     own = derived is None
@@ -163,25 +165,25 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
     indeterminate = 0
     first: dict[str, tuple] = {}     # verdict -> (witness, value, base) of its first base
     for base in sorted(bases):
-        local = _restricted_points(pts, base, ell)
+        local = _restricted_points(len(pts), base, ell)
         if len(local) < n - k + 1:
             bases_skipped += 1
             continue
         bases_checked += 1
-        _check_base(system.domain, base)
+        _check_base(system.domain, (pts[j] for j in base))
         if base not in derived:
             derived[base] = _PointTable(
-                _PinnedBase(table, system.domain, k, base, tol_factor).derived())
+                _PinnedBase(table, system.domain, k, pts, base, tol_factor).derived())
         # the induced system's punctured domain holds the points of local
         # (all off the base) that the system's domain holds
-        scan = _direct_scan(n - k, system.domain, local, derived[base], budget, seed,
+        scan = _direct_scan(n - k, system.domain, pts, local, derived[base], budget, seed,
                             tol_factor)
         if own:
             derived.clear()
         tuples_checked += scan.tuples_checked
         indeterminate += scan.indeterminate_count
-        if scan.verdict is not None:
-            first.setdefault(scan.verdict, (scan.witness, scan.witness_value, base))
+        if scan.verdict is not None and scan.verdict not in first:
+            first[scan.verdict] = (scan.witness, scan.witness_value, tuple(pts[j] for j in base))
 
     counts = dict(tuples_checked=tuples_checked, bases_checked=bases_checked,
                   bases_skipped=bases_skipped, indeterminate_count=indeterminate)
@@ -252,15 +254,16 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
     n = system.dim
     if not 1 <= k <= n - 1:
         raise DimensionMismatch(f"prefix size {k} outside 1..{n - 1}")
-    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT).points
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT)
     if len(pts) != n + 1:
         raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
-    head, tail = pts[:k], pts[k:]
-    _check_domain(system.domain, head)
-    pinned = _PinnedBase(_PointTable(system.basis + (f,)), system.domain, k, head)
+    _check_domain(system.domain, pts.points[:k])
+    grid, tail = _Grid(pts.points, pts.backend()), tuple(range(k, n + 1))
+    pinned = _PinnedBase(_PointTable(system.basis + (f,)), system.domain, k, grid,
+                         tuple(range(k)))
     cells = _PointTable(pinned.derived())
     return (pinned.identity(tail, cells),
-            [c.values for c in cells.columns(tuple(range(n - k + 1)), cells.points(tail))])
+            [c.values for c in cells.columns(tuple(range(n - k + 1)), grid, tail)])
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +300,7 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
     n = system.dim
     if k_list is None:
         k_list = list(range(1, n))
+    grid = sorted_grid(grid)    # one grid, whose positions every mode's table reads
     table = _PointTable(system.basis + (f,))
     labeled: list[tuple[str, ConvexityVerdict]] = [
         ("direct", _check_convex_direct(system, f, grid, table, budget, seed, tol_factor))]

@@ -44,6 +44,10 @@ class Backend(enum.Enum):
     EXACT = "exact"
     FLOAT = "float"
 
+    # members are singletons: hash them as objects, not through Enum's
+    # Python-level hash of their name (point tables key values by them)
+    __hash__ = object.__hash__
+
 
 class OrderingClass(enum.Enum):
     STRICTLY_INCREASING = "strictly_increasing"
@@ -219,7 +223,8 @@ def min_gap_violation(i: int, j: int, min_gap: float) -> OrderingViolation:
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval; ``None`` endpoints mean unbounded."""
+    """A real interval; ``None`` endpoints mean unbounded.  NaN lies in
+    no interval."""
 
     lo: Scalar | None = None
     hi: Scalar | None = None
@@ -231,6 +236,8 @@ class Interval:
             raise InputError(f"empty interval: lo={self.lo}, hi={self.hi}")
 
     def contains(self, x: Scalar) -> bool:
+        if isinstance(x, float) and math.isnan(x):
+            return False
         if self.lo is not None and (x < self.lo or (self.lo_open and x == self.lo)):
             return False
         if self.hi is not None and (x > self.hi or (self.hi_open and x == self.hi)):
@@ -312,6 +319,10 @@ class FunctionSpec:
 
     def _eval(self, x: Scalar, backend: Backend) -> Scalar:
         raise NotImplementedError
+
+    def _at(self, grid, j: int, backend: Backend) -> Scalar:
+        """The value at the point of position j of a point table's grid."""
+        return self._eval(grid[j], backend)
 
     def __call__(self, x: Scalar) -> Scalar:
         return evaluate(self, x)

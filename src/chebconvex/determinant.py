@@ -12,11 +12,17 @@ table, which evaluates each function once per point, resolves each
 backend once and builds columns of polynomials with exact coefficients
 from an exact point's integers, and grid scans share the elimination
 steps of a common tuple prefix.
+
+A table reads grids (:class:`_Grid`) by position: its records for a
+grid are lists made once, and its callers pass positions, never
+points.  A grid reads its backend once, and an exact grid whose source
+gives one scale holds its points as integers over it, sorted and
+compared as integers (:func:`sorted_grid`); a point's Fraction is made
+only where a report or a message shows it.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import random
@@ -29,7 +35,9 @@ from .core import (
     Backend,
     ChebyshevSystem,
     ConstFn,
+    Domain,
     FunctionSpec,
+    Interval,
     OrderingClass,
     PointTuple,
     PowerFn,
@@ -260,17 +268,105 @@ def _exact_det(forms: list, state=None, scale: int = 1) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# grids: points by position
+
+class _Grid:
+    """Points by position, as a point table reads them.  ``shared`` is
+    the backend of every point, or None when some point is a neutral
+    int, or when the points are free ones whose backends nothing has
+    read yet: then a table reads each point's backend when it first
+    needs it, so a point that is no scalar raises there.  An exact grid
+    whose source gives one scale ``q`` holds its points as the integers
+    ``nums`` over q, and makes point j's Fraction (grid[j]) only when a
+    caller asks for it, for a report or a message."""
+
+    def __init__(self, xs=(), backend: Backend | None = None, nums=None, q: int = 1):
+        self._xs = list(xs) if nums is None else [None] * len(nums)
+        self.nums, self.q = nums, q
+        self.shared = Backend.EXACT if nums is not None else \
+            backend if backend and not any(isinstance(x, int) for x in self._xs) else None
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __getitem__(self, j: int) -> Scalar:
+        x = self._xs[j]
+        if x is None and self.nums is not None:
+            x = self._xs[j] = Fraction(self.nums[j], self.q)
+        return x
+
+    def pq(self, j: int) -> tuple:
+        """The exact point j as p/q, in two integers."""
+        return (self.nums[j], self.q) if self.nums is not None else self._xs[j].as_integer_ratio()
+
+
+class _At:
+    """The points at positions js of a grid, as a message shows them (a
+    tuple), made only if one does."""
+
+    def __init__(self, grid: _Grid, js):
+        self.grid, self.js = grid, js
+
+    def __len__(self) -> int:
+        return len(self.js)
+
+    def __str__(self) -> str:
+        return str(tuple(self.grid[j] for j in self.js))
+
+
+def _uniform_grid(a, b, m: int) -> _Grid:
+    """The points a + (b - a) * i / m, i = 0..m, of exact a < b, as the
+    integers A·m + (B - A)·i over q = m·L: L is the lcm of the
+    denominators of a and b, A = a·L and B = b·L."""
+    a, b = Fraction(a), Fraction(b)
+    lcm = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (lcm // a.denominator), b.numerator * (lcm // b.denominator)
+    return _Grid(nums=range(lo * m, hi * m + 1, hi - lo), q=m * lcm)
+
+
+def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> _Grid:
+    """Sort a grid and validate strict increase (duplicates rejected); a
+    grid that passes as given is sorted already, and a :class:`_Grid`
+    that does is returned itself, so that checks sorting it again share
+    the point tables keyed by it.  A grid of integers over one scale is
+    sorted and compared as integers; other points, and every error, are
+    read as validate_tuple reads them."""
+    if isinstance(grid, _Grid) and grid.nums is not None:
+        nums = sorted(grid.nums)
+        if len(set(nums)) < len(nums):      # a repeated point: validate_tuple's error names it
+            validate_tuple(tuple(_Grid(nums=nums, q=grid.q)), OrderingClass.STRICTLY_INCREASING)
+        return grid if nums == list(grid.nums) else _Grid(nums=nums, q=grid.q)
+    pts = tuple(grid)
+    try:
+        valid = validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap)
+    except ChebconvexError:
+        valid = validate_tuple(sorted(pts), OrderingClass.STRICTLY_INCREASING, min_gap=min_gap)
+    return grid if isinstance(grid, _Grid) and valid.points == pts \
+        else _Grid(valid.points, valid.backend())
+
+
+def _check_grid_domain(domain: Domain, grid: _Grid, js, what: str) -> None:
+    """:func:`_check_domain` at the increasing positions ``js`` of the
+    sorted ``grid``: an interval that holds the first and the last of
+    their points holds them all."""
+    if not (js and isinstance(domain, Interval) and domain.contains(grid[js[0]])
+            and domain.contains(grid[js[-1]])):
+        _check_domain(domain, (grid[j] for j in js), what)
+
+
+# ---------------------------------------------------------------------------
 # the point table, which every collocation determinant reads
 
 class _PointTable:
-    """The values fns[i](x) of functions at points, each computed once,
-    in the order its caller first needs them, and the columns
-    [fns[i](x) for i in rows] of tuples of function indices ``rows``,
-    each made once, with its backend and its prepared forms.  A value is
-    fns[i]._eval at evaluate()'s backend, resolved once per function and
-    point backend, at the first value that needs it, except in the
-    columns built directly (see :meth:`_kind`).  Points of equal value
-    and other types (0.5 and Fraction(1, 2)) have their own records."""
+    """The values fns[i](x) of functions at the points of grids, each
+    computed once, in the order its caller first needs them, and the
+    columns [fns[i](x) for i in rows] of tuples of function indices
+    ``rows``, each made once, with its backend and its prepared forms.
+    Both are lists by grid position, made once per grid: a caller
+    passes positions, never points.  A value is fns[i]._at the point, at
+    evaluate()'s backend, resolved once per function and point backend,
+    at the first value that needs it, except in the columns built
+    directly (see :meth:`_kind`)."""
 
     def __init__(self, fns: tuple):
         self.fns = fns
@@ -278,13 +374,7 @@ class _PointTable:
         self._kinds: dict = {}      # rows -> _kind(rows)
         self._required: dict = {}   # i -> fns[i].required_backend()
         self._tags: dict = {}       # (i, point backend) -> backend of fns[i] there
-        self._points = collections.defaultdict(dict)    # type -> {value: record}
-
-    def points(self, xs) -> list:
-        """The table's record of each point in ``xs``."""
-        by_type = self._points
-        return [(found := by_type[type(x)]).get(x) or found.setdefault(x, _Point(x))
-                for x in xs]
+        self._lists: dict = {}      # (rows or i, grid) -> columns or values of fns[i], by position
 
     def _kind(self, rows: tuple) -> tuple:
         """How columns of ``rows`` are built directly: at a float point,
@@ -303,62 +393,87 @@ class _PointTable:
         terms = [[(k, int(c * lcm)) for k, c in poly.items() if c] for poly in polys]
         return None, (max((k for row in terms for k, _ in row), default=0), lcm, terms)
 
-    def columns(self, rows: tuple, points: list) -> list:
-        """The columns of ``rows`` at the points whose records are
-        ``points``, each made once.  Values not computed yet are computed
-        row by row over the points, the order in which a matrix of these
-        columns built row by row first needs them; a column built
-        directly raises nothing, so it leaves that order as it is."""
-        new = [p for p in points if rows not in p.columns]
-        if new:
-            if rows not in self._kinds:
-                self._kinds[rows] = self._kind(rows)
-            powers, poly = self._kinds[rows]
-            slow = []
-            for p in new:
-                if p.backend is Backend.FLOAT and powers is not None:
-                    values = [p.x ** k for k in powers]
-                    p.columns[rows] = _Column(values, [Backend.FLOAT], {False: (values, 1)})
-                elif p.backend is not Backend.FLOAT and poly is not None:
-                    p.columns[rows] = _polynomial_column(p.x, *poly)
+    def columns(self, rows: tuple, grid: _Grid, js) -> list:
+        """The columns of ``rows`` at the positions ``js`` of ``grid``,
+        each made once.  Values not computed yet are computed row by row
+        over the positions, the order in which a matrix of these columns
+        built row by row first needs them; a column built directly raises
+        nothing, so it leaves that order as it is."""
+        cols = self._by_position(rows, grid)
+        slow = [j for j in js if cols[j] is None]
+        if slow and rows not in self._kinds:
+            self._kinds[rows] = self._kind(rows)
+        powers, poly = self._kinds.get(rows, (None, None))
+        if powers is not None or poly is not None:
+            new, slow = slow, []
+            for j in new:
+                backend = grid.shared or scalar_backend(grid[j])
+                if backend is Backend.FLOAT and powers is not None:
+                    values = [grid[j] ** k for k in powers]
+                    cols[j] = _Column(values, [Backend.FLOAT], {False: (values, 1)})
+                elif backend is not Backend.FLOAT and poly is not None:
+                    cols[j] = _polynomial_column(*grid.pq(j), *poly)
                 else:
-                    slow.append(p)
-            if slow:
-                for i in rows:
-                    for p in slow:
-                        if i not in p.values:
-                            p.values[i] = self._value(i, p)
-                for p in slow:
-                    p.columns[rows] = _Column([p.values[i] for i in rows],
-                                              [self._tags[i, p.backend] for i in rows])
-        return [p.columns[rows] for p in points]
+                    slow.append(j)
+        if slow:
+            values = [self._by_position(i, grid) for i in rows]
+            for i, row in zip(rows, values):
+                for j in slow:
+                    if row[j] is None:
+                        row[j] = self.fns[i]._at(grid, j, self._tag(i, grid, j))
+            for j in slow:
+                cols[j] = _Column([row[j] for row in values],
+                                  [self._tag(i, grid, j) for i in rows])
+        return [cols[j] for j in js]
 
-    def _value(self, i: int, p: "_Point") -> Scalar:
-        """fns[i] at the point whose record is ``p``."""
-        backend = self._tags.get((i, p.backend))
+    def _by_position(self, key, grid: _Grid) -> list:
+        """The columns of the rows tuple ``key``, or the values of function
+        ``key``, at the positions of ``grid``: None where not made yet."""
+        return self._lists.get((key, grid)) or self._lists.setdefault((key, grid),
+                                                                      [None] * len(grid))
+
+    def _tag(self, i: int, grid: _Grid, j: int) -> Backend:
+        """The backend of fns[i]'s value at position j of ``grid``:
+        evaluate()'s, resolved once per point backend, at the first value
+        that needs it."""
+        point = grid.shared or scalar_backend(grid[j])
+        backend = self._tags.get((i, point))
         if backend is None:
             if i not in self._required:
                 self._required[i] = self.fns[i].required_backend()
-            backend = self._tags[i, p.backend] = combine_backends(
-                p.backend, self._required[i], default=Backend.EXACT)
-        return self.fns[i]._eval(p.x, backend)
+            backend = self._tags[i, point] = combine_backends(
+                point, self._required[i], default=Backend.EXACT)
+        return backend
 
-    def det(self, rows: tuple, xs) -> Scalar:
-        """det of the square matrix of the columns of ``rows`` at xs."""
-        backend, forms = _matrix(self.columns(rows, self.points(xs)))
+    def matrix(self, rows: tuple, grid: _Grid, js) -> tuple:
+        """The backend of the matrix of the columns of ``rows`` at the
+        positions ``js`` of ``grid``, and the forms elimination takes:
+        on a grid with one backend, every column has it; else it is
+        read from the columns, as :func:`_matrix` does."""
+        cols = self.columns(rows, grid, js)
+        if grid.shared is None:
+            return _matrix(cols)
+        exact = grid.shared is not Backend.FLOAT
+        return grid.shared, [c.form(exact) for c in cols]
+
+    def det(self, rows: tuple, grid: _Grid, js) -> Scalar:
+        """det of the square matrix of the columns of ``rows`` at the
+        positions ``js`` of ``grid``."""
+        backend, forms = self.matrix(rows, grid, js)
         return _prepared_det(forms, backend is not Backend.FLOAT)
 
-    def appended_det(self, rows: tuple, base: tuple):
-        """The function xs -> (det, backend, prepared columns) of the
-        square matrix of the columns of ``rows`` at base + xs, the det a
-        float or, exact, :func:`_exact_det`'s (det, scale) pair.  The base
-        columns are eliminated once per backend; each call reduces the
-        columns at xs by the recorded steps and eliminates the rest."""
-        base_points, k = self.points(base), len(base)
+    def appended_det(self, rows: tuple, grid: _Grid, base: tuple):
+        """The function js -> (det, backend, prepared columns) of the
+        square matrix of the columns of ``rows`` at the positions base +
+        js of ``grid``, the det a float or, exact, :func:`_exact_det`'s
+        (det, scale) pair.  The base columns are eliminated once per
+        backend; each call reduces the columns at js by the recorded
+        steps and eliminates the rest."""
+        k = len(base)
         eliminated = {}     # exact -> (the base's pivot steps or None, its scale)
 
-        def det(xs):
-            backend, forms = _matrix(self.columns(rows, base_points + self.points(xs)))
+        def det(js):
+            backend, forms = self.matrix(rows, grid, base + tuple(js))
             exact = backend is not Backend.FLOAT
             if exact not in eliminated:
                 eliminated[exact] = (_eliminate([c for c, _ in forms[:k]], k, exact),
@@ -375,19 +490,6 @@ class _PointTable:
             return (_exact_det(reduced, state, scale) if exact
                     else _prepared_det(reduced, False, state)), backend, forms
         return det
-
-
-class _Point:
-    """A point, its backend, its values by function index and its
-    columns by rows."""
-
-    __slots__ = ("x", "backend", "values", "columns")
-
-    def __init__(self, x):
-        self.x = x
-        self.backend = scalar_backend(x)
-        self.values: dict = {}
-        self.columns: dict = {}
 
 
 def _polynomial(f) -> dict | None:
@@ -410,14 +512,16 @@ def _polynomial(f) -> dict | None:
     return out
 
 
-def _polynomial_column(x, d: int, lcm: int, terms: list) -> "_Column":
+def _polynomial_column(p: int, q: int, d: int, lcm: int, terms: list) -> "_Column":
     """The column at the exact point x = p/q of rows of degree at most d
     whose coefficients' denominators have the lcm L, in integer form:
     for each row's nonzero terms (k, c * L) in ``terms``, the sum of
     c * L * p^k * q^(d-k), and the scale q^d * L, both over their gcd,
-    as :func:`_form` makes them.  Rows x^k, given as their exponents k,
-    need no gcd: that of x^d, p^d, is prime to q^d."""
-    p, q = x.numerator, x.denominator
+    as :func:`_form` makes them, with p/q in lowest terms.  Rows x^k,
+    given as their exponents k, need no gcd: that of x^d, p^d, is prime
+    to q^d."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
     if type(terms[0]) is int:
         return _Column(None, [Backend.EXACT], {True: ([p ** k * q ** (d - k) for k in terms],
                                                       q ** d)})
@@ -478,7 +582,7 @@ def collocation_matrix(fns: Sequence[FunctionSpec], points: Sequence[Scalar]) ->
         raise DimensionMismatch(
             f"{len(fns)} functions vs {len(points)} points")
     table = _PointTable(tuple(fns))
-    columns = table.columns(tuple(range(len(fns))), table.points(points))
+    columns = table.columns(tuple(range(len(fns))), _Grid(points), range(len(points)))
     return matrix_from_rows(list(zip(*(c.values for c in columns))))
 
 
@@ -491,7 +595,7 @@ def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequen
     if len(pts) != k:
         raise DimensionMismatch(f"need {k} points, got {len(pts)}")
     _check_domain(system.domain, pts)
-    return _PointTable(system.basis[:k]).det(tuple(range(k)), pts)
+    return _PointTable(system.basis[:k]).det(tuple(range(k)), _Grid(pts), range(k))
 
 
 def _tolerance(biggest: float, n: int, tol_factor: float) -> float:
@@ -558,17 +662,6 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
     return [tuple(sorted(rng.sample(range(m), k))) for _ in range(budget)], False
 
 
-def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> tuple:
-    """Sort a grid and validate strict increase (duplicates rejected); a
-    grid that passes as given is sorted already."""
-    pts = tuple(grid)
-    try:
-        return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap).points
-    except ChebconvexError:
-        return validate_tuple(sorted(pts), OrderingClass.STRICTLY_INCREASING,
-                              min_gap=min_gap).points
-
-
 # ---------------------------------------------------------------------------
 # the sign scan behind grid positivity and every convexity mode
 #
@@ -598,12 +691,13 @@ class SignScan:
 
 
 class _Tally:
-    """Smallest violating and near-zero index tuples of the grid ``pts``
-    with their values, and the number of near-zero tuples."""
+    """Smallest violating and near-zero index tuples with their values,
+    and the number of near-zero tuples; ``at(t)`` gives the points of
+    index tuple t."""
 
-    def __init__(self, positive: bool, pts: tuple, tol_factor: float):
+    def __init__(self, positive: bool, at, tol_factor: float):
         self.positive = positive
-        self.pts = pts
+        self.at = at
         self.tol_factor = tol_factor
         self.first: dict[str, tuple] = {}
         self.near_zero = 0
@@ -618,8 +712,7 @@ class _Tally:
         tol = 0
         if isinstance(value, float):
             if not math.isfinite(value):
-                raise NonFiniteValue(
-                    f"determinant {value} at {tuple(self.pts[j] for j in t)}")
+                raise NonFiniteValue(f"determinant {value} at {self.at(t)}")
             tol = _tolerance(biggest, len(t), self.tol_factor)
         if self.positive:
             kind = _VIOLATION if value <= -tol else _NEAR_ZERO if value <= tol else None
@@ -634,19 +727,19 @@ class _Tally:
             self.first[kind] = (t, value)
 
 
-def _sign_scan(table: _PointTable, rows: tuple, pts: tuple, budget: int, seed: int,
+def _sign_scan(table: _PointTable, rows: tuple, grid: _Grid, js, budget: int, seed: int,
                tol_factor: float, positive: bool) -> SignScan:
     """Classify the determinants of the columns of ``rows`` in ``table``
-    for the increasing len(rows)-tuples of the sorted grid ``pts``
-    (exhaustive within ``budget``, else ``budget`` seeded samples) by the
-    rule of :meth:`_Tally.add`."""
-    m, n = len(pts), len(rows)
+    for the increasing len(rows)-tuples of the increasing positions
+    ``js`` of the sorted ``grid`` (exhaustive within ``budget``, else
+    ``budget`` seeded samples) by the rule of :meth:`_Tally.add`."""
+    m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
-    cols = _scan_columns(table, rows, pts, [range(n)] + [(j,) for j in range(n, m)]
+    cols = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
                          if exhaustive else tuples)
     used = {c.backend() for c in cols.values()}
-    tally = _Tally(positive, pts, tol_factor)
+    tally = _Tally(positive, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     scale = None
     if not exhaustive or len(used) > 1:
         _scan_each(cols, tuples, tally, used)
@@ -660,26 +753,26 @@ def _sign_scan(table: _PointTable, rows: tuple, pts: tuple, budget: int, seed: i
             t, value = tally.first[verdict]
             if scale is not None:
                 value = Fraction(value, math.prod(scale[j] for j in t))
-            return SignScan(checked, exhaustive, verdict, tuple(pts[j] for j in t),
-                            value, tally.near_zero)
+            return SignScan(checked, exhaustive, verdict, tally.at(t), value, tally.near_zero)
     return SignScan(checked, exhaustive)
 
 
-def _scan_columns(table: _PointTable, rows: tuple, pts: tuple, touched) -> dict:
-    """The table's columns of ``rows`` at every point index in
-    ``touched``, asked for group by group, the order in which a scan that
-    builds each tuple's matrix first meets the points, so the first
-    failing evaluation is the same.  A float column holding an infinite
-    or NaN value raises :class:`NonFiniteValue`."""
+def _scan_columns(table: _PointTable, rows: tuple, grid: _Grid, js, touched) -> dict:
+    """The table's columns of ``rows`` at every index j in ``touched``
+    (of the position js[j] of ``grid``), asked for group by group, the
+    order in which a scan that builds each tuple's matrix first meets
+    the points, so the first failing evaluation is the same.  A float
+    column holding an infinite or NaN value raises
+    :class:`NonFiniteValue`."""
     cols: dict = {}
     for group in touched:
         new = [j for j in group if j not in cols]
         if not new:
             continue
-        for j, col in zip(new, table.columns(rows, table.points([pts[j] for j in new]))):
+        for j, col in zip(new, table.columns(rows, grid, [js[j] for j in new])):
             if col.backend() is Backend.FLOAT and not all(map(math.isfinite, col.values)):
                 v = next(v for v in col.values if not math.isfinite(v))
-                raise NonFiniteValue(f"function value {v} at grid point {pts[j]}")
+                raise NonFiniteValue(f"function value {v} at grid point {grid[js[j]]}")
             cols[j] = col
     return cols
 
@@ -799,22 +892,24 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     as indeterminate, with tol = tol_factor * (max |entry|)**k.
     Raises :class:`NonFiniteValue` on an infinite or NaN value.
     """
-    return _positivity(system, k, grid, _PointTable(system.basis), budget, seed, tol_factor)
-
-
-def _positivity(system: ChebyshevSystem, k: int, grid, table: _PointTable,
-                budget: int, seed: int, tol_factor: float) -> PositivityReport:
-    """:func:`is_positive_chebyshev`, reading the basis values from
-    ``table``, whose function i is the system's basis function i."""
     pts = sorted_grid(grid)
-    if len(pts) < k:
-        raise InsufficientGrid(f"grid has {len(pts)} points, need at least {k}")
-    _check_domain(system.domain, pts, "grid point")
+    return _positivity(system, k, pts, range(len(pts)), _PointTable(system.basis), budget,
+                       seed, tol_factor)
+
+
+def _positivity(system: ChebyshevSystem, k: int, grid: _Grid, js, table: _PointTable,
+                budget: int, seed: int, tol_factor: float) -> PositivityReport:
+    """:func:`is_positive_chebyshev` at the increasing positions ``js``
+    of the sorted ``grid``, reading the basis values from ``table``,
+    whose function i is the system's basis function i."""
+    if len(js) < k:
+        raise InsufficientGrid(f"grid has {len(js)} points, need at least {k}")
+    _check_grid_domain(system.domain, grid, js, "grid point")
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
 
-    scan = _sign_scan(table, tuple(range(k)), pts,
-                      budget, seed, tol_factor, positive=True)
+    scan = _sign_scan(table, tuple(range(k)), grid, js, budget, seed, tol_factor,
+                      positive=True)
     return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
                             scan.exhaustive, seed, scan.witness, scan.witness_value,
                             scan.indeterminate_count)

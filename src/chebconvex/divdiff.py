@@ -40,7 +40,7 @@ from .core import (
 from .determinant import (
     DEFAULT_TOL_FACTOR,
     _exact_det,
-    _matrix,
+    _Grid,
     _PointTable,
     _prepared_det,
     check_denominator,
@@ -91,9 +91,9 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     system on these points.
     """
     pts = _checked_points(system, k, points, min_gap)
-    table = _PointTable(system.basis[:k] + (f,))
-    value, numerator, denominator = _ratio(table, k, table.points(pts), pts.points,
-                                           tol_factor)
+    table, grid = _PointTable(system.basis[:k] + (f,)), _Grid(pts.points, pts.backend())
+    value, numerator, denominator = _ratio(lambda rows: table.matrix(rows, grid, range(k)), k,
+                                           pts.points, tol_factor)
     return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)
 
 
@@ -129,18 +129,19 @@ def _checked_denominator(den, backend: Backend, forms: list, at: tuple,
     return _finite(den, "prefix collocation determinant", at)
 
 
-def _ratio(table: _PointTable, k: int, points: list, at: tuple, tol_factor: float) -> tuple:
-    """The divided difference of the table's function k with respect to
-    its functions 0..k-1 at the points ``at`` (records ``points``), with
-    its numerator and denominator, each a float or an exact pair of
-    integers (det, scale): the denominator's determinant, its checks
+def _ratio(matrix, k: int, at, tol_factor: float) -> tuple:
+    """The divided difference of function k with respect to functions
+    0..k-1 at the points ``at``, whose columns of rows ``matrix(rows)``
+    gives as :meth:`_PointTable.matrix` does, with its numerator and
+    denominator, each a float or an exact pair of integers (det, scale):
+    the denominator's determinant, its checks
     (:func:`_checked_denominator`), the numerator's, then their
     :func:`_quotient`.  f's values and the numerator are not touched
     before the denominator passes."""
     rows = tuple(range(k))
-    den, backend, forms = _determinant(table, rows, points)
+    den, backend, forms = _determinant(*matrix(rows))
     _checked_denominator(den, backend, forms, at, tol_factor)
-    num = _determinant(table, rows[:-1] + (k,), points)[0]
+    num = _determinant(*matrix(rows[:-1] + (k,)))[0]
     return _quotient(num, den, at), num, den
 
 
@@ -153,10 +154,9 @@ def _quotient(num, den, at: tuple) -> Scalar:
     return _finite(value, "divided difference", at)
 
 
-def _determinant(table: _PointTable, rows: tuple, points: list) -> tuple:
-    """The determinant of the columns of ``rows`` at ``points`` as
+def _determinant(backend: Backend, forms: list) -> tuple:
+    """The determinant of the prepared columns ``forms`` of ``backend`` as
     :func:`_ratio` takes it, with its backend and prepared columns."""
-    backend, forms = _matrix(table.columns(rows, points))
     exact = backend is not Backend.FLOAT
     return (_exact_det(forms) if exact else _prepared_det(forms, False)), backend, forms
 

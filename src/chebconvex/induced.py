@@ -51,6 +51,7 @@ from .determinant import (
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
+    _Grid,
     _PointTable,
     _positivity,
     check_denominator,
@@ -83,10 +84,11 @@ class DerivedFn(FunctionSpec):
         return _derived_backend(self.base.points, self.target, self.parent.basis[:self.k + 1])
 
     def _eval(self, x, backend):
-        _checked_points(self.parent, self.k + 1, self.base.points + (x,))
+        pts = _checked_points(self.parent, self.k + 1, self.base.points + (x,))
         table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
-        pinned = _PinnedBase(table, self.parent.domain, self.k, self.base.points)
-        return as_backend(pinned.ratio(1, x), backend)
+        pinned = _PinnedBase(table, self.parent.domain, self.k, _Grid(pts.points, pts.backend()),
+                             tuple(range(self.k)))
+        return as_backend(pinned.ratio(1, self.k), backend)
 
 
 def _derived_backend(base: tuple, target: FunctionSpec, prefix: tuple) -> Backend | None:
@@ -105,9 +107,10 @@ def _check_base(domain: Domain, base) -> None:
 
 
 class _PinnedBase:
-    """The derived functions of one base: target t's value at x is the
-    divided difference of fns[k + t] of ``table`` over (base..., x)
-    with respect to fns[:k+1].  The k base columns of the
+    """The derived functions of one base, the points at the positions
+    ``base`` of ``grid``: target t's value at the point of position j of
+    the grid is the divided difference of fns[k + t] of ``table`` over
+    (base..., x_j) with respect to fns[:k+1].  The k base columns of the
     rows fns[:k] + (target,) are eliminated once per target, and a value
     reduces x's column by det's own pivot steps, so it equals
     divided_difference's bit for bit (float) or as a Fraction (exact).
@@ -116,72 +119,77 @@ class _PinnedBase:
     tolerance factor ``tol_factor``.  The base points need not
     increase."""
 
-    def __init__(self, table: _PointTable, domain: Domain, k: int, base: tuple,
+    def __init__(self, table: _PointTable, domain: Domain, k: int, grid: _Grid, base: tuple,
                  tol_factor: float = DEFAULT_TOL_FACTOR):
         self.table = table
         self.domain = domain
         self.k = k
+        self.grid = grid
         self.base = base
         self.tol_factor = tol_factor
-        self.dets = [table.appended_det((*range(k), k + t), base)
+        self.dets = [table.appended_det((*range(k), k + t), grid, base)
                      for t in range(len(table.fns) - k)]
-        self.records: dict = {}     # x -> its denominator's record, see denominator()
+        self.records = [None] * len(grid)   # by position: its denominator's record
 
     def derived(self) -> tuple:
         """The targets' derived functions, as a base's derived table reads them."""
         return tuple(_Derived(self, t) for t in range(len(self.dets)))
 
-    def denominator(self, x: Scalar) -> list:
-        """The record of x: the (k+1)-minor of fns[:k+1] at (base..., x)
-        as an appended determinant gives it, the backend of its entries,
-        its prepared columns, and whether it passed :meth:`ratio`'s
-        checks; made once the points pass divided_difference's ordering
-        check."""
-        record = self.records.get(x)
+    def points(self, js=()) -> tuple:
+        """The base points, then the points at the positions ``js``."""
+        return tuple(self.grid[j] for j in self.base + tuple(js))
+
+    def denominator(self, j: int) -> list:
+        """The record of position j: the (k+1)-minor of fns[:k+1] at
+        (base..., x_j) as an appended determinant gives it, the backend
+        of its entries, its prepared columns, those points, and whether
+        it passed :meth:`ratio`'s checks; made once the points pass
+        divided_difference's ordering check."""
+        record = self.records[j]
         if record is None:
-            validate_tuple(self.base + (x,), OrderingClass.PAIRWISE_DISTINCT,
-                           min_gap=DEFAULT_MIN_GAP)
-            record = self.records[x] = [*self.dets[0]((x,)), False]
+            at = self.points((j,))
+            validate_tuple(at, OrderingClass.PAIRWISE_DISTINCT, min_gap=DEFAULT_MIN_GAP)
+            record = self.records[j] = [*self.dets[0]((j,)), at, False]
         return record
 
-    def ratio(self, t: int, x: Scalar) -> Scalar:
-        """divided_difference's value for target t at (base..., x), check
-        by check: its points' domain, the denominator's checks, then the
-        ratio's (divdiff._ratio's step, :func:`divdiff._quotient`)."""
-        record = self.denominator(x)
-        den, backend, forms, checked = record
-        at = self.base + (x,)
+    def ratio(self, t: int, j: int) -> Scalar:
+        """divided_difference's value for target t at (base..., x_j),
+        check by check: its points' domain, the denominator's checks, then
+        the ratio's (divdiff._ratio's step, :func:`divdiff._quotient`)."""
+        record = self.denominator(j)
+        den, backend, forms, at, checked = record
         if not checked:
-            _check_domain(self.domain, (x,))
+            _check_domain(self.domain, at[-1:])
             _checked_denominator(den, backend, forms, at, self.tol_factor)
-            record[3] = True
-        num = den if t == 0 else self.dets[t]((x,))[0]
+            record[4] = True
+        num = den if t == 0 else self.dets[t]((j,))[0]
         return _quotient(num, den, at)
 
     @functools.cached_property
     def _whole(self) -> tuple:
-        """The k-minor at the base, and xs -> the determinant of every
-        function of the table at (base..., xs)."""
+        """The k-minor at the base, and js -> the determinant of every
+        function of the table at (base..., points at js)."""
         rows = tuple(range(len(self.table.fns)))
-        return (self.table.det(rows[:self.k], self.base),
-                self.table.appended_det(rows, self.base))
+        return (self.table.det(rows[:self.k], self.grid, self.base),
+                self.table.appended_det(rows, self.grid, self.base))
 
-    def identity(self, xs: tuple, cells: _PointTable) -> ResidualReport:
-        """Both sides of the factorization identity at (base..., xs), with
-        len(xs) = len(fns) - k and ``cells`` the table of :meth:`derived`:
-        the determinant of every function at (base..., xs), times the
-        k-minor to the power len(xs) - 1, over the (k+1)-minor at
-        (base..., x) for each x in xs, each after the singular-denominator
-        rule; against the determinant of the derived values at xs."""
+    def identity(self, js: tuple, cells: _PointTable) -> ResidualReport:
+        """Both sides of the factorization identity at (base..., xs), xs
+        the points at the positions ``js``, with len(js) = len(fns) - k
+        and ``cells`` the table of :meth:`derived`: the determinant of
+        every function at (base..., xs), times the k-minor to the power
+        len(xs) - 1, over the (k+1)-minor at (base..., x) for each x in
+        xs, each after the singular-denominator rule; against the
+        determinant of the derived values at xs."""
         kminor, whole = self._whole
-        lhs = _scalar(whole(xs)[0]) * kminor ** (len(xs) - 1)
-        for x in xs:
-            den, backend, forms, _ = self.denominator(x)
+        lhs = _scalar(whole(js)[0]) * kminor ** (len(js) - 1)
+        for j in js:
+            den, backend, forms, at, _ = self.denominator(j)
             den = _scalar(den)
-            check_denominator(den, forms, backend, self.base + (x,), self.tol_factor,
+            check_denominator(den, forms, backend, at, self.tol_factor,
                               name="(k+1)-prefix determinant", show_value=False)
             lhs = lhs / den
-        rhs = cells.det(tuple(range(len(xs))), xs)
+        rhs = cells.det(tuple(range(len(js))), self.grid, js)
         return ResidualReport(lhs, rhs, abs(lhs - rhs))
 
 
@@ -195,10 +203,12 @@ class _Derived:
 
     def required_backend(self) -> Backend | None:
         fns, k = self.pinned.table.fns, self.pinned.k
-        return _derived_backend(self.pinned.base, fns[k + self.t], fns[:k + 1])
+        return _derived_backend(self.pinned.points(), fns[k + self.t], fns[:k + 1])
 
-    def _eval(self, x: Scalar, backend: Backend) -> Scalar:
-        return as_backend(self.pinned.ratio(self.t, x), backend)
+    def _at(self, grid: _Grid, j: int, backend: Backend) -> Scalar:
+        """The value at position j of the pinned base's grid, the one grid
+        its derived table is read at."""
+        return as_backend(self.pinned.ratio(self.t, j), backend)
 
 
 @dataclass(frozen=True)
@@ -277,12 +287,17 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     identity holds on every sampled increasing (n-k)-tuple."""
     ind = induced_system(parent, k, base)
     pts = sorted_grid(grid)
-    pinned = _PinnedBase(_PointTable(parent.basis), parent.domain, k, ind.base.points,
+    # one grid: the base's points, then the sorted grid's at k..
+    joined = _Grid(ind.base.points + tuple(pts),
+                   pts.shared if ind.base.backend() is pts.shared else None)
+    js = range(k, len(joined))
+    pinned = _PinnedBase(_PointTable(parent.basis), parent.domain, k, joined, tuple(range(k)),
                          tol_factor)
     derived = _PointTable(pinned.derived())
-    positivity = _positivity(ind.as_system(), ind.dim, pts, derived, budget, seed, tol_factor)
+    positivity = _positivity(ind.as_system(), ind.dim, joined, js, derived, budget, seed,
+                             tol_factor)
 
-    tuples, exhaustive = increasing_tuples(pts, ind.dim, budget=budget, seed=seed)
+    tuples, exhaustive = increasing_tuples(js, ind.dim, budget=budget, seed=seed)
     max_abs = 0.0
     max_rel = 0.0
     worst: ResidualReport | None = None

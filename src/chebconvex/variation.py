@@ -9,13 +9,19 @@ certified lower bound from a refinement sequence; when the function is
 supplied as a difference g - h of two convex-with-respect-to-the-system
 functions, the divided differences of g + h at anchor tuples flanking
 [a, b] give a matching upper bound.
+
+An estimate's partitions are grids read by position: exact ones are
+integers over one scale (the uniform partitions' m·L, times 2**22 after
+a jitter step), and the refinement rounds read every 2**j-th point of
+the finest uniform partition.  A window asks the point table only for
+the columns at its new point, and an exact partition sum adds only the
+window values where the sum turns.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from .core import (
     Backend,
     ChebyshevSystem,
@@ -33,7 +39,8 @@ from .core import (
     scalar_backend,
     validate_tuple,
 )
-from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _PointTable
+from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _Grid, _matrix, _PointTable
+from .determinant import _uniform_grid
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
     AnchorInfeasible,
@@ -108,50 +115,71 @@ def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition
                   tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Sum over consecutive n-point windows of the partition of the
     absolute difference of neighbouring divided differences."""
-    return _window_sum(_PointTable(system.basis + (f,)), system, partition, min_gap,
-                       tol_factor)
+    grid = _Grid(partition.points.points, partition.points.backend())
+    return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
+                       min_gap, tol_factor)
 
 
-def _window_sum(table: _PointTable, system: ChebyshevSystem, partition: Partition,
+def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: _Grid, js,
                 min_gap: float, tol_factor: float) -> Scalar:
-    """:func:`variation_sum` with the values of ``table``, which holds
-    the system's basis and f and may be shared between partitions.
-    Each window's divided difference is divided_difference's, check by
-    check: its points' checks (:func:`_rejected_window`), then the
-    shared ratio step on the table's columns."""
+    """:func:`variation_sum` over the partition whose points are at the
+    increasing positions ``js`` of ``grid``, with the values of
+    ``table``, which holds the system's basis and f and may be shared
+    between partitions.  Each window's divided difference is
+    divided_difference's, check by check: its points' checks
+    (:func:`_rejected_window`), then the shared ratio step on the
+    table's columns, of which a window asks only for those at its new
+    point; it holds the others by position."""
     n = system.dim
-    pts = partition.points.points
-    m = len(pts) - 1
+    m = len(js) - 1
     if m < n:
         raise DimensionMismatch(
             f"partition has {m} intervals, need at least {n} for dimension {n}")
-    stop, error = _rejected_window(pts, n, system, min_gap)
-    points = table.points(pts)
-    window_values = [_ratio(table, n, points[i:i + n], pts[i:i + n], tol_factor)[0]
-                     for i in range(stop)]
+    stop, error = _rejected_window(grid, js, n, system, min_gap)
+    held: dict = {}     # rows -> their columns at js[:len], prepared on a grid of one backend
+
+    def matrix(rows, i):
+        """The backend and prepared columns of rows at window i."""
+        got = held.setdefault(rows, [])
+        fresh = table.columns(rows, grid, js[len(got):i + n])
+        got.extend(c.form(grid.shared is not Backend.FLOAT) if grid.shared else c for c in fresh)
+        return (grid.shared, got[i:i + n]) if grid.shared else _matrix(got[i:i + n])
+
+    values = [_ratio(lambda rows: matrix(rows, i), n, _At(grid, js[i:i + n]), tol_factor)[0]
+              for i in range(stop)]
     if error is not None:
         raise error
-    total = window_values[0] - window_values[0]  # zero of the right backend
-    for i in range(m - n + 1):
-        total += abs(window_values[i + 1] - window_values[i])
-    return _finite(total, f"partition sum over {m} intervals", (pts[0], pts[-1]))
+    if any(isinstance(v, float) for v in values):
+        total = values[0] - values[0]  # zero of the right backend
+        for i in range(m - n + 1):
+            total += abs(values[i + 1] - values[i])
+    else:   # exactly, as the sum of v[i]·(s[i-1] - s[i]), s[i] the sign of v[i+1] - v[i]
+        s = [0] + [1 if b > a else 0 if b == a else -1 for a, b in zip(values, values[1:])] + [0]
+        total = sum((v * (s[i] - s[i + 1]) for i, v in enumerate(values) if s[i] != s[i + 1]),
+                    values[0] - values[0])
+    return _finite(total, f"partition sum over {m} intervals", _At(grid, (js[0], js[-1])))
 
 
-def _rejected_window(pts: tuple, n: int, system: ChebyshevSystem,
+def _rejected_window(grid: _Grid, js, n: int, system: ChebyshevSystem,
                      min_gap: float) -> tuple:
-    """The first n-point window of the increasing ``pts`` whose points
-    divided_difference rejects, with the error it raises: the first pair
-    closer than ``min_gap`` if a point is float (from the consecutive
-    gaps, as validate_tuple finds it), else the first point outside the
-    domain (an interval holds all of ``pts`` when it holds both ends).
-    (the number of windows, None) when it rejects none."""
-    windows = len(pts) - n + 1
+    """The first n-point window of the increasing positions ``js`` of
+    ``grid`` whose points divided_difference rejects, with the error it
+    raises: the first pair closer than ``min_gap`` if a point is float
+    (from the consecutive gaps, as validate_tuple finds it), else the
+    first point outside the domain (an interval holds all the points
+    when it holds both ends, and a grid of one exact backend has no
+    gaps to check).  (the number of windows, None) when it rejects
+    none."""
+    windows = len(js) - n + 1
+    dom = system.domain
+    ends = isinstance(dom, Interval) and dom.contains(grid[js[0]]) and dom.contains(grid[js[-1]])
+    if ends and grid.shared is Backend.EXACT:
+        return windows, None
+    pts = [grid[j] for j in js]
     floats = [isinstance(x, float) for x in pts]
     close = [False] * len(pts)
     if min_gap > 0 and any(floats):
         close = [abs(pts[i] - pts[i + 1]) < min_gap for i in range(len(pts) - 1)]
-    dom = system.domain
-    ends = isinstance(dom, Interval) and dom.contains(pts[0]) and dom.contains(pts[-1])
     outside = [False] * len(pts) if ends else [not dom.contains(x) for x in pts]
     if not (any(close) or any(outside)):
         return windows, None
@@ -166,34 +194,35 @@ def _rejected_window(pts: tuple, n: int, system: ChebyshevSystem,
     return windows, None
 
 
-def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend,
-                       half: Partition | None = None) -> Partition:
-    """The points lo + (hi - lo) * (i / m) of [a, b] and hi; with
-    ``half``, the partition into m / 2 intervals, whose points are the
-    even ones (make(2i) / (2m) and make(i) / m round one rational)."""
-    make = _BACKEND_TYPES[backend]
-    lo, hi = make(a), make(b)
-    step = 1 if half is None else 2
-    pts = [lo + (hi - lo) * (make(i) / m) for i in range(step - 1, m, step)]
-    if half is not None:
-        pts = [x for pair in zip(half.points.points, pts) for x in pair]
-    return Partition(validate_tuple(pts + [hi], OrderingClass.STRICTLY_INCREASING))
+def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> _Grid:
+    """The uniform partition of [a, b] into m intervals, as a grid:
+    exact, :func:`determinant._uniform_grid`'s integers; float, the points
+    lo + (hi - lo) * (i / m) and hi.  Its even points are those of the
+    partition into m / 2 intervals (make(2i) / (2m) and make(i) / m round
+    one rational), so refinement rounds read one grid."""
+    if backend is Backend.EXACT:
+        return _uniform_grid(a, b, m)
+    lo, hi = float(a), float(b)
+    return _Grid([lo + (hi - lo) * (i / m) for i in range(m)] + [hi], backend)
 
 
-def _jitter_partition(base: Partition, rng: random.Random, backend: Backend) -> Partition:
-    """Move each interior point by less than a quarter of the local mesh
-    width, which preserves strict ordering: by (u - 1/2) * room / 2, u
-    uniform in [0, 1), one product room * (2r - 2**20) / 2**22 for an
-    exact u = r / 2**20."""
-    pts = list(base.points.points)
+def _jitter_partition(base: _Grid, rng: random.Random, backend: Backend) -> _Grid:
+    """Move each interior point of the uniform partition ``base`` by less
+    than a quarter of the local mesh width, which preserves strict
+    ordering: by (u - 1/2) * room / 2, u uniform in [0, 1), room the
+    smaller of its two gaps.  Exact, u = r / 2**20 and room is the mesh
+    width, (B - A) / q for base's integers, so the moved points are the
+    integers nums * 2**22 + (B - A) * (2r - 2**20) over q * 2**22."""
+    if backend is Backend.EXACT:
+        nums, room = [v << 22 for v in base.nums], base.nums[1] - base.nums[0]
+        for i in range(1, len(nums) - 1):
+            nums[i] += room * (2 * rng.getrandbits(20) - (1 << 20))
+        return _Grid(nums=nums, q=base.q << 22)
+    pts = list(base)
     gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
     for i in range(1, len(pts) - 1):
-        room = min(gaps[i - 1], gaps[i])
-        if backend is Backend.EXACT:
-            pts[i] = pts[i] + room * Fraction(2 * rng.getrandbits(20) - (1 << 20), 1 << 22)
-        else:
-            pts[i] = pts[i] + (rng.random() - 0.5) * room / 2
-    return Partition(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING))
+        pts[i] = pts[i] + (rng.random() - 0.5) * min(gaps[i - 1], gaps[i]) / 2
+    return _Grid(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING).points, backend)
 
 
 def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
@@ -228,37 +257,40 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
 
     partial_sums: list[tuple] = []
     best = None
-    best_partition: tuple = ()
+    best_partition = None      # (grid, positions) of the best partition
     converged = False
     rng = random.Random(strategy.seed)
-    # uniform partitions nest: each round takes the points of the one
-    # before, and their values
+    # uniform partitions nest: round r reads every 2**(rounds-1-r)-th
+    # point of the finest one, and the table's records there
+    finest = _uniform_partition(a, b, m0 << (strategy.rounds - 1), backend)
     table = _PointTable(system.basis + (f,))
 
     prev_best = None
-    part = None
     for r in range(strategy.rounds):
         m = m0 << r
-        part = _uniform_partition(a, b, m, backend, part)
-        value = _window_sum(table, system, part, min_gap, tol_factor)
+        part = range(0, len(finest), 1 << (strategy.rounds - 1 - r))
+        if backend is Backend.FLOAT:    # an exact one increases strictly
+            validate_tuple([finest[j] for j in part], OrderingClass.STRICTLY_INCREASING)
+        value = _window_sum(table, system, finest, part, min_gap, tol_factor)
         partial_sums.append((m, value))
         if best is None or value > best:
             best = value
-            best_partition = part.points.points
+            best_partition = finest, part
         if prev_best is not None:
             improvement = float(best) - float(prev_best)
             converged = improvement < strategy.rel_tol * max(1.0, abs(float(best)))
         prev_best = best
 
     for _ in range(strategy.perturb_rounds):
-        jittered = _jitter_partition(part, rng, backend)
-        value = _window_sum(table, system, jittered, min_gap, tol_factor)
+        jittered = _jitter_partition(finest, rng, backend)
+        value = _window_sum(table, system, jittered, range(len(jittered)), min_gap, tol_factor)
         partial_sums.append((m, value))
         if value > best:
             best = value
-            best_partition = jittered.points.points
+            best_partition = jittered, range(len(jittered))
 
-    return VariationEstimate(tuple(partial_sums), best, best_partition, converged)
+    grid, part = best_partition
+    return VariationEstimate(tuple(partial_sums), best, tuple(grid[j] for j in part), converged)
 
 
 # ---------------------------------------------------------------------------

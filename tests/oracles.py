@@ -34,7 +34,12 @@ package uses, so matching values certify both sides:
   difference, a product and a quotient, vs nested partitions and one
   product (``uniform_partition_points``, ``jittered_points``);
 * sorting every grid before one validation vs validating first
-  (``sorted_grid_formula``).
+  (``sorted_grid_formula``);
+* the CLI's readers making one scalar per item, a grid as a tuple of
+  scalars sorted by value and restricted grids selected by value vs
+  integer grids over one scale, grids sorted and validated as integers
+  and points passed by position (``parse_scalar``, ``read_scalars``,
+  ``parse_grid``, ``sorted_grid``, ``restricted_points``).
 
 The closed forms that the package once exported, kept here because only
 tests read them, check its general routes on special cases:
@@ -47,9 +52,13 @@ tests read them, check its general routes on special cases:
   interleaves the base (``sign_index``) vs the determinants' signs.
 """
 
+import csv
 import itertools
+import json
 import math
+import os
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +66,6 @@ from chebconvex.cli import _jsonify
 from chebconvex.convexity import (
     DEFAULT_BASE_BUDGET,
     ConvexityVerdict,
-    _restricted_points,
 )
 from chebconvex.core import (
     DEFAULT_MIN_GAP,
@@ -88,6 +96,7 @@ from chebconvex.determinant import (
     DEFAULT_TUPLE_BUDGET,
     Matrix,
     PositivityReport,
+    _Grid,
     _form,
     _matrix,
     _prepared_det,
@@ -96,7 +105,6 @@ from chebconvex.determinant import (
     increasing_tuples,
     is_positive_chebyshev,
     matrix_from_rows,
-    sorted_grid,
     sylvester_check,
 )
 from chebconvex.divdiff import (
@@ -109,6 +117,7 @@ from chebconvex.divdiff import (
 )
 from chebconvex.errors import (
     AnchorInfeasible,
+    ChebconvexError,
     DimensionMismatch,
     DuplicatePoint,
     EvaluationOutsideSupport,
@@ -485,7 +494,7 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
     first_violation: ConvexityVerdict | None = None
     first_indeterminate: ConvexityVerdict | None = None
     for base in sorted(bases):
-        local = _restricted_points(pts, base, ell)
+        local = restricted_points(pts, base, ell)
         if len(local) < n - k + 1:
             bases_skipped += 1
             continue
@@ -817,14 +826,14 @@ def default_anchors_formula(system: ChebyshevSystem, a, b,
 # stayed in integers, kept unchanged as a reference: both determinants
 # made scalars, then divided.
 
-def ratio_two_fractions(table, k: int, points: list, at: tuple, tol_factor: float) -> tuple:
-    """divdiff._ratio's value, numerator and denominator, each exact one a
-    Fraction of its own."""
-    rows = tuple(range(k))
-    backend, forms = _matrix(table.columns(rows, points))
+def ratio_two_fractions(table, k: int, at: tuple, tol_factor: float) -> tuple:
+    """divdiff._ratio's value, numerator and denominator at the points
+    ``at``, each exact one a Fraction of its own."""
+    rows, grid = tuple(range(k)), _Grid(at)
+    backend, forms = _matrix(table.columns(rows, grid, range(k)))
     den = _checked_denominator(_prepared_det(forms, backend is not Backend.FLOAT),
                                backend, forms, at, tol_factor)
-    backend, forms = _matrix(table.columns(rows[:-1] + (k,), points))
+    backend, forms = _matrix(table.columns(rows[:-1] + (k,), grid, range(k)))
     num = _prepared_det(forms, backend is not Backend.FLOAT)
     return _finite(num / den, "divided difference", at), num, den
 
@@ -919,3 +928,104 @@ def sign_index(base, x) -> SignIndex:
             raise DuplicatePoint(f"x={x} coincides with base point index {i}")
     ell = sum(1 for p in base if p < x)
     return SignIndex(ell, (-1) ** (len(base) - ell))
+
+
+# ---------------------------------------------------------------------------
+# the CLI's readers, sorted grids and restricted grids as the package had
+# them before grids held their points by position, kept unchanged as
+# references: one scalar per item, a grid a tuple of scalars, every
+# comparison and selection by value.
+
+#: A plain decimal literal [-]digits[.digits], in ASCII digits only.
+_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?").fullmatch
+
+
+def parse_scalar(text: str, backend: Backend):
+    text = text.strip()
+    if backend is Backend.EXACT:
+        decimal = _DECIMAL(text)
+        if decimal:     # Fraction(text)'s value, read without its parser
+            whole, frac = decimal.groups(default="")
+            try:
+                return Fraction(int(whole + frac), 10 ** len(frac))
+            except ValueError:      # past int's digit limit: Fraction(text) says why
+                pass
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad exact scalar {text!r}: {exc}") from None
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InputError(f"bad float scalar {text!r}: {exc}") from None
+
+
+def read_scalars(items, backend: Backend, header: bool = False) -> tuple:
+    """The scalars of ``backend`` that ``items`` spell, as strings or as
+    JSON numbers (read as their decimal literals).  With ``header``,
+    items that do not read before the first one that does are a header,
+    and skipped."""
+    out = []
+    for item in items:
+        try:
+            out.append(parse_scalar(str(item), backend))
+        except InputError:
+            if out or not header:
+                raise
+    return tuple(out)
+
+
+def parse_grid(spec: str, backend: Backend) -> tuple:
+    if spec is None:
+        raise InputError("--grid is required")
+    if spec.startswith("uniform:"):
+        try:
+            a_s, b_s, m_s = spec[len("uniform:"):].split(",")
+            a = parse_scalar(a_s, backend)
+            b = parse_scalar(b_s, backend)
+            m = int(m_s)
+        except (ValueError, InputError) as exc:
+            raise InputError(f"bad uniform grid {spec!r}: {exc}") from None
+        if m < 2 or not a < b:
+            raise InputError(f"uniform grid needs a < b and m >= 2, got {spec!r}")
+        make = _BACKEND_TYPES[backend]
+        return tuple(a + (b - a) * (make(i) / (m - 1)) for i in range(m))
+    if spec.startswith("list:"):
+        return read_scalars(spec[len("list:"):].split(","), backend)
+    if os.path.exists(spec):
+        if spec.endswith(".csv"):
+            with open(spec, newline="") as fh:
+                firsts = (row[0] for row in csv.reader(fh) if row and row[0].strip())
+                return read_scalars(firsts, backend, header=True)
+        with open(spec) as fh:
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise InputError(f"grid JSON must be a list, got {type(data).__name__}")
+        # JSON floats in an exact grid are read as decimal literals
+        return read_scalars(data, backend)
+    raise InputError(f"grid {spec!r} is neither a file nor uniform:a,b,m nor list:v1,v2,...")
+
+
+def sorted_grid(grid, min_gap: float = 0.0) -> tuple:
+    """Sort a grid and validate strict increase (duplicates rejected); a
+    grid that passes as given is sorted already."""
+    pts = tuple(grid)
+    try:
+        return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap).points
+    except ChebconvexError:
+        return validate_tuple(sorted(pts), OrderingClass.STRICTLY_INCREASING,
+                              min_gap=min_gap).points
+
+
+def restricted_points(pts: tuple, base: tuple, ell: int | None) -> tuple:
+    """Grid points off the base, optionally restricted to the single gap
+    selected by ell (0 = below the base, k = above it)."""
+    off = tuple(x for x in pts if x not in base)
+    if ell is None:
+        return off
+    k = len(base)
+    if ell == 0:
+        return tuple(x for x in off if x < base[0])
+    if ell == k:
+        return tuple(x for x in off if x > base[-1])
+    return tuple(x for x in off if base[ell - 1] < x < base[ell])

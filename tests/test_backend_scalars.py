@@ -58,7 +58,7 @@ def test_uniform_grid_matches_formula(backend, a, b, m):
     assume(a < b)
     a, b = scalar(a, backend), scalar(b, backend)
     text = f"uniform:{a!s},{b!s},{m}" if backend is Backend.EXACT else f"uniform:{a!r},{b!r},{m}"
-    assert repr(_parse_grid(text, backend)) == repr(uniform_grid(a, b, m, backend))
+    assert repr(tuple(_parse_grid(text, backend))) == repr(uniform_grid(a, b, m, backend))
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,7 +66,7 @@ def test_uniform_grid_matches_formula(backend, a, b, m):
 def test_uniform_partition_matches_formula(backend, a, b, m):
     assume(a < b)
     a, b = scalar(a, backend), scalar(b, backend)
-    assert outcome(lambda: _uniform_partition(a, b, m, backend).points.points) == outcome(
+    assert outcome(lambda: increasing(tuple(_uniform_partition(a, b, m, backend)))) == outcome(
         lambda: validate_tuple(uniform_partition_points(a, b, m, backend),
                                OrderingClass.STRICTLY_INCREASING).points)
 
@@ -93,11 +93,10 @@ def test_nested_partitions_match_formula(backend, a, b, m0, rounds):
     a, b = scalar(a, backend), scalar(b, backend)
 
     def nested():
-        part, out = None, []
-        for r in range(rounds):
-            part = _uniform_partition(a, b, m0 << r, backend, part)
-            out.append(part.points.points)
-        return out
+        """Round r reads every 2**(rounds-1-r)-th point of the finest partition."""
+        finest = _uniform_partition(a, b, m0 << (rounds - 1), backend)
+        return [increasing(tuple(finest[j] for j in range(0, len(finest), 1 << (rounds - 1 - r))))
+                for r in range(rounds)]
     assert outcome(nested) == outcome(
         lambda: [increasing(uniform_partition_points(a, b, m0 << r, backend))
                  for r in range(rounds)])
@@ -109,6 +108,6 @@ def test_jittered_partition_matches_formula(backend, a, b, m, seed):
     assume(a < b)
     a, b = scalar(a, backend), scalar(b, backend)
     base = _uniform_partition(a, b, m, backend)
-    assert outcome(lambda: _jitter_partition(base, random.Random(seed), backend).points.points) \
-        == outcome(lambda: increasing(jittered_points(base.points.points, random.Random(seed),
+    assert outcome(lambda: tuple(_jitter_partition(base, random.Random(seed), backend))) \
+        == outcome(lambda: increasing(jittered_points(tuple(base), random.Random(seed),
                                                       backend)))

@@ -577,3 +577,13 @@ def test_csv_header_rows_come_before_the_first_data_row(capsys, tmp_path, flag, 
     code, rep = run_cli(capsys, "divdiff", *(x for kv in argv.items() for x in kv))
     assert code == 2
     assert rep["error"]["message"].startswith("bad exact scalar 'bad'")
+
+
+def test_nan_grid_point_is_outside_the_domain(capsys):
+    """NaN lies in no interval, so a NaN grid point is an input error,
+    never a pass."""
+    code, rep = run_cli(capsys, "chebcheck", "--system", "trig-odd:1", "--k", "1",
+                        "--grid", "list:nan", "--backend", "float")
+    assert code == 2
+    assert rep["error"] == {"type": "EvaluationOutsideSupport",
+                            "message": "grid point nan is outside the system domain"}

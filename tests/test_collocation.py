@@ -112,3 +112,24 @@ def test_det_edge_inputs_match_per_value_route(k, pts):
     system = ChebyshevSystem((PowerFn(0), PowerFn(3)), Interval())
     assert outcome(collocation_det, system, k, pts) == \
         outcome(collocation_det_per_value, system, k, pts)
+
+
+@pytest.mark.parametrize("fns, pts, message", [
+    ((PowerFn(0), PowerFn(1)), (0, [1]), "BackendMismatch: not a scalar: [1]"),
+    ((PowerFn(0), PowerFn(1)), (None, 1), "BackendMismatch: not a scalar: None"),
+    ((PowerFn(0), PowerFn(1)), (Fraction(1, 2), "a"), "BackendMismatch: not a scalar: 'a'"),
+    ((PowerFn(0), PowerFn(1)), (True, 2.0), "BackendMismatch: bool is not a scalar: True"),
+    # the function that fails at an earlier point raises first
+    ((SampledFn((1, 2), (3, 4)), PowerFn(0)), (3, True),
+     "EvaluationOutsideSupport: sampled function has no value at 3"),
+])
+def test_non_scalar_points_raise_as_per_value_route(fns, pts, message):
+    """Points are read by position, with no hash: a point that is no
+    scalar raises where the per-value route first evaluates at it."""
+    want = outcome(collocation_matrix_per_value, fns, pts)
+    assert want == ("error", message)
+    assert outcome(collocation_matrix, fns, pts) == want
+    if all(type(f) is PowerFn for f in fns):
+        system = ChebyshevSystem(fns, Interval())
+        assert outcome(collocation_det, system, 2, pts) == \
+            outcome(collocation_det_per_value, system, 2, pts) == want

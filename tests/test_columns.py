@@ -7,6 +7,7 @@ error, message included.  Also the order of the first error, points of
 equal value and different types, and the CLI's decimal reader against
 ``Fraction``."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from chebconvex.core import (
     SampledFn,
     affine,
 )
-from chebconvex.determinant import _PointTable, is_positive_chebyshev
+from chebconvex.determinant import _Grid, _PointTable, is_positive_chebyshev
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system
 
@@ -51,11 +52,19 @@ def outcome(make) -> object:
 
 
 def same_columns(fns, rows, xs):
-    def table_columns():
-        table = _PointTable(tuple(fns))
-        return table.columns(tuple(rows), table.points(xs))
-    got = outcome(table_columns)
+    """The columns at the points ``xs``, read by position from a table,
+    against the oracle's; exact points also as integers over one scale,
+    as the CLI reads them, against the oracle's at their Fractions."""
+    def table_columns(grid):
+        return lambda: _PointTable(tuple(fns)).columns(tuple(rows), grid, range(len(xs)))
+    got = outcome(table_columns(_Grid(xs)))
     assert got == outcome(lambda: evaluate_columns(fns, tuple(rows), xs))
+    if all(type(x) in (int, Fraction) for x in xs):
+        fractions = [Fraction(x) for x in xs]
+        q = math.lcm(*(x.denominator for x in fractions))
+        ints = _Grid(nums=[x.numerator * (q // x.denominator) for x in fractions], q=q)
+        assert outcome(table_columns(ints)) == \
+            outcome(lambda: evaluate_columns(fns, tuple(rows), fractions))
     return got
 
 
@@ -78,7 +87,7 @@ def test_power_columns_match_evaluate(fns, rows, xs):
 
 def test_exact_power_column_is_its_integer_form():
     table = _PointTable(GAPPED)
-    (col,) = table.columns((0, 1, 2, 3), table.points([Fraction(-5, 3)]))
+    (col,) = table.columns((0, 1, 2, 3), _Grid([Fraction(-5, 3)]), (0,))
     assert col.form(True) == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
     assert col._values is None          # no Fraction made until a caller reads them
     assert col.values == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
@@ -121,9 +130,9 @@ def test_polynomial_column_is_its_reduced_integer_form():
     fns = (affine((Fraction(1, 2), PowerFn(1)), (Fraction(1, 2), ConstFn(1))),
            affine((1, PowerFn(2)), (-1, PowerFn(2))))
     table = _PointTable(fns)
-    (col,) = table.columns((0, 1), table.points([1]))
+    (col,) = table.columns((0, 1), _Grid([1]), (0,))
     assert col.form(True) == ([1, 0], 1) and col._values is None
-    (col,) = table.columns((0, 1), table.points([Fraction(-1, 3)]))
+    (col,) = table.columns((0, 1), _Grid(nums=[-3], q=9), (0,))      # -3/9 = -1/3
     assert col.form(True) == ([1, 0], 3)
     assert same_columns(fns, (0, 1), [Fraction(-1, 3), 1, 0])
 

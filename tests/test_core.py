@@ -169,6 +169,12 @@ class TestDomains:
         assert Interval(lo=0).contains(10 ** 9)
         assert not Interval(lo=0).contains(0)
 
+    def test_nan_is_in_no_interval(self):
+        nan = float("nan")
+        assert not Interval().contains(nan)
+        assert not Interval(0, 1, lo_open=False, hi_open=False).contains(nan)
+        assert not PuncturedInterval(Interval(), (0,)).contains(nan)
+
     def test_finite_set(self):
         d = FiniteSet((1, 3, 5))
         assert d.contains(3) and not d.contains(2)

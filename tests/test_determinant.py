@@ -341,7 +341,7 @@ class TestMatrixType:
 
 def grid_outcome(fn, grid, min_gap):
     try:
-        return repr(fn(grid, min_gap))
+        return repr(tuple(fn(grid, min_gap)))
     except (InputError, TypeError) as exc:
         return f"{type(exc).__name__}: {exc}"
 

@@ -14,7 +14,7 @@ from chebconvex.core import (
     affine,
     evaluate,
 )
-from chebconvex.determinant import _PointTable
+from chebconvex.determinant import _Grid, _PointTable
 from chebconvex.divdiff import (
     _ratio,
     _scalar,
@@ -266,12 +266,18 @@ class TestPowerExpansion:
 # the ratio step: one Fraction of four integers on the exact backend,
 # against both determinants made scalars and divided
 
+def package_ratio(table, k, at, tol_factor):
+    """divdiff._ratio at the points ``at``, read from ``table`` by position."""
+    grid = _Grid(at)
+    return _ratio(lambda rows: table.matrix(rows, grid, range(k)), k, at, tol_factor)
+
+
 def ratio_outcome(ratio, fns, k, xs, tol_factor=1e-10):
     """repr of (value, numerator, denominator) that ``ratio`` takes on a
     fresh table of ``fns``, or its error as "Class: message"."""
     table = _PointTable(tuple(fns))
     try:
-        value, num, den = ratio(table, k, table.points(xs), tuple(xs), tol_factor)
+        value, num, den = ratio(table, k, tuple(xs), tol_factor)
     except (InputError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return repr((value, _scalar(num), _scalar(den)))
@@ -295,7 +301,8 @@ def test_ratio_matches_two_fractions(polys, data, floats):
     if floats:
         fns = [affine(*((float(c), PowerFn(j)) for c, j in terms)) for terms in polys]
         xs = [float(x) for x in xs]
-    assert ratio_outcome(_ratio, fns, k, xs) == ratio_outcome(ratio_two_fractions, fns, k, xs)
+    assert ratio_outcome(package_ratio, fns, k, xs) == \
+        ratio_outcome(ratio_two_fractions, fns, k, xs)
 
 
 @pytest.mark.parametrize("fns, xs", [
@@ -308,5 +315,5 @@ def test_ratio_matches_two_fractions(polys, data, floats):
     ((PowerFn(0), PowerFn(1), PowerFn(3)), (0.5, 3.0)),
 ])
 def test_ratio_signs_and_backends(fns, xs):
-    assert ratio_outcome(_ratio, fns, len(xs), xs) == \
+    assert ratio_outcome(package_ratio, fns, len(xs), xs) == \
         ratio_outcome(ratio_two_fractions, fns, len(xs), xs)

@@ -33,7 +33,12 @@ from chebconvex.core import (
     affine,
     evaluate,
 )
-from chebconvex.determinant import DEFAULT_TOL_FACTOR, _PointTable, increasing_tuples
+from chebconvex.determinant import (
+    DEFAULT_TOL_FACTOR,
+    _PointTable,
+    increasing_tuples,
+    sorted_grid,
+)
 from chebconvex.errors import (
     BackendMismatch,
     EvaluationOutsideSupport,
@@ -257,16 +262,17 @@ def test_derived_columns_equal_derived_functions(system, grid):
            system.basis[-1]]
     if not exact:
         fns.append(ExpFn())
+    pts = sorted_grid(grid)
     for f in fns:
         table = _PointTable(system.basis + (f,))
         for k in range(1, system.dim):
-            for base in increasing_tuples(grid, k)[0]:
-                ind = induced_system(system, k, base)
-                pts = tuple(x for x in grid if x not in base)
-                derived = _PointTable(_PinnedBase(table, system.domain, k, base).derived())
-                cols = derived.columns(tuple(range(ind.dim + 1)), derived.points(pts))
+            for base in increasing_tuples(range(len(pts)), k)[0]:
+                ind = induced_system(system, k, tuple(pts[j] for j in base))
+                off = [j for j in range(len(pts)) if j not in base]
+                derived = _PointTable(_PinnedBase(table, system.domain, k, pts, base).derived())
+                cols = derived.columns(tuple(range(ind.dim + 1)), pts, off)
                 targets = ind.basis + (ind.derived(f),)
-                for x, col in zip(pts, cols):
+                for x, col in zip((pts[j] for j in off), cols):
                     assert [repr(v) for v in col.values] == \
                         [repr(evaluate(g, x)) for g in targets]
                     assert repr(col.values[0]) == ("Fraction(1, 1)" if exact else "1.0")
@@ -355,23 +361,26 @@ def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
     elif backend == "neutral":
         grid = sorted({int(2 * x) for x in grid})
     targets = tuple(derived_targets(exact, grid))
-    inside = [x for x in grid if system.domain.contains(x)]
+    inside = sorted_grid([x for x in grid if system.domain.contains(x)])
     compared = 0
     for k in range(system.dim):
-        base = PointTuple(tuple(sorted(rng.sample(inside, k))))
+        at_base = tuple(sorted(rng.sample(range(len(inside)), k)))
+        base = PointTuple(tuple(inside[j] for j in at_base))
         table = _PointTable(system.basis[:k + 1] + targets)
-        pinned = _PinnedBase(table, system.domain, k, base.points)
+        pinned = _PinnedBase(table, system.domain, k, inside, at_base)
         for t, derived in enumerate(pinned.derived()):
             fn = DerivedFn(system, k, base, table.fns[k + t])
-            for x in inside:
+            cells = _PointTable((derived,))
+            for j, x in enumerate(inside):
                 want = result(derived_value, fn, x)
-                assert repr(result(evaluate, derived, x)) == repr(want), (k, base, t, x)
+                got = result(lambda: cells.columns((0,), inside, (j,))[0].values[0])
+                assert repr(got) == repr(want), (k, base, t, x)
                 if isinstance(want, str):
                     continue
                 at = base.points + (x,)
                 fresh = _PointTable(system.basis[:k + 1] + (table.fns[k + t],))
-                two = ratio_two_fractions(fresh, k + 1, fresh.points(at), at, DEFAULT_TOL_FACTOR)
-                assert repr(pinned.ratio(t, x)) == repr(two[0]), (k, base, t, x)
+                two = ratio_two_fractions(fresh, k + 1, at, DEFAULT_TOL_FACTOR)
+                assert repr(pinned.ratio(t, j)) == repr(two[0]), (k, base, t, x)
                 compared += 1
     assert compared
 

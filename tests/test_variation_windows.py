@@ -51,7 +51,8 @@ def result(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
-def loop_sum(table, system, partition, min_gap, tol_factor):
+def loop_sum(table, system, grid, js, min_gap, tol_factor):
+    partition = Partition(tuple(grid[j] for j in js))
     return variation_loop(system, table.fns[-1], partition, min_gap, tol_factor)
 
 
