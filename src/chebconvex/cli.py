@@ -121,11 +121,11 @@ def _read_grid(items, backend: Backend, header: bool = False) -> _Grid:
             if out or not header:
                 raise
     if backend is Backend.FLOAT:
-        return _Grid(out, backend)
+        return _Grid(out)
     q = max((d for _, d in out), default=1)
     if all(q % d == 0 for _, d in out):
         return _Grid(nums=[p * (q // d) for p, d in out], q=q)
-    return _Grid([Fraction(p, d) for p, d in out], backend)
+    return _Grid([Fraction(p, d) for p, d in out])
 
 
 def _parse_system(spec: str, backend: Backend, unsafe_domain: str | None) -> ChebyshevSystem:
@@ -232,7 +232,7 @@ def _parse_grid(spec: str, backend: Backend) -> _Grid:
             raise InputError(f"uniform grid needs a < b and m >= 2, got {spec!r}")
         if backend is Backend.EXACT:
             return _uniform_grid(a, b, m - 1)
-        return _Grid([a + (b - a) * (i / (m - 1)) for i in range(m)], backend)
+        return _Grid([a + (b - a) * (i / (m - 1)) for i in range(m)])
     if spec.startswith("list:"):
         return _read_grid(spec[len("list:"):].split(","), backend)
     if os.path.exists(spec):

@@ -172,8 +172,7 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
         bases_checked += 1
         _check_base(system.domain, (pts[j] for j in base))
         if base not in derived:
-            derived[base] = _PointTable(
-                _PinnedBase(table, system.domain, k, pts, base, tol_factor).derived())
+            derived[base] = _PointTable(_PinnedBase(table, k, pts, base, tol_factor).derived())
         # the induced system's punctured domain holds the points of local
         # (all off the base) that the system's domain holds
         scan = _direct_scan(n - k, system.domain, pts, local, derived[base], budget, seed,
@@ -257,10 +256,9 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
     pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT)
     if len(pts) != n + 1:
         raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
-    _check_domain(system.domain, pts.points[:k])
-    grid, tail = _Grid(pts.points, pts.backend()), tuple(range(k, n + 1))
-    pinned = _PinnedBase(_PointTable(system.basis + (f,)), system.domain, k, grid,
-                         tuple(range(k)))
+    _check_domain(system.domain, pts)
+    grid, tail = _Grid(pts.points), tuple(range(k, n + 1))
+    pinned = _PinnedBase(_PointTable(system.basis + (f,)), k, grid, tuple(range(k)))
     cells = _PointTable(pinned.derived())
     return (pinned.identity(tail, cells),
             [c.values for c in cells.columns(tuple(range(n - k + 1)), grid, tail)])

@@ -6,11 +6,14 @@ Scalars live under one of two backends:
 * float: IEEE-754 binary64 (Python ``float``).
 
 Plain ``int`` is accepted as a backend-neutral literal that coerces to
-either side.  A computation never silently mixes the two backends:
-putting a ``Fraction`` and a ``float`` into the same tuple, matrix or
-affine combination raises :class:`~chebconvex.errors.BackendMismatch`,
-and conversions go through the explicit :func:`to_exact` /
-:func:`to_float` helpers.
+either side.  In a grid of points (``determinant._Grid``) an int takes
+the grid's one backend: float next to a float, exact next to a
+Fraction; a grid of ints alone is read at float if a function of the
+table reading it requires float, else exact.  A computation never
+silently mixes the two backends: putting a ``Fraction`` and a
+``float`` into the same tuple, grid, matrix or affine combination
+raises :class:`~chebconvex.errors.BackendMismatch`, and conversions go
+through the explicit :func:`to_exact` / :func:`to_float` helpers.
 
 All types here are immutable after construction and safe to share
 between threads.

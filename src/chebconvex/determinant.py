@@ -15,10 +15,11 @@ steps of a common tuple prefix.
 
 A table reads grids (:class:`_Grid`) by position: its records for a
 grid are lists made once, and its callers pass positions, never
-points.  A grid reads its backend once, and an exact grid whose source
-gives one scale holds its points as integers over it, sorted and
-compared as integers (:func:`sorted_grid`); a point's Fraction is made
-only where a report or a message shows it.
+points.  A grid reads its one backend when it is made, and every
+table, column, matrix and scan on it takes that backend.  An exact
+grid whose source gives one scale holds its points as integers over
+it, sorted and compared as integers (:func:`sorted_grid`); a point's
+Fraction is made only where a report or a message shows it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .core import (
     collection_backend,
     combine_backends,
     evaluate,   # unused here; bench/test_bench.py checks that the tracer wraps it here
-    scalar_backend,
     validate_tuple,
 )
 from .errors import (
@@ -271,20 +271,20 @@ def _exact_det(forms: list, state=None, scale: int = 1) -> tuple[int, int]:
 # grids: points by position
 
 class _Grid:
-    """Points by position, as a point table reads them.  ``shared`` is
-    the backend of every point, or None when some point is a neutral
-    int, or when the points are free ones whose backends nothing has
-    read yet: then a table reads each point's backend when it first
-    needs it, so a point that is no scalar raises there.  An exact grid
-    whose source gives one scale ``q`` holds its points as the integers
-    ``nums`` over q, and makes point j's Fraction (grid[j]) only when a
-    caller asks for it, for a report or a message."""
+    """Points by position, as a point table reads them, and their one
+    ``backend``, read when the grid is made: float if any point is a
+    float; exact if any is a Fraction, or if the grid holds its points
+    as the integers ``nums`` over one scale ``q``; None (neutral) if
+    every point is an int.  A point that is no scalar, or Fractions next
+    to floats, raise :class:`BackendMismatch` there.  Points are kept as
+    given (a neutral int is converted only where a value is computed),
+    and an exact grid over one scale makes point j's Fraction (grid[j])
+    only when a caller asks for it, for a report or a message."""
 
-    def __init__(self, xs=(), backend: Backend | None = None, nums=None, q: int = 1):
+    def __init__(self, xs=(), nums=None, q: int = 1):
         self._xs = list(xs) if nums is None else [None] * len(nums)
         self.nums, self.q = nums, q
-        self.shared = Backend.EXACT if nums is not None else \
-            backend if backend and not any(isinstance(x, int) for x in self._xs) else None
+        self.backend = Backend.EXACT if nums is not None else collection_backend(self._xs)
 
     def __len__(self) -> int:
         return len(self._xs)
@@ -341,8 +341,7 @@ def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> _Grid:
         valid = validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap)
     except ChebconvexError:
         valid = validate_tuple(sorted(pts), OrderingClass.STRICTLY_INCREASING, min_gap=min_gap)
-    return grid if isinstance(grid, _Grid) and valid.points == pts \
-        else _Grid(valid.points, valid.backend())
+    return grid if isinstance(grid, _Grid) and valid.points == pts else _Grid(valid.points)
 
 
 def _check_grid_domain(domain: Domain, grid: _Grid, js, what: str) -> None:
@@ -361,25 +360,44 @@ class _PointTable:
     """The values fns[i](x) of functions at the points of grids, each
     computed once, in the order its caller first needs them, and the
     columns [fns[i](x) for i in rows] of tuples of function indices
-    ``rows``, each made once, with its backend and its prepared forms.
-    Both are lists by grid position, made once per grid: a caller
-    passes positions, never points.  A value is fns[i]._at the point, at
-    evaluate()'s backend, resolved once per function and point backend,
-    at the first value that needs it, except in the columns built
-    directly (see :meth:`_kind`)."""
+    ``rows``, each made once, with its prepared forms.  Both are lists
+    by grid position, made once per grid: a caller passes positions,
+    never points.  A table reads a grid at one backend
+    (:meth:`backend`), and a value is fns[i]._at the point at that
+    backend, except in the columns built directly (see :meth:`_kind`);
+    a function whose requirement clashes with it raises
+    :class:`BackendMismatch` at its first value there."""
 
     def __init__(self, fns: tuple):
         self.fns = fns
         self._polys = None          # [_polynomial(f) for f in fns], made once if needed
         self._kinds: dict = {}      # rows -> _kind(rows)
         self._required: dict = {}   # i -> fns[i].required_backend()
-        self._tags: dict = {}       # (i, point backend) -> backend of fns[i] there
+        self._rows: set = set()     # (i, backend) where fns[i]'s requirement was found to hold
+        self._neutral = None        # the backend a neutral grid is read at, once read
         self._lists: dict = {}      # (rows or i, grid) -> columns or values of fns[i], by position
 
+    def backend(self, grid: _Grid) -> Backend:
+        """The backend the table reads ``grid`` at: the grid's, or on a
+        neutral grid float if any function requires float, else exact."""
+        if grid.backend is not None:
+            return grid.backend
+        if self._neutral is None:
+            self._neutral = Backend.FLOAT if any(
+                self._requirement(i) is Backend.FLOAT for i in range(len(self.fns))) \
+                else Backend.EXACT
+        return self._neutral
+
+    def _requirement(self, i: int) -> Backend | None:
+        """fns[i].required_backend(), read once."""
+        if i not in self._required:
+            self._required[i] = self.fns[i].required_backend()
+        return self._required[i]
+
     def _kind(self, rows: tuple) -> tuple:
-        """How columns of ``rows`` are built directly: at a float point,
+        """How columns of ``rows`` are built directly: on a float grid,
         as evaluate's x ** k when all rows are powers (their k, else
-        None); at an exact point, by :func:`_polynomial_column` when all
+        None); on an exact grid, by :func:`_polynomial_column` when all
         are polynomials with exact coefficients (its arguments d, L and
         terms, else None)."""
         powers = [self.fns[i].k for i in rows if type(self.fns[i]) is PowerFn]
@@ -401,29 +419,27 @@ class _PointTable:
         nothing, so it leaves that order as it is."""
         cols = self._by_position(rows, grid)
         slow = [j for j in js if cols[j] is None]
-        if slow and rows not in self._kinds:
+        if not slow:
+            return [cols[j] for j in js]
+        if rows not in self._kinds:
             self._kinds[rows] = self._kind(rows)
-        powers, poly = self._kinds.get(rows, (None, None))
-        if powers is not None or poly is not None:
-            new, slow = slow, []
-            for j in new:
-                backend = grid.shared or scalar_backend(grid[j])
-                if backend is Backend.FLOAT and powers is not None:
-                    values = [grid[j] ** k for k in powers]
-                    cols[j] = _Column(values, [Backend.FLOAT], {False: (values, 1)})
-                elif backend is not Backend.FLOAT and poly is not None:
-                    cols[j] = _polynomial_column(*grid.pq(j), *poly)
-                else:
-                    slow.append(j)
-        if slow:
+        powers, poly = self._kinds[rows]
+        backend = self.backend(grid)
+        if backend is Backend.FLOAT and powers is not None:
+            for j in slow:
+                values = [float(grid[j]) ** k for k in powers]
+                cols[j] = _Column(values, {False: (values, 1)})
+        elif backend is Backend.EXACT and poly is not None:
+            for j in slow:
+                cols[j] = _polynomial_column(*grid.pq(j), *poly)
+        else:
             values = [self._by_position(i, grid) for i in rows]
             for i, row in zip(rows, values):
                 for j in slow:
                     if row[j] is None:
-                        row[j] = self.fns[i]._at(grid, j, self._tag(i, grid, j))
+                        row[j] = self.fns[i]._at(grid, j, self.row_backend(i, backend))
             for j in slow:
-                cols[j] = _Column([row[j] for row in values],
-                                  [self._tag(i, grid, j) for i in rows])
+                cols[j] = _Column([row[j] for row in values])
         return [cols[j] for j in js]
 
     def _by_position(self, key, grid: _Grid) -> list:
@@ -432,29 +448,22 @@ class _PointTable:
         return self._lists.get((key, grid)) or self._lists.setdefault((key, grid),
                                                                       [None] * len(grid))
 
-    def _tag(self, i: int, grid: _Grid, j: int) -> Backend:
-        """The backend of fns[i]'s value at position j of ``grid``:
-        evaluate()'s, resolved once per point backend, at the first value
-        that needs it."""
-        point = grid.shared or scalar_backend(grid[j])
-        backend = self._tags.get((i, point))
-        if backend is None:
-            if i not in self._required:
-                self._required[i] = self.fns[i].required_backend()
-            backend = self._tags[i, point] = combine_backends(
-                point, self._required[i], default=Backend.EXACT)
+    def row_backend(self, i: int, backend: Backend) -> Backend:
+        """``backend``, once fns[i]'s requirement is found not to clash
+        with it: read once per function and backend, at the function's
+        first value on a grid read at that backend."""
+        if (i, backend) not in self._rows:
+            combine_backends(backend, self._requirement(i))
+            self._rows.add((i, backend))
         return backend
 
     def matrix(self, rows: tuple, grid: _Grid, js) -> tuple:
         """The backend of the matrix of the columns of ``rows`` at the
-        positions ``js`` of ``grid``, and the forms elimination takes:
-        on a grid with one backend, every column has it; else it is
-        read from the columns, as :func:`_matrix` does."""
+        positions ``js`` of ``grid``, the table's on that grid, and the
+        forms elimination takes."""
         cols = self.columns(rows, grid, js)
-        if grid.shared is None:
-            return _matrix(cols)
-        exact = grid.shared is not Backend.FLOAT
-        return grid.shared, [c.form(exact) for c in cols]
+        backend = self.backend(grid)
+        return backend, [c.form(backend is not Backend.FLOAT) for c in cols]
 
     def det(self, rows: tuple, grid: _Grid, js) -> Scalar:
         """det of the square matrix of the columns of ``rows`` at the
@@ -466,19 +475,19 @@ class _PointTable:
         """The function js -> (det, backend, prepared columns) of the
         square matrix of the columns of ``rows`` at the positions base +
         js of ``grid``, the det a float or, exact, :func:`_exact_det`'s
-        (det, scale) pair.  The base columns are eliminated once per
-        backend; each call reduces the columns at js by the recorded
-        steps and eliminates the rest."""
+        (det, scale) pair.  The base columns are eliminated at the first
+        call; each call reduces the columns at js by the recorded steps
+        and eliminates the rest."""
         k = len(base)
-        eliminated = {}     # exact -> (the base's pivot steps or None, its scale)
+        eliminated = []     # the base's pivot steps or None, and its scale, once made
 
         def det(js):
             backend, forms = self.matrix(rows, grid, base + tuple(js))
             exact = backend is not Backend.FLOAT
-            if exact not in eliminated:
-                eliminated[exact] = (_eliminate([c for c, _ in forms[:k]], k, exact),
-                                     math.prod(s for _, s in forms[:k]))
-            done, scale = eliminated[exact]
+            if not eliminated:
+                eliminated.extend((_eliminate([c for c, _ in forms[:k]], k, exact),
+                                   math.prod(s for _, s in forms[:k])))
+            done, scale = eliminated
             if done is None:
                 return ((0, 1) if exact else 0.0), backend, forms
             state, steps, _ = done
@@ -523,24 +532,21 @@ def _polynomial_column(p: int, q: int, d: int, lcm: int, terms: list) -> "_Colum
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if type(terms[0]) is int:
-        return _Column(None, [Backend.EXACT], {True: ([p ** k * q ** (d - k) for k in terms],
-                                                      q ** d)})
+        return _Column(None, {True: ([p ** k * q ** (d - k) for k in terms], q ** d)})
     ints = [sum([c * p ** k * q ** (d - k) for k, c in row]) for row in terms]
     g = math.gcd(q ** d * lcm, *ints)
-    return _Column(None, [Backend.EXACT], {True: ([v // g for v in ints], q ** d * lcm // g)})
+    return _Column(None, {True: ([v // g for v in ints], q ** d * lcm // g)})
 
 
 class _Column:
-    """One column's values, its rows' backends ``tags``, and its backend
-    and its float and integer-scaled forms (``forms``, by exact), each
-    made once, when first asked for, the values from the integer form."""
+    """One column's values and its float and integer-scaled forms
+    (``forms``, by exact), each made once, when first asked for, the
+    values from the integer form."""
 
-    __slots__ = ("_values", "_tags", "_backend", "_forms")
+    __slots__ = ("_values", "_forms")
 
-    def __init__(self, values: list | None, tags: list, forms: dict | None = None):
+    def __init__(self, values: list | None, forms: dict | None = None):
         self._values = values
-        self._tags = tags
-        self._backend = tags[0] if len(tags) == 1 else None     # one row's is the column's
         self._forms = forms or {}
 
     @property
@@ -550,26 +556,11 @@ class _Column:
             self._values = [Fraction(v, scale) for v in ints]
         return self._values
 
-    def backend(self) -> Backend:
-        """``BackendMismatch`` when the rows mix backends, as a Matrix would."""
-        if self._backend is None:
-            self._backend = combine_backends(*self._tags)
-        return self._backend
-
     def form(self, exact: bool) -> tuple[list, int]:
         form = self._forms.get(exact)
         if form is None:
             form = self._forms[exact] = _form(self.values, exact)
         return form
-
-
-def _matrix(columns: list) -> tuple:
-    """The backend of the matrix with the table's ``columns``
-    (``BackendMismatch`` when they mix exact and float, as a Matrix of
-    their entries would raise) and the forms elimination takes."""
-    backend = combine_backends(*(c.backend() for c in columns), default=Backend.EXACT)
-    exact = backend is not Backend.FLOAT
-    return backend, [c.form(exact) for c in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +683,12 @@ class SignScan:
 
 class _Tally:
     """Smallest violating and near-zero index tuples with their values,
-    and the number of near-zero tuples; ``at(t)`` gives the points of
-    index tuple t."""
+    and the number of near-zero tuples, of a scan whose values are exact
+    or float (``exact``); ``at(t)`` gives the points of index tuple t."""
 
-    def __init__(self, positive: bool, at, tol_factor: float):
+    def __init__(self, positive: bool, exact: bool, at, tol_factor: float):
         self.positive = positive
+        self.exact = exact
         self.at = at
         self.tol_factor = tol_factor
         self.first: dict[str, tuple] = {}
@@ -710,7 +702,7 @@ class _Tally:
         |entry| of its matrix; an exact one has tol = 0, so nothing is
         near zero."""
         tol = 0
-        if isinstance(value, float):
+        if not self.exact:
             if not math.isfinite(value):
                 raise NonFiniteValue(f"determinant {value} at {self.at(t)}")
             tol = _tolerance(biggest, len(t), self.tol_factor)
@@ -732,18 +724,19 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: _Grid, js, budget: int, se
     """Classify the determinants of the columns of ``rows`` in ``table``
     for the increasing len(rows)-tuples of the increasing positions
     ``js`` of the sorted ``grid`` (exhaustive within ``budget``, else
-    ``budget`` seeded samples) by the rule of :meth:`_Tally.add`."""
+    ``budget`` seeded samples) by the rule of :meth:`_Tally.add`, at the
+    one backend the table reads the grid at."""
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
+    exact = table.backend(grid) is not Backend.FLOAT
     cols = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
-                         if exhaustive else tuples)
-    used = {c.backend() for c in cols.values()}
-    tally = _Tally(positive, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
+                         if exhaustive else tuples, exact)
+    tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     scale = None
-    if not exhaustive or len(used) > 1:
-        _scan_each(cols, tuples, tally, used)
-    elif used == {Backend.FLOAT}:
+    if not exhaustive:
+        _scan_each({j: c.form(exact) for j, c in cols.items()}, tuples, tally)
+    elif not exact:
         _walk_float([cols[j].form(False)[0] for j in range(m)], n, tally)
     else:
         scale = _walk_exact([cols[j].form(True) for j in range(m)], n, tally)
@@ -757,12 +750,13 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: _Grid, js, budget: int, se
     return SignScan(checked, exhaustive)
 
 
-def _scan_columns(table: _PointTable, rows: tuple, grid: _Grid, js, touched) -> dict:
+def _scan_columns(table: _PointTable, rows: tuple, grid: _Grid, js, touched,
+                  exact: bool) -> dict:
     """The table's columns of ``rows`` at every index j in ``touched``
     (of the position js[j] of ``grid``), asked for group by group, the
     order in which a scan that builds each tuple's matrix first meets
     the points, so the first failing evaluation is the same.  A float
-    column holding an infinite or NaN value raises
+    (not ``exact``) column holding an infinite or NaN value raises
     :class:`NonFiniteValue`."""
     cols: dict = {}
     for group in touched:
@@ -770,27 +764,22 @@ def _scan_columns(table: _PointTable, rows: tuple, grid: _Grid, js, touched) -> 
         if not new:
             continue
         for j, col in zip(new, table.columns(rows, grid, [js[j] for j in new])):
-            if col.backend() is Backend.FLOAT and not all(map(math.isfinite, col.values)):
+            if not exact and not all(map(math.isfinite, col.values)):
                 v = next(v for v in col.values if not math.isfinite(v))
                 raise NonFiniteValue(f"function value {v} at grid point {grid[js[j]]}")
             cols[j] = col
     return cols
 
 
-def _scan_each(cols: dict, tuples, tally: _Tally, used: set) -> None:
-    """Per-tuple elimination from the table, in tuple order.  Columns of
-    one backend (``used``) have their forms read once; else every tuple
-    takes its own, so one that mixes exact and float points raises as
-    det would, and one that does not passes."""
-    shared = next(iter(used)) if len(used) == 1 else None
-    forms = shared and {j: c.form(shared is not Backend.FLOAT) for j, c in cols.items()}
+def _scan_each(forms: dict, tuples, tally: _Tally) -> None:
+    """Per-tuple elimination of the prepared columns ``forms`` (by index),
+    in tuple order."""
     for t in tuples:
-        backend, matrix = ((shared, [forms[j] for j in t]) if shared
-                           else _matrix([cols[j] for j in t]))
-        if backend is Backend.FLOAT:
-            tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
-        else:
+        matrix = [forms[j] for j in t]
+        if tally.exact:
             tally.add(t, _prepared_det(matrix, exact=True))
+        else:
+            tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
 
 
 def _walk(cols: list, n: int, root, pivot, reduce, leaf, zero, tally: _Tally) -> None:

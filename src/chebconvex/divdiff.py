@@ -91,7 +91,7 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     system on these points.
     """
     pts = _checked_points(system, k, points, min_gap)
-    table, grid = _PointTable(system.basis[:k] + (f,)), _Grid(pts.points, pts.backend())
+    table, grid = _PointTable(system.basis[:k] + (f,)), _Grid(pts.points)
     value, numerator, denominator = _ratio(lambda rows: table.matrix(rows, grid, range(k)), k,
                                            pts.points, tol_factor)
     return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)

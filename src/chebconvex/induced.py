@@ -38,10 +38,8 @@ from .core import (
     OrderingClass,
     PointTuple,
     Scalar,
-    _check_domain,
     _increasing,
     as_backend,
-    collection_backend,
     combine_backends,
     puncture,
     validate_tuple,
@@ -68,10 +66,10 @@ class DerivedFn(FunctionSpec):
     respect to the (k+1)-prefix of ``parent``.
 
     Evaluation takes divided_difference's checks of (base..., x) first
-    (a pinned base assumes its base in the domain, and evaluates the
-    prefix at x before it checks x's domain), then reads a pinned base
-    of its own, built for that value alone, so that no value depends on
-    the points evaluated before it; closed forms (powers, cotangent) are
+    (a pinned base assumes its points in the domain, and evaluates the
+    prefix at x without checking it), then reads a pinned base of its
+    own, built for that value alone, so that no value depends on the
+    points evaluated before it; closed forms (powers, cotangent) are
     test oracles, not shortcuts.
     """
 
@@ -81,21 +79,14 @@ class DerivedFn(FunctionSpec):
     target: FunctionSpec
 
     def required_backend(self):
-        return _derived_backend(self.base.points, self.target, self.parent.basis[:self.k + 1])
+        return combine_backends(self.base.backend(), self.target.required_backend(),
+                                *(fn.required_backend() for fn in self.parent.basis[:self.k + 1]))
 
     def _eval(self, x, backend):
         pts = _checked_points(self.parent, self.k + 1, self.base.points + (x,))
         table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
-        pinned = _PinnedBase(table, self.parent.domain, self.k, _Grid(pts.points, pts.backend()),
-                             tuple(range(self.k)))
+        pinned = _PinnedBase(table, self.k, _Grid(pts.points), tuple(range(self.k)))
         return as_backend(pinned.ratio(1, self.k), backend)
-
-
-def _derived_backend(base: tuple, target: FunctionSpec, prefix: tuple) -> Backend | None:
-    """The backend that the derived function of ``target`` over the
-    points ``base``, with respect to the functions ``prefix``, requires."""
-    return combine_backends(collection_backend(base), target.required_backend(),
-                            *(fn.required_backend() for fn in prefix))
 
 
 def _check_base(domain: Domain, base) -> None:
@@ -116,13 +107,13 @@ class _PinnedBase:
     divided_difference's bit for bit (float) or as a Fraction (exact).
     Each of its checks is made at the first value that needs it, in its
     order and with its error and message, the denominators' at the
-    tolerance factor ``tol_factor``.  The base points need not
-    increase."""
+    tolerance factor ``tol_factor``.  Its callers check the points'
+    domain first.  Every value is at the one backend that ``table``
+    reads ``grid`` at.  The base points need not increase."""
 
-    def __init__(self, table: _PointTable, domain: Domain, k: int, grid: _Grid, base: tuple,
+    def __init__(self, table: _PointTable, k: int, grid: _Grid, base: tuple,
                  tol_factor: float = DEFAULT_TOL_FACTOR):
         self.table = table
-        self.domain = domain
         self.k = k
         self.grid = grid
         self.base = base
@@ -154,12 +145,11 @@ class _PinnedBase:
 
     def ratio(self, t: int, j: int) -> Scalar:
         """divided_difference's value for target t at (base..., x_j),
-        check by check: its points' domain, the denominator's checks, then
-        the ratio's (divdiff._ratio's step, :func:`divdiff._quotient`)."""
+        check by check: the denominator's checks, then the ratio's
+        (divdiff._ratio's step, :func:`divdiff._quotient`)."""
         record = self.denominator(j)
         den, backend, forms, at, checked = record
         if not checked:
-            _check_domain(self.domain, at[-1:])
             _checked_denominator(den, backend, forms, at, self.tol_factor)
             record[4] = True
         num = den if t == 0 else self.dets[t]((j,))[0]
@@ -195,20 +185,24 @@ class _PinnedBase:
 
 @dataclass(frozen=True)
 class _Derived:
-    """Target t's derived function on ``pinned``: :class:`DerivedFn`'s
-    backend, and :meth:`_PinnedBase.ratio` in it."""
+    """Target t's derived function on ``pinned``: :meth:`_PinnedBase.ratio`,
+    at the backend of its parent table on the pinned grid, the one grid
+    its derived table reads, so at that table's backend too."""
 
     pinned: _PinnedBase
     t: int
 
-    def required_backend(self) -> Backend | None:
-        fns, k = self.pinned.table.fns, self.pinned.k
-        return _derived_backend(self.pinned.points(), fns[k + self.t], fns[:k + 1])
+    def required_backend(self) -> Backend:
+        """The parent table's backend, once the rows of this function,
+        fns[:k+1] and its target, are found not to clash with it."""
+        table, k = self.pinned.table, self.pinned.k
+        backend = table.backend(self.pinned.grid)
+        for i in (*range(k + 1), k + self.t):
+            table.row_backend(i, backend)
+        return backend
 
     def _at(self, grid: _Grid, j: int, backend: Backend) -> Scalar:
-        """The value at position j of the pinned base's grid, the one grid
-        its derived table is read at."""
-        return as_backend(self.pinned.ratio(self.t, j), backend)
+        return self.pinned.ratio(self.t, j)
 
 
 @dataclass(frozen=True)
@@ -288,11 +282,9 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     ind = induced_system(parent, k, base)
     pts = sorted_grid(grid)
     # one grid: the base's points, then the sorted grid's at k..
-    joined = _Grid(ind.base.points + tuple(pts),
-                   pts.shared if ind.base.backend() is pts.shared else None)
+    joined = _Grid(ind.base.points + tuple(pts))
     js = range(k, len(joined))
-    pinned = _PinnedBase(_PointTable(parent.basis), parent.domain, k, joined, tuple(range(k)),
-                         tol_factor)
+    pinned = _PinnedBase(_PointTable(parent.basis), k, joined, tuple(range(k)), tol_factor)
     derived = _PointTable(pinned.derived())
     positivity = _positivity(ind.as_system(), ind.dim, joined, js, derived, budget, seed,
                              tol_factor)

@@ -39,7 +39,7 @@ from .core import (
     scalar_backend,
     validate_tuple,
 )
-from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _Grid, _matrix, _PointTable
+from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _Grid, _PointTable
 from .determinant import _uniform_grid
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
@@ -115,7 +115,7 @@ def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition
                   tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Sum over consecutive n-point windows of the partition of the
     absolute difference of neighbouring divided differences."""
-    grid = _Grid(partition.points.points, partition.points.backend())
+    grid = _Grid(partition.points.points)
     return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
                        min_gap, tol_factor)
 
@@ -129,28 +129,30 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: _Grid, js,
     divided_difference's, check by check: its points' checks
     (:func:`_rejected_window`), then the shared ratio step on the
     table's columns, of which a window asks only for those at its new
-    point; it holds the others by position."""
+    point; it holds the others by position.  The sum is exact or float
+    as the table reads the grid."""
     n = system.dim
     m = len(js) - 1
     if m < n:
         raise DimensionMismatch(
             f"partition has {m} intervals, need at least {n} for dimension {n}")
     stop, error = _rejected_window(grid, js, n, system, min_gap)
-    held: dict = {}     # rows -> their columns at js[:len], prepared on a grid of one backend
+    backend = table.backend(grid)
+    held: dict = {}     # rows -> their prepared columns at js[:len]
 
     def matrix(rows, i):
         """The backend and prepared columns of rows at window i."""
         got = held.setdefault(rows, [])
-        fresh = table.columns(rows, grid, js[len(got):i + n])
-        got.extend(c.form(grid.shared is not Backend.FLOAT) if grid.shared else c for c in fresh)
-        return (grid.shared, got[i:i + n]) if grid.shared else _matrix(got[i:i + n])
+        got.extend(c.form(backend is not Backend.FLOAT)
+                   for c in table.columns(rows, grid, js[len(got):i + n]))
+        return backend, got[i:i + n]
 
     values = [_ratio(lambda rows: matrix(rows, i), n, _At(grid, js[i:i + n]), tol_factor)[0]
               for i in range(stop)]
     if error is not None:
         raise error
-    if any(isinstance(v, float) for v in values):
-        total = values[0] - values[0]  # zero of the right backend
+    if backend is Backend.FLOAT:
+        total = 0.0
         for i in range(m - n + 1):
             total += abs(values[i + 1] - values[i])
     else:   # exactly, as the sum of v[i]·(s[i-1] - s[i]), s[i] the sign of v[i+1] - v[i]
@@ -164,30 +166,27 @@ def _rejected_window(grid: _Grid, js, n: int, system: ChebyshevSystem,
                      min_gap: float) -> tuple:
     """The first n-point window of the increasing positions ``js`` of
     ``grid`` whose points divided_difference rejects, with the error it
-    raises: the first pair closer than ``min_gap`` if a point is float
-    (from the consecutive gaps, as validate_tuple finds it), else the
-    first point outside the domain (an interval holds all the points
-    when it holds both ends, and a grid of one exact backend has no
-    gaps to check).  (the number of windows, None) when it rejects
-    none."""
+    raises: the first pair closer than ``min_gap`` on a float grid (from
+    the consecutive gaps, as validate_tuple finds it), else the first
+    point outside the domain (an interval holds all the points when it
+    holds both ends, and an exact grid has no gaps to check).  (the
+    number of windows, None) when it rejects none."""
     windows = len(js) - n + 1
     dom = system.domain
     ends = isinstance(dom, Interval) and dom.contains(grid[js[0]]) and dom.contains(grid[js[-1]])
-    if ends and grid.shared is Backend.EXACT:
+    if ends and grid.backend is Backend.EXACT:
         return windows, None
     pts = [grid[j] for j in js]
-    floats = [isinstance(x, float) for x in pts]
     close = [False] * len(pts)
-    if min_gap > 0 and any(floats):
+    if min_gap > 0 and grid.backend is Backend.FLOAT:
         close = [abs(pts[i] - pts[i + 1]) < min_gap for i in range(len(pts) - 1)]
     outside = [False] * len(pts) if ends else [not dom.contains(x) for x in pts]
     if not (any(close) or any(outside)):
         return windows, None
     for s in range(windows):
-        if any(floats[s:s + n]):
-            for i in range(s, s + n - 1):
-                if close[i]:
-                    return s, min_gap_violation(i - s, i - s + 1, min_gap)
+        for i in range(s, s + n - 1):
+            if close[i]:
+                return s, min_gap_violation(i - s, i - s + 1, min_gap)
         for x, out in zip(pts[s:s + n], outside[s:s + n]):
             if out:
                 return s, EvaluationOutsideSupport(f"point {x} is outside the system domain")
@@ -203,7 +202,7 @@ def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> _Grid:
     if backend is Backend.EXACT:
         return _uniform_grid(a, b, m)
     lo, hi = float(a), float(b)
-    return _Grid([lo + (hi - lo) * (i / m) for i in range(m)] + [hi], backend)
+    return _Grid([lo + (hi - lo) * (i / m) for i in range(m)] + [hi])
 
 
 def _jitter_partition(base: _Grid, rng: random.Random, backend: Backend) -> _Grid:
@@ -222,7 +221,7 @@ def _jitter_partition(base: _Grid, rng: random.Random, backend: Backend) -> _Gri
     gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
     for i in range(1, len(pts) - 1):
         pts[i] = pts[i] + (rng.random() - 0.5) * min(gaps[i - 1], gaps[i]) / 2
-    return _Grid(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING).points, backend)
+    return _Grid(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING).points)
 
 
 def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,

@@ -98,7 +98,6 @@ from chebconvex.determinant import (
     PositivityReport,
     _Grid,
     _form,
-    _matrix,
     _prepared_det,
     check_denominator,
     det,
@@ -830,10 +829,10 @@ def ratio_two_fractions(table, k: int, at: tuple, tol_factor: float) -> tuple:
     """divdiff._ratio's value, numerator and denominator at the points
     ``at``, each exact one a Fraction of its own."""
     rows, grid = tuple(range(k)), _Grid(at)
-    backend, forms = _matrix(table.columns(rows, grid, range(k)))
+    backend, forms = table.matrix(rows, grid, range(k))
     den = _checked_denominator(_prepared_det(forms, backend is not Backend.FLOAT),
                                backend, forms, at, tol_factor)
-    backend, forms = _matrix(table.columns(rows[:-1] + (k,), grid, range(k)))
+    backend, forms = table.matrix(rows[:-1] + (k,), grid, range(k))
     num = _prepared_det(forms, backend is not Backend.FLOAT)
     return _finite(num / den, "divided difference", at), num, den
 

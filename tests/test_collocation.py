@@ -2,7 +2,9 @@
 table, checked against their per-value bodies in ``oracles.py``
 (``evaluate`` per entry, then ``det`` of the matrix): on seeded
 polynomial, trigonometric and affine systems at exact, int, float and
-mixed points, and on empty and mismatched input.  Values must be equal
+mixed points, and on empty and mismatched input.  The points are one
+grid, read at one backend, so the per-value route takes them at their
+twin: the ints of a grid read at float as floats.  Values must be equal
 and of the same type, floats bit for bit (compared by repr), and an
 error must be the same error with the same message."""
 
@@ -13,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from chebconvex.core import (
+    Backend,
     ChebyshevSystem,
     ConstFn,
     ExpFn,
@@ -67,6 +70,31 @@ def points(rng: random.Random, kind: str, count: int) -> tuple:
     return tuple(one(kind) for _ in range(count))
 
 
+MIXED = ("BackendMismatch: exact and float scalars mixed in one computation; "
+         "convert explicitly with to_exact()/to_float()")
+
+
+def reference(oracle, fns, *args) -> tuple:
+    """The outcome of the per-value route ``oracle(*args)``, whose last
+    argument is the points and whose functions are ``fns``, as a point
+    table gives it: the count and domain errors at the points as given,
+    which come before the points are read; else BackendMismatch for
+    Fractions next to floats; else the outcome at the points' twin, the
+    ints as floats in a grid with a float, or in an all-int grid where a
+    function requires float."""
+    *head, pts = args
+    want = outcome(oracle, *args)
+    if want[1].startswith(("DimensionMismatch", "EvaluationOutsideSupport: point ")):
+        return want
+    floats = any(isinstance(x, float) for x in pts)
+    if floats and any(isinstance(x, Fraction) for x in pts):
+        return "error", MIXED
+    if floats or (all(type(x) is int for x in pts)
+                  and any(f.required_backend() is Backend.FLOAT for f in fns)):
+        return outcome(oracle, *head, tuple(float(x) if type(x) is int else x for x in pts))
+    return want
+
+
 @pytest.mark.parametrize("kind", ["exact", "int", "float", "mixed"])
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_collocation_matches_per_value_route(system, kind):
@@ -79,11 +107,11 @@ def test_collocation_matches_per_value_route(system, kind):
         pts = points(rng, kind, k if rng.random() < 0.9 else rng.randint(0, system.dim))
         if isinstance(system.domain, FiniteSet) and rng.random() < 0.5:
             pts = tuple(rng.choice(SAMPLED.points[:3]) for _ in pts)
-        got = outcome(collocation_det, system, k, pts)
-        assert got == outcome(collocation_det_per_value, system, k, pts), (k, pts)
         fns = system.basis[:k]
+        got = outcome(collocation_det, system, k, pts)
+        assert got == reference(collocation_det_per_value, fns, system, k, pts), (k, pts)
         assert outcome(collocation_matrix, fns, pts) == \
-            outcome(collocation_matrix_per_value, fns, pts), (k, pts)
+            reference(collocation_matrix_per_value, fns, fns, pts), (k, pts)
         seen.add(got[0])
     assert "value" in seen
 
@@ -119,13 +147,11 @@ def test_det_edge_inputs_match_per_value_route(k, pts):
     ((PowerFn(0), PowerFn(1)), (None, 1), "BackendMismatch: not a scalar: None"),
     ((PowerFn(0), PowerFn(1)), (Fraction(1, 2), "a"), "BackendMismatch: not a scalar: 'a'"),
     ((PowerFn(0), PowerFn(1)), (True, 2.0), "BackendMismatch: bool is not a scalar: True"),
-    # the function that fails at an earlier point raises first
-    ((SampledFn((1, 2), (3, 4)), PowerFn(0)), (3, True),
-     "EvaluationOutsideSupport: sampled function has no value at 3"),
 ])
 def test_non_scalar_points_raise_as_per_value_route(fns, pts, message):
     """Points are read by position, with no hash: a point that is no
-    scalar raises where the per-value route first evaluates at it."""
+    scalar raises as the per-value route raises at it, but when the
+    grid is made, before any value (see test_grid_backend)."""
     want = outcome(collocation_matrix_per_value, fns, pts)
     assert want == ("error", message)
     assert outcome(collocation_matrix, fns, pts) == want

@@ -1,11 +1,12 @@
-"""The point table's columns, with backends resolved once, power
-columns built directly at float points and polynomial columns built
+"""The point table's columns, read at one backend per grid, power
+columns built directly on float grids and polynomial columns built
 from an exact point's integers, checked against
 ``oracles.evaluate_columns`` (evaluate() per value, backends read from
-the values): the values by repr, the backend and both forms, or the
-error, message included.  Also the order of the first error, points of
-equal value and different types, and the CLI's decimal reader against
-``Fraction``."""
+the values) at each grid's twin, the points at which evaluate() takes
+the grid's backend: the values by repr, the backend and both forms, or
+the error, message included.  Also the order of the first error, points
+of equal value and different types, and the CLI's decimal reader
+against ``Fraction``."""
 
 import math
 import random
@@ -36,13 +37,11 @@ from oracles import evaluate_columns
 
 
 def outcome(make) -> object:
-    """The columns that ``make()`` returns, each as (values, backend,
-    forms), or the first error as 'type: message'."""
+    """The columns that ``make()`` returns with their backends, each as
+    (values, backend, forms), or the first error as 'type: message'."""
     try:
-        cols = make()
         out = []
-        for c in cols:
-            backend = c.backend()
+        for c, backend in make():
             exact = backend is not Backend.FLOAT
             forms = [c.form(True), c.form(False)] if exact else [c.form(False)]
             out.append((repr(c.values), backend, repr(forms)))
@@ -51,20 +50,50 @@ def outcome(make) -> object:
         return f"{type(exc).__name__}: {exc}"
 
 
+MIXED = ("BackendMismatch: exact and float scalars mixed in one computation; "
+         "convert explicitly with to_exact()/to_float()")
+
+
+def twin(fns, xs) -> list:
+    """The points at which evaluate() takes the backend that a table of
+    ``fns`` reads the grid ``xs`` at: the ints of a grid with a float,
+    or of an all-int grid with a function that requires float, as
+    floats; the ints of a grid with a Fraction as Fractions."""
+    if any(isinstance(x, float) for x in xs) or (
+            not any(isinstance(x, Fraction) for x in xs)
+            and any(f.required_backend() is Backend.FLOAT for f in fns)):
+        return [float(x) if type(x) is int else x for x in xs]
+    if any(isinstance(x, Fraction) for x in xs):
+        return [Fraction(x) for x in xs]
+    return list(xs)
+
+
 def same_columns(fns, rows, xs):
     """The columns at the points ``xs``, read by position from a table,
-    against the oracle's; exact points also as integers over one scale,
-    as the CLI reads them, against the oracle's at their Fractions."""
-    def table_columns(grid):
-        return lambda: _PointTable(tuple(fns)).columns(tuple(rows), grid, range(len(xs)))
-    got = outcome(table_columns(_Grid(xs)))
-    assert got == outcome(lambda: evaluate_columns(fns, tuple(rows), xs))
+    against the oracle's at their twin, each with the table's backend;
+    exact points also as integers over one scale, as the CLI reads them,
+    against the oracle's at their Fractions.  A grid of Fractions and
+    floats raises when it is made."""
+    def table_columns(make_grid):
+        def make():
+            table, grid = _PointTable(tuple(fns)), make_grid()
+            return [(c, table.backend(grid))
+                    for c in table.columns(tuple(rows), grid, range(len(xs)))]
+        return make
+
+    def oracle_columns(points):
+        return lambda: [(c, c.backend()) for c in evaluate_columns(fns, tuple(rows), points)]
+    got = outcome(table_columns(lambda: _Grid(xs)))
+    if any(isinstance(x, float) for x in xs) and any(isinstance(x, Fraction) for x in xs):
+        assert got == MIXED
+        return got
+    assert got == outcome(oracle_columns(twin(fns, xs)))
     if all(type(x) in (int, Fraction) for x in xs):
         fractions = [Fraction(x) for x in xs]
         q = math.lcm(*(x.denominator for x in fractions))
-        ints = _Grid(nums=[x.numerator * (q // x.denominator) for x in fractions], q=q)
-        assert outcome(table_columns(ints)) == \
-            outcome(lambda: evaluate_columns(fns, tuple(rows), fractions))
+        ints = [x.numerator * (q // x.denominator) for x in fractions]
+        assert outcome(table_columns(lambda: _Grid(nums=ints, q=q))) == \
+            outcome(oracle_columns(fractions))
     return got
 
 
@@ -146,8 +175,10 @@ def test_polynomial_column_is_its_reduced_integer_form():
     ((PowerFn(0), ConstFn(Fraction(1, 2))), (0, 1)),  # exact at an int point only
 ])
 def test_equal_points_of_other_types_have_their_own_records(xs, fns, rows):
-    """Each point of one table keeps its own type's columns, even when an
-    earlier point of another type has the same value."""
+    """Each position of one grid keeps its own records, even when an
+    earlier point of another type has the same value; all are read at
+    the grid's one backend (ints next to a float as floats), and a grid
+    of Fractions and floats raises when it is made."""
     same_columns(fns, rows, xs)
 
 
@@ -199,8 +230,10 @@ def scan(fn, *args):
     (polynomial_system(2), 1, [0, 0.5, 1], "PositivityReport(verdict='positive_on_grid', k=1, "
      "tuples_checked=3, exhaustive=True, seed=0, witness=None, witness_value=None, "
      "indeterminate_count=0)"),
-    (polynomial_system(2), 2, [0, 0.5, 1], "BackendMismatch: exact and float scalars mixed in "
-     "one computation; convert explicitly with to_exact()/to_float()"),
+    # ints next to a float evaluate as floats, at every k
+    (polynomial_system(2), 2, [0, 0.5, 1], "PositivityReport(verdict='positive_on_grid', k=2, "
+     "tuples_checked=3, exhaustive=True, seed=0, witness=None, witness_value=None, "
+     "indeterminate_count=0)"),
     (polynomial_system(3), 3, [0.0, 1.0, 1e200],
      "OverflowError: (34, 'Numerical result out of range')"),
     (polynomial_system(3), 3, [0.0, 1.0, float("inf")],

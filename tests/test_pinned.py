@@ -40,7 +40,6 @@ from chebconvex.determinant import (
     sorted_grid,
 )
 from chebconvex.errors import (
-    BackendMismatch,
     EvaluationOutsideSupport,
     InputError,
     SingularDenominator,
@@ -240,12 +239,24 @@ def test_singular_denominator_meets_missing_value(grid, missing, error):
     assert labeled["induced:k=1"].startswith(error.__name__)
 
 
-def test_mixed_int_float_grid_raises_backend_mismatch():
-    grid = [0, 0.5, 1, 2, 3]
-    for n in (2, 3):
-        labeled = check_every_mode(polynomial_system(n), PowerFn(3), grid)
-        assert {r.split(":")[0] for r in errors(labeled)} == {BackendMismatch.__name__}
-        assert all(isinstance(r, str) for label, r in labeled if label != "direct")
+def test_mixed_int_float_grid_answers_as_its_float_twin():
+    """A grid with a float is read at float, so its ints evaluate as
+    floats in every mode: each verdict equals its float twin's, witnesses
+    (which show the points as given) and witness values included."""
+    grid, twin = [0, 0.5, 1, 2, 3], [0.0, 0.5, 1.0, 2.0, 3.0]
+    seen = set()
+    for n, f in ((2, PowerFn(3)), (3, PowerFn(3)), (3, affine((-1, PowerFn(4))))):
+        system = polynomial_system(n)
+        labeled = check_every_mode(system, f, twin)
+        assert not errors(labeled)
+        want = dict(labeled)
+        for k in range(1, n):
+            for ell in (None, *range(k + 1)):
+                label = f"induced:k={k}" if ell is None else f"interval:k={k}:ell={ell}"
+                assert pinned(system, k, f, grid, ell) == want[label], label
+        assert cross_mode_agreement(system, f, grid).verdicts == tuple(labeled)
+        seen |= outcomes(labeled)
+    assert {"violated", "convex_on_sample"} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +280,14 @@ def test_derived_columns_equal_derived_functions(system, grid):
             for base in increasing_tuples(range(len(pts)), k)[0]:
                 ind = induced_system(system, k, tuple(pts[j] for j in base))
                 off = [j for j in range(len(pts)) if j not in base]
-                derived = _PointTable(_PinnedBase(table, system.domain, k, pts, base).derived())
+                derived = _PointTable(_PinnedBase(table, k, pts, base).derived())
                 cols = derived.columns(tuple(range(ind.dim + 1)), pts, off)
                 targets = ind.basis + (ind.derived(f),)
                 for x, col in zip((pts[j] for j in off), cols):
                     assert [repr(v) for v in col.values] == \
                         [repr(evaluate(g, x)) for g in targets]
                     assert repr(col.values[0]) == ("Fraction(1, 1)" if exact else "1.0")
-                    assert col.backend() is (Backend.EXACT if exact else Backend.FLOAT)
+                    assert derived.backend(pts) is (Backend.EXACT if exact else Backend.FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +364,13 @@ def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
     domain point (a pinned base's callers check the domain first), by
     value and type, equals the parent's two-Fraction ratio step on a
     fresh table, and, as a derived function's value, derived_value's,
-    errors included."""
+    errors included.  The table reads a neutral grid at float, as its
+    float-only targets require, so the references take the grid's float
+    twin, and an error there is matched by its class: its message names
+    the points as given."""
     rng = random.Random(len(grid) * system.dim)
     exact = backend == "exact"
+    twin = float if backend == "neutral" else (lambda x: x)
     if exact:
         grid = [Fraction(x) for x in grid]
     elif backend == "neutral":
@@ -367,17 +382,20 @@ def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
         at_base = tuple(sorted(rng.sample(range(len(inside)), k)))
         base = PointTuple(tuple(inside[j] for j in at_base))
         table = _PointTable(system.basis[:k + 1] + targets)
-        pinned = _PinnedBase(table, system.domain, k, inside, at_base)
+        pinned = _PinnedBase(table, k, inside, at_base)
         for t, derived in enumerate(pinned.derived()):
-            fn = DerivedFn(system, k, base, table.fns[k + t])
+            fn = DerivedFn(system, k, PointTuple(tuple(map(twin, base))), table.fns[k + t])
             cells = _PointTable((derived,))
             for j, x in enumerate(inside):
-                want = result(derived_value, fn, x)
+                want = result(derived_value, fn, twin(x))
                 got = result(lambda: cells.columns((0,), inside, (j,))[0].values[0])
-                assert repr(got) == repr(want), (k, base, t, x)
+                if isinstance(want, str) and backend == "neutral":
+                    assert got.split(":")[0] == want.split(":")[0], (k, base, t, x)
+                else:
+                    assert repr(got) == repr(want), (k, base, t, x)
                 if isinstance(want, str):
                     continue
-                at = base.points + (x,)
+                at = tuple(map(twin, base.points + (x,)))
                 fresh = _PointTable(system.basis[:k + 1] + (table.fns[k + t],))
                 two = ratio_two_fractions(fresh, k + 1, at, DEFAULT_TOL_FACTOR)
                 assert repr(pinned.ratio(t, j)) == repr(two[0]), (k, base, t, x)

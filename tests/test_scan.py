@@ -12,7 +12,7 @@ import pytest
 from chebconvex.convexity import check_convex_direct
 from chebconvex.core import ExpFn, Interval, PowerFn, SampledFn, affine
 from chebconvex.determinant import increasing_tuples, is_positive_chebyshev
-from chebconvex.errors import BackendMismatch, InputError, NonFiniteValue
+from chebconvex.errors import InputError, NonFiniteValue
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
 from oracles import direct_loop, positivity_loop
@@ -110,15 +110,18 @@ def test_duplicate_samples_are_counted(exact):
          budget=19, seed=4)
 
 
-def test_mixed_int_float_grid_keeps_per_tuple_backends():
-    # Neutral ints give exact entries, 0.5 float ones: single points never
-    # mix, pairs do.
+def test_mixed_int_float_grid_scans_as_its_float_twin():
+    # A grid with a float is read at float: its ints evaluate as floats,
+    # at every k, and witnesses show the points as given.
     system = polynomial_system(2)
-    grid = [0, 0.5, 1]
-    k1 = same(is_positive_chebyshev, positivity_loop, system, 1, grid)
-    assert "positive_on_grid" in k1
-    assert same(is_positive_chebyshev, positivity_loop, system, 2, grid) \
-        == BackendMismatch.__name__
+    grid, twin = [0, 0.5, 1, 2], [0.0, 0.5, 1.0, 2.0]
+    for k in (1, 2):
+        got = is_positive_chebyshev(system, k, grid)
+        assert got.verdict == "positive_on_grid" and got == positivity_loop(system, k, twin)
+    f = affine((-1, PowerFn(2)))
+    got, want = check_convex_direct(system, f, grid), direct_loop(system, f, twin)
+    assert got.verdict == "violated" and got == want
+    assert repr((got.witness, got.witness_value)) == repr(((0, 0.5, 1), want.witness_value))
 
 
 def test_infinite_function_value_raises():

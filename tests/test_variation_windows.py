@@ -128,11 +128,13 @@ def test_trig_sums_match_oracle():
 
 
 def test_integer_and_mixed_partitions_match_oracle():
-    # ints evaluate like Fractions; an int next to a float mixes backends
+    # ints evaluate like Fractions, and as floats next to a float: a mixed
+    # partition sums as its float twin
     assert sums_match(polynomial_system(2), PowerFn(3), Partition((0, 1, 2, 3))) == 18
-    assert sums_match(polynomial_system(2), PowerFn(3), Partition((0, 0.5, 1, 2))) \
-        .startswith("BackendMismatch: ")
-    # a one-function system: an exact denominator over a float numerator
+    mixed = variation_sum(polynomial_system(2), PowerFn(3), Partition((0, 0.5, 1, 2)))
+    assert isinstance(mixed, float) and repr(mixed) == repr(
+        variation_loop(polynomial_system(2), PowerFn(3), Partition((0.0, 0.5, 1.0, 2.0))))
+    # a one-function system and a float-only function: ints read at float
     constant = ChebyshevSystem((PowerFn(0),), Interval())
     assert isinstance(sums_match(constant, CosFn(), Partition((0, 1, 2, 3))), float)
 
