@@ -21,10 +21,8 @@ from .core import (
     affine,
     evaluate,
     function_from_json,
-    function_to_json,
     puncture,
     system_from_json,
-    system_to_json,
     to_exact,
     to_float,
     validate_tuple,

@@ -280,9 +280,6 @@ class AgreementReport:
     def agreed(self) -> bool:
         return not self.disagreements
 
-    def verdict_map(self) -> dict:
-        return dict(self.verdicts)
-
 
 def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
                          grid: Iterable[Scalar], k_list: Sequence[int] | None = None,

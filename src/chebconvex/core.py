@@ -37,9 +37,10 @@ from .errors import (
 
 Scalar = Union[int, Fraction, float]
 
-#: Minimum pairwise gap enforced on float-backend point tuples.  Exact
-#: tuples only need distinctness; float tuples closer than this produce
-#: denominators too ill-conditioned to trust.
+#: Minimum pairwise gap of float-backend points, the one that every
+#: divided-difference, variation and convexity entry point enforces.
+#: Exact tuples only need distinctness; float tuples closer than this
+#: produce denominators too ill-conditioned to trust.
 DEFAULT_MIN_GAP = 1e-9
 
 
@@ -161,8 +162,8 @@ class PointTuple:
     def __getitem__(self, i):
         return self.points[i]
 
-    def backend(self, default: Backend | None = None) -> Backend | None:
-        return default if self._backend is None else self._backend
+    def backend(self) -> Backend | None:
+        return self._backend
 
 
 def _check_ordering(points: tuple, ordering: OrderingClass) -> Backend | None:
@@ -182,7 +183,7 @@ def _check_ordering(points: tuple, ordering: OrderingClass) -> Backend | None:
     return backend
 
 
-def validate_tuple(points, ordering: OrderingClass | str,
+def validate_tuple(points, ordering: OrderingClass,
                    min_gap: float = DEFAULT_MIN_GAP) -> PointTuple:
     """Validate ``points`` against an ordering class and return the tuple.
 
@@ -190,8 +191,6 @@ def validate_tuple(points, ordering: OrderingClass | str,
     least ``min_gap`` (ignored for the unconstrained class and for exact
     tuples, which only need distinctness).
     """
-    if isinstance(ordering, str):
-        ordering = OrderingClass(ordering)
     pt = PointTuple(tuple(points), ordering)
     if (ordering is not OrderingClass.UNCONSTRAINED
             and pt.backend() is Backend.FLOAT and min_gap > 0):
@@ -536,14 +535,6 @@ class ChebyshevSystem:
     def dim(self) -> int:
         return len(self.basis)
 
-    def prefix(self, k: int) -> "ChebyshevSystem":
-        """The subsystem spanned by the first k basis functions."""
-        if not 1 <= k <= self.dim:
-            raise InputError(f"prefix size {k} outside 1..{self.dim}")
-        if k == self.dim:
-            return self
-        return ChebyshevSystem(self.basis[:k], self.domain)
-
     def with_appended(self, f: FunctionSpec) -> "ChebyshevSystem":
         """The (dim+1)-tuple obtained by appending ``f`` to the basis."""
         return ChebyshevSystem(self.basis + (f,), self.domain)
@@ -596,30 +587,6 @@ def scalar_from_json(v) -> Scalar:
     raise InputError(f"cannot parse scalar from {v!r}")
 
 
-def function_to_json(f: FunctionSpec) -> dict:
-    if isinstance(f, PowerFn):
-        return {"kind": "power", "k": f.k}
-    if isinstance(f, CosFn):
-        return {"kind": "cos", "freq": f.freq}
-    if isinstance(f, SinFn):
-        return {"kind": "sin", "freq": f.freq}
-    if isinstance(f, ExpFn):
-        return {"kind": "exp"}
-    if isinstance(f, ConstFn):
-        return {"kind": "const", "c": scalar_to_json(f.c)}
-    if isinstance(f, NegCotFn):
-        return {"kind": "negcot", "shift": scalar_to_json(f.shift)}
-    if isinstance(f, AffineFn):
-        return {"kind": "affine",
-                "terms": [{"coef": scalar_to_json(c), "spec": function_to_json(s)}
-                          for c, s in f.terms]}
-    if isinstance(f, SampledFn):
-        return {"kind": "sampled",
-                "points": [scalar_to_json(p) for p in f.points],
-                "values": [scalar_to_json(v) for v in f.values]}
-    raise InputError(f"function {f!r} has no JSON form")
-
-
 def function_from_json(d: dict) -> FunctionSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise InputError(f"bad function spec: {d!r}")
@@ -663,22 +630,6 @@ def _json_error(what: str, exc: Exception) -> InputError:
     return InputError(f"bad {what}: {exc}")
 
 
-def domain_to_json(dom: Domain) -> dict:
-    if isinstance(dom, Interval):
-        return {"kind": "interval",
-                "lo": None if dom.lo is None else scalar_to_json(dom.lo),
-                "hi": None if dom.hi is None else scalar_to_json(dom.hi),
-                "lo_open": dom.lo_open, "hi_open": dom.hi_open}
-    if isinstance(dom, FiniteSet):
-        return {"kind": "finite_set",
-                "points": [scalar_to_json(p) for p in dom.points]}
-    if isinstance(dom, PuncturedInterval):
-        return {"kind": "punctured_interval",
-                "base": domain_to_json(dom.base),
-                "excluded": [scalar_to_json(p) for p in dom.excluded]}
-    raise InputError(f"not a domain: {dom!r}")
-
-
 def domain_from_json(d: dict) -> Domain:
     kind = _json_object(d, "domain spec").get("kind")
     try:
@@ -696,11 +647,6 @@ def domain_from_json(d: dict) -> Domain:
     except (KeyError, TypeError) as exc:
         raise _json_error(f"domain spec {kind!r}", exc) from None
     raise InputError(f"unknown domain kind {kind!r}")
-
-
-def system_to_json(system: ChebyshevSystem) -> dict:
-    return {"basis": [function_to_json(f) for f in system.basis],
-            "domain": domain_to_json(system.domain)}
 
 
 def system_from_json(d: dict) -> ChebyshevSystem:

@@ -94,8 +94,9 @@ class Matrix:
         i, j = ij
         return self.entries[i * self.cols + j]
 
-    def backend(self, default: Backend = Backend.EXACT) -> Backend:
-        return default if self._backend is None else self._backend
+    def backend(self) -> Backend:
+        """The entries' backend, exact when every entry is an int."""
+        return Backend.EXACT if self._backend is None else self._backend
 
 
 def matrix_from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:

@@ -30,7 +30,6 @@ from .core import (
     PointTuple,
     PowerFn,
     Scalar,
-    DEFAULT_MIN_GAP,
     _BACKEND_TYPES,
     _check_domain,
     collection_backend,
@@ -80,29 +79,28 @@ class ResidualReport:
 
 
 def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
-                       points, min_gap: float = DEFAULT_MIN_GAP,
-                       tol_factor: float = DEFAULT_TOL_FACTOR) -> DividedDifference:
+                       points, tol_factor: float = DEFAULT_TOL_FACTOR) -> DividedDifference:
     """The (k-1)-st order divided difference of ``f`` at ``points`` with
     respect to the k-prefix of ``system``.
 
-    ``points`` must be k pairwise-distinct domain points (any order).
+    ``points`` must be k pairwise-distinct domain points (any order),
+    float ones at least ``DEFAULT_MIN_GAP`` apart.
     Raises :class:`SingularDenominator` when the k-prefix collocation
     determinant vanishes there, i.e. the prefix is not a Chebyshev
     system on these points.
     """
-    pts = _checked_points(system, k, points, min_gap)
+    pts = _checked_points(system, k, points)
     table, grid = _PointTable(system.basis[:k] + (f,)), _Grid(pts.points)
     value, numerator, denominator = _ratio(lambda rows: table.matrix(rows, grid, range(k)), k,
                                            pts.points, tol_factor)
     return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)
 
 
-def _checked_points(system: ChebyshevSystem, k: int, points,
-                    min_gap: float = DEFAULT_MIN_GAP) -> PointTuple:
+def _checked_points(system: ChebyshevSystem, k: int, points) -> PointTuple:
     """``points`` after divided_difference's checks, in its order: k
-    pairwise-distinct points (``min_gap`` apart on the float backend)
-    for a k-prefix of ``system``, each in its domain."""
-    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
+    pairwise-distinct points (``DEFAULT_MIN_GAP`` apart on the float
+    backend) for a k-prefix of ``system``, each in its domain."""
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT)
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
     if len(pts) != k:
@@ -167,14 +165,14 @@ def _scalar(det) -> Scalar:
     return Fraction(*det) if type(det) is tuple else det
 
 
-def classical_divided_difference(f: FunctionSpec, points,
-                                 min_gap: float = DEFAULT_MIN_GAP) -> Scalar:
+def classical_divided_difference(f: FunctionSpec, points) -> Scalar:
     """Newton's recursive divided difference of ``f`` at pairwise
-    distinct points (symmetric in the points, so they are sorted first
-    for numerical stability).  Its values come from ``evaluate``, not a
-    point table: it is the independent check that certifies
-    :func:`divided_difference`, and a table would double its cost."""
-    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
+    distinct points, float ones ``DEFAULT_MIN_GAP`` apart (symmetric in
+    the points, so they are sorted first for numerical stability).  Its
+    values come from ``evaluate``, not a point table: it is the
+    independent check that certifies :func:`divided_difference`, and a
+    table would double its cost."""
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT)
     xs = sorted(pts.points)
     vals = [evaluate(f, x) for x in xs]
     m = len(xs)
@@ -205,8 +203,7 @@ def complete_homogeneous(degree: int, points) -> Scalar:
     return _homogeneous_sums(degree, pts)[degree]
 
 
-def power_divdiff_check(degree: int, points,
-                        min_gap: float = DEFAULT_MIN_GAP) -> ResidualReport:
+def power_divdiff_check(degree: int, points) -> ResidualReport:
     """Compare the classical divided difference of x**degree against the
     complete homogeneous polynomial of degree (degree - k + 1).
 
@@ -214,11 +211,11 @@ def power_divdiff_check(degree: int, points,
     vs. symmetric-polynomial accumulation), so a zero residual certifies
     both.
     """
-    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT, min_gap=min_gap)
+    pts = validate_tuple(points, OrderingClass.PAIRWISE_DISTINCT)
     k = len(pts)
     if k > degree + 1:
         raise DimensionMismatch(
             f"{k} points exceed degree+1 = {degree + 1}; the difference is identically 0")
-    lhs = classical_divided_difference(PowerFn(degree), pts, min_gap=min_gap)
+    lhs = classical_divided_difference(PowerFn(degree), pts)
     rhs = complete_homogeneous(degree - k + 1, pts)
     return ResidualReport(lhs, rhs, abs(lhs - rhs))

@@ -30,10 +30,6 @@ class OrderingViolation(InputError):
         super().__init__(message or f"ordering violated at indices ({i}, {j})")
 
 
-class DuplicatePoint(InputError):
-    """A point coincides with one that must stay distinct from it."""
-
-
 class EvaluationOutsideSupport(InputError):
     """A function was queried at a point where it has no value."""
 

@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 from .core import (
-    DEFAULT_MIN_GAP,
     Backend,
     ChebyshevSystem,
     Domain,
@@ -85,7 +84,9 @@ class DerivedFn(FunctionSpec):
     def _eval(self, x, backend):
         pts = _checked_points(self.parent, self.k + 1, self.base.points + (x,))
         table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
-        pinned = _PinnedBase(table, self.k, _Grid(pts.points), tuple(range(self.k)))
+        grid = _Grid(pts.points)
+        grid.backend = grid.backend or backend      # a neutral grid, at the backend asked for
+        pinned = _PinnedBase(table, self.k, grid, tuple(range(self.k)))
         return as_backend(pinned.ratio(1, self.k), backend)
 
 
@@ -139,7 +140,7 @@ class _PinnedBase:
         record = self.records[j]
         if record is None:
             at = self.points((j,))
-            validate_tuple(at, OrderingClass.PAIRWISE_DISTINCT, min_gap=DEFAULT_MIN_GAP)
+            validate_tuple(at, OrderingClass.PAIRWISE_DISTINCT)
             record = self.records[j] = [*self.dets[0]((j,)), at, False]
         return record
 

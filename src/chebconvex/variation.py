@@ -63,18 +63,6 @@ class Partition:
         if len(self.points) < 2:
             raise InputError("a partition needs at least two points")
 
-    @property
-    def a(self) -> Scalar:
-        return self.points[0]
-
-    @property
-    def b(self) -> Scalar:
-        return self.points[-1]
-
-    @property
-    def intervals(self) -> int:
-        return len(self.points) - 1
-
 
 @dataclass(frozen=True)
 class RefinementStrategy:
@@ -85,7 +73,6 @@ class RefinementStrategy:
     initial_intervals: int | None = None   # default: max(system dim, 8)
     rounds: int = 4
     perturb_rounds: int = 2
-    rel_tol: float = 1e-6
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -111,17 +98,16 @@ class VariationEstimate:
 
 
 def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition,
-                  min_gap: float = DEFAULT_MIN_GAP,
                   tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Sum over consecutive n-point windows of the partition of the
     absolute difference of neighbouring divided differences."""
     grid = _Grid(partition.points.points)
     return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
-                       min_gap, tol_factor)
+                       tol_factor)
 
 
 def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: _Grid, js,
-                min_gap: float, tol_factor: float) -> Scalar:
+                tol_factor: float) -> Scalar:
     """:func:`variation_sum` over the partition whose points are at the
     increasing positions ``js`` of ``grid``, with the values of
     ``table``, which holds the system's basis and f and may be shared
@@ -136,7 +122,7 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: _Grid, js,
     if m < n:
         raise DimensionMismatch(
             f"partition has {m} intervals, need at least {n} for dimension {n}")
-    stop, error = _rejected_window(grid, js, n, system, min_gap)
+    stop, error = _rejected_window(grid, js, n, system)
     backend = table.backend(grid)
     held: dict = {}     # rows -> their prepared columns at js[:len]
 
@@ -162,15 +148,15 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: _Grid, js,
     return _finite(total, f"partition sum over {m} intervals", _At(grid, (js[0], js[-1])))
 
 
-def _rejected_window(grid: _Grid, js, n: int, system: ChebyshevSystem,
-                     min_gap: float) -> tuple:
+def _rejected_window(grid: _Grid, js, n: int, system: ChebyshevSystem) -> tuple:
     """The first n-point window of the increasing positions ``js`` of
     ``grid`` whose points divided_difference rejects, with the error it
-    raises: the first pair closer than ``min_gap`` on a float grid (from
-    the consecutive gaps, as validate_tuple finds it), else the first
-    point outside the domain (an interval holds all the points when it
-    holds both ends, and an exact grid has no gaps to check).  (the
-    number of windows, None) when it rejects none."""
+    raises: the first pair closer than ``DEFAULT_MIN_GAP`` on a float
+    grid (from the consecutive gaps, as validate_tuple finds it; a
+    Partition's points may have been validated with a smaller gap), else
+    the first point outside the domain (an interval holds all the points
+    when it holds both ends, and an exact grid has no gaps to check).
+    (the number of windows, None) when it rejects none."""
     windows = len(js) - n + 1
     dom = system.domain
     ends = isinstance(dom, Interval) and dom.contains(grid[js[0]]) and dom.contains(grid[js[-1]])
@@ -178,15 +164,15 @@ def _rejected_window(grid: _Grid, js, n: int, system: ChebyshevSystem,
         return windows, None
     pts = [grid[j] for j in js]
     close = [False] * len(pts)
-    if min_gap > 0 and grid.backend is Backend.FLOAT:
-        close = [abs(pts[i] - pts[i + 1]) < min_gap for i in range(len(pts) - 1)]
+    if grid.backend is Backend.FLOAT:
+        close = [abs(pts[i] - pts[i + 1]) < DEFAULT_MIN_GAP for i in range(len(pts) - 1)]
     outside = [False] * len(pts) if ends else [not dom.contains(x) for x in pts]
     if not (any(close) or any(outside)):
         return windows, None
     for s in range(windows):
         for i in range(s, s + n - 1):
             if close[i]:
-                return s, min_gap_violation(i - s, i - s + 1, min_gap)
+                return s, min_gap_violation(i - s, i - s + 1, DEFAULT_MIN_GAP)
         for x, out in zip(pts[s:s + n], outside[s:s + n]):
             if out:
                 return s, EvaluationOutsideSupport(f"point {x} is outside the system domain")
@@ -227,14 +213,13 @@ def _jitter_partition(base: _Grid, rng: random.Random, backend: Backend) -> _Gri
 def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
                        a: Scalar, b: Scalar,
                        strategy: RefinementStrategy | None = None,
-                       min_gap: float = DEFAULT_MIN_GAP,
                        tol_factor: float = DEFAULT_TOL_FACTOR) -> VariationEstimate:
     """Running maximum of partition sums over uniform partitions of
     doubling size plus optional jittered rounds; a lower bound of the
     partition supremum, never an upper bound.
 
     ``converged`` is a heuristic: the last doubling improved the maximum
-    by less than rel_tol (relatively).
+    by less than 1e-6 (relatively).
     """
     strategy = strategy or RefinementStrategy()
     if not isinstance(system.domain, Interval):
@@ -270,19 +255,19 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
         part = range(0, len(finest), 1 << (strategy.rounds - 1 - r))
         if backend is Backend.FLOAT:    # an exact one increases strictly
             validate_tuple([finest[j] for j in part], OrderingClass.STRICTLY_INCREASING)
-        value = _window_sum(table, system, finest, part, min_gap, tol_factor)
+        value = _window_sum(table, system, finest, part, tol_factor)
         partial_sums.append((m, value))
         if best is None or value > best:
             best = value
             best_partition = finest, part
         if prev_best is not None:
             improvement = float(best) - float(prev_best)
-            converged = improvement < strategy.rel_tol * max(1.0, abs(float(best)))
+            converged = improvement < 1e-6 * max(1.0, abs(float(best)))
         prev_best = best
 
     for _ in range(strategy.perturb_rounds):
         jittered = _jitter_partition(finest, rng, backend)
-        value = _window_sum(table, system, jittered, range(len(jittered)), min_gap, tol_factor)
+        value = _window_sum(table, system, jittered, range(len(jittered)), tol_factor)
         partial_sums.append((m, value))
         if value > best:
             best = value
@@ -297,7 +282,6 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
 
 def variation_bound(system: ChebyshevSystem, g: FunctionSpec, h: FunctionSpec,
                     a_anchors, b_anchors,
-                    min_gap: float = DEFAULT_MIN_GAP,
                     tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Upper bound for the variation of g - h on [a, b]: the divided
     difference of g + h over the b-side anchors minus the one over the
@@ -308,29 +292,26 @@ def variation_bound(system: ChebyshevSystem, g: FunctionSpec, h: FunctionSpec,
     respect to the system (caller-asserted or grid-checked).
     """
     n = system.dim
-    a_t = _anchor_tuple(a_anchors, n, min_gap)
-    b_t = _anchor_tuple(b_anchors, n, min_gap)
+    a_t = _anchor_tuple(a_anchors, n)
+    b_t = _anchor_tuple(b_anchors, n)
     if not a_t[-1] < b_t[0]:
         raise OrderingViolation(
             n - 1, n, f"anchor tuples overlap: a ends at {a_t[-1]}, b starts at {b_t[0]}")
     total = affine((1, g), (1, h))
-    upper = divided_difference(system, n, total, b_t, min_gap=min_gap,
-                               tol_factor=tol_factor).value
-    lower = divided_difference(system, n, total, a_t, min_gap=min_gap,
-                               tol_factor=tol_factor).value
+    upper = divided_difference(system, n, total, b_t, tol_factor=tol_factor).value
+    lower = divided_difference(system, n, total, a_t, tol_factor=tol_factor).value
     return _finite(upper - lower, "variation bound", (a_t, b_t))
 
 
-def _anchor_tuple(anchors, n: int, min_gap: float) -> tuple:
+def _anchor_tuple(anchors, n: int) -> tuple:
     pts = anchors.points if isinstance(anchors, PointTuple) else tuple(anchors)
-    t = validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap)
+    t = validate_tuple(pts, OrderingClass.STRICTLY_INCREASING)
     if len(t) != n:
         raise DimensionMismatch(f"anchor tuple needs {n} points, got {len(t)}")
     return t.points
 
 
-def default_anchors(system: ChebyshevSystem, a: Scalar, b: Scalar,
-                    min_gap: float = DEFAULT_MIN_GAP) -> tuple[tuple, tuple]:
+def default_anchors(system: ChebyshevSystem, a: Scalar, b: Scalar) -> tuple[tuple, tuple]:
     """n equally spaced points ending at a and starting at b, with
     spacing min(1/10, margin to the domain boundary / n)."""
     n = system.dim
@@ -350,8 +331,8 @@ def default_anchors(system: ChebyshevSystem, a: Scalar, b: Scalar,
         if margin <= 0:
             raise AnchorInfeasible("no room for anchors at the domain boundary")
         s = min(cap, margin / n)
-        if backend is Backend.FLOAT and s < min_gap:
-            raise AnchorInfeasible(f"anchor spacing {s} below the minimum gap {min_gap}")
+        if backend is Backend.FLOAT and s < DEFAULT_MIN_GAP:
+            raise AnchorInfeasible(f"anchor spacing {s} below the minimum gap {DEFAULT_MIN_GAP}")
         return s
 
     lo = None if dom.lo is None else make(dom.lo)
@@ -383,22 +364,21 @@ def check_variation_bound(system: ChebyshevSystem, g: FunctionSpec, h: FunctionS
                           a: Scalar, b: Scalar,
                           a_anchors=None, b_anchors=None,
                           strategy: RefinementStrategy | None = None,
-                          min_gap: float = DEFAULT_MIN_GAP,
-                          tol_factor: float = DEFAULT_TOL_FACTOR,
-                          rel_tol: float = 1e-9) -> VariationCheckReport:
+                          tol_factor: float = DEFAULT_TOL_FACTOR) -> VariationCheckReport:
     """Estimate the variation of f = g - h on [a, b] and assert it stays
     below the decomposition bound.
 
     Raises :class:`BoundViolated` with a replayable certificate (best
     partition and the anchors) when the estimate exceeds the bound
-    beyond tolerance, which certifies either non-convex inputs or a bug.
+    beyond tolerance (exactly, or by 1e-9 of the bound on the float
+    backend), which certifies either non-convex inputs or a bug.
     """
     if a_anchors is None or b_anchors is None:
-        auto_a, auto_b = default_anchors(system, a, b, min_gap=min_gap)
+        auto_a, auto_b = default_anchors(system, a, b)
         a_anchors = a_anchors if a_anchors is not None else auto_a
         b_anchors = b_anchors if b_anchors is not None else auto_b
-    a_t = _anchor_tuple(a_anchors, system.dim, min_gap)
-    b_t = _anchor_tuple(b_anchors, system.dim, min_gap)
+    a_t = _anchor_tuple(a_anchors, system.dim)
+    b_t = _anchor_tuple(b_anchors, system.dim)
     if a_t[-1] != a:
         raise OrderingViolation(system.dim - 1, system.dim,
                                 f"a-side anchors must end at {a}, got {a_t[-1]}")
@@ -406,12 +386,10 @@ def check_variation_bound(system: ChebyshevSystem, g: FunctionSpec, h: FunctionS
         raise OrderingViolation(0, 0, f"b-side anchors must start at {b}, got {b_t[0]}")
 
     f = affine((1, g), (-1, h))
-    estimate = estimate_variation(system, f, a, b, strategy=strategy,
-                                  min_gap=min_gap, tol_factor=tol_factor)
-    bound = variation_bound(system, g, h, a_t, b_t, min_gap=min_gap,
-                            tol_factor=tol_factor)
+    estimate = estimate_variation(system, f, a, b, strategy=strategy, tol_factor=tol_factor)
+    bound = variation_bound(system, g, h, a_t, b_t, tol_factor=tol_factor)
     margin = bound - estimate.best
-    tolerance = rel_tol * max(1.0, abs(float(bound))) \
+    tolerance = 1e-9 * max(1.0, abs(float(bound))) \
         if scalar_backend(margin) is Backend.FLOAT else 0
     if margin < -tolerance:
         raise BoundViolated(

@@ -118,7 +118,6 @@ from chebconvex.errors import (
     AnchorInfeasible,
     ChebconvexError,
     DimensionMismatch,
-    DuplicatePoint,
     EvaluationOutsideSupport,
     InputError,
     InsufficientGrid,
@@ -540,8 +539,7 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
 # divided_difference: its points validated, every value evaluated, two
 # collocation matrices built.
 
-def variation_loop(system, f, partition, min_gap=DEFAULT_MIN_GAP,
-                   tol_factor=DEFAULT_TOL_FACTOR):
+def variation_loop(system, f, partition, tol_factor=DEFAULT_TOL_FACTOR):
     """Sum over consecutive n-point windows of the partition of the
     absolute difference of neighbouring divided differences."""
     n = system.dim
@@ -551,8 +549,7 @@ def variation_loop(system, f, partition, min_gap=DEFAULT_MIN_GAP,
         raise DimensionMismatch(
             f"partition has {m} intervals, need at least {n} for dimension {n}")
     window_values = [
-        divided_difference(system, n, f, pts[i:i + n],
-                           min_gap=min_gap, tol_factor=tol_factor).value
+        divided_difference(system, n, f, pts[i:i + n], tol_factor=tol_factor).value
         for i in range(m - n + 2)]
     total = window_values[0] - window_values[0]  # zero of the right backend
     for i in range(m - n + 1):
@@ -903,6 +900,10 @@ def trig_induced_closed_form(x1, lo=-math.pi, hi=0) -> ChebyshevSystem:
         raise InputError(f"base point {x1} is outside the interval ({lo}, {hi})")
     return ChebyshevSystem((ConstFn(1), NegCotFn(x1)),
                            PuncturedInterval(base_interval, (x1,)))
+
+
+class DuplicatePoint(InputError):
+    """A point coincides with one that must stay distinct from it."""
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ class TestCrossMode:
         rep = cross_mode_agreement(polynomial_system(3),
                                    affine((-1, PowerFn(3))), GRID6)
         assert rep.agreed
-        assert rep.verdict_map()["direct"].verdict == "violated"
+        assert dict(rep.verdicts)["direct"].verdict == "violated"
 
     def test_random_sampled_functions_agree(self):
         rng = random.Random(54)

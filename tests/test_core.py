@@ -1,5 +1,8 @@
+import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,15 +25,12 @@ from chebconvex.core import (
     SinFn,
     affine,
     domain_from_json,
-    domain_to_json,
     evaluate,
     function_from_json,
-    function_to_json,
     puncture,
     scalar_from_json,
     scalar_to_json,
     system_from_json,
-    system_to_json,
     validate_tuple,
 )
 from chebconvex.errors import (
@@ -119,7 +119,7 @@ class TestValidateTuple:
         assert (err.value.i, err.value.j) == (0, 1)
 
     def test_pairwise_distinct_allows_unsorted(self):
-        t = validate_tuple([2, 1, 3], "pairwise_distinct")
+        t = validate_tuple([2, 1, 3], OrderingClass.PAIRWISE_DISTINCT)
         assert t.ordering is OrderingClass.PAIRWISE_DISTINCT
 
     def test_duplicate_rejected(self):
@@ -203,13 +203,6 @@ class TestDomains:
 
 
 class TestSystems:
-    def test_prefix(self):
-        s = ChebyshevSystem((PowerFn(0), PowerFn(1), PowerFn(2)), Interval())
-        assert s.dim == 3
-        assert s.prefix(2).basis == (PowerFn(0), PowerFn(1))
-        with pytest.raises(InputError):
-            s.prefix(4)
-
     def test_with_appended(self):
         s = ChebyshevSystem((PowerFn(0),), Interval())
         assert s.with_appended(PowerFn(1)).dim == 2
@@ -223,50 +216,92 @@ class TestSystems:
             ChebyshevSystem((f,), FiniteSet((1, 2, 3)))
 
 
+# Each spec as literal JSON, and what the reader makes of it.
 SPECS = [
-    PowerFn(0),
-    PowerFn(7),
-    CosFn(2),
-    SinFn(1),
-    ExpFn(),
-    ConstFn(Fraction(-3, 7)),
-    ConstFn(2.5),
-    NegCotFn(-1.5),
-    AffineFn(((Fraction(2), PowerFn(1)), (Fraction(-1, 3), PowerFn(4)))),
-    SampledFn((Fraction(0), Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(3), Fraction(9))),
-    SampledFn((0.5, 1.5), (2.25, 0.25)),
+    ({"kind": "power", "k": 0}, PowerFn(0)),
+    ({"kind": "power", "k": 7}, PowerFn(7)),
+    ({"kind": "cos", "freq": 2}, CosFn(2)),
+    ({"kind": "sin"}, SinFn(1)),
+    ({"kind": "exp"}, ExpFn()),
+    ({"kind": "const", "c": "-3/7"}, ConstFn(Fraction(-3, 7))),
+    ({"kind": "const", "c": 2.5}, ConstFn(2.5)),
+    ({"kind": "negcot", "shift": -1.5}, NegCotFn(-1.5)),
+    ({"kind": "affine", "terms": [{"coef": "2", "spec": {"kind": "power", "k": 1}},
+                                  {"coef": "-1/3", "spec": {"kind": "power", "k": 4}}]},
+     AffineFn(((Fraction(2), PowerFn(1)), (Fraction(-1, 3), PowerFn(4))))),
+    ({"kind": "sampled", "points": ["0", "1/2", "2"], "values": ["1", "3", "9"]},
+     SampledFn((Fraction(0), Fraction(1, 2), Fraction(2)),
+               (Fraction(1), Fraction(3), Fraction(9)))),
+    ({"kind": "sampled", "points": [0.5, 1.5], "values": [2.25, 0.25]},
+     SampledFn((0.5, 1.5), (2.25, 0.25))),
 ]
 
 DOMAINS = [
-    Interval(),
-    Interval(lo=0),
-    Interval(Fraction(-1, 2), Fraction(7, 2), lo_open=False),
-    Interval(-math.pi, 0.0),
-    FiniteSet((Fraction(1), Fraction(2), Fraction(42))),
-    PuncturedInterval(Interval(0, 10), (Fraction(3), Fraction(4))),
+    ({"kind": "interval"}, Interval()),
+    ({"kind": "interval", "lo": 0}, Interval(lo=0)),
+    ({"kind": "interval", "lo": "-1/2", "hi": "7/2", "lo_open": False, "hi_open": True},
+     Interval(Fraction(-1, 2), Fraction(7, 2), lo_open=False)),
+    ({"kind": "interval", "lo": -3.141592653589793, "hi": 0.0}, Interval(-math.pi, 0.0)),
+    ({"kind": "finite_set", "points": ["1", "2", "42"]},
+     FiniteSet((Fraction(1), Fraction(2), Fraction(42)))),
+    ({"kind": "punctured_interval", "base": {"kind": "interval", "lo": 0, "hi": 10},
+      "excluded": ["3", "4"]},
+     PuncturedInterval(Interval(0, 10), (Fraction(3), Fraction(4)))),
 ]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_json_blocks() -> list:
+    """The JSON values of each ```json block of README's "JSON formats"
+    section, block by block."""
+    section = README.read_text().split("### JSON formats", 1)[1].split("\n## ", 1)[0]
+    decoder, blocks = json.JSONDecoder(), []
+    for text in re.findall(r"```json\n(.*?)```", section, re.S):
+        values, i = [], 0
+        while text[i:].strip():
+            i += len(text[i:]) - len(text[i:].lstrip())
+            value, i = decoder.raw_decode(text, i)
+            values.append(value)
+        blocks.append(values)
+    return blocks
+
+
+POLY3_JSON = {"basis": [{"kind": "power", "k": k} for k in range(3)],
+              "domain": {"kind": "interval", "lo": "0", "hi": "10"}}
 
 
 class TestJsonRoundTrip:
-    @pytest.mark.parametrize("f", SPECS)
-    def test_function_round_trip(self, f):
-        assert function_from_json(function_to_json(f)) == f
+    """The readers on literal specs (the package writes no specs), each
+    compared by repr, so that a scalar's type counts too."""
 
-    @pytest.mark.parametrize("dom", DOMAINS)
-    def test_domain_round_trip(self, dom):
-        assert domain_from_json(domain_to_json(dom)) == dom
+    @pytest.mark.parametrize("spec, f", SPECS, ids=[f"f{i}" for i in range(len(SPECS))])
+    def test_function_round_trip(self, spec, f):
+        assert repr(function_from_json(spec)) == repr(f)
+
+    @pytest.mark.parametrize("spec, dom", DOMAINS, ids=[f"dom{i}" for i in range(len(DOMAINS))])
+    def test_domain_round_trip(self, spec, dom):
+        assert repr(domain_from_json(spec)) == repr(dom)
 
     def test_system_round_trip(self):
         s = ChebyshevSystem((PowerFn(0), PowerFn(1), PowerFn(2)),
                             Interval(Fraction(0), Fraction(10)))
-        assert system_from_json(system_to_json(s)) == s
+        assert repr(system_from_json(POLY3_JSON)) == repr(s)
 
     def test_system_json_has_no_sign_claim(self):
-        s = ChebyshevSystem((PowerFn(0), PowerFn(1)), Interval())
-        spec = system_to_json(s)
-        assert set(spec) == {"basis", "domain"}
         # an old "claimed_sign" key is ignored like any unknown key, whatever its value
-        assert system_from_json({**spec, "claimed_sign": "bogus"}) == s
+        assert system_from_json({**POLY3_JSON, "claimed_sign": "bogus"}) == \
+            system_from_json(POLY3_JSON)
+
+    def test_readme_specs_are_read(self):
+        """Every function spec and the system that README documents."""
+        functions, (system,) = readme_json_blocks()
+        assert {spec["kind"] for spec in functions} == \
+            {"power", "cos", "sin", "exp", "const", "negcot", "affine", "sampled"}
+        for spec in functions:
+            function_from_json(spec)
+        assert system_from_json(system) == \
+            ChebyshevSystem((PowerFn(0), PowerFn(1)), Interval())
 
     @given(st.one_of(
         st.integers(-10 ** 12, 10 ** 12),
@@ -294,7 +329,6 @@ class TestPointTuple:
 
     def test_backend_inference(self):
         assert PointTuple((1, 2)).backend() is None
-        assert PointTuple((1, 2)).backend(default=Backend.EXACT) is Backend.EXACT
         assert PointTuple((Fraction(1), 2)).backend() is Backend.EXACT
         assert PointTuple((1.0, 2)).backend() is Backend.FLOAT
 

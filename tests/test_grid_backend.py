@@ -5,8 +5,8 @@ Fraction (or the grid holds integers over a scale), and neutral if
 every point is an int; a neutral grid is read at float if a function
 of the table requires float, else exact.  Every table, column, matrix,
 scan and window on the grid takes that one backend.  The regressions
-below are the three library cases where that rule answers differently
-from reading each point's own backend; the CLI cannot produce them,
+below are the library cases where that rule answers differently from
+reading each point's own backend; the CLI cannot produce them,
 since every grid it reads has a definite backend, which the last tests
 check."""
 
@@ -22,10 +22,20 @@ from chebconvex.convexity import (
     check_convex_interval,
     cross_mode_agreement,
 )
-from chebconvex.core import Backend, ExpFn, PointTuple, PowerFn, SampledFn, affine
+from chebconvex.core import (
+    Backend,
+    ChebyshevSystem,
+    CosFn,
+    ExpFn,
+    Interval,
+    PointTuple,
+    PowerFn,
+    SampledFn,
+    affine,
+)
 from chebconvex.determinant import _Grid, _PointTable, collocation_matrix, is_positive_chebyshev
 from chebconvex.errors import BackendMismatch
-from chebconvex.induced import DerivedFn, verify_induced_system
+from chebconvex.induced import DerivedFn, induced_system, verify_induced_system
 from chebconvex.systems import polynomial_system, trig_odd_system
 from chebconvex.variation import Partition, variation_sum
 
@@ -62,7 +72,7 @@ def test_mixed_grid_convexity_is_its_float_twins(f):
         assert repr(got.witness_value) == repr(want.witness_value)
     agreement = cross_mode_agreement(system, f, MIXED)
     assert agreement.verdicts == cross_mode_agreement(system, f, twin).verdicts
-    direct = agreement.verdict_map()["direct"]
+    direct = dict(agreement.verdicts)["direct"]
     assert (direct.verdict, direct.witness) == \
         (("convex_on_sample", None) if f == PowerFn(3) else ("violated", (0, 0.5, 1)))
 
@@ -95,6 +105,19 @@ def test_int_grid_derived_values_are_floats():
     got = verify_induced_system(TRIG, 1, (-3,), [-2, -1])
     want = verify_induced_system(TRIG, 1, (-3.0,), [-2.0, -1.0])
     assert got.positivity == want.positivity and repr(got.worst) == repr(want.worst)
+
+
+def test_int_grid_of_derived_functions_is_read_at_the_tables_backend():
+    """A derived value reads its own grid of (base..., x) at the backend
+    it is asked at: the x row, exact on its own, is read at float in a
+    table with the cos row."""
+    parent = ChebyshevSystem((PowerFn(0), PowerFn(1), CosFn()), Interval(-4, 0))
+
+    def report(base, grid):
+        return is_positive_chebyshev(induced_system(parent, 1, base).as_system(), 2, grid)
+    got = report((-3,), [-2, -1])
+    assert got.verdict == "positive_on_grid"
+    assert got == report((-3.0,), [-2.0, -1.0])
 
 
 def test_int_grid_of_exact_functions_is_read_exact():

@@ -9,7 +9,6 @@ from chebconvex.core import OrderingClass, evaluate, validate_tuple
 from chebconvex.determinant import collocation_det
 from chebconvex.errors import (
     DimensionMismatch,
-    DuplicatePoint,
     InputError,
     OrderingViolation,
 )
@@ -19,7 +18,7 @@ from chebconvex.induced import (
 )
 from chebconvex.systems import polynomial_system, trig_odd_system
 
-from oracles import power_divdiff_expansion, rand_increasing_fractions, sign_index
+from oracles import DuplicatePoint, power_divdiff_expansion, rand_increasing_fractions, sign_index
 
 
 def sigma(points, k):

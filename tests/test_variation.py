@@ -284,7 +284,8 @@ class TestPartitionType:
 
     def test_accepts_raw_sequences(self):
         p = Partition((0, 1, 2))
-        assert p.a == 0 and p.b == 2 and p.intervals == 2
+        assert p.points.points == (0, 1, 2)
+        assert p.points.ordering is OrderingClass.STRICTLY_INCREASING
 
     def test_ordering_enforced(self):
         with pytest.raises(OrderingViolation):

@@ -14,15 +14,18 @@ import pytest
 
 from chebconvex import variation
 from chebconvex.core import (
+    DEFAULT_MIN_GAP,
     ChebyshevSystem,
     ConstFn,
     CosFn,
     ExpFn,
     Interval,
+    OrderingClass,
     PowerFn,
     SampledFn,
     affine,
     system_from_json,
+    validate_tuple,
 )
 from chebconvex.divdiff import divided_difference
 from chebconvex.errors import InputError
@@ -51,9 +54,9 @@ def result(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
-def loop_sum(table, system, grid, js, min_gap, tol_factor):
+def loop_sum(table, system, grid, js, tol_factor):
     partition = Partition(tuple(grid[j] for j in js))
-    return variation_loop(system, table.fns[-1], partition, min_gap, tol_factor)
+    return variation_loop(system, table.fns[-1], partition, tol_factor)
 
 
 @pytest.fixture
@@ -252,18 +255,23 @@ def test_sampled_basis_function_outside_its_domain(same):
 
 
 def test_min_gap_above_the_smallest_partition_gap(same):
-    system = polynomial_system(3)
-    part = Partition((0.0, 0.5, 1.0, 1.25, 2.0, 3.0))
-    assert isinstance(sums_match(system, PowerFn(4), part), float)
-    for min_gap in (0.3, 0.6):
-        assert sums_match(system, PowerFn(4), part, min_gap=min_gap) \
-            .startswith("OrderingViolation: |points[")
+    """A Partition may wrap points validated with a smaller gap than
+    DEFAULT_MIN_GAP; its windows still take that gap, at its boundary,
+    as divided_difference does."""
+    system = polynomial_system(2)
+
+    def part(gap):
+        return Partition(validate_tuple((-1.0, 0.0, gap, 1.0, 2.0),
+                                        OrderingClass.STRICTLY_INCREASING, min_gap=0))
+    assert isinstance(sums_match(system, PowerFn(4), part(DEFAULT_MIN_GAP)), float)
+    assert sums_match(system, PowerFn(4), part(0.9 * DEFAULT_MIN_GAP)) == \
+        "OrderingViolation: |points[0] - points[1]| < min gap 1e-09"
     # exact partitions need only distinct points
-    exact = Partition(tuple(Fraction(x) for x in part.points.points))
-    assert isinstance(sums_match(system, PowerFn(4), exact, min_gap=0.6), Fraction)
-    assert same(estimate_variation, system, PowerFn(4), 0.0, 1.0,
-                RefinementStrategy(initial_intervals=8, rounds=2), min_gap=0.1) == \
-        "OrderingViolation: |points[0] - points[1]| < min gap 0.1"
+    exact = Partition((Fraction(-1), Fraction(0), Fraction(1, 10 ** 12), Fraction(1), Fraction(2)))
+    assert isinstance(sums_match(system, PowerFn(4), exact), Fraction)
+    assert same(estimate_variation, system, PowerFn(4), 0.0, 8 * 0.9 * DEFAULT_MIN_GAP,
+                RefinementStrategy(initial_intervals=8, rounds=2)) == \
+        "OrderingViolation: |points[0] - points[1]| < min gap 1e-09"
 
 
 def test_vanishing_denominator(same):
