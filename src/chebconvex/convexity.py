@@ -141,12 +141,11 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          derived: dict | None = None) -> ConvexityVerdict:
     """The induced (``ell`` None) or interval check.  Each base's scan
     is a direct check of the (n-k)-dimensional induced system; it reads
-    its derived table, a point table whose values the base's
-    :class:`_PinnedBase` gives, from ``derived`` (base -> table); all of
-    them read ``table``, the point table of ``system.basis + (f,)``.  A
-    caller may share both between checks of the same system and ``f``;
-    without ``derived``, each base's derived values are dropped after its
-    scan."""
+    its derived table, the base's :class:`_PinnedBase`, from ``derived``
+    (base -> pinned base); all of them read ``table``, the point table
+    of ``system.basis + (f,)``.  A caller may share both between checks
+    of the same system and ``f``; without ``derived``, each base's
+    derived values are dropped after its scan."""
     n = system.dim
     if not 1 <= k <= n - 1:
         raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
@@ -172,7 +171,7 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
         bases_checked += 1
         _check_base(system.domain, (pts[j] for j in base))
         if base not in derived:
-            derived[base] = _PointTable(_PinnedBase(table, k, pts, base, tol_factor).derived())
+            derived[base] = _PinnedBase(table, k, pts, base, tol_factor)
         # the induced system's punctured domain holds the points of local
         # (all off the base) that the system's domain holds
         scan = _direct_scan(n - k, system.domain, pts, local, derived[base], budget, seed,
@@ -259,9 +258,8 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
     _check_domain(system.domain, pts)
     grid, tail = _Grid(pts.points), tuple(range(k, n + 1))
     pinned = _PinnedBase(_PointTable(system.basis + (f,)), k, grid, tuple(range(k)))
-    cells = _PointTable(pinned.derived())
-    return (pinned.identity(tail, cells),
-            [c.values for c in cells.columns(tuple(range(n - k + 1)), grid, tail)])
+    return (pinned.identity(tail),
+            [c.values for c in pinned.columns(tuple(range(n - k + 1)), grid, tail)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ Fraction is made only where a report or a message shows it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
+    DEFAULT_MIN_GAP,
     AffineFn,
     Backend,
     ChebyshevSystem,
@@ -300,6 +302,22 @@ class _Grid:
         """The exact point j as p/q, in two integers."""
         return (self.nums[j], self.q) if self.nums is not None else self._xs[j].as_integer_ratio()
 
+    @functools.cached_property
+    def spaced(self) -> bool:
+        """Whether every two points at distinct positions pass
+        validate_tuple's pairwise-distinct check, read once per grid: on
+        a float grid, sorted gaps of at least the minimum gap (a rounded
+        difference grows with its larger point); else no equal points.
+        False where a difference overflows or is NaN, so that the
+        caller's validate_tuple meets it."""
+        xs = sorted(self._xs if self.nums is None else self.nums)
+        if self.backend is not Backend.FLOAT:
+            return all(a != b for a, b in zip(xs, xs[1:]))
+        try:
+            return all(b - a >= DEFAULT_MIN_GAP for a, b in zip(xs, xs[1:]))
+        except OverflowError:
+            return False
+
 
 class _At:
     """The points at positions js of a grid, as a message shows them (a
@@ -376,6 +394,7 @@ class _PointTable:
         self._required: dict = {}   # i -> fns[i].required_backend()
         self._rows: set = set()     # (i, backend) where fns[i]'s requirement was found to hold
         self._neutral = None        # the backend a neutral grid is read at, once read
+        self._mixed = any(type(f) is not PowerFn for f in fns)   # can a column mix powers?
         self._lists: dict = {}      # (rows or i, grid) -> columns or values of fns[i], by position
 
     def backend(self, grid: _Grid) -> Backend:
@@ -427,9 +446,12 @@ class _PointTable:
         powers, poly = self._kinds[rows]
         backend = self.backend(grid)
         if backend is Backend.FLOAT and powers is not None:
+            rowlists = [self._by_position(i, grid) for i in rows] if self._mixed else ()
             for j in slow:
                 values = [float(grid[j]) ** k for k in powers]
                 cols[j] = _Column(values, {False: (values, 1)})
+                for row, v in zip(rowlists, values):    # for a mixed column's power rows
+                    row[j] = v
         elif backend is Backend.EXACT and poly is not None:
             for j in slow:
                 cols[j] = _polynomial_column(*grid.pq(j), *poly)
@@ -476,26 +498,32 @@ class _PointTable:
         """The function js -> (det, backend, prepared columns) of the
         square matrix of the columns of ``rows`` at the positions base +
         js of ``grid``, the det a float or, exact, :func:`_exact_det`'s
-        (det, scale) pair.  The base columns are eliminated at the first
-        call; each call reduces the columns at js by the recorded steps
-        and eliminates the rest."""
+        (det, scale) pair.  The first call reads the base columns with
+        the columns at js and eliminates them; it keeps their forms,
+        pivot steps and scale, and every call reads only the columns at
+        js and reduces them by those steps, as det does."""
         k = len(base)
-        eliminated = []     # the base's pivot steps or None, and its scale, once made
+        kept = []       # the base's prepared forms, its pivot steps or None, its scale
 
         def det(js):
-            backend, forms = self.matrix(rows, grid, base + tuple(js))
+            backend, appended = self.matrix(rows, grid, js if kept else base + tuple(js))
             exact = backend is not Backend.FLOAT
-            if not eliminated:
-                eliminated.extend((_eliminate([c for c, _ in forms[:k]], k, exact),
-                                   math.prod(s for _, s in forms[:k])))
-            done, scale = eliminated
+            if not kept:    # the base columns, read with the first js's as a matrix reads them
+                kept.extend((appended[:k], _eliminate([c for c, _ in appended[:k]], k, exact),
+                             math.prod(s for _, s in appended[:k])))
+                del appended[:k]
+            base_forms, done, scale = kept
+            forms = base_forms + appended
             if done is None:
                 return ((0, 1) if exact else 0.0), backend, forms
             state, steps, _ = done
-            appended = forms[k:]
             cols = [c for c, _ in appended]
             for step in steps:
                 cols = (_exact_reduce if exact else _float_reduce)(cols, step)
+            if len(cols) == 1:      # _exact_det's or _prepared_det's last level
+                v = cols[0][0]
+                return ((state[0] * v, scale * appended[0][1]) if exact
+                        else _float_last(state, v)), backend, forms
             reduced = [(c, s) for c, (_, s) in zip(cols, appended)]
             return (_exact_det(reduced, state, scale) if exact
                     else _prepared_det(reduced, False, state)), backend, forms

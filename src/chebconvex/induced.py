@@ -16,12 +16,16 @@ paper's Sylvester factorization; :meth:`_PinnedBase.identity` evaluates
 it for this check and for convexity_identity_check, each (k+1)-minor
 after the singular-denominator rule.
 
-Every derived value comes from a pinned base (:class:`_PinnedBase`):
-the base columns are eliminated once, and each value reduces the
-appended point's column by the recorded steps (Mühlbach's recurrence),
-bit for bit divided_difference's value over (base..., x).  The checks
-pin each of their bases once, with every target on one point table;
-:class:`DerivedFn` pins its base afresh for each value, with one target.
+Every derived value comes from a pinned base (:class:`_PinnedBase`),
+which is the derived table itself: the scans and identity checks read
+its columns as they read a point table's.  The base columns are
+eliminated once, and each value is one reduction of the appended
+point's column by the recorded steps (Mühlbach's recurrence), bit for
+bit divided_difference's value over (base..., x).  Whether (base...,
+x) needs divided_difference's ordering check is read once per grid.
+The checks pin each of their bases once, with every target on one
+point table; :class:`DerivedFn` pins its base afresh for each value,
+with one target.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .determinant import (
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
+    _At,
+    _Column,
     _Grid,
     _PointTable,
     _positivity,
@@ -98,50 +104,72 @@ def _check_base(domain: Domain, base) -> None:
             raise InputError(f"base point {x} is outside the parent domain")
 
 
-class _PinnedBase:
-    """The derived functions of one base, the points at the positions
-    ``base`` of ``grid``: target t's value at the point of position j of
-    the grid is the divided difference of fns[k + t] of ``table`` over
-    (base..., x_j) with respect to fns[:k+1].  The k base columns of the
-    rows fns[:k] + (target,) are eliminated once per target, and a value
-    reduces x's column by det's own pivot steps, so it equals
+class _PinnedBase(_PointTable):
+    """The derived table of one base, the points at the positions
+    ``base`` of ``grid``: its function t is target t, fns[k + t] of
+    ``table``, and its value at the point of position j of the grid is
+    the divided difference of that target over (base..., x_j) with
+    respect to fns[:k+1].  It is read as a point table is, at the
+    positions of its one grid, and a target's requirement is that its
+    rows fns[:k+1] and the target do not clash with the grid's backend,
+    read at its first value.  The k base columns of the rows fns[:k] +
+    (target,) are eliminated once per target, and a value is one
+    reduction of x's column by det's own pivot steps, so it equals
     divided_difference's bit for bit (float) or as a Fraction (exact).
     Each of its checks is made at the first value that needs it, in its
     order and with its error and message, the denominators' at the
-    tolerance factor ``tol_factor``.  Its callers check the points'
-    domain first.  Every value is at the one backend that ``table``
-    reads ``grid`` at.  The base points need not increase."""
+    tolerance factor ``tol_factor``; the ordering check of (base..., x)
+    only where the grid has two points too close (:attr:`_Grid.spaced`,
+    read once per grid) or x is at a base position.  Its callers check
+    the points' domain first.  Every value is at the one backend that
+    ``table`` reads ``grid`` at.  The base points need not increase."""
 
     def __init__(self, table: _PointTable, k: int, grid: _Grid, base: tuple,
                  tol_factor: float = DEFAULT_TOL_FACTOR):
-        self.table = table
-        self.k = k
-        self.grid = grid
-        self.base = base
-        self.tol_factor = tol_factor
-        self.dets = [table.appended_det((*range(k), k + t), grid, base)
-                     for t in range(len(table.fns) - k)]
+        super().__init__(table.fns[k:])
+        self.table, self.k, self.grid, self.base, self.tol_factor = table, k, grid, base, tol_factor
+        self.dets = [table.appended_det((*range(k), k + t), grid, base) for t in range(len(self.fns))]
         self.records = [None] * len(grid)   # by position: its denominator's record
 
-    def derived(self) -> tuple:
-        """The targets' derived functions, as a base's derived table reads them."""
-        return tuple(_Derived(self, t) for t in range(len(self.dets)))
+    def backend(self, grid: _Grid) -> Backend:
+        """The parent table's backend on the grid."""
+        return self.table.backend(grid)
 
-    def points(self, js=()) -> tuple:
-        """The base points, then the points at the positions ``js``."""
-        return tuple(self.grid[j] for j in self.base + tuple(js))
+    def columns(self, rows: tuple, grid: _Grid, js) -> list:
+        """The columns of the targets ``rows`` at the positions ``js`` of
+        the grid, each made once.  Values not computed yet are computed
+        target by target over the positions, as a table's values are,
+        and at a target's first value the parent table reads the
+        backends of its rows."""
+        cols = self._by_position(rows, grid)
+        slow = [j for j in js if cols[j] is None]
+        if slow:
+            backend = self.table.backend(grid)
+            values = [self._by_position(t, grid) for t in rows]
+            for t, row in zip(rows, values):
+                for j in slow:
+                    if row[j] is None:
+                        if (t, backend) not in self._rows:
+                            for i in (*range(self.k + 1), self.k + t):
+                                self.table.row_backend(i, backend)
+                            self._rows.add((t, backend))
+                        row[j] = self.ratio(t, j)
+            for j in slow:
+                cols[j] = _Column([row[j] for row in values])
+        return [cols[j] for j in js]
 
     def denominator(self, j: int) -> list:
         """The record of position j: the (k+1)-minor of fns[:k+1] at
         (base..., x_j) as an appended determinant gives it, the backend
-        of its entries, its prepared columns, those points, and whether
-        it passed :meth:`ratio`'s checks; made once the points pass
-        divided_difference's ordering check."""
+        of its entries, its prepared columns, those points (as a message
+        shows them), and whether it passed :meth:`ratio`'s checks; made
+        once the points pass divided_difference's ordering check."""
         record = self.records[j]
         if record is None:
-            at = self.points((j,))
-            validate_tuple(at, OrderingClass.PAIRWISE_DISTINCT)
-            record = self.records[j] = [*self.dets[0]((j,)), at, False]
+            at = self.base + (j,)
+            if not self.grid.spaced or j in self.base:
+                validate_tuple(tuple(self.grid[i] for i in at), OrderingClass.PAIRWISE_DISTINCT)
+            record = self.records[j] = [*self.dets[0]((j,)), _At(self.grid, at), False]
         return record
 
     def ratio(self, t: int, j: int) -> Scalar:
@@ -164,14 +192,13 @@ class _PinnedBase:
         return (self.table.det(rows[:self.k], self.grid, self.base),
                 self.table.appended_det(rows, self.grid, self.base))
 
-    def identity(self, js: tuple, cells: _PointTable) -> ResidualReport:
+    def identity(self, js: tuple) -> ResidualReport:
         """Both sides of the factorization identity at (base..., xs), xs
-        the points at the positions ``js``, with len(js) = len(fns) - k
-        and ``cells`` the table of :meth:`derived`: the determinant of
-        every function at (base..., xs), times the k-minor to the power
-        len(xs) - 1, over the (k+1)-minor at (base..., x) for each x in
-        xs, each after the singular-denominator rule; against the
-        determinant of the derived values at xs."""
+        the points at the positions ``js``, with len(js) = len(fns) - k:
+        the determinant of every function at (base..., xs), times the
+        k-minor to the power len(xs) - 1, over the (k+1)-minor at
+        (base..., x) for each x in xs, each after the singular-denominator
+        rule; against the determinant of the derived values at xs."""
         kminor, whole = self._whole
         lhs = _scalar(whole(js)[0]) * kminor ** (len(js) - 1)
         for j in js:
@@ -180,30 +207,8 @@ class _PinnedBase:
             check_denominator(den, forms, backend, at, self.tol_factor,
                               name="(k+1)-prefix determinant", show_value=False)
             lhs = lhs / den
-        rhs = cells.det(tuple(range(len(js))), self.grid, js)
+        rhs = self.det(tuple(range(len(js))), self.grid, js)
         return ResidualReport(lhs, rhs, abs(lhs - rhs))
-
-
-@dataclass(frozen=True)
-class _Derived:
-    """Target t's derived function on ``pinned``: :meth:`_PinnedBase.ratio`,
-    at the backend of its parent table on the pinned grid, the one grid
-    its derived table reads, so at that table's backend too."""
-
-    pinned: _PinnedBase
-    t: int
-
-    def required_backend(self) -> Backend:
-        """The parent table's backend, once the rows of this function,
-        fns[:k+1] and its target, are found not to clash with it."""
-        table, k = self.pinned.table, self.pinned.k
-        backend = table.backend(self.pinned.grid)
-        for i in (*range(k + 1), k + self.t):
-            table.row_backend(i, backend)
-        return backend
-
-    def _at(self, grid: _Grid, j: int, backend: Backend) -> Scalar:
-        return self.pinned.ratio(self.t, j)
 
 
 @dataclass(frozen=True)
@@ -223,11 +228,6 @@ class InducedSystem:
 
     def as_system(self) -> ChebyshevSystem:
         return ChebyshevSystem(self.basis, self.domain)
-
-    def derived(self, target: FunctionSpec) -> DerivedFn:
-        """The function x ↦ divided difference of ``target`` over
-        (base..., x), evaluable on the punctured domain."""
-        return DerivedFn(self.parent, self.k, self.base, target)
 
 
 def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
@@ -286,8 +286,7 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     joined = _Grid(ind.base.points + tuple(pts))
     js = range(k, len(joined))
     pinned = _PinnedBase(_PointTable(parent.basis), k, joined, tuple(range(k)), tol_factor)
-    derived = _PointTable(pinned.derived())
-    positivity = _positivity(ind.as_system(), ind.dim, joined, js, derived, budget, seed,
+    positivity = _positivity(ind.as_system(), ind.dim, joined, js, pinned, budget, seed,
                              tol_factor)
 
     tuples, exhaustive = increasing_tuples(js, ind.dim, budget=budget, seed=seed)
@@ -295,7 +294,7 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     max_rel = 0.0
     worst: ResidualReport | None = None
     for t in tuples:
-        report = pinned.identity(t, derived)
+        report = pinned.identity(t)
         if float(report.residual) >= max_abs:
             max_abs = float(report.residual)
             worst = report

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chebconvex.cli import _parse_scalar
-from chebconvex.convexity import check_convex_direct
+from chebconvex.convexity import check_convex_direct, check_convex_induced, check_convex_interval
 from chebconvex.core import (
     AffineFn,
     Backend,
@@ -32,6 +32,7 @@ from chebconvex.core import (
 from chebconvex.determinant import _Grid, _PointTable, is_positive_chebyshev
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system
+from chebconvex.variation import estimate_variation
 
 from oracles import evaluate_columns
 
@@ -252,6 +253,27 @@ def test_first_error_is_the_first_evaluation_that_fails():
     system = ChebyshevSystem((PowerFn(0), NegCotFn(1.0)), Interval())
     got = scan(check_convex_direct, system, ConstFn(Fraction(1, 2)), [-1.0, 0.5, 2.0])
     assert got == "EvaluationOutsideSupport: cotangent pole at x=-1.0"
+
+
+def test_power_values_are_made_once_per_table_and_point(monkeypatch):
+    """At a float point, a column whose power rows are mixed with another
+    row reads the power values of the direct power column made there:
+    the numerators of a pinned check's exp target and of a variation
+    window of exp evaluate no power through PowerFn._eval."""
+    calls = []
+    eval_power = PowerFn._eval
+
+    def counted(f, x, backend):
+        calls.append((f.k, x))
+        return eval_power(f, x, backend)
+    monkeypatch.setattr(PowerFn, "_eval", counted)
+    grid = [i / 4 for i in range(-4, 5)]
+    assert check_convex_induced(polynomial_system(3), 1, ExpFn(), grid).is_convex
+    assert check_convex_interval(polynomial_system(3), 2, 1, ExpFn(), grid).is_convex
+    assert estimate_variation(polynomial_system(2), ExpFn(), 0.0, 1.0).best > 0
+    assert calls == []
+    check_convex_direct(polynomial_system(3), ExpFn(), grid)    # no direct power column here
+    assert sorted(calls) == sorted((k, x) for k in range(3) for x in grid)
 
 
 # ---------------------------------------------------------------------------

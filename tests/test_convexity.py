@@ -101,9 +101,9 @@ class TestInduced:
         # its nondecreasingness.  Check the derived values directly.
         system = polynomial_system(2)
         base = (Fraction(2),)
-        from chebconvex.induced import induced_system
+        from chebconvex.induced import DerivedFn, induced_system
         ind = induced_system(system, 1, base)
-        slope = ind.derived(PowerFn(2))
+        slope = DerivedFn(system, 1, ind.base, PowerFn(2))
         values = [evaluate(slope, Fraction(x)) for x in (0, 1, 3, 4)]
         assert values == sorted(values)
 
@@ -222,7 +222,7 @@ class TestPolynomialReduction:
         # For the polynomial parent the induced basis spans the same
         # space as (1, x, ..., x^(d-1)) via a unitriangular change of
         # basis, so the extended determinants agree exactly.
-        from chebconvex.induced import induced_system
+        from chebconvex.induced import DerivedFn, induced_system
         rng = random.Random(57)
         for _ in range(10):
             n = rng.randint(3, 5)
@@ -233,7 +233,7 @@ class TestPolynomialReduction:
             rest = tuple(sorted(pts[k:]))
             f = PowerFn(n + 1)
             ind = induced_system(polynomial_system(n), k, base)
-            g = ind.derived(f)
+            g = DerivedFn(ind.parent, k, ind.base, f)
             induced_det = det(collocation_matrix_per_value(ind.basis + (g,), rest))
             plain = tuple(PowerFn(i) for i in range(d)) + (g,)
             plain_det = det(collocation_matrix_per_value(plain, rest))
@@ -244,8 +244,8 @@ class TestTrigExample:
     def test_derived_function_is_cosine_slope(self):
         trig = trig_odd_system(1, -math.pi, 0.0)
         x1 = -1.9
-        from chebconvex.induced import induced_system
-        derived = induced_system(trig, 1, (x1,)).derived(ExpFn())
+        from chebconvex.induced import DerivedFn, induced_system
+        derived = DerivedFn(trig, 1, induced_system(trig, 1, (x1,)).base, ExpFn())
         for x in (-2.8, -1.2, -0.4):
             want = (math.exp(x) - math.exp(x1)) / (math.cos(x) - math.cos(x1))
             assert evaluate(derived, x) == pytest.approx(want, rel=1e-12)
@@ -254,7 +254,7 @@ class TestTrigExample:
         # Convexity of the derived function with respect to the generic
         # induced pair and to its closed form (1, -cot((x1+.)/2)) must
         # coincide; so must the pinned check and the direct one.
-        from chebconvex.induced import induced_system
+        from chebconvex.induced import DerivedFn, induced_system
         rng = random.Random(56)
         trig = trig_odd_system(1, -math.pi, 0.0)
         grid = (-2.9, -2.4, -1.9, -1.5, -1.1, -0.7, -0.3)
@@ -270,9 +270,9 @@ class TestTrigExample:
                 assert direct.verdict == pinned.verdict
             x1 = grid[2]
             rest = tuple(x for x in grid if x != x1)
-            derived = induced_system(trig, 1, (x1,)).derived(f)
-            generic = check_convex_direct(
-                induced_system(trig, 1, (x1,)).as_system(), derived, rest)
+            ind = induced_system(trig, 1, (x1,))
+            derived = DerivedFn(trig, 1, ind.base, f)
+            generic = check_convex_direct(ind.as_system(), derived, rest)
             closed = check_convex_direct(trig_induced_closed_form(x1), derived, rest)
             if "indeterminate" not in (generic.verdict, closed.verdict):
                 assert generic.verdict == closed.verdict

@@ -103,6 +103,20 @@ def test_verify_induced_errors():
     assert outcomes[3].startswith("SingularDenominator: prefix collocation determinant 0.0")
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_verify_induced_base_point_on_the_grid(exact):
+    """A grid, unsorted, that holds a base point: its joined grid of base
+    and grid points has two equal points, so no pinned record is taken
+    unchecked, and the punctured domain of the induced system rejects
+    the point before any value, as the oracle does."""
+    x = Fraction(1, 2) if exact else 0.5
+    grid = [Fraction(i, 2) if exact else i / 2 for i in (3, -2, 1, 0, 2)]
+    assert sorted(grid)[2] == x
+    got = same(verify_induced_system, induced_identity_loop, polynomial_system(3), 1, (x,),
+               grid)
+    assert got == f"EvaluationOutsideSupport: grid point {x} is outside the system domain"
+
+
 # ---------------------------------------------------------------------------
 # convexity_identity_check
 
@@ -126,6 +140,17 @@ def test_convexity_identity_matches_oracle(system, exact):
             pts = trig_points(rng, n + 1) if system is TRIG else points(rng, n + 1, exact)
             for f in targets(system, exact, pts):
                 same(convexity_identity_check, convexity_identity_loop, system, k, f, pts)
+
+
+@pytest.mark.parametrize("pts, pair", [((2.0, 0.0, 1.0 + 1e-10, 3.0, 1.0), (2, 4)),
+                                       ((3.0, 1.0, 0.0, 2.0, 2.0 - 1e-10), (3, 4))])
+def test_convexity_identity_close_pair_unsorted(pts, pair):
+    """Unsorted points with one pair closer than the minimum gap: the
+    oracle's OrderingViolation, naming the pair in the order given."""
+    for k in (1, 2, 3):
+        got = same(convexity_identity_check, convexity_identity_loop, polynomial_system(4), k,
+                   PowerFn(5), pts)
+        assert got == "OrderingViolation: |points[{}] - points[{}]| < min gap 1e-09".format(*pair)
 
 
 def test_convexity_identity_errors():

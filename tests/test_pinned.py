@@ -1,11 +1,12 @@
 """The induced, interval and agreement modes, whose derived values come
-from per-base point tables (``induced._PinnedBase``), checked against the
-per-base loop in ``oracles.py``, which evaluates every derived value as
-a divided difference of two fresh determinants; and ``DerivedFn``, a
-pinned base of its own, and a pinned base's ratios, against
-``oracles.derived_value`` and ``oracles.ratio_two_fractions``.  Reports must be
-identical, float values included (compared by repr), and so must the
-error a check raises, message included."""
+from pinned bases, each its own derived table (``induced._PinnedBase``),
+checked against the per-base loop in ``oracles.py``, which evaluates
+every derived value as a divided difference of two fresh determinants;
+and ``DerivedFn``, a pinned base of its own, and a pinned base's
+ratios, against ``oracles.derived_value`` and
+``oracles.ratio_two_fractions``.  Reports must be identical, float
+values included (compared by repr), and so must the error a check
+raises, message included."""
 
 import math
 import random
@@ -199,6 +200,45 @@ def test_gap_below_min_gap():
             "OrderingViolation: |points[0] - points[1]| < min gap 1e-09"
 
 
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0, 2.0 + 1e-10, 3.0, 4.0],
+                                  [3.0, 2.0 + 1e-10, 0.0, 4.0, 1.0, 2.0]])
+def test_close_pair_inside_the_grid(grid):
+    """A pinned base reads its grid's gaps once and validates each record
+    (base..., x) only on a grid with a close pair: every pinned mode
+    meets the oracle's OrderingViolation at the record of the pair, as
+    (base..., x) names its points, and agreement the direct mode's, as
+    the sorted grid names them."""
+    labeled = dict(check_every_mode(polynomial_system(3), PowerFn(4), grid))
+    message = "OrderingViolation: |points[{}] - points[{}]| < min gap 1e-09".format
+    assert labeled == {
+        "direct": message(2, 3),
+        "induced:k=1": message(0, 1),
+        "interval:k=1:ell=0": message(0, 1),
+        "interval:k=1:ell=1": message(0, 1),
+        "induced:k=2": message(1, 2),
+        "interval:k=2:ell=0": message(0, 1),
+        "interval:k=2:ell=1": message(1, 2),
+        "interval:k=2:ell=2": message(1, 2),
+    }
+
+
+@pytest.mark.parametrize("grid", [[Fraction(i, 2) for i in range(-3, 4)],
+                                  [i / 2 for i in range(-3, 4)]])
+def test_value_at_a_base_position(grid):
+    """On a grid whose points are all far enough apart, a pinned base
+    still validates a record whose x is one of its base points, as
+    divided_difference does: every target there is OrderingViolation."""
+    pts = sorted_grid(grid)
+    table = _PointTable(polynomial_system(3).basis + (PowerFn(4),))
+    for k, base in ((1, (2,)), (2, (1, 4))):
+        pinned = _PinnedBase(table, k, pts, base)
+        for t in range(4 - k):
+            for i, j in enumerate(base):
+                assert result(pinned.columns, (t,), pts, (j,)) == \
+                    f"OrderingViolation: points[{i}] == points[{k}] == {pts[j]}"
+        assert not isinstance(result(pinned.columns, (0,), pts, (0, 3, 5)), str)
+
+
 def test_sampled_function_missing_a_grid_point():
     system = polynomial_system(3)
     for grid, missing, shown in (([i / 2 for i in range(6)], 1.5, "1.5"),
@@ -280,9 +320,9 @@ def test_derived_columns_equal_derived_functions(system, grid):
             for base in increasing_tuples(range(len(pts)), k)[0]:
                 ind = induced_system(system, k, tuple(pts[j] for j in base))
                 off = [j for j in range(len(pts)) if j not in base]
-                derived = _PointTable(_PinnedBase(table, k, pts, base).derived())
+                derived = _PinnedBase(table, k, pts, base)
                 cols = derived.columns(tuple(range(ind.dim + 1)), pts, off)
-                targets = ind.basis + (ind.derived(f),)
+                targets = ind.basis + (DerivedFn(system, k, ind.base, f),)
                 for x, col in zip((pts[j] for j in off), cols):
                     assert [repr(v) for v in col.values] == \
                         [repr(evaluate(g, x)) for g in targets]
@@ -383,12 +423,11 @@ def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
         base = PointTuple(tuple(inside[j] for j in at_base))
         table = _PointTable(system.basis[:k + 1] + targets)
         pinned = _PinnedBase(table, k, inside, at_base)
-        for t, derived in enumerate(pinned.derived()):
+        for t in range(len(pinned.fns)):
             fn = DerivedFn(system, k, PointTuple(tuple(map(twin, base))), table.fns[k + t])
-            cells = _PointTable((derived,))
             for j, x in enumerate(inside):
                 want = result(derived_value, fn, twin(x))
-                got = result(lambda: cells.columns((0,), inside, (j,))[0].values[0])
+                got = result(lambda: pinned.columns((t,), inside, (j,))[0].values[0])
                 if isinstance(want, str) and backend == "neutral":
                     assert got.split(":")[0] == want.split(":")[0], (k, base, t, x)
                 else:

@@ -176,6 +176,13 @@ CASES = [
      "--backend", "float", "--tol", "1"],
     ["convexity", "--mode", "induced", "--k", "1", "--system", "poly:3", "--function",
      "power:3", "--grid", "list:1,2,3,4", "--backend", "float", "--tol", "1"],
+    # pinned modes on float grids: non-power targets, and a close pair inside the grid
+    ["convexity", "--system", "trig-odd:1", "--function", "exp", "--backend", "float",
+     "--grid", "uniform:-3,-0.2,7", "--mode", "agreement"],
+    ["convexity", "--system", "poly:3", "--function", "affine_nested.json", "--backend",
+     "float", "--grid", "uniform:-1,3,8", "--mode", "interval", "--k", "1", "--ell", "1"],
+    ["convexity", "--system", "poly:3", "--function", "power:4", "--backend", "float",
+     "--grid", "list:0.0,1.0,2.0,2.0000000001,3.0,4.0", "--mode", "induced", "--k", "2"],
 ]
 
 
