@@ -20,6 +20,27 @@ table, column, matrix and scan on it takes that backend.  An exact
 grid whose source gives one scale holds its points as integers over
 it, sorted and compared as integers (:func:`sorted_grid`); a point's
 Fraction is made only where a report or a message shows it.
+
+An exact exhaustive scan first reads windows of consecutive columns
+(:func:`_certified`), by two lemmas on a matrix with rows 0..n-1, each
+proved by Sylvester's identity and induction on a tuple's span:
+
+* Fekete's lemma (Karlin, *Total Positivity*, 1968, ch. 2; Pinkus,
+  *Totally Positive Matrices*, 2010, ch. 2): if, for every p <= n, the
+  minor of rows 0..p-1 is > 0 on every p consecutive columns, then every
+  n-minor on increasing columns is > 0.
+* Its nonnegative form, the Chebyshev-system form of Popoviciu's test
+  on consecutive points (Karlin and Studden, *Tchebycheff Systems*,
+  1966): if those minors are > 0 for every p < n and the n-minor
+  is >= 0 on every n consecutive columns, then every n-minor on
+  increasing columns is >= 0.
+
+When the windows pass, the scan passes without walking its tuples, and
+its ``tuples_checked`` stays C(m, n), since the verdict covers every
+tuple; when one fails, the scan walks as before, so every witness,
+value and count is the walk's.  Float and sampled scans never read the
+windows: a float verdict's near-zero count is per tuple, and a sampled
+scan reads only its tuples' points.
 """
 
 from __future__ import annotations
@@ -499,20 +520,30 @@ class _PointTable:
         square matrix of the columns of ``rows`` at the positions base +
         js of ``grid``, the det a float or, exact, :func:`_exact_det`'s
         (det, scale) pair.  The first call reads the base columns with
-        the columns at js and eliminates them; it keeps their forms,
-        pivot steps and scale, and every call reads only the columns at
-        js and reduces them by those steps, as det does."""
+        the columns at js and eliminates them; it keeps their backend,
+        forms, pivot steps and scale, and every later call reads only the
+        columns at js, from the table's list by position once they are
+        made, and reduces them by those steps, as det does."""
         k = len(base)
-        kept = []       # the base's prepared forms, its pivot steps or None, its scale
+        made = self._by_position(rows, grid)
+        kept = []       # the backend, the base's prepared forms, its pivot steps or None, its scale
 
         def det(js):
-            backend, appended = self.matrix(rows, grid, js if kept else base + tuple(js))
-            exact = backend is not Backend.FLOAT
-            if not kept:    # the base columns, read with the first js's as a matrix reads them
-                kept.extend((appended[:k], _eliminate([c for c, _ in appended[:k]], k, exact),
-                             math.prod(s for _, s in appended[:k])))
+            if kept:
+                backend, base_forms, done, scale = kept
+                exact = backend is not Backend.FLOAT
+                cols = [made[j] for j in js]
+                if None in cols:
+                    cols = self.columns(rows, grid, js)
+                appended = [c.form(exact) for c in cols]
+            else:           # the base columns, read with the first js's as a matrix reads them
+                backend, appended = self.matrix(rows, grid, base + tuple(js))
+                exact = backend is not Backend.FLOAT
+                base_forms = appended[:k]
+                done = _eliminate([c for c, _ in base_forms], k, exact)
+                scale = math.prod(s for _, s in base_forms)
+                kept.extend((backend, base_forms, done, scale))
                 del appended[:k]
-            base_forms, done, scale = kept
             forms = base_forms + appended
             if done is None:
                 return ((0, 1) if exact else 0.0), backend, forms
@@ -690,8 +721,9 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # first in lexicographic order and eliminates one tuple point (one
 # matrix column) per level, so all extensions of a prefix share its
 # pivot steps, which are those of det: its determinants are
-# bit-identical to det's of each tuple.  A sampled scan calls det's
-# elimination on each sampled tuple's prepared columns.
+# bit-identical to det's of each tuple; an exact one walks only when its
+# windows of consecutive columns fail (_certified).  A sampled scan calls
+# det's elimination on each sampled tuple's prepared columns.
 
 _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 
@@ -768,7 +800,10 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: _Grid, js, budget: int, se
     elif not exact:
         _walk_float([cols[j].form(False)[0] for j in range(m)], n, tally)
     else:
-        scale = _walk_exact([cols[j].form(True) for j in range(m)], n, tally)
+        forms = [cols[j].form(True) for j in range(m)]
+        if _certified([c for c, _ in forms], n, positive):
+            return SignScan(checked, exhaustive)
+        scale = _walk_exact(forms, n, tally)
 
     for verdict in (_VIOLATION, _NEAR_ZERO):
         if verdict in tally.first:
@@ -874,6 +909,26 @@ def _walk_exact(forms: list, n: int, tally: _Tally) -> list:
     _walk(list(ints), n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
           _exact_reduce, lambda state, j, v: (state[0] * v,), lambda t: (0,), tally)
     return list(scale)
+
+
+def _certified(ints: list, n: int, positive: bool) -> bool:
+    """Whether the windows of consecutive columns certify that every
+    increasing n-tuple of the n-row integer columns ``ints`` has a
+    determinant > 0 (``positive``) or >= 0 (see the module docstring).
+    Window s holds the columns s..s+w-1, w = min(n, m - s), and Bareiss
+    elimination on them without pivoting makes its pivot at step d (from
+    0) the leading (d+1)-minor: every pivot must be > 0, except that a
+    nonnegative scan allows a last pivot of 0 at step n - 1."""
+    for s in range(len(ints)):
+        cols, state = ints[s:s + n], (1, 1)
+        for d in range(len(cols)):
+            v = cols[0][0]
+            if v < 0 or v == 0 and (positive or d < n - 1):
+                return False
+            if len(cols) > 1:
+                state, step = _exact_pivot(state, cols[0])
+                cols = _exact_reduce(cols[1:], step)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ package uses, so matching values certify both sides:
 * unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
 * one row-wise determinant per tuple vs prefix-shared elimination
   (``positivity_loop``, ``direct_loop``);
+* every tuple walked vs windows of consecutive columns read first, in
+  an exact exhaustive scan (``walk_scan``);
 * one divided_difference of two fresh determinants per derived value vs
   a pinned base eliminated once (``derived_value`` and ``OracleDerivedFn``,
   DerivedFn as it was before it read a pinned base);
@@ -96,9 +98,12 @@ from chebconvex.determinant import (
     DEFAULT_TUPLE_BUDGET,
     Matrix,
     PositivityReport,
+    SignScan,
     _Grid,
+    _Tally,
     _form,
     _prepared_det,
+    _walk_exact,
     check_denominator,
     det,
     increasing_tuples,
@@ -420,6 +425,21 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
                                 witness=witness, witness_value=values[witness],
                                 indeterminate_count=len(near_zero))
     return ConvexityVerdict("direct", "convex_on_sample", len(tuples), seed)
+
+
+def walk_scan(table, rows: tuple, grid, js, positive: bool) -> SignScan:
+    """The exact exhaustive sign scan of the columns of ``rows`` at the
+    positions ``js`` of ``grid`` as it ran before it read windows of
+    consecutive columns: every increasing tuple walked."""
+    m, n = len(js), len(rows)
+    tally = _Tally(positive, True, lambda t: tuple(grid[js[j]] for j in t), DEFAULT_TOL_FACTOR)
+    scale = _walk_exact([c.form(True) for c in table.columns(rows, grid, js)], n, tally)
+    for verdict in ("violated", "indeterminate"):
+        if verdict in tally.first:
+            t, value = tally.first[verdict]
+            return SignScan(math.comb(m, n), True, verdict, tally.at(t),
+                            Fraction(value, math.prod(scale[j] for j in t)), tally.near_zero)
+    return SignScan(math.comb(m, n), True)
 
 
 # ---------------------------------------------------------------------------
