@@ -32,6 +32,7 @@ from .core import (
     ConstFn,
     FunctionSpec,
     Interval,
+    PointTuple,
     SampledFn,
     function_from_json,
     scalar_to_json,
@@ -41,7 +42,6 @@ from .determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
-    _Grid,
     _uniform_grid,
     is_positive_chebyshev,
 )
@@ -106,7 +106,7 @@ def _parse_scalar(text: str, backend: Backend):
     return _read_grid([text], backend)[0]
 
 
-def _read_grid(items, backend: Backend, header: bool = False) -> _Grid:
+def _read_grid(items, backend: Backend, header: bool = False) -> PointTuple:
     """The grid of the scalars of ``backend`` that ``items`` spell, as
     strings or as JSON numbers (read as their decimal literals), in
     their order.  With ``header``, items that do not read before the
@@ -121,11 +121,11 @@ def _read_grid(items, backend: Backend, header: bool = False) -> _Grid:
             if out or not header:
                 raise
     if backend is Backend.FLOAT:
-        return _Grid(out)
+        return PointTuple(out)
     q = max((d for _, d in out), default=1)
     if all(q % d == 0 for _, d in out):
-        return _Grid(nums=[p * (q // d) for p, d in out], q=q)
-    return _Grid([Fraction(p, d) for p, d in out])
+        return PointTuple(nums=[p * (q // d) for p, d in out], q=q)
+    return PointTuple([Fraction(p, d) for p, d in out])
 
 
 def _parse_system(spec: str, backend: Backend, unsafe_domain: str | None) -> ChebyshevSystem:
@@ -217,7 +217,7 @@ def _sampled_from_csv(path: str, backend: Backend) -> SampledFn:
     return SampledFn(tuple(points), tuple(values))
 
 
-def _parse_grid(spec: str, backend: Backend) -> _Grid:
+def _parse_grid(spec: str, backend: Backend) -> PointTuple:
     if spec is None:
         raise InputError("--grid is required")
     if spec.startswith("uniform:"):
@@ -232,7 +232,7 @@ def _parse_grid(spec: str, backend: Backend) -> _Grid:
             raise InputError(f"uniform grid needs a < b and m >= 2, got {spec!r}")
         if backend is Backend.EXACT:
             return _uniform_grid(a, b, m - 1)
-        return _Grid([a + (b - a) * (i / (m - 1)) for i in range(m)])
+        return PointTuple([a + (b - a) * (i / (m - 1)) for i in range(m)])
     if spec.startswith("list:"):
         return _read_grid(spec[len("list:"):].split(","), backend)
     if os.path.exists(spec):

@@ -28,6 +28,7 @@ from .core import (
     Domain,
     FunctionSpec,
     OrderingClass,
+    PointTuple,
     Scalar,
     _check_domain,
     validate_tuple,
@@ -37,8 +38,6 @@ from .determinant import (
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
     SignScan,
-    _check_grid_domain,
-    _Grid,
     _PointTable,
     _sign_scan,
     det,    # unused here; bench/test_bench.py checks that the tracer wraps it here
@@ -81,7 +80,7 @@ class ConvexityVerdict:
         return self.verdict == "convex_on_sample"
 
 
-def _direct_scan(n: int, domain: Domain, grid: _Grid, js, table, budget: int, seed: int,
+def _direct_scan(n: int, domain: Domain, grid: PointTuple, js, table, budget: int, seed: int,
                  tol_factor: float) -> SignScan:
     """Sign scan of the extended determinant on increasing (n+1)-tuples
     of the increasing positions ``js`` of the sorted ``grid``, for a
@@ -90,7 +89,7 @@ def _direct_scan(n: int, domain: Domain, grid: _Grid, js, table, budget: int, se
     the float tolerance band."""
     if len(js) < n + 1:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {n + 1}")
-    _check_grid_domain(domain, grid, js, "grid point")
+    _check_domain(domain, grid, "grid point", js)
     return _sign_scan(table, tuple(range(n + 1)), grid, js, budget, seed, tol_factor,
                       positive=False)
 
@@ -256,10 +255,10 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
     if len(pts) != n + 1:
         raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
     _check_domain(system.domain, pts)
-    grid, tail = _Grid(pts.points), tuple(range(k, n + 1))
-    pinned = _PinnedBase(_PointTable(system.basis + (f,)), k, grid, tuple(range(k)))
+    tail = tuple(range(k, n + 1))
+    pinned = _PinnedBase(_PointTable(system.basis + (f,)), k, pts, tuple(range(k)))
     return (pinned.identity(tail),
-            [c.values for c in pinned.columns(tuple(range(n - k + 1)), grid, tail)])
+            [c.values for c in pinned.columns(tuple(range(n - k + 1)), pts, tail)])
 
 
 # ---------------------------------------------------------------------------

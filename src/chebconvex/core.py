@@ -6,22 +6,26 @@ Scalars live under one of two backends:
 * float: IEEE-754 binary64 (Python ``float``).
 
 Plain ``int`` is accepted as a backend-neutral literal that coerces to
-either side.  In a grid of points (``determinant._Grid``) an int takes
-the grid's one backend: float next to a float, exact next to a
-Fraction; a grid of ints alone is read at float if a function of the
-table reading it requires float, else exact.  A computation never
-silently mixes the two backends: putting a ``Fraction`` and a
-``float`` into the same tuple, grid, matrix or affine combination
-raises :class:`~chebconvex.errors.BackendMismatch`, and conversions go
-through the explicit :func:`to_exact` / :func:`to_float` helpers.
+either side.  In a point tuple (:class:`PointTuple`, the one type of a
+tuple, a grid, a base and a partition) an int takes the tuple's one
+backend: float next to a float, exact next to a Fraction; a grid of
+ints alone is read at float if a function of the table reading it
+requires float, else exact.  A computation never silently mixes the two
+backends: putting a ``Fraction`` and a ``float`` into the same tuple,
+grid, matrix or affine combination raises
+:class:`~chebconvex.errors.BackendMismatch`, and conversions go through
+the explicit :func:`to_exact` / :func:`to_float` helpers.
 
-All types here are immutable after construction and safe to share
-between threads.
+All types here are immutable after construction, apart from caches
+filled when first read (a point tuple's Fractions over one scale and
+its ``spaced``), which hold the same value whichever caller fills
+them, and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -136,51 +140,83 @@ def collection_backend(values, default: Backend | None = None) -> Backend | None
 # ---------------------------------------------------------------------------
 # point tuples
 
-@dataclass(frozen=True)
 class PointTuple:
-    """An ordered tuple of domain points with a validated ordering class.
+    """Points by position, with a validated ordering class and their one
+    ``backend``, each read once, when the tuple is made.
 
     ``strictly_increasing`` tuples model the simplex of increasing
     configurations; ``pairwise_distinct`` only forbids coincidences.
     Every strictly increasing tuple is also a valid pairwise-distinct
-    tuple.
+    tuple.  The backend is float if any point is a float; exact if any
+    is a Fraction, or if the tuple holds its points as the integers
+    ``nums`` over one scale ``q``, whose ordering is checked on those
+    integers; None (neutral) if every point is an int.  A point that is
+    no scalar, or Fractions next to floats, raise
+    :class:`BackendMismatch` before the ordering is checked.  Points are
+    kept as given (a neutral int is converted only where a value is
+    computed), and a tuple over one scale makes point j's Fraction
+    (``self[j]``) only when a caller asks for it, for a report or a
+    message.  Equality and hash are by identity: point tables key their
+    records by the tuple itself.
     """
 
-    points: tuple
-    ordering: OrderingClass = OrderingClass.UNCONSTRAINED
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "_backend", _check_ordering(self.points, self.ordering))
+    def __init__(self, points=(), ordering: OrderingClass = OrderingClass.UNCONSTRAINED,
+                 nums=None, q: int = 1):
+        self.ordering, self.nums, self.q = ordering, nums, q
+        if nums is None:
+            keys = self._xs = tuple(points)
+            self.backend = collection_backend(keys)
+        else:
+            keys, self._xs, self.backend = nums, [None] * len(nums), Backend.EXACT
+        if ordering is OrderingClass.STRICTLY_INCREASING:
+            for i in range(len(keys) - 1):
+                if not keys[i] < keys[i + 1]:
+                    raise OrderingViolation(i, i + 1,
+                                            f"points[{i}]={self[i]} !< points[{i + 1}]={self[i + 1]}")
+        elif ordering is OrderingClass.PAIRWISE_DISTINCT:
+            for i in range(len(keys)):
+                for j in range(i + 1, len(keys)):
+                    if keys[i] == keys[j]:
+                        raise OrderingViolation(i, j, f"points[{i}] == points[{j}] == {self[i]}")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._xs)
 
     def __iter__(self):
-        return iter(self.points)
+        return iter(self._xs) if self.nums is None else map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, i):
-        return self.points[i]
+    def __getitem__(self, j: int) -> Scalar:
+        x = self._xs[j]
+        if x is None:
+            x = self._xs[j] = Fraction(self.nums[j], self.q)
+        return x
 
-    def backend(self) -> Backend | None:
-        return self._backend
+    def __repr__(self) -> str:
+        return f"PointTuple({self.points!r}, {self.ordering})"
 
+    @property
+    def points(self) -> tuple:
+        return self._xs if self.nums is None else tuple(self)
 
-def _check_ordering(points: tuple, ordering: OrderingClass) -> Backend | None:
-    """Check ``points`` against ``ordering``; their backend, read first."""
-    backend = collection_backend(points)
-    if ordering is OrderingClass.STRICTLY_INCREASING:
-        for i in range(len(points) - 1):
-            if not points[i] < points[i + 1]:
-                raise OrderingViolation(i, i + 1,
-                                        f"points[{i}]={points[i]} !< points[{i + 1}]={points[i + 1]}")
-    elif ordering is OrderingClass.PAIRWISE_DISTINCT:
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if points[i] == points[j]:
-                    raise OrderingViolation(i, j,
-                                            f"points[{i}] == points[{j}] == {points[i]}")
-    return backend
+    def pq(self, j: int) -> tuple:
+        """The exact point j as p/q, in two integers."""
+        return (self.nums[j], self.q) if self.nums is not None else self._xs[j].as_integer_ratio()
+
+    @functools.cached_property
+    def spaced(self) -> bool:
+        """Whether every two points at distinct positions pass
+        validate_tuple's pairwise-distinct check at ``DEFAULT_MIN_GAP``,
+        read once per tuple: on a float tuple, sorted gaps of at least
+        that gap (a rounded difference grows with its larger point); else
+        no equal points.  False where a difference overflows or is NaN,
+        so that the caller's validate_tuple meets it."""
+        xs = sorted(self._xs if self.nums is None else self.nums)
+        if self.backend is not Backend.FLOAT:
+            return all(a != b for a, b in zip(xs, xs[1:]))
+        try:
+            return all(b - a >= DEFAULT_MIN_GAP for a, b in zip(xs, xs[1:]))
+        except OverflowError:
+            return False
 
 
 def validate_tuple(points, ordering: OrderingClass,
@@ -191,9 +227,9 @@ def validate_tuple(points, ordering: OrderingClass,
     least ``min_gap`` (ignored for the unconstrained class and for exact
     tuples, which only need distinctness).
     """
-    pt = PointTuple(tuple(points), ordering)
+    pt = PointTuple(points, ordering)
     if (ordering is not OrderingClass.UNCONSTRAINED
-            and pt.backend() is Backend.FLOAT and min_gap > 0):
+            and pt.backend is Backend.FLOAT and min_gap > 0):
         pts = pt.points
         if ordering is OrderingClass.STRICTLY_INCREASING:
             # A rounded difference grows with its larger point, so the
@@ -253,7 +289,7 @@ class FiniteSet:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        _check_ordering(self.points, OrderingClass.PAIRWISE_DISTINCT)
+        PointTuple(self.points, OrderingClass.PAIRWISE_DISTINCT)
 
     def contains(self, x: Scalar) -> bool:
         return any(x == p for p in self.points)
@@ -268,7 +304,7 @@ class PuncturedInterval:
 
     def __post_init__(self):
         object.__setattr__(self, "excluded", tuple(self.excluded))
-        _check_ordering(self.excluded, OrderingClass.PAIRWISE_DISTINCT)
+        PointTuple(self.excluded, OrderingClass.PAIRWISE_DISTINCT)
         for p in self.excluded:
             if not self.base.contains(p):
                 raise InputError(f"excluded point {p} lies outside the base interval")
@@ -280,12 +316,20 @@ class PuncturedInterval:
 Domain = Union[Interval, FiniteSet, PuncturedInterval]
 
 
-def _check_domain(domain: Domain, points, what: str = "point") -> None:
+def _check_domain(domain: Domain, points, what: str = "point", js=None) -> None:
     """Raise :class:`EvaluationOutsideSupport` at the first of ``points``
-    outside ``domain``, naming it ``what``."""
-    for x in points:
-        if not domain.contains(x):
-            raise EvaluationOutsideSupport(f"{what} {x} is outside the system domain")
+    (of those at the increasing positions ``js``, if given) outside
+    ``domain``, naming it ``what``.  An interval that holds the first and
+    the last of them holds them all when ``points`` is a strictly
+    increasing tuple."""
+    js = range(len(points)) if js is None else js
+    if (js and isinstance(domain, Interval) and isinstance(points, PointTuple)
+            and points.ordering is OrderingClass.STRICTLY_INCREASING
+            and domain.contains(points[js[0]]) and domain.contains(points[js[-1]])):
+        return
+    for j in js:
+        if not domain.contains(points[j]):
+            raise EvaluationOutsideSupport(f"{what} {points[j]} is outside the system domain")
 
 REAL_LINE = Interval()
 POSITIVE_HALF_LINE = Interval(lo=0)
@@ -321,10 +365,6 @@ class FunctionSpec:
 
     def _eval(self, x: Scalar, backend: Backend) -> Scalar:
         raise NotImplementedError
-
-    def _at(self, grid, j: int, backend: Backend) -> Scalar:
-        """The value at the point of position j of a point table's grid."""
-        return self._eval(grid[j], backend)
 
     def __call__(self, x: Scalar) -> Scalar:
         return evaluate(self, x)
@@ -483,7 +523,7 @@ class SampledFn(FunctionSpec):
             raise InputError("sampled table needs as many values as points")
         if not points:
             raise InputError("sampled table must be nonempty")
-        _check_ordering(points, OrderingClass.PAIRWISE_DISTINCT)
+        PointTuple(points, OrderingClass.PAIRWISE_DISTINCT)
         self.required_backend()
         object.__setattr__(self, "_table", dict(zip(points, values)))
 

@@ -13,12 +13,13 @@ backend once and builds columns of polynomials with exact coefficients
 from an exact point's integers, and grid scans share the elimination
 steps of a common tuple prefix.
 
-A table reads grids (:class:`_Grid`) by position: its records for a
-grid are lists made once, and its callers pass positions, never
-points.  A grid reads its one backend when it is made, and every
-table, column, matrix and scan on it takes that backend.  An exact
-grid whose source gives one scale holds its points as integers over
-it, sorted and compared as integers (:func:`sorted_grid`); a point's
+A grid is a point tuple (:class:`core.PointTuple`), the one that
+validate_tuple or :func:`sorted_grid` returned, and a table reads it by
+position: its records for a grid are lists made once, and its callers
+pass positions, never points.  A tuple reads its one backend when it is
+made, and every table, column, matrix and scan on it takes that
+backend.  An exact grid whose source gives one scale holds its points
+as integers over it, sorted and compared as integers; a point's
 Fraction is made only where a report or a message shows it.
 
 An exact exhaustive scan first reads windows of consecutive columns
@@ -45,7 +46,6 @@ scan reads only its tuples' points.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -59,9 +59,7 @@ from .core import (
     Backend,
     ChebyshevSystem,
     ConstFn,
-    Domain,
     FunctionSpec,
-    Interval,
     OrderingClass,
     PointTuple,
     PowerFn,
@@ -292,59 +290,17 @@ def _exact_det(forms: list, state=None, scale: int = 1) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# grids: points by position
+# grids: point tuples, read by position
 
-class _Grid:
-    """Points by position, as a point table reads them, and their one
-    ``backend``, read when the grid is made: float if any point is a
-    float; exact if any is a Fraction, or if the grid holds its points
-    as the integers ``nums`` over one scale ``q``; None (neutral) if
-    every point is an int.  A point that is no scalar, or Fractions next
-    to floats, raise :class:`BackendMismatch` there.  Points are kept as
-    given (a neutral int is converted only where a value is computed),
-    and an exact grid over one scale makes point j's Fraction (grid[j])
-    only when a caller asks for it, for a report or a message."""
-
-    def __init__(self, xs=(), nums=None, q: int = 1):
-        self._xs = list(xs) if nums is None else [None] * len(nums)
-        self.nums, self.q = nums, q
-        self.backend = Backend.EXACT if nums is not None else collection_backend(self._xs)
-
-    def __len__(self) -> int:
-        return len(self._xs)
-
-    def __getitem__(self, j: int) -> Scalar:
-        x = self._xs[j]
-        if x is None and self.nums is not None:
-            x = self._xs[j] = Fraction(self.nums[j], self.q)
-        return x
-
-    def pq(self, j: int) -> tuple:
-        """The exact point j as p/q, in two integers."""
-        return (self.nums[j], self.q) if self.nums is not None else self._xs[j].as_integer_ratio()
-
-    @functools.cached_property
-    def spaced(self) -> bool:
-        """Whether every two points at distinct positions pass
-        validate_tuple's pairwise-distinct check, read once per grid: on
-        a float grid, sorted gaps of at least the minimum gap (a rounded
-        difference grows with its larger point); else no equal points.
-        False where a difference overflows or is NaN, so that the
-        caller's validate_tuple meets it."""
-        xs = sorted(self._xs if self.nums is None else self.nums)
-        if self.backend is not Backend.FLOAT:
-            return all(a != b for a, b in zip(xs, xs[1:]))
-        try:
-            return all(b - a >= DEFAULT_MIN_GAP for a, b in zip(xs, xs[1:]))
-        except OverflowError:
-            return False
+#: A grid is the point tuple itself; the name is kept for its importers.
+_Grid = PointTuple
 
 
 class _At:
     """The points at positions js of a grid, as a message shows them (a
     tuple), made only if one does."""
 
-    def __init__(self, grid: _Grid, js):
+    def __init__(self, grid: PointTuple, js):
         self.grid, self.js = grid, js
 
     def __len__(self) -> int:
@@ -354,43 +310,36 @@ class _At:
         return str(tuple(self.grid[j] for j in self.js))
 
 
-def _uniform_grid(a, b, m: int) -> _Grid:
+def _uniform_grid(a, b, m: int) -> PointTuple:
     """The points a + (b - a) * i / m, i = 0..m, of exact a < b, as the
     integers A·m + (B - A)·i over q = m·L: L is the lcm of the
     denominators of a and b, A = a·L and B = b·L."""
     a, b = Fraction(a), Fraction(b)
     lcm = math.lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (lcm // a.denominator), b.numerator * (lcm // b.denominator)
-    return _Grid(nums=range(lo * m, hi * m + 1, hi - lo), q=m * lcm)
+    return PointTuple(nums=range(lo * m, hi * m + 1, hi - lo), q=m * lcm)
 
 
-def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> _Grid:
-    """Sort a grid and validate strict increase (duplicates rejected); a
-    grid that passes as given is sorted already, and a :class:`_Grid`
-    that does is returned itself, so that checks sorting it again share
-    the point tables keyed by it.  A grid of integers over one scale is
-    sorted and compared as integers; other points, and every error, are
-    read as validate_tuple reads them."""
-    if isinstance(grid, _Grid) and grid.nums is not None:
-        nums = sorted(grid.nums)
-        if len(set(nums)) < len(nums):      # a repeated point: validate_tuple's error names it
-            validate_tuple(tuple(_Grid(nums=nums, q=grid.q)), OrderingClass.STRICTLY_INCREASING)
-        return grid if nums == list(grid.nums) else _Grid(nums=nums, q=grid.q)
+def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> PointTuple:
+    """Sort a grid and validate strict increase (duplicates rejected),
+    returning the validated tuple.  A tuple validated as strictly
+    increasing (and, if a gap is asked for, :attr:`PointTuple.spaced`)
+    is returned itself, so that checks sorting it again share the point
+    tables keyed by it; other grids that pass as given are sorted
+    already.  A grid of integers over one scale is sorted and compared
+    as integers; other points, and every error, are read as
+    validate_tuple reads them."""
+    increasing = OrderingClass.STRICTLY_INCREASING
+    if isinstance(grid, PointTuple) and grid.ordering is increasing and (
+            min_gap <= 0 or min_gap == DEFAULT_MIN_GAP and grid.spaced):
+        return grid
+    if isinstance(grid, PointTuple) and grid.nums is not None:
+        return PointTuple(ordering=increasing, nums=sorted(grid.nums), q=grid.q)
     pts = tuple(grid)
     try:
-        valid = validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=min_gap)
+        return validate_tuple(pts, increasing, min_gap=min_gap)
     except ChebconvexError:
-        valid = validate_tuple(sorted(pts), OrderingClass.STRICTLY_INCREASING, min_gap=min_gap)
-    return grid if isinstance(grid, _Grid) and valid.points == pts else _Grid(valid.points)
-
-
-def _check_grid_domain(domain: Domain, grid: _Grid, js, what: str) -> None:
-    """:func:`_check_domain` at the increasing positions ``js`` of the
-    sorted ``grid``: an interval that holds the first and the last of
-    their points holds them all."""
-    if not (js and isinstance(domain, Interval) and domain.contains(grid[js[0]])
-            and domain.contains(grid[js[-1]])):
-        _check_domain(domain, (grid[j] for j in js), what)
+        return validate_tuple(sorted(pts), increasing, min_gap=min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +352,10 @@ class _PointTable:
     ``rows``, each made once, with its prepared forms.  Both are lists
     by grid position, made once per grid: a caller passes positions,
     never points.  A table reads a grid at one backend
-    (:meth:`backend`), and a value is fns[i]._at the point at that
-    backend, except in the columns built directly (see :meth:`_kind`);
-    a function whose requirement clashes with it raises
-    :class:`BackendMismatch` at its first value there."""
+    (:meth:`backend`), and every value is read through :meth:`_value`,
+    except in the columns built directly (see :meth:`_kind`); a function
+    whose requirement clashes with it raises :class:`BackendMismatch` at
+    its first value there."""
 
     def __init__(self, fns: tuple):
         self.fns = fns
@@ -418,7 +367,7 @@ class _PointTable:
         self._mixed = any(type(f) is not PowerFn for f in fns)   # can a column mix powers?
         self._lists: dict = {}      # (rows or i, grid) -> columns or values of fns[i], by position
 
-    def backend(self, grid: _Grid) -> Backend:
+    def backend(self, grid: PointTuple) -> Backend:
         """The backend the table reads ``grid`` at: the grid's, or on a
         neutral grid float if any function requires float, else exact."""
         if grid.backend is not None:
@@ -452,7 +401,7 @@ class _PointTable:
         terms = [[(k, int(c * lcm)) for k, c in poly.items() if c] for poly in polys]
         return None, (max((k for row in terms for k, _ in row), default=0), lcm, terms)
 
-    def columns(self, rows: tuple, grid: _Grid, js) -> list:
+    def columns(self, rows: tuple, grid: PointTuple, js) -> list:
         """The columns of ``rows`` at the positions ``js`` of ``grid``,
         each made once.  Values not computed yet are computed row by row
         over the positions, the order in which a matrix of these columns
@@ -481,16 +430,21 @@ class _PointTable:
             for i, row in zip(rows, values):
                 for j in slow:
                     if row[j] is None:
-                        row[j] = self.fns[i]._at(grid, j, self.row_backend(i, backend))
+                        row[j] = self._value(i, grid, j, backend)
             for j in slow:
                 cols[j] = _Column([row[j] for row in values])
         return [cols[j] for j in js]
 
-    def _by_position(self, key, grid: _Grid) -> list:
+    def _by_position(self, key, grid: PointTuple) -> list:
         """The columns of the rows tuple ``key``, or the values of function
         ``key``, at the positions of ``grid``: None where not made yet."""
         return self._lists.get((key, grid)) or self._lists.setdefault((key, grid),
                                                                       [None] * len(grid))
+
+    def _value(self, i: int, grid: PointTuple, j: int, backend: Backend) -> Scalar:
+        """The value of fns[i] at the point of position j of ``grid``, at
+        ``backend``, the table's on that grid."""
+        return self.fns[i]._eval(grid[j], self.row_backend(i, backend))
 
     def row_backend(self, i: int, backend: Backend) -> Backend:
         """``backend``, once fns[i]'s requirement is found not to clash
@@ -501,7 +455,7 @@ class _PointTable:
             self._rows.add((i, backend))
         return backend
 
-    def matrix(self, rows: tuple, grid: _Grid, js) -> tuple:
+    def matrix(self, rows: tuple, grid: PointTuple, js) -> tuple:
         """The backend of the matrix of the columns of ``rows`` at the
         positions ``js`` of ``grid``, the table's on that grid, and the
         forms elimination takes."""
@@ -509,13 +463,13 @@ class _PointTable:
         backend = self.backend(grid)
         return backend, [c.form(backend is not Backend.FLOAT) for c in cols]
 
-    def det(self, rows: tuple, grid: _Grid, js) -> Scalar:
+    def det(self, rows: tuple, grid: PointTuple, js) -> Scalar:
         """det of the square matrix of the columns of ``rows`` at the
         positions ``js`` of ``grid``."""
         backend, forms = self.matrix(rows, grid, js)
         return _prepared_det(forms, backend is not Backend.FLOAT)
 
-    def appended_det(self, rows: tuple, grid: _Grid, base: tuple):
+    def appended_det(self, rows: tuple, grid: PointTuple, base: tuple):
         """The function js -> (det, backend, prepared columns) of the
         square matrix of the columns of ``rows`` at the positions base +
         js of ``grid``, the det a float or, exact, :func:`_exact_det`'s
@@ -633,7 +587,7 @@ def collocation_matrix(fns: Sequence[FunctionSpec], points: Sequence[Scalar]) ->
         raise DimensionMismatch(
             f"{len(fns)} functions vs {len(points)} points")
     table = _PointTable(tuple(fns))
-    columns = table.columns(tuple(range(len(fns))), _Grid(points), range(len(points)))
+    columns = table.columns(tuple(range(len(fns))), PointTuple(points), range(len(points)))
     return matrix_from_rows(list(zip(*(c.values for c in columns))))
 
 
@@ -646,7 +600,7 @@ def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequen
     if len(pts) != k:
         raise DimensionMismatch(f"need {k} points, got {len(pts)}")
     _check_domain(system.domain, pts)
-    return _PointTable(system.basis[:k]).det(tuple(range(k)), _Grid(pts), range(k))
+    return _PointTable(system.basis[:k]).det(tuple(range(k)), PointTuple(pts), range(k))
 
 
 def _tolerance(biggest: float, n: int, tol_factor: float) -> float:
@@ -780,7 +734,7 @@ class _Tally:
             self.first[kind] = (t, value)
 
 
-def _sign_scan(table: _PointTable, rows: tuple, grid: _Grid, js, budget: int, seed: int,
+def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: int, seed: int,
                tol_factor: float, positive: bool) -> SignScan:
     """Classify the determinants of the columns of ``rows`` in ``table``
     for the increasing len(rows)-tuples of the increasing positions
@@ -814,7 +768,7 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: _Grid, js, budget: int, se
     return SignScan(checked, exhaustive)
 
 
-def _scan_columns(table: _PointTable, rows: tuple, grid: _Grid, js, touched,
+def _scan_columns(table: _PointTable, rows: tuple, grid: PointTuple, js, touched,
                   exact: bool) -> dict:
     """The table's columns of ``rows`` at every index j in ``touched``
     (of the position js[j] of ``grid``), asked for group by group, the
@@ -970,14 +924,14 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
                        seed, tol_factor)
 
 
-def _positivity(system: ChebyshevSystem, k: int, grid: _Grid, js, table: _PointTable,
+def _positivity(system: ChebyshevSystem, k: int, grid: PointTuple, js, table: _PointTable,
                 budget: int, seed: int, tol_factor: float) -> PositivityReport:
     """:func:`is_positive_chebyshev` at the increasing positions ``js``
     of the sorted ``grid``, reading the basis values from ``table``,
     whose function i is the system's basis function i."""
     if len(js) < k:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {k}")
-    _check_grid_domain(system.domain, grid, js, "grid point")
+    _check_domain(system.domain, grid, "grid point", js)
     if not 1 <= k <= system.dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
 

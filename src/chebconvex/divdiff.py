@@ -39,7 +39,6 @@ from .core import (
 from .determinant import (
     DEFAULT_TOL_FACTOR,
     _exact_det,
-    _Grid,
     _PointTable,
     _prepared_det,
     check_denominator,
@@ -90,8 +89,8 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     system on these points.
     """
     pts = _checked_points(system, k, points)
-    table, grid = _PointTable(system.basis[:k] + (f,)), _Grid(pts.points)
-    value, numerator, denominator = _ratio(lambda rows: table.matrix(rows, grid, range(k)), k,
+    table = _PointTable(system.basis[:k] + (f,))
+    value, numerator, denominator = _ratio(lambda rows: table.matrix(rows, pts, range(k)), k,
                                            pts.points, tol_factor)
     return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)
 
@@ -197,7 +196,7 @@ def complete_homogeneous(degree: int, points) -> Scalar:
     """Sum of all degree-``degree`` monomials in the given points."""
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
-    pts = tuple(points.points if isinstance(points, PointTuple) else points)
+    pts = tuple(points)
     if not pts:
         raise InputError("complete homogeneous polynomial needs at least one point")
     return _homogeneous_sums(degree, pts)[degree]

@@ -18,14 +18,15 @@ after the singular-denominator rule.
 
 Every derived value comes from a pinned base (:class:`_PinnedBase`),
 which is the derived table itself: the scans and identity checks read
-its columns as they read a point table's.  The base columns are
+its columns as they read a point table's, and its values enter them
+through the table's one value path.  The base columns are
 eliminated once, and each value is one reduction of the appended
 point's column by the recorded steps (Mühlbach's recurrence), bit for
 bit divided_difference's value over (base..., x).  Whether (base...,
 x) needs divided_difference's ordering check is read once per grid.
 The checks pin each of their bases once, with every target on one
 point table; :class:`DerivedFn` pins its base afresh for each value,
-with one target.
+with one target, on the tuple (base..., x) that its checks return.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from .determinant import (
     DEFAULT_TUPLE_BUDGET,
     PositivityReport,
     _At,
-    _Column,
-    _Grid,
     _PointTable,
     _positivity,
     check_denominator,
@@ -84,14 +83,13 @@ class DerivedFn(FunctionSpec):
     target: FunctionSpec
 
     def required_backend(self):
-        return combine_backends(self.base.backend(), self.target.required_backend(),
+        return combine_backends(self.base.backend, self.target.required_backend(),
                                 *(fn.required_backend() for fn in self.parent.basis[:self.k + 1]))
 
     def _eval(self, x, backend):
-        pts = _checked_points(self.parent, self.k + 1, self.base.points + (x,))
-        table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
-        grid = _Grid(pts.points)
+        grid = _checked_points(self.parent, self.k + 1, self.base.points + (x,))
         grid.backend = grid.backend or backend      # a neutral grid, at the backend asked for
+        table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
         pinned = _PinnedBase(table, self.k, grid, tuple(range(self.k)))
         return as_backend(pinned.ratio(1, self.k), backend)
 
@@ -112,51 +110,44 @@ class _PinnedBase(_PointTable):
     respect to fns[:k+1].  It is read as a point table is, at the
     positions of its one grid, and a target's requirement is that its
     rows fns[:k+1] and the target do not clash with the grid's backend,
-    read at its first value.  The k base columns of the rows fns[:k] +
-    (target,) are eliminated once per target, and a value is one
-    reduction of x's column by det's own pivot steps, so it equals
-    divided_difference's bit for bit (float) or as a Fraction (exact).
-    Each of its checks is made at the first value that needs it, in its
-    order and with its error and message, the denominators' at the
-    tolerance factor ``tol_factor``; the ordering check of (base..., x)
-    only where the grid has two points too close (:attr:`_Grid.spaced`,
-    read once per grid) or x is at a base position.  Its callers check
+    read at its first value.  Its values enter its columns through the
+    table's one value path (:meth:`_value`).  The k base columns of the
+    rows fns[:k] + (target,) are eliminated once per target, and a value
+    is one reduction of x's column by det's own pivot steps, so it
+    equals divided_difference's bit for bit (float) or as a Fraction
+    (exact).  Each of its checks is made at the first value that needs
+    it, in its order and with its error and message, the denominators'
+    at the tolerance factor ``tol_factor``; the ordering check of
+    (base..., x) only where the grid has two points too close
+    (:attr:`PointTuple.spaced`, read once per grid) or x is at a base
+    position.  Its callers check
     the points' domain first.  Every value is at the one backend that
     ``table`` reads ``grid`` at.  The base points need not increase."""
 
-    def __init__(self, table: _PointTable, k: int, grid: _Grid, base: tuple,
+    def __init__(self, table: _PointTable, k: int, grid: PointTuple, base: tuple,
                  tol_factor: float = DEFAULT_TOL_FACTOR):
         super().__init__(table.fns[k:])
         self.table, self.k, self.grid, self.base, self.tol_factor = table, k, grid, base, tol_factor
         self.dets = [table.appended_det((*range(k), k + t), grid, base) for t in range(len(self.fns))]
         self.records = [None] * len(grid)   # by position: its denominator's record
 
-    def backend(self, grid: _Grid) -> Backend:
+    def backend(self, grid: PointTuple) -> Backend:
         """The parent table's backend on the grid."""
         return self.table.backend(grid)
 
-    def columns(self, rows: tuple, grid: _Grid, js) -> list:
-        """The columns of the targets ``rows`` at the positions ``js`` of
-        the grid, each made once.  Values not computed yet are computed
-        target by target over the positions, as a table's values are,
-        and at a target's first value the parent table reads the
-        backends of its rows."""
-        cols = self._by_position(rows, grid)
-        slow = [j for j in js if cols[j] is None]
-        if slow:
-            backend = self.table.backend(grid)
-            values = [self._by_position(t, grid) for t in rows]
-            for t, row in zip(rows, values):
-                for j in slow:
-                    if row[j] is None:
-                        if (t, backend) not in self._rows:
-                            for i in (*range(self.k + 1), self.k + t):
-                                self.table.row_backend(i, backend)
-                            self._rows.add((t, backend))
-                        row[j] = self.ratio(t, j)
-            for j in slow:
-                cols[j] = _Column([row[j] for row in values])
-        return [cols[j] for j in js]
+    def _kind(self, rows: tuple) -> tuple:
+        """No derived column is built directly."""
+        return None, None
+
+    def _value(self, t: int, grid: PointTuple, j: int, backend: Backend) -> Scalar:
+        """Target t's value at position j: :meth:`ratio`, once, at the
+        target's first value, the parent table has read the backends of
+        its rows fns[:k+1] and the target."""
+        if (t, backend) not in self._rows:
+            for i in (*range(self.k + 1), self.k + t):
+                self.table.row_backend(i, backend)
+            self._rows.add((t, backend))
+        return self.ratio(t, j)
 
     def denominator(self, j: int) -> list:
         """The record of position j: the (k+1)-minor of fns[:k+1] at
@@ -283,7 +274,7 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     ind = induced_system(parent, k, base)
     pts = sorted_grid(grid)
     # one grid: the base's points, then the sorted grid's at k..
-    joined = _Grid(ind.base.points + tuple(pts))
+    joined = PointTuple(ind.base.points + tuple(pts))
     js = range(k, len(joined))
     pinned = _PinnedBase(_PointTable(parent.basis), k, joined, tuple(range(k)), tol_factor)
     positivity = _positivity(ind.as_system(), ind.dim, joined, js, pinned, budget, seed,

@@ -39,7 +39,7 @@ from .core import (
     scalar_backend,
     validate_tuple,
 )
-from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _Grid, _PointTable
+from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _PointTable
 from .determinant import _uniform_grid
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
@@ -101,12 +101,12 @@ def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition
                   tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Sum over consecutive n-point windows of the partition of the
     absolute difference of neighbouring divided differences."""
-    grid = _Grid(partition.points.points)
+    grid = partition.points
     return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
                        tol_factor)
 
 
-def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: _Grid, js,
+def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, js,
                 tol_factor: float) -> Scalar:
     """:func:`variation_sum` over the partition whose points are at the
     increasing positions ``js`` of ``grid``, with the values of
@@ -148,7 +148,7 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: _Grid, js,
     return _finite(total, f"partition sum over {m} intervals", _At(grid, (js[0], js[-1])))
 
 
-def _rejected_window(grid: _Grid, js, n: int, system: ChebyshevSystem) -> tuple:
+def _rejected_window(grid: PointTuple, js, n: int, system: ChebyshevSystem) -> tuple:
     """The first n-point window of the increasing positions ``js`` of
     ``grid`` whose points divided_difference rejects, with the error it
     raises: the first pair closer than ``DEFAULT_MIN_GAP`` on a float
@@ -179,7 +179,7 @@ def _rejected_window(grid: _Grid, js, n: int, system: ChebyshevSystem) -> tuple:
     return windows, None
 
 
-def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> _Grid:
+def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> PointTuple:
     """The uniform partition of [a, b] into m intervals, as a grid:
     exact, :func:`determinant._uniform_grid`'s integers; float, the points
     lo + (hi - lo) * (i / m) and hi.  Its even points are those of the
@@ -188,10 +188,10 @@ def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> _Grid:
     if backend is Backend.EXACT:
         return _uniform_grid(a, b, m)
     lo, hi = float(a), float(b)
-    return _Grid([lo + (hi - lo) * (i / m) for i in range(m)] + [hi])
+    return PointTuple([lo + (hi - lo) * (i / m) for i in range(m)] + [hi])
 
 
-def _jitter_partition(base: _Grid, rng: random.Random, backend: Backend) -> _Grid:
+def _jitter_partition(base: PointTuple, rng: random.Random, backend: Backend) -> PointTuple:
     """Move each interior point of the uniform partition ``base`` by less
     than a quarter of the local mesh width, which preserves strict
     ordering: by (u - 1/2) * room / 2, u uniform in [0, 1), room the
@@ -202,12 +202,12 @@ def _jitter_partition(base: _Grid, rng: random.Random, backend: Backend) -> _Gri
         nums, room = [v << 22 for v in base.nums], base.nums[1] - base.nums[0]
         for i in range(1, len(nums) - 1):
             nums[i] += room * (2 * rng.getrandbits(20) - (1 << 20))
-        return _Grid(nums=nums, q=base.q << 22)
+        return PointTuple(nums=nums, q=base.q << 22)
     pts = list(base)
     gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
     for i in range(1, len(pts) - 1):
         pts[i] = pts[i] + (rng.random() - 0.5) * min(gaps[i - 1], gaps[i]) / 2
-    return _Grid(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING).points)
+    return validate_tuple(pts, OrderingClass.STRICTLY_INCREASING)
 
 
 def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
@@ -304,8 +304,7 @@ def variation_bound(system: ChebyshevSystem, g: FunctionSpec, h: FunctionSpec,
 
 
 def _anchor_tuple(anchors, n: int) -> tuple:
-    pts = anchors.points if isinstance(anchors, PointTuple) else tuple(anchors)
-    t = validate_tuple(pts, OrderingClass.STRICTLY_INCREASING)
+    t = validate_tuple(anchors, OrderingClass.STRICTLY_INCREASING)
     if len(t) != n:
         raise DimensionMismatch(f"anchor tuple needs {n} points, got {len(t)}")
     return t.points

@@ -37,6 +37,9 @@ package uses, so matching values certify both sides:
   product (``uniform_partition_points``, ``jittered_points``);
 * sorting every grid before one validation vs validating first
   (``sorted_grid_formula``);
+* two point types, a free tuple that checked its ordering and a grid
+  that read its backend a second time, vs the one point type
+  (``OraclePointTuple``, ``OracleGrid``, ``check_ordering``);
 * the CLI's readers making one scalar per item, a grid as a tuple of
   scalars sorted by value and restricted grids selected by value vs
   integer grids over one scale, grids sorted and validated as integers
@@ -126,6 +129,7 @@ from chebconvex.errors import (
     EvaluationOutsideSupport,
     InputError,
     InsufficientGrid,
+    OrderingViolation,
 )
 from chebconvex.induced import DerivedFn, InducedCheckReport, induced_system
 from chebconvex.systems import polynomial_system
@@ -453,7 +457,7 @@ def derived_value(fn: DerivedFn, x, tol_factor=DEFAULT_TOL_FACTOR):
     then the divided difference of its target over (base..., x) with
     respect to the (k+1)-prefix of its parent."""
     backend = combine_backends(
-        scalar_backend(x), fn.base.backend(), fn.target.required_backend(),
+        scalar_backend(x), fn.base.backend, fn.target.required_backend(),
         *(g.required_backend() for g in fn.parent.basis[:fn.k + 1]), default=Backend.EXACT)
     dd = divided_difference(fn.parent, fn.k + 1, fn.target, fn.base.points + (x,),
                             tol_factor=tol_factor)
@@ -468,7 +472,7 @@ class OracleDerivedFn(DerivedFn):
 
     def required_backend(self):
         return combine_backends(
-            self.base.backend(), self.target.required_backend(),
+            self.base.backend, self.target.required_backend(),
             *(g.required_backend() for g in self.parent.basis[:self.k + 1]))
 
     def _eval(self, x, backend):
@@ -1049,3 +1053,75 @@ def restricted_points(pts: tuple, base: tuple, ell: int | None) -> tuple:
     if ell == k:
         return tuple(x for x in off if x > base[-1])
     return tuple(x for x in off if base[ell - 1] < x < base[ell])
+
+
+# ---------------------------------------------------------------------------
+# the two point types the package kept before a validated tuple became
+# the grid its tables read, kept unchanged as references: a free tuple
+# that checks its ordering after reading its backend, and a grid that
+# reads its backend again and holds exact points as integers over one
+# scale.
+
+def check_ordering(points: tuple, ordering: OrderingClass) -> Backend | None:
+    """Check ``points`` against ``ordering``; their backend, read first."""
+    backend = collection_backend(points)
+    if ordering is OrderingClass.STRICTLY_INCREASING:
+        for i in range(len(points) - 1):
+            if not points[i] < points[i + 1]:
+                raise OrderingViolation(i, i + 1,
+                                        f"points[{i}]={points[i]} !< points[{i + 1}]={points[i + 1]}")
+    elif ordering is OrderingClass.PAIRWISE_DISTINCT:
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                if points[i] == points[j]:
+                    raise OrderingViolation(i, j,
+                                            f"points[{i}] == points[{j}] == {points[i]}")
+    return backend
+
+
+@dataclass(frozen=True)
+class OraclePointTuple:
+    """An ordered tuple of domain points with a validated ordering class."""
+
+    points: tuple
+    ordering: OrderingClass = OrderingClass.UNCONSTRAINED
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "_backend", check_ordering(self.points, self.ordering))
+
+    def backend(self) -> Backend | None:
+        return self._backend
+
+
+class OracleGrid:
+    """Points by position and their one ``backend``, read when the grid
+    is made; an exact grid over one scale holds the integers ``nums``
+    over ``q`` and makes point j's Fraction only when asked for it."""
+
+    def __init__(self, xs=(), nums=None, q: int = 1):
+        self._xs = list(xs) if nums is None else [None] * len(nums)
+        self.nums, self.q = nums, q
+        self.backend = Backend.EXACT if nums is not None else collection_backend(self._xs)
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __getitem__(self, j: int):
+        x = self._xs[j]
+        if x is None and self.nums is not None:
+            x = self._xs[j] = Fraction(self.nums[j], self.q)
+        return x
+
+    def pq(self, j: int) -> tuple:
+        return (self.nums[j], self.q) if self.nums is not None else self._xs[j].as_integer_ratio()
+
+    @property
+    def spaced(self) -> bool:
+        xs = sorted(self._xs if self.nums is None else self.nums)
+        if self.backend is not Backend.FLOAT:
+            return all(a != b for a, b in zip(xs, xs[1:]))
+        try:
+            return all(b - a >= DEFAULT_MIN_GAP for a, b in zip(xs, xs[1:]))
+        except OverflowError:
+            return False

@@ -328,9 +328,9 @@ class TestPointTuple:
         assert list(t) == [1, 2, 3] and t[1] == 2 and len(t) == 3
 
     def test_backend_inference(self):
-        assert PointTuple((1, 2)).backend() is None
-        assert PointTuple((Fraction(1), 2)).backend() is Backend.EXACT
-        assert PointTuple((1.0, 2)).backend() is Backend.FLOAT
+        assert PointTuple((1, 2)).backend is None
+        assert PointTuple((Fraction(1), 2)).backend is Backend.EXACT
+        assert PointTuple((1.0, 2)).backend is Backend.FLOAT
 
     def test_frozen(self):
         t = PointTuple((1, 2))

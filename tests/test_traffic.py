@@ -27,3 +27,16 @@ def test_one_round_of_short_lists_the_anchors_reader_and_not_main():
 def test_spans():
     assert traffic.spans([3, 4, 5, 9]) == "3-5, 9"
     assert traffic.spans([7]) == "7"
+
+
+def test_several_workloads_count_the_lines_none_runs(capsys):
+    """Given --workload more than once, the last line also counts the
+    lines that none of the workloads runs; for one, it is as before."""
+    traffic.main(["--workload", "short", "--rounds", "0"])
+    one = capsys.readouterr().out.splitlines()
+    traffic.main(["--workload", "short", "--workload", "scan", "--rounds", "0"])
+    both = capsys.readouterr().out.splitlines()
+    assert one[:-1] == both[:-1]        # no request runs: every function is listed
+    assert one[-1] == f"0 requests, {len(one) - 1} functions with lines not run"
+    assert both[-1].startswith(one[-1] + ", ")
+    assert both[-1].endswith(" lines run by none of short, scan")

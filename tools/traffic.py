@@ -9,6 +9,12 @@ run at import and are not listed.
 
     python3 tools/traffic.py --workload short --seed 1 --rounds 6
 
+Given ``--workload`` more than once, it runs the requests of every
+workload named and lists the lines that none of them runs; its last
+line then also counts those lines.
+
+    python3 tools/traffic.py --workload scan --workload pinned --workload short --rounds 2
+
 Each output line is ``module.qualified_name: lines``, with ``(never
 called)`` for a function that no request entered.  Lambdas and
 comprehensions are listed under their own qualified names.
@@ -115,17 +121,23 @@ def spans(lines: list) -> str:
 
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--workload", required=True, action="append",
+                        choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     parser.add_argument("--rounds", type=int, default=6)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
-        requests = workloads.generate(workloads.WORKLOADS[args.workload], args.seed,
-                                      range(args.rounds), work)
+        requests = [req for i, name in enumerate(args.workload)
+                    for req in workloads.generate(workloads.WORKLOADS[name], args.seed,
+                                                  range(args.rounds), os.path.join(work, str(i)))]
         missed = unexecuted(requests)
     for name, (lines, called) in missed.items():
         print(f"{name}: {spans(lines)}" + ("" if called else " (never called)"))
-    print(f"{len(requests)} requests, {len(missed)} functions with lines not run")
+    summary = f"{len(requests)} requests, {len(missed)} functions with lines not run"
+    if len(args.workload) > 1:
+        summary += (f", {sum(len(lines) for lines, _ in missed.values())} lines run by none"
+                    f" of {', '.join(args.workload)}")
+    print(summary)
     return 0
 
 
