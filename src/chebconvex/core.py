@@ -523,13 +523,12 @@ class SampledFn(FunctionSpec):
             raise InputError("sampled table needs as many values as points")
         if not points:
             raise InputError("sampled table must be nonempty")
-        PointTuple(points, OrderingClass.PAIRWISE_DISTINCT)
-        self.required_backend()
+        backend = PointTuple(points, OrderingClass.PAIRWISE_DISTINCT).backend
+        object.__setattr__(self, "_backend", combine_backends(backend, collection_backend(values)))
         object.__setattr__(self, "_table", dict(zip(points, values)))
 
     def required_backend(self):
-        return combine_backends(collection_backend(self.points),
-                                collection_backend(self.values))
+        return self._backend
 
     def contains_point(self, p) -> bool:
         try:

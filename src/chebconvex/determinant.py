@@ -10,8 +10,10 @@ Every collocation determinant (grid scans, pinned bases, divided
 differences, variation windows and collocation_det) reads one point
 table, which evaluates each function once per point, resolves each
 backend once and builds columns of polynomials with exact coefficients
-from an exact point's integers, and grid scans share the elimination
-steps of a common tuple prefix.
+from an exact point's integers.  Grid scans share the elimination
+steps of a common tuple prefix, and a pinned base (induced._PinnedBase)
+keeps the steps of its base columns and reduces only each appended
+point's column by them.
 
 A grid is a point tuple (:class:`core.PointTuple`), the one that
 validate_tuple or :func:`sorted_grid` returned, and a table reads it by
@@ -59,6 +61,7 @@ from .core import (
     Backend,
     ChebyshevSystem,
     ConstFn,
+    Domain,
     FunctionSpec,
     OrderingClass,
     PointTuple,
@@ -243,15 +246,13 @@ def _form(c, exact: bool) -> tuple[list, int]:
     return [x.numerator * (lcm // x.denominator) for x in c], lcm
 
 
-def _eliminate(cols: list, k: int, exact: bool, state=None):
+def _eliminate(cols: list, k: int, exact: bool):
     """Pivot on the first k of the prepared columns ``cols`` in turn,
-    each step reducing the later columns, which are left unchanged,
-    starting from the pivot ``state`` of an earlier elimination (default:
-    none).  Returns the pivot state, the k steps and the reduced later
-    columns, or ``None`` when a pivot column is zero, so that every
-    determinant with these k leading columns is zero."""
-    if state is None:
-        state = (1, 1) if exact else 1.0
+    each step reducing the later columns, which are left unchanged.
+    Returns the pivot state, the k steps and the reduced later columns,
+    or ``None`` when a pivot column is zero, so that every determinant
+    with these k leading columns is zero."""
+    state = (1, 1) if exact else 1.0
     pivot, reduce = (_exact_pivot, _exact_reduce) if exact else (_float_pivot, _float_reduce)
     steps = []
     for _ in range(k):
@@ -264,37 +265,30 @@ def _eliminate(cols: list, k: int, exact: bool, state=None):
     return state, steps, cols
 
 
-def _prepared_det(forms: list, exact: bool, state=None, scale: int = 1) -> Scalar:
+def _prepared_det(forms: list, exact: bool) -> Scalar:
     """det of the square matrix whose columns have the prepared forms
-    ``forms`` (pairs of a column and its scale, see :func:`_form`), or,
-    from the pivot ``state`` of eliminated leading columns whose scales
-    multiply to ``scale``, of the matrix those columns extend."""
+    ``forms`` (pairs of a column and its scale, see :func:`_form`)."""
     if exact:
-        return Fraction(*_exact_det(forms, state, scale))
-    done = _eliminate([c for c, _ in forms], len(forms) - 1, False, state)
+        return Fraction(*_exact_det(forms))
+    done = _eliminate([c for c, _ in forms], len(forms) - 1, False)
     if done is None:
         return 0.0
     state, _, (last,) = done
     return _float_last(state, last[0])
 
 
-def _exact_det(forms: list, state=None, scale: int = 1) -> tuple[int, int]:
+def _exact_det(forms: list) -> tuple[int, int]:
     """The exact :func:`_prepared_det` as two integers, whose quotient it
-    is: the det of the integer columns and the product of their scales
-    and ``scale``."""
-    done = _eliminate([c for c, _ in forms], len(forms) - 1, True, state)
+    is: the det of the integer columns and the product of their scales."""
+    done = _eliminate([c for c, _ in forms], len(forms) - 1, True)
     if done is None:
         return 0, 1
     state, _, (last,) = done
-    return state[0] * last[0], scale * math.prod(s for _, s in forms)
+    return state[0] * last[0], math.prod(s for _, s in forms)
 
 
 # ---------------------------------------------------------------------------
 # grids: point tuples, read by position
-
-#: A grid is the point tuple itself; the name is kept for its importers.
-_Grid = PointTuple
-
 
 class _At:
     """The points at positions js of a grid, as a message shows them (a
@@ -468,51 +462,6 @@ class _PointTable:
         positions ``js`` of ``grid``."""
         backend, forms = self.matrix(rows, grid, js)
         return _prepared_det(forms, backend is not Backend.FLOAT)
-
-    def appended_det(self, rows: tuple, grid: PointTuple, base: tuple):
-        """The function js -> (det, backend, prepared columns) of the
-        square matrix of the columns of ``rows`` at the positions base +
-        js of ``grid``, the det a float or, exact, :func:`_exact_det`'s
-        (det, scale) pair.  The first call reads the base columns with
-        the columns at js and eliminates them; it keeps their backend,
-        forms, pivot steps and scale, and every later call reads only the
-        columns at js, from the table's list by position once they are
-        made, and reduces them by those steps, as det does."""
-        k = len(base)
-        made = self._by_position(rows, grid)
-        kept = []       # the backend, the base's prepared forms, its pivot steps or None, its scale
-
-        def det(js):
-            if kept:
-                backend, base_forms, done, scale = kept
-                exact = backend is not Backend.FLOAT
-                cols = [made[j] for j in js]
-                if None in cols:
-                    cols = self.columns(rows, grid, js)
-                appended = [c.form(exact) for c in cols]
-            else:           # the base columns, read with the first js's as a matrix reads them
-                backend, appended = self.matrix(rows, grid, base + tuple(js))
-                exact = backend is not Backend.FLOAT
-                base_forms = appended[:k]
-                done = _eliminate([c for c, _ in base_forms], k, exact)
-                scale = math.prod(s for _, s in base_forms)
-                kept.extend((backend, base_forms, done, scale))
-                del appended[:k]
-            forms = base_forms + appended
-            if done is None:
-                return ((0, 1) if exact else 0.0), backend, forms
-            state, steps, _ = done
-            cols = [c for c, _ in appended]
-            for step in steps:
-                cols = (_exact_reduce if exact else _float_reduce)(cols, step)
-            if len(cols) == 1:      # _exact_det's or _prepared_det's last level
-                v = cols[0][0]
-                return ((state[0] * v, scale * appended[0][1]) if exact
-                        else _float_last(state, v)), backend, forms
-            reduced = [(c, s) for c, (_, s) in zip(cols, appended)]
-            return (_exact_det(reduced, state, scale) if exact
-                    else _prepared_det(reduced, False, state)), backend, forms
-        return det
 
 
 def _polynomial(f) -> dict | None:
@@ -920,20 +869,21 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     Raises :class:`NonFiniteValue` on an infinite or NaN value.
     """
     pts = sorted_grid(grid)
-    return _positivity(system, k, pts, range(len(pts)), _PointTable(system.basis), budget,
-                       seed, tol_factor)
+    return _positivity(system.domain, system.dim, k, pts, range(len(pts)),
+                       _PointTable(system.basis), budget, seed, tol_factor)
 
 
-def _positivity(system: ChebyshevSystem, k: int, grid: PointTuple, js, table: _PointTable,
+def _positivity(domain: Domain, dim: int, k: int, grid: PointTuple, js, table: _PointTable,
                 budget: int, seed: int, tol_factor: float) -> PositivityReport:
-    """:func:`is_positive_chebyshev` at the increasing positions ``js``
-    of the sorted ``grid``, reading the basis values from ``table``,
-    whose function i is the system's basis function i."""
+    """:func:`is_positive_chebyshev` of a system of dimension ``dim`` on
+    ``domain`` at the increasing positions ``js`` of the sorted
+    ``grid``, reading the basis values from ``table``, whose function i
+    is the system's basis function i."""
     if len(js) < k:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {k}")
-    _check_domain(system.domain, grid, "grid point", js)
-    if not 1 <= k <= system.dim:
-        raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
+    _check_domain(domain, grid, "grid point", js)
+    if not 1 <= k <= dim:
+        raise DimensionMismatch(f"prefix size {k} outside 1..{dim}")
 
     scan = _sign_scan(table, tuple(range(k)), grid, js, budget, seed, tol_factor,
                       positive=True)

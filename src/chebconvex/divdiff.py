@@ -9,9 +9,12 @@ Newton recursion, which is implemented independently so the two routes
 can certify each other.
 
 Both determinants read the point table (determinant._PointTable), and
-one step, :func:`_ratio`, takes them and checks the denominator; the
-pinned bases of the induced module and the variation windows take the
-same checks.  An exact ratio stays in integers up to its one Fraction
+one step, :func:`_ratio`, takes the table and the points' positions on
+a grid, and checks the denominator.  It serves every one-off value:
+divided_difference, each variation window and each value of a derived
+function (induced.DerivedFn).  The pinned bases of the induced module,
+which share one eliminated base between many values, take the same
+checks.  An exact ratio stays in integers up to its one Fraction
 (:func:`_quotient`, which the pinned bases share).  The closed forms of
 power and trigonometric divided differences are test oracles
 (tests/oracles.py), not shortcuts.
@@ -38,6 +41,7 @@ from .core import (
 )
 from .determinant import (
     DEFAULT_TOL_FACTOR,
+    _At,
     _exact_det,
     _PointTable,
     _prepared_det,
@@ -90,8 +94,7 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     """
     pts = _checked_points(system, k, points)
     table = _PointTable(system.basis[:k] + (f,))
-    value, numerator, denominator = _ratio(lambda rows: table.matrix(rows, pts, range(k)), k,
-                                           pts.points, tol_factor)
+    value, numerator, denominator = _ratio(table, pts, range(k), tol_factor)
     return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)
 
 
@@ -126,19 +129,19 @@ def _checked_denominator(den, backend: Backend, forms: list, at: tuple,
     return _finite(den, "prefix collocation determinant", at)
 
 
-def _ratio(matrix, k: int, at, tol_factor: float) -> tuple:
-    """The divided difference of function k with respect to functions
-    0..k-1 at the points ``at``, whose columns of rows ``matrix(rows)``
-    gives as :meth:`_PointTable.matrix` does, with its numerator and
-    denominator, each a float or an exact pair of integers (det, scale):
-    the denominator's determinant, its checks
+def _ratio(table: _PointTable, grid: PointTuple, js, tol_factor: float) -> tuple:
+    """The divided difference of function k of ``table`` with respect to
+    its functions 0..k-1 at the k positions ``js`` of ``grid``, with its
+    numerator and denominator, each a float or an exact pair of integers
+    (det, scale): the denominator's determinant, its checks
     (:func:`_checked_denominator`), the numerator's, then their
     :func:`_quotient`.  f's values and the numerator are not touched
     before the denominator passes."""
+    k, at = len(js), _At(grid, js)
     rows = tuple(range(k))
-    den, backend, forms = _determinant(*matrix(rows))
+    den, backend, forms = _determinant(*table.matrix(rows, grid, js))
     _checked_denominator(den, backend, forms, at, tol_factor)
-    num = _determinant(*matrix(rows[:-1] + (k,)))[0]
+    num = _determinant(*table.matrix(rows[:-1] + (k,), grid, js))[0]
     return _quotient(num, den, at), num, den
 
 
@@ -159,8 +162,8 @@ def _determinant(backend: Backend, forms: list) -> tuple:
 
 
 def _scalar(det) -> Scalar:
-    """A determinant of :func:`_determinant` or of an appended
-    determinant (a float or an exact (det, scale) pair) as a scalar."""
+    """A determinant of :func:`_determinant` or a pinned base's minor (a
+    float or an exact (det, scale) pair) as a scalar."""
     return Fraction(*det) if type(det) is tuple else det
 
 

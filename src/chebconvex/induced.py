@@ -16,22 +16,26 @@ paper's Sylvester factorization; :meth:`_PinnedBase.identity` evaluates
 it for this check and for convexity_identity_check, each (k+1)-minor
 after the singular-denominator rule.
 
-Every derived value comes from a pinned base (:class:`_PinnedBase`),
-which is the derived table itself: the scans and identity checks read
-its columns as they read a point table's, and its values enter them
-through the table's one value path.  The base columns are
-eliminated once, and each value is one reduction of the appended
-point's column by the recorded steps (Mühlbach's recurrence), bit for
-bit divided_difference's value over (base..., x).  Whether (base...,
-x) needs divided_difference's ordering check is read once per grid.
-The checks pin each of their bases once, with every target on one
-point table; :class:`DerivedFn` pins its base afresh for each value,
-with one target, on the tuple (base..., x) that its checks return.
+A derived value comes one of two ways.  The checks pin each of their
+bases once (:class:`_PinnedBase`), with every target on one point
+table, and the pinned base is the derived table itself: the scans and
+identity checks read its columns as they read a point table's, and its
+values enter them through the table's one value path.  Its one minor
+method eliminates a target's base columns once, at the target's first
+value, and each later value is one reduction of the appended point's
+column by the kept steps (Mühlbach's recurrence), bit for bit
+divided_difference's value over (base..., x).  Whether (base..., x)
+needs divided_difference's ordering check is read once per grid.
+:class:`DerivedFn` takes divided_difference's own ratio step
+(divdiff._ratio) for each value, on the tuple (base..., x) that its
+checks return.  :func:`verify_induced_system` takes
+:func:`induced_system`'s checks of the base and builds no derived
+function.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -55,12 +59,17 @@ from .determinant import (
     PositivityReport,
     _At,
     _PointTable,
+    _eliminate,
+    _exact_reduce,
+    _float_last,
+    _float_reduce,
     _positivity,
     check_denominator,
     increasing_tuples,
     sorted_grid,
 )
-from .divdiff import ResidualReport, _checked_denominator, _checked_points, _quotient, _scalar
+from .divdiff import (ResidualReport, _checked_denominator, _checked_points, _quotient, _ratio,
+                      _scalar)
 from .errors import DimensionMismatch, InputError
 
 
@@ -69,12 +78,10 @@ class DerivedFn(FunctionSpec):
     """x ↦ divided difference of ``target`` over (base..., x) with
     respect to the (k+1)-prefix of ``parent``.
 
-    Evaluation takes divided_difference's checks of (base..., x) first
-    (a pinned base assumes its points in the domain, and evaluates the
-    prefix at x without checking it), then reads a pinned base of its
-    own, built for that value alone, so that no value depends on the
-    points evaluated before it; closed forms (powers, cotangent) are
-    test oracles, not shortcuts.
+    Evaluation takes divided_difference's checks of (base..., x), then
+    its ratio step (divdiff._ratio) on a point table made for that value
+    alone, so that no value depends on the points evaluated before it;
+    closed forms (powers, cotangent) are test oracles, not shortcuts.
     """
 
     parent: ChebyshevSystem
@@ -90,8 +97,7 @@ class DerivedFn(FunctionSpec):
         grid = _checked_points(self.parent, self.k + 1, self.base.points + (x,))
         grid.backend = grid.backend or backend      # a neutral grid, at the backend asked for
         table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
-        pinned = _PinnedBase(table, self.k, grid, tuple(range(self.k)))
-        return as_backend(pinned.ratio(1, self.k), backend)
+        return as_backend(_ratio(table, grid, range(self.k + 1), DEFAULT_TOL_FACTOR)[0], backend)
 
 
 def _check_base(domain: Domain, base) -> None:
@@ -128,7 +134,7 @@ class _PinnedBase(_PointTable):
                  tol_factor: float = DEFAULT_TOL_FACTOR):
         super().__init__(table.fns[k:])
         self.table, self.k, self.grid, self.base, self.tol_factor = table, k, grid, base, tol_factor
-        self.dets = [table.appended_det((*range(k), k + t), grid, base) for t in range(len(self.fns))]
+        self.kept = [None] * len(self.fns)  # by target: see minor
         self.records = [None] * len(grid)   # by position: its denominator's record
 
     def backend(self, grid: PointTuple) -> Backend:
@@ -149,18 +155,50 @@ class _PinnedBase(_PointTable):
             self._rows.add((t, backend))
         return self.ratio(t, j)
 
+    def minor(self, t: int, j: int) -> tuple:
+        """The (k+1)-minor of the parent's rows fns[:k] + (target t,) at
+        (base..., x_j): its det, a float or, exact, :func:`_exact_det`'s
+        (det, scale) pair, its backend and its prepared columns.  Target
+        t's first minor reads the base columns with x_j's, as
+        :meth:`_PointTable.matrix` does, eliminates them and keeps their
+        backend, prepared forms, pivot steps and scale, with the rows and
+        the parent's columns of them by position; a later one reads only
+        x_j's column and reduces it by the kept steps, as det does."""
+        if self.kept[t] is None:
+            rows = (*range(self.k), self.k + t)
+            backend, forms = self.table.matrix(rows, self.grid, self.base + (j,))
+            form = forms.pop()
+            done = _eliminate([c for c, _ in forms], self.k, backend is not Backend.FLOAT)
+            self.kept[t] = (backend, forms, done, math.prod(s for _, s in forms), rows,
+                            self.table._by_position(rows, self.grid))
+        else:
+            backend, _, _, _, rows, made = self.kept[t]
+            column = made[j] or self.table.columns(rows, self.grid, (j,))[0]
+            form = column.form(backend is not Backend.FLOAT)
+        backend, base_forms, done, scale, _, _ = self.kept[t]
+        exact = backend is not Backend.FLOAT
+        forms = base_forms + [form]
+        if done is None:    # a base pivot column is zero
+            return ((0, 1) if exact else 0.0), backend, forms
+        state, steps, _ = done
+        col = [form[0]]
+        for step in steps:
+            col = (_exact_reduce if exact else _float_reduce)(col, step)
+        v = col[0][0]   # _exact_det's or _prepared_det's last level
+        return ((state[0] * v, scale * form[1]) if exact else _float_last(state, v)), backend, forms
+
     def denominator(self, j: int) -> list:
         """The record of position j: the (k+1)-minor of fns[:k+1] at
-        (base..., x_j) as an appended determinant gives it, the backend
-        of its entries, its prepared columns, those points (as a message
-        shows them), and whether it passed :meth:`ratio`'s checks; made
-        once the points pass divided_difference's ordering check."""
+        (base..., x_j) as :meth:`minor` gives it, those points (as a
+        message shows them), and whether it passed :meth:`ratio`'s
+        checks; made once the points pass divided_difference's ordering
+        check."""
         record = self.records[j]
         if record is None:
             at = self.base + (j,)
             if not self.grid.spaced or j in self.base:
                 validate_tuple(tuple(self.grid[i] for i in at), OrderingClass.PAIRWISE_DISTINCT)
-            record = self.records[j] = [*self.dets[0]((j,)), _At(self.grid, at), False]
+            record = self.records[j] = [*self.minor(0, j), _At(self.grid, at), False]
         return record
 
     def ratio(self, t: int, j: int) -> Scalar:
@@ -172,16 +210,8 @@ class _PinnedBase(_PointTable):
         if not checked:
             _checked_denominator(den, backend, forms, at, self.tol_factor)
             record[4] = True
-        num = den if t == 0 else self.dets[t]((j,))[0]
+        num = den if t == 0 else self.minor(t, j)[0]
         return _quotient(num, den, at)
-
-    @functools.cached_property
-    def _whole(self) -> tuple:
-        """The k-minor at the base, and js -> the determinant of every
-        function of the table at (base..., points at js)."""
-        rows = tuple(range(len(self.table.fns)))
-        return (self.table.det(rows[:self.k], self.grid, self.base),
-                self.table.appended_det(rows, self.grid, self.base))
 
     def identity(self, js: tuple) -> ResidualReport:
         """Both sides of the factorization identity at (base..., xs), xs
@@ -190,8 +220,9 @@ class _PinnedBase(_PointTable):
         k-minor to the power len(xs) - 1, over the (k+1)-minor at
         (base..., x) for each x in xs, each after the singular-denominator
         rule; against the determinant of the derived values at xs."""
-        kminor, whole = self._whole
-        lhs = _scalar(whole(js)[0]) * kminor ** (len(js) - 1)
+        rows = tuple(range(len(self.table.fns)))
+        kminor = self.table.det(rows[:self.k], self.grid, self.base)
+        lhs = self.table.det(rows, self.grid, self.base + js) * kminor ** (len(js) - 1)
         for j in js:
             den, backend, forms, at, _ = self.denominator(j)
             den = _scalar(den)
@@ -229,6 +260,15 @@ def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
     prefixes of the parent are positive (caller-asserted or verified via
     a grid check); otherwise evaluation surfaces SingularDenominator.
     """
+    base, domain = _checked_base(parent, k, base)
+    basis = tuple(DerivedFn(parent, k, base, parent.basis[j]) for j in range(k, parent.dim))
+    return InducedSystem(parent, k, base, basis, domain)
+
+
+def _checked_base(parent: ChebyshevSystem, k: int, base) -> tuple:
+    """``base`` as a strictly increasing tuple of k points of the
+    parent's domain, 1 <= k <= dim - 1, and the domain punctured there:
+    :func:`induced_system`'s checks, in its order."""
     base = _increasing(base)
     n = parent.dim
     if not 1 <= k <= n - 1:
@@ -236,9 +276,7 @@ def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
     if len(base) != k:
         raise DimensionMismatch(f"base has {len(base)} points, expected {k}")
     _check_base(parent.domain, base)
-    basis = tuple(DerivedFn(parent, k, base, parent.basis[j])
-                  for j in range(k, n))
-    return InducedSystem(parent, k, base, basis, puncture(parent.domain, base.points))
+    return base, puncture(parent.domain, base.points)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +306,19 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
                           budget: int = DEFAULT_TUPLE_BUDGET,
                           seed: int = DEFAULT_SEED,
                           tol_factor: float = DEFAULT_TOL_FACTOR) -> InducedCheckReport:
-    """Build the induced system over ``base`` and check, over the grid,
-    that it is a positive Chebyshev system and that the factorization
-    identity holds on every sampled increasing (n-k)-tuple."""
-    ind = induced_system(parent, k, base)
+    """Check, over the grid, that the system induced by ``base`` is a
+    positive Chebyshev system and that the factorization identity holds
+    on every sampled increasing (n-k)-tuple."""
+    base, domain = _checked_base(parent, k, base)
+    dim = parent.dim - k
     pts = sorted_grid(grid)
     # one grid: the base's points, then the sorted grid's at k..
-    joined = PointTuple(ind.base.points + tuple(pts))
+    joined = PointTuple(base.points + tuple(pts))
     js = range(k, len(joined))
     pinned = _PinnedBase(_PointTable(parent.basis), k, joined, tuple(range(k)), tol_factor)
-    positivity = _positivity(ind.as_system(), ind.dim, joined, js, pinned, budget, seed,
-                             tol_factor)
+    positivity = _positivity(domain, dim, dim, joined, js, pinned, budget, seed, tol_factor)
 
-    tuples, exhaustive = increasing_tuples(js, ind.dim, budget=budget, seed=seed)
+    tuples, exhaustive = increasing_tuples(js, dim, budget=budget, seed=seed)
     max_abs = 0.0
     max_rel = 0.0
     worst: ResidualReport | None = None

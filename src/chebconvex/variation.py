@@ -13,9 +13,10 @@ functions, the divided differences of g + h at anchor tuples flanking
 An estimate's partitions are grids read by position: exact ones are
 integers over one scale (the uniform partitions' m·L, times 2**22 after
 a jitter step), and the refinement rounds read every 2**j-th point of
-the finest uniform partition.  A window asks the point table only for
-the columns at its new point, and an exact partition sum adds only the
-window values where the sum turns.
+the finest uniform partition.  Each window's divided difference is
+divided_difference's own ratio step (divdiff._ratio) on one point
+table, whose columns a window makes only at its new point, and an exact
+partition sum adds only the window values where the sum turns.
 """
 
 from __future__ import annotations
@@ -114,9 +115,8 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, j
     between partitions.  Each window's divided difference is
     divided_difference's, check by check: its points' checks
     (:func:`_rejected_window`), then the shared ratio step on the
-    table's columns, of which a window asks only for those at its new
-    point; it holds the others by position.  The sum is exact or float
-    as the table reads the grid."""
+    table's columns, of which a window makes only those at its new
+    point.  The sum is exact or float as the table reads the grid."""
     n = system.dim
     m = len(js) - 1
     if m < n:
@@ -124,17 +124,7 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, j
             f"partition has {m} intervals, need at least {n} for dimension {n}")
     stop, error = _rejected_window(grid, js, n, system)
     backend = table.backend(grid)
-    held: dict = {}     # rows -> their prepared columns at js[:len]
-
-    def matrix(rows, i):
-        """The backend and prepared columns of rows at window i."""
-        got = held.setdefault(rows, [])
-        got.extend(c.form(backend is not Backend.FLOAT)
-                   for c in table.columns(rows, grid, js[len(got):i + n]))
-        return backend, got[i:i + n]
-
-    values = [_ratio(lambda rows: matrix(rows, i), n, _At(grid, js[i:i + n]), tol_factor)[0]
-              for i in range(stop)]
+    values = [_ratio(table, grid, js[i:i + n], tol_factor)[0] for i in range(stop)]
     if error is not None:
         raise error
     if backend is Backend.FLOAT:

@@ -102,7 +102,6 @@ from chebconvex.determinant import (
     Matrix,
     PositivityReport,
     SignScan,
-    _Grid,
     _Tally,
     _form,
     _prepared_det,
@@ -849,7 +848,7 @@ def default_anchors_formula(system: ChebyshevSystem, a, b,
 def ratio_two_fractions(table, k: int, at: tuple, tol_factor: float) -> tuple:
     """divdiff._ratio's value, numerator and denominator at the points
     ``at``, each exact one a Fraction of its own."""
-    rows, grid = tuple(range(k)), _Grid(at)
+    rows, grid = tuple(range(k)), PointTuple(at)
     backend, forms = table.matrix(rows, grid, range(k))
     den = _checked_denominator(_prepared_det(forms, backend is not Backend.FLOAT),
                                backend, forms, at, tol_factor)

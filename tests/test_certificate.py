@@ -16,11 +16,10 @@ from hypothesis import given, settings, strategies as st
 from chebconvex import determinant
 from chebconvex.cli import main
 from chebconvex.convexity import check_convex_direct
-from chebconvex.core import ChebyshevSystem, FiniteSet, Interval, PowerFn, SampledFn, affine
+from chebconvex.core import ChebyshevSystem, FiniteSet, Interval, PointTuple, PowerFn, SampledFn, affine
 from chebconvex.determinant import (
     DEFAULT_TOL_FACTOR,
     _certified,
-    _Grid,
     _PointTable,
     _sign_scan,
     is_positive_chebyshev,
@@ -93,7 +92,7 @@ def test_a_passing_certificate_holds_on_every_tuple(rng):
 def test_scan_equals_the_walk(rng):
     rows, dens, positive = matrix(rng)
     n, m = len(rows), len(dens)
-    grid = _Grid(range(m))
+    grid = PointTuple(range(m))
     got = _sign_scan(table_of(rows, dens), tuple(range(n)), grid, range(m), 10 ** 6, 0,
                      DEFAULT_TOL_FACTOR, positive)
     assert got == walk_scan(table_of(rows, dens), tuple(range(n)), grid, range(m), positive)

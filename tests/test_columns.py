@@ -25,11 +25,12 @@ from chebconvex.core import (
     ExpFn,
     Interval,
     NegCotFn,
+    PointTuple,
     PowerFn,
     SampledFn,
     affine,
 )
-from chebconvex.determinant import _Grid, _PointTable, is_positive_chebyshev
+from chebconvex.determinant import _PointTable, is_positive_chebyshev
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system
 from chebconvex.variation import estimate_variation
@@ -84,7 +85,7 @@ def same_columns(fns, rows, xs):
 
     def oracle_columns(points):
         return lambda: [(c, c.backend()) for c in evaluate_columns(fns, tuple(rows), points)]
-    got = outcome(table_columns(lambda: _Grid(xs)))
+    got = outcome(table_columns(lambda: PointTuple(xs)))
     if any(isinstance(x, float) for x in xs) and any(isinstance(x, Fraction) for x in xs):
         assert got == MIXED
         return got
@@ -93,7 +94,7 @@ def same_columns(fns, rows, xs):
         fractions = [Fraction(x) for x in xs]
         q = math.lcm(*(x.denominator for x in fractions))
         ints = [x.numerator * (q // x.denominator) for x in fractions]
-        assert outcome(table_columns(lambda: _Grid(nums=ints, q=q))) == \
+        assert outcome(table_columns(lambda: PointTuple(nums=ints, q=q))) == \
             outcome(oracle_columns(fractions))
     return got
 
@@ -117,7 +118,7 @@ def test_power_columns_match_evaluate(fns, rows, xs):
 
 def test_exact_power_column_is_its_integer_form():
     table = _PointTable(GAPPED)
-    (col,) = table.columns((0, 1, 2, 3), _Grid([Fraction(-5, 3)]), (0,))
+    (col,) = table.columns((0, 1, 2, 3), PointTuple([Fraction(-5, 3)]), (0,))
     assert col.form(True) == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
     assert col._values is None          # no Fraction made until a caller reads them
     assert col.values == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
@@ -160,9 +161,9 @@ def test_polynomial_column_is_its_reduced_integer_form():
     fns = (affine((Fraction(1, 2), PowerFn(1)), (Fraction(1, 2), ConstFn(1))),
            affine((1, PowerFn(2)), (-1, PowerFn(2))))
     table = _PointTable(fns)
-    (col,) = table.columns((0, 1), _Grid([1]), (0,))
+    (col,) = table.columns((0, 1), PointTuple([1]), (0,))
     assert col.form(True) == ([1, 0], 1) and col._values is None
-    (col,) = table.columns((0, 1), _Grid(nums=[-3], q=9), (0,))      # -3/9 = -1/3
+    (col,) = table.columns((0, 1), PointTuple(nums=[-3], q=9), (0,))      # -3/9 = -1/3
     assert col.form(True) == ([1, 0], 3)
     assert same_columns(fns, (0, 1), [Fraction(-1, 3), 1, 0])
 

@@ -10,11 +10,12 @@ from chebconvex.core import (
     ConstFn,
     ExpFn,
     Interval,
+    PointTuple,
     PowerFn,
     affine,
     evaluate,
 )
-from chebconvex.determinant import _Grid, _PointTable
+from chebconvex.determinant import _PointTable
 from chebconvex.divdiff import (
     _ratio,
     _scalar,
@@ -268,8 +269,7 @@ class TestPowerExpansion:
 
 def package_ratio(table, k, at, tol_factor):
     """divdiff._ratio at the points ``at``, read from ``table`` by position."""
-    grid = _Grid(at)
-    return _ratio(lambda rows: table.matrix(rows, grid, range(k)), k, at, tol_factor)
+    return _ratio(table, PointTuple(at), range(k), tol_factor)
 
 
 def ratio_outcome(ratio, fns, k, xs, tol_factor=1e-10):

@@ -33,7 +33,7 @@ from chebconvex.core import (
     SampledFn,
     affine,
 )
-from chebconvex.determinant import _Grid, _PointTable, collocation_matrix, is_positive_chebyshev
+from chebconvex.determinant import _PointTable, collocation_matrix, is_positive_chebyshev
 from chebconvex.errors import BackendMismatch
 from chebconvex.induced import DerivedFn, induced_system, verify_induced_system
 from chebconvex.systems import polynomial_system, trig_odd_system
@@ -94,7 +94,7 @@ INTS = [-3, -2, -1]
 def test_int_grid_of_a_float_system_is_read_at_float(k):
     got = is_positive_chebyshev(TRIG, k, INTS)
     assert got == is_positive_chebyshev(TRIG, k, float_twin(INTS))
-    assert _PointTable(TRIG.basis).backend(_Grid(INTS)) is Backend.FLOAT
+    assert _PointTable(TRIG.basis).backend(PointTuple(INTS)) is Backend.FLOAT
 
 
 def test_int_grid_derived_values_are_floats():
@@ -121,7 +121,7 @@ def test_int_grid_of_derived_functions_is_read_at_the_tables_backend():
 
 
 def test_int_grid_of_exact_functions_is_read_exact():
-    assert _PointTable(polynomial_system(3).basis).backend(_Grid(INTS)) is Backend.EXACT
+    assert _PointTable(polynomial_system(3).basis).backend(PointTuple(INTS)) is Backend.EXACT
     report = is_positive_chebyshev(polynomial_system(3), 3, [0, 1, 2])
     assert report == is_positive_chebyshev(polynomial_system(3), 3, [Fraction(x) for x in (0, 1, 2)])
 
@@ -143,16 +143,16 @@ def test_non_scalar_point_raises_before_any_value():
 def test_grid_reads_its_backend_when_made(points, backend):
     if backend is BackendMismatch:
         with pytest.raises(BackendMismatch):
-            _Grid(points)
+            PointTuple(points)
     else:
-        grid = _Grid(points)
+        grid = PointTuple(points)
         assert grid.backend is backend and list(grid) == points
         assert [type(x) for x in grid] == [type(x) for x in points]   # kept as given
 
 
 def test_function_clashing_with_the_grid_raises_at_its_first_value():
     table = _PointTable((PowerFn(0), ExpFn()))
-    grid = _Grid([Fraction(1, 2), 1])
+    grid = PointTuple([Fraction(1, 2), 1])
     assert [c.values for c in table.columns((0,), grid, (0, 1))] == [[1], [1]]
     with pytest.raises(BackendMismatch):
         table.columns((0, 1), grid, (0,))

@@ -12,6 +12,7 @@ from chebconvex.errors import (
     InputError,
     OrderingViolation,
 )
+from chebconvex import induced
 from chebconvex.induced import (
     induced_system,
     verify_induced_system,
@@ -182,3 +183,27 @@ class TestVerifyInduced:
             assert report.max_abs_residual == 0
             checked += report.identity_checked
         assert checked >= 500
+
+    @pytest.mark.parametrize("args", [
+        (polynomial_system(3), 1, (Fraction(0),), [Fraction(i) for i in (1, 2, 3, 4)]),
+        (trig_odd_system(1, -math.pi, 0.0), 1, (-3.0,), [-2.9, -2.5, -2.0, -1.6, -1.1]),
+        (polynomial_system(4), 2, (0, 1), [2, 3, Fraction(7, 2), 5]),
+        (polynomial_system(3), 3, (0, 1, 2), [3, 4]),                  # base too large
+        (polynomial_system(3), 1, (0, 1), [3, 4]),                     # base of two points
+        (polynomial_system(3), 2, (1, 0), [3, 4]),                     # base not increasing
+        (trig_odd_system(1, -math.pi, 0.0), 1, (1.0,), [-2.0, -1.0]),  # base outside
+    ])
+    def test_builds_no_induced_system(self, monkeypatch, args):
+        """The check reads the base's checks, its dimension and punctured
+        domain without building the induced system's derived functions."""
+        def outcome():
+            try:
+                return repr(verify_induced_system(*args))
+            except InputError as exc:
+                return f"{type(exc).__name__}: {exc}"
+        want = outcome()
+
+        def refuse(*_):
+            raise AssertionError("induced_system called")
+        monkeypatch.setattr(induced, "induced_system", refuse)
+        assert outcome() == want

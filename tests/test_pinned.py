@@ -2,11 +2,12 @@
 from pinned bases, each its own derived table (``induced._PinnedBase``),
 checked against the per-base loop in ``oracles.py``, which evaluates
 every derived value as a divided difference of two fresh determinants;
-and ``DerivedFn``, a pinned base of its own, and a pinned base's
-ratios, against ``oracles.derived_value`` and
-``oracles.ratio_two_fractions``.  Reports must be identical, float
-values included (compared by repr), and so must the error a check
-raises, message included."""
+``DerivedFn``, one ratio step per value, and a pinned base's ratios,
+against ``oracles.derived_value``, ``divided_difference`` and
+``oracles.ratio_two_fractions``; and a pinned base's minors against
+the point table's determinants of the same columns.  Reports must be
+identical, float values included (compared by repr), and so must the
+error a check raises, message included."""
 
 import math
 import random
@@ -40,6 +41,7 @@ from chebconvex.determinant import (
     increasing_tuples,
     sorted_grid,
 )
+from chebconvex.divdiff import _scalar, divided_difference
 from chebconvex.errors import (
     EvaluationOutsideSupport,
     InputError,
@@ -331,7 +333,7 @@ def test_derived_columns_equal_derived_functions(system, grid):
 
 
 # ---------------------------------------------------------------------------
-# DerivedFn, a pinned base of its own, against its old body (one
+# DerivedFn, one ratio step per value, against its old body (one
 # divided_difference of two fresh determinants per value): the value or
 # the error, message included.  One DerivedFn serves every x of a case,
 # so a value that depended on the points evaluated before it would show.
@@ -451,3 +453,72 @@ def test_derived_fn_value_does_not_depend_on_earlier_points(points):
         fn = DerivedFn(polynomial_system(3), k, PointTuple(base), PowerFn(3))
         for x in points:
             assert repr(result(fn, x)) == repr(result(derived_value, fn, x)), (k, x)
+
+
+@pytest.mark.parametrize("system, grid, backend", [
+    (system, grid, backend) for system, grid in DERIVED_SYSTEMS
+    for backend in ("exact", "float", "neutral")
+    if backend != "exact" or system.required_backend() is not Backend.FLOAT])
+def test_derived_fn_is_divided_difference(system, grid, backend):
+    """Each value of a derived function, or its error, is
+    divided_difference's over (base..., x) with respect to the
+    (k+1)-prefix (an exact base of a float system clashes before)."""
+    rng = random.Random(len(grid) - system.dim)
+    exact = backend == "exact"
+    if exact:
+        grid = [Fraction(x) for x in grid]
+    elif backend == "neutral":
+        grid = sorted({int(2 * x) for x in grid})
+    values = 0
+    for k in range(1, system.dim):
+        for target in derived_targets(exact, grid):
+            base = PointTuple(tuple(sorted(rng.sample(grid, k))))
+            fn = DerivedFn(system, k, base, target)
+            for x in grid:
+                want = result(lambda: divided_difference(system, k + 1, target,
+                                                         base.points + (x,)).value)
+                assert repr(result(evaluate, fn, x)) == repr(want), (k, base, x)
+                values += not isinstance(want, str)
+    assert values
+
+
+MINOR_SYSTEMS = [
+    (polynomial_system(4), [Fraction(i, 3) for i in range(-3, 4)]),
+    (polynomial_system(4), [i / 3 for i in range(-3, 4)]),
+    (polynomial_system(4), list(range(-3, 4))),
+    (ChebyshevSystem(tuple(PowerFn(i) for i in range(1, 5)), Interval()),  # zero at 0
+     [Fraction(i, 2) for i in range(-2, 4)]),
+    (ChebyshevSystem(tuple(PowerFn(i) for i in range(1, 5)), Interval()),
+     [i / 2 for i in range(-2, 4)]),
+    (ChebyshevSystem(tuple(PowerFn(i) for i in range(1, 5)), Interval()), list(range(-2, 4))),
+    (trig_odd_system(1, -math.pi, 0.0), [-3.0, -2.5, -1.25, -1.0, -0.5, -0.125]),
+]
+
+
+@pytest.mark.parametrize("system, grid", MINOR_SYSTEMS)
+def test_pinned_minors_are_table_determinants(system, grid):
+    """Every (k+1)-minor of a pinned base, k = 1..3 and each of its
+    targets at each position, base positions included, equals by repr
+    the point table's determinant of the same columns, and has their
+    backend and prepared forms.  Bases on the zero of x, x^2, ... keep
+    no elimination: their leading pivot column is zero."""
+    pts = sorted_grid(grid)
+    c = 1.5 if isinstance(grid[0], float) else Fraction(3, 2)
+    targets = (PowerFn(5), ConstFn(c), affine((c, PowerFn(2)), (-2, PowerFn(5))))
+    if system.required_backend() is Backend.FLOAT:
+        targets += (ExpFn(),)
+    fns = system.basis + targets
+    zero_pivots = 0
+    for k in range(1, min(4, system.dim)):
+        for base in increasing_tuples(range(len(pts)), k)[0]:
+            pinned = _PinnedBase(_PointTable(fns), k, pts, base)
+            for t in range(len(pinned.fns)):
+                rows = (*range(k), k + t)
+                for j in range(len(pts)):
+                    det, backend, forms = pinned.minor(t, j)
+                    fresh = _PointTable(fns)
+                    assert repr(_scalar(det)) == repr(fresh.det(rows, pts, base + (j,))), \
+                        (k, base, t, j)
+                    assert (backend, forms) == fresh.matrix(rows, pts, base + (j,))
+                zero_pivots += pinned.kept[t][2] is None
+    assert (zero_pivots > 0) == (system.basis[0] == PowerFn(1))

@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 import chebconvex.core as core
 from chebconvex.core import (
     DEFAULT_MIN_GAP,
+    Backend,
     FiniteSet,
     Interval,
     OrderingClass,
     PointTuple,
     PowerFn,
     PuncturedInterval,
+    SampledFn,
     _check_domain,
 )
 from chebconvex.determinant import sorted_grid
@@ -139,6 +141,27 @@ def test_divided_difference_reads_its_points_once(monkeypatch):
             monkeypatch.setattr(module, "collection_backend", counted)
     dd = divided_difference(system, 3, PowerFn(3), (0.0, 0.5, 2.0))
     assert math.isclose(dd.value, 2.5) and calls == [3]
+
+
+def test_sampled_function_reads_its_backend_once(monkeypatch):
+    """A sampled function reads its points' backend from the tuple that
+    its check makes, and its values' once, when it is made; later
+    requirements read neither again."""
+    calls = []
+    real = core.collection_backend
+
+    def counted(values, default=None):
+        calls.append(len(values))
+        return real(values, default)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chebconvex") and hasattr(module, "collection_backend"):
+            monkeypatch.setattr(module, "collection_backend", counted)
+    fn = SampledFn(tuple(Fraction(i, 3) for i in range(8)), tuple(range(8)))
+    assert calls == [8, 8]
+    assert [fn.required_backend() for _ in range(3)] == [Backend.EXACT] * 3
+    assert calls == [8, 8]
+    with pytest.raises(BackendMismatch):
+        SampledFn((Fraction(1, 2), Fraction(1, 3)), (1.0, 2.0))
 
 
 @pytest.mark.parametrize("grid", [
