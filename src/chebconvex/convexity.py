@@ -39,6 +39,7 @@ from .determinant import (
     DEFAULT_TUPLE_BUDGET,
     SignScan,
     _PointTable,
+    _finite_tol,
     _sign_scan,
     det,    # unused here; bench/test_bench.py checks that the tracer wraps it here
     increasing_tuples,
@@ -113,7 +114,7 @@ def _check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid, table: 
     ``system.basis + (f,)`` from ``table``."""
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
     scan = _direct_scan(system.dim, system.domain, pts, range(len(pts)), table, budget, seed,
-                        tol_factor)
+                        _finite_tol(tol_factor))
     return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
                             scan.tuples_checked, seed, witness=scan.witness,
                             witness_value=scan.witness_value,
@@ -206,7 +207,7 @@ def check_convex_induced(system: ChebyshevSystem, k: int, f: FunctionSpec,
     derived divided-difference function with respect to the induced
     system on the rest of the grid, and aggregate."""
     return _check_convex_pinned(system, k, f, grid, None, base_budget, budget,
-                                seed, tol_factor)
+                                seed, _finite_tol(tol_factor))
 
 
 def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: FunctionSpec,
@@ -220,7 +221,7 @@ def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: Function
     for 0 < ell < k, above the base for ell=k.  Bases whose restricted
     grid is too small are skipped and counted."""
     return _check_convex_pinned(system, k, f, grid, ell, base_budget, budget,
-                                seed, tol_factor)
+                                seed, _finite_tol(tol_factor))
 
 
 # ---------------------------------------------------------------------------

@@ -552,6 +552,17 @@ def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequen
     return _PointTable(system.basis[:k]).det(tuple(range(k)), PointTuple(pts), range(k))
 
 
+def _finite_tol(tol_factor: float) -> float:
+    """``tol_factor``, once it is found finite, else :class:`InputError`:
+    every public function that takes one reaches this check before it
+    computes a value, on either backend.  A NaN or infinite factor makes
+    a tolerance that no float verdict can rest on: no value compares
+    below a NaN bound, so every value would pass."""
+    if not math.isfinite(tol_factor):
+        raise InputError(f"tol_factor must be finite, got {tol_factor}")
+    return tol_factor
+
+
 def _tolerance(biggest: float, n: int, tol_factor: float) -> float:
     """Tolerance below which a float n x n determinant whose largest
     |entry| is ``biggest`` is indistinguishable from zero."""
@@ -625,8 +636,16 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # matrix column) per level, so all extensions of a prefix share its
 # pivot steps, which are those of det: its determinants are
 # bit-identical to det's of each tuple; an exact one walks only when its
-# windows of consecutive columns fail (_certified).  A sampled scan calls
-# det's elimination on each sampled tuple's prepared columns.
+# windows of consecutive columns fail (_certified).  The last two levels
+# are one pass: with two entries (a, b) left in each column, each pivot
+# column gives one list, the row of determinants of its extensions by
+# one later column, by det's own operations, and _Tally.row clears the
+# row in one comparison of its smallest value with one bound, the float
+# one |tol| at the row's largest |entry|.  That bound serves the whole
+# row because |tol| grows with the largest |entry|; a row that fails it
+# goes to _Tally.add tuple by tuple, in order.  A sampled scan calls
+# det's elimination on each sampled tuple's prepared columns and
+# _Tally.add on each.
 
 _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 
@@ -681,6 +700,28 @@ class _Tally:
         best = self.first.get(kind)
         if best is None or t < best[0]:
             self.first[kind] = (t, value)
+
+    def row(self, t: tuple, js, values: list, top=0.0, base=0.0, colmax=()) -> None:
+        """:meth:`add` of the tuples t + (j,), j in ``js``, with their
+        ``values``, in one comparison when all of them pass: the smallest
+        value must clear the row's one bound, 0 for an exact row, and for
+        a float one |tol| at ``top``, the largest |entry| of the row's
+        matrices (strictly on a positive scan; on a nonnegative one,
+        max(0, -tol)), with every value finite.  |tol| grows with the
+        largest |entry|, so a value that clears the row's bound clears
+        its own tuple's.  When a row does not pass, or its bound
+        overflows, each tuple goes to :meth:`add` in order, a float one
+        with its largest |entry|, max(``base``, colmax[j])."""
+        try:
+            tol = 0 if self.exact else _tolerance(top, len(t) + 1, self.tol_factor)
+            low = min(values)
+            passed = (self.exact or math.isfinite(sum(values))) and (
+                low > abs(tol) if self.positive else low >= max(0, -tol))
+        except OverflowError:
+            passed = False
+        if not passed:
+            for j, v in zip(js, values):
+                self.add(t + (j,), v, max(base, colmax[j]) if colmax else None)
 
 
 def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: int, seed: int,
@@ -749,68 +790,102 @@ def _scan_each(forms: dict, tuples, tally: _Tally) -> None:
             tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
 
 
-def _walk(cols: list, n: int, root, pivot, reduce, leaf, zero, tally: _Tally) -> None:
+def _walk(cols: list, n: int, root, pivot, reduce, pair, zero, tally: _Tally) -> None:
     """Depth-first walk over the increasing n-tuples of column indices
-    in lexicographic order.  Level d eliminates the tuple's d-th column:
-    ``pivot(state, j, c)`` pivots on column j (``c``, already reduced
-    by the prefix) and returns the new state and the step that
+    in lexicographic order.  Level d < n - 2 eliminates the tuple's d-th
+    column: ``pivot(state, j, c)`` pivots on column j (``c``, already
+    reduced by the prefix) and returns the new state and the step that
     ``reduce(rest, step)`` applies to the later columns, or ``None``
     when the pivot column is zero, which makes every extension's
-    determinant zero.  ``leaf(state, j, v)`` turns the last reduced
-    entry into the arguments of :meth:`_Tally.add` after the tuple,
-    ``zero(t)`` gives them for a zero determinant."""
+    determinant zero.  Levels n - 2 and n - 1 are one pass:
+    ``pair(state, j, c, later)`` pivots on column j (``c``, two entries)
+    and gives the determinants of the tuples that end in j and one of the
+    ``later`` columns, with the rest of :meth:`_Tally.row`'s arguments,
+    or ``None`` when c is zero; for n = 1, ``pair(root, None, None,
+    cols)`` gives them for the one-column tuples.  ``zero(t)`` gives the
+    arguments of :meth:`_Tally.add` after a tuple whose determinant is
+    zero."""
+    if n == 1:
+        tally.row((), range(len(cols)), *pair(root, None, None, cols))
+        return
     last = n - 1
 
     def visit(d, prefix, state, idx, cands):
         for pos in range(len(cands) - (last - d)):
             j, c = idx[pos], cands[pos]
             t = prefix + (j,)
-            if d == last:
-                tally.add(t, *leaf(state, j, c[0]))
-                continue
-            pivoted = pivot(state, j, c)
-            if pivoted is None:
-                for tail in itertools.combinations(idx[pos + 1:], last - d):
-                    u = t + tail
-                    tally.add(u, *zero(u))
-                continue
-            child, step = pivoted
-            visit(d + 1, t, child, idx[pos + 1:], reduce(cands[pos + 1:], step))
+            if d < last - 1:
+                pivoted = pivot(state, j, c)
+                if pivoted is not None:
+                    visit(d + 1, t, pivoted[0], idx[pos + 1:], reduce(cands[pos + 1:], pivoted[1]))
+                    continue
+            else:
+                row = pair(state, j, c, cands[pos + 1:])
+                if row is not None:
+                    tally.row(t, idx[pos + 1:], *row)
+                    continue
+            for tail in itertools.combinations(idx[pos + 1:], last - d):
+                u = t + tail
+                tally.add(u, *zero(u))
 
-    visit(0, (), root, list(range(len(cols))), cols)
+    visit(0, (), root, range(len(cols)), cols)
 
 
 def _walk_float(cols: list, n: int, tally: _Tally) -> None:
     """Partial pivoting one column at a time over the float columns
     ``cols``.  The state is (running pivot product with swap signs, max
-    |entry| of the prefix's columns)."""
-    colmax = [max(abs(v) for v in c) for c in cols]
+    |entry| of the prefix's columns).  A pair's values are
+    :func:`_float_pivot`'s, :func:`_float_reduce`'s and
+    :func:`_float_last`'s operations on (a, b) and each later (x, y)."""
+    colmax = [max(map(abs, c)) for c in cols]
+    sufmax = list(itertools.accumulate(reversed(colmax), max))[::-1]   # max of colmax[j:]
 
     def pivot(state, j, c):
+        pivoted = _float_pivot(state[0], c)
+        return pivoted and ((pivoted[0], max(state[1], colmax[j])), pivoted[1])
+
+    def pair(state, j, c, later):
         result, biggest = state
-        pivoted = _float_pivot(result, c)
-        if pivoted is None:
+        if c is None:
+            return [result * v if v != 0.0 else 0.0 for v, in later], sufmax[0], biggest, colmax
+        a, b = c
+        if abs(b) > abs(a):
+            r, f = -result * b, a / b
+            values = [r * v if (v := x - f * y) != 0.0 else 0.0 for x, y in later]
+        elif a != 0.0:
+            r, f = result * a, b / a
+            values = [r * v if (v := y - f * x) != 0.0 else 0.0 for x, y in later]
+        else:
             return None
-        return (pivoted[0], max(biggest, colmax[j])), pivoted[1]
+        biggest = max(biggest, colmax[j])
+        return values, max(biggest, sufmax[j + 1]), biggest, colmax
 
-    def leaf(state, j, v):
-        result, biggest = state
-        return _float_last(result, v), max(biggest, colmax[j])
-
-    def zero(t):
-        return 0.0, max(colmax[j] for j in t)
-
-    _walk(cols, n, (1.0, 0.0), pivot, _float_reduce, leaf, zero, tally)
+    _walk(cols, n, (1.0, 0.0), pivot, _float_reduce, pair,
+          lambda t: (0.0, max(colmax[j] for j in t)), tally)
 
 
 def _walk_exact(forms: list, n: int, tally: _Tally) -> list:
     """Bareiss elimination one column at a time over the columns scaled
     to integers by the lcm of their denominators (``forms``, pairs of a
     column and its scale), so the walk records integer determinants of
-    the scaled matrix, which carry the sign; returns the column scales."""
+    the scaled matrix, which carry the sign; returns the column scales.
+    A pair's values are :func:`_exact_pivot`'s and
+    :func:`_exact_reduce`'s operations on (a, b) and each later (x, y)."""
     ints, scale = zip(*forms)
+
+    def pair(state, j, c, later):
+        sign, prev = state
+        if c is None:
+            return [sign * v for v, in later],
+        a, b = c
+        if a:
+            return [sign * ((a * y - b * x) // prev) for x, y in later],
+        if b:
+            return [-sign * (b * x // prev) for x, y in later],
+        return None
+
     _walk(list(ints), n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
-          _exact_reduce, lambda state, j, v: (state[0] * v,), lambda t: (0,), tally)
+          _exact_reduce, pair, lambda t: (0,), tally)
     return list(scale)
 
 
@@ -885,7 +960,7 @@ def _positivity(domain: Domain, dim: int, k: int, grid: PointTuple, js, table: _
     if not 1 <= k <= dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{dim}")
 
-    scan = _sign_scan(table, tuple(range(k)), grid, js, budget, seed, tol_factor,
+    scan = _sign_scan(table, tuple(range(k)), grid, js, budget, seed, _finite_tol(tol_factor),
                       positive=True)
     return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
                             scan.exhaustive, seed, scan.witness, scan.witness_value,

@@ -44,6 +44,7 @@ from .determinant import (
     _At,
     _exact_det,
     _PointTable,
+    _finite_tol,
     _prepared_det,
     check_denominator,
 )
@@ -94,7 +95,7 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     """
     pts = _checked_points(system, k, points)
     table = _PointTable(system.basis[:k] + (f,))
-    value, numerator, denominator = _ratio(table, pts, range(k), tol_factor)
+    value, numerator, denominator = _ratio(table, pts, range(k), _finite_tol(tol_factor))
     return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)
 
 

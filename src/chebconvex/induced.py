@@ -259,8 +259,12 @@ def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
     Meaningful as a positive Chebyshev system only when the k and k+1
     prefixes of the parent are positive (caller-asserted or verified via
     a grid check); otherwise evaluation surfaces SingularDenominator.
+    A base whose backend clashes with a basis function's requirement (an
+    exact base of a float-only system) raises :class:`BackendMismatch`
+    here, as every value of the system would.
     """
     base, domain = _checked_base(parent, k, base)
+    combine_backends(base.backend, *(fn.required_backend() for fn in parent.basis))
     basis = tuple(DerivedFn(parent, k, base, parent.basis[j]) for j in range(k, parent.dim))
     return InducedSystem(parent, k, base, basis, domain)
 

@@ -40,7 +40,7 @@ from .core import (
     scalar_backend,
     validate_tuple,
 )
-from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _PointTable
+from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _PointTable, _finite_tol
 from .determinant import _uniform_grid
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
@@ -104,7 +104,7 @@ def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition
     absolute difference of neighbouring divided differences."""
     grid = partition.points
     return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
-                       tol_factor)
+                       _finite_tol(tol_factor))
 
 
 def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, js,
@@ -211,6 +211,7 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
     ``converged`` is a heuristic: the last doubling improved the maximum
     by less than 1e-6 (relatively).
     """
+    _finite_tol(tol_factor)
     strategy = strategy or RefinementStrategy()
     if not isinstance(system.domain, Interval):
         raise InputError("variation estimation needs an interval domain")

@@ -14,8 +14,10 @@ package uses, so matching values certify both sides:
 * unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
 * one row-wise determinant per tuple vs prefix-shared elimination
   (``positivity_loop``, ``direct_loop``);
-* every tuple walked vs windows of consecutive columns read first, in
-  an exact exhaustive scan (``walk_scan``);
+* one determinant per tuple vs windows of consecutive columns read
+  first, in an exact exhaustive scan, and vs a walk that shares each
+  prefix's pivot steps and finishes its last two levels in one pass, on
+  either backend (``walk_scan``, ``float_walk_scan``);
 * one divided_difference of two fresh determinants per derived value vs
   a pinned base eliminated once (``derived_value`` and ``OracleDerivedFn``,
   DerivedFn as it was before it read a pinned base);
@@ -105,7 +107,6 @@ from chebconvex.determinant import (
     _Tally,
     _form,
     _prepared_det,
-    _walk_exact,
     check_denominator,
     det,
     increasing_tuples,
@@ -433,15 +434,30 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
 def walk_scan(table, rows: tuple, grid, js, positive: bool) -> SignScan:
     """The exact exhaustive sign scan of the columns of ``rows`` at the
     positions ``js`` of ``grid`` as it ran before it read windows of
-    consecutive columns: every increasing tuple walked."""
+    consecutive columns or shared a prefix's pivot steps: one
+    determinant per increasing tuple, in lexicographic order."""
+    return _per_tuple_scan(table, rows, grid, js, positive, True, DEFAULT_TOL_FACTOR)
+
+
+def float_walk_scan(table, rows: tuple, grid, js, positive: bool, tol_factor) -> SignScan:
+    """walk_scan on a table that reads the grid at the float backend:
+    each tuple's determinant is det's of its float columns, and its
+    tolerance reads the largest |entry| of its own matrix."""
+    return _per_tuple_scan(table, rows, grid, js, positive, False, tol_factor)
+
+
+def _per_tuple_scan(table, rows, grid, js, positive, exact, tol_factor) -> SignScan:
+    """_Tally.add of det's value of each increasing tuple, in order."""
     m, n = len(js), len(rows)
-    tally = _Tally(positive, True, lambda t: tuple(grid[js[j]] for j in t), DEFAULT_TOL_FACTOR)
-    scale = _walk_exact([c.form(True) for c in table.columns(rows, grid, js)], n, tally)
+    forms = [c.form(exact) for c in table.columns(rows, grid, js)]
+    tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
+    for t in itertools.combinations(range(m), n):
+        matrix = [forms[j] for j in t]
+        tally.add(t, _prepared_det(matrix, exact), max(abs(v) for c, _ in matrix for v in c))
     for verdict in ("violated", "indeterminate"):
         if verdict in tally.first:
             t, value = tally.first[verdict]
-            return SignScan(math.comb(m, n), True, verdict, tally.at(t),
-                            Fraction(value, math.prod(scale[j] for j in t)), tally.near_zero)
+            return SignScan(math.comb(m, n), True, verdict, tally.at(t), value, tally.near_zero)
     return SignScan(math.comb(m, n), True)
 
 

@@ -39,6 +39,21 @@ def eval_fraction(text: str):
 
 
 class TestChebcheck:
+    @pytest.mark.parametrize("tol, code, verdict", [
+        (None, 1, "violated"), ("nan", 2, None), ("inf", 2, None)])
+    def test_non_finite_tol_is_an_input_error(self, capsys, tol, code, verdict):
+        # a NaN bound once passed every value: exit 0, positive_on_grid
+        argv = ["chebcheck", "--system", "one-xsq", "--unsafe-domain", "full",
+                "--grid", "list:-1,0.5,1", "--backend", "float"]
+        got, rep = run_cli(capsys, *argv, *([f"--tol={tol}"] if tol else []))
+        assert got == code
+        if verdict:
+            assert rep["results"]["positivity"]["verdict"] == verdict
+            assert rep["results"]["positivity"]["witness"] == [-1.0, 0.5]
+        else:
+            assert rep["error"] == {"type": "InputError",
+                                    "message": f"tol_factor must be finite, got {tol}"}
+
     def test_positive_exit_zero(self, capsys):
         code, rep = run_cli(capsys, "chebcheck", "--system", "poly:3",
                             "--grid", "uniform:0,4,8")

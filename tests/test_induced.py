@@ -8,6 +8,7 @@ import pytest
 from chebconvex.core import OrderingClass, evaluate, validate_tuple
 from chebconvex.determinant import collocation_det
 from chebconvex.errors import (
+    BackendMismatch,
     DimensionMismatch,
     InputError,
     OrderingViolation,
@@ -65,6 +66,18 @@ class TestInducedConstruction:
         ind = induced_system(system, 1, (Fraction(2),))
         assert not ind.domain.contains(Fraction(2))
         assert ind.domain.contains(Fraction(3))
+
+    def test_exact_base_of_a_float_only_system_is_refused(self):
+        # every value of that system would raise BackendMismatch: building
+        # it raises it, as verify_induced_system does on the same base
+        system = trig_odd_system(1, -math.pi, 0.0)
+        with pytest.raises(BackendMismatch) as built:
+            induced_system(system, 1, (Fraction(-3),))
+        with pytest.raises(BackendMismatch) as verified:
+            verify_induced_system(system, 1, (Fraction(-3),), [-2.0, -1.0])
+        assert str(built.value) == str(verified.value)
+        for base in ((-3.0,), (-3,)):
+            assert evaluate(induced_system(system, 1, base).basis[0], -2.0) == 1.0
 
     def test_validation(self):
         system = polynomial_system(3)

@@ -9,9 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from chebconvex.convexity import check_convex_direct
-from chebconvex.core import ExpFn, Interval, PowerFn, SampledFn, affine
+from chebconvex.convexity import (check_convex_direct, check_convex_induced,
+                                  check_convex_interval, cross_mode_agreement)
+from chebconvex.core import ConstFn, ExpFn, Interval, PowerFn, SampledFn, affine
 from chebconvex.determinant import increasing_tuples, is_positive_chebyshev
+from chebconvex.divdiff import divided_difference
+from chebconvex.induced import verify_induced_system
+from chebconvex.variation import (Partition, check_variation_bound, estimate_variation,
+                                  variation_bound, variation_sum)
 from chebconvex.errors import InputError, NonFiniteValue
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
@@ -144,3 +149,49 @@ def test_overflowing_determinant_raises(budget):
     grid = [1e150, 2e150, 3e150, 4e150]
     with pytest.raises(NonFiniteValue):
         is_positive_chebyshev(polynomial_system(3), 3, grid, budget=budget)
+
+
+# ---------------------------------------------------------------------------
+# a tolerance factor that is not finite: no value compares below a NaN
+# bound, so every float value would pass; each public function refuses it
+
+def public_calls(grid) -> dict:
+    """Each public function that takes a tol_factor, by name, as a call
+    on ``grid`` (six points) at a given factor."""
+    line, cubic = polynomial_system(2), polynomial_system(3)
+    return {
+        "is_positive_chebyshev": lambda tol: is_positive_chebyshev(line, 2, grid,
+                                                                   tol_factor=tol),
+        "check_convex_direct": lambda tol: check_convex_direct(line, PowerFn(2), grid,
+                                                               tol_factor=tol),
+        "check_convex_induced": lambda tol: check_convex_induced(cubic, 1, PowerFn(3), grid,
+                                                                 tol_factor=tol),
+        "check_convex_interval": lambda tol: check_convex_interval(cubic, 1, 0, PowerFn(3),
+                                                                   grid, tol_factor=tol),
+        "cross_mode_agreement": lambda tol: cross_mode_agreement(line, PowerFn(2), grid,
+                                                                 tol_factor=tol),
+        "verify_induced_system": lambda tol: verify_induced_system(cubic, 1, grid[:1], grid[1:],
+                                                                   tol_factor=tol),
+        "divided_difference": lambda tol: divided_difference(line, 2, PowerFn(2), grid[:2],
+                                                             tol_factor=tol),
+        "variation_sum": lambda tol: variation_sum(line, PowerFn(3), Partition(grid),
+                                                   tol_factor=tol),
+        "estimate_variation": lambda tol: estimate_variation(line, PowerFn(3), grid[0],
+                                                             grid[-1], tol_factor=tol),
+        "variation_bound": lambda tol: variation_bound(line, PowerFn(3), PowerFn(2), grid[:2],
+                                                       grid[-2:], tol_factor=tol),
+        "check_variation_bound": lambda tol: check_variation_bound(
+            line, PowerFn(3), ConstFn(0), grid[0], grid[-1], tol_factor=tol),
+    }
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("name", sorted(public_calls([])))
+def test_non_finite_tol_factor_is_refused(name, exact):
+    grid = [Fraction(i, 2) if exact else i / 2 for i in range(6)]
+    call = public_calls(grid)[name]
+    call(1e-10)
+    call(-0.05)     # a negative factor is a valid one
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match=f"tol_factor must be finite, got {tol}"):
+            call(tol)
