@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -270,7 +271,10 @@ def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
 
 def _jsonify(value):
     """JSON form of a report value; a report dataclass becomes the dict
-    of all its fields."""
+    of all its fields, and a NaN or infinite float, which strict JSON has
+    no number for, its str() ("nan", "inf", "-inf")."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     if value is None or isinstance(value, (bool, str, int, float)):
         return scalar_to_json(value) if isinstance(value, (int, float)) \
             and not isinstance(value, bool) else value
@@ -290,13 +294,23 @@ def _estimate_dict(est) -> dict:
             "converged": est.converged}
 
 
-def _emit(report: dict, out_path: str | None) -> None:
+def _emit(report: dict, out_path: str | None) -> int | None:
+    """Write ``report`` to ``out_path``, else to stdout.  When out_path
+    cannot be written, the report goes to stdout with that error in place
+    of its results or error, and the exit code 2 is returned."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return None
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        report.pop("results", None)
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        _emit(report, None)
+        return 2
+    return None
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -503,8 +517,7 @@ def main(argv=None) -> int:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 1 if isinstance(exc, BoundViolated) else 2
     report["timing_seconds"] = time.perf_counter() - started
-    _emit(report, args.out)
-    return code
+    return _emit(report, args.out) or code
 
 
 if __name__ == "__main__":

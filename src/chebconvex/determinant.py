@@ -343,9 +343,10 @@ class _PointTable:
     """The values fns[i](x) of functions at the points of grids, each
     computed once, in the order its caller first needs them, and the
     columns [fns[i](x) for i in rows] of tuples of function indices
-    ``rows``, each made once, with its prepared forms.  Both are lists
-    by grid position, made once per grid: a caller passes positions,
-    never points.  A table reads a grid at one backend
+    ``rows``, each made once, with its one prepared form, the one the
+    table's backend on the grid asks for.  Both are lists by grid
+    position, made once per grid: a caller passes positions, never
+    points.  A table reads a grid at one backend
     (:meth:`backend`), and every value is read through :meth:`_value`,
     except in the columns built directly (see :meth:`_kind`); a function
     whose requirement clashes with it raises :class:`BackendMismatch` at
@@ -358,7 +359,6 @@ class _PointTable:
         self._required: dict = {}   # i -> fns[i].required_backend()
         self._rows: set = set()     # (i, backend) where fns[i]'s requirement was found to hold
         self._neutral = None        # the backend a neutral grid is read at, once read
-        self._mixed = any(type(f) is not PowerFn for f in fns)   # can a column mix powers?
         self._lists: dict = {}      # (rows or i, grid) -> columns or values of fns[i], by position
 
     def backend(self, grid: PointTuple) -> Backend:
@@ -410,12 +410,9 @@ class _PointTable:
         powers, poly = self._kinds[rows]
         backend = self.backend(grid)
         if backend is Backend.FLOAT and powers is not None:
-            rowlists = [self._by_position(i, grid) for i in rows] if self._mixed else ()
             for j in slow:
                 values = [float(grid[j]) ** k for k in powers]
-                cols[j] = _Column(values, {False: (values, 1)})
-                for row, v in zip(rowlists, values):    # for a mixed column's power rows
-                    row[j] = v
+                cols[j] = _Column(values, (values, 1))
         elif backend is Backend.EXACT and poly is not None:
             for j in slow:
                 cols[j] = _polynomial_column(*grid.pq(j), *poly)
@@ -425,8 +422,10 @@ class _PointTable:
                 for j in slow:
                     if row[j] is None:
                         row[j] = self._value(i, grid, j, backend)
+            exact = backend is not Backend.FLOAT
             for j in slow:
-                cols[j] = _Column([row[j] for row in values])
+                column = [row[j] for row in values]
+                cols[j] = _Column(column, _form(column, exact))
         return [cols[j] for j in js]
 
     def _by_position(self, key, grid: PointTuple) -> list:
@@ -455,7 +454,7 @@ class _PointTable:
         forms elimination takes."""
         cols = self.columns(rows, grid, js)
         backend = self.backend(grid)
-        return backend, [c.form(backend is not Backend.FLOAT) for c in cols]
+        return backend, [c.form for c in cols]
 
     def det(self, rows: tuple, grid: PointTuple, js) -> Scalar:
         """det of the square matrix of the columns of ``rows`` at the
@@ -495,35 +494,29 @@ def _polynomial_column(p: int, q: int, d: int, lcm: int, terms: list) -> "_Colum
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if type(terms[0]) is int:
-        return _Column(None, {True: ([p ** k * q ** (d - k) for k in terms], q ** d)})
+        return _Column(None, ([p ** k * q ** (d - k) for k in terms], q ** d))
     ints = [sum([c * p ** k * q ** (d - k) for k, c in row]) for row in terms]
     g = math.gcd(q ** d * lcm, *ints)
-    return _Column(None, {True: ([v // g for v in ints], q ** d * lcm // g)})
+    return _Column(None, ([v // g for v in ints], q ** d * lcm // g))
 
 
 class _Column:
-    """One column's values and its float and integer-scaled forms
-    (``forms``, by exact), each made once, when first asked for, the
-    values from the integer form."""
+    """One column's values and its one prepared ``form`` (see
+    :func:`_form`), the float or integer-scaled one that its table's
+    backend on the grid asks for.  Values not given are made from the
+    integer form when first asked for."""
 
-    __slots__ = ("_values", "_forms")
+    __slots__ = ("_values", "form")
 
-    def __init__(self, values: list | None, forms: dict | None = None):
-        self._values = values
-        self._forms = forms or {}
+    def __init__(self, values: list | None, form: tuple[list, int]):
+        self._values, self.form = values, form
 
     @property
     def values(self) -> list:
         if self._values is None:
-            ints, scale = self._forms[True]
+            ints, scale = self.form
             self._values = [Fraction(v, scale) for v in ints]
         return self._values
-
-    def form(self, exact: bool) -> tuple[list, int]:
-        form = self._forms.get(exact)
-        if form is None:
-            form = self._forms[exact] = _form(self.values, exact)
-        return form
 
 
 # ---------------------------------------------------------------------------
@@ -631,21 +624,22 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # the sign scan behind grid positivity and every convexity mode
 #
 # A scan reads its columns from a point table, at each grid point it
-# touches.  An exhaustive scan then walks the increasing tuples depth
-# first in lexicographic order and eliminates one tuple point (one
-# matrix column) per level, so all extensions of a prefix share its
-# pivot steps, which are those of det: its determinants are
-# bit-identical to det's of each tuple; an exact one walks only when its
-# windows of consecutive columns fail (_certified).  The last two levels
-# are one pass: with two entries (a, b) left in each column, each pivot
-# column gives one list, the row of determinants of its extensions by
-# one later column, by det's own operations, and _Tally.row clears the
-# row in one comparison of its smallest value with one bound, the float
-# one |tol| at the row's largest |entry|.  That bound serves the whole
-# row because |tol| grows with the largest |entry|; a row that fails it
-# goes to _Tally.add tuple by tuple, in order.  A sampled scan calls
-# det's elimination on each sampled tuple's prepared columns and
-# _Tally.add on each.
+# touches.  An exhaustive scan of tuples of two points or more then
+# walks the increasing tuples depth first in lexicographic order and
+# eliminates one tuple point (one matrix column) per level, so all
+# extensions of a prefix share its pivot steps, which are those of det:
+# its determinants are bit-identical to det's of each tuple; an exact
+# one walks only when its windows of consecutive columns fail
+# (_certified).  The last two levels are one pass: with two entries
+# (a, b) left in each column, each pivot column gives one list, the row
+# of determinants of its extensions by one later column, by det's own
+# operations, and _Tally.row clears the row in one comparison of its
+# smallest value with one bound, the float one |tol| at the row's
+# largest |entry|.  That bound serves the whole row because |tol| grows
+# with the largest |entry|; a row that fails it goes to _Tally.add tuple
+# by tuple, in order.  A sampled scan, and a
+# scan of one-point tuples, exhaustive or not, calls det's elimination
+# on each tuple's prepared columns and _Tally.add on each (_scan_each).
 
 _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 
@@ -739,12 +733,12 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
                          if exhaustive else tuples, exact)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     scale = None
-    if not exhaustive:
-        _scan_each({j: c.form(exact) for j, c in cols.items()}, tuples, tally)
+    if not exhaustive or n == 1:
+        _scan_each({j: c.form for j, c in cols.items()}, tuples, tally)
     elif not exact:
-        _walk_float([cols[j].form(False)[0] for j in range(m)], n, tally)
+        _walk_float([cols[j].form[0] for j in range(m)], n, tally)
     else:
-        forms = [cols[j].form(True) for j in range(m)]
+        forms = [cols[j].form for j in range(m)]
         if _certified([c for c, _ in forms], n, positive):
             return SignScan(checked, exhaustive)
         scale = _walk_exact(forms, n, tally)
@@ -801,13 +795,9 @@ def _walk(cols: list, n: int, root, pivot, reduce, pair, zero, tally: _Tally) ->
     ``pair(state, j, c, later)`` pivots on column j (``c``, two entries)
     and gives the determinants of the tuples that end in j and one of the
     ``later`` columns, with the rest of :meth:`_Tally.row`'s arguments,
-    or ``None`` when c is zero; for n = 1, ``pair(root, None, None,
-    cols)`` gives them for the one-column tuples.  ``zero(t)`` gives the
-    arguments of :meth:`_Tally.add` after a tuple whose determinant is
-    zero."""
-    if n == 1:
-        tally.row((), range(len(cols)), *pair(root, None, None, cols))
-        return
+    or ``None`` when c is zero.  ``zero(t)`` gives the arguments of
+    :meth:`_Tally.add` after a tuple whose determinant is zero.  It
+    takes n >= 2: a scan of one-point tuples is :func:`_scan_each`'s."""
     last = n - 1
 
     def visit(d, prefix, state, idx, cands):
@@ -846,8 +836,6 @@ def _walk_float(cols: list, n: int, tally: _Tally) -> None:
 
     def pair(state, j, c, later):
         result, biggest = state
-        if c is None:
-            return [result * v if v != 0.0 else 0.0 for v, in later], sufmax[0], biggest, colmax
         a, b = c
         if abs(b) > abs(a):
             r, f = -result * b, a / b
@@ -875,8 +863,6 @@ def _walk_exact(forms: list, n: int, tally: _Tally) -> list:
 
     def pair(state, j, c, later):
         sign, prev = state
-        if c is None:
-            return [sign * v for v, in later],
         a, b = c
         if a:
             return [sign * ((a * y - b * x) // prev) for x, y in later],

@@ -172,9 +172,8 @@ class _PinnedBase(_PointTable):
             self.kept[t] = (backend, forms, done, math.prod(s for _, s in forms), rows,
                             self.table._by_position(rows, self.grid))
         else:
-            backend, _, _, _, rows, made = self.kept[t]
-            column = made[j] or self.table.columns(rows, self.grid, (j,))[0]
-            form = column.form(backend is not Backend.FLOAT)
+            *_, rows, made = self.kept[t]
+            form = (made[j] or self.table.columns(rows, self.grid, (j,))[0]).form
         backend, base_forms, done, scale, _, _ = self.kept[t]
         exact = backend is not Backend.FLOAT
         forms = base_forms + [form]

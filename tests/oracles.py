@@ -279,7 +279,7 @@ def rand_increasing_floats(rng: random.Random, count: int, lo: float, hi: float,
 
 class OracleColumn:
     """One column's values, with its backend (``collection_backend`` of
-    the values, read when asked, as the table read it) and its forms."""
+    the values, read when asked, as the table read it) and its form."""
 
     def __init__(self, values: list):
         self.values = values
@@ -287,8 +287,10 @@ class OracleColumn:
     def backend(self):
         return collection_backend(self.values)
 
-    def form(self, exact: bool) -> tuple:
-        return _form(self.values, exact)
+    @property
+    def form(self) -> tuple:
+        """The values' prepared form at their backend."""
+        return _form(self.values, self.backend() is not Backend.FLOAT)
 
 
 def evaluate_columns(fns, rows: tuple, xs) -> list:
@@ -449,7 +451,7 @@ def float_walk_scan(table, rows: tuple, grid, js, positive: bool, tol_factor) ->
 def _per_tuple_scan(table, rows, grid, js, positive, exact, tol_factor) -> SignScan:
     """_Tally.add of det's value of each increasing tuple, in order."""
     m, n = len(js), len(rows)
-    forms = [c.form(exact) for c in table.columns(rows, grid, js)]
+    forms = [c.form for c in table.columns(rows, grid, js)]
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     for t in itertools.combinations(range(m), n):
         matrix = [forms[j] for j in t]

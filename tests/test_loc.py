@@ -50,3 +50,14 @@ def test_a_string_statement_after_code_is_a_docstring():
 y = "a value"
 '''
     assert loc.code_lines(text) == 2
+
+
+#: The package's code-line cap (ROADMAP.md, "Code-line budget"); a
+#: change that moves the cap edits this number and says so.
+CAP = 2450
+
+
+def test_the_package_fits_its_code_line_cap():
+    package = Path(__file__).resolve().parent.parent / "src" / "chebconvex"
+    total = sum(loc.code_lines(p.read_text()) for p in package.glob("*.py"))
+    assert total <= CAP

@@ -117,6 +117,23 @@ def test_an_overflowing_row_raises_where_a_tuple_does(positive):
         assert got == want and got.startswith("NonFiniteValue")
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("tol_factor", TOL_FACTORS)
+@pytest.mark.parametrize("row", [[2, 0, 3], [3, 1, -1, 0], [0, 0], [Fraction(1, 4), 4, 1]])
+def test_one_point_tuples_take_the_per_tuple_path(monkeypatch, row, exact, positive,
+                                                  tol_factor):
+    """An exhaustive scan of one-point tuples, a zero value among them,
+    checks each tuple alone: it gives the per-tuple oracle's scan and
+    neither walks nor finishes a row."""
+    def refuse(*args):
+        raise AssertionError("a one-point scan walked")
+    monkeypatch.setattr(determinant, "_walk", refuse)
+    monkeypatch.setattr(determinant, "_certified", refuse)
+    got, want = scan_and_oracle([[v] for v in row], exact, positive, tol_factor)
+    assert got == want
+
+
 def test_sampled_scans_do_not_finish_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("a sampled scan finished a row")
