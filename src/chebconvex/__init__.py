@@ -32,8 +32,6 @@ from .determinant import (
     PositivityReport,
     SylvesterReport,
     bordered_minor,
-    collocation_det,
-    collocation_matrix,
     det,
     is_positive_chebyshev,
     matrix_from_rows,
@@ -49,8 +47,6 @@ from .divdiff import (
 )
 from .induced import (
     DerivedFn,
-    InducedSystem,
-    induced_system,
     verify_induced_system,
 )
 from .convexity import (

@@ -389,7 +389,7 @@ class PowerFn(FunctionSpec):
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 0:
+        if type(self.k) is not int or self.k < 0:    # a bool is no exponent
             raise InputError(f"power exponent must be an int >= 0, got {self.k!r}")
 
     def _eval(self, x, backend):
@@ -403,7 +403,7 @@ class CosFn(FunctionSpec):
     freq: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.freq, int) or self.freq < 1:
+        if type(self.freq) is not int or self.freq < 1:
             raise InputError(f"cos frequency must be an int >= 1, got {self.freq!r}")
 
     def required_backend(self):
@@ -420,7 +420,7 @@ class SinFn(FunctionSpec):
     freq: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.freq, int) or self.freq < 1:
+        if type(self.freq) is not int or self.freq < 1:
             raise InputError(f"sin frequency must be an int >= 1, got {self.freq!r}")
 
     def required_backend(self):
@@ -669,6 +669,14 @@ def _json_error(what: str, exc: Exception) -> InputError:
     return InputError(f"bad {what}: {exc}")
 
 
+def _json_flag(d: dict, key: str) -> bool:
+    """An interval spec's flag ``key``: a JSON boolean, true when absent."""
+    v = d.get(key, True)
+    if not isinstance(v, bool):
+        raise InputError(f"domain spec field {key!r} must be true or false, got {v!r}")
+    return v
+
+
 def domain_from_json(d: dict) -> Domain:
     kind = _json_object(d, "domain spec").get("kind")
     try:
@@ -677,7 +685,7 @@ def domain_from_json(d: dict) -> Domain:
             hi = d.get("hi")
             return Interval(None if lo is None else scalar_from_json(lo),
                             None if hi is None else scalar_from_json(hi),
-                            bool(d.get("lo_open", True)), bool(d.get("hi_open", True)))
+                            _json_flag(d, "lo_open"), _json_flag(d, "hi_open"))
         if kind == "finite_set":
             return FiniteSet(tuple(scalar_from_json(p) for p in d["points"]))
         if kind == "punctured_interval":

@@ -7,13 +7,13 @@ clear column denominators and run fraction-free (Bareiss) elimination
 over the integers, which keeps intermediate entries polynomially sized.
 Float determinants use Gaussian elimination with partial pivoting.
 Every collocation determinant (grid scans, pinned bases, divided
-differences, variation windows and collocation_det) reads one point
-table, which evaluates each function once per point, resolves each
-backend once and builds columns of polynomials with exact coefficients
-from an exact point's integers.  Grid scans share the elimination
-steps of a common tuple prefix, and a pinned base (induced._PinnedBase)
-keeps the steps of its base columns and reduces only each appended
-point's column by them.
+differences and variation windows) reads one point table, which
+evaluates each function once per point, resolves each backend once and
+builds columns of polynomials with exact coefficients from an exact
+point's integers.  Grid scans share the elimination steps of a common
+tuple prefix, and a pinned base (induced._PinnedBase) keeps the steps
+of its base columns and reduces only each appended point's column by
+them.
 
 A grid is a point tuple (:class:`core.PointTuple`), the one that
 validate_tuple or :func:`sorted_grid` returned, and a table reads it by
@@ -62,7 +62,6 @@ from .core import (
     ChebyshevSystem,
     ConstFn,
     Domain,
-    FunctionSpec,
     OrderingClass,
     PointTuple,
     PowerFn,
@@ -519,32 +518,6 @@ class _Column:
         return self._values
 
 
-# ---------------------------------------------------------------------------
-# collocation determinants
-
-def collocation_matrix(fns: Sequence[FunctionSpec], points: Sequence[Scalar]) -> Matrix:
-    """The square matrix with entry (i, j) = fns[i](points[j]), read
-    from a point table."""
-    if len(fns) != len(points):
-        raise DimensionMismatch(
-            f"{len(fns)} functions vs {len(points)} points")
-    table = _PointTable(tuple(fns))
-    columns = table.columns(tuple(range(len(fns))), PointTuple(points), range(len(points)))
-    return matrix_from_rows(list(zip(*(c.values for c in columns))))
-
-
-def collocation_det(system: ChebyshevSystem, k: int, points: PointTuple | Sequence[Scalar]) -> Scalar:
-    """Collocation determinant det(basis_i(x_j)) of the k-prefix of the
-    system at the given k points (checked to lie in the domain)."""
-    pts = tuple(points)
-    if not 1 <= k <= system.dim:
-        raise DimensionMismatch(f"prefix size {k} outside 1..{system.dim}")
-    if len(pts) != k:
-        raise DimensionMismatch(f"need {k} points, got {len(pts)}")
-    _check_domain(system.domain, pts)
-    return _PointTable(system.basis[:k]).det(tuple(range(k)), PointTuple(pts), range(k))
-
-
 def _finite_tol(tol_factor: float) -> float:
     """``tol_factor``, once it is found finite, else :class:`InputError`:
     every public function that takes one reaches this check before it
@@ -575,10 +548,10 @@ def check_denominator(den: Scalar, forms: list, backend: Backend | None, at: tup
     """The singular-denominator rule of every divided difference: raise
     :class:`SingularDenominator` when ``den``, the determinant of the
     collocation matrix with the prepared columns ``forms`` at the points
-    ``at``, is within its positivity tolerance (float backend) or zero
-    (exact)."""
+    ``at``, is zero or, on the float backend, within its positivity
+    tolerance, which a negative ``tol_factor`` makes negative."""
     if backend is Backend.FLOAT:
-        if abs(den) <= _tolerance(_biggest(forms), len(at), tol_factor):
+        if abs(den) <= _tolerance(_biggest(forms), len(at), tol_factor) or den == 0:
             shown = f"{name} {den}" if show_value else name
             raise SingularDenominator(f"{shown} within tolerance at {at}")
     elif den == 0:

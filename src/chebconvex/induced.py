@@ -8,13 +8,13 @@ point:
 
 These form an (n-k)-dimensional system on the punctured domain, and it
 is again a positive Chebyshev system whenever the parent and its k and
-k+1 prefixes are.  This module builds that system and verifies both
-positivity and the determinant factorization identity numerically on a
-grid; the paper's sign formula for how the appended point interleaves
-the base is a test oracle (tests/oracles.py).  The identity is the
-paper's Sylvester factorization; :meth:`_PinnedBase.identity` evaluates
-it for this check and for convexity_identity_check, each (k+1)-minor
-after the singular-denominator rule.
+k+1 prefixes are.  This module verifies both that system's positivity
+and the determinant factorization identity numerically on a grid; the
+paper's sign formula for how the appended point interleaves the base is
+a test oracle (tests/oracles.py).  The identity is the paper's
+Sylvester factorization; :meth:`_PinnedBase.identity` evaluates it for
+this check and for convexity_identity_check, each (k+1)-minor after the
+singular-denominator rule.
 
 A derived value comes one of two ways.  The checks pin each of their
 bases once (:class:`_PinnedBase`), with every target on one point
@@ -26,11 +26,10 @@ value, and each later value is one reduction of the appended point's
 column by the kept steps (Mühlbach's recurrence), bit for bit
 divided_difference's value over (base..., x).  Whether (base..., x)
 needs divided_difference's ordering check is read once per grid.
-:class:`DerivedFn` takes divided_difference's own ratio step
-(divdiff._ratio) for each value, on the tuple (base..., x) that its
-checks return.  :func:`verify_induced_system` takes
-:func:`induced_system`'s checks of the base and builds no derived
-function.
+:class:`DerivedFn`, built directly as ``DerivedFn(parent, k, base, g)``,
+takes divided_difference's checks and its own ratio step
+(divdiff._ratio) for each value, on the tuple (base..., x) that the
+checks return; it checks nothing of the base when it is built.
 """
 
 from __future__ import annotations
@@ -101,8 +100,7 @@ class DerivedFn(FunctionSpec):
 
 
 def _check_base(domain: Domain, base) -> None:
-    """:func:`induced_system`'s check that the base lies in the parent's
-    domain."""
+    """The check that every base point lies in the parent's domain."""
     for x in base:
         if not domain.contains(x):
             raise InputError(f"base point {x} is outside the parent domain")
@@ -232,46 +230,10 @@ class _PinnedBase(_PointTable):
         return ResidualReport(lhs, rhs, abs(lhs - rhs))
 
 
-@dataclass(frozen=True)
-class InducedSystem:
-    """The (n-k)-dimensional divided-difference system produced by
-    :func:`induced_system`."""
-
-    parent: ChebyshevSystem
-    k: int
-    base: PointTuple
-    basis: tuple
-    domain: Domain
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def as_system(self) -> ChebyshevSystem:
-        return ChebyshevSystem(self.basis, self.domain)
-
-
-def induced_system(parent: ChebyshevSystem, k: int, base) -> InducedSystem:
-    """Pin ``k`` strictly increasing base points and return the induced
-    (n-k)-dimensional system on the punctured domain.
-
-    Meaningful as a positive Chebyshev system only when the k and k+1
-    prefixes of the parent are positive (caller-asserted or verified via
-    a grid check); otherwise evaluation surfaces SingularDenominator.
-    A base whose backend clashes with a basis function's requirement (an
-    exact base of a float-only system) raises :class:`BackendMismatch`
-    here, as every value of the system would.
-    """
-    base, domain = _checked_base(parent, k, base)
-    combine_backends(base.backend, *(fn.required_backend() for fn in parent.basis))
-    basis = tuple(DerivedFn(parent, k, base, parent.basis[j]) for j in range(k, parent.dim))
-    return InducedSystem(parent, k, base, basis, domain)
-
-
 def _checked_base(parent: ChebyshevSystem, k: int, base) -> tuple:
     """``base`` as a strictly increasing tuple of k points of the
     parent's domain, 1 <= k <= dim - 1, and the domain punctured there:
-    :func:`induced_system`'s checks, in its order."""
+    :func:`verify_induced_system`'s checks of the base, in this order."""
     base = _increasing(base)
     n = parent.dim
     if not 1 <= k <= n - 1:

@@ -7,8 +7,9 @@ package uses, so matching values certify both sides:
 * evaluate() per value, backends read from the values, vs the point
   table's backends resolved once and its power columns built directly
   (``evaluate_columns``, and ``collocation_matrix_per_value`` and
-  ``collocation_det_per_value``, the package's collocation matrix and
-  determinant as they were before they read the table);
+  ``collocation_det_per_value``, the collocation matrix and determinant
+  that the package once exported, as they were before they read the
+  table);
 * row-wise vs column-step elimination (``row_det``);
 * monomial enumeration vs accumulation (``homogeneous_by_enumeration``);
 * unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
@@ -93,6 +94,7 @@ from chebconvex.core import (
     collection_backend,
     combine_backends,
     evaluate,
+    puncture,
     scalar_backend,
     to_exact,
     validate_tuple,
@@ -131,7 +133,7 @@ from chebconvex.errors import (
     InsufficientGrid,
     OrderingViolation,
 )
-from chebconvex.induced import DerivedFn, InducedCheckReport, induced_system
+from chebconvex.induced import DerivedFn, InducedCheckReport
 from chebconvex.systems import polynomial_system
 
 
@@ -496,12 +498,30 @@ class OracleDerivedFn(DerivedFn):
         return derived_value(self, x, self.tol_factor)
 
 
-def oracle_induced(ind, tol_factor=DEFAULT_TOL_FACTOR) -> tuple:
-    """The induced system ``ind`` as a ChebyshevSystem, and the maker of
-    its derived functions, all of them OracleDerivedFn at ``tol_factor``."""
+def oracle_induced(parent: ChebyshevSystem, k: int, base,
+                   tol_factor=DEFAULT_TOL_FACTOR) -> tuple:
+    """The base as a strictly increasing point tuple, the system that
+    pinning it induces, on the parent's domain punctured at the base, and
+    the maker of its derived functions, all of them OracleDerivedFn at
+    ``tol_factor``.  The base is checked first, in this order and with
+    the package's messages: strictly increasing, 1 <= k <= dim - 1, k
+    points, each in the parent's domain, and a backend that no basis
+    function's requirement clashes with."""
+    base = _increasing(base)
+    n = parent.dim
+    if not 1 <= k <= n - 1:
+        raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
+    if len(base) != k:
+        raise DimensionMismatch(f"base has {len(base)} points, expected {k}")
+    for x in base:
+        if not parent.domain.contains(x):
+            raise InputError(f"base point {x} is outside the parent domain")
+    combine_backends(base.backend, *(fn.required_backend() for fn in parent.basis))
+
     def derived(target):
-        return OracleDerivedFn(ind.parent, ind.k, ind.base, target, tol_factor)
-    return ChebyshevSystem(tuple(map(derived, ind.parent.basis[ind.k:])), ind.domain), derived
+        return OracleDerivedFn(parent, k, base, target, tol_factor)
+    domain = puncture(parent.domain, base.points)
+    return base, ChebyshevSystem(tuple(map(derived, parent.basis[k:])), domain), derived
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +558,9 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
             bases_skipped += 1
             continue
         bases_checked += 1
-        ind = induced_system(system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING,
-                                                       min_gap=0.0))
-        induced, derived = oracle_induced(ind, tol_factor)
+        _, induced, derived = oracle_induced(
+            system, k, validate_tuple(base, OrderingClass.STRICTLY_INCREASING, min_gap=0.0),
+            tol_factor)
         inner = direct_loop(induced, derived(f), local,
                             budget=budget, seed=seed, tol_factor=tol_factor)
         tuples_checked += inner.tuples_checked
@@ -612,15 +632,14 @@ def induced_identity_loop(parent: ChebyshevSystem, k: int, base, grid,
     """Build the induced system over ``base`` and check, over the grid,
     that it is a positive Chebyshev system and that the factorization
     identity holds on every sampled increasing (n-k)-tuple."""
-    ind = induced_system(parent, k, base)
-    system, _ = oracle_induced(ind, tol_factor)
-    d = ind.dim
+    base, system, _ = oracle_induced(parent, k, base, tol_factor)
+    d = system.dim
     pts = sorted_grid(grid)
     positivity = is_positive_chebyshev(system, d, pts, budget=budget, seed=seed,
                                        tol_factor=tol_factor)
 
     tuples, exhaustive = increasing_tuples(pts, d, budget=budget, seed=seed)
-    base_pts = ind.base.points
+    base_pts = base.points
     kminor = collocation_det_per_value(parent, k, base_pts)
     max_abs = 0.0
     max_rel = 0.0

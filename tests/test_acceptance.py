@@ -20,13 +20,14 @@ from chebconvex.core import (
     ConstFn,
     ExpFn,
     Interval,
+    OrderingClass,
     PowerFn,
     SampledFn,
     affine,
     evaluate,
+    validate_tuple,
 )
 from chebconvex.determinant import (
-    collocation_det,
     is_positive_chebyshev,
     matrix_from_rows,
     sylvester_check,
@@ -36,7 +37,7 @@ from chebconvex.divdiff import (
     divided_difference,
     power_divdiff_check,
 )
-from chebconvex.induced import induced_system, verify_induced_system
+from chebconvex.induced import DerivedFn, verify_induced_system
 from chebconvex.systems import (
     one_xsq_system,
     polynomial_system,
@@ -52,6 +53,7 @@ from chebconvex.variation import (
 )
 
 from oracles import (
+    collocation_det_per_value,
     rand_fraction,
     rand_distinct_fractions,
     rand_increasing_fractions,
@@ -179,7 +181,7 @@ def test_criterion_4_sign_formula_exhaustive():
                     continue
                 cases += 1
                 predicted = sign_index(base, x).predicted_sign
-                value = collocation_det(system, k + 1, base + (x,))
+                value = collocation_det_per_value(system, k + 1, base + (x,))
                 if value == 0 or (1 if value > 0 else -1) != predicted:
                     mismatches += 1
 
@@ -192,7 +194,7 @@ def test_criterion_4_sign_formula_exhaustive():
                     continue
                 cases += 1
                 predicted = sign_index(base, x).predicted_sign
-                value = collocation_det(trig, k + 1, base + (x,))
+                value = collocation_det_per_value(trig, k + 1, base + (x,))
                 if (1 if value > 0 else -1) != predicted:
                     mismatches += 1
 
@@ -213,8 +215,7 @@ def test_criterion_5_induced_systems_positive():
         for k in range(1, n):
             for _ in range(4):
                 base = tuple(sorted(rng.sample(half_grid, k)))
-                ind = induced_system(system, k, base)
-                report = is_positive_chebyshev(ind.as_system(), ind.dim, int_grid)
+                report = verify_induced_system(system, k, base, int_grid).positivity
                 bases_checked += 1
                 if not report.is_positive:
                     failures += 1
@@ -227,8 +228,7 @@ def test_criterion_5_induced_systems_positive():
         for _ in range(6):
             base = tuple(sorted(rng.sample(coarse, k)))
             grid = tuple(x for x in fine if all(abs(x - b) > 1e-6 for b in base))
-            ind = induced_system(trig, k, base)
-            report = is_positive_chebyshev(ind.as_system(), ind.dim, grid)
+            report = verify_induced_system(trig, k, base, grid).positivity
             bases_checked += 1
             if not report.is_positive:
                 failures += 1
@@ -263,12 +263,13 @@ def test_criterion_6_cross_mode_equivalence():
     trig = trig_odd_system(1, -math.pi, 0.0)
     worst_rel = 0.0
     for x1 in (-2.5, -1.8, -0.9):
-        ind = induced_system(trig, 1, (x1,))
+        base = validate_tuple((x1,), OrderingClass.STRICTLY_INCREASING)
+        generic = [DerivedFn(trig, 1, base, g) for g in trig.basis[1:]]
         closed = trig_induced_closed_form(x1)
         for x in (-2.9, -2.1, -1.3, -0.5, -0.2):
             if abs(x - x1) < 0.1:
                 continue
-            for generic_fn, closed_fn in zip(ind.basis, closed.basis):
+            for generic_fn, closed_fn in zip(generic, closed.basis):
                 g = evaluate(generic_fn, x)
                 c = evaluate(closed_fn, x)
                 worst_rel = max(worst_rel, abs(g - c) / max(1.0, abs(c)))
@@ -280,7 +281,7 @@ def test_criterion_6_cross_mode_equivalence():
 
 def test_criterion_7_degenerate_pair_reproduced():
     wide = one_xsq_system(Interval(), allow_unsafe_domain=True)
-    value = collocation_det(wide, 2, (-1, 1))
+    value = collocation_det_per_value(wide, 2, (-1, 1))
     report = is_positive_chebyshev(wide, 2, [-1, 1])
     conclude(7, value == 0 and report.verdict == "violated"
              and report.witness == (-1, 1) and report.witness_value == 0,

@@ -69,3 +69,12 @@ def test_a_name_referenced_only_in_its_own_definition_has_no_caller(tmp_path):
     assert code_references(module) == {"x"}
     module.write_text(recursive + "\n\ndef g():\n    return h.f\n")
     assert code_references(module) == {"x", "h", "f"}
+
+
+def test_readme_quick_start_runs():
+    """README's "Library quick start" block runs as written, so deleting
+    or renaming a public name that it calls fails here."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "cc.det(" in code
+    exec(compile(code, "README.md quick start", "exec"), {})

@@ -496,6 +496,15 @@ MALFORMED_SYSTEMS = {
     "finite set without points": (
         {"basis": [{"kind": "power", "k": 0}], "domain": {"kind": "finite_set"}},
         "domain spec 'finite_set' is missing field 'points'"),
+    "bool exponent": (
+        {"basis": [{"kind": "power", "k": 0}, {"kind": "power", "k": True}],
+         "domain": {"kind": "interval"}},
+        "power exponent must be an int >= 0, got True"),
+    "closed end as a string": (
+        {"basis": [{"kind": "power", "k": 0}, {"kind": "power", "k": 1}],
+         "domain": {"kind": "interval", "lo": 0, "hi": 2, "lo_open": "false",
+                    "hi_open": "false"}},
+        "domain spec field 'lo_open' must be true or false, got 'false'"),
     "affine term not an object": (
         {"basis": [{"kind": "power", "k": 0},
                    {"kind": "affine", "terms": [1]}],
@@ -624,3 +633,18 @@ def test_nan_grid_point_is_outside_the_domain(capsys):
     assert code == 2
     assert rep["error"] == {"type": "EvaluationOutsideSupport",
                             "message": "grid point nan is outside the system domain"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("divdiff", "--grid", "list:-1,1"),
+    ("convexity", "--mode", "induced", "--k", "1", "--grid", "list:-1,0,1,2"),
+])
+def test_zero_denominator_is_singular_at_a_negative_tol(capsys, argv):
+    """A negative --tol once made the float rule |den| <= tol miss a zero
+    denominator: a ZeroDivisionError traceback, exit 1."""
+    code, rep = run_cli(capsys, *argv, "--system", "one-xsq", "--unsafe-domain", "full",
+                        "--function", "power:3", "--backend", "float", "--tol=-1")
+    assert code == 2
+    assert rep["error"] == {
+        "type": "SingularDenominator",
+        "message": "prefix collocation determinant 0.0 within tolerance at (-1.0, 1.0)"}

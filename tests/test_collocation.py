@@ -1,12 +1,15 @@
-"""``collocation_matrix`` and ``collocation_det``, which read a point
-table, checked against their per-value bodies in ``oracles.py``
-(``evaluate`` per entry, then ``det`` of the matrix): on seeded
-polynomial, trigonometric and affine systems at exact, int, float and
-mixed points, and on empty and mismatched input.  The points are one
-grid, read at one backend, so the per-value route takes them at their
-twin: the ints of a grid read at float as floats.  Values must be equal
-and of the same type, floats bit for bit (compared by repr), and an
-error must be the same error with the same message."""
+"""A point table's matrices and determinants (``_PointTable.columns``
+and ``_PointTable.det``, which every collocation determinant reads),
+checked against the per-value routes in ``oracles.py`` (``evaluate``
+per entry, then ``det`` of the matrix): on seeded polynomial,
+trigonometric and affine systems at exact, int, float and mixed points,
+and on empty input.  The points are one grid, read at one backend, so
+the per-value route takes them at their twin: the ints of a grid read
+at float as floats.  Values must be equal and of the same type, floats
+bit for bit (compared by repr), and an error must be the same error
+with the same message.  A count of points other than the count of
+functions, or a point outside the domain, is refused by the per-value
+route's own checks; a table's callers check both before they read it."""
 
 import math
 import random
@@ -21,11 +24,12 @@ from chebconvex.core import (
     ExpFn,
     FiniteSet,
     Interval,
+    PointTuple,
     PowerFn,
     SampledFn,
     affine,
 )
-from chebconvex.determinant import collocation_det, collocation_matrix
+from chebconvex.determinant import _PointTable, matrix_from_rows
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system, trig_odd_system
 
@@ -39,6 +43,18 @@ def outcome(fn, *args) -> tuple:
         return "value", repr(fn(*args))
     except (InputError, ArithmeticError) as exc:
         return "error", f"{type(exc).__name__}: {exc}"
+
+
+def table_matrix(fns, pts):
+    """The matrix of a point table's columns of ``fns`` at ``pts``."""
+    table = _PointTable(tuple(fns))
+    columns = table.columns(tuple(range(len(fns))), PointTuple(pts), range(len(pts)))
+    return matrix_from_rows(list(zip(*(c.values for c in columns))))
+
+
+def table_det(fns, pts):
+    """A point table's det of ``fns`` at ``pts``."""
+    return _PointTable(tuple(fns)).det(tuple(range(len(fns))), PointTuple(pts), range(len(pts)))
 
 
 SAMPLED = SampledFn((Fraction(-1, 2), 0, Fraction(1, 3), 2), (1, Fraction(-2, 3), 5, 0))
@@ -70,6 +86,10 @@ def points(rng: random.Random, kind: str, count: int) -> tuple:
     return tuple(one(kind) for _ in range(count))
 
 
+#: the outcomes of the per-value route's checks of its count of points and
+#: of the domain, which a table's callers make before they read it
+CHECKS = ("DimensionMismatch", "EvaluationOutsideSupport: point ")
+
 MIXED = ("BackendMismatch: exact and float scalars mixed in one computation; "
          "convert explicitly with to_exact()/to_float()")
 
@@ -84,7 +104,7 @@ def reference(oracle, fns, *args) -> tuple:
     function requires float."""
     *head, pts = args
     want = outcome(oracle, *args)
-    if want[1].startswith(("DimensionMismatch", "EvaluationOutsideSupport: point ")):
+    if want[1].startswith(CHECKS):
         return want
     floats = any(isinstance(x, float) for x in pts)
     if floats and any(isinstance(x, Fraction) for x in pts):
@@ -108,10 +128,15 @@ def test_collocation_matches_per_value_route(system, kind):
         if isinstance(system.domain, FiniteSet) and rng.random() < 0.5:
             pts = tuple(rng.choice(SAMPLED.points[:3]) for _ in pts)
         fns = system.basis[:k]
-        got = outcome(collocation_det, system, k, pts)
-        assert got == reference(collocation_det_per_value, fns, system, k, pts), (k, pts)
-        assert outcome(collocation_matrix, fns, pts) == \
-            reference(collocation_matrix_per_value, fns, fns, pts), (k, pts)
+        if len(pts) == k:
+            assert outcome(table_matrix, fns, pts) == \
+                reference(collocation_matrix_per_value, fns, fns, pts), (k, pts)
+        want = reference(collocation_det_per_value, fns, system, k, pts)
+        if len(pts) != k or not all(map(system.domain.contains, pts)):
+            assert want[1].startswith(CHECKS), (k, pts)
+            continue
+        got = outcome(table_det, fns, pts)
+        assert got == want, (k, pts)
         seen.add(got[0])
     assert "value" in seen
 
@@ -129,8 +154,11 @@ def test_collocation_matches_per_value_route(system, kind):
     ((PowerFn(0), PowerFn(3)), (1.0, 1e200)),             # overflow
 ])
 def test_matrix_edge_inputs_match_per_value_route(fns, pts):
-    assert outcome(collocation_matrix, fns, pts) == \
-        outcome(collocation_matrix_per_value, fns, pts)
+    want = outcome(collocation_matrix_per_value, fns, pts)
+    if len(pts) != len(fns):
+        assert want[1].startswith("DimensionMismatch")
+    else:
+        assert outcome(table_matrix, fns, pts) == want
 
 
 @pytest.mark.parametrize("k, pts", [(0, ()), (1, ()), (2, ()), (2, (1,)), (2, (1, 2, 3)),
@@ -138,8 +166,11 @@ def test_matrix_edge_inputs_match_per_value_route(fns, pts):
                                     (2, (1.0, 1e200))])
 def test_det_edge_inputs_match_per_value_route(k, pts):
     system = ChebyshevSystem((PowerFn(0), PowerFn(3)), Interval())
-    assert outcome(collocation_det, system, k, pts) == \
-        outcome(collocation_det_per_value, system, k, pts)
+    want = outcome(collocation_det_per_value, system, k, pts)
+    if len(pts) != k or not 1 <= k <= system.dim:
+        assert want[1].startswith("DimensionMismatch")
+    else:
+        assert outcome(table_det, system.basis[:k], pts) == want
 
 
 @pytest.mark.parametrize("fns, pts, message", [
@@ -154,8 +185,8 @@ def test_non_scalar_points_raise_as_per_value_route(fns, pts, message):
     grid is made, before any value (see test_grid_backend)."""
     want = outcome(collocation_matrix_per_value, fns, pts)
     assert want == ("error", message)
-    assert outcome(collocation_matrix, fns, pts) == want
+    assert outcome(table_matrix, fns, pts) == want
     if all(type(f) is PowerFn for f in fns):
         system = ChebyshevSystem(fns, Interval())
-        assert outcome(collocation_det, system, 2, pts) == \
+        assert outcome(table_det, fns, pts) == \
             outcome(collocation_det_per_value, system, 2, pts) == want

@@ -6,12 +6,16 @@ from fractions import Fraction
 import pytest
 
 from chebconvex.core import (
+    ChebyshevSystem,
     ExpFn,
+    OrderingClass,
     PowerFn,
     SampledFn,
     SinFn,
     affine,
     evaluate,
+    puncture,
+    validate_tuple,
 )
 from chebconvex.convexity import (
     check_convex_direct,
@@ -23,6 +27,7 @@ from chebconvex.convexity import (
 from chebconvex.determinant import det, is_positive_chebyshev
 from chebconvex.divdiff import divided_difference
 from chebconvex.errors import DimensionMismatch, InputError, OrderingViolation
+from chebconvex.induced import DerivedFn
 from chebconvex.systems import polynomial_system, trig_odd_system
 
 from oracles import (
@@ -35,6 +40,13 @@ from oracles import (
 
 GRID4 = [Fraction(i) for i in (0, 1, 2, 3)]
 GRID6 = [Fraction(i) for i in (0, 1, 2, 3, 4, 5)]
+
+
+def induced_basis(parent, k, base):
+    """``base`` as a strictly increasing point tuple, and the basis of
+    the system that pinning it induces, built directly."""
+    base = validate_tuple(base, OrderingClass.STRICTLY_INCREASING)
+    return base, tuple(DerivedFn(parent, k, base, g) for g in parent.basis[k:])
 
 
 class TestDirect:
@@ -101,9 +113,7 @@ class TestInduced:
         # its nondecreasingness.  Check the derived values directly.
         system = polynomial_system(2)
         base = (Fraction(2),)
-        from chebconvex.induced import DerivedFn, induced_system
-        ind = induced_system(system, 1, base)
-        slope = DerivedFn(system, 1, ind.base, PowerFn(2))
+        slope = DerivedFn(system, 1, induced_basis(system, 1, base)[0], PowerFn(2))
         values = [evaluate(slope, Fraction(x)) for x in (0, 1, 3, 4)]
         assert values == sorted(values)
 
@@ -222,7 +232,6 @@ class TestPolynomialReduction:
         # For the polynomial parent the induced basis spans the same
         # space as (1, x, ..., x^(d-1)) via a unitriangular change of
         # basis, so the extended determinants agree exactly.
-        from chebconvex.induced import DerivedFn, induced_system
         rng = random.Random(57)
         for _ in range(10):
             n = rng.randint(3, 5)
@@ -232,9 +241,10 @@ class TestPolynomialReduction:
             base = tuple(sorted(pts[:k]))
             rest = tuple(sorted(pts[k:]))
             f = PowerFn(n + 1)
-            ind = induced_system(polynomial_system(n), k, base)
-            g = DerivedFn(ind.parent, k, ind.base, f)
-            induced_det = det(collocation_matrix_per_value(ind.basis + (g,), rest))
+            parent = polynomial_system(n)
+            base, basis = induced_basis(parent, k, base)
+            g = DerivedFn(parent, k, base, f)
+            induced_det = det(collocation_matrix_per_value(basis + (g,), rest))
             plain = tuple(PowerFn(i) for i in range(d)) + (g,)
             plain_det = det(collocation_matrix_per_value(plain, rest))
             assert induced_det == plain_det
@@ -244,8 +254,7 @@ class TestTrigExample:
     def test_derived_function_is_cosine_slope(self):
         trig = trig_odd_system(1, -math.pi, 0.0)
         x1 = -1.9
-        from chebconvex.induced import DerivedFn, induced_system
-        derived = DerivedFn(trig, 1, induced_system(trig, 1, (x1,)).base, ExpFn())
+        derived = DerivedFn(trig, 1, induced_basis(trig, 1, (x1,))[0], ExpFn())
         for x in (-2.8, -1.2, -0.4):
             want = (math.exp(x) - math.exp(x1)) / (math.cos(x) - math.cos(x1))
             assert evaluate(derived, x) == pytest.approx(want, rel=1e-12)
@@ -254,7 +263,6 @@ class TestTrigExample:
         # Convexity of the derived function with respect to the generic
         # induced pair and to its closed form (1, -cot((x1+.)/2)) must
         # coincide; so must the pinned check and the direct one.
-        from chebconvex.induced import DerivedFn, induced_system
         rng = random.Random(56)
         trig = trig_odd_system(1, -math.pi, 0.0)
         grid = (-2.9, -2.4, -1.9, -1.5, -1.1, -0.7, -0.3)
@@ -270,9 +278,10 @@ class TestTrigExample:
                 assert direct.verdict == pinned.verdict
             x1 = grid[2]
             rest = tuple(x for x in grid if x != x1)
-            ind = induced_system(trig, 1, (x1,))
-            derived = DerivedFn(trig, 1, ind.base, f)
-            generic = check_convex_direct(ind.as_system(), derived, rest)
+            base, basis = induced_basis(trig, 1, (x1,))
+            derived = DerivedFn(trig, 1, base, f)
+            induced = ChebyshevSystem(basis, puncture(trig.domain, base.points))
+            generic = check_convex_direct(induced, derived, rest)
             closed = check_convex_direct(trig_induced_closed_form(x1), derived, rest)
             if "indeterminate" not in (generic.verdict, closed.verdict):
                 assert generic.verdict == closed.verdict

@@ -315,6 +315,26 @@ class TestJsonRoundTrip:
         x = 0.1 + 0.2
         assert scalar_from_json(scalar_to_json(x)) == x
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "power", "k": True}, "power exponent must be an int >= 0, got True"),
+        ({"kind": "power", "k": False}, "power exponent must be an int >= 0, got False"),
+        ({"kind": "cos", "freq": True}, "cos frequency must be an int >= 1, got True"),
+        ({"kind": "sin", "freq": True}, "sin frequency must be an int >= 1, got True"),
+    ])
+    def test_bool_exponent_or_frequency_rejected(self, spec, message):
+        # bool is a subclass of int: {"k": true} once read as x^1
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            function_from_json(spec)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lo_open", "false"), ("hi_open", "false"), ("lo_open", 0), ("hi_open", 1),
+        ("lo_open", None)])
+    def test_interval_flags_are_json_booleans(self, key, value):
+        # bool("false") is True: "false" once read as an open end
+        message = f"domain spec field {key!r} must be true or false, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            domain_from_json({"kind": "interval", "lo": 0, "hi": 1, key: value})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             function_from_json({"kind": "mystery"})

@@ -9,8 +9,6 @@ from chebconvex.core import Interval
 from chebconvex.determinant import (
     Matrix,
     bordered_minor,
-    collocation_det,
-    collocation_matrix,
     det,
     increasing_tuples,
     is_positive_chebyshev,
@@ -28,6 +26,8 @@ from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_syste
 
 from oracles import (
     cofactor_det,
+    collocation_det_per_value,
+    collocation_matrix_per_value,
     rand_fraction,
     rand_increasing_fractions,
     row_det,
@@ -145,7 +145,7 @@ class TestCollocation:
                 for i in range(n):
                     for j in range(i + 1, n):
                         expected *= pts[j] - pts[i]
-                assert collocation_det(system, n, pts) == expected
+                assert collocation_det_per_value(system, n, pts) == expected
 
     def test_vandermonde_product_float(self):
         rng = random.Random(8)
@@ -156,22 +156,22 @@ class TestCollocation:
             for i in range(4):
                 for j in range(i + 1, 4):
                     expected *= pts[j] - pts[i]
-            assert collocation_det(system, 4, pts) == pytest.approx(expected, rel=1e-12)
+            assert collocation_det_per_value(system, 4, pts) == pytest.approx(expected, rel=1e-12)
 
     def test_one_xsq_closed_form(self):
         system = one_xsq_system()
-        assert collocation_det(system, 2, (1, 2)) == 3
+        assert collocation_det_per_value(system, 2, (1, 2)) == 3
         wide = one_xsq_system(Interval(), allow_unsafe_domain=True)
-        assert collocation_det(wide, 2, (-1, 1)) == 0
+        assert collocation_det_per_value(wide, 2, (-1, 1)) == 0
 
     def test_column_swap_antisymmetry(self):
         rng = random.Random(9)
         system = polynomial_system(3)
         for _ in range(20):
             pts = list(rand_increasing_fractions(rng, 3))
-            base = det(collocation_matrix(system.basis, tuple(pts)))
+            base = det(collocation_matrix_per_value(system.basis, tuple(pts)))
             pts[0], pts[2] = pts[2], pts[0]
-            swapped = det(collocation_matrix(system.basis, tuple(pts)))
+            swapped = det(collocation_matrix_per_value(system.basis, tuple(pts)))
             assert swapped == -base
 
 
@@ -300,24 +300,24 @@ class TestSylvester:
 class TestPhiExamples:
     def test_power_basis_prefix(self):
         system = polynomial_system(3)
-        assert collocation_det(system, 3, (0, 1, 2)) == 2
-        assert collocation_det(system, 2, (Fraction(1, 2), Fraction(3, 2))) == 1
-        assert collocation_det(system, 1, (7,)) == 1
+        assert collocation_det_per_value(system, 3, (0, 1, 2)) == 2
+        assert collocation_det_per_value(system, 2, (Fraction(1, 2), Fraction(3, 2))) == 1
+        assert collocation_det_per_value(system, 1, (7,)) == 1
 
     def test_membership_enforced(self):
         from chebconvex.errors import EvaluationOutsideSupport
         with pytest.raises(EvaluationOutsideSupport):
-            collocation_det(one_xsq_system(), 2, (-1, 1))
+            collocation_det_per_value(one_xsq_system(), 2, (-1, 1))
 
     def test_prefix_uses_first_k_functions(self):
         system = polynomial_system(4)
         # 2-prefix is (1, x): classical Vandermonde of two points
-        assert collocation_det(system, 2, (3, 10)) == 7
+        assert collocation_det_per_value(system, 2, (3, 10)) == 7
         assert evaluate_det_equals(system)
 
 
 def evaluate_det_equals(system):
-    m = collocation_matrix(system.basis[:2], (3, 10))
+    m = collocation_matrix_per_value(system.basis[:2], (3, 10))
     return det(m) == 7 and m[0, 1] == 1 and m[1, 0] == 3
 
 

@@ -15,6 +15,7 @@ from chebconvex.core import (
     affine,
     evaluate,
 )
+from chebconvex.convexity import check_convex_induced
 from chebconvex.determinant import _PointTable
 from chebconvex.divdiff import (
     _ratio,
@@ -83,6 +84,17 @@ class TestGeneralizedDivdiff:
         wide = one_xsq_system(Interval(), allow_unsafe_domain=True)
         with pytest.raises(SingularDenominator):
             divided_difference(wide, 2, PowerFn(3), (-1, 1))
+
+    @pytest.mark.parametrize("tol_factor", [-1.0, -1e-10, 0.0, 1e-10])
+    def test_zero_float_denominator_is_singular_at_every_tol(self, tol_factor):
+        # a negative factor once made the rule |den| <= tol miss 0.0, and
+        # the ratio raised ZeroDivisionError
+        wide = one_xsq_system(Interval(), allow_unsafe_domain=True)
+        with pytest.raises(SingularDenominator, match=r"0\.0 within tolerance at \(-1\.0, 1\.0\)"):
+            divided_difference(wide, 2, PowerFn(3), (-1.0, 1.0), tol_factor=tol_factor)
+        with pytest.raises(SingularDenominator, match=r"0\.0 within tolerance at \(-1\.0, 1\.0\)"):
+            check_convex_induced(wide, 1, PowerFn(3), [-1.0, 0.0, 1.0, 2.0],
+                                 tol_factor=tol_factor)
 
     def test_non_finite_value(self):
         big = affine((1e308, PowerFn(3)))

@@ -32,10 +32,11 @@ from chebconvex.core import (
     PowerFn,
     SampledFn,
     affine,
+    puncture,
 )
-from chebconvex.determinant import _PointTable, collocation_matrix, is_positive_chebyshev
+from chebconvex.determinant import _PointTable, is_positive_chebyshev
 from chebconvex.errors import BackendMismatch
-from chebconvex.induced import DerivedFn, induced_system, verify_induced_system
+from chebconvex.induced import DerivedFn, verify_induced_system
 from chebconvex.systems import polynomial_system, trig_odd_system
 from chebconvex.variation import Partition, variation_sum
 
@@ -114,7 +115,9 @@ def test_int_grid_of_derived_functions_is_read_at_the_tables_backend():
     parent = ChebyshevSystem((PowerFn(0), PowerFn(1), CosFn()), Interval(-4, 0))
 
     def report(base, grid):
-        return is_positive_chebyshev(induced_system(parent, 1, base).as_system(), 2, grid)
+        basis = tuple(DerivedFn(parent, 1, PointTuple(base), g) for g in parent.basis[1:])
+        return is_positive_chebyshev(ChebyshevSystem(basis, puncture(parent.domain, base)),
+                                     2, grid)
     got = report((-3,), [-2, -1])
     assert got.verdict == "positive_on_grid"
     assert got == report((-3.0,), [-2.0, -1.0])
@@ -131,8 +134,9 @@ def test_int_grid_of_exact_functions_is_read_exact():
 
 def test_non_scalar_point_raises_before_any_value():
     """The sampled function has no value at 3, but the grid raises first."""
+    table = _PointTable((SampledFn((1, 2), (3, 4)), PowerFn(0)))
     with pytest.raises(BackendMismatch, match=r"^bool is not a scalar: True$"):
-        collocation_matrix((SampledFn((1, 2), (3, 4)), PowerFn(0)), (3, True))
+        table.columns((0, 1), PointTuple((3, True)), range(2))
 
 
 @pytest.mark.parametrize("points, backend", [

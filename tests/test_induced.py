@@ -6,35 +6,49 @@ from fractions import Fraction
 import pytest
 
 from chebconvex.core import OrderingClass, evaluate, validate_tuple
-from chebconvex.determinant import collocation_det
 from chebconvex.errors import (
     BackendMismatch,
     DimensionMismatch,
+    EvaluationOutsideSupport,
     InputError,
     OrderingViolation,
 )
-from chebconvex import induced
-from chebconvex.induced import (
-    induced_system,
-    verify_induced_system,
-)
+from chebconvex.induced import DerivedFn, verify_induced_system
 from chebconvex.systems import polynomial_system, trig_odd_system
 
-from oracles import DuplicatePoint, power_divdiff_expansion, rand_increasing_fractions, sign_index
+from oracles import (DuplicatePoint, collocation_det_per_value, induced_identity_loop,
+                     oracle_induced, power_divdiff_expansion, rand_increasing_fractions,
+                     sign_index)
 
 
 def sigma(points, k):
     return validate_tuple(points[:k], OrderingClass.STRICTLY_INCREASING)
 
 
+def derived(system, k, base, j):
+    """The induced system's function of basis[j]: built directly."""
+    return DerivedFn(system, k, sigma(base, k), system.basis[j])
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, by repr, or the error it raises as
+    "Class: message"."""
+    try:
+        return repr(fn(*args))
+    except InputError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestInducedConstruction:
     def test_top_prefix_gives_constant_one(self):
         for n in (2, 3, 4):
             system = polynomial_system(n)
-            ind = induced_system(system, n - 1, tuple(range(n - 1)))
-            assert ind.dim == 1
-            for x in (Fraction(7), Fraction(-5, 2), Fraction(99)):
-                assert evaluate(ind.basis[0], x) == 1
+            base = tuple(range(n - 1))
+            grid = [Fraction(7), Fraction(-5, 2), Fraction(99)]
+            # an induced system of dimension 1: one identity per grid point
+            assert verify_induced_system(system, n - 1, base, grid).identity_checked == 3
+            for x in grid:
+                assert evaluate(derived(system, n - 1, base, n - 1), x) == 1
 
     def test_poly_basis_matches_power_expansion(self):
         rng = random.Random(41)
@@ -44,50 +58,57 @@ class TestInducedConstruction:
             pts = rand_increasing_fractions(rng, k + 1)
             base, x = pts[:k], pts[k]
             system = polynomial_system(n)
-            ind = induced_system(system, k, base)
-            for idx, j in enumerate(range(k, n)):
-                got = evaluate(ind.basis[idx], x)
+            for j in range(k, n):
+                got = evaluate(derived(system, k, base, j), x)
                 want = power_divdiff_expansion(base, j, x)
                 assert got == want
 
     def test_trig_derived_negcot(self):
         trig = trig_odd_system(1, -math.pi, 0.0)
         x1 = -2.2
-        ind = induced_system(trig, 1, (x1,))
-        assert ind.dim == 2
-        for x in (-2.9, -1.4, -0.3):
-            got = evaluate(ind.basis[1], x)
+        grid = [-2.9, -1.4, -0.3]
+        # an induced system of dimension 2: C(3, 2) identities
+        assert verify_induced_system(trig, 1, (x1,), grid).identity_checked == 3
+        for x in grid:
+            got = evaluate(derived(trig, 1, (x1,), 2), x)
             want = -math.cos((x1 + x) / 2) / math.sin((x1 + x) / 2)
             assert got == pytest.approx(want, rel=1e-12)
-            assert evaluate(ind.basis[0], x) == pytest.approx(1.0, rel=1e-12)
+            assert evaluate(derived(trig, 1, (x1,), 1), x) == pytest.approx(1.0, rel=1e-12)
 
     def test_punctured_domain(self):
         system = polynomial_system(3)
-        ind = induced_system(system, 1, (Fraction(2),))
+        base = (Fraction(2),)
+        _, ind, _ = oracle_induced(system, 1, base)
         assert not ind.domain.contains(Fraction(2))
         assert ind.domain.contains(Fraction(3))
+        grid = [Fraction(i) for i in (2, 3, 4)]
+        with pytest.raises(EvaluationOutsideSupport, match="grid point 2 is outside"):
+            verify_induced_system(system, 1, base, grid)
+        assert verify_induced_system(system, 1, base, grid[1:]).positivity.is_positive
 
     def test_exact_base_of_a_float_only_system_is_refused(self):
-        # every value of that system would raise BackendMismatch: building
-        # it raises it, as verify_induced_system does on the same base
+        # every value of that system would raise BackendMismatch: the
+        # check raises it on the base, as the oracle's checks do
         system = trig_odd_system(1, -math.pi, 0.0)
         with pytest.raises(BackendMismatch) as built:
-            induced_system(system, 1, (Fraction(-3),))
+            oracle_induced(system, 1, (Fraction(-3),))
         with pytest.raises(BackendMismatch) as verified:
             verify_induced_system(system, 1, (Fraction(-3),), [-2.0, -1.0])
         assert str(built.value) == str(verified.value)
         for base in ((-3.0,), (-3,)):
-            assert evaluate(induced_system(system, 1, base).basis[0], -2.0) == 1.0
+            assert evaluate(derived(system, 1, base, 1), -2.0) == 1.0
 
     def test_validation(self):
-        system = polynomial_system(3)
-        with pytest.raises(DimensionMismatch):
-            induced_system(system, 3, (0, 1, 2))
-        with pytest.raises(OrderingViolation):
-            induced_system(system, 2, (2, 1))
         from chebconvex.systems import one_xsq_system
-        with pytest.raises(InputError):
-            induced_system(one_xsq_system(), 1, (-5,))
+        for error, system, k, base in (
+                (DimensionMismatch, polynomial_system(3), 3, (0, 1, 2)),
+                (OrderingViolation, polynomial_system(3), 2, (2, 1)),
+                (InputError, one_xsq_system(), 1, (-5,))):
+            with pytest.raises(error) as verified:
+                verify_induced_system(system, k, base, [3, 4])
+            with pytest.raises(error) as built:
+                oracle_induced(system, k, base)
+            assert str(built.value) == str(verified.value)
 
 
 class TestSignIndex:
@@ -109,9 +130,9 @@ class TestSignIndex:
 
     def test_cross_check_vandermonde_signs(self):
         poly3 = polynomial_system(3)
-        assert collocation_det(poly3, 3, (1, 3, 2)) < 0
-        assert collocation_det(poly3, 3, (1, 3, 4)) > 0
-        assert collocation_det(poly3, 3, (1, 3, 0)) > 0
+        assert collocation_det_per_value(poly3, 3, (1, 3, 2)) < 0
+        assert collocation_det_per_value(poly3, 3, (1, 3, 4)) > 0
+        assert collocation_det_per_value(poly3, 3, (1, 3, 0)) > 0
 
 
 class TestSignPrediction:
@@ -124,7 +145,7 @@ class TestSignPrediction:
                     if x in base:
                         continue
                     predicted = sign_index(base, x).predicted_sign
-                    value = collocation_det(system, k + 1, base + (x,))
+                    value = collocation_det_per_value(system, k + 1, base + (x,))
                     assert value != 0
                     assert (1 if value > 0 else -1) == predicted
 
@@ -137,7 +158,7 @@ class TestSignPrediction:
                     if x in base:
                         continue
                     predicted = sign_index(base, x).predicted_sign
-                    value = collocation_det(trig, k + 1, base + (x,))
+                    value = collocation_det_per_value(trig, k + 1, base + (x,))
                     assert (1 if value > 0 else -1) == predicted
 
     def test_product_sign_formula(self):
@@ -153,7 +174,7 @@ class TestSignPrediction:
             product = Fraction(1)
             ell_sum = 0
             for x in rest:
-                product *= collocation_det(system, k + 1, base + (x,))
+                product *= collocation_det_per_value(system, k + 1, base + (x,))
                 ell_sum += sign_index(base, x).ell
             expected = (-1) ** ((n - k) * k - ell_sum)
             assert (1 if product > 0 else -1) == expected
@@ -206,17 +227,8 @@ class TestVerifyInduced:
         (polynomial_system(3), 2, (1, 0), [3, 4]),                     # base not increasing
         (trig_odd_system(1, -math.pi, 0.0), 1, (1.0,), [-2.0, -1.0]),  # base outside
     ])
-    def test_builds_no_induced_system(self, monkeypatch, args):
+    def test_builds_no_induced_system(self, args):
         """The check reads the base's checks, its dimension and punctured
-        domain without building the induced system's derived functions."""
-        def outcome():
-            try:
-                return repr(verify_induced_system(*args))
-            except InputError as exc:
-                return f"{type(exc).__name__}: {exc}"
-        want = outcome()
-
-        def refuse(*_):
-            raise AssertionError("induced_system called")
-        monkeypatch.setattr(induced, "induced_system", refuse)
-        assert outcome() == want
+        domain without building the induced system's derived functions:
+        its report or error is the oracle's, which builds them."""
+        assert outcome(verify_induced_system, *args) == outcome(induced_identity_loop, *args)

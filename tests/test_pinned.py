@@ -29,11 +29,13 @@ from chebconvex.core import (
     ExpFn,
     Interval,
     NegCotFn,
+    OrderingClass,
     PointTuple,
     PowerFn,
     SampledFn,
     affine,
     evaluate,
+    validate_tuple,
 )
 from chebconvex.determinant import (
     DEFAULT_TOL_FACTOR,
@@ -47,7 +49,7 @@ from chebconvex.errors import (
     InputError,
     SingularDenominator,
 )
-from chebconvex.induced import DerivedFn, _PinnedBase, induced_system
+from chebconvex.induced import DerivedFn, _PinnedBase
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
 from oracles import derived_value, pinned_loop, ratio_two_fractions
@@ -320,11 +322,12 @@ def test_derived_columns_equal_derived_functions(system, grid):
         table = _PointTable(system.basis + (f,))
         for k in range(1, system.dim):
             for base in increasing_tuples(range(len(pts)), k)[0]:
-                ind = induced_system(system, k, tuple(pts[j] for j in base))
+                at = validate_tuple(tuple(pts[j] for j in base),
+                                    OrderingClass.STRICTLY_INCREASING)
                 off = [j for j in range(len(pts)) if j not in base]
                 derived = _PinnedBase(table, k, pts, base)
-                cols = derived.columns(tuple(range(ind.dim + 1)), pts, off)
-                targets = ind.basis + (DerivedFn(system, k, ind.base, f),)
+                targets = tuple(DerivedFn(system, k, at, g) for g in table.fns[k:])
+                cols = derived.columns(tuple(range(len(targets))), pts, off)
                 for x, col in zip((pts[j] for j in off), cols):
                     assert [repr(v) for v in col.values] == \
                         [repr(evaluate(g, x)) for g in targets]

@@ -13,7 +13,7 @@ from chebconvex.core import (
     SinFn,
     evaluate,
 )
-from chebconvex.determinant import collocation_det, is_positive_chebyshev
+from chebconvex.determinant import is_positive_chebyshev
 from chebconvex.errors import DomainTooLong, InputError
 from chebconvex.systems import (
     CATALOG_IDS,
@@ -24,7 +24,7 @@ from chebconvex.systems import (
     trig_odd_system,
 )
 
-from oracles import trig_induced_closed_form
+from oracles import collocation_det_per_value, trig_induced_closed_form
 
 
 def positive_prefixes(system, grid) -> int:
@@ -42,7 +42,7 @@ class TestPolynomial:
         assert polynomial_system(1).basis == (PowerFn(0),)
 
     def test_vandermonde_value(self):
-        assert collocation_det(polynomial_system(3), 3, (0, 1, 2)) == 2
+        assert collocation_det_per_value(polynomial_system(3), 3, (0, 1, 2)) == 2
 
     def test_bad_dimension(self):
         with pytest.raises(InputError):
@@ -88,13 +88,13 @@ class TestTrigEven:
 
 class TestOneXsq:
     def test_closed_form_value(self):
-        assert collocation_det(one_xsq_system(), 2, (1, 2)) == 3
+        assert collocation_det_per_value(one_xsq_system(), 2, (1, 2)) == 3
 
     def test_symmetric_pair_needs_override(self):
         with pytest.raises(InputError):
             one_xsq_system(Interval())
         wide = one_xsq_system(Interval(), allow_unsafe_domain=True)
-        assert collocation_det(wide, 2, (-1, 1)) == 0
+        assert collocation_det_per_value(wide, 2, (-1, 1)) == 0
 
     def test_grid_positive_on_half_line(self):
         assert is_positive_chebyshev(one_xsq_system(), 2, [1, 2, 3]).is_positive
