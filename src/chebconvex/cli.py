@@ -350,6 +350,10 @@ def _cmd_divdiff(args) -> tuple[dict, int]:
 
 
 def _cmd_convexity(args) -> tuple[dict, int]:
+    if args.ell is not None and args.mode != "interval":
+        raise InputError(f"--ell is read by mode interval only, not {args.mode}")
+    if args.k is not None and args.mode == "direct":
+        raise InputError("--k is not read by mode direct")
     backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     f = _parse_function(args.function, backend)

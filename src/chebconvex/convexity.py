@@ -15,15 +15,33 @@ than forced into a verdict.  The determinant identity behind the
 equivalence (:func:`convexity_identity_check`) is the induced system's
 factorization identity for the basis extended by f, evaluated by the
 same pinned-base method (induced._PinnedBase.identity).
+
+That identity is also the sign identity that exact pinned checks read.
+For a base B and a tuple T off it, the derived (n-k+1)-minor is
+
+    det(A_B)^(n-k) * D(B ∪ T) / prod over x in T of D_{k+1}(B, x)
+
+and sorting the columns of B ∪ T moves each x past as many base points
+as sorting (B, x) does, so the permutation signs cancel.  When every k-
+and (k+1)-prefix minor on increasing points is positive, which the lower
+part of the direct scan's window certificate proves (Fekete's lemma, see
+determinant._certified), each derived minor has the sign of the direct
+minor at sorted(B ∪ T).  An exact check whose bases and inner scans are
+exhaustive therefore reads every base's verdict off one direct walk and
+scans only its first violated base, for the witness and its value; any
+other check, or one whose lower part fails or whose walk raises, scans
+every base.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
     DEFAULT_MIN_GAP,
+    Backend,
     ChebyshevSystem,
     Domain,
     FunctionSpec,
@@ -82,17 +100,18 @@ class ConvexityVerdict:
 
 
 def _direct_scan(n: int, domain: Domain, grid: PointTuple, js, table, budget: int, seed: int,
-                 tol_factor: float) -> SignScan:
+                 tol_factor: float, cuts: tuple = ()) -> SignScan:
     """Sign scan of the extended determinant on increasing (n+1)-tuples
     of the increasing positions ``js`` of the sorted ``grid``, for a
     system of dimension n on ``domain``, whose extended columns
     ``table`` gives: negative values are violations, or near zero inside
-    the float tolerance band."""
+    the float tolerance band; with the smallest bases of its violating
+    tuples for ``cuts`` (see :func:`_sign_scan`)."""
     if len(js) < n + 1:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {n + 1}")
     _check_domain(domain, grid, "grid point", js)
     return _sign_scan(table, tuple(range(n + 1)), grid, js, budget, seed, tol_factor,
-                      positive=False)
+                      positive=False, cuts=cuts)
 
 
 def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
@@ -105,20 +124,23 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
     than the minimum gap, as the induced and interval modes do, and
     :class:`NonFiniteValue` on an infinite or NaN value."""
     return _check_convex_direct(system, f, grid, _PointTable(system.basis + (f,)),
-                                budget, seed, tol_factor)
+                                budget, seed, tol_factor)[0]
 
 
 def _check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid, table: _PointTable,
-                         budget: int, seed: int, tol_factor: float) -> ConvexityVerdict:
+                         budget: int, seed: int, tol_factor: float,
+                         cuts: tuple = ()) -> tuple:
     """:func:`check_convex_direct`, reading the values of
-    ``system.basis + (f,)`` from ``table``."""
+    ``system.basis + (f,)`` from ``table``, and its scan, with the
+    smallest bases of its violating tuples for ``cuts`` (see
+    :func:`_sign_scan`)."""
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
     scan = _direct_scan(system.dim, system.domain, pts, range(len(pts)), table, budget, seed,
-                        _finite_tol(tol_factor))
+                        _finite_tol(tol_factor), cuts)
     return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
                             scan.tuples_checked, seed, witness=scan.witness,
                             witness_value=scan.witness_value,
-                            indeterminate_count=scan.indeterminate_count)
+                            indeterminate_count=scan.indeterminate_count), scan
 
 
 def _restricted_points(m: int, base: tuple, ell: int | None) -> list:
@@ -133,30 +155,72 @@ def _restricted_points(m: int, base: tuple, ell: int | None) -> list:
     return [j for j in off if lo < j < hi]
 
 
+def _cut(n: int, k: int, ell: int | None) -> tuple:
+    """The (cut, width) of the induced (``ell`` None) or interval mode
+    of base size k in dimension n: a sorted (n+1)-tuple u is B ∪ T, with
+    T in the gap ell of B, for one base B, u less its n-k+1 entries after
+    the first ell.  In the induced mode every k-subset of u is such a
+    base, and the smallest is u's first k entries, the one ell = k gives."""
+    return (k if ell is None else ell, n - k + 1)
+
+
+def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, pts: PointTuple,
+                    table: _PointTable, budget: int, tol_factor: float,
+                    walk: SignScan | None):
+    """By the sign identity (see the module docstring), the first base,
+    in sorted order, whose exhaustive pinned scan is violated, or () when
+    none is, read off the exact direct ``walk`` on every position of
+    ``pts`` (made here, within ``budget``, when None), which records only
+    that base (see :func:`_cut`); None when the identity cannot say: a
+    float table, a failed lower part, or any error while walking, which
+    the per-base scans then meet, or not, as they would."""
+    cut = _cut(system.dim, k, ell)
+    try:
+        if table.backend(pts) is Backend.FLOAT:
+            return None
+        walk = walk or _direct_scan(system.dim, system.domain, pts, range(len(pts)), table,
+                                    budget, DEFAULT_SEED, tol_factor, (cut,))
+    except (InputError, ArithmeticError):   # the per-base scans meet it in their order, or not
+        return None
+    return None if walk.bases is None else walk.bases.get(cut, ())
+
+
 def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          grid: Iterable[Scalar], ell: int | None,
                          base_budget: int, budget: int, seed: int,
                          tol_factor: float,
                          table: _PointTable | None = None,
-                         derived: dict | None = None) -> ConvexityVerdict:
+                         derived: dict | None = None,
+                         walk: SignScan | None = None) -> ConvexityVerdict:
     """The induced (``ell`` None) or interval check.  Each base's scan
     is a direct check of the (n-k)-dimensional induced system; it reads
     its derived table, the base's :class:`_PinnedBase`, from ``derived``
     (base -> pinned base); all of them read ``table``, the point table
     of ``system.basis + (f,)``.  A caller may share both between checks
     of the same system and ``f``; without ``derived``, each base's
-    derived values are dropped after its scan."""
+    derived values are dropped after its scan.  When the table is exact
+    and the walk on every (n+1)-tuple fits ``budget`` and the bases are
+    exhaustive, the sign identity reads each base's verdict off that one
+    direct walk (``walk``, the caller's scan given this mode's
+    :func:`_cut`, if it has one): only the first violated base is
+    scanned, for its witness and value, and every other checked base
+    counts its tuples unscanned."""
     n = system.dim
     if not 1 <= k <= n - 1:
         raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
     if ell is not None and not 0 <= ell <= k:
         raise InputError(f"interval index {ell} outside 0..{k}")
     pts = sorted_grid(grid)
-    bases, _ = increasing_tuples(range(len(pts)), k, budget=base_budget, seed=seed)
+    m = len(pts)
+    bases, every = increasing_tuples(range(m), k, budget=base_budget, seed=seed)
     mode = "induced" if ell is None else "interval"
     table = table or _PointTable(system.basis + (f,))
     own = derived is None
     derived = {} if own else derived
+    # the only base to scan, or None for every base; the walk, and with
+    # it every base's scan (C(m-k, n-k+1) <= C(m, n+1)), is exhaustive
+    scanned = _first_violated(system, k, ell, pts, table, budget, tol_factor, walk) \
+        if every and math.comb(m, n + 1) <= budget else None
 
     tuples_checked = 0
     bases_checked = 0
@@ -170,6 +234,9 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
             continue
         bases_checked += 1
         _check_base(system.domain, (pts[j] for j in base))
+        if scanned is not None and base != scanned:
+            tuples_checked += math.comb(len(local), n - k + 1)
+            continue
         if base not in derived:
             derived[base] = _PinnedBase(table, k, pts, base, tol_factor)
         # the induced system's punctured domain holds the points of local
@@ -288,18 +355,22 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
     """Run the direct mode, the induced mode for each k, and the
     interval mode for each (k, ell), and compare definite verdicts.
     All modes read one point table, and the pinned modes share their
-    derived tables, so each base is eliminated and each derived value
-    computed once."""
+    derived tables, so a base that several modes scan is eliminated and
+    its derived values computed once.  An exact pinned mode reads its
+    verdicts off the direct mode's walk, when that is exhaustive, and
+    scans only its first violated base (see _check_convex_pinned): the
+    walk records one base for each mode's cut."""
     n = system.dim
     if k_list is None:
         k_list = list(range(1, n))
     grid = sorted_grid(grid)    # one grid, whose positions every mode's table reads
     table = _PointTable(system.basis + (f,))
-    labeled: list[tuple[str, ConvexityVerdict]] = [
-        ("direct", _check_convex_direct(system, f, grid, table, budget, seed, tol_factor))]
+    cuts = tuple({_cut(n, k, ell) for k in k_list for ell in (None, *range(k + 1))})
+    direct, scan = _check_convex_direct(system, f, grid, table, budget, seed, tol_factor, cuts)
+    labeled: list[tuple[str, ConvexityVerdict]] = [("direct", direct)]
     derived: dict = {}
     pinned = dict(base_budget=base_budget, budget=budget, seed=seed, tol_factor=tol_factor,
-                  table=table, derived=derived)
+                  table=table, derived=derived, walk=scan)
     for k in k_list:
         labeled.append((f"induced:k={k}",
                         _check_convex_pinned(system, k, f, grid, None, **pinned)))

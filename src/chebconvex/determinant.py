@@ -43,7 +43,12 @@ its ``tuples_checked`` stays C(m, n), since the verdict covers every
 tuple; when one fails, the scan walks as before, so every witness,
 value and count is the walk's.  Float and sampled scans never read the
 windows: a float verdict's near-zero count is per tuple, and a sampled
-scan reads only its tuples' points.
+scan reads only its tuples' points.  A scan that walks can also read
+the windows' lower part on its own (the rows 0..n-2, by Fekete's lemma
+positive on every increasing tuple when it passes) and then report,
+for each cut of a tuple it is given, the smallest base that a violating
+tuple leaves: what exact pinned convexity checks read through the
+paper's sign identity (see convexity).
 """
 
 from __future__ import annotations
@@ -629,12 +634,21 @@ class SignScan:
     witness: tuple | None = None
     witness_value: Scalar | None = None
     indeterminate_count: int = 0
+    #: For each (cut, width) the scan was given (``cuts``), the smallest
+    #: t[:cut] + t[cut + width:] over violating index tuples t, absent
+    #: when none is: of an exact exhaustive scan that its windows pass
+    #: ({}), or whose windows' lower part holds (see :func:`_certified`),
+    #: else None; not part of the outcome, which is the same either way.
+    bases: dict | None = field(default=None, compare=False, repr=False)
 
 
 class _Tally:
     """Smallest violating and near-zero index tuples with their values,
-    and the number of near-zero tuples, of a scan whose values are exact
-    or float (``exact``); ``at(t)`` gives the points of index tuple t."""
+    the number of near-zero tuples, and for each (cut, width) in
+    ``cuts`` (none unless set) the smallest violating tuple less its
+    ``width`` entries after the first ``cut`` (``bases``), of a scan
+    whose values are exact or float (``exact``); ``at(t)`` gives the
+    points of index tuple t."""
 
     def __init__(self, positive: bool, exact: bool, at, tol_factor: float):
         self.positive = positive
@@ -643,6 +657,8 @@ class _Tally:
         self.tol_factor = tol_factor
         self.first: dict[str, tuple] = {}
         self.near_zero = 0
+        self.cuts: tuple = ()
+        self.bases: dict = {}
 
     def add(self, t: tuple, value: Scalar, biggest: float | None = None) -> None:
         """The sign rule of every scan.  ``positive`` asks for value > 0:
@@ -664,6 +680,10 @@ class _Tally:
             return
         if kind is _NEAR_ZERO:
             self.near_zero += 1
+        for key in self.cuts if kind is _VIOLATION else ():
+            b = t[:key[0]] + t[sum(key):]
+            if key not in self.bases or b < self.bases[key]:
+                self.bases[key] = b
         best = self.first.get(kind)
         if best is None or t < best[0]:
             self.first[kind] = (t, value)
@@ -692,12 +712,14 @@ class _Tally:
 
 
 def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: int, seed: int,
-               tol_factor: float, positive: bool) -> SignScan:
+               tol_factor: float, positive: bool, cuts: tuple = ()) -> SignScan:
     """Classify the determinants of the columns of ``rows`` in ``table``
     for the increasing len(rows)-tuples of the increasing positions
     ``js`` of the sorted ``grid`` (exhaustive within ``budget``, else
     ``budget`` seeded samples) by the rule of :meth:`_Tally.add`, at the
-    one backend the table reads the grid at."""
+    one backend the table reads the grid at.  An exact exhaustive scan
+    given ``cuts`` that walks reads its windows' lower part, for its
+    :attr:`SignScan.bases`."""
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
@@ -705,15 +727,18 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     cols = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
                          if exhaustive else tuples, exact)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
-    scale = None
+    scale = bases = None
     if not exhaustive or n == 1:
         _scan_each({j: c.form for j, c in cols.items()}, tuples, tally)
     elif not exact:
         _walk_float([cols[j].form[0] for j in range(m)], n, tally)
     else:
         forms = [cols[j].form for j in range(m)]
-        if _certified([c for c, _ in forms], n, positive):
-            return SignScan(checked, exhaustive)
+        ints = [c for c, _ in forms]
+        if _certified(ints, n, positive):
+            return SignScan(checked, exhaustive, bases={})
+        if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
+            tally.cuts, bases = cuts, tally.bases
         scale = _walk_exact(forms, n, tally)
 
     for verdict in (_VIOLATION, _NEAR_ZERO):
@@ -721,8 +746,9 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
             t, value = tally.first[verdict]
             if scale is not None:
                 value = Fraction(value, math.prod(scale[j] for j in t))
-            return SignScan(checked, exhaustive, verdict, tally.at(t), value, tally.near_zero)
-    return SignScan(checked, exhaustive)
+            return SignScan(checked, exhaustive, verdict, tally.at(t), value, tally.near_zero,
+                            bases)
+    return SignScan(checked, exhaustive, bases=bases)
 
 
 def _scan_columns(table: _PointTable, rows: tuple, grid: PointTuple, js, touched,
@@ -850,12 +876,17 @@ def _walk_exact(forms: list, n: int, tally: _Tally) -> list:
 
 def _certified(ints: list, n: int, positive: bool) -> bool:
     """Whether the windows of consecutive columns certify that every
-    increasing n-tuple of the n-row integer columns ``ints`` has a
-    determinant > 0 (``positive``) or >= 0 (see the module docstring).
-    Window s holds the columns s..s+w-1, w = min(n, m - s), and Bareiss
-    elimination on them without pivoting makes its pivot at step d (from
-    0) the leading (d+1)-minor: every pivot must be > 0, except that a
-    nonnegative scan allows a last pivot of 0 at step n - 1."""
+    increasing n-tuple of the integer columns ``ints``, on their rows
+    0..n-1, has a determinant > 0 (``positive``) or >= 0 (see the module
+    docstring).  Window s holds the columns s..s+w-1, w = min(n, m - s),
+    and Bareiss elimination on them without pivoting makes its pivot at
+    step d (from 0) the leading (d+1)-minor: every pivot must be > 0,
+    except that a nonnegative scan allows a last pivot of 0 at step n -
+    1.  Rows past n - 1 are reduced but never pivot, so the lower part of
+    an n-row certificate, its steps 0..n-2 on every window, is itself the
+    certificate ``_certified(ints, n - 1, True)``: read on its own, it
+    cannot stop at a last step that fails in a window before the one
+    where a lower step fails."""
     for s in range(len(ints)):
         cols, state = ints[s:s + n], (1, 1)
         for d in range(len(cols)):

@@ -29,7 +29,8 @@ needs divided_difference's ordering check is read once per grid.
 :class:`DerivedFn`, built directly as ``DerivedFn(parent, k, base, g)``,
 takes divided_difference's checks and its own ratio step
 (divdiff._ratio) for each value, on the tuple (base..., x) that the
-checks return; it checks nothing of the base when it is built.
+checks return; when it is built, it checks only that the base is a
+point tuple.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class DerivedFn(FunctionSpec):
     k: int
     base: PointTuple
     target: FunctionSpec
+
+    def __post_init__(self):
+        if not isinstance(self.base, PointTuple):
+            raise InputError(f"derived function base {self.base!r} is not a point tuple; "
+                             "make one with validate_tuple")
 
     def required_backend(self):
         return combine_backends(self.base.backend, self.target.required_backend(),

@@ -197,3 +197,81 @@ def test_zero_lower_prefix_on_one_window_walks(walks):
     assert got == direct_loop(line, PowerFn(2), grid)
     assert got.verdict == "convex_on_sample"
     assert len(walks) == 2
+
+
+# ---------------------------------------------------------------------------
+# the lower part, rows 0..n-2 asked > 0, read on its own for the smallest
+# bases of violating tuples that the pinned modes' sign identity reads
+
+CUTS = ((0, 2), (1, 2), (1, 1))
+
+
+def lower_scan(rows: list, cuts: tuple = CUTS):
+    m = len(rows[0])
+    return _sign_scan(table_of(rows, [1] * m), tuple(range(len(rows))), PointTuple(range(m)),
+                      range(m), 10 ** 6, 0, DEFAULT_TOL_FACTOR, False, cuts)
+
+
+def smallest_bases(negative: list, cuts: tuple = CUTS) -> dict:
+    return {(c, w): min(t[:c] + t[c + w:] for t in negative) for c, w in cuts}
+
+
+def test_last_row_fails_while_the_lower_part_holds():
+    # 1, x, then x^2 moved up at 2: window (1, 2, 3) fails its last step
+    rows = [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 1, 6, 9, 16]]
+    cols = [list(c) for c in zip(*rows)]
+    assert not _certified(cols, 3, False) and _certified(cols, 2, True)
+    negative = [t for t in itertools.combinations(range(5), 3)
+                if cofactor_det([[r[j] for j in t] for r in rows]) < 0]
+    got = lower_scan(rows)
+    assert negative and got.bases == smallest_bases(negative)
+    assert got.verdict == "violated" and got.witness == negative[0]
+
+
+def test_lower_step_failing_after_the_first_failing_last_row():
+    # window 0's last step fails (the 2-minor at points 0, 1 is -1) before
+    # window 3 shows row 0 < 0: stopping at the first failing window would
+    # miss that the lower part fails
+    rows = [[1, 1, 1, -1], [1, 0, 2, 5]]
+    cols = [list(c) for c in zip(*rows)]
+    assert not _certified(cols, 2, False) and not _certified(cols, 1, True)
+    assert _certified(cols[:3], 1, True)
+    got = lower_scan(rows, ((0, 1),))
+    assert got.verdict == "violated" and got.bases is None
+
+
+def test_bases_only_where_read():
+    rows = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 9]]    # x^2: every window passes
+    assert lower_scan(rows).bases == {}
+    rows[2][3] = 5      # the last row fails, and a scan given no cuts reads no lower part
+    grid = PointTuple(range(4))
+    plain = _sign_scan(table_of(rows, [1] * 4), (0, 1, 2), grid, range(4), 10 ** 6, 0,
+                       DEFAULT_TOL_FACTOR, False)
+    assert plain.bases is None
+    assert lower_scan(rows).bases == smallest_bases([(0, 2, 3), (1, 2, 3)])
+    assert plain == lower_scan(rows)        # the bases are not part of the outcome
+
+
+@pytest.mark.parametrize("cuts", [(), ((1, 2),), ((0, 2), (1, 2), (2, 1), (1, 1))])
+def test_a_walk_of_violations_keeps_no_list_of_them(monkeypatch, cuts):
+    """On every exact (n+1)-tuple violated, the tally holds the first
+    witness, a count and one base per cut: no container grows with the
+    number of violations."""
+    tallies = []
+
+    class Kept(determinant._Tally):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tallies.append(self)
+
+    monkeypatch.setattr(determinant, "_Tally", Kept)
+    grid = PointTuple([Fraction(-i, 7) for i in range(40, 0, -1)])
+    system = polynomial_system(2)
+    table = _PointTable(system.basis + (PowerFn(3),))   # x^3 is concave on x < 0
+    got = _sign_scan(table, (0, 1, 2), grid, range(40), 10 ** 6, 0, DEFAULT_TOL_FACTOR,
+                     False, cuts)
+    assert got.verdict == "violated" and got.witness == grid[:3]
+    assert got.bases == (None if not cuts else {(c, w): (0, 1, 2)[:c] + (0, 1, 2)[c + w:]
+                                                for c, w in cuts})
+    sizes = [len(v) for t in tallies for v in vars(t).values() if hasattr(v, "__len__")]
+    assert tallies and max(sizes) <= max(len(cuts), 2)

@@ -222,6 +222,20 @@ class TestConvexityInputChecks:
         assert rep["error"] == {"type": "NonFiniteValue",
                                 "message": "divided difference at (1.0, 2.0) is inf"}
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "induced", "--k", "1", "--ell", "7"],
+         "--ell is read by mode interval only, not induced"),
+        (["--mode", "agreement", "--ell", "9"],
+         "--ell is read by mode interval only, not agreement"),
+        (["--ell", "0"], "--ell is read by mode interval only, not direct"),
+        (["--mode", "direct", "--k", "9"], "--k is not read by mode direct"),
+    ])
+    def test_a_flag_the_mode_would_ignore_is_input_error(self, capsys, flags, message):
+        code, rep = run_cli(capsys, "convexity", "--system", "poly:2", "--function", "power:2",
+                            "--grid", "uniform:0,3,4", *flags)
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message": message}
+
     @pytest.mark.parametrize("mode", [[], ["--mode", "induced", "--k", "1"]])
     def test_non_positive_budget_is_input_error(self, capsys, mode):
         code, rep = run_cli(capsys, "convexity", "--system", "poly:2", "--function",

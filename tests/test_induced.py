@@ -98,6 +98,13 @@ class TestInducedConstruction:
         for base in ((-3.0,), (-3,)):
             assert evaluate(derived(system, 1, base, 1), -2.0) == 1.0
 
+    def test_base_that_is_no_point_tuple_is_input_error(self):
+        # a plain tuple once raised AttributeError at the first value
+        with pytest.raises(InputError) as built:
+            evaluate(DerivedFn(polynomial_system(3), 1, (0,), polynomial_system(3).basis[2]), 1)
+        assert str(built.value) == ("derived function base (0,) is not a point tuple; "
+                                    "make one with validate_tuple")
+
     def test_validation(self):
         from chebconvex.systems import one_xsq_system
         for error, system, k, base in (

@@ -1,7 +1,8 @@
 """``tools/slots.py --compare``, the check that two source trees give
 the same report and exit code on every benchmark request: the same tree
-twice agrees on a round of ``short``, and a tree whose report differs in
-one field is caught, by request id.  It reads bench/workloads.py only."""
+twice agrees on a round of ``short``, and of several workloads and seeds
+in one command, and a tree whose report differs in one field is caught,
+by request id.  It reads bench/workloads.py only."""
 
 import contextlib
 import importlib.util
@@ -9,6 +10,8 @@ import io
 import json
 import tempfile
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("slots", ROOT / "tools" / "slots.py")
@@ -45,3 +48,32 @@ def test_compare_finds_only_the_request_that_differs(capsys):
     out = capsys.readouterr().out
     assert f"differs on tree 1: {odd.id} " in out
     assert out.endswith(f"{len(requests)} requests, 1 differ\n")
+
+
+def test_compare_takes_every_workload_and_seed_given(capsys, monkeypatch):
+    """One command checks the requests of each workload and seed given,
+    each named by both, each run reading its own input files."""
+    files: dict = {}      # workload.seed -> the input files its requests read
+    compare = slots.compare
+
+    def recorded(clis, requests):
+        for r in requests:
+            run = r.id.split(".r0.", 1)[0]
+            files.setdefault(run, set()).update(a for a in r.argv if Path(a).is_file())
+        recorded.requests = len(requests)
+        return compare(clis, requests)
+    monkeypatch.setattr(slots, "compare", recorded)
+    argv = ["--compare", "--rounds", "1", "--workload", "short", "--workload", "pinned",
+            "--seed", "1", "--seed", "2", str(ROOT), str(ROOT)]
+    assert slots.main(argv) == 0
+    assert set(files) == {"short.s1", "short.s2", "pinned.s1", "pinned.s2"}
+    assert all(files.values())
+    assert sum(map(len, files.values())) == len(set().union(*files.values()))
+    assert capsys.readouterr().out.endswith(f"{recorded.requests} requests, 0 differ\n")
+
+
+def test_timing_takes_one_workload_and_one_seed(capsys):
+    with pytest.raises(SystemExit) as exited:
+        slots.main(["--workload", "short", "--seed", "1", "--seed", "2", str(ROOT)])
+    assert exited.value.code == 2
+    assert "timing takes one --workload and one --seed" in capsys.readouterr().err

@@ -14,11 +14,17 @@ ratio of the second to the first.
 
 TREE is the root of a checkout (default: this one).  ``--compare``
 instead checks that every request gives the same exit code and report,
-outside ``timing_seconds``, on each tree as on the first.
+outside ``timing_seconds``, on each tree as on the first; it takes
+``--workload`` and ``--seed`` more than once, and checks the requests of
+every workload and seed given:
+
+    python3 tools/slots.py --compare --workload scan --workload pinned \
+        --workload short --seed 1 --seed 2 PARENT_TREE .
 """
 
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -121,20 +127,29 @@ def compare(clis: list, requests: list) -> int:
 
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    parser.add_argument("--workload", required=True, action="append",
+                        choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--compare", action="store_true")
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT])
     args = parser.parse_args(argv)
+    seeds = args.seed or [workloads.DEFAULT_SEED]
+    if not args.compare and len(args.workload) * len(seeds) > 1:
+        parser.error("timing takes one --workload and one --seed")
     trees = [t.resolve() for t in args.trees]
     clis = [load_cli(tree, f"chebconvex_tree{i}") for i, tree in enumerate(trees)]
     with tempfile.TemporaryDirectory() as work:
-        requests = workloads.generate(workloads.WORKLOADS[args.workload], args.seed,
-                                      range(args.rounds), work)
+        # each workload and seed writes its input files under its own directory
+        runs = [(name, seed, workloads.generate(workloads.WORKLOADS[name], seed,
+                                                range(args.rounds),
+                                                str(Path(work, f"{name}-{seed}"))))
+                for name in args.workload for seed in seeds]
         if args.compare:
-            return compare(clis, requests)
+            return compare(clis, [dataclasses.replace(req, id=f"{name}.s{seed}.{req.id}")
+                                  for name, seed, requests in runs for req in requests])
+        (_, _, requests), = runs
         report(trees, timings(clis, requests, args.rounds, args.repeat))
     return 0
 
