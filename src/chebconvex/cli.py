@@ -256,6 +256,8 @@ def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
         with open(spec) as fh:
             data = json.load(fh)
         try:
+            if not all(isinstance(data[side], list) for side in "ab"):
+                raise TypeError("each must be a JSON array")
             return _read_grid(data["a"], backend), _read_grid(data["b"], backend)
         except (KeyError, TypeError) as exc:
             raise InputError(f"anchor JSON needs lists 'a' and 'b': {exc}") from None
@@ -396,6 +398,11 @@ def _cmd_identities(args) -> tuple[dict, int]:
 
 
 def _cmd_variation(args) -> tuple[dict, int]:
+    decomposed = args.g is not None or args.h is not None
+    if args.anchors is not None and not decomposed:
+        raise InputError("--anchors is read with --g/--h only")
+    if args.function is not None and decomposed:
+        raise InputError("--function is not read with --g/--h, whose f is g - h")
     backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     if args.a is None or args.b is None:
@@ -405,7 +412,7 @@ def _cmd_variation(args) -> tuple[dict, int]:
     strategy = RefinementStrategy(initial_intervals=args.m0, rounds=args.rounds,
                                   perturb_rounds=args.perturb_rounds, seed=args.seed)
 
-    if args.g is not None or args.h is not None:
+    if decomposed:
         g = _parse_function(args.g, backend) if args.g else ConstFn(0)
         h = _parse_function(args.h, backend) if args.h else ConstFn(0)
         anchors = _parse_anchors(args.anchors, backend) if args.anchors else (None, None)

@@ -17,6 +17,12 @@ the finest uniform partition.  Each window's divided difference is
 divided_difference's own ratio step (divdiff._ratio) on one point
 table, whose columns a window makes only at its new point, and an exact
 partition sum adds only the window values where the sum turns.
+
+A partition's points are checked once, where they enter, not window by
+window: variation_sum checks its Partition (its gap, then its domain)
+before any window value, and estimate_variation's partitions pass those
+checks by construction, but for the float ends of int endpoints, which
+it checks once.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .core import (
     Scalar,
     DEFAULT_MIN_GAP,
     _BACKEND_TYPES,
+    _check_domain,
     _increasing,
     affine,
     combine_backends,
@@ -47,7 +54,6 @@ from .errors import (
     AnchorInfeasible,
     BoundViolated,
     DimensionMismatch,
-    EvaluationOutsideSupport,
     InputError,
     OrderingViolation,
 )
@@ -101,10 +107,27 @@ class VariationEstimate:
 def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition,
                   tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
     """Sum over consecutive n-point windows of the partition of the
-    absolute difference of neighbouring divided differences."""
-    grid = partition.points
+    absolute difference of neighbouring divided differences.
+
+    The partition is checked once, before any window value, for what
+    divided_difference rejects in a window: at least n intervals; on a
+    float partition, its first consecutive pair closer than
+    ``DEFAULT_MIN_GAP`` (a Partition's points may have been validated
+    with a smaller gap), named as the first window holding it names it;
+    then its first point outside the domain."""
+    tol_factor = _finite_tol(tol_factor)
+    grid, n = partition.points, system.dim
+    if len(grid) - 1 < n:
+        raise DimensionMismatch(
+            f"partition has {len(grid) - 1} intervals, need at least {n} for dimension {n}")
+    if grid.backend is Backend.FLOAT and n > 1:     # no one-point window holds a pair
+        for i in range(len(grid) - 1):
+            if grid[i + 1] - grid[i] < DEFAULT_MIN_GAP:
+                j = min(i, n - 2)
+                raise min_gap_violation(j, j + 1, DEFAULT_MIN_GAP)
+    _check_domain(system.domain, grid)
     return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
-                       _finite_tol(tol_factor))
+                       tol_factor)
 
 
 def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, js,
@@ -112,22 +135,15 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, j
     """:func:`variation_sum` over the partition whose points are at the
     increasing positions ``js`` of ``grid``, with the values of
     ``table``, which holds the system's basis and f and may be shared
-    between partitions.  Each window's divided difference is
-    divided_difference's, check by check: its points' checks
-    (:func:`_rejected_window`), then the shared ratio step on the
-    table's columns, of which a window makes only those at its new
-    point.  The sum is exact or float as the table reads the grid."""
+    between partitions.  Its callers have checked the partition's
+    points, so each window's divided difference is divided_difference's
+    from its ratio step on: the shared ratio step on the table's columns,
+    of which a window makes only those at its new point.  The sum is
+    exact or float as the table reads the grid."""
     n = system.dim
     m = len(js) - 1
-    if m < n:
-        raise DimensionMismatch(
-            f"partition has {m} intervals, need at least {n} for dimension {n}")
-    stop, error = _rejected_window(grid, js, n, system)
-    backend = table.backend(grid)
-    values = [_ratio(table, grid, js[i:i + n], tol_factor)[0] for i in range(stop)]
-    if error is not None:
-        raise error
-    if backend is Backend.FLOAT:
+    values = [_ratio(table, grid, js[i:i + n], tol_factor)[0] for i in range(m - n + 2)]
+    if table.backend(grid) is Backend.FLOAT:
         total = 0.0
         for i in range(m - n + 1):
             total += abs(values[i + 1] - values[i])
@@ -136,37 +152,6 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, j
         total = sum((v * (s[i] - s[i + 1]) for i, v in enumerate(values) if s[i] != s[i + 1]),
                     values[0] - values[0])
     return _finite(total, f"partition sum over {m} intervals", _At(grid, (js[0], js[-1])))
-
-
-def _rejected_window(grid: PointTuple, js, n: int, system: ChebyshevSystem) -> tuple:
-    """The first n-point window of the increasing positions ``js`` of
-    ``grid`` whose points divided_difference rejects, with the error it
-    raises: the first pair closer than ``DEFAULT_MIN_GAP`` on a float
-    grid (from the consecutive gaps, as validate_tuple finds it; a
-    Partition's points may have been validated with a smaller gap), else
-    the first point outside the domain (an interval holds all the points
-    when it holds both ends, and an exact grid has no gaps to check).
-    (the number of windows, None) when it rejects none."""
-    windows = len(js) - n + 1
-    dom = system.domain
-    ends = isinstance(dom, Interval) and dom.contains(grid[js[0]]) and dom.contains(grid[js[-1]])
-    if ends and grid.backend is Backend.EXACT:
-        return windows, None
-    pts = [grid[j] for j in js]
-    close = [False] * len(pts)
-    if grid.backend is Backend.FLOAT:
-        close = [abs(pts[i] - pts[i + 1]) < DEFAULT_MIN_GAP for i in range(len(pts) - 1)]
-    outside = [False] * len(pts) if ends else [not dom.contains(x) for x in pts]
-    if not (any(close) or any(outside)):
-        return windows, None
-    for s in range(windows):
-        for i in range(s, s + n - 1):
-            if close[i]:
-                return s, min_gap_violation(i - s, i - s + 1, DEFAULT_MIN_GAP)
-        for x, out in zip(pts[s:s + n], outside[s:s + n]):
-            if out:
-                return s, EvaluationOutsideSupport(f"point {x} is outside the system domain")
-    return windows, None
 
 
 def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> PointTuple:
@@ -238,6 +223,7 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
     # uniform partitions nest: round r reads every 2**(rounds-1-r)-th
     # point of the finest one, and the table's records there
     finest = _uniform_partition(a, b, m0 << (strategy.rounds - 1), backend)
+    _check_domain(system.domain, (finest[0], finest[-1]))   # float(a) may round outside
     table = _PointTable(system.basis + (f,))
 
     prev_best = None

@@ -351,6 +351,31 @@ class TestVariation:
         assert code == 2
         assert rep["error"]["type"] == "InputError"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--function", "power:3", "--anchors=-1,0;1,2"], "--anchors is read with --g/--h only"),
+        (["--g", "power:3", "--function", "power:2"],
+         "--function is not read with --g/--h, whose f is g - h"),
+        (["--h", "power:2", "--function", "power:2"],
+         "--function is not read with --g/--h, whose f is g - h"),
+    ])
+    def test_a_flag_the_command_would_ignore_is_input_error(self, capsys, flags, message):
+        code, rep = run_cli(capsys, "variation", "--system", "poly:2", "--a", "0", "--b", "1",
+                            *flags)
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message": message}
+
+    @pytest.mark.parametrize("anchors", [{"a": "89", "b": [10, 11]}, {"a": [8, 9], "b": 10},
+                                         {"a": [8, 9], "b": {"10": 11}}])
+    def test_anchor_json_sides_that_are_no_lists_are_input_error(self, capsys, tmp_path,
+                                                                  anchors):
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps(anchors))
+        code, rep = run_cli(capsys, "variation", "--system", "poly:2", "--g", "power:3",
+                            "--a", "9", "--b", "10", "--anchors", str(path))
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message":
+                                "anchor JSON needs lists 'a' and 'b': each must be a JSON array"}
+
 
 class TestReportContract:
     def test_determinism_except_timing(self, capsys):

@@ -4,13 +4,18 @@ fresh ``divided_difference`` per window.  ``variation_sum``,
 ``estimate_variation`` and ``check_variation_bound`` must give the same
 values, float bits included (compared by repr), and raise the same
 error with the same message.  The reference runs of the last two swap
-the oracle in for every partition sum."""
+the oracle in for every partition sum.  ``variation_sum`` checks its
+partition's points once, before any window value: on a partition with
+more than one defect it reports the first too-close pair, then the first
+point outside the domain, and only then what the loop meets
+(``checked_then_loop``)."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chebconvex import variation
 from chebconvex.core import (
@@ -19,14 +24,18 @@ from chebconvex.core import (
     ConstFn,
     CosFn,
     ExpFn,
+    FiniteSet,
     Interval,
     OrderingClass,
     PowerFn,
+    PuncturedInterval,
     SampledFn,
+    _check_domain,
     affine,
     system_from_json,
     validate_tuple,
 )
+from chebconvex.determinant import _finite_tol
 from chebconvex.divdiff import divided_difference
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system, trig_odd_system
@@ -297,3 +306,102 @@ def test_float_overflow(same):
     assert same(check_variation_bound, system, big, PowerFn(2), 1.0, 2.0) \
         .startswith("NonFiniteValue: ")
 
+
+# ---------------------------------------------------------------------------
+# more than one defect: the points' checks come before any window value
+
+def checked_then_loop(system, f, partition, tol_factor=variation.DEFAULT_TOL_FACTOR):
+    """The rule variation_sum follows: its tol_factor's check; then, on
+    a partition of at least n intervals, divided_difference's checks of
+    its points (the minimum gap, then the domain) in every window, every
+    window's gap before any window's domain; then the per-window loop."""
+    _finite_tol(tol_factor)
+    n, pts = system.dim, partition.points.points
+    if len(pts) - 1 >= n:
+        windows = [pts[s:s + n] for s in range(len(pts) - n + 1)]
+        for window in windows:
+            validate_tuple(window, OrderingClass.PAIRWISE_DISTINCT)
+        for window in windows:
+            _check_domain(system.domain, window)
+    return variation_loop(system, f, partition, tol_factor)
+
+
+def test_points_are_checked_before_any_window_value():
+    """Two defects, the second met in an earlier window than the first:
+    the loop reports the earlier window's, variation_sum the point."""
+    domain = PuncturedInterval(Interval(), (5,))
+    outside = "EvaluationOutsideSupport: point 5 is outside the system domain"
+    one_xsq = ChebyshevSystem((PowerFn(0), PowerFn(2)), domain)
+    partition = Partition((-1, 1, 2, 5))
+    assert result(variation_loop, one_xsq, PowerFn(3), partition) == \
+        "SingularDenominator: prefix collocation determinant vanishes at (-1, 1)"
+    assert result(variation_sum, one_xsq, PowerFn(3), partition) == outside
+    line = ChebyshevSystem((PowerFn(0), PowerFn(1)), domain)
+    f = SampledFn((1, 2, 5), (1, 4, 25))
+    partition = Partition((0, 1, 2, 5))
+    assert result(variation_loop, line, f, partition) == \
+        "EvaluationOutsideSupport: sampled function has no value at 0"
+    assert result(variation_sum, line, f, partition) == outside
+
+
+def test_an_end_rounded_outside_an_open_domain(same):
+    """An int end past 2**53 that is inside the domain, but whose float
+    is not: estimate_variation checks the finest partition's ends."""
+    system = ChebyshevSystem((PowerFn(0),), Interval(hi=2 ** 60 + 130))
+    b = 2 ** 60 + 129                   # float(b) is 2**60 + 256
+    assert same(estimate_variation, system, affine((0.5, PowerFn(1))), 2 ** 60 - 2 ** 30, b,
+                RefinementStrategy(rounds=2, perturb_rounds=1)) == \
+        f"EvaluationOutsideSupport: point {float(b)!r} is outside the system domain"
+
+
+def defect_case(rng: random.Random) -> tuple:
+    """A system of dimension 1-4, a target and a partition of 2-8 points,
+    exact or float, with some too-close pairs, points outside the
+    domain, and target values missing."""
+    n = rng.randint(1, 4)
+    exact = rng.random() < 0.4
+    pts = [Fraction(i, 4) for i in sorted(rng.sample(range(-12, 13), rng.randint(2, 8)))]
+    for x in rng.sample(pts, rng.choice([0, 0, 1, 2])):
+        pts.append(x + Fraction(1, 10 ** 12) if exact
+                   else float(x) + rng.choice([5e-10, 9.9e-10, 1e-9, 2e-9]))
+    pts = sorted(pts if exact else map(float, pts))
+    partition = Partition(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=0))
+    kind = rng.choice(["line", "punctured", "punctured", "interval", "finite"])
+    some = tuple(rng.sample(pts, rng.randint(1, 2)))
+    domain = {"line": Interval(),
+              "punctured": PuncturedInterval(Interval(), some),
+              "interval": Interval(lo=pts[rng.randint(0, 1)], lo_open=rng.random() < 0.5),
+              "finite": FiniteSet(tuple(x for x in pts if x not in some))}[kind]
+    basis = (PowerFn(0), PowerFn(2)) if n == 2 and rng.random() < 0.4 \
+        else tuple(PowerFn(j) for j in range(n))
+    kept = [x for x in pts if rng.random() < 0.85] or pts[:1]
+    f = rng.choice([PowerFn(n + 1), affine((Fraction(3, 2), PowerFn(n)), (-1, PowerFn(n + 2))),
+                    SampledFn(tuple(kept), tuple(x * x for x in kept)), ExpFn()])
+    tol_factor = rng.choice([variation.DEFAULT_TOL_FACTOR] * 6 + [0.5, math.nan])
+    return ChebyshevSystem(basis, domain), f, partition, tol_factor
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_points_checked_first_match_the_rule(rng):
+    system, f, partition, tol_factor = defect_case(rng)
+    assert repr(result(variation_sum, system, f, partition, tol_factor)) == \
+        repr(result(checked_then_loop, system, f, partition, tol_factor))
+
+
+def test_the_defect_cases_reach_every_path():
+    """The cases above meet sums, too-close pairs, points outside the
+    domain and errors of window values, and cases where the rule reports
+    a pair or a point that the loop meets after another window's error."""
+    seen, reordered = set(), set()
+    for seed in range(400):
+        system, f, partition, tol_factor = defect_case(random.Random(seed))
+        got = result(checked_then_loop, system, f, partition, tol_factor)
+        kind = got.split(":")[0] if isinstance(got, str) else "sum"
+        seen.add(kind)
+        if math.isfinite(tol_factor) and got != result(variation_loop, system, f, partition,
+                                                       tol_factor):
+            reordered.add(kind)
+    assert {"sum", "OrderingViolation", "EvaluationOutsideSupport", "SingularDenominator",
+            "DimensionMismatch", "InputError"} <= seen
+    assert reordered == {"OrderingViolation", "EvaluationOutsideSupport"}
