@@ -524,7 +524,7 @@ def main(argv=None) -> int:
     try:
         report["results"], code = args.func(args)
     except (ChebconvexError, OSError, json.JSONDecodeError, ValueError,
-            OverflowError) as exc:
+            OverflowError, MemoryError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 1 if isinstance(exc, BoundViolated) else 2
     report["timing_seconds"] = time.perf_counter() - started

@@ -69,7 +69,10 @@ from .errors import (
     InputError,
     InsufficientGrid,
 )
-from .induced import _PinnedBase, _check_base
+from .induced import _PinnedBase, _check_base, _check_base_size
+
+#: The counts of a pinned mode's verdict.
+_COUNTS = ("tuples_checked", "bases_checked", "bases_skipped", "indeterminate_count")
 
 #: Base-tuple sampling switches from exhaustive enumeration to seeded
 #: random sampling above this count.
@@ -186,82 +189,91 @@ def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, pts: Point
 
 
 def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
-                         grid: Iterable[Scalar], ell: int | None,
+                         grid: Iterable[Scalar], ells: tuple,
                          base_budget: int, budget: int, seed: int,
                          tol_factor: float,
                          table: _PointTable | None = None,
-                         derived: dict | None = None,
-                         walk: SignScan | None = None) -> ConvexityVerdict:
-    """The induced (``ell`` None) or interval check.  Each base's scan
-    is a direct check of the (n-k)-dimensional induced system; it reads
-    its derived table, the base's :class:`_PinnedBase`, from ``derived``
-    (base -> pinned base); all of them read ``table``, the point table
-    of ``system.basis + (f,)``.  A caller may share both between checks
-    of the same system and ``f``; without ``derived``, each base's
-    derived values are dropped after its scan.  When the table is exact
-    and the walk on every (n+1)-tuple fits ``budget`` and the bases are
-    exhaustive, the sign identity reads each base's verdict off that one
-    direct walk (``walk``, the caller's scan given this mode's
-    :func:`_cut`, if it has one): only the first violated base is
-    scanned, for its witness and value, and every other checked base
-    counts its tuples unscanned."""
+                         walk: SignScan | None = None) -> list:
+    """The verdicts of the pinned modes ``ells`` of base size k, in
+    their order: the induced mode for ``None``, else the interval mode
+    of that ell.  The modes take the same bases, in sorted order, and
+    each base is pinned once, as the derived table (:class:`_PinnedBase`)
+    that every mode scanning it reads, and dropped before the next base;
+    all of them read ``table``, the point table of ``system.basis +
+    (f,)``, which a caller may share between checks of the same system
+    and ``f``.  Each base's scan is a direct check of the
+    (n-k)-dimensional induced system; within a base the modes run in
+    the order of ``ells``.  A mode that raises stops there, with every
+    later mode, and the first mode's error is raised once the bases are
+    done: the error that the modes, each run alone in turn, would meet
+    first.  When the table is exact and the walk on
+    every (n+1)-tuple fits ``budget`` and the bases are exhaustive, the
+    sign identity reads each mode's verdicts off that one direct walk
+    (``walk``, the caller's scan given each mode's :func:`_cut`, if it
+    has one): a mode scans only its first violated base, for its witness
+    and value, and counts the tuples of every other checked base
+    unscanned."""
     n = system.dim
-    if not 1 <= k <= n - 1:
-        raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
-    if ell is not None and not 0 <= ell <= k:
-        raise InputError(f"interval index {ell} outside 0..{k}")
+    _check_base_size(n, k)
+    for ell in ells:
+        if ell is not None and not 0 <= ell <= k:
+            raise InputError(f"interval index {ell} outside 0..{k}")
     pts = sorted_grid(grid)
     m = len(pts)
     bases, every = increasing_tuples(range(m), k, budget=base_budget, seed=seed)
-    mode = "induced" if ell is None else "interval"
     table = table or _PointTable(system.basis + (f,))
-    own = derived is None
-    derived = {} if own else derived
-    # the only base to scan, or None for every base; the walk, and with
-    # it every base's scan (C(m-k, n-k+1) <= C(m, n+1)), is exhaustive
-    scanned = _first_violated(system, k, ell, pts, table, budget, tol_factor, walk) \
-        if every and math.comb(m, n + 1) <= budget else None
-
-    tuples_checked = 0
-    bases_checked = 0
-    bases_skipped = 0
-    indeterminate = 0
-    first: dict[str, tuple] = {}     # verdict -> (witness, value, base) of its first base
+    # by mode: its ell; the only base to scan, or None for every base (the walk,
+    # and with it every base's scan, C(m-k, n-k+1) <= C(m, n+1), is exhaustive);
+    # its counts; by verdict, the (witness, value, base) of its first base
+    walked = every and math.comb(m, n + 1) <= budget
+    modes = [(ell, _first_violated(system, k, ell, pts, table, budget, tol_factor, walk)
+              if walked else None, dict.fromkeys(_COUNTS, 0), {}) for ell in ells]
+    error = None
     for base in sorted(bases):
-        local = _restricted_points(len(pts), base, ell)
-        if len(local) < n - k + 1:
-            bases_skipped += 1
-            continue
-        bases_checked += 1
-        _check_base(system.domain, (pts[j] for j in base))
-        if scanned is not None and base != scanned:
-            tuples_checked += math.comb(len(local), n - k + 1)
-            continue
-        if base not in derived:
-            derived[base] = _PinnedBase(table, k, pts, base, tol_factor)
-        # the induced system's punctured domain holds the points of local
-        # (all off the base) that the system's domain holds
-        scan = _direct_scan(n - k, system.domain, pts, local, derived[base], budget, seed,
-                            tol_factor)
-        if own:
-            derived.clear()
-        tuples_checked += scan.tuples_checked
-        indeterminate += scan.indeterminate_count
-        if scan.verdict is not None and scan.verdict not in first:
-            first[scan.verdict] = (scan.witness, scan.witness_value, tuple(pts[j] for j in base))
+        pinned = None
+        for i, (ell, only, count, first) in enumerate(modes):
+            try:
+                local = _restricted_points(m, base, ell)
+                if len(local) < n - k + 1:
+                    count["bases_skipped"] += 1
+                    continue
+                count["bases_checked"] += 1
+                _check_base(system.domain, (pts[j] for j in base))
+                if only is not None and base != only:
+                    count["tuples_checked"] += math.comb(len(local), n - k + 1)
+                    continue
+                pinned = pinned or _PinnedBase(table, k, pts, base, tol_factor)
+                # the induced system's punctured domain holds the points of
+                # local (all off the base) that the system's domain holds
+                scan = _direct_scan(n - k, system.domain, pts, local, pinned, budget, seed,
+                                    tol_factor)
+            except Exception as exc:    # raised below, unless an earlier mode fails later
+                error, modes = exc, modes[:i]
+                break
+            count["tuples_checked"] += scan.tuples_checked
+            count["indeterminate_count"] += scan.indeterminate_count
+            if scan.verdict is not None and scan.verdict not in first:
+                first[scan.verdict] = (scan.witness, scan.witness_value,
+                                       tuple(pts[j] for j in base))
+    if error is not None:
+        raise error
+    return [_pinned_verdict(ell, seed, count, first) for ell, _, count, first in modes]
 
-    counts = dict(tuples_checked=tuples_checked, bases_checked=bases_checked,
-                  bases_skipped=bases_skipped, indeterminate_count=indeterminate)
+
+def _pinned_verdict(ell: int | None, seed: int, counts: dict, first: dict) -> ConvexityVerdict:
+    """The verdict of a pinned mode with the ``counts`` and, by verdict,
+    the (witness, value, base) of its ``first`` base: violated, else
+    indeterminate, else convex, unless no base was checkable (all
+    restricted grids too small), which is reported as indeterminate
+    rather than inventing a verdict."""
+    mode = "induced" if ell is None else "interval"
     for verdict in ("violated", "indeterminate"):
         if verdict in first:
             witness, value, base = first[verdict]
             return ConvexityVerdict(mode, verdict, seed=seed, ell=ell, witness=witness,
                                     witness_value=value, witness_base=base, **counts)
-    if bases_checked == 0:
-        # Nothing checkable (all restricted grids too small): report that
-        # honestly instead of inventing a verdict.
-        return ConvexityVerdict(mode, "indeterminate", seed=seed, ell=ell, **counts)
-    return ConvexityVerdict(mode, "convex_on_sample", seed=seed, ell=ell, **counts)
+    return ConvexityVerdict(mode, "convex_on_sample" if counts["bases_checked"] else
+                            "indeterminate", seed=seed, ell=ell, **counts)
 
 
 def check_convex_induced(system: ChebyshevSystem, k: int, f: FunctionSpec,
@@ -273,8 +285,8 @@ def check_convex_induced(system: ChebyshevSystem, k: int, f: FunctionSpec,
     """For each sampled increasing base k-tuple, check convexity of the
     derived divided-difference function with respect to the induced
     system on the rest of the grid, and aggregate."""
-    return _check_convex_pinned(system, k, f, grid, None, base_budget, budget,
-                                seed, _finite_tol(tol_factor))
+    return _check_convex_pinned(system, k, f, grid, (None,), base_budget, budget,
+                                seed, _finite_tol(tol_factor))[0]
 
 
 def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: FunctionSpec,
@@ -287,8 +299,8 @@ def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: Function
     ``ell``: below the base for ell=0, between base[ell-1] and base[ell]
     for 0 < ell < k, above the base for ell=k.  Bases whose restricted
     grid is too small are skipped and counted."""
-    return _check_convex_pinned(system, k, f, grid, ell, base_budget, budget,
-                                seed, _finite_tol(tol_factor))
+    return _check_convex_pinned(system, k, f, grid, (ell,), base_budget, budget,
+                                seed, _finite_tol(tol_factor))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,30 +366,28 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
                          tol_factor: float = DEFAULT_TOL_FACTOR) -> AgreementReport:
     """Run the direct mode, the induced mode for each k, and the
     interval mode for each (k, ell), and compare definite verdicts.
-    All modes read one point table, and the pinned modes share their
-    derived tables, so a base that several modes scan is eliminated and
-    its derived values computed once.  An exact pinned mode reads its
+    Every k is checked before the grid is read.  All modes read one
+    point table, and the pinned modes of each k run as one check (see
+    _check_convex_pinned), which pins each base once for all of them
+    and drops it at the next base.  An exact pinned mode reads its
     verdicts off the direct mode's walk, when that is exhaustive, and
-    scans only its first violated base (see _check_convex_pinned): the
-    walk records one base for each mode's cut."""
+    scans only its first violated base: the walk records one base for
+    each mode's cut."""
     n = system.dim
     if k_list is None:
         k_list = list(range(1, n))
+    for k in k_list:
+        _check_base_size(n, k)
     grid = sorted_grid(grid)    # one grid, whose positions every mode's table reads
     table = _PointTable(system.basis + (f,))
     cuts = tuple({_cut(n, k, ell) for k in k_list for ell in (None, *range(k + 1))})
     direct, scan = _check_convex_direct(system, f, grid, table, budget, seed, tol_factor, cuts)
     labeled: list[tuple[str, ConvexityVerdict]] = [("direct", direct)]
-    derived: dict = {}
-    pinned = dict(base_budget=base_budget, budget=budget, seed=seed, tol_factor=tol_factor,
-                  table=table, derived=derived, walk=scan)
     for k in k_list:
-        labeled.append((f"induced:k={k}",
-                        _check_convex_pinned(system, k, f, grid, None, **pinned)))
-        for ell in range(k + 1):
-            labeled.append((f"interval:k={k}:ell={ell}",
-                            _check_convex_pinned(system, k, f, grid, ell, **pinned)))
-        derived.clear()     # bases of size k serve only the modes of this k
+        for v in _check_convex_pinned(system, k, f, grid, (None, *range(k + 1)), base_budget,
+                                      budget, seed, tol_factor, table, scan):
+            labeled.append((f"induced:k={k}" if v.ell is None else f"interval:k={k}:ell={v.ell}",
+                            v))
     definite = [(label, v.verdict) for label, v in labeled
                 if v.verdict != "indeterminate"]
     disagreements = tuple(

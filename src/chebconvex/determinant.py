@@ -550,16 +550,21 @@ def check_denominator(den: Scalar, forms: list, backend: Backend | None, at: tup
                       tol_factor: float = DEFAULT_TOL_FACTOR,
                       name: str = "prefix collocation determinant",
                       show_value: bool = True) -> None:
-    """The singular-denominator rule of every divided difference: raise
-    :class:`SingularDenominator` when ``den``, the determinant of the
-    collocation matrix with the prepared columns ``forms`` at the points
-    ``at``, is zero or, on the float backend, within its positivity
-    tolerance, which a negative ``tol_factor`` makes negative."""
+    """The denominator checks of every divided difference, for ``den``,
+    the determinant of the collocation matrix with the prepared columns
+    ``forms`` at the points ``at``, a scalar or an exact (det, scale)
+    pair.  On the float backend an infinite or NaN ``den`` raises
+    :class:`NonFiniteValue`, before the singular-denominator rule: that
+    rule raises :class:`SingularDenominator` when ``den`` is zero or, on
+    the float backend, within its positivity tolerance, which a negative
+    ``tol_factor`` makes negative."""
     if backend is Backend.FLOAT:
+        if not math.isfinite(den):
+            raise NonFiniteValue(f"{name} at {at} is {den}")
         if abs(den) <= _tolerance(_biggest(forms), len(at), tol_factor) or den == 0:
             shown = f"{name} {den}" if show_value else name
             raise SingularDenominator(f"{shown} within tolerance at {at}")
-    elif den == 0:
+    elif (den[0] if type(den) is tuple else den) == 0:
         raise SingularDenominator(f"{name} vanishes at {at}")
 
 

@@ -121,27 +121,18 @@ def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
     return value
 
 
-def _checked_denominator(den, backend: Backend, forms: list, at: tuple,
-                         tol_factor: float = DEFAULT_TOL_FACTOR):
-    """``den``, the determinant of the prepared columns ``forms`` at the
-    points ``at`` (a scalar or an exact (det, scale) pair), after the
-    singular-denominator rule and the check that it is finite."""
-    check_denominator(den[0] if type(den) is tuple else den, forms, backend, at, tol_factor)
-    return _finite(den, "prefix collocation determinant", at)
-
-
 def _ratio(table: _PointTable, grid: PointTuple, js, tol_factor: float) -> tuple:
     """The divided difference of function k of ``table`` with respect to
     its functions 0..k-1 at the k positions ``js`` of ``grid``, with its
     numerator and denominator, each a float or an exact pair of integers
     (det, scale): the denominator's determinant, its checks
-    (:func:`_checked_denominator`), the numerator's, then their
+    (:func:`check_denominator`), the numerator's, then their
     :func:`_quotient`.  f's values and the numerator are not touched
     before the denominator passes."""
     k, at = len(js), _At(grid, js)
     rows = tuple(range(k))
     den, backend, forms = _determinant(*table.matrix(rows, grid, js))
-    _checked_denominator(den, backend, forms, at, tol_factor)
+    check_denominator(den, forms, backend, at, tol_factor)
     num = _determinant(*table.matrix(rows[:-1] + (k,), grid, js))[0]
     return _quotient(num, den, at), num, den
 

@@ -68,8 +68,7 @@ from .determinant import (
     increasing_tuples,
     sorted_grid,
 )
-from .divdiff import (ResidualReport, _checked_denominator, _checked_points, _quotient, _ratio,
-                      _scalar)
+from .divdiff import ResidualReport, _checked_points, _quotient, _ratio, _scalar
 from .errors import DimensionMismatch, InputError
 
 
@@ -110,6 +109,12 @@ def _check_base(domain: Domain, base) -> None:
     for x in base:
         if not domain.contains(x):
             raise InputError(f"base point {x} is outside the parent domain")
+
+
+def _check_base_size(n: int, k: int) -> None:
+    """The check that k base points pin a system of dimension n."""
+    if not 1 <= k <= n - 1:
+        raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
 
 
 class _PinnedBase(_PointTable):
@@ -211,7 +216,7 @@ class _PinnedBase(_PointTable):
         record = self.denominator(j)
         den, backend, forms, at, checked = record
         if not checked:
-            _checked_denominator(den, backend, forms, at, self.tol_factor)
+            check_denominator(den, forms, backend, at, self.tol_factor)
             record[4] = True
         num = den if t == 0 else self.minor(t, j)[0]
         return _quotient(num, den, at)
@@ -241,9 +246,7 @@ def _checked_base(parent: ChebyshevSystem, k: int, base) -> tuple:
     parent's domain, 1 <= k <= dim - 1, and the domain punctured there:
     :func:`verify_induced_system`'s checks of the base, in this order."""
     base = _increasing(base)
-    n = parent.dim
-    if not 1 <= k <= n - 1:
-        raise DimensionMismatch(f"base size {k} outside 1..{n - 1}")
+    _check_base_size(parent.dim, k)
     if len(base) != k:
         raise DimensionMismatch(f"base has {len(base)} points, expected {k}")
     _check_base(parent.domain, base)

@@ -118,7 +118,6 @@ from chebconvex.determinant import (
 )
 from chebconvex.divdiff import (
     ResidualReport,
-    _checked_denominator,
     _finite,
     _homogeneous_sums,
     divided_difference,
@@ -887,8 +886,8 @@ def ratio_two_fractions(table, k: int, at: tuple, tol_factor: float) -> tuple:
     ``at``, each exact one a Fraction of its own."""
     rows, grid = tuple(range(k)), PointTuple(at)
     backend, forms = table.matrix(rows, grid, range(k))
-    den = _checked_denominator(_prepared_det(forms, backend is not Backend.FLOAT),
-                               backend, forms, at, tol_factor)
+    den = _prepared_det(forms, backend is not Backend.FLOAT)
+    check_denominator(den, forms, backend, at, tol_factor)
     backend, forms = table.matrix(rows[:-1] + (k,), grid, range(k))
     num = _prepared_det(forms, backend is not Backend.FLOAT)
     return _finite(num / den, "divided difference", at), num, den

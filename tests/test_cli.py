@@ -25,6 +25,7 @@ def strict_json(text: str) -> dict:
 
 BIG_CUBE = '{"kind": "affine", "terms": [{"coef": 1e308, "spec": {"kind": "power", "k": 3}}]}'
 CLOSE_GRID = "list:0.0,1e-10,1.0,2.0,3.0,4.0"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def without_timing(report: dict) -> dict:
@@ -105,6 +106,13 @@ class TestChebcheck:
         assert rep["error"] == {"type": "InputError",
                                 "message": f"tuple budget must be >= 1, got {budget}"}
 
+    def test_a_grid_too_large_to_allocate_is_a_structured_error(self, capsys):
+        # exit 1 would read as "violation found"
+        code, rep = run_cli(capsys, "chebcheck", "--system", "poly:2",
+                            "--grid", "uniform:0,1,1152921504606846977")
+        assert code == 2
+        assert rep["error"] == {"type": "MemoryError", "message": ""}
+
 
 class TestDivdiff:
     def test_poly_example(self, capsys):
@@ -144,6 +152,14 @@ class TestDivdiff:
         assert code == 2
         assert rep["error"] == {"type": "NonFiniteValue",
                                 "message": "divided difference at (1.0, 2.0, 3.0) is nan"}
+
+    def test_non_finite_denominator_is_input_error(self, capsys):
+        code, rep = run_cli(capsys, "divdiff", "--system", "poly:2", "--function", "power:2",
+                            "--grid", "list:inf,1", "--backend", "float")
+        assert code == 2
+        assert rep["error"] == {
+            "type": "NonFiniteValue",
+            "message": "prefix collocation determinant at (inf, 1.0) is -inf"}
 
 
 class TestConvexity:
@@ -235,6 +251,17 @@ class TestConvexityInputChecks:
                             "--grid", "uniform:0,3,4", *flags)
         assert code == 2
         assert rep["error"] == {"type": "InputError", "message": message}
+
+    @pytest.mark.parametrize("mode", ["induced", "agreement"])
+    def test_a_k_outside_the_system_is_checked_before_the_grid(self, capsys, mode):
+        # f has no value at 3: agreement once scanned the grid first and
+        # reported EvaluationOutsideSupport
+        code, rep = run_cli(capsys, "convexity", "--mode", mode, "--k", "7", "--system",
+                            "poly:2", "--function", str(DATA / "sampled_gap.csv"),
+                            "--grid", "list:0,1,2,3,4,5")
+        assert code == 2
+        assert rep["error"] == {"type": "DimensionMismatch",
+                                "message": "base size 7 outside 1..1"}
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "induced", "--k", "1"]])
     def test_non_positive_budget_is_input_error(self, capsys, mode):
@@ -375,6 +402,12 @@ class TestVariation:
         assert code == 2
         assert rep["error"] == {"type": "InputError", "message":
                                 "anchor JSON needs lists 'a' and 'b': each must be a JSON array"}
+
+    def test_a_partition_too_large_to_allocate_is_a_structured_error(self, capsys):
+        code, rep = run_cli(capsys, "variation", "--system", "poly:2", "--function", "power:3",
+                            "--a", "0", "--b", "1", "--rounds", "58")
+        assert code == 2
+        assert rep["error"] == {"type": "MemoryError", "message": ""}
 
 
 class TestReportContract:

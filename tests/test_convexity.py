@@ -226,6 +226,18 @@ class TestCrossMode:
             rep = cross_mode_agreement(system, f, grid)
             assert rep.agreed, rep.disagreements
 
+    @pytest.mark.parametrize("k_list", [[9], [1, 0], [2, 1, 3]])
+    def test_every_k_is_checked_before_the_grid_is_read(self, k_list):
+        """A k outside 1..n-1 is the induced mode's DimensionMismatch,
+        for the first such k, before the direct mode reads a grid point:
+        this grid fails if it is read at all."""
+        def unread():
+            raise AssertionError("the grid was read")
+            yield
+        bad = next(k for k in k_list if not 1 <= k <= 2)
+        with pytest.raises(DimensionMismatch, match=rf"^base size {bad} outside 1\.\.2$"):
+            cross_mode_agreement(polynomial_system(3), PowerFn(3), unread(), k_list=k_list)
+
 
 class TestPolynomialReduction:
     def test_induced_determinant_equals_plain_power_determinant(self):

@@ -96,6 +96,18 @@ class TestGeneralizedDivdiff:
             check_convex_induced(wide, 1, PowerFn(3), [-1.0, 0.0, 1.0, 2.0],
                                  tol_factor=tol_factor)
 
+    @pytest.mark.parametrize("points, den", [((float("inf"), 1.0), "-inf"),
+                                             ((1.0, float("inf")), "inf")])
+    @pytest.mark.parametrize("tol_factor", [-1.0, 0.0, 1e-10, 1.0])
+    def test_non_finite_float_denominator_is_never_singular(self, points, den, tol_factor):
+        # an infinite denominator with an infinite entry once fell inside
+        # its own infinite tolerance: SingularDenominator "within tolerance"
+        with pytest.raises(NonFiniteValue,
+                           match=rf"^prefix collocation determinant at \({points[0]}, "
+                                 rf"{points[1]}\) is {den}$"):
+            divided_difference(polynomial_system(2), 2, PowerFn(2), points,
+                               tol_factor=tol_factor)
+
     def test_non_finite_value(self):
         big = affine((1e308, PowerFn(3)))
         with pytest.raises(NonFiniteValue, match=r"divided difference at \(1.0, 2.0, 3.0\) is nan"):

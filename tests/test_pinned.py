@@ -11,10 +11,12 @@ error a check raises, message included."""
 
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from chebconvex import convexity
 from chebconvex.convexity import (
     check_convex_direct,
     check_convex_induced,
@@ -301,6 +303,60 @@ def test_mixed_int_float_grid_answers_as_its_float_twin():
         assert cross_mode_agreement(system, f, grid).verdicts == tuple(labeled)
         seen |= outcomes(labeled)
     assert {"violated", "convex_on_sample"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# agreement pins each base once for all the modes of its k
+
+def test_agreement_keeps_one_pinned_base_alive(monkeypatch):
+    """The pinned modes of one k walk the bases together: each base is
+    pinned once, for every mode that scans it, and dropped before the
+    next base is pinned."""
+    live, most = weakref.WeakSet(), []
+
+    class Counted(_PinnedBase):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+            most.append(len(live))
+
+    monkeypatch.setattr(convexity, "_PinnedBase", Counted)
+    grid = [i / 2 for i in range(8)]    # float: every base of every mode is scanned
+    report = cross_mode_agreement(polynomial_system(3), ExpFn(), grid)
+    assert len(report.verdicts) == 1 + 3 + 4 and report.agreed
+    assert len(most) == 8 + 28 and max(most) == 1
+
+
+def test_agreement_meets_a_late_bases_error_first():
+    """A float grid whose (k+1)-prefix is near-singular only at a late
+    base, (1e5,) at position 6: the modes of k = 1 check every earlier
+    base together before the induced mode meets it there, and agreement
+    raises that error, the first in mode order."""
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1e5, 1e5 + 0.5]
+    labeled = dict(check_every_mode(polynomial_system(3), PowerFn(4), grid))
+    assert labeled["direct"].verdict == "convex_on_sample"
+    assert labeled["induced:k=1"] == (
+        "SingularDenominator: prefix collocation determinant 0.5000000000032756 "
+        "within tolerance at (100000.0, 100000.5)")
+    assert labeled["interval:k=1:ell=1"].verdict == "convex_on_sample"
+
+
+def test_agreement_raises_the_first_modes_error_when_scans_are_sampled():
+    """With every inner scan sampled (one tuple per base), a mode meets
+    only the points of its sample, so an interval mode can fail at an
+    earlier base than the induced mode does: here ell = 0 at base 0.0,
+    the induced mode at base 1.25.  Agreement still raises the induced
+    mode's error, the first in mode order."""
+    f = affine((1, PowerFn(2)), (1, PowerFn(3)))
+    grid = [-4.875, -3.25, 0.0, 0.625, 1.25, 1.375, 4.625]
+    labeled = dict(check_every_mode(ONE_XSQ, f, grid, budget=1, base_budget=4, seed=5,
+                                    tol_factor=0.3))
+    assert labeled["induced:k=1"] == (
+        "SingularDenominator: prefix collocation determinant 0.32812499999999994 "
+        "within tolerance at (1.25, 1.375)")
+    assert labeled["interval:k=1:ell=0"] == (
+        "SingularDenominator: prefix collocation determinant 23.765625 "
+        "within tolerance at (0.0, -4.875)")
 
 
 # ---------------------------------------------------------------------------
