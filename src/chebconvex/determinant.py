@@ -40,19 +40,26 @@ proved by Sylvester's identity and induction on a tuple's span:
 
 When the windows pass, the scan passes without walking its tuples, and
 its ``tuples_checked`` stays C(m, n), since the verdict covers every
-tuple; when one fails, the scan walks as before, so every witness,
-value and count is the walk's.  Float and sampled scans never read the
-windows: a float verdict's near-zero count is per tuple, and a sampled
-scan reads only its tuples' points.  A scan that walks can also read
-the windows' lower part on its own (the rows 0..n-2, by Fekete's lemma
+tuple; when one fails, the scan walks.  The walk meets its tuples in
+lexicographic order and an exact value has no near-zero band, so its
+first violation is the witness, and it stops there, its
+``tuples_checked`` still C(m, n).  Float and sampled scans never read
+the windows, nor stop: a float verdict's near-zero count is per tuple,
+and a sampled scan reads only its tuples' points, and its witness is
+the smallest of its unordered samples.  A scan that walks can also read the
+windows' lower part on its own (the rows 0..n-2, by Fekete's lemma
 positive on every increasing tuple when it passes) and then report,
 for each cut of a tuple it is given, the smallest base that a violating
 tuple leaves: what exact pinned convexity checks read through the
-paper's sign identity (see convexity).
+paper's sign identity (see convexity).  The first violation leaves the
+smallest base of a prefix cut (one that keeps t[:c]), so a walk whose
+cuts are all prefix cuts still stops there; one that keeps any other
+cut walks every tuple.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -620,7 +627,12 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # smallest value with one bound, the float one |tol| at the row's
 # largest |entry|.  That bound serves the whole row because |tol| grows
 # with the largest |entry|; a row that fails it goes to _Tally.add tuple
-# by tuple, in order.  A sampled scan, and a
+# by tuple, in order.  So _Tally.add meets the tuples in lexicographic
+# order, and an exact walk stops at its first violation (_Stop), which is
+# its witness, unless it keeps the base of a cut that is not a prefix
+# (see _sign_scan); its tuples_checked still reads C(m, n), as a
+# certified scan's does.  A float walk never stops: its near-zero count
+# reads every tuple.  A sampled scan, and a
 # scan of one-point tuples, exhaustive or not, calls det's elimination
 # on each tuple's prepared columns and _Tally.add on each (_scan_each).
 
@@ -644,7 +656,13 @@ class SignScan:
     #: when none is: of an exact exhaustive scan that its windows pass
     #: ({}), or whose windows' lower part holds (see :func:`_certified`),
     #: else None; not part of the outcome, which is the same either way.
+    #: A walk that stops at its first violation t, its cuts all prefix
+    #: cuts, reads each base t[:cut] there, the smallest of them all.
     bases: dict | None = field(default=None, compare=False, repr=False)
+
+
+class _Stop(Exception):
+    """A violation met by a tally that stops there (``_Tally.stop``)."""
 
 
 class _Tally:
@@ -653,7 +671,10 @@ class _Tally:
     ``cuts`` (none unless set) the smallest violating tuple less its
     ``width`` entries after the first ``cut`` (``bases``), of a scan
     whose values are exact or float (``exact``); ``at(t)`` gives the
-    points of index tuple t."""
+    points of index tuple t.  With ``stop`` set, :meth:`add` raises
+    :class:`_Stop` at the first violation it records: a walk that gives
+    it the tuples in order has its witness and the smallest base of each
+    prefix cut then."""
 
     def __init__(self, positive: bool, exact: bool, at, tol_factor: float):
         self.positive = positive
@@ -664,6 +685,7 @@ class _Tally:
         self.near_zero = 0
         self.cuts: tuple = ()
         self.bases: dict = {}
+        self.stop = False
 
     def add(self, t: tuple, value: Scalar, biggest: float | None = None) -> None:
         """The sign rule of every scan.  ``positive`` asks for value > 0:
@@ -692,6 +714,8 @@ class _Tally:
         best = self.first.get(kind)
         if best is None or t < best[0]:
             self.first[kind] = (t, value)
+        if self.stop and kind is _VIOLATION:
+            raise _Stop
 
     def row(self, t: tuple, js, values: list, top=0.0, base=0.0, colmax=()) -> None:
         """:meth:`add` of the tuples t + (j,), j in ``js``, with their
@@ -724,7 +748,11 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     ``budget`` seeded samples) by the rule of :meth:`_Tally.add`, at the
     one backend the table reads the grid at.  An exact exhaustive scan
     given ``cuts`` that walks reads its windows' lower part, for its
-    :attr:`SignScan.bases`."""
+    :attr:`SignScan.bases`.  An exact walk stops at its first violation,
+    the witness, when every cut it keeps is a prefix cut (cut + width ==
+    n), or it keeps none; its ``tuples_checked`` is C(m, n) either way.
+    Every column is read before the walk, and exact walk arithmetic
+    cannot raise, so the stop skips no error."""
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
@@ -738,13 +766,14 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     elif not exact:
         _walk_float([cols[j].form[0] for j in range(m)], n, tally)
     else:
-        forms = [cols[j].form for j in range(m)]
-        ints = [c for c, _ in forms]
+        ints, scale = zip(*(cols[j].form for j in range(m)))
         if _certified(ints, n, positive):
             return SignScan(checked, exhaustive, bases={})
         if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
             tally.cuts, bases = cuts, tally.bases
-        scale = _walk_exact(forms, n, tally)
+        tally.stop = all(c + w == n for c, w in tally.cuts)
+        with contextlib.suppress(_Stop):
+            _walk_exact(ints, n, tally)
 
     for verdict in (_VIOLATION, _NEAR_ZERO):
         if verdict in tally.first:
@@ -856,14 +885,12 @@ def _walk_float(cols: list, n: int, tally: _Tally) -> None:
           lambda t: (0.0, max(colmax[j] for j in t)), tally)
 
 
-def _walk_exact(forms: list, n: int, tally: _Tally) -> list:
+def _walk_exact(ints, n: int, tally: _Tally) -> None:
     """Bareiss elimination one column at a time over the columns scaled
-    to integers by the lcm of their denominators (``forms``, pairs of a
-    column and its scale), so the walk records integer determinants of
-    the scaled matrix, which carry the sign; returns the column scales.
-    A pair's values are :func:`_exact_pivot`'s and
+    to integers by the lcm of their denominators (``ints``), so the walk
+    records integer determinants of the scaled matrix, which carry the
+    sign.  A pair's values are :func:`_exact_pivot`'s and
     :func:`_exact_reduce`'s operations on (a, b) and each later (x, y)."""
-    ints, scale = zip(*forms)
 
     def pair(state, j, c, later):
         sign, prev = state
@@ -874,9 +901,8 @@ def _walk_exact(forms: list, n: int, tally: _Tally) -> list:
             return [-sign * (b * x // prev) for x, y in later],
         return None
 
-    _walk(list(ints), n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
+    _walk(ints, n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
           _exact_reduce, pair, lambda t: (0,), tally)
-    return list(scale)
 
 
 def _certified(ints: list, n: int, positive: bool) -> bool:

@@ -19,6 +19,9 @@ package uses, so matching values certify both sides:
   first, in an exact exhaustive scan, and vs a walk that shares each
   prefix's pivot steps and finishes its last two levels in one pass, on
   either backend (``walk_scan``, ``float_walk_scan``);
+* one row-wise determinant on every increasing tuple vs an exact walk
+  that stops at its first violation, with the smallest base of every
+  violating tuple for each cut (``full_walk_scan``);
 * one divided_difference of two fresh determinants per derived value vs
   a pinned base eliminated once (``derived_value`` and ``OracleDerivedFn``,
   DerivedFn as it was before it read a pinned base);
@@ -440,6 +443,24 @@ def walk_scan(table, rows: tuple, grid, js, positive: bool) -> SignScan:
     consecutive columns or shared a prefix's pivot steps: one
     determinant per increasing tuple, in lexicographic order."""
     return _per_tuple_scan(table, rows, grid, js, positive, True, DEFAULT_TOL_FACTOR)
+
+
+def full_walk_scan(table, rows: tuple, grid, js, positive: bool, cuts: tuple) -> tuple:
+    """The exact exhaustive sign scan of walk_scan by row-wise elimination
+    of every increasing tuple, none skipped after the first violation,
+    and for each (cut, width) in ``cuts`` the smallest t[:cut] + t[cut +
+    width:] over all violating index tuples t (absent when none is)."""
+    m, n = len(js), len(rows)
+    cols = [c.values for c in table.columns(rows, grid, js)]
+    values = {t: _det_exact([[cols[j][i] for j in t] for i in range(n)])
+              for t in itertools.combinations(range(m), n)}
+    violating = [t for t, v in values.items() if v < 0 or positive and v == 0]
+    if not violating:
+        return SignScan(math.comb(m, n), True), {}
+    t = violating[0]
+    return (SignScan(math.comb(m, n), True, "violated", tuple(grid[js[j]] for j in t),
+                     values[t]),
+            {(c, w): min(u[:c] + u[c + w:] for u in violating) for c, w in cuts})
 
 
 def float_walk_scan(table, rows: tuple, grid, js, positive: bool, tol_factor) -> SignScan:

@@ -183,6 +183,17 @@ CASES = [
      "float", "--grid", "uniform:-1,3,8", "--mode", "interval", "--k", "1", "--ell", "1"],
     ["convexity", "--system", "poly:3", "--function", "power:4", "--backend", "float",
      "--grid", "list:0.0,1.0,2.0,2.0000000001,3.0,4.0", "--mode", "induced", "--k", "2"],
+    # exact walks that stop at their first violation: a zero pivot at the prefix
+    # (-1, 1) of (1, x^2, x^4), 13 points, an induced check and an interval check
+    # with ell = k; an interval check with ell < k keeps a cut that is no prefix
+    ["chebcheck", "--system", "even_system.json", "--grid", "list:-1,1,2,3,4,5,6"],
+    ["convexity", "--system", "poly:4", "--function", "power:5", "--grid", "uniform:-3,1,13"],
+    ["convexity", "--system", "poly:3", "--function", "power:4", "--grid", "uniform:-2,1,9",
+     "--mode", "induced", "--k", "2"],
+    ["convexity", "--system", "poly:3", "--function", "power:4", "--grid", "uniform:-2,1,9",
+     "--mode", "interval", "--k", "1", "--ell", "1"],
+    ["convexity", "--system", "poly:3", "--function", "power:4", "--grid", "uniform:-2,1,9",
+     "--mode", "interval", "--k", "2", "--ell", "0"],
 ]
 
 

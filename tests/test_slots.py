@@ -2,7 +2,8 @@
 the same report and exit code on every benchmark request: the same tree
 twice agrees on a round of ``short``, and of several workloads and seeds
 in one command, and a tree whose report differs in one field is caught,
-by request id.  It reads bench/workloads.py only."""
+by request id; and ``--slot``, which times only the slots it names.  It
+reads bench/workloads.py only."""
 
 import contextlib
 import importlib.util
@@ -77,3 +78,19 @@ def test_timing_takes_one_workload_and_one_seed(capsys):
         slots.main(["--workload", "short", "--seed", "1", "--seed", "2", str(ROOT)])
     assert exited.value.code == 2
     assert "timing takes one --workload and one --seed" in capsys.readouterr().err
+
+
+def test_slot_times_only_the_named_slots(capsys):
+    argv = ["--workload", "short", "--seed", "1", "--rounds", "1", "--repeat", "1",
+            "--slot", "D1.exact", "--slot", "V1.exact", str(ROOT)]
+    assert slots.main(argv) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]
+            if not line.startswith("tree ")]
+    assert rows == ["D1.exact", "V1.exact", "round"]
+
+
+def test_slot_names_a_slot_of_the_workload(capsys):
+    with pytest.raises(SystemExit) as exited:
+        slots.main(["--workload", "short", "--rounds", "1", "--slot", "S6.exact", str(ROOT)])
+    assert exited.value.code == 2
+    assert "no request of slot S6.exact" in capsys.readouterr().err

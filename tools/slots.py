@@ -20,6 +20,11 @@ every workload and seed given:
 
     python3 tools/slots.py --compare --workload scan --workload pinned \
         --workload short --seed 1 --seed 2 PARENT_TREE .
+
+``--slot NAME`` (repeatable, e.g. ``--slot S6.exact --slot S7.exact``)
+keeps only the requests of the named slots, so a change can time just
+the slots it touches; a slot's share is then of the named slots' round.
+``--slot`` narrows ``--compare`` alike.
 """
 
 import argparse
@@ -133,6 +138,8 @@ def main(argv: list) -> int:
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--compare", action="store_true")
+    parser.add_argument("--slot", action="append", metavar="NAME",
+                        help="time only this slot, such as S6.exact (repeatable)")
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT])
     args = parser.parse_args(argv)
     seeds = args.seed or [workloads.DEFAULT_SEED]
@@ -146,6 +153,13 @@ def main(argv: list) -> int:
                                                 range(args.rounds),
                                                 str(Path(work, f"{name}-{seed}"))))
                 for name in args.workload for seed in seeds]
+        if args.slot:
+            runs = [(name, seed, [req for req in requests if slot_of(req) in args.slot])
+                    for name, seed, requests in runs]
+        missing = set(args.slot or ()) - {slot_of(req) for *_, requests in runs
+                                          for req in requests}
+        if missing:
+            parser.error(f"no request of slot {', '.join(sorted(missing))}")
         if args.compare:
             return compare(clis, [dataclasses.replace(req, id=f"{name}.s{seed}.{req.id}")
                                   for name, seed, requests in runs for req in requests])
