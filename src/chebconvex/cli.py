@@ -43,6 +43,7 @@ from .determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
+    _check_points,
     _uniform_grid,
     is_positive_chebyshev,
 )
@@ -231,6 +232,7 @@ def _parse_grid(spec: str, backend: Backend) -> PointTuple:
             raise InputError(f"bad uniform grid {spec!r}: {exc}") from None
         if m < 2 or not a < b:
             raise InputError(f"uniform grid needs a < b and m >= 2, got {spec!r}")
+        _check_points(m, f"uniform grid {spec!r} of {m} points")
         if backend is Backend.EXACT:
             return _uniform_grid(a, b, m - 1)
         return PointTuple([a + (b - a) * (i / (m - 1)) for i in range(m)])

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
@@ -337,8 +338,9 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
     _check_domain(system.domain, pts)
     tail = tuple(range(k, n + 1))
     pinned = _PinnedBase(_PointTable(system.basis + (f,)), k, pts, tuple(range(k)))
-    return (pinned.identity(tail),
-            [c.values for c in pinned.columns(tuple(range(n - k + 1)), pts, tail)])
+    rep, forms = pinned.identity(tail), pinned.columns(tuple(range(n - k + 1)), pts, tail)
+    exact = pinned.backend(pts) is not Backend.FLOAT
+    return rep, [[Fraction(v, scale) for v in c] if exact else c for c, scale in forms]
 
 
 # ---------------------------------------------------------------------------

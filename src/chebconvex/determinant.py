@@ -6,6 +6,10 @@ Every determinant is one column-step elimination.  Exact determinants
 clear column denominators and run fraction-free (Bareiss) elimination
 over the integers, which keeps intermediate entries polynomially sized.
 Float determinants use Gaussian elimination with partial pivoting.
+Inside the package a column is its prepared form (its entries and a
+scale) and an exact determinant is a pair of integers, the det of the
+integer columns and the product of their scales; it becomes a Fraction
+(:func:`_scalar`) only where a result carries it.
 Every collocation determinant (grid scans, pinned bases, divided
 differences and variation windows) reads one point table, which
 evaluates each function once per point, resolves each backend once and
@@ -105,6 +109,13 @@ DEFAULT_TUPLE_BUDGET = 200_000
 
 DEFAULT_SEED = 0
 
+#: The most points a uniform grid or a variation partition may hold,
+#: checked before any point is made (:func:`_check_points`): no scan of
+#: its tuples and no sum of its windows could finish.  Grids read from a
+#: list or a file hold no more points than their input, and are not
+#: checked.
+MAX_GRID_POINTS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Matrix:
@@ -159,7 +170,8 @@ def det(m: Matrix) -> Scalar:
     if m.rows != m.cols:
         raise NonSquareMatrix(f"determinant of a {m.rows}x{m.cols} matrix")
     exact = m.backend() is not Backend.FLOAT
-    return _prepared_det([_form(m.entries[j::m.cols], exact) for j in range(m.cols)], exact)
+    return _scalar(_prepared_det([_form(m.entries[j::m.cols], exact) for j in range(m.cols)],
+                                 exact))
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +288,23 @@ def _eliminate(cols: list, k: int, exact: bool):
     return state, steps, cols
 
 
-def _prepared_det(forms: list, exact: bool) -> Scalar:
+def _prepared_det(forms: list, exact: bool) -> float | tuple[int, int]:
     """det of the square matrix whose columns have the prepared forms
-    ``forms`` (pairs of a column and its scale, see :func:`_form`)."""
-    if exact:
-        return Fraction(*_exact_det(forms))
-    done = _eliminate([c for c, _ in forms], len(forms) - 1, False)
+    ``forms`` (pairs of a column and its scale, see :func:`_form`): a
+    float, or when ``exact`` the pair of integers whose quotient it is,
+    the det of the integer columns and the product of their scales."""
+    done = _eliminate([c for c, _ in forms], len(forms) - 1, exact)
     if done is None:
-        return 0.0
+        return (0, 1) if exact else 0.0
     state, _, (last,) = done
-    return _float_last(state, last[0])
+    return (state[0] * last[0], math.prod(s for _, s in forms)) if exact \
+        else _float_last(state, last[0])
 
 
-def _exact_det(forms: list) -> tuple[int, int]:
-    """The exact :func:`_prepared_det` as two integers, whose quotient it
-    is: the det of the integer columns and the product of their scales."""
-    done = _eliminate([c for c, _ in forms], len(forms) - 1, True)
-    if done is None:
-        return 0, 1
-    state, _, (last,) = done
-    return state[0] * last[0], math.prod(s for _, s in forms)
+def _scalar(det) -> Scalar:
+    """A determinant of :func:`_prepared_det` as a scalar: the one place
+    where an exact (det, scale) pair becomes a Fraction."""
+    return Fraction(*det) if type(det) is tuple else det
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +332,13 @@ def _uniform_grid(a, b, m: int) -> PointTuple:
     lcm = math.lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (lcm // a.denominator), b.numerator * (lcm // b.denominator)
     return PointTuple(nums=range(lo * m, hi * m + 1, hi - lo), q=m * lcm)
+
+
+def _check_points(count: int, what: str) -> None:
+    """:class:`InputError` naming ``what`` when it would hold ``count`` >
+    MAX_GRID_POINTS points."""
+    if count > MAX_GRID_POINTS:
+        raise InputError(f"{what} exceeds the cap of {MAX_GRID_POINTS} points")
 
 
 def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> PointTuple:
@@ -354,10 +370,10 @@ class _PointTable:
     """The values fns[i](x) of functions at the points of grids, each
     computed once, in the order its caller first needs them, and the
     columns [fns[i](x) for i in rows] of tuples of function indices
-    ``rows``, each made once, with its one prepared form, the one the
-    table's backend on the grid asks for.  Both are lists by grid
-    position, made once per grid: a caller passes positions, never
-    points.  A table reads a grid at one backend
+    ``rows``, each made once as its one prepared form (see :func:`_form`),
+    the float or integer-scaled one the table's backend on the grid asks
+    for.  Both are lists by grid position, made once per grid: a caller
+    passes positions, never points.  A table reads a grid at one backend
     (:meth:`backend`), and every value is read through :meth:`_value`,
     except in the columns built directly (see :meth:`_kind`); a function
     whose requirement clashes with it raises :class:`BackendMismatch` at
@@ -407,11 +423,12 @@ class _PointTable:
         return None, (max((k for row in terms for k, _ in row), default=0), lcm, terms)
 
     def columns(self, rows: tuple, grid: PointTuple, js) -> list:
-        """The columns of ``rows`` at the positions ``js`` of ``grid``,
-        each made once.  Values not computed yet are computed row by row
-        over the positions, the order in which a matrix of these columns
-        built row by row first needs them; a column built directly raises
-        nothing, so it leaves that order as it is."""
+        """The prepared forms of the columns of ``rows`` at the positions
+        ``js`` of ``grid``, each made once.  Values not computed yet are
+        computed row by row over the positions, the order in which a
+        matrix of these columns built row by row first needs them; a
+        column built directly raises nothing, so it leaves that order as
+        it is."""
         cols = self._by_position(rows, grid)
         slow = [j for j in js if cols[j] is None]
         if not slow:
@@ -422,8 +439,7 @@ class _PointTable:
         backend = self.backend(grid)
         if backend is Backend.FLOAT and powers is not None:
             for j in slow:
-                values = [float(grid[j]) ** k for k in powers]
-                cols[j] = _Column(values, (values, 1))
+                cols[j] = [float(grid[j]) ** k for k in powers], 1
         elif backend is Backend.EXACT and poly is not None:
             for j in slow:
                 cols[j] = _polynomial_column(*grid.pq(j), *poly)
@@ -435,8 +451,7 @@ class _PointTable:
                         row[j] = self._value(i, grid, j, backend)
             exact = backend is not Backend.FLOAT
             for j in slow:
-                column = [row[j] for row in values]
-                cols[j] = _Column(column, _form(column, exact))
+                cols[j] = _form([row[j] for row in values], exact)
         return [cols[j] for j in js]
 
     def _by_position(self, key, grid: PointTuple) -> list:
@@ -462,16 +477,15 @@ class _PointTable:
     def matrix(self, rows: tuple, grid: PointTuple, js) -> tuple:
         """The backend of the matrix of the columns of ``rows`` at the
         positions ``js`` of ``grid``, the table's on that grid, and the
-        forms elimination takes."""
-        cols = self.columns(rows, grid, js)
-        backend = self.backend(grid)
-        return backend, [c.form for c in cols]
+        columns' forms, which elimination takes."""
+        forms = self.columns(rows, grid, js)
+        return self.backend(grid), forms
 
     def det(self, rows: tuple, grid: PointTuple, js) -> Scalar:
         """det of the square matrix of the columns of ``rows`` at the
         positions ``js`` of ``grid``."""
         backend, forms = self.matrix(rows, grid, js)
-        return _prepared_det(forms, backend is not Backend.FLOAT)
+        return _scalar(_prepared_det(forms, backend is not Backend.FLOAT))
 
 
 def _polynomial(f) -> dict | None:
@@ -494,9 +508,9 @@ def _polynomial(f) -> dict | None:
     return out
 
 
-def _polynomial_column(p: int, q: int, d: int, lcm: int, terms: list) -> "_Column":
+def _polynomial_column(p: int, q: int, d: int, lcm: int, terms: list) -> tuple[list, int]:
     """The column at the exact point x = p/q of rows of degree at most d
-    whose coefficients' denominators have the lcm L, in integer form:
+    whose coefficients' denominators have the lcm L, in its prepared form:
     for each row's nonzero terms (k, c * L) in ``terms``, the sum of
     c * L * p^k * q^(d-k), and the scale q^d * L, both over their gcd,
     as :func:`_form` makes them, with p/q in lowest terms.  Rows x^k,
@@ -505,29 +519,10 @@ def _polynomial_column(p: int, q: int, d: int, lcm: int, terms: list) -> "_Colum
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if type(terms[0]) is int:
-        return _Column(None, ([p ** k * q ** (d - k) for k in terms], q ** d))
+        return [p ** k * q ** (d - k) for k in terms], q ** d
     ints = [sum([c * p ** k * q ** (d - k) for k, c in row]) for row in terms]
     g = math.gcd(q ** d * lcm, *ints)
-    return _Column(None, ([v // g for v in ints], q ** d * lcm // g))
-
-
-class _Column:
-    """One column's values and its one prepared ``form`` (see
-    :func:`_form`), the float or integer-scaled one that its table's
-    backend on the grid asks for.  Values not given are made from the
-    integer form when first asked for."""
-
-    __slots__ = ("_values", "form")
-
-    def __init__(self, values: list | None, form: tuple[list, int]):
-        self._values, self.form = values, form
-
-    @property
-    def values(self) -> list:
-        if self._values is None:
-            ints, scale = self.form
-            self._values = [Fraction(v, scale) for v in ints]
-        return self._values
+    return [v // g for v in ints], q ** d * lcm // g
 
 
 def _finite_tol(tol_factor: float) -> float:
@@ -553,17 +548,18 @@ def _biggest(forms: list) -> float:
     return max(map(abs, itertools.chain.from_iterable(c for c, _ in forms)))
 
 
-def check_denominator(den: Scalar, forms: list, backend: Backend | None, at: tuple,
-                      tol_factor: float = DEFAULT_TOL_FACTOR,
+def check_denominator(den: float | tuple[int, int], forms: list, backend: Backend | None,
+                      at: tuple, tol_factor: float = DEFAULT_TOL_FACTOR,
                       name: str = "prefix collocation determinant",
                       show_value: bool = True) -> None:
     """The denominator checks of every divided difference, for ``den``,
     the determinant of the collocation matrix with the prepared columns
-    ``forms`` at the points ``at``, a scalar or an exact (det, scale)
-    pair.  On the float backend an infinite or NaN ``den`` raises
-    :class:`NonFiniteValue`, before the singular-denominator rule: that
-    rule raises :class:`SingularDenominator` when ``den`` is zero or, on
-    the float backend, within its positivity tolerance, which a negative
+    ``forms`` at the points ``at`` as :func:`_prepared_det` gives it, a
+    float or an exact (det, scale) pair.  On the float backend an
+    infinite or NaN ``den`` raises :class:`NonFiniteValue`, before the
+    singular-denominator rule: that rule raises
+    :class:`SingularDenominator` when ``den`` is zero or, on the float
+    backend, within its positivity tolerance, which a negative
     ``tol_factor`` makes negative."""
     if backend is Backend.FLOAT:
         if not math.isfinite(den):
@@ -571,7 +567,7 @@ def check_denominator(den: Scalar, forms: list, backend: Backend | None, at: tup
         if abs(den) <= _tolerance(_biggest(forms), len(at), tol_factor) or den == 0:
             shown = f"{name} {den}" if show_value else name
             raise SingularDenominator(f"{shown} within tolerance at {at}")
-    elif (den[0] if type(den) is tuple else den) == 0:
+    elif den[0] == 0:
         raise SingularDenominator(f"{name} vanishes at {at}")
 
 
@@ -635,6 +631,9 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # reads every tuple.  A sampled scan, and a
 # scan of one-point tuples, exhaustive or not, calls det's elimination
 # on each tuple's prepared columns and _Tally.add on each (_scan_each).
+# Every exact scan tallies the integer determinants of its columns'
+# integer forms, which carry the sign, and scales its witness's value
+# alone, once, by its columns' scales.
 
 _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 
@@ -757,16 +756,16 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
     exact = table.backend(grid) is not Backend.FLOAT
-    cols = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
-                         if exhaustive else tuples, exact)
+    forms = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
+                          if exhaustive else tuples, exact)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
-    scale = bases = None
+    bases = None
     if not exhaustive or n == 1:
-        _scan_each({j: c.form for j, c in cols.items()}, tuples, tally)
+        _scan_each(forms, tuples, tally)
     elif not exact:
-        _walk_float([cols[j].form[0] for j in range(m)], n, tally)
+        _walk_float([forms[j][0] for j in range(m)], n, tally)
     else:
-        ints, scale = zip(*(cols[j].form for j in range(m)))
+        ints = [forms[j][0] for j in range(m)]
         if _certified(ints, n, positive):
             return SignScan(checked, exhaustive, bases={})
         if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
@@ -778,8 +777,8 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     for verdict in (_VIOLATION, _NEAR_ZERO):
         if verdict in tally.first:
             t, value = tally.first[verdict]
-            if scale is not None:
-                value = Fraction(value, math.prod(scale[j] for j in t))
+            if exact:
+                value = Fraction(value, math.prod(forms[j][1] for j in t))
             return SignScan(checked, exhaustive, verdict, tally.at(t), value, tally.near_zero,
                             bases)
     return SignScan(checked, exhaustive, bases=bases)
@@ -790,29 +789,30 @@ def _scan_columns(table: _PointTable, rows: tuple, grid: PointTuple, js, touched
     """The table's columns of ``rows`` at every index j in ``touched``
     (of the position js[j] of ``grid``), asked for group by group, the
     order in which a scan that builds each tuple's matrix first meets
-    the points, so the first failing evaluation is the same.  A float
-    (not ``exact``) column holding an infinite or NaN value raises
-    :class:`NonFiniteValue`."""
-    cols: dict = {}
+    the points, so the first failing evaluation is the same: their
+    prepared forms, by index.  A float (not ``exact``) column holding an
+    infinite or NaN value raises :class:`NonFiniteValue`."""
+    forms: dict = {}
     for group in touched:
-        new = [j for j in group if j not in cols]
+        new = [j for j in group if j not in forms]
         if not new:
             continue
-        for j, col in zip(new, table.columns(rows, grid, [js[j] for j in new])):
-            if not exact and not all(map(math.isfinite, col.values)):
-                v = next(v for v in col.values if not math.isfinite(v))
+        for j, form in zip(new, table.columns(rows, grid, [js[j] for j in new])):
+            if not exact and not all(map(math.isfinite, form[0])):
+                v = next(v for v in form[0] if not math.isfinite(v))
                 raise NonFiniteValue(f"function value {v} at grid point {grid[js[j]]}")
-            cols[j] = col
-    return cols
+            forms[j] = form
+    return forms
 
 
 def _scan_each(forms: dict, tuples, tally: _Tally) -> None:
     """Per-tuple elimination of the prepared columns ``forms`` (by index),
-    in tuple order."""
+    in tuple order: an exact tuple's value is the det of its integer
+    columns, which has its determinant's sign (see :func:`_sign_scan`)."""
     for t in tuples:
         matrix = [forms[j] for j in t]
         if tally.exact:
-            tally.add(t, _prepared_det(matrix, exact=True))
+            tally.add(t, _prepared_det(matrix, exact=True)[0])
         else:
             tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
 

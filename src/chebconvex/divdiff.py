@@ -10,14 +10,15 @@ can certify each other.
 
 Both determinants read the point table (determinant._PointTable), and
 one step, :func:`_ratio`, takes the table and the points' positions on
-a grid, and checks the denominator.  It serves every one-off value:
-divided_difference, each variation window and each value of a derived
-function (induced.DerivedFn).  The pinned bases of the induced module,
-which share one eliminated base between many values, take the same
-checks.  An exact ratio stays in integers up to its one Fraction
-(:func:`_quotient`, which the pinned bases share).  The closed forms of
-power and trigonometric divided differences are test oracles
-(tests/oracles.py), not shortcuts.
+a grid, eliminates each determinant's prepared columns
+(determinant._prepared_det), and checks the denominator.  It serves
+every one-off value: divided_difference, each variation window and
+each value of a derived function (induced.DerivedFn).  The pinned bases
+of the induced module, which share one eliminated base between many
+values, take the same checks.  An exact ratio stays in integers up to
+its one Fraction (:func:`_quotient`, which the pinned bases share).
+The closed forms of power and trigonometric divided differences are
+test oracles (tests/oracles.py), not shortcuts.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .core import (
 from .determinant import (
     DEFAULT_TOL_FACTOR,
     _At,
-    _exact_det,
     _PointTable,
     _finite_tol,
     _prepared_det,
+    _scalar,
     check_denominator,
 )
 from .errors import (
@@ -124,16 +125,18 @@ def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
 def _ratio(table: _PointTable, grid: PointTuple, js, tol_factor: float) -> tuple:
     """The divided difference of function k of ``table`` with respect to
     its functions 0..k-1 at the k positions ``js`` of ``grid``, with its
-    numerator and denominator, each a float or an exact pair of integers
-    (det, scale): the denominator's determinant, its checks
-    (:func:`check_denominator`), the numerator's, then their
-    :func:`_quotient`.  f's values and the numerator are not touched
-    before the denominator passes."""
+    numerator and denominator, each as :func:`determinant._prepared_det`
+    gives it, a float or an exact pair of integers (det, scale): the
+    denominator's determinant, its checks (:func:`check_denominator`),
+    the numerator's, then their :func:`_quotient`.  f's values and the
+    numerator are not touched before the denominator passes."""
     k, at = len(js), _At(grid, js)
     rows = tuple(range(k))
-    den, backend, forms = _determinant(*table.matrix(rows, grid, js))
+    backend, forms = table.matrix(rows, grid, js)
+    exact = backend is not Backend.FLOAT
+    den = _prepared_det(forms, exact)
     check_denominator(den, forms, backend, at, tol_factor)
-    num = _determinant(*table.matrix(rows[:-1] + (k,), grid, js))[0]
+    num = _prepared_det(table.matrix(rows[:-1] + (k,), grid, js)[1], exact)
     return _quotient(num, den, at), num, den
 
 
@@ -141,22 +144,8 @@ def _quotient(num, den, at: tuple) -> Scalar:
     """num / den for two determinants at the points ``at``, each a float
     or an exact (det, scale) pair, which must be finite: one Fraction
     n*t / (s*m) for exact n/s over m/t."""
-    value = Fraction(num[0] * den[1], num[1] * den[0]) if type(num) is type(den) is tuple \
-        else _scalar(num) / _scalar(den)
+    value = Fraction(num[0] * den[1], num[1] * den[0]) if type(den) is tuple else num / den
     return _finite(value, "divided difference", at)
-
-
-def _determinant(backend: Backend, forms: list) -> tuple:
-    """The determinant of the prepared columns ``forms`` of ``backend`` as
-    :func:`_ratio` takes it, with its backend and prepared columns."""
-    exact = backend is not Backend.FLOAT
-    return (_exact_det(forms) if exact else _prepared_det(forms, False)), backend, forms
-
-
-def _scalar(det) -> Scalar:
-    """A determinant of :func:`_determinant` or a pinned base's minor (a
-    float or an exact (det, scale) pair) as a scalar."""
-    return Fraction(*det) if type(det) is tuple else det
 
 
 def classical_divided_difference(f: FunctionSpec, points) -> Scalar:

@@ -64,11 +64,12 @@ from .determinant import (
     _float_last,
     _float_reduce,
     _positivity,
+    _scalar,
     check_denominator,
     increasing_tuples,
     sorted_grid,
 )
-from .divdiff import ResidualReport, _checked_points, _quotient, _ratio, _scalar
+from .divdiff import ResidualReport, _checked_points, _quotient, _ratio
 from .errors import DimensionMismatch, InputError
 
 
@@ -166,13 +167,14 @@ class _PinnedBase(_PointTable):
 
     def minor(self, t: int, j: int) -> tuple:
         """The (k+1)-minor of the parent's rows fns[:k] + (target t,) at
-        (base..., x_j): its det, a float or, exact, :func:`_exact_det`'s
-        (det, scale) pair, its backend and its prepared columns.  Target
-        t's first minor reads the base columns with x_j's, as
-        :meth:`_PointTable.matrix` does, eliminates them and keeps their
-        backend, prepared forms, pivot steps and scale, with the rows and
-        the parent's columns of them by position; a later one reads only
-        x_j's column and reduces it by the kept steps, as det does."""
+        (base..., x_j): its det, a float or, exact, the (det, scale) pair
+        that determinant._prepared_det gives, its backend and its prepared
+        columns.  Target t's first minor reads the base columns with
+        x_j's, as :meth:`_PointTable.matrix` does, eliminates them and
+        keeps their backend, prepared forms, pivot steps and scale, with
+        the rows and the parent's forms of them by position; a later one
+        reads only x_j's form and reduces it by the kept steps, as det
+        does."""
         if self.kept[t] is None:
             rows = (*range(self.k), self.k + t)
             backend, forms = self.table.matrix(rows, self.grid, self.base + (j,))
@@ -182,7 +184,7 @@ class _PinnedBase(_PointTable):
                             self.table._by_position(rows, self.grid))
         else:
             *_, rows, made = self.kept[t]
-            form = (made[j] or self.table.columns(rows, self.grid, (j,))[0]).form
+            form = made[j] or self.table.columns(rows, self.grid, (j,))[0]
         backend, base_forms, done, scale, _, _ = self.kept[t]
         exact = backend is not Backend.FLOAT
         forms = base_forms + [form]
@@ -192,7 +194,7 @@ class _PinnedBase(_PointTable):
         col = [form[0]]
         for step in steps:
             col = (_exact_reduce if exact else _float_reduce)(col, step)
-        v = col[0][0]   # _exact_det's or _prepared_det's last level
+        v = col[0][0]   # _prepared_det's last level
         return ((state[0] * v, scale * form[1]) if exact else _float_last(state, v)), backend, forms
 
     def denominator(self, j: int) -> list:
@@ -233,10 +235,9 @@ class _PinnedBase(_PointTable):
         lhs = self.table.det(rows, self.grid, self.base + js) * kminor ** (len(js) - 1)
         for j in js:
             den, backend, forms, at, _ = self.denominator(j)
-            den = _scalar(den)
             check_denominator(den, forms, backend, at, self.tol_factor,
                               name="(k+1)-prefix determinant", show_value=False)
-            lhs = lhs / den
+            lhs = lhs / _scalar(den)
         rhs = self.det(tuple(range(len(js))), self.grid, js)
         return ResidualReport(lhs, rhs, abs(lhs - rhs))
 

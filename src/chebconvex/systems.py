@@ -43,22 +43,23 @@ def polynomial_system(n: int) -> ChebyshevSystem:
 def trig_odd_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
     """(1, cos x, sin x, ..., cos nx, sin nx), dimension 2n+1, on an open
     interval of length at most 2*pi."""
-    if n < 1:
-        raise InputError(f"trig order must be >= 1, got {n}")
-    _check_interval_length(lo, hi, 2 * math.pi)
-    basis: list = [ConstFn(1)]
-    for m in range(1, n + 1):
-        basis += [CosFn(m), SinFn(m)]
-    return ChebyshevSystem(tuple(basis), Interval(lo, hi))
+    return _trig_system(n, lo, hi, 2 * math.pi, [ConstFn(1)])
 
 
 def trig_even_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
     """(cos x, sin x, ..., cos nx, sin nx), dimension 2n, on an open
     interval of length at most pi."""
+    return _trig_system(n, lo, hi, math.pi, [])
+
+
+def _trig_system(n: int, lo: Scalar, hi: Scalar, max_length: float,
+                 basis: list) -> ChebyshevSystem:
+    """``basis`` then cos mx, sin mx for m = 1..n on the open interval
+    (lo, hi), once n >= 1 and the interval's length is at most
+    ``max_length``."""
     if n < 1:
         raise InputError(f"trig order must be >= 1, got {n}")
-    _check_interval_length(lo, hi, math.pi)
-    basis: list = []
+    _check_interval_length(lo, hi, max_length)
     for m in range(1, n + 1):
         basis += [CosFn(m), SinFn(m)]
     return ChebyshevSystem(tuple(basis), Interval(lo, hi))

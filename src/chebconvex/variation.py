@@ -48,7 +48,7 @@ from .core import (
     validate_tuple,
 )
 from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _PointTable, _finite_tol
-from .determinant import _uniform_grid
+from .determinant import _check_points, _uniform_grid
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
     AnchorInfeasible,
@@ -214,6 +214,9 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
     if m0 < n:
         raise DimensionMismatch(
             f"initial_intervals={m0} below system dimension {n}")
+    # m0 >= 1 intervals doubled 64 times pass the cap: no larger shift is made
+    _check_points((m0 << min(strategy.rounds - 1, 64)) + 1,
+                  f"the finest partition ({m0}*2^{strategy.rounds - 1} intervals)")
 
     partial_sums: list[tuple] = []
     best = None

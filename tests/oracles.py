@@ -112,6 +112,7 @@ from chebconvex.determinant import (
     _Tally,
     _form,
     _prepared_det,
+    _scalar,
     check_denominator,
     det,
     increasing_tuples,
@@ -297,6 +298,14 @@ class OracleColumn:
         return _form(self.values, self.backend() is not Backend.FLOAT)
 
 
+def column_values(form) -> list:
+    """The values of a point table's column, read from its prepared form:
+    Fraction(v, scale) of each integer entry of an exact form, the
+    entries themselves of a float one."""
+    entries, scale = form
+    return [Fraction(v, scale) if type(v) is int else v for v in entries]
+
+
 def evaluate_columns(fns, rows: tuple, xs) -> list:
     """The columns [evaluate(fns[i], x) for i in rows] at the distinct
     points ``xs``, each value computed row by row over the points."""
@@ -451,7 +460,7 @@ def full_walk_scan(table, rows: tuple, grid, js, positive: bool, cuts: tuple) ->
     and for each (cut, width) in ``cuts`` the smallest t[:cut] + t[cut +
     width:] over all violating index tuples t (absent when none is)."""
     m, n = len(js), len(rows)
-    cols = [c.values for c in table.columns(rows, grid, js)]
+    cols = [column_values(c) for c in table.columns(rows, grid, js)]
     values = {t: _det_exact([[cols[j][i] for j in t] for i in range(n)])
               for t in itertools.combinations(range(m), n)}
     violating = [t for t, v in values.items() if v < 0 or positive and v == 0]
@@ -473,11 +482,12 @@ def float_walk_scan(table, rows: tuple, grid, js, positive: bool, tol_factor) ->
 def _per_tuple_scan(table, rows, grid, js, positive, exact, tol_factor) -> SignScan:
     """_Tally.add of det's value of each increasing tuple, in order."""
     m, n = len(js), len(rows)
-    forms = [c.form for c in table.columns(rows, grid, js)]
+    forms = table.columns(rows, grid, js)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     for t in itertools.combinations(range(m), n):
         matrix = [forms[j] for j in t]
-        tally.add(t, _prepared_det(matrix, exact), max(abs(v) for c, _ in matrix for v in c))
+        tally.add(t, _scalar(_prepared_det(matrix, exact)),
+                  max(abs(v) for c, _ in matrix for v in c))
     for verdict in ("violated", "indeterminate"):
         if verdict in tally.first:
             t, value = tally.first[verdict]
@@ -705,9 +715,11 @@ def convexity_identity_loop(system: ChebyshevSystem, k: int, f: FunctionSpec,
     for x in tail:
         den_matrix = collocation_matrix_per_value(system.basis[:k + 1], head + (x,))
         denom = det(den_matrix)
-        # all entries as one prepared column: the rule reads their largest |entry|
-        check_denominator(denom, [(den_matrix.entries, 1)], den_matrix.backend(), head + (x,),
-                          name="(k+1)-prefix determinant", show_value=False)
+        # all entries as one prepared column: the rule reads their largest |entry|;
+        # an exact determinant as the rule takes it, a (det, scale) pair
+        check_denominator((denom.numerator, denom.denominator) if type(denom) is Fraction
+                          else denom, [(den_matrix.entries, 1)], den_matrix.backend(),
+                          head + (x,), name="(k+1)-prefix determinant", show_value=False)
         lhs = lhs / denom
 
     targets = system.basis[k:] + (f,)
@@ -909,8 +921,9 @@ def ratio_two_fractions(table, k: int, at: tuple, tol_factor: float) -> tuple:
     backend, forms = table.matrix(rows, grid, range(k))
     den = _prepared_det(forms, backend is not Backend.FLOAT)
     check_denominator(den, forms, backend, at, tol_factor)
+    den = _scalar(den)
     backend, forms = table.matrix(rows[:-1] + (k,), grid, range(k))
-    num = _prepared_det(forms, backend is not Backend.FLOAT)
+    num = _scalar(_prepared_det(forms, backend is not Backend.FLOAT))
     return _finite(num / den, "divided difference", at), num, den
 
 

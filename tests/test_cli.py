@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import chebconvex
+from chebconvex import determinant
 from chebconvex.cli import build_parser, main
 
 
@@ -106,10 +107,17 @@ class TestChebcheck:
         assert rep["error"] == {"type": "InputError",
                                 "message": f"tuple budget must be >= 1, got {budget}"}
 
-    def test_a_grid_too_large_to_allocate_is_a_structured_error(self, capsys):
-        # exit 1 would read as "violation found"
-        code, rep = run_cli(capsys, "chebcheck", "--system", "poly:2",
-                            "--grid", "uniform:0,1,1152921504606846977")
+    def test_a_grid_too_large_to_allocate_is_a_structured_error(self, capsys, monkeypatch):
+        # exit 1 would read as "violation found"; the point cap refuses the grid first
+        argv = ["chebcheck", "--system", "poly:2", "--grid", "uniform:0,1,1152921504606846977"]
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message":
+                                "uniform grid 'uniform:0,1,1152921504606846977' of "
+                                "1152921504606846977 points exceeds the cap of 1000000 points"}
+        # past a raised cap, the exact grid is a range whose records no scan can allocate
+        monkeypatch.setattr(determinant, "MAX_GRID_POINTS", 2 ** 64)
+        code, rep = run_cli(capsys, *argv)
         assert code == 2
         assert rep["error"] == {"type": "MemoryError", "message": ""}
 
@@ -403,9 +411,17 @@ class TestVariation:
         assert rep["error"] == {"type": "InputError", "message":
                                 "anchor JSON needs lists 'a' and 'b': each must be a JSON array"}
 
-    def test_a_partition_too_large_to_allocate_is_a_structured_error(self, capsys):
-        code, rep = run_cli(capsys, "variation", "--system", "poly:2", "--function", "power:3",
-                            "--a", "0", "--b", "1", "--rounds", "58")
+    def test_a_partition_too_large_to_allocate_is_a_structured_error(self, capsys,
+                                                                      monkeypatch):
+        argv = ["variation", "--system", "poly:2", "--function", "power:3", "--a", "0",
+                "--b", "1", "--rounds", "58"]
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message":
+                                "the finest partition (8*2^57 intervals) exceeds the cap "
+                                "of 1000000 points"}
+        monkeypatch.setattr(determinant, "MAX_GRID_POINTS", 2 ** 64)   # as for a grid
+        code, rep = run_cli(capsys, *argv)
         assert code == 2
         assert rep["error"] == {"type": "MemoryError", "message": ""}
 

@@ -33,7 +33,8 @@ from chebconvex.determinant import _PointTable, matrix_from_rows
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system, trig_odd_system
 
-from oracles import collocation_det_per_value, collocation_matrix_per_value
+from oracles import (collocation_det_per_value, collocation_matrix_per_value,
+                     column_values)
 
 
 def outcome(fn, *args) -> tuple:
@@ -49,7 +50,7 @@ def table_matrix(fns, pts):
     """The matrix of a point table's columns of ``fns`` at ``pts``."""
     table = _PointTable(tuple(fns))
     columns = table.columns(tuple(range(len(fns))), PointTuple(pts), range(len(pts)))
-    return matrix_from_rows(list(zip(*(c.values for c in columns))))
+    return matrix_from_rows(list(zip(*map(column_values, columns))))
 
 
 def table_det(fns, pts):

@@ -35,16 +35,16 @@ from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system
 from chebconvex.variation import estimate_variation
 
-from oracles import evaluate_columns
+from oracles import column_values, evaluate_columns
 
 
 def outcome(make) -> object:
-    """The columns that ``make()`` returns with their backends, each as
-    (values, backend, form), or the first error as 'type: message'."""
+    """The columns that ``make()`` returns, each as (values, backend,
+    form), or the first error as 'type: message'."""
     try:
         out = []
-        for c, backend in make():
-            out.append((repr(c.values), backend, repr(c.form)))
+        for values, backend, form in make():
+            out.append((repr(values), backend, repr(form)))
         return out
     except (InputError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
@@ -77,12 +77,13 @@ def same_columns(fns, rows, xs):
     def table_columns(make_grid):
         def make():
             table, grid = _PointTable(tuple(fns)), make_grid()
-            return [(c, table.backend(grid))
-                    for c in table.columns(tuple(rows), grid, range(len(xs)))]
+            return [(column_values(form), table.backend(grid), form)
+                    for form in table.columns(tuple(rows), grid, range(len(xs)))]
         return make
 
     def oracle_columns(points):
-        return lambda: [(c, c.backend()) for c in evaluate_columns(fns, tuple(rows), points)]
+        return lambda: [(c.values, c.backend(), c.form)
+                        for c in evaluate_columns(fns, tuple(rows), points)]
     got = outcome(table_columns(lambda: PointTuple(xs)))
     if any(isinstance(x, float) for x in xs) and any(isinstance(x, Fraction) for x in xs):
         assert got == MIXED
@@ -117,9 +118,8 @@ def test_power_columns_match_evaluate(fns, rows, xs):
 def test_exact_power_column_is_its_integer_form():
     table = _PointTable(GAPPED)
     (col,) = table.columns((0, 1, 2, 3), PointTuple([Fraction(-5, 3)]), (0,))
-    assert col.form == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
-    assert col._values is None          # no Fraction made until a caller reads them
-    assert col.values == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
+    assert col == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
+    assert column_values(col) == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,9 @@ def test_polynomial_column_is_its_reduced_integer_form():
            affine((1, PowerFn(2)), (-1, PowerFn(2))))
     table = _PointTable(fns)
     (col,) = table.columns((0, 1), PointTuple([1]), (0,))
-    assert col.form == ([1, 0], 1) and col._values is None
+    assert col == ([1, 0], 1)
     (col,) = table.columns((0, 1), PointTuple(nums=[-3], q=9), (0,))      # -3/9 = -1/3
-    assert col.form == ([1, 0], 3)
+    assert col == ([1, 0], 3)
     assert same_columns(fns, (0, 1), [Fraction(-1, 3), 1, 0])
 
 

@@ -16,10 +16,9 @@ from chebconvex.core import (
     evaluate,
 )
 from chebconvex.convexity import check_convex_induced
-from chebconvex.determinant import _PointTable
+from chebconvex.determinant import _PointTable, _scalar
 from chebconvex.divdiff import (
     _ratio,
-    _scalar,
     classical_divided_difference,
     complete_homogeneous,
     divided_difference,

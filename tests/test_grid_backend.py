@@ -40,6 +40,8 @@ from chebconvex.induced import DerivedFn, verify_induced_system
 from chebconvex.systems import polynomial_system, trig_odd_system
 from chebconvex.variation import Partition, variation_sum
 
+from oracles import column_values
+
 
 def float_twin(points) -> list:
     return [float(x) for x in points]
@@ -157,7 +159,7 @@ def test_grid_reads_its_backend_when_made(points, backend):
 def test_function_clashing_with_the_grid_raises_at_its_first_value():
     table = _PointTable((PowerFn(0), ExpFn()))
     grid = PointTuple([Fraction(1, 2), 1])
-    assert [c.values for c in table.columns((0,), grid, (0, 1))] == [[1], [1]]
+    assert [column_values(c) for c in table.columns((0,), grid, (0, 1))] == [[1], [1]]
     with pytest.raises(BackendMismatch):
         table.columns((0, 1), grid, (0,))
 

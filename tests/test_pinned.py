@@ -42,10 +42,11 @@ from chebconvex.core import (
 from chebconvex.determinant import (
     DEFAULT_TOL_FACTOR,
     _PointTable,
+    _scalar,
     increasing_tuples,
     sorted_grid,
 )
-from chebconvex.divdiff import _scalar, divided_difference
+from chebconvex.divdiff import divided_difference
 from chebconvex.errors import (
     EvaluationOutsideSupport,
     InputError,
@@ -54,7 +55,7 @@ from chebconvex.errors import (
 from chebconvex.induced import DerivedFn, _PinnedBase
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
-from oracles import derived_value, pinned_loop, ratio_two_fractions
+from oracles import column_values, derived_value, pinned_loop, ratio_two_fractions
 
 
 def result(fn, *args, **kwargs):
@@ -385,9 +386,9 @@ def test_derived_columns_equal_derived_functions(system, grid):
                 targets = tuple(DerivedFn(system, k, at, g) for g in table.fns[k:])
                 cols = derived.columns(tuple(range(len(targets))), pts, off)
                 for x, col in zip((pts[j] for j in off), cols):
-                    assert [repr(v) for v in col.values] == \
+                    assert [repr(v) for v in column_values(col)] == \
                         [repr(evaluate(g, x)) for g in targets]
-                    assert repr(col.values[0]) == ("Fraction(1, 1)" if exact else "1.0")
+                    assert repr(column_values(col)[0]) == ("Fraction(1, 1)" if exact else "1.0")
                     assert derived.backend(pts) is (Backend.EXACT if exact else Backend.FLOAT)
 
 
@@ -488,7 +489,7 @@ def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
             fn = DerivedFn(system, k, PointTuple(tuple(map(twin, base))), table.fns[k + t])
             for j, x in enumerate(inside):
                 want = result(derived_value, fn, twin(x))
-                got = result(lambda: pinned.columns((t,), inside, (j,))[0].values[0])
+                got = result(lambda: column_values(pinned.columns((t,), inside, (j,))[0])[0])
                 if isinstance(want, str) and backend == "neutral":
                     assert got.split(":")[0] == want.split(":")[0], (k, base, t, x)
                 else:

@@ -194,6 +194,17 @@ CASES = [
      "--mode", "interval", "--k", "1", "--ell", "1"],
     ["convexity", "--system", "poly:3", "--function", "power:4", "--grid", "uniform:-2,1,9",
      "--mode", "interval", "--k", "2", "--ell", "0"],
+    # exact per-tuple scans, which tally integer determinants and scale the witness's
+    # value alone: a violated sampled direct scan, and violated one-point scans of a
+    # first function that changes sign, exhaustive and sampled
+    ["convexity", "--system", "poly:3", "--function", "quartic_minus_cube.json", "--grid",
+     "uniform:-1,3/2,9", "--budget", "20", "--seed", "2"],
+    ["chebcheck", "--system", "odd_first_system.json", "--grid", "list:-1/2,1/3,2", "--k", "1"],
+    ["chebcheck", "--system", "odd_first_system.json", "--grid", "list:2,-1/2,1/3,-3/7",
+     "--k", "1", "--budget", "2", "--seed", "1"],
+    # a float slope-diff suite that passes, so its cells' values are read
+    ["identities", "--suite", "slope-diff", "--trials", "12", "--seed", "2", "--backend",
+     "float"],
 ]
 
 

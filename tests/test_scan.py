@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from chebconvex import determinant
 from chebconvex.convexity import (check_convex_direct, check_convex_induced,
                                   check_convex_interval, cross_mode_agreement)
 from chebconvex.core import ConstFn, ExpFn, Interval, PowerFn, SampledFn, affine
@@ -195,3 +196,29 @@ def test_non_finite_tol_factor_is_refused(name, exact):
     for tol in (math.nan, math.inf, -math.inf):
         with pytest.raises(InputError, match=f"tol_factor must be finite, got {tol}"):
             call(tol)
+
+
+@pytest.mark.parametrize("system, budget, verdict, checked", [
+    (polynomial_system(5), 300, "positive_on_grid", 300),
+    (polynomial_system(1), 200_000, "positive_on_grid", 40),
+    (one_xsq_system(Interval(None, None), allow_unsafe_domain=True), 300, "violated", 300)])
+def test_exact_per_tuple_scans_tally_integers(monkeypatch, system, budget, verdict, checked):
+    """An exact sampled scan, and an exhaustive one of one-point tuples,
+    tally the integer determinants of their columns' forms: at most one
+    Fraction is made, for a witness's value, not one per tuple."""
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    grid = [Fraction(i - 20, 7) for i in range(40)]
+    monkeypatch.setattr(determinant, "Fraction", Counted)
+    report = is_positive_chebyshev(system, system.dim, grid, budget=budget, seed=3)
+    assert (report.verdict, report.tuples_checked) == (verdict, checked)
+    assert report.exhaustive == (system.dim == 1)
+    assert len(made) == (verdict == "violated")
+    if made:
+        x, y = report.witness
+        assert report.witness_value == (x + y) * (y - x) < 0

@@ -105,7 +105,7 @@ def lower_part(system: ChebyshevSystem, grid: list) -> str | None:
         cols = _PointTable(system.basis).columns(tuple(range(n)), pts, range(len(pts)))
     except InputError:
         return None
-    ints = [c.form[0] for c in cols]
+    ints = [c for c, _ in cols]
     runs = [_certified(ints[s:s + n], n, True) for s in range(len(ints))]
     return "holds" if all(runs) else "partial" if any(runs) else "fails"
 
