@@ -59,6 +59,7 @@ from .determinant import (
     SignScan,
     _PointTable,
     _finite_tol,
+    _route,
     _sign_scan,
     det,    # unused here; bench/test_bench.py checks that the tracer wraps it here
     increasing_tuples,
@@ -126,9 +127,14 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
     sampled increasing (n+1)-tuples of the grid.  Raises
     :class:`OrderingViolation` on a float grid with two points closer
     than the minimum gap, as the induced and interval modes do, and
-    :class:`NonFiniteValue` on an infinite or NaN value."""
-    return _check_convex_direct(system, f, grid, _PointTable(system.basis + (f,)),
-                                budget, seed, tol_factor)[0]
+    :class:`NonFiniteValue` on an infinite or NaN value.  An exhaustive
+    float check of rational input answers on the exact engine
+    (determinant._route), with 0 indeterminate tuples."""
+    pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
+    return _route(lambda table, pts: [_check_convex_direct(system, f, pts, table, budget, seed,
+                                                           tol_factor)[0]],
+                  _PointTable(system.basis + (f,)), pts, system.domain,
+                  math.comb(len(pts), system.dim + 1) <= budget, tol_factor)[0]
 
 
 def _check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid, table: _PointTable,
@@ -192,8 +198,7 @@ def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, pts: Point
 def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          grid: Iterable[Scalar], ells: tuple,
                          base_budget: int, budget: int, seed: int,
-                         tol_factor: float,
-                         table: _PointTable | None = None,
+                         tol_factor: float, table: _PointTable,
                          walk: SignScan | None = None) -> list:
     """The verdicts of the pinned modes ``ells`` of base size k, in
     their order: the induced mode for ``None``, else the interval mode
@@ -213,16 +218,11 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
     (``walk``, the caller's scan given each mode's :func:`_cut`, if it
     has one): a mode scans only its first violated base, for its witness
     and value, and counts the tuples of every other checked base
-    unscanned."""
+    unscanned.  Its callers check k and ``ells``."""
     n = system.dim
-    _check_base_size(n, k)
-    for ell in ells:
-        if ell is not None and not 0 <= ell <= k:
-            raise InputError(f"interval index {ell} outside 0..{k}")
     pts = sorted_grid(grid)
     m = len(pts)
     bases, every = increasing_tuples(range(m), k, budget=base_budget, seed=seed)
-    table = table or _PointTable(system.basis + (f,))
     # by mode: its ell; the only base to scan, or None for every base (the walk,
     # and with it every base's scan, C(m-k, n-k+1) <= C(m, n+1), is exhaustive);
     # its counts; by verdict, the (witness, value, base) of its first base
@@ -285,9 +285,31 @@ def check_convex_induced(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          tol_factor: float = DEFAULT_TOL_FACTOR) -> ConvexityVerdict:
     """For each sampled increasing base k-tuple, check convexity of the
     derived divided-difference function with respect to the induced
-    system on the rest of the grid, and aggregate."""
-    return _check_convex_pinned(system, k, f, grid, (None,), base_budget, budget,
-                                seed, _finite_tol(tol_factor))[0]
+    system on the rest of the grid, and aggregate.  An exhaustive float
+    check of rational input answers on the exact engine
+    (determinant._route), with 0 indeterminate tuples."""
+    return _pinned_entry(system, k, f, grid, (None,), base_budget, budget, seed,
+                         _finite_tol(tol_factor))
+
+
+def _pinned_entry(system: ChebyshevSystem, k: int, f: FunctionSpec, grid: Iterable[Scalar],
+                  ells: tuple, base_budget: int, budget: int, seed: int,
+                  tol_factor: float) -> ConvexityVerdict:
+    """The one verdict of :func:`_check_convex_pinned`, once k and the
+    ``ells`` are checked: on the exact image when its bases, its walk
+    and so every base's scan are exhaustive and the grid is spaced."""
+    n = system.dim
+    _check_base_size(n, k)
+    for ell in ells:
+        if ell is not None and not 0 <= ell <= k:
+            raise InputError(f"interval index {ell} outside 0..{k}")
+    pts = sorted_grid(grid)
+    m = len(pts)
+    return _route(lambda table, pts: _check_convex_pinned(system, k, f, pts, ells, base_budget,
+                                                          budget, seed, tol_factor, table),
+                  _PointTable(system.basis + (f,)), pts, system.domain,
+                  pts.spaced and math.comb(m, k) <= base_budget
+                  and math.comb(m, n + 1) <= budget, tol_factor, _PinnedBase)[0]
 
 
 def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: FunctionSpec,
@@ -299,9 +321,11 @@ def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: Function
     """The induced check restricted to the single gap selected by
     ``ell``: below the base for ell=0, between base[ell-1] and base[ell]
     for 0 < ell < k, above the base for ell=k.  Bases whose restricted
-    grid is too small are skipped and counted."""
-    return _check_convex_pinned(system, k, f, grid, (ell,), base_budget, budget,
-                                seed, _finite_tol(tol_factor))[0]
+    grid is too small are skipped and counted.  An exhaustive float
+    check of rational input answers on the exact engine
+    (determinant._route), with 0 indeterminate tuples."""
+    return _pinned_entry(system, k, f, grid, (ell,), base_budget, budget, seed,
+                         _finite_tol(tol_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +398,32 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
     and drops it at the next base.  An exact pinned mode reads its
     verdicts off the direct mode's walk, when that is exhaustive, and
     scans only its first violated base: the walk records one base for
-    each mode's cut."""
+    each mode's cut.  An exhaustive float check of rational input on a
+    spaced grid answers on the exact engine (determinant._route), with 0
+    indeterminate tuples, or keeps the float walk for every mode."""
     n = system.dim
     if k_list is None:
         k_list = list(range(1, n))
     for k in k_list:
         _check_base_size(n, k)
     grid = sorted_grid(grid)    # one grid, whose positions every mode's table reads
-    table = _PointTable(system.basis + (f,))
-    cuts = tuple({_cut(n, k, ell) for k in k_list for ell in (None, *range(k + 1))})
-    direct, scan = _check_convex_direct(system, f, grid, table, budget, seed, tol_factor, cuts)
-    labeled: list[tuple[str, ConvexityVerdict]] = [("direct", direct)]
-    for k in k_list:
-        for v in _check_convex_pinned(system, k, f, grid, (None, *range(k + 1)), base_budget,
-                                      budget, seed, tol_factor, table, scan):
-            labeled.append((f"induced:k={k}" if v.ell is None else f"interval:k={k}:ell={v.ell}",
-                            v))
+    modes = [(k, ell) for k in k_list for ell in (None, *range(k + 1))]
+    cuts = tuple({_cut(n, k, ell) for k, ell in modes})
+
+    def run(table, grid):
+        direct, scan = _check_convex_direct(system, f, grid, table, budget, seed, tol_factor,
+                                            cuts)
+        return [direct] + [v for k in k_list for v in _check_convex_pinned(
+            system, k, f, grid, (None, *range(k + 1)), base_budget, budget, seed, tol_factor,
+            table, scan)]
+
+    verdicts = _route(run, _PointTable(system.basis + (f,)), grid, system.domain,
+                      grid.spaced and math.comb(len(grid), n + 1) <= budget
+                      and all(math.comb(len(grid), k) <= base_budget for k in k_list),
+                      tol_factor, _PinnedBase)
+    labels = ["direct"] + [f"induced:k={k}" if ell is None else f"interval:k={k}:ell={ell}"
+                           for k, ell in modes]
+    labeled: list[tuple[str, ConvexityVerdict]] = list(zip(labels, verdicts))
     definite = [(label, v.verdict) for label, v in labeled
                 if v.verdict != "indeterminate"]
     disagreements = tuple(

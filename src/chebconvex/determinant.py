@@ -67,7 +67,7 @@ import contextlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -81,6 +81,7 @@ from .core import (
     OrderingClass,
     PointTuple,
     PowerFn,
+    SampledFn,
     Scalar,
     _check_domain,
     collection_backend,
@@ -115,6 +116,13 @@ DEFAULT_SEED = 0
 #: list or a file hold no more points than their input, and are not
 #: checked.
 MAX_GRID_POINTS = 10 ** 6
+
+#: The most tuples a scan may sample, checked before any sample is drawn
+#: (:func:`_index_tuples`): a poly:8 scan of a 200-point grid takes 50-72
+#: us per sampled tuple and holds about 110 bytes per sample, so a scan
+#: at the cap runs about a minute and holds about 110 MB of samples.  An
+#: exhaustive scan, whose tuples are enumerated lazily, is not checked.
+MAX_TUPLE_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -597,11 +605,13 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
     ``random.sample`` picks positions from the population's length alone,
     so these index the same tuples as sampling the sorted points
     themselves.  A budget below 1, which would check no tuple at all, is
-    rejected."""
+    rejected, and so is one past MAX_TUPLE_BUDGET."""
     if math.comb(m, k) <= budget:
         return itertools.combinations(range(m), k), True
     if budget < 1:
         raise InputError(f"tuple budget must be >= 1, got {budget}")
+    if budget > MAX_TUPLE_BUDGET:
+        raise InputError(f"tuple budget {budget} exceeds the cap of {MAX_TUPLE_BUDGET} samples")
     rng = random.Random(seed)
     return [tuple(sorted(rng.sample(range(m), k))) for _ in range(budget)], False
 
@@ -962,11 +972,17 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     Exact backend: any value <= 0 is a violation.  Float backend: values
     at most -tol are violations and values in (-tol, tol] are recorded
     as indeterminate, with tol = tol_factor * (max |entry|)**k.
-    Raises :class:`NonFiniteValue` on an infinite or NaN value.
+    Raises :class:`NonFiniteValue` on an infinite or NaN value.  An
+    exhaustive float check of rational input answers on the exact engine
+    (:func:`_route`), with 0 indeterminate tuples: ``tol_factor`` then
+    governs only its witness's float value.
     """
     pts = sorted_grid(grid)
-    return _positivity(system.domain, system.dim, k, pts, range(len(pts)),
-                       _PointTable(system.basis), budget, seed, tol_factor)
+    return _route(lambda table, pts: [_positivity(system.domain, system.dim, k, pts,
+                                                  range(len(pts)), table, budget, seed,
+                                                  tol_factor)],
+                  _PointTable(system.basis), pts, system.domain,
+                  0 <= k and math.comb(len(pts), k) <= budget, tol_factor)[0]
 
 
 def _positivity(domain: Domain, dim: int, k: int, grid: PointTuple, js, table: _PointTable,
@@ -986,6 +1002,151 @@ def _positivity(domain: Domain, dim: int, k: int, grid: PointTuple, js, table: _
     return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
                             scan.exhaustive, seed, scan.witness, scan.witness_value,
                             scan.indeterminate_count)
+
+
+# ---------------------------------------------------------------------------
+# the exact image of a float check
+#
+# Every finite float is a dyadic rational, so a float grid has an exact
+# one-scale form, its integers over the largest power-of-two denominator
+# of its points, and powers, constants, affine combinations and sampled
+# functions of finite float scalars have exact values there.  An
+# exhaustive float sign scan of such input (positivity, direct, pinned
+# and agreement) reads its signs off the exact engine, with its window
+# certificate, sign identity and stop at the first violation, and spells
+# its report in float: its witness and base are the float points and its
+# value the float walk's there.  Sampled scans, divided differences,
+# variation and the identity suites stay float.
+
+#: The most bits an integer of an exact image may take: a grid point
+#: over the grid's one scale, that scale, or the numerator or denominator
+#: of a function's scalar.  Past it the check keeps the float walk.  On
+#: poly:5 scans of the 12 points 2^-b/3 and i/8 (i = 1..11), whose
+#: integers take b + 55 bits, the exact engine was faster than the float
+#: walk up to b = 400 and slower from about b = 500 on, for a direct
+#: scan of a sampled function (x^6 at b = 800; positivity never).
+MAX_IMAGE_BITS = 512
+
+
+def _rational(c) -> Fraction | None:
+    """The finite scalar c as a Fraction within MAX_IMAGE_BITS, else None."""
+    if isinstance(c, float) and not math.isfinite(c):
+        return None
+    r = Fraction(c)
+    return r if max(abs(r.numerator), r.denominator).bit_length() <= MAX_IMAGE_BITS else None
+
+
+def _image_fn(f, grid: PointTuple):
+    """The function whose values at the exact values of the float points
+    of ``grid`` are f's true values there, or None: a power as it is; a
+    constant, affine combination or sampled function (at the grid's
+    points) with its scalars made Fractions by :func:`_rational`."""
+    if type(f) is PowerFn:
+        return f
+    if type(f) is ConstFn:
+        scalars, make = [f.c], lambda cs: ConstFn(cs[0])
+    elif type(f) is AffineFn:
+        inner = [_image_fn(s, grid) for _, s in f.terms]
+        if None in inner:
+            return None
+        scalars, make = [c for c, _ in f.terms], lambda cs: AffineFn(tuple(zip(cs, inner)))
+    elif type(f) is SampledFn:
+        scalars, make = [f._table.get(x) for x in grid], \
+            lambda vs: SampledFn(tuple(map(Fraction, grid)), tuple(vs))
+    else:
+        return None
+    rs = [None if c is None else _rational(c) for c in scalars]
+    return None if None in rs else make(rs)
+
+
+def _exact_image(table: _PointTable, grid: PointTuple, domain: Domain) -> tuple | None:
+    """The exact image of a float check of ``table``'s functions on the
+    sorted ``grid``: a point table of :func:`_image_fn`'s functions and
+    the grid's one-scale integer form, or None when the table reads the
+    grid exactly, a function has no image, an integer would pass
+    MAX_IMAGE_BITS, or the float input fails a check: a point that is
+    not finite or lies outside ``domain``, or a function value that
+    raises or is not finite.  The table keeps the float values, which
+    the witnesses' float values and a float walk read again."""
+    if table.backend(grid) is not Backend.FLOAT:
+        return None
+    try:
+        ratios = [x.as_integer_ratio() for x in grid]
+    except (ValueError, OverflowError):     # a NaN or infinite point
+        return None
+    fns = []
+    for f in table.fns:
+        fns.append(_image_fn(f, grid))
+        if fns[-1] is None:
+            return None
+    q = max((d for _, d in ratios), default=1)
+    nums = [p * (q // d) for p, d in ratios]
+    if max(q, *map(abs, nums)).bit_length() > MAX_IMAGE_BITS:
+        return None
+    try:
+        _check_domain(domain, grid)
+        _scan_columns(table, tuple(range(len(fns))), grid, range(len(grid)),
+                      [range(len(grid))], exact=False)
+    except (ChebconvexError, ArithmeticError):  # the float check meets it, in its own order
+        return None
+    return _PointTable(tuple(fns)), PointTuple(ordering=OrderingClass.STRICTLY_INCREASING,
+                                               nums=nums, q=q)
+
+
+def _route(run, table: _PointTable, grid: PointTuple, domain: Domain, exhaustive: bool,
+           tol_factor: float, derived=None) -> list:
+    """The verdicts ``run(table, grid)`` gives (positivity reports or
+    convexity verdicts) of a check whose scans are all ``exhaustive``,
+    on the functions of ``table`` and the sorted ``grid``.  A float check
+    with an :func:`_exact_image` answers on the image, each verdict
+    spelled in float by :func:`_float_witness` (``derived`` makes the
+    pinned base a verdict's witness base reads).  A violated verdict
+    whose float value is no definite violation by :meth:`_Tally.add`'s
+    float rule, where the float walk may meet another witness first, is
+    the float walk's verdict when that is violated too, and the exact
+    one when the float walk raises.  When the image's check or a float
+    witness value raises, the check is the float walk's, which meets its
+    own error or none; input errors are met on the float input before
+    the image is made."""
+    image = _exact_image(table, grid, domain) if exhaustive else None
+    if image is None:
+        return run(table, grid)
+    try:
+        verdicts = [_float_witness(v, table, grid, tol_factor, derived) for v in run(*image)]
+    except (ChebconvexError, ArithmeticError):
+        return run(table, grid)
+    if all(definite for _, definite in verdicts):
+        return [v for v, _ in verdicts]
+    try:
+        walk = run(table, grid)
+    except (ChebconvexError, ArithmeticError):  # a float error alone: the exact verdicts stand
+        return [v for v, _ in verdicts]
+    return [w if not definite and w.verdict == _VIOLATION else v
+            for (v, definite), w in zip(verdicts, walk)]
+
+
+def _float_witness(v, table: _PointTable, grid: PointTuple, tol_factor: float,
+                   derived) -> tuple:
+    """The exact verdict ``v`` of a float check spelled in float, and
+    whether it is definite there: its witness (and base) the points of
+    the float ``grid``, and its value the float walk's there, the det of
+    the float columns of ``table`` (of ``derived(table, k, grid, base,
+    tol_factor)`` for a pinned base), bit-identical to the walk's.  A
+    verdict that is not violated is definite."""
+    if v.verdict != _VIOLATION:
+        return v, True
+    at = {x: j for j, x in enumerate(grid)}     # a Fraction finds the float equal to it
+    t, spelled = tuple(at[x] for x in v.witness), {}
+    if getattr(v, "witness_base", None) is not None:
+        base = tuple(at[x] for x in v.witness_base)
+        table = derived(table, len(base), grid, base, tol_factor)
+        spelled["witness_base"] = tuple(grid[j] for j in base)
+    forms = table.columns(tuple(range(len(t))), grid, t)
+    value = _prepared_det(forms, False)
+    tally = _Tally(type(v) is PositivityReport, False, lambda t: v.witness, tol_factor)
+    tally.add(t, value, _biggest(forms))
+    return replace(v, witness=tuple(grid[j] for j in t), witness_value=value,
+                   **spelled), _VIOLATION in tally.first
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,16 @@ class TestChebcheck:
         assert rep["results"]["positivity"]["verdict"] == "positive_on_grid"
 
     def test_overflowing_determinant_is_input_error(self, capsys):
+        # 1e-300 next to 1e150 passes the exact image's bit bound: the float walk
         code, rep = run_cli(capsys, "chebcheck", "--system", "poly:3", "--backend",
-                            "float", "--grid", "list:1e150,2e150,3e150")
+                            "float", "--grid", "list:1e-300,1e150,2e150,3e150")
         assert code == 2
         assert rep["error"]["type"] == "NonFiniteValue"
+        # the exact engine, which answers without it, overflows nothing
+        code, rep = run_cli(capsys, "chebcheck", "--system", "poly:3", "--backend",
+                            "float", "--grid", "list:1e150,2e150,3e150")
+        assert code == 0
+        assert rep["results"]["positivity"]["verdict"] == "positive_on_grid"
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_non_positive_budget_is_input_error(self, capsys, budget):

@@ -54,7 +54,7 @@ y = "a value"
 
 #: The package's code-line cap (ROADMAP.md, "Code-line budget"); a
 #: change that moves the cap edits this number and says so.
-CAP = 2450
+CAP = 2500
 
 
 def test_the_package_fits_its_code_line_cap():

@@ -328,7 +328,7 @@ def test_agreement_keeps_one_pinned_base_alive(monkeypatch):
     assert len(most) == 8 + 28 and max(most) == 1
 
 
-def test_agreement_meets_a_late_bases_error_first():
+def test_agreement_meets_a_late_bases_error_first(float_walk):
     """A float grid whose (k+1)-prefix is near-singular only at a late
     base, (1e5,) at position 6: the modes of k = 1 check every earlier
     base together before the induced mode meets it there, and agreement

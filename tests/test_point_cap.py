@@ -3,10 +3,17 @@
 raised before any point is made.  Past the cap the grid is refused
 whatever the request; at most the cap it is read as before.  The cases
 past the real cap hold 10**6 + 1 points, and the rest run under a cap of
-10 set for the test, so no case here can allocate without bound."""
+10 set for the test, so no case here can allocate without bound.
+
+The tuple cap: a scan that would sample more than
+``determinant.MAX_TUPLE_BUDGET`` tuples is an ``InputError`` (exit 2),
+raised before any sample is drawn; the case past the real cap runs with
+sampling itself refused, so it cannot allocate either."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -71,3 +78,33 @@ def test_the_variation_command_reports_the_cap(capsys, monkeypatch):
     assert code == 2 and rep["error"] == {
         "type": "InputError",
         "message": "the finest partition (8*2^1 intervals) exceeds the cap of 10 points"}
+
+
+def test_a_budget_past_the_tuple_cap_is_refused_before_sampling(capsys, monkeypatch):
+    """poly:8 on 200 points has C(200, 8) > 10**12 tuples, so a budget of
+    10**12 samples: refused, without a sample drawn."""
+    def undrawn(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(determinant, "random", SimpleNamespace(Random=undrawn))
+    monkeypatch.chdir(Path(__file__).resolve().parent / "data")
+    code, rep = run(capsys, "chebcheck", "--system", "poly:8", "--grid", "grid_200.csv",
+                    "--budget", str(10 ** 12))
+    assert code == 2 and rep["error"] == {
+        "type": "InputError",
+        "message": "tuple budget 1000000000000 exceeds the cap of 1000000 samples"}
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_a_budget_at_the_tuple_cap_samples(capsys, monkeypatch, backend):
+    """Under a cap of 10: a budget of 10 samples as before, 11 is refused,
+    and an exhaustive scan, whose tuples are never sampled, takes any."""
+    monkeypatch.setattr(determinant, "MAX_TUPLE_BUDGET", 10)
+    argv = ["chebcheck", "--system", "poly:3", "--backend", backend, "--grid", "uniform:0,1,8",
+            "--budget"]
+    code, rep = run(capsys, *argv, "10")
+    assert code == 0 and rep["results"]["positivity"]["tuples_checked"] == 10
+    code, rep = run(capsys, *argv, "11")
+    assert code == 2 and rep["error"]["message"] == \
+        "tuple budget 11 exceeds the cap of 10 samples"
+    code, rep = run(capsys, *argv, "56")
+    assert code == 0 and rep["results"]["positivity"]["exhaustive"]

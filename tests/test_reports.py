@@ -205,6 +205,14 @@ CASES = [
     # a float slope-diff suite that passes, so its cells' values are read
     ["identities", "--suite", "slope-diff", "--trials", "12", "--seed", "2", "--backend",
      "float"],
+    # a float check of rational input answers on the exact engine; past the exact
+    # image's bit bound, or with a function of no exact value, it keeps the float
+    # walk, whose determinant overflows and whose pinned denominators --tol reaches
+    ["chebcheck", "--system", "poly:4", "--backend", "float", "--grid", "uniform:0,1000,8"],
+    ["chebcheck", "--system", "poly:3", "--backend", "float", "--grid",
+     "list:1e-300,1e150,2e150,3e150"],
+    ["convexity", "--mode", "induced", "--k", "1", "--system", "poly:3", "--function",
+     "sin", "--grid", "list:1,2,3,4", "--backend", "float", "--tol", "1"],
 ]
 
 

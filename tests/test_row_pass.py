@@ -134,7 +134,7 @@ def test_one_point_tuples_take_the_per_tuple_path(monkeypatch, row, exact, posit
     assert got == want
 
 
-def test_sampled_scans_do_not_finish_rows(monkeypatch):
+def test_sampled_scans_do_not_finish_rows(monkeypatch, float_walk):
     def refuse(*args):
         raise AssertionError("a sampled scan finished a row")
     monkeypatch.setattr(determinant._Tally, "row", refuse)

@@ -60,7 +60,7 @@ SYSTEMS = [polynomial_system(n) for n in (2, 3, 4, 5)]
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: f"poly:{s.dim}")
-def test_polynomial_scans_match_oracle(system):
+def test_polynomial_scans_match_oracle(system, float_walk):
     rng = random.Random(system.dim)
     for trial in range(3):
         for grid in grids(rng, 8, -3, 3):
@@ -88,7 +88,7 @@ def test_trig_scans_match_oracle():
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_zero_pivots_on_the_full_line(exact):
+def test_zero_pivots_on_the_full_line(exact, float_walk):
     # (1, x^2) on the whole line: every symmetric pair zeroes a pivot
     system = one_xsq_system(Interval(), allow_unsafe_domain=True)
     grid = [Fraction(i, 2) if exact else i / 2 for i in range(-4, 5)]
@@ -145,7 +145,7 @@ def test_overflowing_tolerance_raises_as_before(budget):
 
 
 @pytest.mark.parametrize("budget", [200, 2])
-def test_overflowing_determinant_raises(budget):
+def test_overflowing_determinant_raises(budget, float_walk):
     # entries stay below 1e301, the Vandermonde product is about 2e450
     grid = [1e150, 2e150, 3e150, 4e150]
     with pytest.raises(NonFiniteValue):
