@@ -318,8 +318,7 @@ def _emit(report: dict, out_path: str | None) -> int | None:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: _jsonify(v) for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: _jsonify(v) for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +378,10 @@ def _cmd_convexity(args) -> tuple[dict, int]:
         if args.k is None:
             raise InputError("--k is required for mode induced")
         verdict = check_convex_induced(system, args.k, f, grid, **common)
-    elif args.mode == "interval":
+    else:       # interval: argparse's choices admit no other mode
         if args.k is None or args.ell is None:
             raise InputError("--k and --ell are required for mode interval")
         verdict = check_convex_interval(system, args.k, args.ell, f, grid, **common)
-    else:
-        raise InputError(f"unknown mode {args.mode!r}")
     return {"check": _jsonify(verdict)}, 1 if verdict.verdict == "violated" else 0
 
 
@@ -464,7 +461,9 @@ def _cached_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, text):
+        """The subparser of ``name``, with the arguments every subcommand takes."""
+        p = sub.add_parser(name, help=text)
         p.add_argument("--system", help="catalog id (poly:N, trig-odd:N[:lo,hi], "
                                         "trig-even:N[:lo,hi], one-xsq) or JSON path")
         p.add_argument("--function", help="builtin (power:k, cos[:m], sin[:m], exp, "
@@ -480,30 +479,21 @@ def _cached_parser() -> argparse.ArgumentParser:
         p.add_argument("--unsafe-domain", default=None,
                        help="override the one-xsq domain: 'full' or 'lo,hi'")
         p.add_argument("--out", default=None, help="write the JSON report here")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("chebcheck", help="grid positivity of a system prefix")
-    common(p)
-    p.set_defaults(func=_cmd_chebcheck)
-
-    p = sub.add_parser("divdiff", help="generalized and classical divided differences")
-    common(p)
-    p.set_defaults(func=_cmd_divdiff)
-
-    p = sub.add_parser("convexity", help="convexity with respect to a system")
-    common(p)
+    command("chebcheck", _cmd_chebcheck, "grid positivity of a system prefix")
+    command("divdiff", _cmd_divdiff, "generalized and classical divided differences")
+    p = command("convexity", _cmd_convexity, "convexity with respect to a system")
     p.add_argument("--mode", choices=["direct", "induced", "interval", "agreement"],
                    default="direct")
-    p.set_defaults(func=_cmd_convexity)
 
-    p = sub.add_parser("identities", help="seeded fuzz suites over the identities")
-    common(p)
+    p = command("identities", _cmd_identities, "seeded fuzz suites over the identities")
     p.add_argument("--suite", default="all",
                    help=f"one of {', '.join(IDENTITY_SUITES)} or all")
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=_cmd_identities)
 
-    p = sub.add_parser("variation", help="variation estimates and bounds")
-    common(p)
+    p = command("variation", _cmd_variation, "variation estimates and bounds")
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--g", default=None, help="first convex component")
@@ -513,7 +503,6 @@ def _cached_parser() -> argparse.ArgumentParser:
     p.add_argument("--m0", type=int, default=None, help="initial partition intervals")
     p.add_argument("--rounds", type=int, default=4)
     p.add_argument("--perturb-rounds", type=int, default=2)
-    p.set_defaults(func=_cmd_variation)
 
     return parser
 

@@ -129,7 +129,11 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
     than the minimum gap, as the induced and interval modes do, and
     :class:`NonFiniteValue` on an infinite or NaN value.  An exhaustive
     float check of rational input answers on the exact engine
-    (determinant._route), with 0 indeterminate tuples."""
+    (determinant._route), with 0 indeterminate tuples.  Any other
+    exhaustive float check with ``tol_factor`` > 0 first reads the
+    windows of consecutive points, computed exactly on the float values
+    (determinant._dyadic): when they pass, it passes with 0
+    indeterminate tuples, without walking its tuples; else it walks."""
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
     return _route(lambda table, pts: [_check_convex_direct(system, f, pts, table, budget, seed,
                                                            tol_factor)[0]],

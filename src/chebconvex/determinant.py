@@ -47,10 +47,22 @@ its ``tuples_checked`` stays C(m, n), since the verdict covers every
 tuple; when one fails, the scan walks.  The walk meets its tuples in
 lexicographic order and an exact value has no near-zero band, so its
 first violation is the witness, and it stops there, its
-``tuples_checked`` still C(m, n).  Float and sampled scans never read
-the windows, nor stop: a float verdict's near-zero count is per tuple,
-and a sampled scan reads only its tuples' points, and its witness is
-the smallest of its unordered samples.  A scan that walks can also read the
+``tuples_checked`` still C(m, n).  A float exhaustive scan for
+nonnegative determinants reads the same windows, computed exactly on
+its float values (every finite float is a dyadic rational, so each
+column scales to integers by its largest power-of-two denominator,
+:func:`_dyadic`): when they pass, every determinant of those values is
+>= 0, and the scan passes with no tuple near zero, where its walk could
+have counted one whose float value rounding pushed into [-tol, 0).  It
+walks when they fail, and never reads them where they cannot stand in
+for the walk: a positive scan, whose band is two-sided; a
+``tol_factor`` <= 0, whose walk calls a zero that rounds negative a
+violation; or a column whose largest |entry| reaches 2^(1023/n - n/2),
+past which the walk's determinants or tolerances may overflow, which it
+raises.  A float walk never stops, since its near-zero count is per
+tuple, and a sampled scan reads no windows, nor stops: it reads only
+its tuples' points, and its witness is the smallest of its unordered
+samples.  A scan that walks can also read the
 windows' lower part on its own (the rows 0..n-2, by Fekete's lemma
 positive on every increasing tuple when it passes) and then report,
 for each cut of a tuple it is given, the smallest base that a violating
@@ -637,8 +649,11 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # order, and an exact walk stops at its first violation (_Stop), which is
 # its witness, unless it keeps the base of a cut that is not a prefix
 # (see _sign_scan); its tuples_checked still reads C(m, n), as a
-# certified scan's does.  A float walk never stops: its near-zero count
-# reads every tuple.  A sampled scan, and a
+# certified scan's does.  A float scan for nonnegative determinants
+# reads the windows of its columns' exact values first (_dyadic), unless
+# it is one they cannot stand in for, and walks when they fail; a float
+# walk never stops: its near-zero count reads every tuple.  A sampled
+# scan, and a
 # scan of one-point tuples, exhaustive or not, calls det's elimination
 # on each tuple's prepared columns and _Tally.add on each (_scan_each).
 # Every exact scan tallies the integer determinants of its columns'
@@ -662,8 +677,8 @@ class SignScan:
     indeterminate_count: int = 0
     #: For each (cut, width) the scan was given (``cuts``), the smallest
     #: t[:cut] + t[cut + width:] over violating index tuples t, absent
-    #: when none is: of an exact exhaustive scan that its windows pass
-    #: ({}), or whose windows' lower part holds (see :func:`_certified`),
+    #: when none is: of an exhaustive scan that its windows pass ({}), or
+    #: of an exact one whose windows' lower part holds (see :func:`_certified`),
     #: else None; not part of the outcome, which is the same either way.
     #: A walk that stops at its first violation t, its cuts all prefix
     #: cuts, reads each base t[:cut] there, the smallest of them all.
@@ -755,13 +770,20 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     for the increasing len(rows)-tuples of the increasing positions
     ``js`` of the sorted ``grid`` (exhaustive within ``budget``, else
     ``budget`` seeded samples) by the rule of :meth:`_Tally.add`, at the
-    one backend the table reads the grid at.  An exact exhaustive scan
-    given ``cuts`` that walks reads its windows' lower part, for its
-    :attr:`SignScan.bases`.  An exact walk stops at its first violation,
-    the witness, when every cut it keeps is a prefix cut (cut + width ==
-    n), or it keeps none; its ``tuples_checked`` is C(m, n) either way.
-    Every column is read before the walk, and exact walk arithmetic
-    cannot raise, so the stop skips no error."""
+    one backend the table reads the grid at.  An exhaustive scan of
+    tuples of two points or more first reads its windows
+    (:func:`_certified`): an exact one's, or a float nonnegative one's on
+    its columns' exact values, where :func:`_dyadic` lets them stand in
+    for the float walk; when they pass, so does the scan, with
+    ``tuples_checked`` C(m, n) and no tuple near zero.  An exact
+    exhaustive scan given ``cuts`` that walks reads its windows' lower
+    part, for its :attr:`SignScan.bases`.  An exact walk stops at its
+    first violation, the witness, when every cut it keeps is a prefix
+    cut (cut + width == n), or it keeps none; its ``tuples_checked`` is
+    C(m, n) either way.  Every column is read before the windows or the
+    walk, and neither exact walk arithmetic nor a float walk under
+    :func:`_dyadic`'s bound can raise, so no window pass and no stop
+    skips an error."""
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
@@ -770,14 +792,15 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
                           if exhaustive else tuples, exact)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     bases = None
-    if not exhaustive or n == 1:
+    cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
+    ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
+    if ints is not None and _certified(ints, n, positive):
+        return SignScan(checked, exhaustive, bases={})
+    if cols is None:
         _scan_each(forms, tuples, tally)
     elif not exact:
-        _walk_float([forms[j][0] for j in range(m)], n, tally)
+        _walk_float(cols, n, tally)
     else:
-        ints = [forms[j][0] for j in range(m)]
-        if _certified(ints, n, positive):
-            return SignScan(checked, exhaustive, bases={})
         if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
             tally.cuts, bases = cuts, tally.bases
         tally.stop = all(c + w == n for c, w in tally.cuts)
@@ -938,6 +961,24 @@ def _certified(ints: list, n: int, positive: bool) -> bool:
                 state, step = _exact_pivot(state, cols[0])
                 cols = _exact_reduce(cols[1:], step)
     return True
+
+
+def _dyadic(cols: list, n: int, positive: bool, tol_factor: float) -> list | None:
+    """The float columns ``cols`` of a scan of n-tuples, each scaled to
+    integers by its largest power-of-two denominator, which keeps every
+    determinant's sign on the floats' exact values: what :func:`_certified`
+    reads in place of the float walk.  None where the windows cannot
+    stand in for the walk: a positive scan, whose two-sided band they
+    cannot clear; ``tol_factor`` <= 0, where the walk calls a zero that
+    rounds negative a violation; or an entry at or past 2^(1023/n - n/2),
+    where the walk's determinants (at most 2^(n(n-1)/2) times the n-th
+    power of the largest |entry|, by partial pivoting's growth) or its
+    tolerances may overflow, which it raises."""
+    if positive or tol_factor <= 0 or max(map(abs, itertools.chain.from_iterable(cols))) \
+            >= 2.0 ** (1023 / n - n / 2):
+        return None
+    ratios = [[v.as_integer_ratio() for v in c] for c in cols]
+    return [[p * (q // d) for p, d in c] for c in ratios for q in [max(d for _, d in c)]]
 
 
 # ---------------------------------------------------------------------------

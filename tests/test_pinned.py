@@ -136,18 +136,21 @@ def test_polynomial_pinned_modes_match_oracle(n):
     assert {"violated", "convex_on_sample"} <= seen
 
 
-def test_trig_pinned_modes_match_oracle():
-    system = trig_odd_system(1, -math.pi, 0.0)
-    rng = random.Random(7)
-    grid = sorted(rng.uniform(-3.1, -0.05) for _ in range(7))
-    sampled = SampledFn(tuple(grid), tuple(rng.uniform(-1, 1) for _ in grid))
-    seen = set()
-    for f, kw in ((ExpFn(), dict(tol_factor=1e-10)), (sampled, dict(tol_factor=1e-10)),
-                  (sampled, dict(tol_factor=0.05)), (ExpFn(), dict(tol_factor=-0.05)),
-                  (system.basis[1], dict(budget=4)), (sampled, dict(base_budget=5, seed=3)),
-                  (affine((1.0, system.basis[1]), (-0.5, system.basis[2])), {})):
-        seen |= outcomes(check_every_mode(system, f, grid, **kw))
-    assert {"violated", "indeterminate", "convex_on_sample"} <= seen
+def test_trig_pinned_modes_match_oracle(scan_modes):
+    """Every mode, in both float scan modes (see conftest's scan_modes)."""
+    for mode in scan_modes:
+        with mode():
+            system = trig_odd_system(1, -math.pi, 0.0)
+            rng = random.Random(7)
+            grid = sorted(rng.uniform(-3.1, -0.05) for _ in range(7))
+            sampled = SampledFn(tuple(grid), tuple(rng.uniform(-1, 1) for _ in grid))
+            seen = set()
+            for f, kw in ((ExpFn(), dict(tol_factor=1e-10)), (sampled, dict(tol_factor=1e-10)),
+                          (sampled, dict(tol_factor=0.05)), (ExpFn(), dict(tol_factor=-0.05)),
+                          (system.basis[1], dict(budget=4)), (sampled, dict(base_budget=5, seed=3)),
+                          (affine((1.0, system.basis[1]), (-0.5, system.basis[2])), {})):
+                seen |= outcomes(check_every_mode(system, f, grid, **kw))
+            assert {"violated", "indeterminate", "convex_on_sample"} <= seen
 
 
 @pytest.mark.parametrize("exact", [True, False])

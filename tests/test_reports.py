@@ -213,6 +213,15 @@ CASES = [
      "list:1e-300,1e150,2e150,3e150"],
     ["convexity", "--mode", "induced", "--k", "1", "--system", "poly:3", "--function",
      "sin", "--grid", "list:1,2,3,4", "--backend", "float", "--tol", "1"],
+    # a float nonnegative scan of transcendental input passes by its windows,
+    # computed exactly on its float values; at --tol 0, and on a positivity
+    # scan, it walks; an agreement's pinned bases each pass by their windows
+    *(["convexity", "--mode", "direct", "--system", "trig-odd:1", "--function", "exp",
+       "--backend", "float", "--grid", "uniform:-3,-0.2,12", *tol] for tol in ([], ["--tol", "0"])),
+    ["chebcheck", "--system", "trig-odd:1", "--backend", "float", "--grid",
+     "uniform:-3,-0.2,12"],
+    ["convexity", "--mode", "agreement", "--system", "trig-odd:1", "--function", "exp",
+     "--backend", "float", "--grid", "uniform:-3,-0.2,9"],
 ]
 
 

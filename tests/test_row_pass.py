@@ -5,10 +5,11 @@ by one comparison with the row's bound (``determinant._walk`` and
 (``oracles.walk_scan`` and ``float_walk_scan``): the same SignScan, by
 repr, or the same exception, by type and message."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chebconvex import determinant
 from chebconvex.core import PointTuple, SampledFn
@@ -37,11 +38,15 @@ def outcome(fn, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def scan_and_oracle(columns: list, exact: bool, positive: bool, tol_factor: float) -> tuple:
+def scan_and_oracle(columns: list, exact: bool, positive: bool, tol_factor: float,
+                    mode=contextlib.nullcontext) -> tuple:
+    """The scan's outcome, in the float scan ``mode`` (see conftest's
+    scan_modes), and the per-tuple oracle's."""
     m, n = len(columns), len(columns[0])
     grid, rows = PointTuple(range(m)), tuple(range(n))
-    got = outcome(_sign_scan, table_of(columns, exact), rows, grid, range(m), 10 ** 6, 0,
-                  tol_factor, positive)
+    with mode():
+        got = outcome(_sign_scan, table_of(columns, exact), rows, grid, range(m), 10 ** 6, 0,
+                      tol_factor, positive)
     if exact:
         want = outcome(walk_scan, table_of(columns, exact), rows, grid, range(m), positive)
     else:
@@ -72,11 +77,15 @@ def matrices(draw):
     return columns
 
 
-@settings(max_examples=1500, deadline=None)
+# scan_modes keeps no state between examples: each mode patches within its run only
+@settings(max_examples=1500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(matrices(), st.booleans(), st.booleans(), st.sampled_from(TOL_FACTORS))
-def test_walk_equals_one_determinant_per_tuple(columns, exact, positive, tol_factor):
-    got, want = scan_and_oracle(columns, exact, positive, tol_factor)
-    assert got == want
+def test_walk_equals_one_determinant_per_tuple(scan_modes, columns, exact, positive,
+                                                tol_factor):
+    for mode in scan_modes:
+        got, want = scan_and_oracle(columns, exact, positive, tol_factor, mode)
+        assert got == want
 
 
 # values exactly at a row's bound, and rows whose bound only a later
@@ -84,7 +93,7 @@ def test_walk_equals_one_determinant_per_tuple(columns, exact, positive, tol_fac
 
 @pytest.mark.parametrize("positive", [True, False])
 @pytest.mark.parametrize("tol_factor", TOL_FACTORS)
-def test_values_at_the_bound(positive, tol_factor):
+def test_values_at_the_bound(positive, tol_factor, scan_modes):
     # the tuple (0, 1) has det 20.0 and largest |entry| 20: at tol_factor
     # 0.05 its tolerance is 0.05 * 400 == 20.0, the det itself
     assert 0.05 * 20.0 ** 2 == 20.0
@@ -92,29 +101,33 @@ def test_values_at_the_bound(positive, tol_factor):
                     [[1, 0], [20, 20], [20, 21]],
                     [[1, 0], [0, 0], [20, 20]],
                     [[0, 1], [20, 20], [1, 20]]):
-        got, want = scan_and_oracle(columns, False, positive, tol_factor)
-        assert got == want
+        for mode in scan_modes:
+            got, want = scan_and_oracle(columns, False, positive, tol_factor, mode)
+            assert got == want
 
 
 @pytest.mark.parametrize("positive", [True, False])
 @pytest.mark.parametrize("tol_factor", [0.05, -0.05])
-def test_a_later_column_sets_the_row_bound(positive, tol_factor):
+def test_a_later_column_sets_the_row_bound(positive, tol_factor, scan_modes):
     # pivot column (1, 0); the later column (4, 0.5) has det 0.5 with
     # largest |entry| 4, inside its tolerance 0.05 * 16 = 0.8 though
     # above the pivot column's own 0.05
-    got, want = scan_and_oracle([[1, 0], [1, 1], [4, 0.5]], False, positive, tol_factor)
-    assert got == want and "verdict=None" not in got
+    for mode in scan_modes:
+        got, want = scan_and_oracle([[1, 0], [1, 1], [4, 0.5]], False, positive, tol_factor,
+                                    mode)
+        assert got == want and "verdict=None" not in got
 
 
 @pytest.mark.parametrize("positive", [True, False])
-def test_an_overflowing_row_raises_where_a_tuple_does(positive):
+def test_an_overflowing_row_raises_where_a_tuple_does(positive, scan_modes):
     # (B, -B) then (B, B): det 2 * B^2 is inf, while the tolerance at B,
     # 1e-10 * B^2, is finite
     big = 3 * 2 ** 510
     assert float(big) ** 2 < float("inf") == 2 * float(big) ** 2
     for columns in ([[1, 1], [big, -big], [big, big]], [[big, -big], [big, big], [1, 2]]):
-        got, want = scan_and_oracle(columns, False, positive, 1e-10)
-        assert got == want and got.startswith("NonFiniteValue")
+        for mode in scan_modes:
+            got, want = scan_and_oracle(columns, False, positive, 1e-10, mode)
+            assert got == want and got.startswith("NonFiniteValue")
 
 
 @pytest.mark.parametrize("exact", [True, False])

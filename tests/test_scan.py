@@ -74,17 +74,20 @@ def test_polynomial_scans_match_oracle(system, float_walk):
                     same(check_convex_direct, direct_loop, system, f, grid, **kw)
 
 
-def test_trig_scans_match_oracle():
-    system = trig_odd_system(1, -math.pi, 0.0)
-    rng = random.Random(7)
-    for _ in range(3):
-        grid = sorted(rng.uniform(-3.1, -0.05) for _ in range(9))
-        for budget, tol in ((200, 1e-10), (40, 1e-10), (200, 0.05), (200, -0.05)):
-            kw = dict(budget=budget, tol_factor=tol)
-            for k in (1, 2, 3):
-                same(is_positive_chebyshev, positivity_loop, system, k, grid, **kw)
-            for f in (ExpFn(), system.basis[1], affine((-1.5, PowerFn(2)))):
-                same(check_convex_direct, direct_loop, system, f, grid, **kw)
+def test_trig_scans_match_oracle(scan_modes):
+    """Every scan, in both float scan modes (see conftest's scan_modes)."""
+    for mode in scan_modes:
+        with mode():
+            system = trig_odd_system(1, -math.pi, 0.0)
+            rng = random.Random(7)
+            for _ in range(3):
+                grid = sorted(rng.uniform(-3.1, -0.05) for _ in range(9))
+                for budget, tol in ((200, 1e-10), (40, 1e-10), (200, 0.05), (200, -0.05)):
+                    kw = dict(budget=budget, tol_factor=tol)
+                    for k in (1, 2, 3):
+                        same(is_positive_chebyshev, positivity_loop, system, k, grid, **kw)
+                    for f in (ExpFn(), system.basis[1], affine((-1.5, PowerFn(2)))):
+                        same(check_convex_direct, direct_loop, system, f, grid, **kw)
 
 
 @pytest.mark.parametrize("exact", [True, False])

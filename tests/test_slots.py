@@ -20,11 +20,12 @@ slots = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(slots)
 
 
-class OneFieldOff:
-    """A cli whose report for the request ``argv`` carries one field more."""
+class Edited:
+    """A cli whose report for the request ``argv`` is edited in place by
+    ``edit``; by default it carries one field more."""
 
-    def __init__(self, cli, argv: list):
-        self.cli, self.argv = cli, argv
+    def __init__(self, cli, argv: list, edit=lambda report: report["results"].update(extra=1)):
+        self.cli, self.argv, self.edit = cli, argv, edit
 
     def main(self, argv: list) -> int:
         out = io.StringIO()
@@ -32,7 +33,7 @@ class OneFieldOff:
             code = self.cli.main(argv)
         report = json.loads(out.getvalue())
         if argv == self.argv:
-            report["results"]["extra"] = 1
+            self.edit(report)
         print(json.dumps(report))
         return code
 
@@ -45,10 +46,40 @@ def test_compare_finds_only_the_request_that_differs(capsys):
         assert slots.compare(clis, requests) == 0
         assert capsys.readouterr().out.endswith(f"{len(requests)} requests, 0 differ\n")
         odd = requests[len(requests) // 2]
-        assert slots.compare([clis[0], OneFieldOff(clis[1], odd.argv)], requests) == 1
+        assert slots.compare([clis[0], Edited(clis[1], odd.argv)], requests) == 1
     out = capsys.readouterr().out
     assert f"differs on tree 1: {odd.id} " in out
+    assert "\n    results.extra (absent) -> 1\n" in out
     assert out.endswith(f"{len(requests)} requests, 1 differ\n")
+
+
+def test_compare_prints_the_fields_that_differ(capsys):
+    """A request whose verdict and count moved, as a certified float scan's
+    may, is printed with each field that moved, by its path."""
+    def settled(report):
+        report["results"]["positivity"].update(verdict="edited", indeterminate_count=-1)
+    with tempfile.TemporaryDirectory() as work:
+        requests = slots.workloads.generate(slots.workloads.WORKLOADS["short"], 1, range(1),
+                                            work)
+        req = next(r for r in requests if r.argv[0] == "chebcheck" and r.backend == "float")
+        cli = slots.load_cli(ROOT, "chebconvex_fields")
+        before = json.loads(slots.run(cli, req.argv)[2])["results"]["positivity"]
+        capsys.readouterr()
+        assert slots.compare([cli, Edited(cli, req.argv, settled)], [req]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (f"    results.positivity.indeterminate_count "
+                        f"{before['indeterminate_count']} -> -1, "
+                        f"results.positivity.verdict {before['verdict']} -> edited")
+
+
+def test_changes_compares_objects_key_by_key():
+    a = {"code": 0, "results": {"check": {"verdict": "indeterminate", "witness": [1, 2]}}}
+    b = {"code": 1, "results": {"check": {"verdict": "violated", "witness": [1, 3]}},
+         "error": None}
+    assert slots.changes(a, b) == ["code 0 -> 1", "error (absent) -> null",
+                                   "results.check.verdict indeterminate -> violated",
+                                   "results.check.witness [1, 2] -> [1, 3]"]
+    assert slots.changes(a, a) == []
 
 
 def test_compare_takes_every_workload_and_seed_given(capsys, monkeypatch):

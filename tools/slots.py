@@ -16,7 +16,9 @@ TREE is the root of a checkout (default: this one).  ``--compare``
 instead checks that every request gives the same exit code and report,
 outside ``timing_seconds``, on each tree as on the first; it takes
 ``--workload`` and ``--seed`` more than once, and checks the requests of
-every workload and seed given:
+every workload and seed given; for each request that differs it prints
+the fields that differ, such as ``results.check.verdict indeterminate
+-> convex_on_sample, results.check.indeterminate_count 3 -> 0``:
 
     python3 tools/slots.py --compare --workload scan --workload pinned \
         --workload short --seed 1 --seed 2 PARENT_TREE .
@@ -111,21 +113,42 @@ def report(trees: list, medians: list) -> None:
         print(f"tree {i}: {tree}")
 
 
+_ABSENT = "(absent)"
+
+
+def changes(a, b, path: str = "") -> list:
+    """Each field, by its dotted path, where the JSON values ``a`` and
+    ``b`` differ, as "path a -> b": objects are compared key by key, an
+    absent key reading "(absent)", any other value whole, and a string
+    shown bare."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [c for key in sorted(a.keys() | b.keys())
+                for c in changes(a.get(key, _ABSENT), b.get(key, _ABSENT),
+                                 f"{path}.{key}" if path else key)]
+    if a == b:
+        return []
+    shown = [v if isinstance(v, str) else json.dumps(v) for v in (a, b)]
+    return [f"{path} {shown[0]} -> {shown[1]}"]
+
+
 def compare(clis: list, requests: list) -> int:
     """The number of requests whose exit code or report, outside
-    timing_seconds, differs from the first tree's."""
+    timing_seconds, differs from the first tree's.  Each such request is
+    printed, with the fields that differ (see :func:`changes`)."""
     def outcome(cli, argv):
         _, code, text = run(cli, argv)
         doc = json.loads(text)
         doc.pop("timing_seconds", None)
-        return code, doc
+        return {"code": code, **doc}
     differ = 0
     for req in requests:
         first = outcome(clis[0], req.argv)
         for i, cli in enumerate(clis[1:], 1):
-            if outcome(cli, req.argv) != first:
+            got = outcome(cli, req.argv)
+            if got != first:
                 differ += 1
                 print(f"differs on tree {i}: {req.id} {' '.join(req.argv)}")
+                print(f"    {', '.join(changes(first, got))}")
     print(f"{len(requests)} requests, {differ} differ")
     return 1 if differ else 0
 
