@@ -225,9 +225,7 @@ def _parse_grid(spec: str, backend: Backend) -> PointTuple:
     if spec.startswith("uniform:"):
         try:
             a_s, b_s, m_s = spec[len("uniform:"):].split(",")
-            a = _parse_scalar(a_s, backend)
-            b = _parse_scalar(b_s, backend)
-            m = int(m_s)
+            a, b, m = _parse_scalar(a_s, backend), _parse_scalar(b_s, backend), int(m_s)
         except (ValueError, InputError) as exc:
             raise InputError(f"bad uniform grid {spec!r}: {exc}") from None
         if m < 2 or not a < b:
@@ -276,14 +274,12 @@ def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
 def _jsonify(value):
     """JSON form of a report value; a report dataclass becomes the dict
     of all its fields, and a NaN or infinite float, which strict JSON has
-    no number for, its str() ("nan", "inf", "-inf")."""
+    no number for, or a Fraction, its str() ("nan", "inf", "-inf",
+    "p/q", as :func:`core.scalar_to_json` spells a Fraction)."""
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)
     if value is None or isinstance(value, (bool, str, int, float)):
-        return scalar_to_json(value) if isinstance(value, (int, float)) \
-            and not isinstance(value, bool) else value
-    if isinstance(value, Fraction):
-        return scalar_to_json(value)
+        return value
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):

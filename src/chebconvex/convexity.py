@@ -27,10 +27,19 @@ and (k+1)-prefix minor on increasing points is positive, which the lower
 part of the direct scan's window certificate proves (Fekete's lemma, see
 determinant._certified), each derived minor has the sign of the direct
 minor at sorted(B ∪ T).  An exact check whose bases and inner scans are
-exhaustive therefore reads every base's verdict off one direct walk and
-scans only its first violated base, for the witness and its value; any
-other check, or one whose lower part fails or whose walk raises, scans
-every base.
+exhaustive therefore reads every base's verdict off one direct walk,
+and scans no base: for each mode the walk records the smallest pair
+(B*, T*) of a violating tuple's base and inner tuple, so B* is the
+mode's first violated base and T* the smallest violating tuple of its
+scan, the witness, whose value, the derived minor at T*, is the
+identity's left side above at (B*, T*), computed exactly from the
+parent table's determinants (induced._sylvester_side, which
+_PinnedBase.identity computes too).  No check that the base's scan
+would make can fail there: every k- and (k+1)-prefix minor is positive,
+so no denominator vanishes; an exact grid has no two equal points, so
+(B..., x) passes the ordering check; every point passed the walk's
+domain check; and every inner scan is exhaustive.  Any other check, or
+one whose lower part fails or whose walk raises, scans every base.
 """
 
 from __future__ import annotations
@@ -71,7 +80,7 @@ from .errors import (
     InputError,
     InsufficientGrid,
 )
-from .induced import _PinnedBase, _check_base, _check_base_size
+from .induced import _PinnedBase, _check_base, _check_base_size, _sylvester_side
 
 #: The counts of a pinned mode's verdict.
 _COUNTS = ("tuples_checked", "bases_checked", "bases_skipped", "indeterminate_count")
@@ -182,12 +191,14 @@ def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, pts: Point
                     table: _PointTable, budget: int, tol_factor: float,
                     walk: SignScan | None):
     """By the sign identity (see the module docstring), the first base,
-    in sorted order, whose exhaustive pinned scan is violated, or () when
-    none is, read off the exact direct ``walk`` on every position of
-    ``pts`` (made here, within ``budget``, when None), which records only
-    that base (see :func:`_cut`); None when the identity cannot say: a
-    float table, a failed lower part, or any error while walking, which
-    the per-base scans then meet, or not, as they would."""
+    in sorted order, whose exhaustive pinned scan is violated and the
+    witness of that scan, its smallest violating inner tuple, as a pair
+    of position tuples, or () when no base is violated, read off the
+    exact direct ``walk`` on every position of ``pts`` (made here, within
+    ``budget``, when None), which records only that pair (see
+    :func:`_cut`); None when the identity cannot say: a float table, a
+    failed lower part, or any error while walking, which the per-base
+    scans then meet, or not, as they would."""
     cut = _cut(system.dim, k, ell)
     try:
         if table.backend(pts) is Backend.FLOAT:
@@ -196,7 +207,20 @@ def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, pts: Point
                                     budget, DEFAULT_SEED, tol_factor, (cut,))
     except (InputError, ArithmeticError):   # the per-base scans meet it in their order, or not
         return None
-    return None if walk.bases is None else walk.bases.get(cut, ())
+    if walk.bases is None:
+        return None
+    return (walk.bases[cut], walk.inners[cut]) if cut in walk.bases else ()
+
+
+def _read_off(table: _PointTable, k: int, pts: PointTuple, base: tuple, inner: tuple) -> dict:
+    """The violated verdict's (witness, value, base) of a pinned mode
+    read off the walk (:func:`_first_violated`'s pair): the points of
+    ``inner`` and ``base``, and the derived minor at inner, by the
+    identity from the exact parent ``table``, whose minors there are all
+    nonzero (see the module docstring)."""
+    value = _sylvester_side(table, k, pts, base, inner,
+                            lambda j: table.det(tuple(range(k + 1)), pts, base + (j,)))
+    return {"violated": (tuple(pts[j] for j in inner), value, tuple(pts[j] for j in base))}
 
 
 def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
@@ -218,25 +242,30 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
     done: the error that the modes, each run alone in turn, would meet
     first.  When the table is exact and the walk on
     every (n+1)-tuple fits ``budget`` and the bases are exhaustive, the
-    sign identity reads each mode's verdicts off that one direct walk
+    sign identity reads each mode's verdict off that one direct walk
     (``walk``, the caller's scan given each mode's :func:`_cut`, if it
-    has one): a mode scans only its first violated base, for its witness
-    and value, and counts the tuples of every other checked base
-    unscanned.  Its callers check k and ``ells``."""
+    has one): a violated mode's witness, value and base by
+    :func:`_read_off`, and every checked base's tuples counted
+    unscanned.  No base is pinned then, and no check of a base's scan
+    is skipped that could fail (see the module docstring); the loop
+    over the bases still counts them and checks their points' domain.
+    Its callers check k and ``ells``."""
     n = system.dim
     pts = sorted_grid(grid)
     m = len(pts)
     bases, every = increasing_tuples(range(m), k, budget=base_budget, seed=seed)
-    # by mode: its ell; the only base to scan, or None for every base (the walk,
+    # by mode: its ell; the walk's pair, or None to scan every base (the walk,
     # and with it every base's scan, C(m-k, n-k+1) <= C(m, n+1), is exhaustive);
     # its counts; by verdict, the (witness, value, base) of its first base
     walked = every and math.comb(m, n + 1) <= budget
-    modes = [(ell, _first_violated(system, k, ell, pts, table, budget, tol_factor, walk)
-              if walked else None, dict.fromkeys(_COUNTS, 0), {}) for ell in ells]
+    modes = [(ell, read, dict.fromkeys(_COUNTS, 0), _read_off(table, k, pts, *read) if read
+              else {}) for ell in ells
+             for read in [_first_violated(system, k, ell, pts, table, budget, tol_factor, walk)
+                          if walked else None]]
     error = None
     for base in sorted(bases):
         pinned = None
-        for i, (ell, only, count, first) in enumerate(modes):
+        for i, (ell, read, count, first) in enumerate(modes):
             try:
                 local = _restricted_points(m, base, ell)
                 if len(local) < n - k + 1:
@@ -244,7 +273,7 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                     continue
                 count["bases_checked"] += 1
                 _check_base(system.domain, (pts[j] for j in base))
-                if only is not None and base != only:
+                if read is not None:
                     count["tuples_checked"] += math.comb(len(local), n - k + 1)
                     continue
                 pinned = pinned or _PinnedBase(table, k, pts, base, tol_factor)
@@ -400,11 +429,12 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
     point table, and the pinned modes of each k run as one check (see
     _check_convex_pinned), which pins each base once for all of them
     and drops it at the next base.  An exact pinned mode reads its
-    verdicts off the direct mode's walk, when that is exhaustive, and
-    scans only its first violated base: the walk records one base for
-    each mode's cut.  An exhaustive float check of rational input on a
-    spaced grid answers on the exact engine (determinant._route), with 0
-    indeterminate tuples, or keeps the float walk for every mode."""
+    verdict, witness and value off the direct mode's walk, when that is
+    exhaustive, and scans no base: the walk records one base and inner
+    tuple for each mode's cut.  An exhaustive float check of rational
+    input on a spaced grid answers on the exact engine
+    (determinant._route), with 0 indeterminate tuples, or keeps the
+    float walk for every mode."""
     n = system.dim
     if k_list is None:
         k_list = list(range(1, n))

@@ -493,11 +493,8 @@ class AffineFn(FunctionSpec):
         self.required_backend()  # raises early on exact/float clashes
 
     def required_backend(self):
-        tags = []
-        for c, s in self.terms:
-            tags.append(scalar_backend(c))
-            tags.append(s.required_backend())
-        return combine_backends(*tags)
+        return combine_backends(*(b for c, s in self.terms
+                                  for b in (scalar_backend(c), s.required_backend())))
 
     def _eval(self, x, backend):
         total = Fraction(0) if backend is Backend.EXACT else 0.0
@@ -515,8 +512,7 @@ class SampledFn(FunctionSpec):
     values: tuple
 
     def __post_init__(self):
-        points = tuple(self.points)
-        values = tuple(self.values)
+        points, values = tuple(self.points), tuple(self.values)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
         if len(points) != len(values):

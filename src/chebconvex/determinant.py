@@ -65,17 +65,19 @@ its tuples' points, and its witness is the smallest of its unordered
 samples.  A scan that walks can also read the
 windows' lower part on its own (the rows 0..n-2, by Fekete's lemma
 positive on every increasing tuple when it passes) and then report,
-for each cut of a tuple it is given, the smallest base that a violating
-tuple leaves: what exact pinned convexity checks read through the
-paper's sign identity (see convexity).  The first violation leaves the
-smallest base of a prefix cut (one that keeps t[:c]), so a walk whose
-cuts are all prefix cuts still stops there; one that keeps any other
-cut walks every tuple.
+for each cut of a tuple it is given, the smallest pair of a base that a
+violating tuple leaves and the inner tuple it cuts out: what exact
+pinned convexity checks read through the paper's sign identity, for
+their verdicts, witnesses and values (see convexity).  The first
+violation leaves the smallest pair of a prefix cut (one that keeps
+t[:c]), so a walk whose cuts are all prefix cuts still stops there; one
+that keeps any other cut walks every tuple.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import random
@@ -683,6 +685,11 @@ class SignScan:
     #: A walk that stops at its first violation t, its cuts all prefix
     #: cuts, reads each base t[:cut] there, the smallest of them all.
     bases: dict | None = field(default=None, compare=False, repr=False)
+    #: Beside each base, the smallest inner tuple t[cut:cut + width] of a
+    #: violating t that leaves it: the pair (base, inner) is the smallest
+    #: such pair, and the first violation t of a stopped walk gives both
+    #: parts of a prefix cut's, (t[:cut], t[cut:]), which orders as t does.
+    inners: dict | None = field(default=None, compare=False, repr=False)
 
 
 class _Stop(Exception):
@@ -692,23 +699,21 @@ class _Stop(Exception):
 class _Tally:
     """Smallest violating and near-zero index tuples with their values,
     the number of near-zero tuples, and for each (cut, width) in
-    ``cuts`` (none unless set) the smallest violating tuple less its
-    ``width`` entries after the first ``cut`` (``bases``), of a scan
-    whose values are exact or float (``exact``); ``at(t)`` gives the
-    points of index tuple t.  With ``stop`` set, :meth:`add` raises
+    ``cuts`` (none unless set) the smallest pair of a violating tuple
+    less its ``width`` entries after the first ``cut``, its base
+    (``bases``), and those entries, its inner tuple (``inners``), of a
+    scan whose values are exact or float (``exact``); ``at(t)`` gives
+    the points of index tuple t.  With ``stop`` set, :meth:`add` raises
     :class:`_Stop` at the first violation it records: a walk that gives
-    it the tuples in order has its witness and the smallest base of each
+    it the tuples in order has its witness and the smallest pair of each
     prefix cut then."""
 
     def __init__(self, positive: bool, exact: bool, at, tol_factor: float):
-        self.positive = positive
-        self.exact = exact
-        self.at = at
-        self.tol_factor = tol_factor
+        self.positive, self.exact, self.at, self.tol_factor = positive, exact, at, tol_factor
         self.first: dict[str, tuple] = {}
         self.near_zero = 0
         self.cuts: tuple = ()
-        self.bases: dict = {}
+        self.bases, self.inners = {}, {}
         self.stop = False
 
     def add(self, t: tuple, value: Scalar, biggest: float | None = None) -> None:
@@ -731,10 +736,10 @@ class _Tally:
             return
         if kind is _NEAR_ZERO:
             self.near_zero += 1
-        for key in self.cuts if kind is _VIOLATION else ():
-            b = t[:key[0]] + t[sum(key):]
-            if key not in self.bases or b < self.bases[key]:
-                self.bases[key] = b
+        for c, w in self.cuts if kind is _VIOLATION else ():
+            b, inner = t[:c] + t[c + w:], t[c:c + w]
+            if (c, w) not in self.bases or (b, inner) < (self.bases[c, w], self.inners[c, w]):
+                self.bases[c, w], self.inners[c, w] = b, inner
         best = self.first.get(kind)
         if best is None or t < best[0]:
             self.first[kind] = (t, value)
@@ -777,13 +782,13 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     for the float walk; when they pass, so does the scan, with
     ``tuples_checked`` C(m, n) and no tuple near zero.  An exact
     exhaustive scan given ``cuts`` that walks reads its windows' lower
-    part, for its :attr:`SignScan.bases`.  An exact walk stops at its
-    first violation, the witness, when every cut it keeps is a prefix
-    cut (cut + width == n), or it keeps none; its ``tuples_checked`` is
-    C(m, n) either way.  Every column is read before the windows or the
-    walk, and neither exact walk arithmetic nor a float walk under
-    :func:`_dyadic`'s bound can raise, so no window pass and no stop
-    skips an error."""
+    part, for its :attr:`SignScan.bases` and ``inners``.  An exact walk
+    stops at its first violation, the witness, when every cut it keeps
+    is a prefix cut (cut + width == n), or it keeps none; its
+    ``tuples_checked`` is C(m, n) either way.  Every column is read
+    before the windows or the walk, and neither exact walk arithmetic
+    nor a float walk under :func:`_dyadic`'s bound can raise, so no
+    window pass and no stop skips an error."""
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
@@ -791,18 +796,18 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     forms = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
                           if exhaustive else tuples, exact)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
-    bases = None
+    bases = inners = None
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
     if ints is not None and _certified(ints, n, positive):
-        return SignScan(checked, exhaustive, bases={})
+        return SignScan(checked, exhaustive, bases={}, inners={})
     if cols is None:
         _scan_each(forms, tuples, tally)
     elif not exact:
         _walk_float(cols, n, tally)
     else:
         if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
-            tally.cuts, bases = cuts, tally.bases
+            tally.cuts, bases, inners = cuts, tally.bases, tally.inners
         tally.stop = all(c + w == n for c, w in tally.cuts)
         with contextlib.suppress(_Stop):
             _walk_exact(ints, n, tally)
@@ -813,8 +818,8 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
             if exact:
                 value = Fraction(value, math.prod(forms[j][1] for j in t))
             return SignScan(checked, exhaustive, verdict, tally.at(t), value, tally.near_zero,
-                            bases)
-    return SignScan(checked, exhaustive, bases=bases)
+                            bases, inners)
+    return SignScan(checked, exhaustive, bases=bases, inners=inners)
 
 
 def _scan_columns(table: _PointTable, rows: tuple, grid: PointTuple, js, touched,
@@ -1141,7 +1146,8 @@ def _route(run, table: _PointTable, grid: PointTuple, domain: Domain, exhaustive
     on the functions of ``table`` and the sorted ``grid``.  A float check
     with an :func:`_exact_image` answers on the image, each verdict
     spelled in float by :func:`_float_witness` (``derived`` makes the
-    pinned base a verdict's witness base reads).  A violated verdict
+    pinned base a verdict's witness base reads, once for every verdict
+    of that base).  A violated verdict
     whose float value is no definite violation by :meth:`_Tally.add`'s
     float rule, where the float walk may meet another witness first, is
     the float walk's verdict when that is violated too, and the exact
@@ -1152,6 +1158,7 @@ def _route(run, table: _PointTable, grid: PointTuple, domain: Domain, exhaustive
     image = _exact_image(table, grid, domain) if exhaustive else None
     if image is None:
         return run(table, grid)
+    derived = derived and functools.cache(derived)     # one pinned base per witness base
     try:
         verdicts = [_float_witness(v, table, grid, tol_factor, derived) for v in run(*image)]
     except (ChebconvexError, ArithmeticError):
@@ -1172,7 +1179,9 @@ def _float_witness(v, table: _PointTable, grid: PointTuple, tol_factor: float,
     whether it is definite there: its witness (and base) the points of
     the float ``grid``, and its value the float walk's there, the det of
     the float columns of ``table`` (of ``derived(table, k, grid, base,
-    tol_factor)`` for a pinned base), bit-identical to the walk's.  A
+    tol_factor)`` for a pinned base, which :func:`_route` makes once for
+    every verdict of that base), bit-identical to the walk's: a pinned
+    base's values do not depend on the order it makes them in.  A
     verdict that is not violated is definite."""
     if v.verdict != _VIOLATION:
         return v, True
@@ -1203,10 +1212,8 @@ def bordered_minor(a: Matrix, k: int, i: int, j: int) -> Scalar:
         raise IndexOutOfRange(f"k={k} outside 1..{n - 1}")
     if not (k + 1 <= i <= n and k + 1 <= j <= n):
         raise IndexOutOfRange(f"(i, j)=({i}, {j}) outside {k + 1}..{n}")
-    rows = list(range(k)) + [i - 1]
-    cols = list(range(k)) + [j - 1]
-    sub = [[a[r, c] for c in cols] for r in rows]
-    return det(matrix_from_rows(sub))
+    rows, cols = [*range(k), i - 1], [*range(k), j - 1]
+    return det(matrix_from_rows([[a[r, c] for c in cols] for r in rows]))
 
 
 @dataclass(frozen=True)

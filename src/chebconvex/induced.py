@@ -230,16 +230,33 @@ class _PinnedBase(_PointTable):
         k-minor to the power len(xs) - 1, over the (k+1)-minor at
         (base..., x) for each x in xs, each after the singular-denominator
         rule; against the determinant of the derived values at xs."""
-        rows = tuple(range(len(self.table.fns)))
-        kminor = self.table.det(rows[:self.k], self.grid, self.base)
-        lhs = self.table.det(rows, self.grid, self.base + js) * kminor ** (len(js) - 1)
-        for j in js:
+
+        def den(j: int) -> Scalar:
             den, backend, forms, at, _ = self.denominator(j)
             check_denominator(den, forms, backend, at, self.tol_factor,
                               name="(k+1)-prefix determinant", show_value=False)
-            lhs = lhs / _scalar(den)
+            return _scalar(den)
+        lhs = _sylvester_side(self.table, self.k, self.grid, self.base, js, den)
         rhs = self.det(tuple(range(len(js))), self.grid, js)
         return ResidualReport(lhs, rhs, abs(lhs - rhs))
+
+
+def _sylvester_side(table: _PointTable, k: int, grid: PointTuple, base: tuple, js: tuple,
+                    den) -> Scalar:
+    """The left side of the factorization identity at (base..., xs), xs
+    the points at the positions ``js`` of ``grid``: the determinant of
+    every function of ``table`` at (base..., xs), in that order, times
+    the k-minor of its first k at base to the power len(js) - 1, over
+    ``den(j)``, the (k+1)-minor of its first k + 1 at (base..., x_j), for
+    each j in ``js``, computed in that order.  On the exact backend it
+    equals the determinant of the derived values at xs, the derived
+    len(js)-minor that pinning ``base`` gives."""
+    rows = tuple(range(len(table.fns)))
+    kminor = table.det(rows[:k], grid, base)
+    lhs = table.det(rows, grid, base + js) * kminor ** (len(js) - 1)
+    for j in js:
+        lhs = lhs / den(j)
+    return lhs
 
 
 def _checked_base(parent: ChebyshevSystem, k: int, base) -> tuple:

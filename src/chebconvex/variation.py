@@ -314,8 +314,7 @@ def default_anchors(system: ChebyshevSystem, a: Scalar, b: Scalar) -> tuple[tupl
             raise AnchorInfeasible(f"anchor spacing {s} below the minimum gap {DEFAULT_MIN_GAP}")
         return s
 
-    lo = None if dom.lo is None else make(dom.lo)
-    hi = None if dom.hi is None else make(dom.hi)
+    lo, hi = (None if end is None else make(end) for end in (dom.lo, dom.hi))
     a_v, b_v = make(a), make(b)
     s_a = spacing(None if lo is None else a_v - lo)
     s_b = spacing(None if hi is None else hi - b_v)

@@ -21,7 +21,8 @@ package uses, so matching values certify both sides:
   either backend (``walk_scan``, ``float_walk_scan``);
 * one row-wise determinant on every increasing tuple vs an exact walk
   that stops at its first violation, with the smallest base of every
-  violating tuple for each cut (``full_walk_scan``);
+  violating tuple for each cut and the smallest inner tuple beside it
+  (``full_walk_scan``);
 * one divided_difference of two fresh determinants per derived value vs
   a pinned base eliminated once (``derived_value`` and ``OracleDerivedFn``,
   DerivedFn as it was before it read a pinned base);
@@ -456,20 +457,24 @@ def walk_scan(table, rows: tuple, grid, js, positive: bool) -> SignScan:
 
 def full_walk_scan(table, rows: tuple, grid, js, positive: bool, cuts: tuple) -> tuple:
     """The exact exhaustive sign scan of walk_scan by row-wise elimination
-    of every increasing tuple, none skipped after the first violation,
-    and for each (cut, width) in ``cuts`` the smallest t[:cut] + t[cut +
-    width:] over all violating index tuples t (absent when none is)."""
+    of every increasing tuple, none skipped after the first violation;
+    for each (cut, width) in ``cuts`` the smallest base t[:cut] + t[cut +
+    width:] over all violating index tuples t (absent when none is); and
+    for each cut the smallest inner tuple t[cut:cut + width] over the
+    violating t that leave that base."""
     m, n = len(js), len(rows)
     cols = [column_values(c) for c in table.columns(rows, grid, js)]
     values = {t: _det_exact([[cols[j][i] for j in t] for i in range(n)])
               for t in itertools.combinations(range(m), n)}
     violating = [t for t, v in values.items() if v < 0 or positive and v == 0]
     if not violating:
-        return SignScan(math.comb(m, n), True), {}
+        return SignScan(math.comb(m, n), True), {}, {}
     t = violating[0]
+    bases = {(c, w): min(u[:c] + u[c + w:] for u in violating) for c, w in cuts}
+    inners = {(c, w): min(u[c:c + w] for u in violating if u[:c] + u[c + w:] == bases[c, w])
+              for c, w in cuts}
     return (SignScan(math.comb(m, n), True, "violated", tuple(grid[js[j]] for j in t),
-                     values[t]),
-            {(c, w): min(u[:c] + u[c + w:] for u in violating) for c, w in cuts})
+                     values[t]), bases, inners)
 
 
 def float_walk_scan(table, rows: tuple, grid, js, positive: bool, tol_factor) -> SignScan:

@@ -201,7 +201,8 @@ def test_zero_lower_prefix_on_one_window_walks(walks):
 
 # ---------------------------------------------------------------------------
 # the lower part, rows 0..n-2 asked > 0, read on its own for the smallest
-# bases of violating tuples that the pinned modes' sign identity reads
+# bases of violating tuples, with their smallest inner tuples, that the
+# pinned modes' sign identity reads
 
 CUTS = ((0, 2), (1, 2), (1, 1))
 
@@ -225,6 +226,9 @@ def test_last_row_fails_while_the_lower_part_holds():
                 if cofactor_det([[r[j] for j in t] for r in rows]) < 0]
     got = lower_scan(rows)
     assert negative and got.bases == smallest_bases(negative)
+    assert got.inners == {(c, w): min(t[c:c + w] for t in negative
+                                      if t[:c] + t[c + w:] == got.bases[c, w])
+                          for c, w in CUTS}
     assert got.verdict == "violated" and got.witness == negative[0]
 
 
@@ -255,8 +259,8 @@ def test_bases_only_where_read():
 @pytest.mark.parametrize("cuts", [(), ((1, 2),), ((0, 2), (1, 2), (2, 1), (1, 1))])
 def test_a_walk_of_violations_keeps_no_list_of_them(monkeypatch, cuts):
     """On every exact (n+1)-tuple violated, the tally holds the first
-    witness, a count and one base per cut: no container grows with the
-    number of violations."""
+    witness, a count and one base and one inner tuple per cut: no
+    container grows with the number of violations."""
     tallies = []
 
     class Kept(determinant._Tally):
@@ -273,5 +277,6 @@ def test_a_walk_of_violations_keeps_no_list_of_them(monkeypatch, cuts):
     assert got.verdict == "violated" and got.witness == grid[:3]
     assert got.bases == (None if not cuts else {(c, w): (0, 1, 2)[:c] + (0, 1, 2)[c + w:]
                                                 for c, w in cuts})
+    assert got.inners == (None if not cuts else {(c, w): (0, 1, 2)[c:c + w] for c, w in cuts})
     sizes = [len(v) for t in tallies for v in vars(t).values() if hasattr(v, "__len__")]
     assert tallies and max(sizes) <= max(len(cuts), 2)

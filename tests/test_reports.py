@@ -222,6 +222,15 @@ CASES = [
      "uniform:-3,-0.2,12"],
     ["convexity", "--mode", "agreement", "--system", "trig-odd:1", "--function", "exp",
      "--backend", "float", "--grid", "uniform:-3,-0.2,9"],
+    # exact pinned modes read their witness, value and base off the direct walk: x^3
+    # with its value at 5 lowered, so the first violated bases are not the first
+    # bases; an agreement whose modes share first violated bases, with cuts that
+    # are no prefix (ell < k), an interval check with 0 < ell < k, and the float
+    # agreement of the same rational input, which answers on the exact engine
+    *(["convexity", "--system", "poly:3", "--function", "cubic_dip.json", "--grid",
+       "list:0,1,2,3,4,5,6", *mode] for mode in (
+        ["--mode", "agreement"], ["--mode", "interval", "--k", "2", "--ell", "1"],
+        ["--mode", "agreement", "--backend", "float"])),
 ]
 
 
