@@ -15,6 +15,7 @@ except for the timing field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -79,49 +80,50 @@ class _JsonArgumentParser(argparse.ArgumentParser):
 _DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?").fullmatch
 
 
-def _read(text: str, backend: Backend):
-    """The scalar of ``backend`` that the stripped ``text`` spells, an
-    exact one as p/q in two integers: a plain decimal is the integer of
-    its digits over a power of ten, read without Fraction's parser;
-    every other text, and every error, is Fraction(text)'s."""
-    if backend is Backend.FLOAT:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise InputError(f"bad float scalar {text!r}: {exc}") from None
-    decimal = _DECIMAL(text)
-    if decimal:
-        whole, frac = decimal.groups(default="")
-        try:
-            return int(whole + frac), 10 ** len(frac)
-        except ValueError:      # past int's digit limit: Fraction(text) says why
-            pass
+def _read(texts: list, backend: Backend) -> list:
+    """The scalars of ``backend`` that the stripped ``texts`` spell, an
+    exact one as p/q in two integers, in one pass: a plain decimal is the
+    integer of its digits over a power of ten, read without Fraction's
+    parser.  Where any text does not read so, each is read on its own,
+    so that the first that does not read raises; a single text that does
+    not read is float(text)'s error, or Fraction(text)'s value or error."""
     try:
-        return Fraction(text).as_integer_ratio()
+        if backend is Backend.FLOAT:
+            return [float(t) for t in texts]
+        return [(int(w + f), 10 ** len(f)) for w, f in (_DECIMAL(t).groups("") for t in texts)]
+    except (AttributeError, ValueError) as exc:     # no decimal, no float, past int's limit
+        if len(texts) > 1:
+            return [_read([t], backend)[0] for t in texts]
+        if backend is Backend.FLOAT:
+            raise InputError(f"bad float scalar {texts[0]!r}: {exc}") from None
+    try:
+        return [Fraction(texts[0]).as_integer_ratio()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad exact scalar {text!r}: {exc}") from None
+        raise InputError(f"bad exact scalar {texts[0]!r}: {exc}") from None
 
 
 def _parse_scalar(text: str, backend: Backend):
     """The scalar of ``backend`` that ``text`` spells, read as the one
-    point of a grid, so with the grid readers' value and error."""
-    return _read_grid([text], backend)[0]
+    point of a grid is (:func:`_read`), so with the grid readers' value
+    and error."""
+    (value,) = _read([text.strip()], backend)
+    return value if backend is Backend.FLOAT else Fraction(*value)
 
 
 def _read_grid(items, backend: Backend, header: bool = False) -> PointTuple:
     """The grid of the scalars of ``backend`` that ``items`` spell, as
     strings or as JSON numbers (read as their decimal literals), in
-    their order.  With ``header``, items that do not read before the
-    first one that does are a header, and skipped.  Exact points p/q are
-    the integers over one scale, the largest q, when every other q
-    divides it (a power of ten for decimals), else Fractions."""
-    out = []
-    for item in items:
-        try:
-            out.append(_read(str(item).strip(), backend))
-        except InputError:
-            if out or not header:
-                raise
+    their order, read in one pass (:func:`_read`).  With ``header``,
+    items that do not read before the first one that does are a header,
+    and skipped.  Exact points p/q are the integers over one scale, the
+    largest q, when every other q divides it (a power of ten for
+    decimals), else Fractions."""
+    texts, out, i = [str(item).strip() for item in items], [], 0
+    while header and not out and i < len(texts):
+        with contextlib.suppress(InputError):
+            out = _read(texts[i:i + 1], backend)
+        i += 1
+    out += _read(texts[i:], backend)
     if backend is Backend.FLOAT:
         return PointTuple(out)
     q = max((d for _, d in out), default=1)
@@ -198,7 +200,7 @@ def _function_id_spec(spec: str, backend: Backend) -> dict:
 def _sampled_from_csv(path: str, backend: Backend) -> SampledFn:
     """Two columns point,value; non-numeric rows before the first data
     row are a header."""
-    points, values = [], []
+    pairs = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -209,14 +211,13 @@ def _sampled_from_csv(path: str, backend: Backend) -> SampledFn:
                 p = _parse_scalar(row[0], backend)
                 v = _parse_scalar(row[1], backend)
             except InputError:
-                if not points:  # header row
+                if not pairs:   # header row
                     continue
                 raise
-            points.append(p)
-            values.append(v)
-    if not points:
+            pairs.append((p, v))
+    if not pairs:
         raise InputError(f"no data rows in {path}")
-    return SampledFn(tuple(points), tuple(values))
+    return SampledFn(*zip(*pairs))
 
 
 def _parse_grid(spec: str, backend: Backend) -> PointTuple:
@@ -239,8 +240,12 @@ def _parse_grid(spec: str, backend: Backend) -> PointTuple:
     if os.path.exists(spec):
         if spec.endswith(".csv"):
             with open(spec, newline="") as fh:
-                firsts = (row[0] for row in csv.reader(fh) if row and row[0].strip())
-                return _read_grid(firsts, backend, header=True)
+                firsts = []
+                try:
+                    firsts.extend(row[0] for row in csv.reader(fh) if row and row[0].strip())
+                finally:    # what the items before a reader error raise is raised first
+                    grid = _read_grid(firsts, backend, header=True)
+            return grid
         with open(spec) as fh:
             data = json.load(fh)
         if not isinstance(data, list):
@@ -313,10 +318,6 @@ def _emit(report: dict, out_path: str | None) -> int | None:
     return None
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    return {k: _jsonify(v) for k, v in sorted(vars(args).items()) if k != "func"}
-
-
 # ---------------------------------------------------------------------------
 # subcommands; each returns (results dict, exit code)
 
@@ -384,9 +385,8 @@ def _cmd_convexity(args) -> tuple[dict, int]:
 def _cmd_identities(args) -> tuple[dict, int]:
     backend = Backend(args.backend)
     suites = IDENTITY_SUITES if args.suite == "all" else (args.suite,)
-    for s in suites:
-        if s not in IDENTITY_SUITES:
-            raise InputError(f"unknown suite {s!r}; known: {IDENTITY_SUITES} or all")
+    if args.suite != "all" and args.suite not in IDENTITY_SUITES:
+        raise InputError(f"unknown suite {args.suite!r}; known: {IDENTITY_SUITES} or all")
     results = {suite: run_suite(suite, args.trials, args.seed, backend) for suite in suites}
     failures_total = sum(len(rep["failures"]) for rep in results.values())
     return {"suites": _jsonify(results), "failed": failures_total}, 1 if failures_total else 0
@@ -507,7 +507,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     report = {"version": __version__, "command": args.command,
-              "config": _config_echo(args)}
+              "config": {k: _jsonify(v) for k, v in sorted(vars(args).items()) if k != "func"}}
     try:
         report["results"], code = args.func(args)
     except (ChebconvexError, OSError, json.JSONDecodeError, ValueError,

@@ -82,17 +82,15 @@ def scalar_backend(x: Scalar) -> Backend | None:
 def combine_backends(*backends: Backend | None,
                      default: Backend | None = None) -> Backend | None:
     """Merge backend tags, raising on an exact/float clash."""
-    out: Backend | None = None
+    found = None
     for b in backends:
-        if b is None:
-            continue
-        if out is None:
-            out = b
-        elif out is not b:
-            raise BackendMismatch(
-                "exact and float scalars mixed in one computation; "
-                "convert explicitly with to_exact()/to_float()")
-    return out if out is not None else default
+        if b is not None:
+            if found not in (None, b):
+                raise BackendMismatch(
+                    "exact and float scalars mixed in one computation; "
+                    "convert explicitly with to_exact()/to_float()")
+            found = b
+    return found or default
 
 
 def to_exact(x: Scalar) -> Fraction:

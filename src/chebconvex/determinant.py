@@ -448,20 +448,19 @@ class _PointTable:
         """The prepared forms of the columns of ``rows`` at the positions
         ``js`` of ``grid``, each made once.  Values not computed yet are
         computed row by row over the positions, the order in which a
-        matrix of these columns built row by row first needs them; a
-        column built directly raises nothing, so it leaves that order as
-        it is."""
+        matrix of these columns built row by row first needs them.  A
+        column built directly reads no function value; only a float one
+        can raise, OverflowError where a point or its power leaves the
+        float range (see :meth:`direct`)."""
         cols = self._by_position(rows, grid)
         slow = [j for j in js if cols[j] is None]
         if not slow:
             return [cols[j] for j in js]
-        if rows not in self._kinds:
-            self._kinds[rows] = self._kind(rows)
-        powers, poly = self._kinds[rows]
+        powers, poly = self._kinds.get(rows) or self._kinds.setdefault(rows, self._kind(rows))
         backend = self.backend(grid)
         if backend is Backend.FLOAT and powers is not None:
             for j in slow:
-                cols[j] = [float(grid[j]) ** k for k in powers], 1
+                cols[j] = [x ** k for x in (float(grid[j]),) for k in powers], 1
         elif backend is Backend.EXACT and poly is not None:
             for j in slow:
                 cols[j] = _polynomial_column(*grid.pq(j), *poly)
@@ -475,6 +474,22 @@ class _PointTable:
             for j in slow:
                 cols[j] = _form([row[j] for row in values], exact)
         return [cols[j] for j in js]
+
+    def direct(self, rows: tuple, grid: PointTuple, js) -> list | None:
+        """:meth:`columns` of ``rows`` at the positions ``js`` of ``grid``
+        in one call, where they are built directly (see :meth:`_kind`);
+        else None, and None where that call raises (a float power past
+        the float range raises OverflowError), so that its caller asks
+        for them as it would have, in its own order, and meets the first
+        error it met before: a column with an infinite value at an
+        earlier point than the overflow, or a window's singular
+        denominator.  The columns made before the raise are kept: they
+        are the values the caller's own asks would make."""
+        powers, poly = self._kinds.get(rows) or self._kinds.setdefault(rows, self._kind(rows))
+        if (powers if self.backend(grid) is Backend.FLOAT else poly) is not None:
+            with contextlib.suppress(ArithmeticError):
+                return self.columns(rows, grid, js)
+        return None
 
     def _by_position(self, key, grid: PointTuple) -> list:
         """The columns of the rows tuple ``key``, or the values of function
@@ -496,18 +511,11 @@ class _PointTable:
             self._rows.add((i, backend))
         return backend
 
-    def matrix(self, rows: tuple, grid: PointTuple, js) -> tuple:
-        """The backend of the matrix of the columns of ``rows`` at the
-        positions ``js`` of ``grid``, the table's on that grid, and the
-        columns' forms, which elimination takes."""
-        forms = self.columns(rows, grid, js)
-        return self.backend(grid), forms
-
     def det(self, rows: tuple, grid: PointTuple, js) -> Scalar:
         """det of the square matrix of the columns of ``rows`` at the
         positions ``js`` of ``grid``."""
-        backend, forms = self.matrix(rows, grid, js)
-        return _scalar(_prepared_det(forms, backend is not Backend.FLOAT))
+        forms = self.columns(rows, grid, js)
+        return _scalar(_prepared_det(forms, self.backend(grid) is not Backend.FLOAT))
 
 
 def _polynomial(f) -> dict | None:
@@ -634,7 +642,9 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # the sign scan behind grid positivity and every convexity mode
 #
 # A scan reads its columns from a point table, at each grid point it
-# touches.  An exhaustive scan of tuples of two points or more then
+# touches: in one call where they are built directly (_scan_columns),
+# else group by group in the order a per-tuple scan meets them.  An
+# exhaustive scan of tuples of two points or more then
 # walks the increasing tuples depth first in lexicographic order and
 # eliminates one tuple point (one matrix column) per level, so all
 # extensions of a prefix share its pivot steps, which are those of det:
@@ -825,17 +835,20 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
 def _scan_columns(table: _PointTable, rows: tuple, grid: PointTuple, js, touched,
                   exact: bool) -> dict:
     """The table's columns of ``rows`` at every index j in ``touched``
-    (of the position js[j] of ``grid``), asked for group by group, the
+    (of the position js[j] of ``grid``): their prepared forms, by index.
+    A float (not ``exact``) column holding an infinite or NaN value
+    raises :class:`NonFiniteValue`.  Columns built directly are asked
+    for in one call (:meth:`_PointTable.direct`), then checked in the
     order in which a scan that builds each tuple's matrix first meets
-    the points, so the first failing evaluation is the same: their
-    prepared forms, by index.  A float (not ``exact``) column holding an
-    infinite or NaN value raises :class:`NonFiniteValue`."""
+    their points; other columns, and directly built ones whose one call
+    raised, are asked for group by group, in that order, so the first
+    failing evaluation or check is the same either way."""
+    order = list(dict.fromkeys(itertools.chain.from_iterable(touched)))
+    made = table.direct(rows, grid, [js[j] for j in order])
     forms: dict = {}
-    for group in touched:
+    for group in touched if made is None else [order]:
         new = [j for j in group if j not in forms]
-        if not new:
-            continue
-        for j, form in zip(new, table.columns(rows, grid, [js[j] for j in new])):
+        for j, form in zip(new, made or table.columns(rows, grid, [js[j] for j in new])):
             if not exact and not all(map(math.isfinite, form[0])):
                 v = next(v for v in form[0] if not math.isfinite(v))
                 raise NonFiniteValue(f"function value {v} at grid point {grid[js[j]]}")

@@ -13,7 +13,10 @@ one step, :func:`_ratio`, takes the table and the points' positions on
 a grid, eliminates each determinant's prepared columns
 (determinant._prepared_det), and checks the denominator.  It serves
 every one-off value: divided_difference, each variation window and
-each value of a derived function (induced.DerivedFn).  The pinned bases
+each value of a derived function (induced.DerivedFn).  A variation
+window hands it slices of the columns its partition made in one call,
+where they are built directly; the step asks the table for the others,
+so the singular-denominator rule has one copy.  The pinned bases
 of the induced module, which share one eliminated base between many
 values, take the same checks.  An exact ratio stays in integers up to
 its one Fraction (:func:`_quotient`, which the pinned bases share).
@@ -122,21 +125,28 @@ def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
     return value
 
 
-def _ratio(table: _PointTable, grid: PointTuple, js, tol_factor: float) -> tuple:
+def _ratio(table: _PointTable, grid: PointTuple, js, tol_factor: float,
+           den_forms: list | None = None, num_forms: list | None = None) -> tuple:
     """The divided difference of function k of ``table`` with respect to
     its functions 0..k-1 at the k positions ``js`` of ``grid``, with its
     numerator and denominator, each as :func:`determinant._prepared_det`
     gives it, a float or an exact pair of integers (det, scale): the
     denominator's determinant, its checks (:func:`check_denominator`),
-    the numerator's, then their :func:`_quotient`.  f's values and the
-    numerator are not touched before the denominator passes."""
+    the numerator's, then their :func:`_quotient`.  The prepared columns
+    of the denominator (rows 0..k-1) and of the numerator (rows 0..k-2
+    and k) are ``den_forms`` and ``num_forms`` where the caller has them,
+    made without error in one call for a whole variation partition
+    (:meth:`determinant._PointTable.direct`), else the table's.  The
+    table is not asked for f's values or the numerator's columns before
+    the denominator passes."""
     k, at = len(js), _At(grid, js)
     rows = tuple(range(k))
-    backend, forms = table.matrix(rows, grid, js)
+    forms = den_forms or table.columns(rows, grid, js)
+    backend = table.backend(grid)
     exact = backend is not Backend.FLOAT
     den = _prepared_det(forms, exact)
     check_denominator(den, forms, backend, at, tol_factor)
-    num = _prepared_det(table.matrix(rows[:-1] + (k,), grid, js)[1], exact)
+    num = _prepared_det(num_forms or table.columns(rows[:-1] + (k,), grid, js), exact)
     return _quotient(num, den, at), num, den
 
 

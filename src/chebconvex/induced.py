@@ -170,14 +170,15 @@ class _PinnedBase(_PointTable):
         (base..., x_j): its det, a float or, exact, the (det, scale) pair
         that determinant._prepared_det gives, its backend and its prepared
         columns.  Target t's first minor reads the base columns with
-        x_j's, as :meth:`_PointTable.matrix` does, eliminates them and
+        x_j's in one :meth:`_PointTable.columns` call, eliminates them and
         keeps their backend, prepared forms, pivot steps and scale, with
         the rows and the parent's forms of them by position; a later one
         reads only x_j's form and reduces it by the kept steps, as det
         does."""
         if self.kept[t] is None:
             rows = (*range(self.k), self.k + t)
-            backend, forms = self.table.matrix(rows, self.grid, self.base + (j,))
+            forms = self.table.columns(rows, self.grid, self.base + (j,))
+            backend = self.table.backend(self.grid)
             form = forms.pop()
             done = _eliminate([c for c, _ in forms], self.k, backend is not Backend.FLOAT)
             self.kept[t] = (backend, forms, done, math.prod(s for _, s in forms), rows,

@@ -55,11 +55,17 @@ def trig_even_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
 def _trig_system(n: int, lo: Scalar, hi: Scalar, max_length: float,
                  basis: list) -> ChebyshevSystem:
     """``basis`` then cos mx, sin mx for m = 1..n on the open interval
-    (lo, hi), once n >= 1 and the interval's length is at most
-    ``max_length``."""
+    (lo, hi), once n >= 1, lo and hi are scalars, lo < hi and the
+    interval's length is at most ``max_length``."""
     if n < 1:
         raise InputError(f"trig order must be >= 1, got {n}")
-    _check_interval_length(lo, hi, max_length)
+    scalar_backend(lo)
+    scalar_backend(hi)
+    if not lo < hi:
+        raise InputError(f"empty interval: lo={lo}, hi={hi}")
+    if float(hi) - float(lo) > max_length:
+        raise DomainTooLong(
+            f"interval length {float(hi) - float(lo)} exceeds the admissible {max_length}")
     for m in range(1, n + 1):
         basis += [CosFn(m), SinFn(m)]
     return ChebyshevSystem(tuple(basis), Interval(lo, hi))
@@ -119,13 +125,3 @@ def _system_from_id(spec: str, domain: Domain | None = None) -> ChebyshevSystem:
         return build(*read(*params), **kwargs)
     except (TypeError, ValueError):
         raise InputError(f"malformed system spec {spec!r}; expected {form}") from None
-
-
-def _check_interval_length(lo: Scalar, hi: Scalar, max_length: float) -> None:
-    scalar_backend(lo)
-    scalar_backend(hi)
-    if not lo < hi:
-        raise InputError(f"empty interval: lo={lo}, hi={hi}")
-    if float(hi) - float(lo) > max_length:
-        raise DomainTooLong(
-            f"interval length {float(hi) - float(lo)} exceeds the admissible {max_length}")

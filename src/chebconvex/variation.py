@@ -15,8 +15,9 @@ integers over one scale (the uniform partitions' m·L, times 2**22 after
 a jitter step), and the refinement rounds read every 2**j-th point of
 the finest uniform partition.  Each window's divided difference is
 divided_difference's own ratio step (divdiff._ratio) on one point
-table, whose columns a window makes only at its new point, and an exact
-partition sum adds only the window values where the sum turns.
+table, which makes a partition's directly built columns in one call
+per row set and the others window by window, and an exact partition
+sum adds only the window values where the sum turns.
 
 A partition's points are checked once, where they enter, not window by
 window: variation_sum checks its Partition (its gap, then its domain)
@@ -137,12 +138,22 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, j
     ``table``, which holds the system's basis and f and may be shared
     between partitions.  Its callers have checked the partition's
     points, so each window's divided difference is divided_difference's
-    from its ratio step on: the shared ratio step on the table's columns,
-    of which a window makes only those at its new point.  The sum is
-    exact or float as the table reads the grid."""
+    from its ratio step on: the shared ratio step, divdiff._ratio.  The
+    columns of the denominator's rows and of the numerator's rows that
+    are built directly (float powers, exact polynomials) are made in one
+    call each for the whole partition (:meth:`_PointTable.direct`), and
+    each window eliminates its slice of them, bit for bit what
+    divided_difference computes at its points; a row set of another
+    kind, or one whose one call raised, is asked for window by window,
+    after the window's denominator for the numerator, so the first error
+    met is the same.  The sum is exact or float as the table reads the
+    grid."""
     n = system.dim
     m = len(js) - 1
-    values = [_ratio(table, grid, js[i:i + n], tol_factor)[0] for i in range(m - n + 2)]
+    rows = tuple(range(n))
+    den, num = (table.direct(r, grid, js) for r in (rows, rows[:-1] + (n,)))
+    values = [_ratio(table, grid, js[i:i + n], tol_factor, den and den[i:i + n],
+                     num and num[i:i + n])[0] for i in range(m - n + 2)]
     if table.backend(grid) is Backend.FLOAT:
         total = 0.0
         for i in range(m - n + 1):

@@ -923,11 +923,11 @@ def ratio_two_fractions(table, k: int, at: tuple, tol_factor: float) -> tuple:
     """divdiff._ratio's value, numerator and denominator at the points
     ``at``, each exact one a Fraction of its own."""
     rows, grid = tuple(range(k)), PointTuple(at)
-    backend, forms = table.matrix(rows, grid, range(k))
+    forms, backend = table.columns(rows, grid, range(k)), table.backend(grid)
     den = _prepared_det(forms, backend is not Backend.FLOAT)
     check_denominator(den, forms, backend, at, tol_factor)
     den = _scalar(den)
-    backend, forms = table.matrix(rows[:-1] + (k,), grid, range(k))
+    forms = table.columns(rows[:-1] + (k,), grid, range(k))
     num = _scalar(_prepared_det(forms, backend is not Backend.FLOAT))
     return _finite(num / den, "divided difference", at), num, den
 

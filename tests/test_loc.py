@@ -1,6 +1,7 @@
 """``tools/loc.py``'s count of code lines, the measure the package's
 size is tracked by: docstrings, comments and blank lines are not code;
-every line that a statement spans is."""
+every line that a statement spans is.  Beside it, its count of
+statements, which joining statements on one line does not lower."""
 
 import importlib.util
 from pathlib import Path
@@ -50,6 +51,29 @@ def test_a_string_statement_after_code_is_a_docstring():
 y = "a value"
 '''
     assert loc.code_lines(text) == 2
+
+
+def test_statements_are_counted_apart_from_their_lines():
+    joined = "a = 1; b = 2\n"
+    assert (loc.code_lines(joined), loc.statements(joined)) == (1, 2)
+    call = '''print(
+    1,
+    2)
+'''
+    assert (loc.code_lines(call), loc.statements(call)) == (3, 1)
+
+
+def test_docstrings_are_no_statements_and_nested_statements_are():
+    text = '''"""A module docstring."""
+
+
+def f(x):
+    """A function docstring."""
+    if x:
+        return 1
+    return 2
+'''
+    assert (loc.code_lines(text), loc.statements(text)) == (4, 4)
 
 
 #: The package's code-line cap (ROADMAP.md, "Code-line budget"); a

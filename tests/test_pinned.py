@@ -582,6 +582,7 @@ def test_pinned_minors_are_table_determinants(system, grid):
                     fresh = _PointTable(fns)
                     assert repr(_scalar(det)) == repr(fresh.det(rows, pts, base + (j,))), \
                         (k, base, t, j)
-                    assert (backend, forms) == fresh.matrix(rows, pts, base + (j,))
+                    assert (backend, forms) == (fresh.backend(pts),
+                                                fresh.columns(rows, pts, base + (j,)))
                 zero_pivots += pinned.kept[t][2] is None
     assert (zero_pivots > 0) == (system.basis[0] == PowerFn(1))

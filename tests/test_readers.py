@@ -6,13 +6,18 @@ value): each point by value and type (compared by repr), or the error
 and its message.  Lists, JSON arrays and CSV columns with headers; signs,
 leading zeros, exponents, ``1/3``-style and non-ASCII literals;
 unsorted, duplicate and too-close grids; grids that mix ints and
-Fractions."""
+Fractions.  A grid is read in one pass and, where an item does not read
+so, item by item: past int's digit limit, ``inf``, ``nan``, ``1_000``,
+``+5``, empty cells, two header rows, a bad item after the header, and
+a bad item before a row that stops csv's reader."""
 
+import csv
 import json
 import os
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chebconvex.cli import _parse_grid
@@ -87,3 +92,59 @@ def test_grids_mixing_ints_and_fractions_match_oracle(values, presorted):
     assert outcome(sorted_grid, grid) == outcome(oracles.sorted_grid, grid)
     spec = "list:" + ",".join(map(str, grid))
     same_grid(spec, Backend.EXACT, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader: a grid whose items all read in one pass, and, when
+# one does not, the item-by-item reading that gives the value or message
+
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+@pytest.mark.parametrize("items", [
+    ["1", "2." + "5" * 4400],               # past int's 4,300-digit limit
+    ["1", "1" * 4301, "2"],
+    ["1", "1" * 4300],                      # at it
+    ["inf", "nan", "1_000", "+5"],
+    ["1_000", "+5", "-0.5"],
+    ["1", "", "2"],                         # an empty cell
+    ["", "1"],
+    ["0.5", "1/3", "2"],                    # a non-decimal item among decimals
+    ["3", "1.25", "-7"],                    # every item in one pass
+])
+def test_list_grids_that_fall_back_match_oracle(items, backend):
+    same_grid("list:" + ",".join(items), backend, 0.0)
+
+
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+@pytest.mark.parametrize("lines", [
+    ["x", "point", "1", "2.5", "3"],        # two header rows
+    ["x", "point", "1", "bad", "3"],        # a bad item after the header
+    ["x", "point", "1", "1" * 4301],
+    ["x", "point", "inf", "1_000", "+5"],
+    ["x", "point"],                         # a header alone
+    ["1", "x"],                             # no header, then a bad item
+])
+def test_csv_grids_with_two_header_rows_match_oracle(lines, backend):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        with open(path, "w") as fh:
+            fh.write("".join(f"{line},0\n" for line in lines))
+        same_grid(path, backend, 0.0)
+
+
+@pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+def test_a_bad_item_before_a_csv_reader_error_is_raised_first(backend):
+    """A CSV grid is read whole before its one pass, and a row past csv's
+    field limit stops that read; what the items before it raise comes
+    first, as the oracle's item-by-item reading meets it."""
+    big = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        with open(path, "w") as fh:
+            fh.write(f"x\n1\nbad\n{big}\n")
+        same_grid(path, backend, 0.0)
+        assert outcome(_parse_grid, path, backend).startswith("InputError: bad ")
+        with open(path, "w") as fh:
+            fh.write(f"x\n1\n{big}\n")
+        for parse in (_parse_grid, oracles.parse_grid):
+            with pytest.raises(csv.Error):
+                parse(path, backend)

@@ -2,13 +2,17 @@
 the same report and exit code on every benchmark request: the same tree
 twice agrees on a round of ``short``, and of several workloads and seeds
 in one command, and a tree whose report differs in one field is caught,
-by request id; and ``--slot``, which times only the slots it names.  It
-reads bench/workloads.py only."""
+by request id; ``--slot``, which times only the slots it names; and
+``--metrics``, which judges every request of a timed run's rounds on
+each tree as bench/run.py does and prints its latency metrics.  It reads
+bench/ only."""
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -125,3 +129,70 @@ def test_slot_names_a_slot_of_the_workload(capsys):
         slots.main(["--workload", "short", "--rounds", "1", "--slot", "S6.exact", str(ROOT)])
     assert exited.value.code == 2
     assert "no request of slot S6.exact" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# --metrics: bench/run.py's latency metrics of one workload on each tree
+
+def test_metrics_judge_each_tree_as_bench_run_does(monkeypatch):
+    """Each tree's rounds are judged against the goldens by bench/check.py,
+    a failed request takes +inf seconds, and the metrics are bench/run.py's
+    ``percentile`` of the request times, here made deterministic."""
+    times, real = iter(range(1, 10 ** 6)), slots.bench_run.run_request
+
+    def timed(cli, req):
+        out = real(cli, req)
+        out.seconds = next(times) / 1000
+        return out
+    with tempfile.TemporaryDirectory() as work:
+        w = slots.workloads.WORKLOADS["short"]
+        rounds = [w.make_round(1, 0, work)]
+        req = next(r for r in rounds[0] if r.argv[0] == "chebcheck" and r.backend == "float")
+        cli = slots.load_cli(ROOT, "chebconvex_metrics")
+        edited = Edited(cli, req.argv,
+                        lambda report: report["results"]["positivity"].update(verdict="edited"))
+        monkeypatch.setattr(slots.bench_run, "run_request", timed)
+        found = slots.metrics([cli, edited], [], rounds,
+                              slots.bench_run.golden_rounds("short", 1))
+        requests = rounds[0]
+        failed = slots.check.judge(requests, [slots.check.decision(r, real(edited, r))
+                                              for r in requests],
+                                   next(slots.bench_run.golden_rounds("short", 1))).failed
+    assert found[1]["failed"] == found[0]["failed"] + 1 == len(failed)
+    # request i ran on tree i % 2 first, so took 2i + 1 ms there and 2i + 2 on the other
+    own = [[(2 * i + 1 + (i % 2 != t)) / 1000 for i in range(len(requests))] for t in (0, 1)]
+    for tree, seconds in zip(found, own):
+        assert tree["busy_s"] == pytest.approx(sum(seconds))
+    latency = [math.inf if r.id in failed else s for r, s in zip(requests, own[1])]
+    assert found[1]["request_s.p90"] == slots.bench_run.percentile(latency, 0.9)
+    assert found[1]["float.request_s.p50"] == slots.bench_run.percentile(
+        [s for s, r in zip(latency, requests) if r.backend == "float"], 0.5)
+
+
+def test_metrics_run_the_rounds_of_a_timed_run(capsys, monkeypatch):
+    """Without --rounds, every round that bench/run.py generates for a
+    timed run (``Workload.max_rounds``); each tree's metrics are printed,
+    with the ratio of the second tree to the first."""
+    seen = {}
+
+    def recorded(clis, warmup, rounds, goldens):
+        seen.update(trees=len(clis), warmup=len(warmup), rounds=len(rounds))
+        return [dict.fromkeys((*slots.LATENCIES, "busy_s", "failed"), 1.0 + t)
+                for t in range(len(clis))]
+    short = slots.workloads.WORKLOADS["short"]
+    monkeypatch.setitem(slots.workloads.WORKLOADS, "short",
+                        dataclasses.replace(short, max_rounds=2))
+    monkeypatch.setattr(slots, "metrics", recorded)
+    assert slots.main(["--metrics", "--workload", "short", str(ROOT), str(ROOT)]) == 0
+    assert seen == {"trees": 2, "warmup": 2, "rounds": 2}
+    rows = {line.split()[0]: line.split()[-3:] for line in capsys.readouterr().out.splitlines()}
+    assert rows["request_s.p90"] == ["1000", "2000", "2.000"]
+    assert rows["busy_s"] == ["1", "2", "2.000"]
+
+
+def test_metrics_take_neither_compare_nor_slot(capsys):
+    for extra in (["--compare"], ["--slot", "C1.exact"]):
+        with pytest.raises(SystemExit) as exited:
+            slots.main(["--metrics", "--workload", "short", *extra, str(ROOT)])
+        assert exited.value.code == 2
+    assert "--metrics takes neither --compare nor --slot" in capsys.readouterr().err

@@ -27,6 +27,19 @@ the fields that differ, such as ``results.check.verdict indeterminate
 keeps only the requests of the named slots, so a change can time just
 the slots it touches; a slot's share is then of the named slots' round.
 ``--slot`` narrows ``--compare`` alike.
+
+``--metrics`` instead runs every request of the rounds a timed run of
+bench/run.py generates (``Workload.max_rounds``, or ``--rounds``) of one
+workload and seed once on each tree, the trees in alternating order from
+one request to the next, and judges each tree's rounds as bench/run.py
+does (bench/check.py; a failed request, the recorded defect included,
+takes +inf seconds).  For each tree it prints bench/run.py's latency
+metrics, through its own ``percentile``, in milliseconds (unscaled wall
+times, which the alternation keeps comparable), the busy seconds and the
+failed requests; with two trees, also the ratio of the second to the
+first:
+
+    python3 tools/slots.py --metrics --workload short --seed 1 PARENT_TREE .
 """
 
 import argparse
@@ -45,7 +58,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+import check  # noqa: E402
 import workloads  # noqa: E402
+
+bench_run = importlib.import_module("run")      # bench/run.py
 
 
 def load_cli(tree: Path, alias: str):
@@ -153,14 +169,66 @@ def compare(clis: list, requests: list) -> int:
     return 1 if differ else 0
 
 
+#: The end-to-end metrics of bench/run.py that --metrics prints, in ms.
+LATENCIES = ("request_s.p50", "request_s.p90", "exact.request_s.p50", "float.request_s.p50")
+
+
+def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
+    """For each tree, bench/run.py's latency metrics (seconds), its busy
+    seconds and its failed requests over the requests of ``rounds`` (one
+    list of requests per round), each run once on every tree, the first
+    tree alternating from one request to the next, after the ``warmup``
+    requests, which are not measured, and judged round by round against
+    ``goldens`` (one dict per round, or None past them)."""
+    for cli in clis:
+        for req in warmup:
+            bench_run.run_request(cli, req)
+    seconds, failed = [[] for _ in clis], [set() for _ in clis]
+    for requests in rounds:
+        decisions = [[] for _ in clis]
+        for i, req in enumerate(requests):
+            order = list(range(len(clis)))
+            for t in order if i % 2 == 0 else reversed(order):
+                out = bench_run.run_request(clis[t], req)
+                seconds[t].append(out.seconds)
+                decisions[t].append(check.decision(req, out))
+        golden = next(goldens, None)
+        for t, tree in enumerate(decisions):
+            failed[t] |= check.judge(requests, tree, golden).failed
+    done = [req for requests in rounds for req in requests]
+    out = []
+    for tree_seconds, tree_failed in zip(seconds, failed):
+        found = bench_run.end_to_end_metrics(done, tree_seconds, tree_failed, 0.0, 0.0)
+        out.append({**{name: found[name][0] for name in LATENCIES},
+                    "busy_s": sum(tree_seconds), "failed": len(tree_failed)})
+    return out
+
+
+def report_metrics(trees: list, found: list, requests: int) -> None:
+    print(f"{'metric':<24}" + "".join(f" {'tree ' + str(i):>10}" for i in range(len(trees)))
+          + ("    ratio" if len(trees) == 2 else ""))
+    for name in (*LATENCIES, "busy_s", "failed"):
+        scale = 1e3 if name in LATENCIES else 1
+        unit = " (ms)" if name in LATENCIES else " (s)" if name == "busy_s" else ""
+        values = [tree[name] for tree in found]
+        cells = "".join(f" {v * scale:>10.4g}" for v in values)
+        ratio = f" {values[1] / values[0]:>8.3f}" if len(values) == 2 and values[0] else ""
+        print(f"{name + unit:<24}{cells}{ratio}")
+    print(f"{requests} requests on each tree")
+    for i, tree in enumerate(trees):
+        print(f"tree {i}: {tree}")
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, action="append",
                         choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, action="append")
-    parser.add_argument("--rounds", type=int, default=6)
+    parser.add_argument("--rounds", type=int,
+                        help="rounds 0..ROUNDS-1 (default 6; with --metrics, max_rounds)")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--compare", action="store_true")
+    parser.add_argument("--metrics", action="store_true")
     parser.add_argument("--slot", action="append", metavar="NAME",
                         help="time only this slot, such as S6.exact (repeatable)")
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT])
@@ -168,8 +236,20 @@ def main(argv: list) -> int:
     seeds = args.seed or [workloads.DEFAULT_SEED]
     if not args.compare and len(args.workload) * len(seeds) > 1:
         parser.error("timing takes one --workload and one --seed")
+    if args.metrics and (args.compare or args.slot):
+        parser.error("--metrics takes neither --compare nor --slot")
     trees = [t.resolve() for t in args.trees]
     clis = [load_cli(tree, f"chebconvex_tree{i}") for i, tree in enumerate(trees)]
+    if args.metrics:
+        w = workloads.WORKLOADS[args.workload[0]]
+        with tempfile.TemporaryDirectory() as work:
+            rounds = [w.make_round(seeds[0], r, work)
+                      for r in range(w.max_rounds if args.rounds is None else args.rounds)]
+            warmup = w.make_round(seeds[0], -1, work)[:2]     # as bench/run.py warms up
+            found = metrics(clis, warmup, rounds, bench_run.golden_rounds(w.name, seeds[0]))
+        report_metrics(trees, found, sum(map(len, rounds)))
+        return 0
+    args.rounds = 6 if args.rounds is None else args.rounds
     with tempfile.TemporaryDirectory() as work:
         # each workload and seed writes its input files under its own directory
         runs = [(name, seed, workloads.generate(workloads.WORKLOADS[name], seed,
