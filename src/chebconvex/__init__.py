@@ -59,7 +59,6 @@ from .convexity import (
     cross_mode_agreement,
 )
 from .variation import (
-    Partition,
     RefinementStrategy,
     VariationCheckReport,
     VariationEstimate,
@@ -67,7 +66,6 @@ from .variation import (
     default_anchors,
     estimate_variation,
     variation_bound,
-    variation_sum,
 )
 from .systems import (
     one_xsq_system,

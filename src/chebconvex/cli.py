@@ -132,6 +132,27 @@ def _read_grid(items, backend: Backend, header: bool = False) -> PointTuple:
     return PointTuple([Fraction(p, d) for p, d in out])
 
 
+def _load_json(path: str):
+    """The JSON value in the file at ``path``; one nested past the
+    decoder's recursion limit is an input error naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError(f"JSON in {path!r} is nested too deeply to read") from None
+
+
+def _csv_rows(path: str):
+    """The rows of the CSV file at ``path``, read lazily; an error of the
+    CSV reader (a field past its size limit) is an input error naming
+    the file, raised when its row is reached."""
+    with open(path, newline="") as fh:
+        try:
+            yield from csv.reader(fh)
+        except csv.Error as exc:
+            raise InputError(f"bad CSV file {path!r}: {exc}") from None
+
+
 def _parse_system(spec: str, backend: Backend, unsafe_domain: str | None) -> ChebyshevSystem:
     if spec is None:
         raise InputError("--system is required")
@@ -139,8 +160,7 @@ def _parse_system(spec: str, backend: Backend, unsafe_domain: str | None) -> Che
         if unsafe_domain is not None:
             raise InputError(f"--unsafe-domain overrides the one-xsq domain only, "
                              f"not the system in {spec!r}")
-        with open(spec) as fh:
-            return system_from_json(json.load(fh))
+        return system_from_json(_load_json(spec))
     if unsafe_domain is None:
         return _system_from_id(spec)
     if unsafe_domain == "full":
@@ -172,8 +192,7 @@ def _parse_function(spec: str, backend: Backend) -> FunctionSpec:
     if os.path.exists(spec):
         if spec.endswith(".csv"):
             return _sampled_from_csv(spec, backend)
-        with open(spec) as fh:
-            return function_from_json(json.load(fh))
+        return function_from_json(_load_json(spec))
     return function_from_json(_function_id_spec(spec, backend))
 
 
@@ -201,20 +220,19 @@ def _sampled_from_csv(path: str, backend: Backend) -> SampledFn:
     """Two columns point,value; non-numeric rows before the first data
     row are a header."""
     pairs = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or (len(row) == 1 and not row[0].strip()):
+    for row in _csv_rows(path):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise InputError(f"sampled CSV row needs two columns: {row!r}")
+        try:
+            p = _parse_scalar(row[0], backend)
+            v = _parse_scalar(row[1], backend)
+        except InputError:
+            if not pairs:   # header row
                 continue
-            if len(row) < 2:
-                raise InputError(f"sampled CSV row needs two columns: {row!r}")
-            try:
-                p = _parse_scalar(row[0], backend)
-                v = _parse_scalar(row[1], backend)
-            except InputError:
-                if not pairs:   # header row
-                    continue
-                raise
-            pairs.append((p, v))
+            raise
+        pairs.append((p, v))
     if not pairs:
         raise InputError(f"no data rows in {path}")
     return SampledFn(*zip(*pairs))
@@ -239,15 +257,13 @@ def _parse_grid(spec: str, backend: Backend) -> PointTuple:
         return _read_grid(spec[len("list:"):].split(","), backend)
     if os.path.exists(spec):
         if spec.endswith(".csv"):
-            with open(spec, newline="") as fh:
-                firsts = []
-                try:
-                    firsts.extend(row[0] for row in csv.reader(fh) if row and row[0].strip())
-                finally:    # what the items before a reader error raise is raised first
-                    grid = _read_grid(firsts, backend, header=True)
+            firsts = []
+            try:
+                firsts.extend(row[0] for row in _csv_rows(spec) if row and row[0].strip())
+            finally:    # what the items before a reader error raise is raised first
+                grid = _read_grid(firsts, backend, header=True)
             return grid
-        with open(spec) as fh:
-            data = json.load(fh)
+        data = _load_json(spec)
         if not isinstance(data, list):
             raise InputError(f"grid JSON must be a list, got {type(data).__name__}")
         # JSON floats in an exact grid are read as decimal literals
@@ -258,8 +274,7 @@ def _parse_grid(spec: str, backend: Backend) -> PointTuple:
 def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
     """Either a JSON file {"a": [...], "b": [...]} or inline a1,a2;b1,b2."""
     if os.path.exists(spec):
-        with open(spec) as fh:
-            data = json.load(fh)
+        data = _load_json(spec)
         try:
             if not all(isinstance(data[side], list) for side in "ab"):
                 raise TypeError("each must be a JSON array")

@@ -19,11 +19,11 @@ table, which makes a partition's directly built columns in one call
 per row set and the others window by window, and an exact partition
 sum adds only the window values where the sum turns.
 
-A partition's points are checked once, where they enter, not window by
-window: variation_sum checks its Partition (its gap, then its domain)
-before any window value, and estimate_variation's partitions pass those
-checks by construction, but for the float ends of int endpoints, which
-it checks once.
+The one entry to partition sums is estimate_variation, which builds
+every partition it sums, so a partition's points are checked once, where
+they enter, not window by window: its partitions pass
+divided_difference's checks of points by construction, but for the float
+ends of int endpoints, which it checks once.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ from .core import (
     DEFAULT_MIN_GAP,
     _BACKEND_TYPES,
     _check_domain,
-    _increasing,
     affine,
     combine_backends,
-    min_gap_violation,
     scalar_backend,
     validate_tuple,
 )
@@ -58,18 +56,6 @@ from .errors import (
     InputError,
     OrderingViolation,
 )
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Strictly increasing points from a to b (both included)."""
-
-    points: PointTuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _increasing(self.points))
-        if len(self.points) < 2:
-            raise InputError("a partition needs at least two points")
 
 
 @dataclass(frozen=True)
@@ -105,49 +91,24 @@ class VariationEstimate:
     bound: Scalar | None = None
 
 
-def variation_sum(system: ChebyshevSystem, f: FunctionSpec, partition: Partition,
-                  tol_factor: float = DEFAULT_TOL_FACTOR) -> Scalar:
-    """Sum over consecutive n-point windows of the partition of the
-    absolute difference of neighbouring divided differences.
-
-    The partition is checked once, before any window value, for what
-    divided_difference rejects in a window: at least n intervals; on a
-    float partition, its first consecutive pair closer than
-    ``DEFAULT_MIN_GAP`` (a Partition's points may have been validated
-    with a smaller gap), named as the first window holding it names it;
-    then its first point outside the domain."""
-    tol_factor = _finite_tol(tol_factor)
-    grid, n = partition.points, system.dim
-    if len(grid) - 1 < n:
-        raise DimensionMismatch(
-            f"partition has {len(grid) - 1} intervals, need at least {n} for dimension {n}")
-    if grid.backend is Backend.FLOAT and n > 1:     # no one-point window holds a pair
-        for i in range(len(grid) - 1):
-            if grid[i + 1] - grid[i] < DEFAULT_MIN_GAP:
-                j = min(i, n - 2)
-                raise min_gap_violation(j, j + 1, DEFAULT_MIN_GAP)
-    _check_domain(system.domain, grid)
-    return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
-                       tol_factor)
-
-
 def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, js,
                 tol_factor: float) -> Scalar:
-    """:func:`variation_sum` over the partition whose points are at the
-    increasing positions ``js`` of ``grid``, with the values of
-    ``table``, which holds the system's basis and f and may be shared
-    between partitions.  Its callers have checked the partition's
-    points, so each window's divided difference is divided_difference's
-    from its ratio step on: the shared ratio step, divdiff._ratio.  The
-    columns of the denominator's rows and of the numerator's rows that
-    are built directly (float powers, exact polynomials) are made in one
-    call each for the whole partition (:meth:`_PointTable.direct`), and
-    each window eliminates its slice of them, bit for bit what
-    divided_difference computes at its points; a row set of another
-    kind, or one whose one call raised, is asked for window by window,
-    after the window's denominator for the numerator, so the first error
-    met is the same.  The sum is exact or float as the table reads the
-    grid."""
+    """The partition sum of f over the partition whose points are at
+    the increasing positions ``js`` of ``grid``: the absolute changes of
+    the divided difference across consecutive n-point windows, added up.
+    ``table`` holds the system's basis and f and may be shared between
+    partitions.  The caller has checked the partition's points (at least
+    n intervals, the minimum gap, the domain), so each window's divided
+    difference is divided_difference's from its ratio step on: the
+    shared ratio step, divdiff._ratio.  The columns of the denominator's
+    rows and of the numerator's rows that are built directly (float
+    powers, exact polynomials) are made in one call each for the whole
+    partition (:meth:`_PointTable.direct`), and each window eliminates
+    its slice of them, bit for bit what divided_difference computes at
+    its points; a row set of another kind, or one whose one call raised,
+    is asked for window by window, after the window's denominator for
+    the numerator, so the first error met is the same.  The sum is
+    exact or float as the table reads the grid."""
     n = system.dim
     m = len(js) - 1
     rows = tuple(range(n))

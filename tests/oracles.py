@@ -27,8 +27,9 @@ package uses, so matching values certify both sides:
   a pinned base eliminated once (``derived_value`` and ``OracleDerivedFn``,
   DerivedFn as it was before it read a pinned base);
 * the same derived values vs pinned bases per check (``pinned_loop``);
-* one divided_difference per window vs one point table per call
-  (``variation_loop``);
+* one divided_difference per window vs one point table per partition
+  (``variation_loop``, against ``window_sum``, the package's partition
+  sum over given points);
 * one fresh collocation determinant per minor and one divided_difference
   or derived_value per cell vs one pinned base per check, whose one
   factorization evaluator both identity checks share
@@ -110,6 +111,7 @@ from chebconvex.determinant import (
     Matrix,
     PositivityReport,
     SignScan,
+    _PointTable,
     _Tally,
     _form,
     _prepared_det,
@@ -139,6 +141,7 @@ from chebconvex.errors import (
 )
 from chebconvex.induced import DerivedFn, InducedCheckReport
 from chebconvex.systems import polynomial_system
+from chebconvex.variation import _window_sum
 
 
 def cofactor_det(rows):
@@ -635,11 +638,11 @@ def pinned_loop(system, k, f, grid, ell=None, base_budget=DEFAULT_BASE_BUDGET,
 # divided_difference: its points validated, every value evaluated, two
 # collocation matrices built.
 
-def variation_loop(system, f, partition, tol_factor=DEFAULT_TOL_FACTOR):
-    """Sum over consecutive n-point windows of the partition of the
-    absolute difference of neighbouring divided differences."""
+def variation_loop(system, f, points, tol_factor=DEFAULT_TOL_FACTOR):
+    """Sum over consecutive n-point windows of the partition ``points``
+    of the absolute difference of neighbouring divided differences."""
     n = system.dim
-    pts = partition.points.points
+    pts = tuple(points)
     m = len(pts) - 1
     if m < n:
         raise DimensionMismatch(
@@ -651,6 +654,18 @@ def variation_loop(system, f, partition, tol_factor=DEFAULT_TOL_FACTOR):
     for i in range(m - n + 1):
         total += abs(window_values[i + 1] - window_values[i])
     return total
+
+
+def window_sum(system, f, points, tol_factor=DEFAULT_TOL_FACTOR):
+    """Not an oracle: the package's partition sum of f over the strictly
+    increasing ``points``, as estimate_variation takes it for each of its
+    partitions, one point table and ``variation._window_sum`` over the
+    grid of the points.  Like estimate_variation's partitions, the points
+    must pass divided_difference's checks of points (at least n
+    intervals, the minimum gap, the domain), which it does not make."""
+    grid = PointTuple(points, OrderingClass.STRICTLY_INCREASING)
+    return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
+                       tol_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,7 +1109,10 @@ def parse_grid(spec: str, backend: Backend) -> tuple:
         if spec.endswith(".csv"):
             with open(spec, newline="") as fh:
                 firsts = (row[0] for row in csv.reader(fh) if row and row[0].strip())
-                return read_scalars(firsts, backend, header=True)
+                try:
+                    return read_scalars(firsts, backend, header=True)
+                except csv.Error as exc:
+                    raise InputError(f"bad CSV file {spec!r}: {exc}") from None
         with open(spec) as fh:
             data = json.load(fh)
         if not isinstance(data, list):

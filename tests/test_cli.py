@@ -26,6 +26,8 @@ def strict_json(text: str) -> dict:
 
 BIG_CUBE = '{"kind": "affine", "terms": [{"coef": 1e308, "spec": {"kind": "power", "k": 3}}]}'
 CLOSE_GRID = "list:0.0,1e-10,1.0,2.0,3.0,4.0"
+#: a quoted CSV field past the csv reader's 131,072-character limit
+BIG_FIELD = '"' + "1" * 200_000 + '"'
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -551,6 +553,50 @@ class TestFileInputs:
                             "--grid", "uniform:0,1,5")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--grid", "x\n1\n2\n{big}\n"),
+        ("--function", "point,value\n1,1\n2,4\n{big},3\n"),
+    ], ids=["grid", "function"])
+    def test_a_csv_field_past_the_reader_limit_is_input_error(self, capsys, tmp_path, flag,
+                                                              text):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(big=BIG_FIELD))
+        argv = {"--system": "poly:2", "--function": "power:2", "--grid": "list:1,2"} | \
+            {flag: str(path)}
+        code, rep = run_cli(capsys, "divdiff", *(x for kv in argv.items() for x in kv))
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message": f"bad CSV file {str(path)!r}: "
+                                "field larger than field limit (131072)"}
+
+    @pytest.mark.parametrize("argv", [
+        ("divdiff", "--function", "power:2", "--grid", "list:0,1", "--system"),
+        ("divdiff", "--system", "poly:2", "--grid", "list:0,1", "--function"),
+        ("divdiff", "--system", "poly:2", "--function", "power:2", "--grid"),
+        ("variation", "--system", "poly:2", "--g", "power:2", "--a", "0", "--b", "1",
+         "--anchors"),
+    ], ids=lambda argv: argv[-1])
+    def test_json_nested_past_the_decoder_limit_is_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, rep = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert rep["error"] == {"type": "InputError",
+                                "message": f"JSON in {str(path)!r} is nested too deeply to read"}
+
+    def test_nested_affine_terms_read_up_to_the_decoder_limit(self, capsys, tmp_path):
+        def nested(depth):
+            return '{"kind": "affine", "terms": [{"coef": 1, "spec": ' * depth + \
+                '{"kind": "power", "k": 2}' + "}]}" * depth
+        path = tmp_path / "deep.json"
+        argv = ("divdiff", "--system", "poly:2", "--function", str(path), "--grid", "list:0,1")
+        path.write_text(nested(100))
+        code, rep = run_cli(capsys, *argv)
+        assert (code, rep["results"]["value"]) == (0, "1")
+        path.write_text(nested(330))
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2
+        assert rep["error"]["message"] == f"JSON in {str(path)!r} is nested too deeply to read"
+
 
 def run_fresh(*argv):
     """(exit code, report) of one command in a new interpreter."""
@@ -708,10 +754,11 @@ def test_function_id_is_its_json_spec(spec, backend, json_spec):
 @pytest.mark.parametrize("flag, text", [
     ("--grid", "x\n0\n1\nbad\n2\n"),
     ("--function", "point,value\n0,0\n1,1\nbad,4\n2,4\n"),
+    ("--function", "point,value\n0,0\n1,1\nbad,4\n{big},4\n"),     # met before the long field
 ])
 def test_csv_header_rows_come_before_the_first_data_row(capsys, tmp_path, flag, text):
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_text(text.format(big=BIG_FIELD))
     argv = {"--system": "poly:2", "--function": "power:2", "--grid": "list:0,1"} | \
         {flag: str(path)}
     code, rep = run_cli(capsys, "divdiff", *(x for kv in argv.items() for x in kv))

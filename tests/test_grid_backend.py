@@ -38,9 +38,7 @@ from chebconvex.determinant import _PointTable, is_positive_chebyshev
 from chebconvex.errors import BackendMismatch
 from chebconvex.induced import DerivedFn, verify_induced_system
 from chebconvex.systems import polynomial_system, trig_odd_system
-from chebconvex.variation import Partition, variation_sum
-
-from oracles import column_values
+from oracles import column_values, window_sum
 
 
 def float_twin(points) -> list:
@@ -81,8 +79,8 @@ def test_mixed_grid_convexity_is_its_float_twins(f):
 
 
 def test_mixed_partition_sums_as_its_float_twin():
-    got = variation_sum(polynomial_system(2), PowerFn(4), Partition(MIXED))
-    want = variation_sum(polynomial_system(2), PowerFn(4), Partition(float_twin(MIXED)))
+    got = window_sum(polynomial_system(2), PowerFn(4), MIXED)
+    want = window_sum(polynomial_system(2), PowerFn(4), float_twin(MIXED))
     assert isinstance(got, float) and repr(got) == repr(want)
 
 

@@ -80,8 +80,19 @@ def f(x):
 #: change that moves the cap edits this number and says so.
 CAP = 2500
 
+#: The package's statement cap beside it, which joining statements on
+#: one line does not meet; a change that moves it edits this number and
+#: says so.
+STATEMENT_CAP = 1929
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chebconvex"
+
 
 def test_the_package_fits_its_code_line_cap():
-    package = Path(__file__).resolve().parent.parent / "src" / "chebconvex"
-    total = sum(loc.code_lines(p.read_text()) for p in package.glob("*.py"))
+    total = sum(loc.code_lines(p.read_text()) for p in PACKAGE.glob("*.py"))
     assert total <= CAP
+
+
+def test_the_package_fits_its_statement_cap():
+    total = sum(loc.statements(p.read_text()) for p in PACKAGE.glob("*.py"))
+    assert total <= STATEMENT_CAP

@@ -14,9 +14,7 @@ from chebconvex.core import (
     ChebyshevSystem,
     ConstFn,
     Interval,
-    OrderingClass,
     PowerFn,
-    validate_tuple,
 )
 from chebconvex.divdiff import (
     classical_divided_difference,
@@ -26,13 +24,11 @@ from chebconvex.divdiff import (
 from chebconvex.errors import AnchorInfeasible, OrderingViolation
 from chebconvex.systems import polynomial_system
 from chebconvex.variation import (
-    Partition,
     RefinementStrategy,
     check_variation_bound,
     default_anchors,
     estimate_variation,
     variation_bound,
-    variation_sum,
 )
 
 LINE = polynomial_system(2)
@@ -44,10 +40,6 @@ ENTRY_POINTS = {
     "classical_divided_difference":
         lambda gap: classical_divided_difference(PowerFn(2), (0 * gap, gap)),
     "power_divdiff_check": lambda gap: power_divdiff_check(2, (0 * gap, gap)),
-    # a Partition may wrap points validated with a smaller gap
-    "variation_sum": lambda gap: variation_sum(LINE, PowerFn(2), Partition(validate_tuple(
-        (0 * gap, gap, 1 + 0 * gap, 2 + 0 * gap), OrderingClass.STRICTLY_INCREASING,
-        min_gap=0))),
     # the uniform partition of [0, 2 gap] into 2 intervals: 0, gap, 2 gap
     "estimate_variation": lambda gap: estimate_variation(
         LINE, PowerFn(2), 0 * gap, 2 * gap,

@@ -16,8 +16,7 @@ from chebconvex.core import ConstFn, ExpFn, Interval, PowerFn, SampledFn, affine
 from chebconvex.determinant import increasing_tuples, is_positive_chebyshev
 from chebconvex.divdiff import divided_difference
 from chebconvex.induced import verify_induced_system
-from chebconvex.variation import (Partition, check_variation_bound, estimate_variation,
-                                  variation_bound, variation_sum)
+from chebconvex.variation import check_variation_bound, estimate_variation, variation_bound
 from chebconvex.errors import InputError, NonFiniteValue
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
@@ -178,8 +177,6 @@ def public_calls(grid) -> dict:
                                                                    tol_factor=tol),
         "divided_difference": lambda tol: divided_difference(line, 2, PowerFn(2), grid[:2],
                                                              tol_factor=tol),
-        "variation_sum": lambda tol: variation_sum(line, PowerFn(3), Partition(grid),
-                                                   tol_factor=tol),
         "estimate_variation": lambda tol: estimate_variation(line, PowerFn(3), grid[0],
                                                              grid[-1], tol_factor=tol),
         "variation_bound": lambda tol: variation_bound(line, PowerFn(3), PowerFn(2), grid[:2],

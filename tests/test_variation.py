@@ -8,11 +8,9 @@ from chebconvex.core import (
     ConstFn,
     ExpFn,
     Interval,
-    OrderingClass,
     PowerFn,
     SampledFn,
     affine,
-    validate_tuple,
 )
 from chebconvex.divdiff import divided_difference
 from chebconvex.errors import (
@@ -25,48 +23,46 @@ from chebconvex.errors import (
 )
 from chebconvex.systems import polynomial_system, trig_odd_system
 from chebconvex.variation import (
-    Partition,
     RefinementStrategy,
     check_variation_bound,
     default_anchors,
     estimate_variation,
     variation_bound,
-    variation_sum,
 )
-
-
-def uniform_partition(m):
-    return Partition(validate_tuple([Fraction(i, m) for i in range(m + 1)],
-                                    OrderingClass.STRICTLY_INCREASING))
-
 
 SLOPE_SYSTEM = polynomial_system(2)
 
 
+def partition_sum(f, m, a=Fraction(0), b=Fraction(1), system=SLOPE_SYSTEM):
+    """The partition sum of f over the uniform partition of [a, b] into
+    m intervals: the one round of estimate_variation's refinement."""
+    strategy = RefinementStrategy(initial_intervals=m, rounds=1, perturb_rounds=0)
+    ((intervals, value),) = estimate_variation(system, f, a, b, strategy).partial_sums
+    assert intervals == m
+    return value
+
+
 class TestVariationSum:
     def test_square_on_uniform_partition(self):
-        assert variation_sum(SLOPE_SYSTEM, PowerFn(2), uniform_partition(10)) \
-            == Fraction(9, 5)
+        assert partition_sum(PowerFn(2), 10) == Fraction(9, 5)
 
     def test_last_basis_function_vanishes(self):
-        assert variation_sum(SLOPE_SYSTEM, PowerFn(1), uniform_partition(8)) == 0
+        assert partition_sum(PowerFn(1), 8) == 0
 
     def test_affine_basis_combination_vanishes(self):
         f = affine((Fraction(4), PowerFn(0)), (Fraction(-7, 2), PowerFn(1)))
-        assert variation_sum(SLOPE_SYSTEM, f, uniform_partition(8)) == 0
+        assert partition_sum(f, 8) == 0
 
     def test_too_few_intervals(self):
-        part = Partition(validate_tuple([0, 1, 2], OrderingClass.STRICTLY_INCREASING))
         with pytest.raises(DimensionMismatch):
-            variation_sum(polynomial_system(3), PowerFn(3), part)
+            partition_sum(PowerFn(3), 2, 0, 2, polynomial_system(3))
 
     def test_telescoping_exactness_for_convex_function(self):
         # For a convex f every window difference is nonnegative, so the
         # sum collapses to last window value minus first window value.
         for m in (5, 9, 16):
-            part = uniform_partition(m)
-            got = variation_sum(SLOPE_SYSTEM, PowerFn(2), part)
-            pts = part.points.points
+            got = partition_sum(PowerFn(2), m)
+            pts = tuple(Fraction(i, m) for i in range(m + 1))
             n = SLOPE_SYSTEM.dim
             first = divided_difference(SLOPE_SYSTEM, n, PowerFn(2), pts[:n]).value
             last = divided_difference(SLOPE_SYSTEM, n, PowerFn(2), pts[-n:]).value
@@ -76,9 +72,8 @@ class TestVariationSum:
         # every window value is finite (-1.5e308, then 1.5e308); their
         # difference is not
         f = affine((1.5e308, PowerFn(2)))
-        part = Partition(validate_tuple([-1.0, 0.0, 1.0], OrderingClass.STRICTLY_INCREASING))
         with pytest.raises(NonFiniteValue, match="partition sum over 2 intervals"):
-            variation_sum(SLOPE_SYSTEM, f, part)
+            partition_sum(f, 2, -1.0, 1.0)
 
     def test_invariant_under_adding_basis_combination(self):
         rng = random.Random(61)
@@ -87,9 +82,7 @@ class TestVariationSum:
                        (Fraction(rng.randint(-9, 9)), PowerFn(0)),
                        (Fraction(rng.randint(-9, 9)), PowerFn(1)))
         for m in (4, 7):
-            part = uniform_partition(m)
-            assert variation_sum(SLOPE_SYSTEM, f, part) \
-                == variation_sum(SLOPE_SYSTEM, shift, part)
+            assert partition_sum(f, m) == partition_sum(shift, m)
 
 
 class TestEstimate:
@@ -275,18 +268,3 @@ class TestCheckBound:
                                            Fraction(0), Fraction(1),
                                            strategy=strategy)
             assert report.margin >= 0
-
-
-class TestPartitionType:
-    def test_needs_two_points(self):
-        with pytest.raises(InputError):
-            Partition(validate_tuple([1], OrderingClass.STRICTLY_INCREASING))
-
-    def test_accepts_raw_sequences(self):
-        p = Partition((0, 1, 2))
-        assert p.points.points == (0, 1, 2)
-        assert p.points.ordering is OrderingClass.STRICTLY_INCREASING
-
-    def test_ordering_enforced(self):
-        with pytest.raises(OrderingViolation):
-            Partition((1, 0))

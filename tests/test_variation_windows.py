@@ -1,21 +1,19 @@
-"""Partition sums from one point table per call (``variation._window_sum``)
-checked against the per-window loop in ``oracles.py``, which takes one
-fresh ``divided_difference`` per window.  ``variation_sum``,
-``estimate_variation`` and ``check_variation_bound`` must give the same
-values, float bits included (compared by repr), and raise the same
-error with the same message.  The reference runs of the last two swap
-the oracle in for every partition sum.  ``variation_sum`` checks its
-partition's points once, before any window value: on a partition with
-more than one defect it reports the first too-close pair, then the first
-point outside the domain, and only then what the loop meets
-(``checked_then_loop``)."""
+"""Partition sums from one point table per partition
+(``variation._window_sum``, the one route ``estimate_variation`` and
+``check_variation_bound`` take to them) checked against the per-window
+loop in ``oracles.py``, which takes one fresh ``divided_difference`` per
+window.  On given partitions, uniform, jittered, of ints and mixed, the
+sums are ``oracles.window_sum``'s, which calls ``_window_sum`` on a grid
+of the points; the estimates and bounds are the public entries', whose
+reference runs swap the oracle in for every partition sum.  Both must
+give the same values, float bits included (compared by repr), and
+raise the same error with the same message."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from chebconvex import variation
 from chebconvex.core import (
@@ -24,34 +22,23 @@ from chebconvex.core import (
     ConstFn,
     CosFn,
     ExpFn,
-    FiniteSet,
     Interval,
-    OrderingClass,
     PowerFn,
-    PuncturedInterval,
     SampledFn,
-    _check_domain,
     affine,
     system_from_json,
-    validate_tuple,
 )
-from chebconvex.determinant import _finite_tol
 from chebconvex.divdiff import divided_difference
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system, trig_odd_system
-from chebconvex.variation import (
-    Partition,
-    RefinementStrategy,
-    check_variation_bound,
-    estimate_variation,
-    variation_sum,
-)
+from chebconvex.variation import RefinementStrategy, check_variation_bound, estimate_variation
 
 from oracles import (
     collocation_matrix_per_value,
     positivity_tolerance,
     row_det,
     variation_loop,
+    window_sum,
 )
 
 
@@ -64,8 +51,7 @@ def result(fn, *args, **kwargs):
 
 
 def loop_sum(table, system, grid, js, tol_factor):
-    partition = Partition(tuple(grid[j] for j in js))
-    return variation_loop(system, table.fns[-1], partition, tol_factor)
+    return variation_loop(system, table.fns[-1], tuple(grid[j] for j in js), tol_factor)
 
 
 @pytest.fixture
@@ -82,29 +68,30 @@ def same(monkeypatch):
     return check
 
 
-def sums_match(system, f, partition, **kw):
-    """variation_sum against the oracle, by repr; returns the outcome."""
-    want = result(variation_loop, system, f, partition, **kw)
-    assert repr(result(variation_sum, system, f, partition, **kw)) == repr(want)
+def sums_match(system, f, points, **kw):
+    """The partition sum over ``points`` against the oracle's, by repr;
+    returns the outcome."""
+    want = result(variation_loop, system, f, points, **kw)
+    assert repr(result(window_sum, system, f, points, **kw)) == repr(want)
     return want
 
 
 def uniform(a, b, m):
     """a, b and m - 1 points between, as estimate_variation spaces them."""
     step = (lambda i: Fraction(i, m)) if isinstance(a, Fraction) else (lambda i: i / m)
-    return Partition(tuple(a + (b - a) * step(i) for i in range(m)) + (b,))
+    return tuple(a + (b - a) * step(i) for i in range(m)) + (b,)
 
 
-def jittered(rng: random.Random, base: Partition) -> Partition:
+def jittered(rng: random.Random, base: tuple) -> tuple:
     """Interior points moved by less than a quarter of the local mesh."""
-    pts = list(base.points.points)
+    pts = list(base)
     for i in range(1, len(pts) - 1):
         room = min(pts[i] - pts[i - 1], pts[i + 1] - pts[i])
         if isinstance(pts[i], Fraction):
             pts[i] += Fraction(rng.randint(-99, 99), 400) * room
         else:
             pts[i] += (rng.random() - 0.5) * room / 2
-    return Partition(tuple(pts))
+    return tuple(pts)
 
 
 def targets(rng: random.Random, n: int, exact: bool, pts) -> list:
@@ -125,7 +112,7 @@ def test_polynomial_sums_match_oracle(n):
     for a, b in ((Fraction(-3, 2), Fraction(7, 4)), (-1.5, 1.75)):
         for m in (n, n + 3, 12):
             for part in (uniform(a, b, m), jittered(rng, uniform(a, b, m))):
-                for f in targets(rng, n, isinstance(a, Fraction), part.points.points):
+                for f in targets(rng, n, isinstance(a, Fraction), part):
                     sums_match(system, f, part)
 
 
@@ -142,13 +129,13 @@ def test_trig_sums_match_oracle():
 def test_integer_and_mixed_partitions_match_oracle():
     # ints evaluate like Fractions, and as floats next to a float: a mixed
     # partition sums as its float twin
-    assert sums_match(polynomial_system(2), PowerFn(3), Partition((0, 1, 2, 3))) == 18
-    mixed = variation_sum(polynomial_system(2), PowerFn(3), Partition((0, 0.5, 1, 2)))
+    assert sums_match(polynomial_system(2), PowerFn(3), (0, 1, 2, 3)) == 18
+    mixed = window_sum(polynomial_system(2), PowerFn(3), (0, 0.5, 1, 2))
     assert isinstance(mixed, float) and repr(mixed) == repr(
-        variation_loop(polynomial_system(2), PowerFn(3), Partition((0.0, 0.5, 1.0, 2.0))))
+        variation_loop(polynomial_system(2), PowerFn(3), (0.0, 0.5, 1.0, 2.0)))
     # a one-function system and a float-only function: ints read at float
     constant = ChebyshevSystem((PowerFn(0),), Interval())
-    assert isinstance(sums_match(constant, CosFn(), Partition((0, 1, 2, 3))), float)
+    assert isinstance(sums_match(constant, CosFn(), (0, 1, 2, 3)), float)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -240,7 +227,7 @@ def test_sampled_function_missing_a_point(same):
                 (0.0, 0.25, 0.5, 0.75, 1.0)):
         kept = pts[:3] + pts[4:]
         f = SampledFn(kept, tuple(x * x for x in kept))
-        error = sums_match(system, f, Partition(pts))
+        error = sums_match(system, f, pts)
         assert error.startswith("EvaluationOutsideSupport: sampled function has no value")
         # estimate_variation's nested partitions meet the gap in round 1
         table = tuple(pts[0] + (pts[-1] - pts[0]) * Fraction(i, 16) for i in range(17)) \
@@ -257,26 +244,19 @@ def test_sampled_basis_function_outside_its_domain(same):
                       {"kind": "power", "k": 1}],
             "domain": {"kind": "finite_set", "points": [0, 1, 2, 3, 4]}}
     system = system_from_json(spec)
-    assert sums_match(system, PowerFn(2), Partition((0, 1, 2, 3, 4))) == 6
-    assert sums_match(system, PowerFn(2), Partition((0, 1, 2, 3, 5))) == \
-        "EvaluationOutsideSupport: point 5 is outside the system domain"
+    assert sums_match(system, PowerFn(2), (0, 1, 2, 3, 4)) == 6
     assert same(estimate_variation, system, PowerFn(2), 0, 4).startswith("InputError: ")
 
 
 def test_min_gap_above_the_smallest_partition_gap(same):
-    """A Partition may wrap points validated with a smaller gap than
-    DEFAULT_MIN_GAP; its windows still take that gap, at its boundary,
-    as divided_difference does."""
+    """Float points DEFAULT_MIN_GAP apart sum as the loop sums them, and
+    exact ones need only be distinct; estimate_variation refuses a float
+    partition closer than that gap, at its boundary, as
+    divided_difference does."""
     system = polynomial_system(2)
-
-    def part(gap):
-        return Partition(validate_tuple((-1.0, 0.0, gap, 1.0, 2.0),
-                                        OrderingClass.STRICTLY_INCREASING, min_gap=0))
-    assert isinstance(sums_match(system, PowerFn(4), part(DEFAULT_MIN_GAP)), float)
-    assert sums_match(system, PowerFn(4), part(0.9 * DEFAULT_MIN_GAP)) == \
-        "OrderingViolation: |points[0] - points[1]| < min gap 1e-09"
-    # exact partitions need only distinct points
-    exact = Partition((Fraction(-1), Fraction(0), Fraction(1, 10 ** 12), Fraction(1), Fraction(2)))
+    close = (-1.0, 0.0, DEFAULT_MIN_GAP, 1.0, 2.0)
+    assert isinstance(sums_match(system, PowerFn(4), close), float)
+    exact = (Fraction(-1), Fraction(0), Fraction(1, 10 ** 12), Fraction(1), Fraction(2))
     assert isinstance(sums_match(system, PowerFn(4), exact), Fraction)
     assert same(estimate_variation, system, PowerFn(4), 0.0, 8 * 0.9 * DEFAULT_MIN_GAP,
                 RefinementStrategy(initial_intervals=8, rounds=2)) == \
@@ -290,7 +270,7 @@ def test_vanishing_denominator(same):
         kept = tuple(x for x in pts if x != 1)
         f = SampledFn(kept, tuple(x * x for x in kept))
         # the denominator is checked before f, which has no value at 1
-        assert sums_match(system, f, Partition(pts)).startswith("SingularDenominator: ")
+        assert sums_match(system, f, pts).startswith("SingularDenominator: ")
     for a in (Fraction(-1), -1.0):
         assert same(estimate_variation, system, PowerFn(3), a, -a,
                     RefinementStrategy(initial_intervals=9)) \
@@ -307,43 +287,6 @@ def test_float_overflow(same):
         .startswith("NonFiniteValue: ")
 
 
-# ---------------------------------------------------------------------------
-# more than one defect: the points' checks come before any window value
-
-def checked_then_loop(system, f, partition, tol_factor=variation.DEFAULT_TOL_FACTOR):
-    """The rule variation_sum follows: its tol_factor's check; then, on
-    a partition of at least n intervals, divided_difference's checks of
-    its points (the minimum gap, then the domain) in every window, every
-    window's gap before any window's domain; then the per-window loop."""
-    _finite_tol(tol_factor)
-    n, pts = system.dim, partition.points.points
-    if len(pts) - 1 >= n:
-        windows = [pts[s:s + n] for s in range(len(pts) - n + 1)]
-        for window in windows:
-            validate_tuple(window, OrderingClass.PAIRWISE_DISTINCT)
-        for window in windows:
-            _check_domain(system.domain, window)
-    return variation_loop(system, f, partition, tol_factor)
-
-
-def test_points_are_checked_before_any_window_value():
-    """Two defects, the second met in an earlier window than the first:
-    the loop reports the earlier window's, variation_sum the point."""
-    domain = PuncturedInterval(Interval(), (5,))
-    outside = "EvaluationOutsideSupport: point 5 is outside the system domain"
-    one_xsq = ChebyshevSystem((PowerFn(0), PowerFn(2)), domain)
-    partition = Partition((-1, 1, 2, 5))
-    assert result(variation_loop, one_xsq, PowerFn(3), partition) == \
-        "SingularDenominator: prefix collocation determinant vanishes at (-1, 1)"
-    assert result(variation_sum, one_xsq, PowerFn(3), partition) == outside
-    line = ChebyshevSystem((PowerFn(0), PowerFn(1)), domain)
-    f = SampledFn((1, 2, 5), (1, 4, 25))
-    partition = Partition((0, 1, 2, 5))
-    assert result(variation_loop, line, f, partition) == \
-        "EvaluationOutsideSupport: sampled function has no value at 0"
-    assert result(variation_sum, line, f, partition) == outside
-
-
 def test_an_end_rounded_outside_an_open_domain(same):
     """An int end past 2**53 that is inside the domain, but whose float
     is not: estimate_variation checks the finest partition's ends."""
@@ -352,56 +295,3 @@ def test_an_end_rounded_outside_an_open_domain(same):
     assert same(estimate_variation, system, affine((0.5, PowerFn(1))), 2 ** 60 - 2 ** 30, b,
                 RefinementStrategy(rounds=2, perturb_rounds=1)) == \
         f"EvaluationOutsideSupport: point {float(b)!r} is outside the system domain"
-
-
-def defect_case(rng: random.Random) -> tuple:
-    """A system of dimension 1-4, a target and a partition of 2-8 points,
-    exact or float, with some too-close pairs, points outside the
-    domain, and target values missing."""
-    n = rng.randint(1, 4)
-    exact = rng.random() < 0.4
-    pts = [Fraction(i, 4) for i in sorted(rng.sample(range(-12, 13), rng.randint(2, 8)))]
-    for x in rng.sample(pts, rng.choice([0, 0, 1, 2])):
-        pts.append(x + Fraction(1, 10 ** 12) if exact
-                   else float(x) + rng.choice([5e-10, 9.9e-10, 1e-9, 2e-9]))
-    pts = sorted(pts if exact else map(float, pts))
-    partition = Partition(validate_tuple(pts, OrderingClass.STRICTLY_INCREASING, min_gap=0))
-    kind = rng.choice(["line", "punctured", "punctured", "interval", "finite"])
-    some = tuple(rng.sample(pts, rng.randint(1, 2)))
-    domain = {"line": Interval(),
-              "punctured": PuncturedInterval(Interval(), some),
-              "interval": Interval(lo=pts[rng.randint(0, 1)], lo_open=rng.random() < 0.5),
-              "finite": FiniteSet(tuple(x for x in pts if x not in some))}[kind]
-    basis = (PowerFn(0), PowerFn(2)) if n == 2 and rng.random() < 0.4 \
-        else tuple(PowerFn(j) for j in range(n))
-    kept = [x for x in pts if rng.random() < 0.85] or pts[:1]
-    f = rng.choice([PowerFn(n + 1), affine((Fraction(3, 2), PowerFn(n)), (-1, PowerFn(n + 2))),
-                    SampledFn(tuple(kept), tuple(x * x for x in kept)), ExpFn()])
-    tol_factor = rng.choice([variation.DEFAULT_TOL_FACTOR] * 6 + [0.5, math.nan])
-    return ChebyshevSystem(basis, domain), f, partition, tol_factor
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_points_checked_first_match_the_rule(rng):
-    system, f, partition, tol_factor = defect_case(rng)
-    assert repr(result(variation_sum, system, f, partition, tol_factor)) == \
-        repr(result(checked_then_loop, system, f, partition, tol_factor))
-
-
-def test_the_defect_cases_reach_every_path():
-    """The cases above meet sums, too-close pairs, points outside the
-    domain and errors of window values, and cases where the rule reports
-    a pair or a point that the loop meets after another window's error."""
-    seen, reordered = set(), set()
-    for seed in range(400):
-        system, f, partition, tol_factor = defect_case(random.Random(seed))
-        got = result(checked_then_loop, system, f, partition, tol_factor)
-        kind = got.split(":")[0] if isinstance(got, str) else "sum"
-        seen.add(kind)
-        if math.isfinite(tol_factor) and got != result(variation_loop, system, f, partition,
-                                                       tol_factor):
-            reordered.add(kind)
-    assert {"sum", "OrderingViolation", "EvaluationOutsideSupport", "SingularDenominator",
-            "DimensionMismatch", "InputError"} <= seen
-    assert reordered == {"OrderingViolation", "EvaluationOutsideSupport"}
