@@ -9,6 +9,12 @@ three provably equivalent ways on a grid:
 * interval: the induced check restricted to a single gap between (or
   beyond) the base points, selected by an index ell in 0..k.
 
+Each public check, and :func:`cross_mode_agreement` of all of them, is
+one call of :func:`_check_convex`, which checks its base sizes and
+interval indices, sorts the grid once, checks the tolerance factor,
+reads one point table and routes once (determinant._route): a single
+pinned check is the runner with that one mode and no direct verdict.
+
 Verdicts are explicitly grid-relative.  On the float backend, values
 inside the tolerance band around zero are reported indeterminate rather
 than forced into a verdict.  The determinant identity behind the
@@ -119,8 +125,8 @@ def _direct_scan(n: int, domain: Domain, grid: PointTuple, js, table, budget: in
     of the increasing positions ``js`` of the sorted ``grid``, for a
     system of dimension n on ``domain``, whose extended columns
     ``table`` gives: negative values are violations, or near zero inside
-    the float tolerance band; with the smallest bases of its violating
-    tuples for ``cuts`` (see :func:`_sign_scan`)."""
+    the float tolerance band; with the smallest (base, inner) pairs of
+    its violating tuples for ``cuts`` (see :attr:`SignScan.pairs`)."""
     if len(js) < n + 1:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {n + 1}")
     _check_domain(domain, grid, "grid point", js)
@@ -133,37 +139,63 @@ def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable
                         seed: int = DEFAULT_SEED,
                         tol_factor: float = DEFAULT_TOL_FACTOR) -> ConvexityVerdict:
     """Nonnegativity of the extended collocation determinant on all
-    sampled increasing (n+1)-tuples of the grid.  Raises
-    :class:`OrderingViolation` on a float grid with two points closer
-    than the minimum gap, as the induced and interval modes do, and
-    :class:`NonFiniteValue` on an infinite or NaN value.  An exhaustive
-    float check of rational input answers on the exact engine
-    (determinant._route), with 0 indeterminate tuples.  Any other
-    exhaustive float check with ``tol_factor`` > 0 first reads the
-    windows of consecutive points, computed exactly on the float values
-    (determinant._dyadic): when they pass, it passes with 0
+    sampled increasing (n+1)-tuples of the grid: :func:`_check_convex`
+    with the direct mode alone.  Raises :class:`OrderingViolation` on a
+    float grid with two points closer than the minimum gap, before it
+    checks ``tol_factor``, and :class:`NonFiniteValue` on an infinite or
+    NaN value.  An exhaustive float check of rational input answers on
+    the exact engine (determinant._route), with 0 indeterminate tuples.
+    Any other exhaustive float check with ``tol_factor`` > 0 first reads
+    the windows of consecutive points, computed exactly on the float
+    values (determinant._dyadic): when they pass, it passes with 0
     indeterminate tuples, without walking its tuples; else it walks."""
-    pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
-    return _route(lambda table, pts: [_check_convex_direct(system, f, pts, table, budget, seed,
-                                                           tol_factor)[0]],
-                  _PointTable(system.basis + (f,)), pts, system.domain,
-                  math.comb(len(pts), system.dim + 1) <= budget, tol_factor)[0]
+    return _check_convex(system, f, grid, True, (), DEFAULT_BASE_BUDGET, budget, seed,
+                         tol_factor)[0]
 
 
-def _check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid, table: _PointTable,
-                         budget: int, seed: int, tol_factor: float,
-                         cuts: tuple = ()) -> tuple:
-    """:func:`check_convex_direct`, reading the values of
-    ``system.basis + (f,)`` from ``table``, and its scan, with the
-    smallest bases of its violating tuples for ``cuts`` (see
-    :func:`_sign_scan`)."""
-    pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP)
-    scan = _direct_scan(system.dim, system.domain, pts, range(len(pts)), table, budget, seed,
-                        _finite_tol(tol_factor), cuts)
-    return ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
-                            scan.tuples_checked, seed, witness=scan.witness,
-                            witness_value=scan.witness_value,
-                            indeterminate_count=scan.indeterminate_count), scan
+def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
+                  direct: bool, pinned: Sequence[tuple], base_budget: int, budget: int,
+                  seed: int, tol_factor: float) -> list:
+    """The verdicts of the direct mode, when ``direct``, and then of the
+    pinned modes of each (k, ells) in ``pinned``, in order, by
+    :func:`_check_convex_pinned` (ells None for every mode of k: the
+    induced one, then each interval one), all reading one point table of
+    ``system.basis + (f,)``.  Every k is checked, then every ell, then
+    the grid is sorted (with the minimum gap when ``direct``), then
+    ``tol_factor``.  The direct scan, given each pinned mode's
+    :func:`_cut`, is the walk the pinned modes read, and its errors
+    propagate; without it each k walks on its own (see
+    :func:`_first_violated`).  The check answers on the exact image
+    (determinant._route) when the grid is spaced and its walk and every
+    k's bases are exhaustive."""
+    n = system.dim
+    for k, _ in pinned:
+        _check_base_size(n, k)
+    pinned = [(k, ells or (None, *range(k + 1))) for k, ells in pinned]
+    for k, ells in pinned:
+        for ell in ells:
+            if ell is not None and not 0 <= ell <= k:
+                raise InputError(f"interval index {ell} outside 0..{k}")
+    pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP if direct else 0.0)
+    tol_factor, m = _finite_tol(tol_factor), len(pts)
+    cuts = tuple({_cut(n, k, ell) for k, ells in pinned for ell in ells})
+
+    def run(table, pts):
+        verdicts, scan = [], None
+        if direct:
+            scan = _direct_scan(n, system.domain, pts, range(m), table, budget, seed,
+                                tol_factor, cuts)
+            verdicts.append(ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
+                                             scan.tuples_checked, seed, witness=scan.witness,
+                                             witness_value=scan.witness_value,
+                                             indeterminate_count=scan.indeterminate_count))
+        return verdicts + [v for k, ells in pinned for v in _check_convex_pinned(
+            system, k, f, pts, ells, base_budget, budget, seed, tol_factor, table, scan)]
+
+    return _route(run, _PointTable(system.basis + (f,)), pts, system.domain,
+                  pts.spaced and math.comb(m, n + 1) <= budget
+                  and all(math.comb(m, k) <= base_budget for k, _ in pinned),
+                  tol_factor, _PinnedBase)
 
 
 def _restricted_points(m: int, base: tuple, ell: int | None) -> list:
@@ -207,9 +239,7 @@ def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, pts: Point
                                     budget, DEFAULT_SEED, tol_factor, (cut,))
     except (InputError, ArithmeticError):   # the per-base scans meet it in their order, or not
         return None
-    if walk.bases is None:
-        return None
-    return (walk.bases[cut], walk.inners[cut]) if cut in walk.bases else ()
+    return None if walk.pairs is None else walk.pairs.get(cut, ())
 
 
 def _read_off(table: _PointTable, k: int, pts: PointTuple, base: tuple, inner: tuple) -> dict:
@@ -224,34 +254,34 @@ def _read_off(table: _PointTable, k: int, pts: PointTuple, base: tuple, inner: t
 
 
 def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
-                         grid: Iterable[Scalar], ells: tuple,
+                         pts: PointTuple, ells: tuple,
                          base_budget: int, budget: int, seed: int,
                          tol_factor: float, table: _PointTable,
                          walk: SignScan | None = None) -> list:
-    """The verdicts of the pinned modes ``ells`` of base size k, in
-    their order: the induced mode for ``None``, else the interval mode
-    of that ell.  The modes take the same bases, in sorted order, and
-    each base is pinned once, as the derived table (:class:`_PinnedBase`)
-    that every mode scanning it reads, and dropped before the next base;
-    all of them read ``table``, the point table of ``system.basis +
-    (f,)``, which a caller may share between checks of the same system
-    and ``f``.  Each base's scan is a direct check of the
+    """The verdicts of the pinned modes ``ells`` of base size k on the
+    sorted grid ``pts``, in their order: the induced mode for ``None``,
+    else the interval mode of that ell.  The modes take the same bases,
+    in sorted order, and each base is pinned once, as the derived table
+    (:class:`_PinnedBase`) that every mode scanning it reads, and dropped
+    before the next base; all of them read ``table``, the point table of
+    ``system.basis + (f,)``, which the direct mode and every k of one
+    check share.  Each base's scan is a direct check of the
     (n-k)-dimensional induced system; within a base the modes run in
     the order of ``ells``.  A mode that raises stops there, with every
     later mode, and the first mode's error is raised once the bases are
     done: the error that the modes, each run alone in turn, would meet
-    first.  When the table is exact and the walk on
-    every (n+1)-tuple fits ``budget`` and the bases are exhaustive, the
+    first.  When the table is exact and the walk on every (n+1)-tuple
+    fits ``budget`` and the bases are exhaustive, the
     sign identity reads each mode's verdict off that one direct walk
-    (``walk``, the caller's scan given each mode's :func:`_cut`, if it
-    has one): a violated mode's witness, value and base by
+    (``walk``, the direct mode's scan given each mode's :func:`_cut`
+    when the check runs that mode, else made by :func:`_first_violated`
+    for each mode): a violated mode's witness, value and base by
     :func:`_read_off`, and every checked base's tuples counted
     unscanned.  No base is pinned then, and no check of a base's scan
     is skipped that could fail (see the module docstring); the loop
     over the bases still counts them and checks their points' domain.
-    Its callers check k and ``ells``."""
+    :func:`_check_convex`, its one caller, checks k and ``ells``."""
     n = system.dim
-    pts = sorted_grid(grid)
     m = len(pts)
     bases, every = increasing_tuples(range(m), k, budget=base_budget, seed=seed)
     # by mode: its ell; the walk's pair, or None to scan every base (the walk,
@@ -318,31 +348,13 @@ def check_convex_induced(system: ChebyshevSystem, k: int, f: FunctionSpec,
                          tol_factor: float = DEFAULT_TOL_FACTOR) -> ConvexityVerdict:
     """For each sampled increasing base k-tuple, check convexity of the
     derived divided-difference function with respect to the induced
-    system on the rest of the grid, and aggregate.  An exhaustive float
-    check of rational input answers on the exact engine
-    (determinant._route), with 0 indeterminate tuples."""
-    return _pinned_entry(system, k, f, grid, (None,), base_budget, budget, seed,
-                         _finite_tol(tol_factor))
-
-
-def _pinned_entry(system: ChebyshevSystem, k: int, f: FunctionSpec, grid: Iterable[Scalar],
-                  ells: tuple, base_budget: int, budget: int, seed: int,
-                  tol_factor: float) -> ConvexityVerdict:
-    """The one verdict of :func:`_check_convex_pinned`, once k and the
-    ``ells`` are checked: on the exact image when its bases, its walk
-    and so every base's scan are exhaustive and the grid is spaced."""
-    n = system.dim
-    _check_base_size(n, k)
-    for ell in ells:
-        if ell is not None and not 0 <= ell <= k:
-            raise InputError(f"interval index {ell} outside 0..{k}")
-    pts = sorted_grid(grid)
-    m = len(pts)
-    return _route(lambda table, pts: _check_convex_pinned(system, k, f, pts, ells, base_budget,
-                                                          budget, seed, tol_factor, table),
-                  _PointTable(system.basis + (f,)), pts, system.domain,
-                  pts.spaced and math.comb(m, k) <= base_budget
-                  and math.comb(m, n + 1) <= budget, tol_factor, _PinnedBase)[0]
+    system on the rest of the grid, and aggregate: :func:`_check_convex`
+    with this one mode and no direct verdict, once ``tol_factor`` is
+    found finite.  An exhaustive float check of rational input answers
+    on the exact engine (determinant._route), with 0 indeterminate
+    tuples."""
+    return _check_convex(system, f, grid, False, ((k, (None,)),), base_budget, budget, seed,
+                         _finite_tol(tol_factor))[0]
 
 
 def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: FunctionSpec,
@@ -354,11 +366,13 @@ def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: Function
     """The induced check restricted to the single gap selected by
     ``ell``: below the base for ell=0, between base[ell-1] and base[ell]
     for 0 < ell < k, above the base for ell=k.  Bases whose restricted
-    grid is too small are skipped and counted.  An exhaustive float
-    check of rational input answers on the exact engine
-    (determinant._route), with 0 indeterminate tuples."""
-    return _pinned_entry(system, k, f, grid, (ell,), base_budget, budget, seed,
-                         _finite_tol(tol_factor))
+    grid is too small are skipped and counted.  It is
+    :func:`_check_convex` with this one mode and no direct verdict, once
+    ``tol_factor`` is found finite.  An exhaustive float check of
+    rational input answers on the exact engine (determinant._route),
+    with 0 indeterminate tuples."""
+    return _check_convex(system, f, grid, False, ((k, (ell,)),), base_budget, budget, seed,
+                         _finite_tol(tol_factor))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,39 +438,23 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
                          seed: int = DEFAULT_SEED,
                          tol_factor: float = DEFAULT_TOL_FACTOR) -> AgreementReport:
     """Run the direct mode, the induced mode for each k, and the
-    interval mode for each (k, ell), and compare definite verdicts.
-    Every k is checked before the grid is read.  All modes read one
-    point table, and the pinned modes of each k run as one check (see
-    _check_convex_pinned), which pins each base once for all of them
-    and drops it at the next base.  An exact pinned mode reads its
-    verdict, witness and value off the direct mode's walk, when that is
-    exhaustive, and scans no base: the walk records one base and inner
-    tuple for each mode's cut.  An exhaustive float check of rational
-    input on a spaced grid answers on the exact engine
-    (determinant._route), with 0 indeterminate tuples, or keeps the
-    float walk for every mode."""
-    n = system.dim
+    interval mode for each (k, ell), and compare definite verdicts: one
+    :func:`_check_convex` of every mode.  Every k is checked before the
+    grid is read.  All modes read one point table, and the pinned modes
+    of each k run as one check (see _check_convex_pinned), which pins
+    each base once for all of them and drops it at the next base.  An
+    exact pinned mode reads its verdict, witness and value off the
+    direct mode's walk, when that is exhaustive, and scans no base: the
+    walk records one base and inner tuple for each mode's cut.  An
+    exhaustive float check of rational input on a spaced grid answers on
+    the exact engine (determinant._route), with 0 indeterminate tuples,
+    or keeps the float walk for every mode."""
     if k_list is None:
-        k_list = list(range(1, n))
-    for k in k_list:
-        _check_base_size(n, k)
-    grid = sorted_grid(grid)    # one grid, whose positions every mode's table reads
-    modes = [(k, ell) for k in k_list for ell in (None, *range(k + 1))]
-    cuts = tuple({_cut(n, k, ell) for k, ell in modes})
-
-    def run(table, grid):
-        direct, scan = _check_convex_direct(system, f, grid, table, budget, seed, tol_factor,
-                                            cuts)
-        return [direct] + [v for k in k_list for v in _check_convex_pinned(
-            system, k, f, grid, (None, *range(k + 1)), base_budget, budget, seed, tol_factor,
-            table, scan)]
-
-    verdicts = _route(run, _PointTable(system.basis + (f,)), grid, system.domain,
-                      grid.spaced and math.comb(len(grid), n + 1) <= budget
-                      and all(math.comb(len(grid), k) <= base_budget for k in k_list),
-                      tol_factor, _PinnedBase)
+        k_list = list(range(1, system.dim))
+    verdicts = _check_convex(system, f, grid, True, [(k, None) for k in k_list], base_budget,
+                             budget, seed, tol_factor)
     labels = ["direct"] + [f"induced:k={k}" if ell is None else f"interval:k={k}:ell={ell}"
-                           for k, ell in modes]
+                           for k in k_list for ell in (None, *range(k + 1))]
     labeled: list[tuple[str, ConvexityVerdict]] = list(zip(labels, verdicts))
     definite = [(label, v.verdict) for label, v in labeled
                 if v.verdict != "indeterminate"]

@@ -237,7 +237,7 @@ def validate_tuple(points, ordering: OrderingClass,
             pairs = itertools.combinations(range(len(pts)), 2)
         for i, j in pairs:
             if abs(pts[i] - pts[j]) < min_gap:
-                raise min_gap_violation(i, j, min_gap)
+                raise OrderingViolation(i, j, f"|points[{i}] - points[{j}]| < min gap {min_gap}")
     return pt
 
 
@@ -247,11 +247,6 @@ def _increasing(points) -> PointTuple:
     if isinstance(points, PointTuple) and points.ordering is OrderingClass.STRICTLY_INCREASING:
         return points
     return validate_tuple(points, OrderingClass.STRICTLY_INCREASING)
-
-
-def min_gap_violation(i: int, j: int, min_gap: float) -> OrderingViolation:
-    """The error of a tuple whose points i and j are closer than min_gap."""
-    return OrderingViolation(i, j, f"|points[{i}] - points[{j}]| < min gap {min_gap}")
 
 
 # ---------------------------------------------------------------------------

@@ -688,18 +688,15 @@ class SignScan:
     witness_value: Scalar | None = None
     indeterminate_count: int = 0
     #: For each (cut, width) the scan was given (``cuts``), the smallest
-    #: t[:cut] + t[cut + width:] over violating index tuples t, absent
-    #: when none is: of an exhaustive scan that its windows pass ({}), or
-    #: of an exact one whose windows' lower part holds (see :func:`_certified`),
-    #: else None; not part of the outcome, which is the same either way.
-    #: A walk that stops at its first violation t, its cuts all prefix
-    #: cuts, reads each base t[:cut] there, the smallest of them all.
-    bases: dict | None = field(default=None, compare=False, repr=False)
-    #: Beside each base, the smallest inner tuple t[cut:cut + width] of a
-    #: violating t that leaves it: the pair (base, inner) is the smallest
-    #: such pair, and the first violation t of a stopped walk gives both
-    #: parts of a prefix cut's, (t[:cut], t[cut:]), which orders as t does.
-    inners: dict | None = field(default=None, compare=False, repr=False)
+    #: pair (base, inner) over violating index tuples t of its base
+    #: t[:cut] + t[cut + width:] and its inner tuple t[cut:cut + width],
+    #: absent when none is: of an exhaustive scan that its windows pass
+    #: ({}), or of an exact one whose windows' lower part holds (see
+    #: :func:`_certified`), else None; not part of the outcome, which is
+    #: the same either way.  A walk that stops at its first violation t,
+    #: its cuts all prefix cuts, reads each pair (t[:cut], t[cut:]) there,
+    #: the smallest of them all, since the pair orders as t does.
+    pairs: dict | None = field(default=None, compare=False, repr=False)
 
 
 class _Stop(Exception):
@@ -709,11 +706,11 @@ class _Stop(Exception):
 class _Tally:
     """Smallest violating and near-zero index tuples with their values,
     the number of near-zero tuples, and for each (cut, width) in
-    ``cuts`` (none unless set) the smallest pair of a violating tuple
-    less its ``width`` entries after the first ``cut``, its base
-    (``bases``), and those entries, its inner tuple (``inners``), of a
-    scan whose values are exact or float (``exact``); ``at(t)`` gives
-    the points of index tuple t.  With ``stop`` set, :meth:`add` raises
+    ``cuts`` (none unless set) the smallest pair (``pairs``) of a
+    violating tuple less its ``width`` entries after the first ``cut``,
+    its base, and those entries, its inner tuple, of a scan whose values
+    are exact or float (``exact``); ``at(t)`` gives the points of index
+    tuple t.  With ``stop`` set, :meth:`add` raises
     :class:`_Stop` at the first violation it records: a walk that gives
     it the tuples in order has its witness and the smallest pair of each
     prefix cut then."""
@@ -723,7 +720,7 @@ class _Tally:
         self.first: dict[str, tuple] = {}
         self.near_zero = 0
         self.cuts: tuple = ()
-        self.bases, self.inners = {}, {}
+        self.pairs: dict[tuple, tuple] = {}
         self.stop = False
 
     def add(self, t: tuple, value: Scalar, biggest: float | None = None) -> None:
@@ -747,9 +744,8 @@ class _Tally:
         if kind is _NEAR_ZERO:
             self.near_zero += 1
         for c, w in self.cuts if kind is _VIOLATION else ():
-            b, inner = t[:c] + t[c + w:], t[c:c + w]
-            if (c, w) not in self.bases or (b, inner) < (self.bases[c, w], self.inners[c, w]):
-                self.bases[c, w], self.inners[c, w] = b, inner
+            pair = (t[:c] + t[c + w:], t[c:c + w])
+            self.pairs[c, w] = min(self.pairs.get((c, w), pair), pair)
         best = self.first.get(kind)
         if best is None or t < best[0]:
             self.first[kind] = (t, value)
@@ -792,9 +788,9 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     for the float walk; when they pass, so does the scan, with
     ``tuples_checked`` C(m, n) and no tuple near zero.  An exact
     exhaustive scan given ``cuts`` that walks reads its windows' lower
-    part, for its :attr:`SignScan.bases` and ``inners``.  An exact walk
-    stops at its first violation, the witness, when every cut it keeps
-    is a prefix cut (cut + width == n), or it keeps none; its
+    part, for its :attr:`SignScan.pairs` of a base and an inner tuple.
+    An exact walk stops at its first violation, the witness, when every
+    cut it keeps is a prefix cut (cut + width == n), or it keeps none; its
     ``tuples_checked`` is C(m, n) either way.  Every column is read
     before the windows or the walk, and neither exact walk arithmetic
     nor a float walk under :func:`_dyadic`'s bound can raise, so no
@@ -806,18 +802,18 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     forms = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
                           if exhaustive else tuples, exact)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
-    bases = inners = None
+    pairs = None
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
     if ints is not None and _certified(ints, n, positive):
-        return SignScan(checked, exhaustive, bases={}, inners={})
+        return SignScan(checked, exhaustive, pairs={})
     if cols is None:
         _scan_each(forms, tuples, tally)
     elif not exact:
         _walk_float(cols, n, tally)
     else:
         if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
-            tally.cuts, bases, inners = cuts, tally.bases, tally.inners
+            tally.cuts, pairs = cuts, tally.pairs
         tally.stop = all(c + w == n for c, w in tally.cuts)
         with contextlib.suppress(_Stop):
             _walk_exact(ints, n, tally)
@@ -828,8 +824,8 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
             if exact:
                 value = Fraction(value, math.prod(forms[j][1] for j in t))
             return SignScan(checked, exhaustive, verdict, tally.at(t), value, tally.near_zero,
-                            bases, inners)
-    return SignScan(checked, exhaustive, bases=bases, inners=inners)
+                            pairs)
+    return SignScan(checked, exhaustive, pairs=pairs)
 
 
 def _scan_columns(table: _PointTable, rows: tuple, grid: PointTuple, js, touched,

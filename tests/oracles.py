@@ -462,22 +462,22 @@ def full_walk_scan(table, rows: tuple, grid, js, positive: bool, cuts: tuple) ->
     """The exact exhaustive sign scan of walk_scan by row-wise elimination
     of every increasing tuple, none skipped after the first violation;
     for each (cut, width) in ``cuts`` the smallest base t[:cut] + t[cut +
-    width:] over all violating index tuples t (absent when none is); and
-    for each cut the smallest inner tuple t[cut:cut + width] over the
-    violating t that leave that base."""
+    width:] over all violating index tuples t (absent when none is), paired
+    with the smallest inner tuple t[cut:cut + width] over the violating t
+    that leave that base."""
     m, n = len(js), len(rows)
     cols = [column_values(c) for c in table.columns(rows, grid, js)]
     values = {t: _det_exact([[cols[j][i] for j in t] for i in range(n)])
               for t in itertools.combinations(range(m), n)}
     violating = [t for t, v in values.items() if v < 0 or positive and v == 0]
     if not violating:
-        return SignScan(math.comb(m, n), True), {}, {}
+        return SignScan(math.comb(m, n), True), {}
     t = violating[0]
     bases = {(c, w): min(u[:c] + u[c + w:] for u in violating) for c, w in cuts}
-    inners = {(c, w): min(u[c:c + w] for u in violating if u[:c] + u[c + w:] == bases[c, w])
-              for c, w in cuts}
+    pairs = {(c, w): (bases[c, w], min(u[c:c + w] for u in violating
+                                       if u[:c] + u[c + w:] == bases[c, w])) for c, w in cuts}
     return (SignScan(math.comb(m, n), True, "violated", tuple(grid[js[j]] for j in t),
-                     values[t]), bases, inners)
+                     values[t]), pairs)
 
 
 def float_walk_scan(table, rows: tuple, grid, js, positive: bool, tol_factor) -> SignScan:

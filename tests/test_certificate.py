@@ -213,8 +213,10 @@ def lower_scan(rows: list, cuts: tuple = CUTS):
                       range(m), 10 ** 6, 0, DEFAULT_TOL_FACTOR, False, cuts)
 
 
-def smallest_bases(negative: list, cuts: tuple = CUTS) -> dict:
-    return {(c, w): min(t[:c] + t[c + w:] for t in negative) for c, w in cuts}
+def smallest_pairs(negative: list, cuts: tuple = CUTS) -> dict:
+    """By cut, the smallest base of a violating tuple, with the smallest
+    inner tuple of a violating tuple that leaves that base."""
+    return {(c, w): min((t[:c] + t[c + w:], t[c:c + w]) for t in negative) for c, w in cuts}
 
 
 def test_last_row_fails_while_the_lower_part_holds():
@@ -225,10 +227,7 @@ def test_last_row_fails_while_the_lower_part_holds():
     negative = [t for t in itertools.combinations(range(5), 3)
                 if cofactor_det([[r[j] for j in t] for r in rows]) < 0]
     got = lower_scan(rows)
-    assert negative and got.bases == smallest_bases(negative)
-    assert got.inners == {(c, w): min(t[c:c + w] for t in negative
-                                      if t[:c] + t[c + w:] == got.bases[c, w])
-                          for c, w in CUTS}
+    assert negative and got.pairs == smallest_pairs(negative)
     assert got.verdict == "violated" and got.witness == negative[0]
 
 
@@ -241,19 +240,19 @@ def test_lower_step_failing_after_the_first_failing_last_row():
     assert not _certified(cols, 2, False) and not _certified(cols, 1, True)
     assert _certified(cols[:3], 1, True)
     got = lower_scan(rows, ((0, 1),))
-    assert got.verdict == "violated" and got.bases is None
+    assert got.verdict == "violated" and got.pairs is None
 
 
 def test_bases_only_where_read():
     rows = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 9]]    # x^2: every window passes
-    assert lower_scan(rows).bases == {}
+    assert lower_scan(rows).pairs == {}
     rows[2][3] = 5      # the last row fails, and a scan given no cuts reads no lower part
     grid = PointTuple(range(4))
     plain = _sign_scan(table_of(rows, [1] * 4), (0, 1, 2), grid, range(4), 10 ** 6, 0,
                        DEFAULT_TOL_FACTOR, False)
-    assert plain.bases is None
-    assert lower_scan(rows).bases == smallest_bases([(0, 2, 3), (1, 2, 3)])
-    assert plain == lower_scan(rows)        # the bases are not part of the outcome
+    assert plain.pairs is None
+    assert lower_scan(rows).pairs == smallest_pairs([(0, 2, 3), (1, 2, 3)])
+    assert plain == lower_scan(rows)        # the pairs are not part of the outcome
 
 
 @pytest.mark.parametrize("cuts", [(), ((1, 2),), ((0, 2), (1, 2), (2, 1), (1, 1))])
@@ -275,8 +274,7 @@ def test_a_walk_of_violations_keeps_no_list_of_them(monkeypatch, cuts):
     got = _sign_scan(table, (0, 1, 2), grid, range(40), 10 ** 6, 0, DEFAULT_TOL_FACTOR,
                      False, cuts)
     assert got.verdict == "violated" and got.witness == grid[:3]
-    assert got.bases == (None if not cuts else {(c, w): (0, 1, 2)[:c] + (0, 1, 2)[c + w:]
-                                                for c, w in cuts})
-    assert got.inners == (None if not cuts else {(c, w): (0, 1, 2)[c:c + w] for c, w in cuts})
+    assert got.pairs == (None if not cuts else {
+        (c, w): ((0, 1, 2)[:c] + (0, 1, 2)[c + w:], (0, 1, 2)[c:c + w]) for c, w in cuts})
     sizes = [len(v) for t in tallies for v in vars(t).values() if hasattr(v, "__len__")]
     assert tallies and max(sizes) <= max(len(cuts), 2)

@@ -17,7 +17,7 @@ from chebconvex.determinant import increasing_tuples, is_positive_chebyshev
 from chebconvex.divdiff import divided_difference
 from chebconvex.induced import verify_induced_system
 from chebconvex.variation import check_variation_bound, estimate_variation, variation_bound
-from chebconvex.errors import InputError, NonFiniteValue
+from chebconvex.errors import DimensionMismatch, InputError, NonFiniteValue, OrderingViolation
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
 from oracles import direct_loop, positivity_loop
@@ -196,6 +196,67 @@ def test_non_finite_tol_factor_is_refused(name, exact):
     for tol in (math.nan, math.inf, -math.inf):
         with pytest.raises(InputError, match=f"tol_factor must be finite, got {tol}"):
             call(tol)
+
+
+# ---------------------------------------------------------------------------
+# the first error of a convexity check whose input has two defects: the
+# induced and interval checks read tol_factor first, the direct mode and
+# agreement sort the grid with the minimum gap first, and every base
+# size is checked before any interval index
+
+CLOSE, FEW = [0.0, 0.5, 0.5 + 1e-12, 1.0, 1.5, 2.0], [0.0, 1.0]
+
+
+def convexity_calls() -> dict:
+    """Calls of the convexity checks with two defects each, by name, with
+    the error each meets first and a pattern of its message."""
+    line, cubic, nan = polynomial_system(2), polynomial_system(3), math.nan
+    tol = "tol_factor must be finite"
+    return {
+        "direct, close, NaN tol": (lambda: check_convex_direct(
+            line, PowerFn(2), CLOSE, tol_factor=nan), OrderingViolation, "min gap"),
+        "direct, few, NaN tol": (lambda: check_convex_direct(
+            line, PowerFn(2), FEW, tol_factor=nan), InputError, tol),
+        "induced k=5, close, NaN tol": (lambda: check_convex_induced(
+            cubic, 5, PowerFn(3), CLOSE, tol_factor=nan), InputError, tol),
+        "induced k=5, close": (lambda: check_convex_induced(
+            cubic, 5, PowerFn(3), CLOSE), DimensionMismatch, "base size 5"),
+        "interval k=5, ell=9": (lambda: check_convex_interval(
+            cubic, 5, 9, PowerFn(3), FEW), DimensionMismatch, "base size 5"),
+        "interval k=1, ell=9, NaN tol": (lambda: check_convex_interval(
+            cubic, 1, 9, PowerFn(3), FEW, tol_factor=nan), InputError, tol),
+        "agreement, close, NaN tol": (lambda: cross_mode_agreement(
+            line, PowerFn(2), CLOSE, tol_factor=nan), OrderingViolation, "min gap"),
+        "agreement, k_list=[7], NaN tol": (lambda: cross_mode_agreement(
+            cubic, PowerFn(3), CLOSE, k_list=[7], tol_factor=nan), DimensionMismatch,
+            "base size 7"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(convexity_calls()))
+def test_first_error_of_two_defects(name):
+    call, error, match = convexity_calls()[name]
+    with pytest.raises(error, match=match) as raised:
+        call()
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("dip", [False, True])
+@pytest.mark.parametrize("exact", [True, False])
+def test_agreement_of_a_repeated_k_labels_each_mode(dip, exact):
+    """k_list [1, 2, 1]: each k's modes run in k_list's order, each under
+    its own label, each verdict the standalone check's, on x^4 and on x^3
+    with its value at 5 lowered (violated)."""
+    cubic = polynomial_system(3)
+    grid = list(range(7)) if exact else [float(x) for x in range(7)]
+    f = SampledFn(tuple(grid), (0, 1, 8, 27, 64, 110, 216)) if dip else PowerFn(4)
+    report = cross_mode_agreement(cubic, f, grid, k_list=[1, 2, 1])
+    want = [("direct", check_convex_direct(cubic, f, grid))]
+    for k in (1, 2, 1):
+        want.append((f"induced:k={k}", check_convex_induced(cubic, k, f, grid)))
+        want += [(f"interval:k={k}:ell={ell}", check_convex_interval(cubic, k, ell, f, grid))
+                 for ell in range(k + 1)]
+    assert report.verdicts == tuple(want)
 
 
 @pytest.mark.parametrize("system, budget, verdict, checked", [

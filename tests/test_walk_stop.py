@@ -97,15 +97,12 @@ def test_every_exact_walk_reports_as_a_walk_of_every_tuple():
         table = table_of(rows)
         got = _sign_scan(table, tuple(range(n)), grid, range(m), 10 ** 6, 0,
                          DEFAULT_TOL_FACTOR, positive, cuts)
-        want, bases, inners = full_walk_scan(table, tuple(range(n)), grid, range(m), positive,
-                                             cuts)
+        want, pairs = full_walk_scan(table, tuple(range(n)), grid, range(m), positive, cuts)
         assert got == want, seed
         cols = [list(c) for c in zip(*rows)]
         lower = _certified(cols, n - 1, True) and not _certified(cols, n, positive)
-        assert got.bases == ({} if _certified(cols, n, positive) else
-                             bases if cuts and lower else None), seed
-        assert got.inners == ({} if _certified(cols, n, positive) else
-                              inners if cuts and lower else None), seed
+        assert got.pairs == ({} if _certified(cols, n, positive) else
+                             pairs if cuts and lower else None), seed
         # what each case reaches
         kind = "none" if not cuts else "prefix" if all(sum(c) == n for c in cuts) else "mixed"
         zeros = [t for t in itertools.combinations(range(m), n)
