@@ -525,8 +525,7 @@ def main(argv=None) -> int:
               "config": {k: _jsonify(v) for k, v in sorted(vars(args).items()) if k != "func"}}
     try:
         report["results"], code = args.func(args)
-    except (ChebconvexError, OSError, json.JSONDecodeError, ValueError,
-            OverflowError, MemoryError) as exc:
+    except (ChebconvexError, OSError, ValueError, OverflowError, MemoryError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 1 if isinstance(exc, BoundViolated) else 2
     report["timing_seconds"] = time.perf_counter() - started

@@ -62,7 +62,6 @@ from .core import (
     Domain,
     FunctionSpec,
     OrderingClass,
-    PointTuple,
     Scalar,
     _check_domain,
     validate_tuple,
@@ -119,19 +118,19 @@ class ConvexityVerdict:
         return self.verdict == "convex_on_sample"
 
 
-def _direct_scan(n: int, domain: Domain, grid: PointTuple, js, table, budget: int, seed: int,
-                 tol_factor: float, cuts: tuple = ()) -> SignScan:
+def _direct_scan(n: int, domain: Domain, js, table, budget: int, seed: int, tol_factor: float,
+                 cuts: tuple = ()) -> SignScan:
     """Sign scan of the extended determinant on increasing (n+1)-tuples
-    of the increasing positions ``js`` of the sorted ``grid``, for a
-    system of dimension n on ``domain``, whose extended columns
+    of the increasing positions ``js`` of the sorted grid of ``table``,
+    for a system of dimension n on ``domain``, whose extended columns
     ``table`` gives: negative values are violations, or near zero inside
     the float tolerance band; with the smallest (base, inner) pairs of
     its violating tuples for ``cuts`` (see :attr:`SignScan.pairs`)."""
     if len(js) < n + 1:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {n + 1}")
-    _check_domain(domain, grid, "grid point", js)
-    return _sign_scan(table, tuple(range(n + 1)), grid, js, budget, seed, tol_factor,
-                      positive=False, cuts=cuts)
+    _check_domain(domain, table.grid, "grid point", js)
+    return _sign_scan(table, tuple(range(n + 1)), js, budget, seed, tol_factor, positive=False,
+                      cuts=cuts)
 
 
 def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
@@ -180,19 +179,18 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
     tol_factor, m = _finite_tol(tol_factor), len(pts)
     cuts = tuple({_cut(n, k, ell) for k, ells in pinned for ell in ells})
 
-    def run(table, pts):
+    def run(table):
         verdicts, scan = [], None
         if direct:
-            scan = _direct_scan(n, system.domain, pts, range(m), table, budget, seed,
-                                tol_factor, cuts)
+            scan = _direct_scan(n, system.domain, range(m), table, budget, seed, tol_factor, cuts)
             verdicts.append(ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
                                              scan.tuples_checked, seed, witness=scan.witness,
                                              witness_value=scan.witness_value,
                                              indeterminate_count=scan.indeterminate_count))
         return verdicts + [v for k, ells in pinned for v in _check_convex_pinned(
-            system, k, f, pts, ells, base_budget, budget, seed, tol_factor, table, scan)]
+            system, k, f, ells, base_budget, budget, seed, tol_factor, table, scan)]
 
-    return _route(run, _PointTable(system.basis + (f,)), pts, system.domain,
+    return _route(run, _PointTable(system.basis + (f,), pts), system.domain,
                   pts.spaced and math.comb(m, n + 1) <= budget
                   and all(math.comb(m, k) <= base_budget for k, _ in pinned),
                   tol_factor, _PinnedBase)
@@ -219,47 +217,46 @@ def _cut(n: int, k: int, ell: int | None) -> tuple:
     return (k if ell is None else ell, n - k + 1)
 
 
-def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, pts: PointTuple,
-                    table: _PointTable, budget: int, tol_factor: float,
-                    walk: SignScan | None):
+def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, table: _PointTable,
+                    budget: int, tol_factor: float, walk: SignScan | None):
     """By the sign identity (see the module docstring), the first base,
     in sorted order, whose exhaustive pinned scan is violated and the
     witness of that scan, its smallest violating inner tuple, as a pair
     of position tuples, or () when no base is violated, read off the
-    exact direct ``walk`` on every position of ``pts`` (made here, within
-    ``budget``, when None), which records only that pair (see
-    :func:`_cut`); None when the identity cannot say: a float table, a
-    failed lower part, or any error while walking, which the per-base
-    scans then meet, or not, as they would."""
+    exact direct ``walk`` on every position of the grid of ``table``
+    (made here, within ``budget``, when None), which records only that
+    pair (see :func:`_cut`); None when the identity cannot say: a float
+    table, a failed lower part, or any error while walking, which the
+    per-base scans then meet, or not, as they would."""
     cut = _cut(system.dim, k, ell)
     try:
-        if table.backend(pts) is Backend.FLOAT:
+        if table.backend is Backend.FLOAT:
             return None
-        walk = walk or _direct_scan(system.dim, system.domain, pts, range(len(pts)), table,
+        walk = walk or _direct_scan(system.dim, system.domain, range(len(table.grid)), table,
                                     budget, DEFAULT_SEED, tol_factor, (cut,))
     except (InputError, ArithmeticError):   # the per-base scans meet it in their order, or not
         return None
     return None if walk.pairs is None else walk.pairs.get(cut, ())
 
 
-def _read_off(table: _PointTable, k: int, pts: PointTuple, base: tuple, inner: tuple) -> dict:
+def _read_off(table: _PointTable, k: int, base: tuple, inner: tuple) -> dict:
     """The violated verdict's (witness, value, base) of a pinned mode
     read off the walk (:func:`_first_violated`'s pair): the points of
     ``inner`` and ``base``, and the derived minor at inner, by the
     identity from the exact parent ``table``, whose minors there are all
     nonzero (see the module docstring)."""
-    value = _sylvester_side(table, k, pts, base, inner,
-                            lambda j: table.det(tuple(range(k + 1)), pts, base + (j,)))
+    value = _sylvester_side(table, k, base, inner,
+                            lambda j: table.det(tuple(range(k + 1)), base + (j,)))
+    pts = table.grid
     return {"violated": (tuple(pts[j] for j in inner), value, tuple(pts[j] for j in base))}
 
 
-def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
-                         pts: PointTuple, ells: tuple,
+def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec, ells: tuple,
                          base_budget: int, budget: int, seed: int,
                          tol_factor: float, table: _PointTable,
                          walk: SignScan | None = None) -> list:
     """The verdicts of the pinned modes ``ells`` of base size k on the
-    sorted grid ``pts``, in their order: the induced mode for ``None``,
+    sorted grid of ``table``, in their order: the induced mode for ``None``,
     else the interval mode of that ell.  The modes take the same bases,
     in sorted order, and each base is pinned once, as the derived table
     (:class:`_PinnedBase`) that every mode scanning it reads, and dropped
@@ -281,16 +278,16 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
     is skipped that could fail (see the module docstring); the loop
     over the bases still counts them and checks their points' domain.
     :func:`_check_convex`, its one caller, checks k and ``ells``."""
-    n = system.dim
+    n, pts = system.dim, table.grid
     m = len(pts)
     bases, every = increasing_tuples(range(m), k, budget=base_budget, seed=seed)
     # by mode: its ell; the walk's pair, or None to scan every base (the walk,
     # and with it every base's scan, C(m-k, n-k+1) <= C(m, n+1), is exhaustive);
     # its counts; by verdict, the (witness, value, base) of its first base
     walked = every and math.comb(m, n + 1) <= budget
-    modes = [(ell, read, dict.fromkeys(_COUNTS, 0), _read_off(table, k, pts, *read) if read
+    modes = [(ell, read, dict.fromkeys(_COUNTS, 0), _read_off(table, k, *read) if read
               else {}) for ell in ells
-             for read in [_first_violated(system, k, ell, pts, table, budget, tol_factor, walk)
+             for read in [_first_violated(system, k, ell, table, budget, tol_factor, walk)
                           if walked else None]]
     error = None
     for base in sorted(bases):
@@ -306,11 +303,10 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec,
                 if read is not None:
                     count["tuples_checked"] += math.comb(len(local), n - k + 1)
                     continue
-                pinned = pinned or _PinnedBase(table, k, pts, base, tol_factor)
+                pinned = pinned or _PinnedBase(table, k, base, tol_factor)
                 # the induced system's punctured domain holds the points of
                 # local (all off the base) that the system's domain holds
-                scan = _direct_scan(n - k, system.domain, pts, local, pinned, budget, seed,
-                                    tol_factor)
+                scan = _direct_scan(n - k, system.domain, local, pinned, budget, seed, tol_factor)
             except Exception as exc:    # raised below, unless an earlier mode fails later
                 error, modes = exc, modes[:i]
                 break
@@ -408,9 +404,9 @@ def _convexity_identity(system: ChebyshevSystem, k: int, f: FunctionSpec,
         raise DimensionMismatch(f"need {n + 1} points, got {len(pts)}")
     _check_domain(system.domain, pts)
     tail = tuple(range(k, n + 1))
-    pinned = _PinnedBase(_PointTable(system.basis + (f,)), k, pts, tuple(range(k)))
-    rep, forms = pinned.identity(tail), pinned.columns(tuple(range(n - k + 1)), pts, tail)
-    exact = pinned.backend(pts) is not Backend.FLOAT
+    pinned = _PinnedBase(_PointTable(system.basis + (f,), pts), k, tuple(range(k)))
+    rep, forms = pinned.identity(tail), pinned.columns(tuple(range(n - k + 1)), tail)
+    exact = pinned.backend is not Backend.FLOAT
     return rep, [[Fraction(v, scale) for v in c] if exact else c for c, scale in forms]
 
 

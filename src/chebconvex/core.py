@@ -16,6 +16,14 @@ grid, matrix or affine combination raises
 :class:`~chebconvex.errors.BackendMismatch`, and conversions go through
 the explicit :func:`to_exact` / :func:`to_float` helpers.
 
+The backend is chosen once, where input enters: a function's value
+converts its scalars with the backend's one scalar type
+(``_BACKEND_TYPES``) and checks nothing again, since :func:`evaluate`
+and the point tables refuse every clash of a function's requirement
+(:meth:`FunctionSpec.required_backend`) with the point or the grid
+before its first value.  The float-only functions (cos, sin, exp and
+the cotangent) state that requirement once, through ``_FloatFn``.
+
 All types here are immutable after construction, apart from caches
 filled when first read (a point tuple's Fractions over one scale and
 its ``spaced``), which hold the same value whichever caller fills
@@ -104,21 +112,6 @@ def to_float(x: Scalar) -> float:
     return float(x)
 
 
-def as_backend(x: Scalar, backend: Backend) -> Scalar:
-    """Canonicalize a scalar within an already-chosen backend.
-
-    Unlike :func:`to_exact`/:func:`to_float` this never crosses
-    backends: a ``Fraction`` cannot become a float here and vice versa.
-    """
-    if backend is Backend.EXACT:
-        if isinstance(x, float):
-            raise BackendMismatch("float scalar in an exact computation")
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        raise BackendMismatch("exact scalar in a float computation")
-    return float(x)
-
-
 #: The backend of each plain scalar type, as :func:`scalar_backend` reads it.
 _TYPE_BACKENDS = {float: Backend.FLOAT, Fraction: Backend.EXACT, int: None}
 
@@ -154,8 +147,7 @@ class PointTuple:
     kept as given (a neutral int is converted only where a value is
     computed), and a tuple over one scale makes point j's Fraction
     (``self[j]``) only when a caller asks for it, for a report or a
-    message.  Equality and hash are by identity: point tables key their
-    records by the tuple itself.
+    message.  Equality and hash are by identity.
     """
 
     def __init__(self, points=(), ordering: OrderingClass = OrderingClass.UNCONSTRAINED,
@@ -386,56 +378,53 @@ class PowerFn(FunctionSpec):
             raise InputError(f"power exponent must be an int >= 0, got {self.k!r}")
 
     def _eval(self, x, backend):
-        return as_backend(x, backend) ** self.k
+        return _BACKEND_TYPES[backend](x) ** self.k
+
+
+class _FloatFn(FunctionSpec):
+    """A function of the float backend only."""
+
+    def required_backend(self):
+        return Backend.FLOAT
 
 
 @dataclass(frozen=True)
-class CosFn(FunctionSpec):
+class _Trig(_FloatFn):
+    """x ↦ fn(freq * x) for an int freq >= 1, fn the subclass's ``_fn``
+    and named in messages by its ``_name``."""
+
+    freq: int = 1
+
+    def __post_init__(self):
+        if type(self.freq) is not int or self.freq < 1:
+            raise InputError(f"{self._name} frequency must be an int >= 1, got {self.freq!r}")
+
+    def _eval(self, x, backend):
+        return self._fn(self.freq * float(x))
+
+
+class CosFn(_Trig):
     """x ↦ cos(freq * x); float backend only."""
 
-    freq: int = 1
-
-    def __post_init__(self):
-        if type(self.freq) is not int or self.freq < 1:
-            raise InputError(f"cos frequency must be an int >= 1, got {self.freq!r}")
-
-    def required_backend(self):
-        return Backend.FLOAT
-
-    def _eval(self, x, backend):
-        return math.cos(self.freq * float(x))
+    _name, _fn = "cos", math.cos
 
 
-@dataclass(frozen=True)
-class SinFn(FunctionSpec):
+class SinFn(_Trig):
     """x ↦ sin(freq * x); float backend only."""
 
-    freq: int = 1
-
-    def __post_init__(self):
-        if type(self.freq) is not int or self.freq < 1:
-            raise InputError(f"sin frequency must be an int >= 1, got {self.freq!r}")
-
-    def required_backend(self):
-        return Backend.FLOAT
-
-    def _eval(self, x, backend):
-        return math.sin(self.freq * float(x))
+    _name, _fn = "sin", math.sin
 
 
 @dataclass(frozen=True)
-class ExpFn(FunctionSpec):
+class ExpFn(_FloatFn):
     """x ↦ exp(x); float backend only."""
-
-    def required_backend(self):
-        return Backend.FLOAT
 
     def _eval(self, x, backend):
         return math.exp(float(x))
 
 
 @dataclass(frozen=True)
-class NegCotFn(FunctionSpec):
+class NegCotFn(_FloatFn):
     """x ↦ -cot((shift + x) / 2); float backend only.
 
     This is the closed form of the slope function induced by the
@@ -444,9 +433,6 @@ class NegCotFn(FunctionSpec):
     """
 
     shift: Scalar
-
-    def required_backend(self):
-        return Backend.FLOAT
 
     def _eval(self, x, backend):
         u = (float(self.shift) + float(x)) / 2.0
@@ -466,7 +452,7 @@ class ConstFn(FunctionSpec):
         return scalar_backend(self.c)
 
     def _eval(self, x, backend):
-        return as_backend(self.c, backend)
+        return _BACKEND_TYPES[backend](self.c)
 
 
 @dataclass(frozen=True)
@@ -492,7 +478,7 @@ class AffineFn(FunctionSpec):
     def _eval(self, x, backend):
         total = Fraction(0) if backend is Backend.EXACT else 0.0
         for c, s in self.terms:
-            total += as_backend(c, backend) * s._eval(x, backend)
+            total += _BACKEND_TYPES[backend](c) * s._eval(x, backend)
         return total
 
 
@@ -531,7 +517,7 @@ class SampledFn(FunctionSpec):
         except (KeyError, TypeError):
             raise EvaluationOutsideSupport(
                 f"sampled function has no value at {x!r}") from None
-        return as_backend(value, backend)
+        return _BACKEND_TYPES[backend](value)
 
 
 def affine(*terms) -> AffineFn:

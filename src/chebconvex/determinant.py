@@ -11,22 +11,24 @@ scale) and an exact determinant is a pair of integers, the det of the
 integer columns and the product of their scales; it becomes a Fraction
 (:func:`_scalar`) only where a result carries it.
 Every collocation determinant (grid scans, pinned bases, divided
-differences and variation windows) reads one point table, which
-evaluates each function once per point, resolves each backend once and
-builds columns of polynomials with exact coefficients from an exact
-point's integers.  Grid scans share the elimination steps of a common
-tuple prefix, and a pinned base (induced._PinnedBase) keeps the steps
-of its base columns and reduces only each appended point's column by
-them.
+differences and variation windows) reads one point table, the table of
+one grid, which evaluates each function once per point, reads its
+backend once and builds columns of polynomials with exact coefficients
+from an exact point's integers.  Grid scans share the elimination steps
+of a common tuple prefix, and a pinned base (induced._PinnedBase) keeps
+the steps of its base columns and reduces only each appended point's
+column by them.
 
 A grid is a point tuple (:class:`core.PointTuple`), the one that
-validate_tuple or :func:`sorted_grid` returned, and a table reads it by
-position: its records for a grid are lists made once, and its callers
-pass positions, never points.  A tuple reads its one backend when it is
-made, and every table, column, matrix and scan on it takes that
-backend.  An exact grid whose source gives one scale holds its points
-as integers over it, sorted and compared as integers; a point's
-Fraction is made only where a report or a message shows it.
+validate_tuple or :func:`sorted_grid` returned.  A table is made for
+one grid and reads it by position: its records are lists made once,
+and its callers pass the table and positions, never the grid or its
+points.  A tuple reads its one backend when it is made; the table reads
+its own once, at its first need, the grid's or, on a neutral grid, the
+one its functions ask for, and every column, matrix and scan on it
+takes that backend.  An exact grid whose source gives one scale holds
+its points as integers over it, sorted and compared as integers; a
+point's Fraction is made only where a report or a message shows it.
 
 An exact exhaustive scan first reads windows of consecutive columns
 (:func:`_certified`), by two lemmas on a matrix with rows 0..n-1, each
@@ -367,9 +369,8 @@ def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> PointTuple:
     """Sort a grid and validate strict increase (duplicates rejected),
     returning the validated tuple.  A tuple validated as strictly
     increasing (and, if a gap is asked for, :attr:`PointTuple.spaced`)
-    is returned itself, so that checks sorting it again share the point
-    tables keyed by it; other grids that pass as given are sorted
-    already.  A grid of integers over one scale is sorted and compared
+    is returned itself, not read again; other grids that pass as given
+    are sorted already.  A grid of integers over one scale is sorted and compared
     as integers; other points, and every error, are read as
     validate_tuple reads them."""
     increasing = OrderingClass.STRICTLY_INCREASING
@@ -389,37 +390,34 @@ def sorted_grid(grid: Iterable[Scalar], min_gap: float = 0.0) -> PointTuple:
 # the point table, which every collocation determinant reads
 
 class _PointTable:
-    """The values fns[i](x) of functions at the points of grids, each
-    computed once, in the order its caller first needs them, and the
+    """The values fns[i](x) of functions at the points of one ``grid``,
+    each computed once, in the order its caller first needs them, and the
     columns [fns[i](x) for i in rows] of tuples of function indices
     ``rows``, each made once as its one prepared form (see :func:`_form`),
-    the float or integer-scaled one the table's backend on the grid asks
-    for.  Both are lists by grid position, made once per grid: a caller
-    passes positions, never points.  A table reads a grid at one backend
-    (:meth:`backend`), and every value is read through :meth:`_value`,
-    except in the columns built directly (see :meth:`_kind`); a function
-    whose requirement clashes with it raises :class:`BackendMismatch` at
-    its first value there."""
+    the float or integer-scaled one the table's :attr:`backend` asks
+    for.  Both are lists by grid position: a caller passes positions,
+    never points.  Every value is read through :meth:`_value`, except in
+    the columns built directly (see :meth:`_kind`); a function whose
+    requirement clashes with the backend raises :class:`BackendMismatch`
+    at its first value."""
 
-    def __init__(self, fns: tuple):
-        self.fns = fns
+    def __init__(self, fns: tuple, grid: PointTuple):
+        self.fns, self.grid = fns, grid
         self._polys = None          # [_polynomial(f) for f in fns], made once if needed
         self._kinds: dict = {}      # rows -> _kind(rows)
         self._required: dict = {}   # i -> fns[i].required_backend()
-        self._rows: set = set()     # (i, backend) where fns[i]'s requirement was found to hold
-        self._neutral = None        # the backend a neutral grid is read at, once read
-        self._lists: dict = {}      # (rows or i, grid) -> columns or values of fns[i], by position
+        self._rows: set = set()     # i where fns[i]'s requirement was found to hold
+        self._lists: dict = {}      # rows or i -> columns or values of fns[i], by position
 
-    def backend(self, grid: PointTuple) -> Backend:
-        """The backend the table reads ``grid`` at: the grid's, or on a
-        neutral grid float if any function requires float, else exact."""
-        if grid.backend is not None:
-            return grid.backend
-        if self._neutral is None:
-            self._neutral = Backend.FLOAT if any(
-                self._requirement(i) is Backend.FLOAT for i in range(len(self.fns))) \
-                else Backend.EXACT
-        return self._neutral
+    @functools.cached_property
+    def backend(self) -> Backend:
+        """The backend the table reads its grid at, read once, at its
+        first need: the grid's, or on a neutral grid float if any function
+        requires float, else exact."""
+        if self.grid.backend is not None:
+            return self.grid.backend
+        return Backend.FLOAT if any(self._requirement(i) is Backend.FLOAT
+                                    for i in range(len(self.fns))) else Backend.EXACT
 
     def _requirement(self, i: int) -> Backend | None:
         """fns[i].required_backend(), read once."""
@@ -444,20 +442,20 @@ class _PointTable:
         terms = [[(k, int(c * lcm)) for k, c in poly.items() if c] for poly in polys]
         return None, (max((k for row in terms for k, _ in row), default=0), lcm, terms)
 
-    def columns(self, rows: tuple, grid: PointTuple, js) -> list:
+    def columns(self, rows: tuple, js) -> list:
         """The prepared forms of the columns of ``rows`` at the positions
-        ``js`` of ``grid``, each made once.  Values not computed yet are
-        computed row by row over the positions, the order in which a
-        matrix of these columns built row by row first needs them.  A
-        column built directly reads no function value; only a float one
-        can raise, OverflowError where a point or its power leaves the
-        float range (see :meth:`direct`)."""
-        cols = self._by_position(rows, grid)
+        ``js``, each made once.  Values not computed yet are computed row
+        by row over the positions, the order in which a matrix of these
+        columns built row by row first needs them.  A column built
+        directly reads no function value; only a float one can raise,
+        OverflowError where a point or its power leaves the float range
+        (see :meth:`direct`)."""
+        cols = self._by_position(rows)
         slow = [j for j in js if cols[j] is None]
         if not slow:
             return [cols[j] for j in js]
         powers, poly = self._kinds.get(rows) or self._kinds.setdefault(rows, self._kind(rows))
-        backend = self.backend(grid)
+        backend, grid = self.backend, self.grid
         if backend is Backend.FLOAT and powers is not None:
             for j in slow:
                 cols[j] = [x ** k for x in (float(grid[j]),) for k in powers], 1
@@ -465,57 +463,53 @@ class _PointTable:
             for j in slow:
                 cols[j] = _polynomial_column(*grid.pq(j), *poly)
         else:
-            values = [self._by_position(i, grid) for i in rows]
+            values = [self._by_position(i) for i in rows]
             for i, row in zip(rows, values):
                 for j in slow:
                     if row[j] is None:
-                        row[j] = self._value(i, grid, j, backend)
+                        row[j] = self._value(i, j)
             exact = backend is not Backend.FLOAT
             for j in slow:
                 cols[j] = _form([row[j] for row in values], exact)
         return [cols[j] for j in js]
 
-    def direct(self, rows: tuple, grid: PointTuple, js) -> list | None:
-        """:meth:`columns` of ``rows`` at the positions ``js`` of ``grid``
-        in one call, where they are built directly (see :meth:`_kind`);
-        else None, and None where that call raises (a float power past
-        the float range raises OverflowError), so that its caller asks
-        for them as it would have, in its own order, and meets the first
+    def direct(self, rows: tuple, js) -> list | None:
+        """:meth:`columns` of ``rows`` at the positions ``js`` in one
+        call, where they are built directly (see :meth:`_kind`); else
+        None, and None where that call raises (a float power past the
+        float range raises OverflowError), so that its caller asks for
+        them as it would have, in its own order, and meets the first
         error it met before: a column with an infinite value at an
         earlier point than the overflow, or a window's singular
         denominator.  The columns made before the raise are kept: they
         are the values the caller's own asks would make."""
         powers, poly = self._kinds.get(rows) or self._kinds.setdefault(rows, self._kind(rows))
-        if (powers if self.backend(grid) is Backend.FLOAT else poly) is not None:
+        if (powers if self.backend is Backend.FLOAT else poly) is not None:
             with contextlib.suppress(ArithmeticError):
-                return self.columns(rows, grid, js)
+                return self.columns(rows, js)
         return None
 
-    def _by_position(self, key, grid: PointTuple) -> list:
+    def _by_position(self, key) -> list:
         """The columns of the rows tuple ``key``, or the values of function
-        ``key``, at the positions of ``grid``: None where not made yet."""
-        return self._lists.get((key, grid)) or self._lists.setdefault((key, grid),
-                                                                      [None] * len(grid))
+        ``key``, at the grid's positions: None where not made yet."""
+        return self._lists.get(key) or self._lists.setdefault(key, [None] * len(self.grid))
 
-    def _value(self, i: int, grid: PointTuple, j: int, backend: Backend) -> Scalar:
-        """The value of fns[i] at the point of position j of ``grid``, at
-        ``backend``, the table's on that grid."""
-        return self.fns[i]._eval(grid[j], self.row_backend(i, backend))
+    def _value(self, i: int, j: int) -> Scalar:
+        """The value of fns[i] at the point of position j."""
+        return self.fns[i]._eval(self.grid[j], self.row_backend(i))
 
-    def row_backend(self, i: int, backend: Backend) -> Backend:
-        """``backend``, once fns[i]'s requirement is found not to clash
-        with it: read once per function and backend, at the function's
-        first value on a grid read at that backend."""
-        if (i, backend) not in self._rows:
-            combine_backends(backend, self._requirement(i))
-            self._rows.add((i, backend))
-        return backend
+    def row_backend(self, i: int) -> Backend:
+        """The table's backend, once fns[i]'s requirement is found not to
+        clash with it: read once per function, at its first value."""
+        if i not in self._rows:
+            combine_backends(self.backend, self._requirement(i))
+            self._rows.add(i)
+        return self.backend
 
-    def det(self, rows: tuple, grid: PointTuple, js) -> Scalar:
+    def det(self, rows: tuple, js) -> Scalar:
         """det of the square matrix of the columns of ``rows`` at the
-        positions ``js`` of ``grid``."""
-        forms = self.columns(rows, grid, js)
-        return _scalar(_prepared_det(forms, self.backend(grid) is not Backend.FLOAT))
+        positions ``js``."""
+        return _scalar(_prepared_det(self.columns(rows, js), self.backend is not Backend.FLOAT))
 
 
 def _polynomial(f) -> dict | None:
@@ -775,13 +769,13 @@ class _Tally:
                 self.add(t + (j,), v, max(base, colmax[j]) if colmax else None)
 
 
-def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: int, seed: int,
-               tol_factor: float, positive: bool, cuts: tuple = ()) -> SignScan:
+def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_factor: float,
+               positive: bool, cuts: tuple = ()) -> SignScan:
     """Classify the determinants of the columns of ``rows`` in ``table``
     for the increasing len(rows)-tuples of the increasing positions
-    ``js`` of the sorted ``grid`` (exhaustive within ``budget``, else
+    ``js`` of its sorted grid (exhaustive within ``budget``, else
     ``budget`` seeded samples) by the rule of :meth:`_Tally.add`, at the
-    one backend the table reads the grid at.  An exhaustive scan of
+    table's one backend.  An exhaustive scan of
     tuples of two points or more first reads its windows
     (:func:`_certified`): an exact one's, or a float nonnegative one's on
     its columns' exact values, where :func:`_dyadic` lets them stand in
@@ -798,9 +792,9 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
-    exact = table.backend(grid) is not Backend.FLOAT
-    forms = _scan_columns(table, rows, grid, js, [range(n)] + [(j,) for j in range(n, m)]
-                          if exhaustive else tuples, exact)
+    exact, grid = table.backend is not Backend.FLOAT, table.grid
+    forms = _scan_columns(table, rows, js, [range(n)] + [(j,) for j in range(n, m)]
+                          if exhaustive else tuples)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     pairs = None
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
@@ -828,26 +822,26 @@ def _sign_scan(table: _PointTable, rows: tuple, grid: PointTuple, js, budget: in
     return SignScan(checked, exhaustive, pairs=pairs)
 
 
-def _scan_columns(table: _PointTable, rows: tuple, grid: PointTuple, js, touched,
-                  exact: bool) -> dict:
+def _scan_columns(table: _PointTable, rows: tuple, js, touched) -> dict:
     """The table's columns of ``rows`` at every index j in ``touched``
-    (of the position js[j] of ``grid``): their prepared forms, by index.
-    A float (not ``exact``) column holding an infinite or NaN value
-    raises :class:`NonFiniteValue`.  Columns built directly are asked
+    (of the position js[j] of its grid): their prepared forms, by index.
+    A float column holding an infinite or NaN value raises
+    :class:`NonFiniteValue`.  Columns built directly are asked
     for in one call (:meth:`_PointTable.direct`), then checked in the
     order in which a scan that builds each tuple's matrix first meets
     their points; other columns, and directly built ones whose one call
     raised, are asked for group by group, in that order, so the first
     failing evaluation or check is the same either way."""
     order = list(dict.fromkeys(itertools.chain.from_iterable(touched)))
-    made = table.direct(rows, grid, [js[j] for j in order])
+    made = table.direct(rows, [js[j] for j in order])
+    exact = table.backend is not Backend.FLOAT
     forms: dict = {}
     for group in touched if made is None else [order]:
         new = [j for j in group if j not in forms]
-        for j, form in zip(new, made or table.columns(rows, grid, [js[j] for j in new])):
+        for j, form in zip(new, made or table.columns(rows, [js[j] for j in new])):
             if not exact and not all(map(math.isfinite, form[0])):
                 v = next(v for v in form[0] if not math.isfinite(v))
-                raise NonFiniteValue(f"function value {v} at grid point {grid[js[j]]}")
+                raise NonFiniteValue(f"function value {v} at grid point {table.grid[js[j]]}")
             forms[j] = form
     return forms
 
@@ -1033,26 +1027,25 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     governs only its witness's float value.
     """
     pts = sorted_grid(grid)
-    return _route(lambda table, pts: [_positivity(system.domain, system.dim, k, pts,
-                                                  range(len(pts)), table, budget, seed,
-                                                  tol_factor)],
-                  _PointTable(system.basis), pts, system.domain,
+    return _route(lambda table: [_positivity(system.domain, system.dim, k, range(len(pts)),
+                                             table, budget, seed, tol_factor)],
+                  _PointTable(system.basis, pts), system.domain,
                   0 <= k and math.comb(len(pts), k) <= budget, tol_factor)[0]
 
 
-def _positivity(domain: Domain, dim: int, k: int, grid: PointTuple, js, table: _PointTable,
-                budget: int, seed: int, tol_factor: float) -> PositivityReport:
+def _positivity(domain: Domain, dim: int, k: int, js, table: _PointTable, budget: int,
+                seed: int, tol_factor: float) -> PositivityReport:
     """:func:`is_positive_chebyshev` of a system of dimension ``dim`` on
-    ``domain`` at the increasing positions ``js`` of the sorted
-    ``grid``, reading the basis values from ``table``, whose function i
-    is the system's basis function i."""
+    ``domain`` at the increasing positions ``js`` of the sorted grid of
+    ``table``, which gives the basis values: its function i is the
+    system's basis function i."""
     if len(js) < k:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {k}")
-    _check_domain(domain, grid, "grid point", js)
+    _check_domain(domain, table.grid, "grid point", js)
     if not 1 <= k <= dim:
         raise DimensionMismatch(f"prefix size {k} outside 1..{dim}")
 
-    scan = _sign_scan(table, tuple(range(k)), grid, js, budget, seed, _finite_tol(tol_factor),
+    scan = _sign_scan(table, tuple(range(k)), js, budget, seed, _finite_tol(tol_factor),
                       positive=True)
     return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
                             scan.exhaustive, seed, scan.witness, scan.witness_value,
@@ -1114,17 +1107,18 @@ def _image_fn(f, grid: PointTuple):
     return None if None in rs else make(rs)
 
 
-def _exact_image(table: _PointTable, grid: PointTuple, domain: Domain) -> tuple | None:
-    """The exact image of a float check of ``table``'s functions on the
-    sorted ``grid``: a point table of :func:`_image_fn`'s functions and
-    the grid's one-scale integer form, or None when the table reads the
-    grid exactly, a function has no image, an integer would pass
+def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
+    """The exact image of a float check of ``table``'s functions on its
+    sorted grid: the point table of :func:`_image_fn`'s functions on the
+    grid's one-scale integer form, or None when the table reads its grid
+    exactly, a function has no image, an integer would pass
     MAX_IMAGE_BITS, or the float input fails a check: a point that is
     not finite or lies outside ``domain``, or a function value that
     raises or is not finite.  The table keeps the float values, which
     the witnesses' float values and a float walk read again."""
-    if table.backend(grid) is not Backend.FLOAT:
+    if table.backend is not Backend.FLOAT:
         return None
+    grid = table.grid
     try:
         ratios = [x.as_integer_ratio() for x in grid]
     except (ValueError, OverflowError):     # a NaN or infinite point
@@ -1140,19 +1134,18 @@ def _exact_image(table: _PointTable, grid: PointTuple, domain: Domain) -> tuple 
         return None
     try:
         _check_domain(domain, grid)
-        _scan_columns(table, tuple(range(len(fns))), grid, range(len(grid)),
-                      [range(len(grid))], exact=False)
+        _scan_columns(table, tuple(range(len(fns))), range(len(grid)), [range(len(grid))])
     except (ChebconvexError, ArithmeticError):  # the float check meets it, in its own order
         return None
-    return _PointTable(tuple(fns)), PointTuple(ordering=OrderingClass.STRICTLY_INCREASING,
-                                               nums=nums, q=q)
+    return _PointTable(tuple(fns), PointTuple(ordering=OrderingClass.STRICTLY_INCREASING,
+                                              nums=nums, q=q))
 
 
-def _route(run, table: _PointTable, grid: PointTuple, domain: Domain, exhaustive: bool,
-           tol_factor: float, derived=None) -> list:
-    """The verdicts ``run(table, grid)`` gives (positivity reports or
+def _route(run, table: _PointTable, domain: Domain, exhaustive: bool, tol_factor: float,
+           derived=None) -> list:
+    """The verdicts ``run(table)`` gives (positivity reports or
     convexity verdicts) of a check whose scans are all ``exhaustive``,
-    on the functions of ``table`` and the sorted ``grid``.  A float check
+    on the functions of ``table`` and its sorted grid.  A float check
     with an :func:`_exact_image` answers on the image, each verdict
     spelled in float by :func:`_float_witness` (``derived`` makes the
     pinned base a verdict's witness base reads, once for every verdict
@@ -1164,43 +1157,43 @@ def _route(run, table: _PointTable, grid: PointTuple, domain: Domain, exhaustive
     witness value raises, the check is the float walk's, which meets its
     own error or none; input errors are met on the float input before
     the image is made."""
-    image = _exact_image(table, grid, domain) if exhaustive else None
+    image = _exact_image(table, domain) if exhaustive else None
     if image is None:
-        return run(table, grid)
+        return run(table)
     derived = derived and functools.cache(derived)     # one pinned base per witness base
     try:
-        verdicts = [_float_witness(v, table, grid, tol_factor, derived) for v in run(*image)]
+        verdicts = [_float_witness(v, table, tol_factor, derived) for v in run(image)]
     except (ChebconvexError, ArithmeticError):
-        return run(table, grid)
+        return run(table)
     if all(definite for _, definite in verdicts):
         return [v for v, _ in verdicts]
     try:
-        walk = run(table, grid)
+        walk = run(table)
     except (ChebconvexError, ArithmeticError):  # a float error alone: the exact verdicts stand
         return [v for v, _ in verdicts]
     return [w if not definite and w.verdict == _VIOLATION else v
             for (v, definite), w in zip(verdicts, walk)]
 
 
-def _float_witness(v, table: _PointTable, grid: PointTuple, tol_factor: float,
-                   derived) -> tuple:
+def _float_witness(v, table: _PointTable, tol_factor: float, derived) -> tuple:
     """The exact verdict ``v`` of a float check spelled in float, and
     whether it is definite there: its witness (and base) the points of
-    the float ``grid``, and its value the float walk's there, the det of
-    the float columns of ``table`` (of ``derived(table, k, grid, base,
-    tol_factor)`` for a pinned base, which :func:`_route` makes once for
+    the float grid of ``table``, and its value the float walk's there,
+    the det of the float columns of ``table`` (of ``derived(table, k,
+    base, tol_factor)`` for a pinned base, which :func:`_route` makes once for
     every verdict of that base), bit-identical to the walk's: a pinned
     base's values do not depend on the order it makes them in.  A
     verdict that is not violated is definite."""
     if v.verdict != _VIOLATION:
         return v, True
+    grid = table.grid
     at = {x: j for j, x in enumerate(grid)}     # a Fraction finds the float equal to it
     t, spelled = tuple(at[x] for x in v.witness), {}
     if getattr(v, "witness_base", None) is not None:
         base = tuple(at[x] for x in v.witness_base)
-        table = derived(table, len(base), grid, base, tol_factor)
+        table = derived(table, len(base), base, tol_factor)
         spelled["witness_base"] = tuple(grid[j] for j in base)
-    forms = table.columns(tuple(range(len(t))), grid, t)
+    forms = table.columns(tuple(range(len(t))), t)
     value = _prepared_det(forms, False)
     tally = _Tally(type(v) is PositivityReport, False, lambda t: v.witness, tol_factor)
     tally.add(t, value, _biggest(forms))

@@ -8,9 +8,10 @@ k-prefix itself.  For the polynomial basis this reduces to the familiar
 Newton recursion, which is implemented independently so the two routes
 can certify each other.
 
-Both determinants read the point table (determinant._PointTable), and
-one step, :func:`_ratio`, takes the table and the points' positions on
-a grid, eliminates each determinant's prepared columns
+Both determinants read the point table of the points
+(determinant._PointTable), and one step, :func:`_ratio`, takes the
+table and the points' positions on its grid, eliminates each
+determinant's prepared columns
 (determinant._prepared_det), and checks the denominator.  It serves
 every one-off value: divided_difference, each variation window and
 each value of a derived function (induced.DerivedFn).  A variation
@@ -98,8 +99,8 @@ def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,
     system on these points.
     """
     pts = _checked_points(system, k, points)
-    table = _PointTable(system.basis[:k] + (f,))
-    value, numerator, denominator = _ratio(table, pts, range(k), _finite_tol(tol_factor))
+    table = _PointTable(system.basis[:k] + (f,), pts)
+    value, numerator, denominator = _ratio(table, range(k), _finite_tol(tol_factor))
     return DividedDifference(value, _scalar(numerator), _scalar(denominator), k - 1, pts)
 
 
@@ -125,10 +126,10 @@ def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
     return value
 
 
-def _ratio(table: _PointTable, grid: PointTuple, js, tol_factor: float,
-           den_forms: list | None = None, num_forms: list | None = None) -> tuple:
+def _ratio(table: _PointTable, js, tol_factor: float, den_forms: list | None = None,
+           num_forms: list | None = None) -> tuple:
     """The divided difference of function k of ``table`` with respect to
-    its functions 0..k-1 at the k positions ``js`` of ``grid``, with its
+    its functions 0..k-1 at the k positions ``js`` of its grid, with its
     numerator and denominator, each as :func:`determinant._prepared_det`
     gives it, a float or an exact pair of integers (det, scale): the
     denominator's determinant, its checks (:func:`check_denominator`),
@@ -139,14 +140,13 @@ def _ratio(table: _PointTable, grid: PointTuple, js, tol_factor: float,
     (:meth:`determinant._PointTable.direct`), else the table's.  The
     table is not asked for f's values or the numerator's columns before
     the denominator passes."""
-    k, at = len(js), _At(grid, js)
+    k, at = len(js), _At(table.grid, js)
     rows = tuple(range(k))
-    forms = den_forms or table.columns(rows, grid, js)
-    backend = table.backend(grid)
-    exact = backend is not Backend.FLOAT
+    forms = den_forms or table.columns(rows, js)
+    exact = table.backend is not Backend.FLOAT
     den = _prepared_det(forms, exact)
-    check_denominator(den, forms, backend, at, tol_factor)
-    num = _prepared_det(num_forms or table.columns(rows[:-1] + (k,), grid, js), exact)
+    check_denominator(den, forms, table.backend, at, tol_factor)
+    num = _prepared_det(num_forms or table.columns(rows[:-1] + (k,), js), exact)
     return _quotient(num, den, at), num, den
 
 

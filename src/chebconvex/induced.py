@@ -18,9 +18,10 @@ singular-denominator rule.
 
 A derived value comes one of two ways.  The checks pin each of their
 bases once (:class:`_PinnedBase`), with every target on one point
-table, and the pinned base is the derived table itself: the scans and
-identity checks read its columns as they read a point table's, and its
-values enter them through the table's one value path.  Its one minor
+table, and the pinned base is the derived table itself, made from that
+table alone, on its grid and at its backend: the scans and identity
+checks read its columns as they read a point table's, and its values
+enter them through the table's one value path.  Its one minor
 method eliminates a target's base columns once, at the target's first
 value, and each later value is one reduction of the appended point's
 column by the kept steps (Mühlbach's recurrence), bit for bit
@@ -28,13 +29,14 @@ divided_difference's value over (base..., x).  Whether (base..., x)
 needs divided_difference's ordering check is read once per grid.
 :class:`DerivedFn`, built directly as ``DerivedFn(parent, k, base, g)``,
 takes divided_difference's checks and its own ratio step
-(divdiff._ratio) for each value, on the tuple (base..., x) that the
-checks return; when it is built, it checks only that the base is a
-point tuple.
+(divdiff._ratio) for each value, on a point table of the tuple
+(base..., x) that the checks return; when it is built, it checks only
+that the base is a point tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,8 +48,8 @@ from .core import (
     OrderingClass,
     PointTuple,
     Scalar,
+    _BACKEND_TYPES,
     _increasing,
-    as_backend,
     combine_backends,
     puncture,
     validate_tuple,
@@ -101,8 +103,8 @@ class DerivedFn(FunctionSpec):
     def _eval(self, x, backend):
         grid = _checked_points(self.parent, self.k + 1, self.base.points + (x,))
         grid.backend = grid.backend or backend      # a neutral grid, at the backend asked for
-        table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,))
-        return as_backend(_ratio(table, grid, range(self.k + 1), DEFAULT_TOL_FACTOR)[0], backend)
+        table = _PointTable(self.parent.basis[:self.k + 1] + (self.target,), grid)
+        return _BACKEND_TYPES[backend](_ratio(table, range(self.k + 1), DEFAULT_TOL_FACTOR)[0])
 
 
 def _check_base(domain: Domain, base) -> None:
@@ -120,83 +122,81 @@ def _check_base_size(n: int, k: int) -> None:
 
 class _PinnedBase(_PointTable):
     """The derived table of one base, the points at the positions
-    ``base`` of ``grid``: its function t is target t, fns[k + t] of
-    ``table``, and its value at the point of position j of the grid is
+    ``base`` of the grid of ``table``: its function t is target t,
+    fns[k + t] of ``table``, and its value at the point of position j is
     the divided difference of that target over (base..., x_j) with
     respect to fns[:k+1].  It is read as a point table is, at the
-    positions of its one grid, and a target's requirement is that its
-    rows fns[:k+1] and the target do not clash with the grid's backend,
-    read at its first value.  Its values enter its columns through the
-    table's one value path (:meth:`_value`).  The k base columns of the
-    rows fns[:k] + (target,) are eliminated once per target, and a value
-    is one reduction of x's column by det's own pivot steps, so it
-    equals divided_difference's bit for bit (float) or as a Fraction
-    (exact).  Each of its checks is made at the first value that needs
-    it, in its order and with its error and message, the denominators'
-    at the tolerance factor ``tol_factor``; the ordering check of
-    (base..., x) only where the grid has two points too close
+    positions of its grid, the parent's, and at the parent's backend,
+    read at its first need; a target's requirement is that its rows
+    fns[:k+1] and the target do not clash with that backend, read at its
+    first value.  Its values enter its columns through the table's one
+    value path (:meth:`_value`).  The k base columns of the rows fns[:k]
+    + (target,) are eliminated once per target, and a value is one
+    reduction of x's column by det's own pivot steps, so it equals
+    divided_difference's bit for bit (float) or as a Fraction (exact).
+    Each of its checks is made at the first value that needs it, in its
+    order and with its error and message, the denominators' at the
+    tolerance factor ``tol_factor``; the ordering check of (base..., x)
+    only where the grid has two points too close
     (:attr:`PointTuple.spaced`, read once per grid) or x is at a base
-    position.  Its callers check
-    the points' domain first.  Every value is at the one backend that
-    ``table`` reads ``grid`` at.  The base points need not increase."""
+    position.  Its callers check the points' domain first.  The base
+    points need not increase."""
 
-    def __init__(self, table: _PointTable, k: int, grid: PointTuple, base: tuple,
+    # the parent's: a neutral grid is read at float if any of the parent's
+    # functions requires float, not only a target
+    backend = functools.cached_property(lambda self: self.table.backend)
+
+    def __init__(self, table: _PointTable, k: int, base: tuple,
                  tol_factor: float = DEFAULT_TOL_FACTOR):
-        super().__init__(table.fns[k:])
-        self.table, self.k, self.grid, self.base, self.tol_factor = table, k, grid, base, tol_factor
-        self.kept = [None] * len(self.fns)  # by target: see minor
-        self.records = [None] * len(grid)   # by position: its denominator's record
-
-    def backend(self, grid: PointTuple) -> Backend:
-        """The parent table's backend on the grid."""
-        return self.table.backend(grid)
+        super().__init__(table.fns[k:], table.grid)
+        self.table, self.k, self.base, self.tol_factor = table, k, base, tol_factor
+        self.kept = [None] * len(self.fns)      # by target: see minor
+        self.records = [None] * len(self.grid)  # by position: its denominator's record
 
     def _kind(self, rows: tuple) -> tuple:
         """No derived column is built directly."""
         return None, None
 
-    def _value(self, t: int, grid: PointTuple, j: int, backend: Backend) -> Scalar:
+    def _value(self, t: int, j: int) -> Scalar:
         """Target t's value at position j: :meth:`ratio`, once, at the
-        target's first value, the parent table has read the backends of
-        its rows fns[:k+1] and the target."""
-        if (t, backend) not in self._rows:
+        target's first value, the parent table has read the requirements
+        of its rows fns[:k+1] and the target."""
+        if t not in self._rows:
             for i in (*range(self.k + 1), self.k + t):
-                self.table.row_backend(i, backend)
-            self._rows.add((t, backend))
+                self.table.row_backend(i)
+            self._rows.add(t)
         return self.ratio(t, j)
 
     def minor(self, t: int, j: int) -> tuple:
         """The (k+1)-minor of the parent's rows fns[:k] + (target t,) at
         (base..., x_j): its det, a float or, exact, the (det, scale) pair
-        that determinant._prepared_det gives, its backend and its prepared
-        columns.  Target t's first minor reads the base columns with
-        x_j's in one :meth:`_PointTable.columns` call, eliminates them and
-        keeps their backend, prepared forms, pivot steps and scale, with
-        the rows and the parent's forms of them by position; a later one
-        reads only x_j's form and reduces it by the kept steps, as det
-        does."""
+        that determinant._prepared_det gives, and its prepared columns.
+        Target t's first minor reads the base columns with x_j's in one
+        :meth:`_PointTable.columns` call, eliminates them and keeps their
+        prepared forms, pivot steps and scale, with the rows and the
+        parent's forms of them by position; a later one reads only x_j's
+        form and reduces it by the kept steps, as det does."""
+        exact = self.backend is not Backend.FLOAT
         if self.kept[t] is None:
             rows = (*range(self.k), self.k + t)
-            forms = self.table.columns(rows, self.grid, self.base + (j,))
-            backend = self.table.backend(self.grid)
+            forms = self.table.columns(rows, self.base + (j,))
             form = forms.pop()
-            done = _eliminate([c for c, _ in forms], self.k, backend is not Backend.FLOAT)
-            self.kept[t] = (backend, forms, done, math.prod(s for _, s in forms), rows,
-                            self.table._by_position(rows, self.grid))
+            done = _eliminate([c for c, _ in forms], self.k, exact)
+            self.kept[t] = (forms, done, math.prod(s for _, s in forms), rows,
+                            self.table._by_position(rows))
         else:
             *_, rows, made = self.kept[t]
-            form = made[j] or self.table.columns(rows, self.grid, (j,))[0]
-        backend, base_forms, done, scale, _, _ = self.kept[t]
-        exact = backend is not Backend.FLOAT
+            form = made[j] or self.table.columns(rows, (j,))[0]
+        base_forms, done, scale, _, _ = self.kept[t]
         forms = base_forms + [form]
         if done is None:    # a base pivot column is zero
-            return ((0, 1) if exact else 0.0), backend, forms
+            return ((0, 1) if exact else 0.0), forms
         state, steps, _ = done
         col = [form[0]]
         for step in steps:
             col = (_exact_reduce if exact else _float_reduce)(col, step)
         v = col[0][0]   # _prepared_det's last level
-        return ((state[0] * v, scale * form[1]) if exact else _float_last(state, v)), backend, forms
+        return ((state[0] * v, scale * form[1]) if exact else _float_last(state, v)), forms
 
     def denominator(self, j: int) -> list:
         """The record of position j: the (k+1)-minor of fns[:k+1] at
@@ -217,10 +217,10 @@ class _PinnedBase(_PointTable):
         check by check: the denominator's checks, then the ratio's
         (divdiff._ratio's step, :func:`divdiff._quotient`)."""
         record = self.denominator(j)
-        den, backend, forms, at, checked = record
+        den, forms, at, checked = record
         if not checked:
-            check_denominator(den, forms, backend, at, self.tol_factor)
-            record[4] = True
+            check_denominator(den, forms, self.backend, at, self.tol_factor)
+            record[3] = True
         num = den if t == 0 else self.minor(t, j)[0]
         return _quotient(num, den, at)
 
@@ -233,28 +233,27 @@ class _PinnedBase(_PointTable):
         rule; against the determinant of the derived values at xs."""
 
         def den(j: int) -> Scalar:
-            den, backend, forms, at, _ = self.denominator(j)
-            check_denominator(den, forms, backend, at, self.tol_factor,
+            den, forms, at, _ = self.denominator(j)
+            check_denominator(den, forms, self.backend, at, self.tol_factor,
                               name="(k+1)-prefix determinant", show_value=False)
             return _scalar(den)
-        lhs = _sylvester_side(self.table, self.k, self.grid, self.base, js, den)
-        rhs = self.det(tuple(range(len(js))), self.grid, js)
+        lhs = _sylvester_side(self.table, self.k, self.base, js, den)
+        rhs = self.det(tuple(range(len(js))), js)
         return ResidualReport(lhs, rhs, abs(lhs - rhs))
 
 
-def _sylvester_side(table: _PointTable, k: int, grid: PointTuple, base: tuple, js: tuple,
-                    den) -> Scalar:
+def _sylvester_side(table: _PointTable, k: int, base: tuple, js: tuple, den) -> Scalar:
     """The left side of the factorization identity at (base..., xs), xs
-    the points at the positions ``js`` of ``grid``: the determinant of
-    every function of ``table`` at (base..., xs), in that order, times
-    the k-minor of its first k at base to the power len(js) - 1, over
-    ``den(j)``, the (k+1)-minor of its first k + 1 at (base..., x_j), for
-    each j in ``js``, computed in that order.  On the exact backend it
-    equals the determinant of the derived values at xs, the derived
-    len(js)-minor that pinning ``base`` gives."""
+    the points at the positions ``js`` of the grid of ``table``: the
+    determinant of every function of ``table`` at (base..., xs), in that
+    order, times the k-minor of its first k at base to the power len(js)
+    - 1, over ``den(j)``, the (k+1)-minor of its first k + 1 at (base...,
+    x_j), for each j in ``js``, computed in that order.  On the exact
+    backend it equals the determinant of the derived values at xs, the
+    derived len(js)-minor that pinning ``base`` gives."""
     rows = tuple(range(len(table.fns)))
-    kminor = table.det(rows[:k], grid, base)
-    lhs = table.det(rows, grid, base + js) * kminor ** (len(js) - 1)
+    kminor = table.det(rows[:k], base)
+    lhs = table.det(rows, base + js) * kminor ** (len(js) - 1)
     for j in js:
         lhs = lhs / den(j)
     return lhs
@@ -308,8 +307,8 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     # one grid: the base's points, then the sorted grid's at k..
     joined = PointTuple(base.points + tuple(pts))
     js = range(k, len(joined))
-    pinned = _PinnedBase(_PointTable(parent.basis), k, joined, tuple(range(k)), tol_factor)
-    positivity = _positivity(domain, dim, dim, joined, js, pinned, budget, seed, tol_factor)
+    pinned = _PinnedBase(_PointTable(parent.basis, joined), k, tuple(range(k)), tol_factor)
+    positivity = _positivity(domain, dim, dim, js, pinned, budget, seed, tol_factor)
 
     tuples, exhaustive = increasing_tuples(js, dim, budget=budget, seed=seed)
     max_abs = 0.0

@@ -13,11 +13,14 @@ functions, the divided differences of g + h at anchor tuples flanking
 An estimate's partitions are grids read by position: exact ones are
 integers over one scale (the uniform partitions' m·L, times 2**22 after
 a jitter step), and the refinement rounds read every 2**j-th point of
-the finest uniform partition.  Each window's divided difference is
-divided_difference's own ratio step (divdiff._ratio) on one point
-table, which makes a partition's directly built columns in one call
-per row set and the others window by window, and an exact partition
-sum adds only the window values where the sum turns.
+the finest uniform partition.  Its rounds and jitters are one loop with
+one running best.  Each window's divided difference is
+divided_difference's own ratio step (divdiff._ratio) on the point table
+of its partition's grid: the rounds share the finest partition's, and
+each jittered partition reads its own.  A table makes a partition's
+directly built columns in one call per row set and the others window
+by window, and an exact partition sum adds only the window values where
+the sum turns.
 
 The one entry to partition sums is estimate_variation, which builds
 every partition it sums, so a partition's points are checked once, where
@@ -91,16 +94,16 @@ class VariationEstimate:
     bound: Scalar | None = None
 
 
-def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, js,
-                tol_factor: float) -> Scalar:
+def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: float) -> Scalar:
     """The partition sum of f over the partition whose points are at
-    the increasing positions ``js`` of ``grid``: the absolute changes of
-    the divided difference across consecutive n-point windows, added up.
-    ``table`` holds the system's basis and f and may be shared between
-    partitions.  The caller has checked the partition's points (at least
-    n intervals, the minimum gap, the domain), so each window's divided
-    difference is divided_difference's from its ratio step on: the
-    shared ratio step, divdiff._ratio.  The columns of the denominator's
+    the increasing positions ``js`` of the grid of ``table``: the
+    absolute changes of the divided difference across consecutive
+    n-point windows, added up.  ``table`` holds the system's basis and f
+    and may be shared between the partitions its grid nests.  The
+    caller has checked the partition's points (at least n intervals, the
+    minimum gap, the domain), so each window's divided difference is
+    divided_difference's from its ratio step on: the shared ratio step,
+    divdiff._ratio.  The columns of the denominator's
     rows and of the numerator's rows that are built directly (float
     powers, exact polynomials) are made in one call each for the whole
     partition (:meth:`_PointTable.direct`), and each window eliminates
@@ -108,14 +111,14 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, j
     its points; a row set of another kind, or one whose one call raised,
     is asked for window by window, after the window's denominator for
     the numerator, so the first error met is the same.  The sum is
-    exact or float as the table reads the grid."""
+    exact or float as the table's backend."""
     n = system.dim
     m = len(js) - 1
     rows = tuple(range(n))
-    den, num = (table.direct(r, grid, js) for r in (rows, rows[:-1] + (n,)))
-    values = [_ratio(table, grid, js[i:i + n], tol_factor, den and den[i:i + n],
+    den, num = (table.direct(r, js) for r in (rows, rows[:-1] + (n,)))
+    values = [_ratio(table, js[i:i + n], tol_factor, den and den[i:i + n],
                      num and num[i:i + n])[0] for i in range(m - n + 2)]
-    if table.backend(grid) is Backend.FLOAT:
+    if table.backend is Backend.FLOAT:
         total = 0.0
         for i in range(m - n + 1):
             total += abs(values[i + 1] - values[i])
@@ -123,7 +126,7 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, grid: PointTuple, j
         s = [0] + [1 if b > a else 0 if b == a else -1 for a, b in zip(values, values[1:])] + [0]
         total = sum((v * (s[i] - s[i + 1]) for i, v in enumerate(values) if s[i] != s[i + 1]),
                     values[0] - values[0])
-    return _finite(total, f"partition sum over {m} intervals", _At(grid, (js[0], js[-1])))
+    return _finite(total, f"partition sum over {m} intervals", _At(table.grid, (js[0], js[-1])))
 
 
 def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> PointTuple:
@@ -191,39 +194,28 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
                   f"the finest partition ({m0}*2^{strategy.rounds - 1} intervals)")
 
     partial_sums: list[tuple] = []
-    best = None
-    best_partition = None      # (grid, positions) of the best partition
+    best = best_partition = None    # the best sum, and the (grid, positions) of its partition
     converged = False
     rng = random.Random(strategy.seed)
-    # uniform partitions nest: round r reads every 2**(rounds-1-r)-th
-    # point of the finest one, and the table's records there
-    finest = _uniform_partition(a, b, m0 << (strategy.rounds - 1), backend)
+    last = strategy.rounds - 1
+    finest = _uniform_partition(a, b, m0 << last, backend)
     _check_domain(system.domain, (finest[0], finest[-1]))   # float(a) may round outside
-    table = _PointTable(system.basis + (f,))
-
-    prev_best = None
-    for r in range(strategy.rounds):
-        m = m0 << r
-        part = range(0, len(finest), 1 << (strategy.rounds - 1 - r))
-        if backend is Backend.FLOAT:    # an exact one increases strictly
-            validate_tuple([finest[j] for j in part], OrderingClass.STRICTLY_INCREASING)
-        value = _window_sum(table, system, finest, part, tol_factor)
-        partial_sums.append((m, value))
+    table = _PointTable(system.basis + (f,), finest)
+    for r in range(strategy.rounds + strategy.perturb_rounds):
+        if r <= last:   # round r reads every 2**(last-r)-th point of the finest partition
+            part = range(0, len(finest), 1 << (last - r))
+            if backend is Backend.FLOAT:    # an exact one increases strictly
+                validate_tuple([finest[j] for j in part], OrderingClass.STRICTLY_INCREASING)
+        else:           # a jitter of the finest partition, on a table of its own
+            table = _PointTable(table.fns, _jitter_partition(finest, rng, backend))
+            part = range(len(finest))
+        value = _window_sum(table, system, part, tol_factor)
+        partial_sums.append((m0 << min(r, last), value))
+        prev = best
         if best is None or value > best:
-            best = value
-            best_partition = finest, part
-        if prev_best is not None:
-            improvement = float(best) - float(prev_best)
-            converged = improvement < 1e-6 * max(1.0, abs(float(best)))
-        prev_best = best
-
-    for _ in range(strategy.perturb_rounds):
-        jittered = _jitter_partition(finest, rng, backend)
-        value = _window_sum(table, system, jittered, range(len(jittered)), tol_factor)
-        partial_sums.append((m, value))
-        if value > best:
-            best = value
-            best_partition = jittered, range(len(jittered))
+            best, best_partition = value, (table.grid, part)
+        if 0 < r <= last:
+            converged = float(best) - float(prev) < 1e-6 * max(1.0, abs(float(best)))
 
     grid, part = best_partition
     return VariationEstimate(tuple(partial_sums), best, tuple(grid[j] for j in part), converged)

@@ -30,6 +30,9 @@ package uses, so matching values certify both sides:
 * one divided_difference per window vs one point table per partition
   (``variation_loop``, against ``window_sum``, the package's partition
   sum over given points);
+* the uniform rounds and the jitters of a variation estimate as two
+  loops over partitions made anew vs one loop over nested partitions
+  (``refinement_loop``);
 * one fresh collocation determinant per minor and one divided_difference
   or derived_value per cell vs one pinned base per check, whose one
   factorization evaluator both identity checks share
@@ -95,7 +98,6 @@ from chebconvex.core import (
     _BACKEND_TYPES,
     _check_domain,
     _increasing,
-    as_backend,
     collection_backend,
     combine_backends,
     evaluate,
@@ -132,6 +134,7 @@ from chebconvex.divdiff import (
 )
 from chebconvex.errors import (
     AnchorInfeasible,
+    BackendMismatch,
     ChebconvexError,
     DimensionMismatch,
     EvaluationOutsideSupport,
@@ -141,7 +144,7 @@ from chebconvex.errors import (
 )
 from chebconvex.induced import DerivedFn, InducedCheckReport
 from chebconvex.systems import polynomial_system
-from chebconvex.variation import _window_sum
+from chebconvex.variation import VariationEstimate, _window_sum
 
 
 def cofactor_det(rows):
@@ -450,23 +453,23 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
     return ConvexityVerdict("direct", "convex_on_sample", len(tuples), seed)
 
 
-def walk_scan(table, rows: tuple, grid, js, positive: bool) -> SignScan:
+def walk_scan(table, rows: tuple, js, positive: bool) -> SignScan:
     """The exact exhaustive sign scan of the columns of ``rows`` at the
-    positions ``js`` of ``grid`` as it ran before it read windows of
-    consecutive columns or shared a prefix's pivot steps: one
+    positions ``js`` of the table's grid as it ran before it read
+    windows of consecutive columns or shared a prefix's pivot steps: one
     determinant per increasing tuple, in lexicographic order."""
-    return _per_tuple_scan(table, rows, grid, js, positive, True, DEFAULT_TOL_FACTOR)
+    return _per_tuple_scan(table, rows, js, positive, True, DEFAULT_TOL_FACTOR)
 
 
-def full_walk_scan(table, rows: tuple, grid, js, positive: bool, cuts: tuple) -> tuple:
+def full_walk_scan(table, rows: tuple, js, positive: bool, cuts: tuple) -> tuple:
     """The exact exhaustive sign scan of walk_scan by row-wise elimination
     of every increasing tuple, none skipped after the first violation;
     for each (cut, width) in ``cuts`` the smallest base t[:cut] + t[cut +
     width:] over all violating index tuples t (absent when none is), paired
     with the smallest inner tuple t[cut:cut + width] over the violating t
     that leave that base."""
-    m, n = len(js), len(rows)
-    cols = [column_values(c) for c in table.columns(rows, grid, js)]
+    m, n, grid = len(js), len(rows), table.grid
+    cols = [column_values(c) for c in table.columns(rows, js)]
     values = {t: _det_exact([[cols[j][i] for j in t] for i in range(n)])
               for t in itertools.combinations(range(m), n)}
     violating = [t for t, v in values.items() if v < 0 or positive and v == 0]
@@ -480,17 +483,17 @@ def full_walk_scan(table, rows: tuple, grid, js, positive: bool, cuts: tuple) ->
                      values[t]), pairs)
 
 
-def float_walk_scan(table, rows: tuple, grid, js, positive: bool, tol_factor) -> SignScan:
-    """walk_scan on a table that reads the grid at the float backend:
+def float_walk_scan(table, rows: tuple, js, positive: bool, tol_factor) -> SignScan:
+    """walk_scan on a table that reads its grid at the float backend:
     each tuple's determinant is det's of its float columns, and its
     tolerance reads the largest |entry| of its own matrix."""
-    return _per_tuple_scan(table, rows, grid, js, positive, False, tol_factor)
+    return _per_tuple_scan(table, rows, js, positive, False, tol_factor)
 
 
-def _per_tuple_scan(table, rows, grid, js, positive, exact, tol_factor) -> SignScan:
+def _per_tuple_scan(table, rows, js, positive, exact, tol_factor) -> SignScan:
     """_Tally.add of det's value of each increasing tuple, in order."""
-    m, n = len(js), len(rows)
-    forms = table.columns(rows, grid, js)
+    m, n, grid = len(js), len(rows), table.grid
+    forms = table.columns(rows, js)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     for t in itertools.combinations(range(m), n):
         matrix = [forms[j] for j in t]
@@ -518,7 +521,15 @@ def derived_value(fn: DerivedFn, x, tol_factor=DEFAULT_TOL_FACTOR):
         *(g.required_backend() for g in fn.parent.basis[:fn.k + 1]), default=Backend.EXACT)
     dd = divided_difference(fn.parent, fn.k + 1, fn.target, fn.base.points + (x,),
                             tol_factor=tol_factor)
-    return as_backend(dd.value, backend)
+    return in_backend(dd.value, backend)
+
+
+def in_backend(x, backend: Backend):
+    """``x`` as a scalar of ``backend``, which it must not clash with: a
+    float is no exact scalar, and a Fraction no float one."""
+    if scalar_backend(x) not in (None, backend):
+        raise BackendMismatch(f"{type(x).__name__} scalar in a {backend.value} computation")
+    return Fraction(x) if backend is Backend.EXACT else float(x)
 
 
 @dataclass(frozen=True)
@@ -656,6 +667,38 @@ def variation_loop(system, f, points, tol_factor=DEFAULT_TOL_FACTOR):
     return total
 
 
+def refinement_loop(system, f, a, b, strategy, tol_factor=DEFAULT_TOL_FACTOR):
+    """``estimate_variation`` as two loops: the uniform partitions of
+    doubling size, each made anew by uniform_partition_points, then the
+    seeded jitters of the finest by jittered_points, every partition
+    summed by variation_loop; the running best and the convergence
+    heuristic of the last doubling, kept across both loops."""
+    backend = combine_backends(scalar_backend(a), scalar_backend(b), f.required_backend(),
+                               system.required_backend(), default=Backend.EXACT)
+    m0 = strategy.initial_intervals if strategy.initial_intervals is not None \
+        else max(system.dim, 8)
+    partial_sums, best, best_partition, converged, prev_best = [], None, None, False, None
+    for r in range(strategy.rounds):
+        m = m0 << r
+        pts = uniform_partition_points(a, b, m, backend)
+        value = variation_loop(system, f, pts, tol_factor)
+        partial_sums.append((m, value))
+        if best is None or value > best:
+            best, best_partition = value, tuple(pts)
+        if prev_best is not None:
+            improvement = float(best) - float(prev_best)
+            converged = improvement < 1e-6 * max(1.0, abs(float(best)))
+        prev_best = best
+    rng = random.Random(strategy.seed)
+    for _ in range(strategy.perturb_rounds):
+        pts = jittered_points(tuple(uniform_partition_points(a, b, m, backend)), rng, backend)
+        value = variation_loop(system, f, pts, tol_factor)
+        partial_sums.append((m, value))
+        if value > best:
+            best, best_partition = value, tuple(pts)
+    return VariationEstimate(tuple(partial_sums), best, best_partition, converged)
+
+
 def window_sum(system, f, points, tol_factor=DEFAULT_TOL_FACTOR):
     """Not an oracle: the package's partition sum of f over the strictly
     increasing ``points``, as estimate_variation takes it for each of its
@@ -664,7 +707,7 @@ def window_sum(system, f, points, tol_factor=DEFAULT_TOL_FACTOR):
     must pass divided_difference's checks of points (at least n
     intervals, the minimum gap, the domain), which it does not make."""
     grid = PointTuple(points, OrderingClass.STRICTLY_INCREASING)
-    return _window_sum(_PointTable(system.basis + (f,)), system, grid, range(len(grid)),
+    return _window_sum(_PointTable(system.basis + (f,), grid), system, range(len(grid)),
                        tol_factor)
 
 
@@ -937,12 +980,12 @@ def default_anchors_formula(system: ChebyshevSystem, a, b,
 def ratio_two_fractions(table, k: int, at: tuple, tol_factor: float) -> tuple:
     """divdiff._ratio's value, numerator and denominator at the points
     ``at``, each exact one a Fraction of its own."""
-    rows, grid = tuple(range(k)), PointTuple(at)
-    forms, backend = table.columns(rows, grid, range(k)), table.backend(grid)
+    rows = tuple(range(k))
+    forms, backend = table.columns(rows, range(k)), table.backend
     den = _prepared_det(forms, backend is not Backend.FLOAT)
     check_denominator(den, forms, backend, at, tol_factor)
     den = _scalar(den)
-    forms = table.columns(rows[:-1] + (k,), grid, range(k))
+    forms = table.columns(rows[:-1] + (k,), range(k))
     num = _scalar(_prepared_det(forms, backend is not Backend.FLOAT))
     return _finite(num / den, "divided difference", at), num, den
 

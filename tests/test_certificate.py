@@ -76,7 +76,7 @@ def table_of(rows: list, dens: list) -> _PointTable:
     the points 0..m-1."""
     points = tuple(range(len(dens)))
     return _PointTable(tuple(SampledFn(points, tuple(Fraction(v, d) for v, d in zip(r, dens)))
-                             for r in rows))
+                             for r in rows), PointTuple(points))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -92,10 +92,9 @@ def test_a_passing_certificate_holds_on_every_tuple(rng):
 def test_scan_equals_the_walk(rng):
     rows, dens, positive = matrix(rng)
     n, m = len(rows), len(dens)
-    grid = PointTuple(range(m))
-    got = _sign_scan(table_of(rows, dens), tuple(range(n)), grid, range(m), 10 ** 6, 0,
+    got = _sign_scan(table_of(rows, dens), tuple(range(n)), range(m), 10 ** 6, 0,
                      DEFAULT_TOL_FACTOR, positive)
-    assert got == walk_scan(table_of(rows, dens), tuple(range(n)), grid, range(m), positive)
+    assert got == walk_scan(table_of(rows, dens), tuple(range(n)), range(m), positive)
     assert got.tuples_checked == math.comb(m, n) and got.exhaustive
 
 
@@ -209,8 +208,8 @@ CUTS = ((0, 2), (1, 2), (1, 1))
 
 def lower_scan(rows: list, cuts: tuple = CUTS):
     m = len(rows[0])
-    return _sign_scan(table_of(rows, [1] * m), tuple(range(len(rows))), PointTuple(range(m)),
-                      range(m), 10 ** 6, 0, DEFAULT_TOL_FACTOR, False, cuts)
+    return _sign_scan(table_of(rows, [1] * m), tuple(range(len(rows))), range(m), 10 ** 6, 0,
+                      DEFAULT_TOL_FACTOR, False, cuts)
 
 
 def smallest_pairs(negative: list, cuts: tuple = CUTS) -> dict:
@@ -247,8 +246,7 @@ def test_bases_only_where_read():
     rows = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 9]]    # x^2: every window passes
     assert lower_scan(rows).pairs == {}
     rows[2][3] = 5      # the last row fails, and a scan given no cuts reads no lower part
-    grid = PointTuple(range(4))
-    plain = _sign_scan(table_of(rows, [1] * 4), (0, 1, 2), grid, range(4), 10 ** 6, 0,
+    plain = _sign_scan(table_of(rows, [1] * 4), (0, 1, 2), range(4), 10 ** 6, 0,
                        DEFAULT_TOL_FACTOR, False)
     assert plain.pairs is None
     assert lower_scan(rows).pairs == smallest_pairs([(0, 2, 3), (1, 2, 3)])
@@ -270,9 +268,8 @@ def test_a_walk_of_violations_keeps_no_list_of_them(monkeypatch, cuts):
     monkeypatch.setattr(determinant, "_Tally", Kept)
     grid = PointTuple([Fraction(-i, 7) for i in range(40, 0, -1)])
     system = polynomial_system(2)
-    table = _PointTable(system.basis + (PowerFn(3),))   # x^3 is concave on x < 0
-    got = _sign_scan(table, (0, 1, 2), grid, range(40), 10 ** 6, 0, DEFAULT_TOL_FACTOR,
-                     False, cuts)
+    table = _PointTable(system.basis + (PowerFn(3),), grid)   # x^3 is concave on x < 0
+    got = _sign_scan(table, (0, 1, 2), range(40), 10 ** 6, 0, DEFAULT_TOL_FACTOR, False, cuts)
     assert got.verdict == "violated" and got.witness == grid[:3]
     assert got.pairs == (None if not cuts else {
         (c, w): ((0, 1, 2)[:c] + (0, 1, 2)[c + w:], (0, 1, 2)[c:c + w]) for c, w in cuts})

@@ -48,14 +48,14 @@ def outcome(fn, *args) -> tuple:
 
 def table_matrix(fns, pts):
     """The matrix of a point table's columns of ``fns`` at ``pts``."""
-    table = _PointTable(tuple(fns))
-    columns = table.columns(tuple(range(len(fns))), PointTuple(pts), range(len(pts)))
+    table = _PointTable(tuple(fns), PointTuple(pts))
+    columns = table.columns(tuple(range(len(fns))), range(len(pts)))
     return matrix_from_rows(list(zip(*map(column_values, columns))))
 
 
 def table_det(fns, pts):
     """A point table's det of ``fns`` at ``pts``."""
-    return _PointTable(tuple(fns)).det(tuple(range(len(fns))), PointTuple(pts), range(len(pts)))
+    return _PointTable(tuple(fns), PointTuple(pts)).det(tuple(range(len(fns))), range(len(pts)))
 
 
 SAMPLED = SampledFn((Fraction(-1, 2), 0, Fraction(1, 3), 2), (1, Fraction(-2, 3), 5, 0))

@@ -76,9 +76,9 @@ def same_columns(fns, rows, xs):
     floats raises when it is made."""
     def table_columns(make_grid):
         def make():
-            table, grid = _PointTable(tuple(fns)), make_grid()
-            return [(column_values(form), table.backend(grid), form)
-                    for form in table.columns(tuple(rows), grid, range(len(xs)))]
+            table = _PointTable(tuple(fns), make_grid())
+            return [(column_values(form), table.backend, form)
+                    for form in table.columns(tuple(rows), range(len(xs)))]
         return make
 
     def oracle_columns(points):
@@ -116,8 +116,8 @@ def test_power_columns_match_evaluate(fns, rows, xs):
 
 
 def test_exact_power_column_is_its_integer_form():
-    table = _PointTable(GAPPED)
-    (col,) = table.columns((0, 1, 2, 3), PointTuple([Fraction(-5, 3)]), (0,))
+    table = _PointTable(GAPPED, PointTuple([Fraction(-5, 3)]))
+    (col,) = table.columns((0, 1, 2, 3), (0,))
     assert col == ([2187, -3645, 6075, -78125], 2187)   # (-5)^k 3^(7-k)
     assert column_values(col) == [Fraction(-5, 3) ** k for k in (0, 1, 2, 7)]
 
@@ -158,10 +158,9 @@ def test_polynomial_column_is_its_reduced_integer_form():
     form has scale 1 (not the lcm 2 of the coefficients)."""
     fns = (affine((Fraction(1, 2), PowerFn(1)), (Fraction(1, 2), ConstFn(1))),
            affine((1, PowerFn(2)), (-1, PowerFn(2))))
-    table = _PointTable(fns)
-    (col,) = table.columns((0, 1), PointTuple([1]), (0,))
+    (col,) = _PointTable(fns, PointTuple([1])).columns((0, 1), (0,))
     assert col == ([1, 0], 1)
-    (col,) = table.columns((0, 1), PointTuple(nums=[-3], q=9), (0,))      # -3/9 = -1/3
+    (col,) = _PointTable(fns, PointTuple(nums=[-3], q=9)).columns((0, 1), (0,))     # -3/9 = -1/3
     assert col == ([1, 0], 3)
     assert same_columns(fns, (0, 1), [Fraction(-1, 3), 1, 0])
 

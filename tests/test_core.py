@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -63,16 +64,32 @@ class TestEvaluate:
     def test_exact_backend_result_is_fraction(self):
         assert isinstance(evaluate(PowerFn(2), 3), Fraction)
         assert isinstance(evaluate(PowerFn(2), 0.5), float)
+        # an int point: the Fraction 9 exact, the float 9.0 on the float backend
+        assert repr(evaluate(PowerFn(2), 3)) == "Fraction(9, 1)"
+        assert repr(PowerFn(2)._eval(3, Backend.FLOAT)) == repr(evaluate(PowerFn(2), 3.0)) \
+            == "9.0"
 
     def test_transcendental_rejects_exact(self):
         for f in (CosFn(1), SinFn(2), ExpFn(), NegCotFn(-1.0)):
+            assert f.required_backend() is Backend.FLOAT
             with pytest.raises(BackendMismatch):
                 evaluate(f, Fraction(1, 3))
+
+    def test_trig_specs_keep_their_names_fields_and_equality(self):
+        assert CosFn(1) != SinFn(1) and not isinstance(SinFn(), CosFn)
+        assert CosFn(2) == CosFn(2) and hash(SinFn(3)) == hash(SinFn(3))
+        assert repr(SinFn(2)) == "SinFn(freq=2)" and repr(CosFn()) == "CosFn(freq=1)"
+        assert repr(ExpFn()) == "ExpFn()" and repr(NegCotFn(-1.0)) == "NegCotFn(shift=-1.0)"
+        assert [f.name for f in dataclasses.fields(CosFn)] == ["freq"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SinFn().freq = 2
 
     def test_const_backend_consistency(self):
         assert evaluate(ConstFn(Fraction(1, 3)), Fraction(2)) == Fraction(1, 3)
         with pytest.raises(BackendMismatch):
             evaluate(ConstFn(Fraction(1, 3)), 0.5)
+        with pytest.raises(BackendMismatch, match="^exact and float scalars mixed"):
+            evaluate(ConstFn(Fraction(1, 2)), 0.5)
         with pytest.raises(BackendMismatch):
             evaluate(ConstFn(0.5), Fraction(2))
 
@@ -320,6 +337,8 @@ class TestJsonRoundTrip:
         ({"kind": "power", "k": False}, "power exponent must be an int >= 0, got False"),
         ({"kind": "cos", "freq": True}, "cos frequency must be an int >= 1, got True"),
         ({"kind": "sin", "freq": True}, "sin frequency must be an int >= 1, got True"),
+        ({"kind": "sin", "freq": 0}, "sin frequency must be an int >= 1, got 0"),
+        ({"kind": "cos", "freq": -1}, "cos frequency must be an int >= 1, got -1"),
     ])
     def test_bool_exponent_or_frequency_rejected(self, spec, message):
         # bool is a subclass of int: {"k": true} once read as x^1

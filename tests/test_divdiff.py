@@ -291,15 +291,17 @@ class TestPowerExpansion:
 # against both determinants made scalars and divided
 
 def package_ratio(table, k, at, tol_factor):
-    """divdiff._ratio at the points ``at``, read from ``table`` by position."""
-    return _ratio(table, PointTuple(at), range(k), tol_factor)
+    """divdiff._ratio at the points ``at``, the grid of ``table``, read
+    from it by position."""
+    return _ratio(table, range(k), tol_factor)
 
 
 def ratio_outcome(ratio, fns, k, xs, tol_factor=1e-10):
     """repr of (value, numerator, denominator) that ``ratio`` takes on a
-    fresh table of ``fns``, or its error as "Class: message"."""
-    table = _PointTable(tuple(fns))
+    fresh table of ``fns`` at the points ``xs``, or its error as "Class:
+    message"."""
     try:
+        table = _PointTable(tuple(fns), PointTuple(tuple(xs)))
         value, num, den = ratio(table, k, tuple(xs), tol_factor)
     except (InputError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"

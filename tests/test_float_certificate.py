@@ -59,7 +59,7 @@ def near_zero_tuples(table, rows: tuple, grid, tol_factor: float) -> list:
     their columns: a float value in [-tol, 0)."""
     out = []
     for t in itertools.combinations(range(len(grid)), len(rows)):
-        forms = table.columns(rows, grid, t)
+        forms = table.columns(rows, t)
         value = _prepared_det(forms, False)
         biggest = max(abs(v) for c, _ in forms for v in c)
         if -_tolerance(biggest, len(t), tol_factor) <= value < 0:
@@ -87,15 +87,14 @@ def scans(system, f, pts: list, tol_factor: float, walks: list) -> list:
     outcome, the walk's, whether the scan did not walk, and the scan's
     table, rows and grid."""
     grid = PointTuple(pts)
-    table = _PointTable(system.basis + (f,))
+    table = _PointTable(system.basis + (f,), grid)
     out = []
     for rows, positive in [(tuple(range(k)), True) for k in range(2, system.dim + 1)] \
             + [(tuple(range(system.dim + 1)), False)]:
         walks.clear()
-        got = outcome(_sign_scan, table, rows, grid, range(len(grid)), 10 ** 6, 0, tol_factor,
+        got = outcome(_sign_scan, table, rows, range(len(grid)), 10 ** 6, 0, tol_factor,
                       positive)
-        want = outcome(float_walk_scan, table, rows, grid, range(len(grid)), positive,
-                       tol_factor)
+        want = outcome(float_walk_scan, table, rows, range(len(grid)), positive, tol_factor)
         out.append((got, want, not walks, table, rows, grid))
     return out
 
@@ -145,18 +144,18 @@ def table_of(columns: list) -> _PointTable:
     """A table whose function i takes entry i of column j at the point j."""
     points = tuple(range(len(columns)))
     return _PointTable(tuple(SampledFn(points, tuple(map(float, row)))
-                             for row in zip(*columns)))
+                             for row in zip(*columns)), PointTuple(points))
 
 
 def walk_and_scan(walks: list, columns: list, positive: bool, tol_factor: float) -> tuple:
     """(the scan, whether it walked, the per-tuple oracle's report), each
     a repr or an error line."""
     m, n = len(columns), len(columns[0])
-    grid, rows = PointTuple(range(m)), tuple(range(n))
+    rows = tuple(range(n))
     walks.clear()
-    got = outcome(_sign_scan, table_of(columns), rows, grid, range(m), 10 ** 6, 0, tol_factor,
+    got = outcome(_sign_scan, table_of(columns), rows, range(m), 10 ** 6, 0, tol_factor,
                   positive)
-    return got, bool(walks), outcome(float_walk_scan, table_of(columns), rows, grid, range(m),
+    return got, bool(walks), outcome(float_walk_scan, table_of(columns), rows, range(m),
                                      positive, tol_factor)
 
 

@@ -25,6 +25,7 @@ from chebconvex.convexity import (
 from chebconvex.core import (
     Backend,
     ChebyshevSystem,
+    ConstFn,
     CosFn,
     ExpFn,
     Interval,
@@ -95,7 +96,7 @@ INTS = [-3, -2, -1]
 def test_int_grid_of_a_float_system_is_read_at_float(k):
     got = is_positive_chebyshev(TRIG, k, INTS)
     assert got == is_positive_chebyshev(TRIG, k, float_twin(INTS))
-    assert _PointTable(TRIG.basis).backend(PointTuple(INTS)) is Backend.FLOAT
+    assert _PointTable(TRIG.basis, PointTuple(INTS)).backend is Backend.FLOAT
 
 
 def test_int_grid_derived_values_are_floats():
@@ -124,7 +125,7 @@ def test_int_grid_of_derived_functions_is_read_at_the_tables_backend():
 
 
 def test_int_grid_of_exact_functions_is_read_exact():
-    assert _PointTable(polynomial_system(3).basis).backend(PointTuple(INTS)) is Backend.EXACT
+    assert _PointTable(polynomial_system(3).basis, PointTuple(INTS)).backend is Backend.EXACT
     report = is_positive_chebyshev(polynomial_system(3), 3, [0, 1, 2])
     assert report == is_positive_chebyshev(polynomial_system(3), 3, [Fraction(x) for x in (0, 1, 2)])
 
@@ -134,9 +135,9 @@ def test_int_grid_of_exact_functions_is_read_exact():
 
 def test_non_scalar_point_raises_before_any_value():
     """The sampled function has no value at 3, but the grid raises first."""
-    table = _PointTable((SampledFn((1, 2), (3, 4)), PowerFn(0)))
+    fns = (SampledFn((1, 2), (3, 4)), PowerFn(0))
     with pytest.raises(BackendMismatch, match=r"^bool is not a scalar: True$"):
-        table.columns((0, 1), PointTuple((3, True)), range(2))
+        _PointTable(fns, PointTuple((3, True))).columns((0, 1), range(2))
 
 
 @pytest.mark.parametrize("points, backend", [
@@ -155,11 +156,16 @@ def test_grid_reads_its_backend_when_made(points, backend):
 
 
 def test_function_clashing_with_the_grid_raises_at_its_first_value():
-    table = _PointTable((PowerFn(0), ExpFn()))
-    grid = PointTuple([Fraction(1, 2), 1])
-    assert [column_values(c) for c in table.columns((0,), grid, (0, 1))] == [[1], [1]]
+    table = _PointTable((PowerFn(0), ExpFn()), PointTuple([Fraction(1, 2), 1]))
+    assert [column_values(c) for c in table.columns((0,), (0, 1))] == [[1], [1]]
     with pytest.raises(BackendMismatch):
-        table.columns((0, 1), grid, (0,))
+        table.columns((0, 1), (0,))
+    # an exact constant on a float grid: the row raises at its first value,
+    # after the power row beside it has given its own
+    table = _PointTable((PowerFn(1), ConstFn(Fraction(1, 2))), PointTuple([0.5, 2.0]))
+    assert [column_values(c) for c in table.columns((0,), (0, 1))] == [[0.5], [2.0]]
+    with pytest.raises(BackendMismatch, match="^exact and float scalars mixed"):
+        table.columns((1,), (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -239,14 +239,14 @@ def test_value_at_a_base_position(grid):
     still validates a record whose x is one of its base points, as
     divided_difference does: every target there is OrderingViolation."""
     pts = sorted_grid(grid)
-    table = _PointTable(polynomial_system(3).basis + (PowerFn(4),))
+    table = _PointTable(polynomial_system(3).basis + (PowerFn(4),), pts)
     for k, base in ((1, (2,)), (2, (1, 4))):
-        pinned = _PinnedBase(table, k, pts, base)
+        pinned = _PinnedBase(table, k, base)
         for t in range(4 - k):
             for i, j in enumerate(base):
-                assert result(pinned.columns, (t,), pts, (j,)) == \
+                assert result(pinned.columns, (t,), (j,)) == \
                     f"OrderingViolation: points[{i}] == points[{k}] == {pts[j]}"
-        assert not isinstance(result(pinned.columns, (0,), pts, (0, 3, 5)), str)
+        assert not isinstance(result(pinned.columns, (0,), (0, 3, 5)), str)
 
 
 def test_sampled_function_missing_a_grid_point():
@@ -379,20 +379,20 @@ def test_derived_columns_equal_derived_functions(system, grid):
         fns.append(ExpFn())
     pts = sorted_grid(grid)
     for f in fns:
-        table = _PointTable(system.basis + (f,))
+        table = _PointTable(system.basis + (f,), pts)
         for k in range(1, system.dim):
             for base in increasing_tuples(range(len(pts)), k)[0]:
                 at = validate_tuple(tuple(pts[j] for j in base),
                                     OrderingClass.STRICTLY_INCREASING)
                 off = [j for j in range(len(pts)) if j not in base]
-                derived = _PinnedBase(table, k, pts, base)
+                derived = _PinnedBase(table, k, base)
                 targets = tuple(DerivedFn(system, k, at, g) for g in table.fns[k:])
-                cols = derived.columns(tuple(range(len(targets))), pts, off)
+                cols = derived.columns(tuple(range(len(targets))), off)
                 for x, col in zip((pts[j] for j in off), cols):
                     assert [repr(v) for v in column_values(col)] == \
                         [repr(evaluate(g, x)) for g in targets]
                     assert repr(column_values(col)[0]) == ("Fraction(1, 1)" if exact else "1.0")
-                    assert derived.backend(pts) is (Backend.EXACT if exact else Backend.FLOAT)
+                    assert derived.backend is (Backend.EXACT if exact else Backend.FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +486,13 @@ def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
     for k in range(system.dim):
         at_base = tuple(sorted(rng.sample(range(len(inside)), k)))
         base = PointTuple(tuple(inside[j] for j in at_base))
-        table = _PointTable(system.basis[:k + 1] + targets)
-        pinned = _PinnedBase(table, k, inside, at_base)
+        table = _PointTable(system.basis[:k + 1] + targets, inside)
+        pinned = _PinnedBase(table, k, at_base)
         for t in range(len(pinned.fns)):
             fn = DerivedFn(system, k, PointTuple(tuple(map(twin, base))), table.fns[k + t])
             for j, x in enumerate(inside):
                 want = result(derived_value, fn, twin(x))
-                got = result(lambda: column_values(pinned.columns((t,), inside, (j,))[0])[0])
+                got = result(lambda: column_values(pinned.columns((t,), (j,))[0])[0])
                 if isinstance(want, str) and backend == "neutral":
                     assert got.split(":")[0] == want.split(":")[0], (k, base, t, x)
                 else:
@@ -500,7 +500,7 @@ def test_pinned_ratios_match_two_fraction_ratios(system, grid, backend):
                 if isinstance(want, str):
                     continue
                 at = tuple(map(twin, base.points + (x,)))
-                fresh = _PointTable(system.basis[:k + 1] + (table.fns[k + t],))
+                fresh = _PointTable(system.basis[:k + 1] + (table.fns[k + t],), PointTuple(at))
                 two = ratio_two_fractions(fresh, k + 1, at, DEFAULT_TOL_FACTOR)
                 assert repr(pinned.ratio(t, j)) == repr(two[0]), (k, base, t, x)
                 compared += 1
@@ -574,15 +574,15 @@ def test_pinned_minors_are_table_determinants(system, grid):
     zero_pivots = 0
     for k in range(1, min(4, system.dim)):
         for base in increasing_tuples(range(len(pts)), k)[0]:
-            pinned = _PinnedBase(_PointTable(fns), k, pts, base)
+            pinned = _PinnedBase(_PointTable(fns, pts), k, base)
             for t in range(len(pinned.fns)):
                 rows = (*range(k), k + t)
                 for j in range(len(pts)):
-                    det, backend, forms = pinned.minor(t, j)
-                    fresh = _PointTable(fns)
-                    assert repr(_scalar(det)) == repr(fresh.det(rows, pts, base + (j,))), \
+                    det, forms = pinned.minor(t, j)
+                    fresh = _PointTable(fns, pts)
+                    assert repr(_scalar(det)) == repr(fresh.det(rows, base + (j,))), \
                         (k, base, t, j)
-                    assert (backend, forms) == (fresh.backend(pts),
-                                                fresh.columns(rows, pts, base + (j,)))
-                zero_pivots += pinned.kept[t][2] is None
+                    assert (pinned.backend, forms) == (fresh.backend,
+                                                       fresh.columns(rows, base + (j,)))
+                zero_pivots += pinned.kept[t][1] is None
     assert (zero_pivots > 0) == (system.basis[0] == PowerFn(1))

@@ -85,7 +85,7 @@ def lower_holds(system: ChebyshevSystem, grid: list) -> bool:
     """Whether the direct walk's lower part, the basis rows asked > 0 on
     every window, holds: the condition of the read-off."""
     pts = sorted_grid(grid)
-    cols = _PointTable(system.basis).columns(tuple(range(system.dim)), pts, range(len(pts)))
+    cols = _PointTable(system.basis, pts).columns(tuple(range(system.dim)), range(len(pts)))
     return _certified([c for c, _ in cols], system.dim, True)
 
 
@@ -138,9 +138,9 @@ def refuse_pinned(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pinned base was built")
 
-    def direct_scan(n, domain, grid, js, table, *rest):
+    def direct_scan(n, domain, js, table, *rest):
         assert not isinstance(table, _PinnedBase), "a pinned base was scanned"
-        return real(n, domain, grid, js, table, *rest)
+        return real(n, domain, js, table, *rest)
     real = convexity._direct_scan
     monkeypatch.setattr(convexity, "_direct_scan", direct_scan)
     monkeypatch.setattr(convexity, "_PinnedBase", refuse)
@@ -172,8 +172,8 @@ def test_a_routed_float_agreement_pins_each_witness_base_once(monkeypatch):
     built = []
 
     class Counted(_PinnedBase):
-        def __init__(self, table, k, grid, base, *rest):
-            super().__init__(table, k, grid, base, *rest)
+        def __init__(self, table, k, base, *rest):
+            super().__init__(table, k, base, *rest)
             built.append(base)
 
     monkeypatch.setattr(convexity, "_PinnedBase", Counted)

@@ -28,7 +28,7 @@ def table_of(columns: list, exact: bool) -> _PointTable:
     points = tuple(range(len(columns)))
     kind = Fraction if exact else float
     return _PointTable(tuple(SampledFn(points, tuple(kind(v) for v in row))
-                             for row in zip(*columns)))
+                             for row in zip(*columns)), PointTuple(points))
 
 
 def outcome(fn, *args) -> str:
@@ -43,15 +43,15 @@ def scan_and_oracle(columns: list, exact: bool, positive: bool, tol_factor: floa
     """The scan's outcome, in the float scan ``mode`` (see conftest's
     scan_modes), and the per-tuple oracle's."""
     m, n = len(columns), len(columns[0])
-    grid, rows = PointTuple(range(m)), tuple(range(n))
+    rows = tuple(range(n))
     with mode():
-        got = outcome(_sign_scan, table_of(columns, exact), rows, grid, range(m), 10 ** 6, 0,
+        got = outcome(_sign_scan, table_of(columns, exact), rows, range(m), 10 ** 6, 0,
                       tol_factor, positive)
     if exact:
-        want = outcome(walk_scan, table_of(columns, exact), rows, grid, range(m), positive)
+        want = outcome(walk_scan, table_of(columns, exact), rows, range(m), positive)
     else:
-        want = outcome(float_walk_scan, table_of(columns, exact), rows, grid, range(m),
-                       positive, tol_factor)
+        want = outcome(float_walk_scan, table_of(columns, exact), rows, range(m), positive,
+                       tol_factor)
     return got, want
 
 

@@ -102,7 +102,7 @@ def lower_part(system: ChebyshevSystem, grid: list) -> str | None:
     pts = sorted_grid(grid)
     n = system.dim
     try:
-        cols = _PointTable(system.basis).columns(tuple(range(n)), pts, range(len(pts)))
+        cols = _PointTable(system.basis, pts).columns(tuple(range(n)), range(len(pts)))
     except InputError:
         return None
     ints = [c for c, _ in cols]

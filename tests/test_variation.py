@@ -29,6 +29,7 @@ from chebconvex.variation import (
     estimate_variation,
     variation_bound,
 )
+from oracles import refinement_loop
 
 SLOPE_SYSTEM = polynomial_system(2)
 
@@ -116,6 +117,37 @@ class TestEstimate:
         est = estimate_variation(SLOPE_SYSTEM, PowerFn(1), Fraction(0), Fraction(1),
                                  strategy)
         assert est.best == 0 and est.converged
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+    @pytest.mark.parametrize("perturb_rounds", [0, 1, 2, 3])
+    def test_one_loop_matches_the_two_loops(self, exact, rounds, perturb_rounds):
+        """The uniform rounds and the jitters, each on the table of its
+        own partition, against the oracle's two loops over partitions
+        made anew: the same sums, best, best partition and convergence,
+        floats by repr."""
+        a, b = (Fraction(-1), Fraction(1)) if exact else (-1.0, 1.0)
+        strategy = RefinementStrategy(initial_intervals=3, rounds=rounds,
+                                      perturb_rounds=perturb_rounds, seed=7)
+        quartic = affine((1, PowerFn(4)), (-2, PowerFn(2)))
+        for f in (PowerFn(3), quartic, PowerFn(1)) + (() if exact else (ExpFn(),)):
+            got = estimate_variation(SLOPE_SYSTEM, f, a, b, strategy)
+            assert repr(got) == repr(refinement_loop(SLOPE_SYSTEM, f, a, b, strategy))
+
+    def test_one_loop_keeps_a_jittered_best_and_convergence(self):
+        """A jittered partition that beats every uniform one is the best
+        partition, and a basis function's zero sums converge."""
+        strategy = RefinementStrategy(initial_intervals=3, rounds=2, perturb_rounds=3, seed=7)
+        f, a, b = affine((1, PowerFn(4)), (-2, PowerFn(2))), Fraction(-1), Fraction(1)
+        got = estimate_variation(SLOPE_SYSTEM, f, a, b, strategy)
+        uniform = [v for _, v in got.partial_sums[:2]]
+        assert got.best > max(uniform) and got.best in [v for _, v in got.partial_sums[2:]]
+        assert got.best_partition == refinement_loop(SLOPE_SYSTEM, f, a, b,
+                                                     strategy).best_partition
+        assert len(got.best_partition) == 7 and got.best_partition[1] != Fraction(-2, 3)
+        converged = estimate_variation(SLOPE_SYSTEM, PowerFn(1), a, b, strategy)
+        assert converged.converged and converged == refinement_loop(SLOPE_SYSTEM, PowerFn(1),
+                                                                    a, b, strategy)
 
     def test_float_backend(self):
         strategy = RefinementStrategy(initial_intervals=8, rounds=2,

@@ -50,8 +50,8 @@ def result(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
-def loop_sum(table, system, grid, js, tol_factor):
-    return variation_loop(system, table.fns[-1], tuple(grid[j] for j in js), tol_factor)
+def loop_sum(table, system, js, tol_factor):
+    return variation_loop(system, table.fns[-1], tuple(table.grid[j] for j in js), tol_factor)
 
 
 @pytest.fixture

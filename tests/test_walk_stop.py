@@ -85,7 +85,8 @@ def case(rng: random.Random) -> tuple:
 
 def table_of(rows: list) -> _PointTable:
     points = tuple(range(len(rows[0])))
-    return _PointTable(tuple(SampledFn(points, tuple(Fraction(v) for v in r)) for r in rows))
+    return _PointTable(tuple(SampledFn(points, tuple(Fraction(v) for v in r)) for r in rows),
+                       PointTuple(points))
 
 
 def test_every_exact_walk_reports_as_a_walk_of_every_tuple():
@@ -93,11 +94,10 @@ def test_every_exact_walk_reports_as_a_walk_of_every_tuple():
     for seed in range(600):
         rows, positive, cuts = case(random.Random(seed))
         n, m = len(rows), len(rows[0])
-        grid = PointTuple(range(m))
         table = table_of(rows)
-        got = _sign_scan(table, tuple(range(n)), grid, range(m), 10 ** 6, 0,
-                         DEFAULT_TOL_FACTOR, positive, cuts)
-        want, pairs = full_walk_scan(table, tuple(range(n)), grid, range(m), positive, cuts)
+        got = _sign_scan(table, tuple(range(n)), range(m), 10 ** 6, 0, DEFAULT_TOL_FACTOR,
+                         positive, cuts)
+        want, pairs = full_walk_scan(table, tuple(range(n)), range(m), positive, cuts)
         assert got == want, seed
         cols = [list(c) for c in zip(*rows)]
         lower = _certified(cols, n - 1, True) and not _certified(cols, n, positive)
