@@ -601,33 +601,38 @@ def scalar_from_json(v) -> Scalar:
     raise InputError(f"cannot parse scalar from {v!r}")
 
 
+#: Each JSON function kind's spec, built from its JSON object.
+_FUNCTION_KINDS = {
+    "power": lambda d: PowerFn(d["k"]),
+    "cos": lambda d: CosFn(d.get("freq", 1)),
+    "sin": lambda d: SinFn(d.get("freq", 1)),
+    "exp": lambda d: ExpFn(),
+    "const": lambda d: ConstFn(scalar_from_json(d["c"])),
+    "negcot": lambda d: NegCotFn(scalar_from_json(d["shift"])),
+    "affine": lambda d: AffineFn(tuple((scalar_from_json(t["coef"]), function_from_json(t["spec"]))
+                                       for t in d["terms"])),
+    "sampled": lambda d: SampledFn(tuple(scalar_from_json(p) for p in d["points"]),
+                                   tuple(scalar_from_json(v) for v in d["values"])),
+}
+
+
 def function_from_json(d: dict) -> FunctionSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise InputError(f"bad function spec: {d!r}")
-    kind = d["kind"]
+    return _from_json(_FUNCTION_KINDS, d, d["kind"], "function")
+
+
+def _from_json(kinds: dict, d: dict, kind, what: str):
+    """``kinds[kind](d)``, the spec that the JSON object ``d`` of that
+    kind gives; an unknown kind, or a missing field or a value of the
+    wrong JSON type in ``d``, is an input error naming ``what``."""
+    build = kinds.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise InputError(f"unknown {what} kind {kind!r}")
     try:
-        if kind == "power":
-            return PowerFn(d["k"])
-        if kind == "cos":
-            return CosFn(d.get("freq", 1))
-        if kind == "sin":
-            return SinFn(d.get("freq", 1))
-        if kind == "exp":
-            return ExpFn()
-        if kind == "const":
-            return ConstFn(scalar_from_json(d["c"]))
-        if kind == "negcot":
-            return NegCotFn(scalar_from_json(d["shift"]))
-        if kind == "affine":
-            return AffineFn(tuple((scalar_from_json(t["coef"]),
-                                   function_from_json(t["spec"]))
-                                  for t in d["terms"]))
-        if kind == "sampled":
-            return SampledFn(tuple(scalar_from_json(p) for p in d["points"]),
-                             tuple(scalar_from_json(v) for v in d["values"]))
+        return build(d)
     except (KeyError, TypeError) as exc:
-        raise _json_error(f"function spec {kind!r}", exc) from None
-    raise InputError(f"unknown function kind {kind!r}")
+        raise _json_error(f"{what} spec {kind!r}", exc) from None
 
 
 def _json_object(d, what: str) -> dict:
@@ -652,23 +657,19 @@ def _json_flag(d: dict, key: str) -> bool:
     return v
 
 
+#: Each JSON domain kind's domain, built from its JSON object.
+_DOMAIN_KINDS = {
+    "interval": lambda d: Interval(*(None if d.get(end) is None else scalar_from_json(d[end])
+                                     for end in ("lo", "hi")),
+                                   _json_flag(d, "lo_open"), _json_flag(d, "hi_open")),
+    "finite_set": lambda d: FiniteSet(tuple(scalar_from_json(p) for p in d["points"])),
+    "punctured_interval": lambda d: PuncturedInterval(
+        domain_from_json(d["base"]), tuple(scalar_from_json(p) for p in d["excluded"])),
+}
+
+
 def domain_from_json(d: dict) -> Domain:
-    kind = _json_object(d, "domain spec").get("kind")
-    try:
-        if kind == "interval":
-            lo = d.get("lo")
-            hi = d.get("hi")
-            return Interval(None if lo is None else scalar_from_json(lo),
-                            None if hi is None else scalar_from_json(hi),
-                            _json_flag(d, "lo_open"), _json_flag(d, "hi_open"))
-        if kind == "finite_set":
-            return FiniteSet(tuple(scalar_from_json(p) for p in d["points"]))
-        if kind == "punctured_interval":
-            return PuncturedInterval(domain_from_json(d["base"]),
-                                     tuple(scalar_from_json(p) for p in d["excluded"]))
-    except (KeyError, TypeError) as exc:
-        raise _json_error(f"domain spec {kind!r}", exc) from None
-    raise InputError(f"unknown domain kind {kind!r}")
+    return _from_json(_DOMAIN_KINDS, d, _json_object(d, "domain spec").get("kind"), "domain")
 
 
 def system_from_json(d: dict) -> ChebyshevSystem:

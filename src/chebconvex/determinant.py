@@ -14,10 +14,11 @@ Every collocation determinant (grid scans, pinned bases, divided
 differences and variation windows) reads one point table, the table of
 one grid, which evaluates each function once per point, reads its
 backend once and builds columns of polynomials with exact coefficients
-from an exact point's integers.  Grid scans share the elimination steps
-of a common tuple prefix, and a pinned base (induced._PinnedBase) keeps
-the steps of its base columns and reduces only each appended point's
-column by them.
+from an exact point's integers, and float columns of powers and of
+affine combinations of powers by evaluate's own operations.  Grid scans
+share the elimination steps of a common tuple prefix, and a pinned base
+(induced._PinnedBase) keeps the steps of its base columns and reduces
+only each appended point's column by them.
 
 A grid is a point tuple (:class:`core.PointTuple`), the one that
 validate_tuple or :func:`sorted_grid` returned.  A table is made for
@@ -403,9 +404,7 @@ class _PointTable:
 
     def __init__(self, fns: tuple, grid: PointTuple):
         self.fns, self.grid = fns, grid
-        self._polys = None          # [_polynomial(f) for f in fns], made once if needed
         self._kinds: dict = {}      # rows -> _kind(rows)
-        self._required: dict = {}   # i -> fns[i].required_backend()
         self._rows: set = set()     # i where fns[i]'s requirement was found to hold
         self._lists: dict = {}      # rows or i -> columns or values of fns[i], by position
 
@@ -416,53 +415,33 @@ class _PointTable:
         requires float, else exact."""
         if self.grid.backend is not None:
             return self.grid.backend
-        return Backend.FLOAT if any(self._requirement(i) is Backend.FLOAT
-                                    for i in range(len(self.fns))) else Backend.EXACT
+        return Backend.FLOAT if any(f.required_backend() is Backend.FLOAT
+                                    for f in self.fns) else Backend.EXACT
 
-    def _requirement(self, i: int) -> Backend | None:
-        """fns[i].required_backend(), read once."""
-        if i not in self._required:
-            self._required[i] = self.fns[i].required_backend()
-        return self._required[i]
-
-    def _kind(self, rows: tuple) -> tuple:
-        """How columns of ``rows`` are built directly: on a float grid,
-        as evaluate's x ** k when all rows are powers (their k, else
-        None); on an exact grid, by :func:`_polynomial_column` when all
-        are polynomials with exact coefficients (its arguments d, L and
-        terms, else None)."""
-        powers = [self.fns[i].k for i in rows if type(self.fns[i]) is PowerFn]
-        if len(powers) == len(rows):
-            return powers, (max(powers), 1, powers)
-        self._polys = self._polys or [_polynomial(f) for f in self.fns]
-        polys = [self._polys[i] for i in rows]
-        if None in polys:
-            return None, None
-        lcm = math.lcm(*(c.denominator for poly in polys for c in poly.values()))
-        terms = [[(k, int(c * lcm)) for k, c in poly.items() if c] for poly in polys]
-        return None, (max((k for row in terms for k, _ in row), default=0), lcm, terms)
+    def _kind(self, rows: tuple):
+        """How columns of ``rows`` are built directly, or None
+        (:func:`_direct_kind`), read once per rows tuple."""
+        if rows not in self._kinds:
+            self._kinds[rows] = _direct_kind([self.fns[i] for i in rows], self.backend)
+        return self._kinds[rows]
 
     def columns(self, rows: tuple, js) -> list:
         """The prepared forms of the columns of ``rows`` at the positions
         ``js``, each made once.  Values not computed yet are computed row
         by row over the positions, the order in which a matrix of these
-        columns built row by row first needs them.  A column built
-        directly reads no function value; only a float one can raise,
-        OverflowError where a point or its power leaves the float range
-        (see :meth:`direct`)."""
+        columns built row by row first needs them, and so are the float
+        columns built directly with an affine row, each value by
+        AffineFn's own operations in order (from 0.0, + float(c) * x ** k
+        term by term); float columns of powers alone are built point by
+        point.  A column built directly reads no function value; only a
+        float one can raise, OverflowError where a point, a power or a
+        coefficient leaves the float range (see :meth:`direct`)."""
         cols = self._by_position(rows)
         slow = [j for j in js if cols[j] is None]
         if not slow:
             return [cols[j] for j in js]
-        powers, poly = self._kinds.get(rows) or self._kinds.setdefault(rows, self._kind(rows))
-        backend, grid = self.backend, self.grid
-        if backend is Backend.FLOAT and powers is not None:
-            for j in slow:
-                cols[j] = [x ** k for x in (float(grid[j]),) for k in powers], 1
-        elif backend is Backend.EXACT and poly is not None:
-            for j in slow:
-                cols[j] = _polynomial_column(*grid.pq(j), *poly)
-        else:
+        kind, backend, grid = self._kind(rows), self.backend, self.grid
+        if kind is None:
             values = [self._by_position(i) for i in rows]
             for i, row in zip(rows, values):
                 for j in slow:
@@ -471,20 +450,31 @@ class _PointTable:
             exact = backend is not Backend.FLOAT
             for j in slow:
                 cols[j] = _form([row[j] for row in values], exact)
+        elif backend is Backend.EXACT:
+            for j in slow:
+                cols[j] = _polynomial_column(*grid.pq(j), *kind)
+        elif all(type(k) is int for k in kind):     # powers alone, point by point
+            for j in slow:
+                cols[j] = [x ** k for x in (float(grid[j]),) for k in kind], 1
+        else:   # with an affine row: row by row, in the value path's order
+            values = [[x ** k if type(k) is int else functools.reduce(
+                lambda s, t: s + float(t[0]) * x ** t[1], k, 0.0)
+                for x in map(float, map(grid.__getitem__, slow))] for k in kind]
+            for j, *col in zip(slow, *values):
+                cols[j] = col, 1
         return [cols[j] for j in js]
 
     def direct(self, rows: tuple, js) -> list | None:
         """:meth:`columns` of ``rows`` at the positions ``js`` in one
         call, where they are built directly (see :meth:`_kind`); else
-        None, and None where that call raises (a float power past the
-        float range raises OverflowError), so that its caller asks for
-        them as it would have, in its own order, and meets the first
-        error it met before: a column with an infinite value at an
-        earlier point than the overflow, or a window's singular
-        denominator.  The columns made before the raise are kept: they
-        are the values the caller's own asks would make."""
-        powers, poly = self._kinds.get(rows) or self._kinds.setdefault(rows, self._kind(rows))
-        if (powers if self.backend is Backend.FLOAT else poly) is not None:
+        None, and None where that call raises (a float power or
+        coefficient past the float range raises OverflowError), so that
+        its caller asks for them as it would have, in its own order, and
+        meets the first error it met before: a column with an infinite
+        value at an earlier point than the overflow, or a window's
+        singular denominator.  The columns made before the raise are
+        kept: they are the values the caller's own asks would make."""
+        if self._kind(rows) is not None:
             with contextlib.suppress(ArithmeticError):
                 return self.columns(rows, js)
         return None
@@ -502,7 +492,7 @@ class _PointTable:
         """The table's backend, once fns[i]'s requirement is found not to
         clash with it: read once per function, at its first value."""
         if i not in self._rows:
-            combine_backends(self.backend, self._requirement(i))
+            combine_backends(self.backend, self.fns[i].required_backend())
             self._rows.add(i)
         return self.backend
 
@@ -510,6 +500,36 @@ class _PointTable:
         """det of the square matrix of the columns of ``rows`` at the
         positions ``js``."""
         return _scalar(_prepared_det(self.columns(rows, js), self.backend is not Backend.FLOAT))
+
+
+def _direct_kind(fns: list, backend: Backend):
+    """How columns of the functions ``fns`` are built directly on a table
+    of ``backend``, or None: float, when every function is a power or an
+    affine combination of powers with int or float coefficients (a list
+    of :func:`_float_row`'s k or (c, k) pairs), as evaluate computes
+    their values; exact, by :func:`_polynomial_column` when all are
+    polynomials with exact coefficients (its arguments d, L and terms)."""
+    floats = [_float_row(f) for f in fns]
+    if backend is Backend.FLOAT:
+        return None if None in floats else floats
+    if all(type(k) is int for k in floats):     # powers alone
+        return max(floats), 1, floats
+    polys = [_polynomial(f) for f in fns]
+    if None in polys:
+        return None
+    lcm = math.lcm(*(c.denominator for poly in polys for c in poly.values()))
+    terms = [[(k, int(c * lcm)) for k, c in poly.items() if c] for poly in polys]
+    return max((k for row in terms for k, _ in row), default=0), lcm, terms
+
+
+def _float_row(f) -> int | tuple | None:
+    """f's k if f is a power x ** k; the pairs (c, k) of its terms if f is
+    an affine combination of powers with int or float coefficients, which
+    a float table reads with no requirement clash; else None."""
+    if type(f) is AffineFn and all(type(s) is PowerFn and type(c) in (int, float)
+                                   for c, s in f.terms):
+        return tuple((c, s.k) for c, s in f.terms)
+    return f.k if type(f) is PowerFn else None
 
 
 def _polynomial(f) -> dict | None:
@@ -831,9 +851,13 @@ def _scan_columns(table: _PointTable, rows: tuple, js, touched) -> dict:
     order in which a scan that builds each tuple's matrix first meets
     their points; other columns, and directly built ones whose one call
     raised, are asked for group by group, in that order, so the first
-    failing evaluation or check is the same either way."""
-    order = list(dict.fromkeys(itertools.chain.from_iterable(touched)))
-    made = table.direct(rows, [js[j] for j in order])
+    failing evaluation or check is the same either way.  A table that
+    builds none of them directly (a pinned base) is asked group by
+    group without first listing the touched points."""
+    made = order = None
+    if table._kind(rows) is not None:
+        order = list(dict.fromkeys(itertools.chain.from_iterable(touched)))
+        made = table.direct(rows, [js[j] for j in order])
     exact = table.backend is not Backend.FLOAT
     forms: dict = {}
     for group in touched if made is None else [order]:
@@ -1123,11 +1147,9 @@ def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
         ratios = [x.as_integer_ratio() for x in grid]
     except (ValueError, OverflowError):     # a NaN or infinite point
         return None
-    fns = []
-    for f in table.fns:
-        fns.append(_image_fn(f, grid))
-        if fns[-1] is None:
-            return None
+    fns = [_image_fn(f, grid) for f in table.fns]
+    if None in fns:
+        return None
     q = max((d for _, d in ratios), default=1)
     nums = [p * (q // d) for p, d in ratios]
     if max(q, *map(abs, nums)).bit_length() > MAX_IMAGE_BITS:

@@ -153,9 +153,9 @@ class _PinnedBase(_PointTable):
         self.kept = [None] * len(self.fns)      # by target: see minor
         self.records = [None] * len(self.grid)  # by position: its denominator's record
 
-    def _kind(self, rows: tuple) -> tuple:
+    def _kind(self, rows: tuple) -> None:
         """No derived column is built directly."""
-        return None, None
+        return None
 
     def _value(self, t: int, j: int) -> Scalar:
         """Target t's value at position j: :meth:`ratio`, once, at the

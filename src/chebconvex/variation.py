@@ -14,13 +14,17 @@ An estimate's partitions are grids read by position: exact ones are
 integers over one scale (the uniform partitions' m·L, times 2**22 after
 a jitter step), and the refinement rounds read every 2**j-th point of
 the finest uniform partition.  Its rounds and jitters are one loop with
-one running best.  Each window's divided difference is
-divided_difference's own ratio step (divdiff._ratio) on the point table
-of its partition's grid: the rounds share the finest partition's, and
-each jittered partition reads its own.  A table makes a partition's
+one running best.  Each window's divided difference reads the point
+table of its partition's grid: the rounds share the finest partition's,
+and each jittered partition reads its own.  A table makes a partition's
 directly built columns in one call per row set and the others window
-by window, and an exact partition sum adds only the window values where
-the sum turns.
+by window.  An exact window whose rows 0..n (the basis and f) are all
+built directly takes one elimination for both of its determinants,
+which share their rows 0..n-2 (Sylvester's identity, in Bareiss's
+fraction-free form); every other window is divided_difference's own
+ratio step (divdiff._ratio), two eliminations, so that a float window
+keeps divided_difference's bits.  An exact partition sum adds only the
+window values where the sum turns.
 
 The one entry to partition sums is estimate_variation, which builds
 every partition it sums, so a partition's points are checked once, where
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from .core import (
     Backend,
     ChebyshevSystem,
@@ -50,7 +55,7 @@ from .core import (
     validate_tuple,
 )
 from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _PointTable, _finite_tol
-from .determinant import _check_points, _uniform_grid
+from .determinant import _check_points, _eliminate, _uniform_grid, check_denominator
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
     AnchorInfeasible,
@@ -102,23 +107,35 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: flo
     and may be shared between the partitions its grid nests.  The
     caller has checked the partition's points (at least n intervals, the
     minimum gap, the domain), so each window's divided difference is
-    divided_difference's from its ratio step on: the shared ratio step,
-    divdiff._ratio.  The columns of the denominator's
-    rows and of the numerator's rows that are built directly (float
-    powers, exact polynomials) are made in one call each for the whole
-    partition (:meth:`_PointTable.direct`), and each window eliminates
-    its slice of them, bit for bit what divided_difference computes at
-    its points; a row set of another kind, or one whose one call raised,
-    is asked for window by window, after the window's denominator for
-    the numerator, so the first error met is the same.  The sum is
-    exact or float as the table's backend."""
+    divided_difference's from its ratio step on.  On an exact table
+    whose rows 0..n are all built directly (exact polynomials), their
+    columns are made in one call for the whole partition
+    (:meth:`_PointTable.direct`), one scale per point, and each window
+    is :func:`_shared_ratio` of its slice: one elimination for both
+    determinants.  Otherwise each window is the shared ratio step,
+    divdiff._ratio: the columns of the denominator's rows and of the
+    numerator's rows that are built directly (float powers and affine
+    combinations of them, exact polynomials) are made in one call each
+    for the whole partition, and each window eliminates its slice of
+    them, bit for bit what divided_difference computes at its points; a
+    row set of another kind, or one whose one call raised, is asked for
+    window by window, after the window's denominator for the numerator,
+    so the first error met is the same.  Float windows keep two
+    eliminations: pivoting over the shared rows would change their
+    bits.  The sum is exact or float as the table's backend."""
     n = system.dim
     m = len(js) - 1
     rows = tuple(range(n))
-    den, num = (table.direct(r, js) for r in (rows, rows[:-1] + (n,)))
-    values = [_ratio(table, js[i:i + n], tol_factor, den and den[i:i + n],
-                     num and num[i:i + n])[0] for i in range(m - n + 2)]
-    if table.backend is Backend.FLOAT:
+    exact = table.backend is not Backend.FLOAT
+    both = exact and table.direct(rows + (n,), js)
+    if both:
+        values = [_shared_ratio(both[i:i + n], _At(table.grid, js[i:i + n]), tol_factor)
+                  for i in range(m - n + 2)]
+    else:
+        den, num = (table.direct(r, js) for r in (rows, rows[:-1] + (n,)))
+        values = [_ratio(table, js[i:i + n], tol_factor, den and den[i:i + n],
+                         num and num[i:i + n])[0] for i in range(m - n + 2)]
+    if not exact:
         total = 0.0
         for i in range(m - n + 1):
             total += abs(values[i + 1] - values[i])
@@ -127,6 +144,23 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: flo
         total = sum((v * (s[i] - s[i + 1]) for i, v in enumerate(values) if s[i] != s[i + 1]),
                     values[0] - values[0])
     return _finite(total, f"partition sum over {m} intervals", _At(table.grid, (js[0], js[-1])))
+
+
+def _shared_ratio(forms: list, at: _At, tol_factor: float) -> Fraction:
+    """The divided difference of row n of the exact prepared columns
+    ``forms`` of rows 0..n at n points, whose rows share one scale per
+    point, with respect to rows 0..n-1, at the points ``at``: one
+    Bareiss elimination of the rows as vectors over the points, pivoting
+    on the shared rows 0..n-2, leaves the denominator (rows 0..n-1) and
+    the numerator (rows 0..n-2 and n) as the residual entries of rows
+    n-1 and n, each times one sign and one scale, which cancel
+    (Sylvester's identity).  A zero pivot means the denominator
+    vanishes; :func:`check_denominator` then raises as
+    divided_difference does."""
+    done = _eliminate([list(r) for r in zip(*(c for c, _ in forms))], len(forms) - 1, True)
+    den, num = (0, 0) if done is None else (r[0] for r in done[2])
+    check_denominator((den, 1), forms, Backend.EXACT, at, tol_factor)
+    return Fraction(num, den)
 
 
 def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> PointTuple:

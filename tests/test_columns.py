@@ -1,6 +1,6 @@
-"""The point table's columns, read at one backend per grid, power
-columns built directly on float grids and polynomial columns built
-from an exact point's integers, checked against
+"""The point table's columns, read at one backend per grid, columns
+of powers and of affine combinations of powers built directly on float
+grids and polynomial columns built from an exact point's integers, checked against
 ``oracles.evaluate_columns`` (evaluate() per value, backends read from
 the values) at each grid's twin, the points at which evaluate() takes
 the grid's backend: the values by repr, the backend and the form at
@@ -10,6 +10,7 @@ decimal reader against ``Fraction``."""
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -29,9 +30,10 @@ from chebconvex.core import (
     PowerFn,
     SampledFn,
     affine,
+    evaluate,
 )
 from chebconvex.determinant import _PointTable, is_positive_chebyshev
-from chebconvex.errors import InputError
+from chebconvex.errors import BackendMismatch, InputError
 from chebconvex.systems import polynomial_system
 from chebconvex.variation import estimate_variation
 
@@ -262,6 +264,128 @@ def test_power_values_are_made_once_per_table_and_point():
     assert check_convex_induced(polynomial_system(3), 1, ExpFn(), grid).is_convex
     assert check_convex_interval(polynomial_system(3), 2, 1, ExpFn(), grid).is_convex
     assert estimate_variation(polynomial_system(2), ExpFn(), 0.0, 1.0).best > 0
+
+
+def test_a_pinned_base_scan_asks_for_no_direct_build(monkeypatch):
+    """A derived table (a pinned base) builds no column directly, so its
+    scans go straight to the group-by-group path, with no call of
+    :meth:`_PointTable.direct` to list and probe their positions."""
+    calls = []
+    real = _PointTable.direct
+
+    def counted(self, rows, js):
+        calls.append(type(self).__name__)
+        return real(self, rows, js)
+    monkeypatch.setattr(_PointTable, "direct", counted)
+    grid = [i / 4 for i in range(-4, 5)]
+    assert check_convex_induced(polynomial_system(3), 1, ExpFn(), grid).is_convex
+    assert check_convex_interval(polynomial_system(3), 2, 1, ExpFn(), grid).is_convex
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# float columns with affine combinations of powers, built directly: each
+# value by AffineFn's own operations in order, row by row over the points,
+# as the value path makes them
+
+AFFINE_POWER_ROWS = (
+    PowerFn(0), PowerFn(1), PowerFn(2),
+    affine((3, PowerFn(2)), (-1, PowerFn(1))),                      # int coefficients
+    affine((0.1, PowerFn(2)), (-2.5, PowerFn(0)), (1e-300, PowerFn(1))),   # float ones
+    affine((0, PowerFn(2)), (1, PowerFn(1)), (0.0, PowerFn(0))),     # zero coefficients
+    affine((1, PowerFn(2)), (0.5, PowerFn(2)), (-1, PowerFn(2))),    # a repeated power
+    affine((1, PowerFn(1)), (-1, PowerFn(1))),                      # cancelling terms
+    affine(),                                                       # no terms
+)
+SPECIAL_FLOATS = [-1e150, -2.5, -1.0, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-160,
+                  0.1, 1.0, 3.0, 1e150]
+
+
+def bits(v: float) -> bytes:
+    return struct.pack("d", v)
+
+
+@pytest.mark.parametrize("rows", [range(len(AFFINE_POWER_ROWS)), (3,), (0, 1, 3),
+                                  (6, 2, 0), (4, 5), (8, 7, 0)])
+def test_affine_power_columns_are_evaluate_bit_for_bit(rows):
+    """The float columns of powers and affine combinations of powers with
+    int and float coefficients are built directly (direct does not
+    return None) and equal evaluate() bit for bit, -0.0, subnormals and
+    underflow included; so do those of an all-int grid that an exp row
+    of the table makes float."""
+    rows = tuple(rows)
+    for fns, xs in ((AFFINE_POWER_ROWS, SPECIAL_FLOATS),
+                    (AFFINE_POWER_ROWS + (ExpFn(),), [-3, 0, 1, 2, 10 ** 40])):
+        table = _PointTable(fns, PointTuple(xs))
+        cols = table.direct(rows, range(len(xs)))
+        assert cols is not None and table.backend is Backend.FLOAT
+        for x, (col, scale) in zip(xs, cols):
+            assert scale == 1
+            assert [bits(v) for v in col] == [bits(evaluate(fns[i], float(x))) for i in rows]
+        same_columns(fns, rows, xs)
+
+
+def test_a_fraction_coefficient_on_a_float_table_is_a_backend_clash():
+    """An affine row with a Fraction coefficient requires exact: it is not
+    built directly, and the table raises evaluate's BackendMismatch at
+    its first value."""
+    f = affine((Fraction(1, 3), PowerFn(2)), (1, PowerFn(1)))
+    with pytest.raises(BackendMismatch) as raised:
+        evaluate(f, 0.5)
+    assert str(raised.value) in MIXED
+    table = _PointTable((PowerFn(0), f), PointTuple([0.5, 2.0]))
+    assert table.direct((0, 1), range(2)) is None
+    assert same_columns((PowerFn(0), f), (0, 1), [0.5, 2.0]) == MIXED
+
+
+BIG = 10 ** 400     # past the float range: float(BIG) raises
+
+
+@pytest.mark.parametrize("fns, rows, xs, message", [
+    # a coefficient past the float range, at the first point
+    ((PowerFn(0), affine((BIG, PowerFn(1)))), (0, 1), [2.0, 3.0],
+     "int too large to convert to float"),
+    # a power past it, at a later point
+    ((PowerFn(0), affine((2, PowerFn(3)))), (0, 1), [2.0, 1e200],
+     "(34, 'Numerical result out of range')"),
+    # within one value, term by term: the power first, then the coefficient
+    ((affine((1, PowerFn(2)), (BIG, PowerFn(0))),), (0,), [1e200],
+     "(34, 'Numerical result out of range')"),
+    ((affine((1, PowerFn(2)), (BIG, PowerFn(0))),), (0,), [2.0],
+     "int too large to convert to float"),
+    # row by row: an earlier row's power at a later point comes before a
+    # later row's coefficient at the first point, as the value path meets them
+    ((PowerFn(0), PowerFn(2), affine((BIG, PowerFn(1)))), (0, 1, 2), [1.0, 1e200, 2.0],
+     "(34, 'Numerical result out of range')"),
+    ((PowerFn(0), PowerFn(2), affine((BIG, PowerFn(1)))), (2, 1), [1.0, 1e200, 2.0],
+     "int too large to convert to float"),
+])
+def test_overflow_in_an_affine_column_is_the_value_paths(fns, rows, xs, message):
+    """A coefficient or power past the float range raises OverflowError
+    inside direct's one call, which then returns None, and the table's
+    own ask meets the error that evaluating value by value, row by row,
+    meets first."""
+    table = _PointTable(fns, PointTuple(xs))
+    assert table.direct(rows, range(len(xs))) is None
+    with pytest.raises(OverflowError) as raised:
+        table.columns(rows, range(len(xs)))
+    assert str(raised.value) == message
+    assert same_columns(fns, rows, xs) == f"OverflowError: {message}"
+
+
+@pytest.mark.parametrize("f", [
+    affine((2, affine((1, PowerFn(2)), (-1, PowerFn(1))))),     # nested
+    affine((1, PowerFn(2)), (1, ConstFn(1))),                   # a constant term
+    affine((1, PowerFn(2)), (0.5, ExpFn())),                    # a float-only term
+])
+def test_other_affine_rows_are_built_value_by_value(f):
+    """An affine row with a term that is no power is not built directly:
+    its columns come from the value path, and equal evaluate's."""
+    xs = [-1.5, 0.5, 2.0]
+    table = _PointTable((PowerFn(0), PowerFn(1), f), PointTuple(xs))
+    assert table.direct((0, 1, 2), range(3)) is None
+    assert table.direct((0, 1), range(3)) is not None
+    same_columns((PowerFn(0), PowerFn(1), f), (0, 1, 2), xs)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,41 @@ class TestJsonRoundTrip:
         with pytest.raises(InputError):
             domain_from_json({"kind": "mystery"})
 
+    @pytest.mark.parametrize("read, spec, message", [
+        (function_from_json, {"kind": "mystery"}, "unknown function kind 'mystery'"),
+        (function_from_json, {"kind": ["power"]}, "unknown function kind ['power']"),
+        (function_from_json, {"kind": {"k": 1}}, "unknown function kind {'k': 1}"),
+        (function_from_json, {"kind": None}, "unknown function kind None"),
+        (function_from_json, {"kind": "power"}, "function spec 'power' is missing field 'k'"),
+        (function_from_json, {"kind": "affine", "terms": 3},
+         "bad function spec 'affine': 'int' object is not iterable"),
+        (function_from_json, {"kind": "affine", "terms": [{"coef": 1}]},
+         "function spec 'affine' is missing field 'spec'"),
+        (function_from_json, {"kind": "affine", "terms": [{"coef": 1, "spec": {"kind": "sin",
+                                                                             "freq": 0}}]},
+         "sin frequency must be an int >= 1, got 0"),
+        (function_from_json, {"kind": "sampled", "points": [0]},
+         "function spec 'sampled' is missing field 'values'"),
+        (domain_from_json, {"points": [0]}, "unknown domain kind None"),
+        (domain_from_json, {"kind": ["interval"]}, "unknown domain kind ['interval']"),
+        (domain_from_json, {"kind": "finite_set"},
+         "domain spec 'finite_set' is missing field 'points'"),
+        (domain_from_json, {"kind": "interval", "lo": "x"},
+         "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+        (domain_from_json, {"kind": "interval", "lo": 2, "hi": 1, "lo_open": 0},
+         "domain spec field 'lo_open' must be true or false, got 0"),
+        (domain_from_json, {"kind": "punctured_interval", "base": [], "excluded": []},
+         "domain spec must be a JSON object, got list"),
+        (domain_from_json, {"kind": "punctured_interval", "base": {"kind": "interval"}},
+         "domain spec 'punctured_interval' is missing field 'excluded'"),
+    ])
+    def test_spec_errors_name_the_kind(self, read, spec, message):
+        """Each kind's reader is found by its name alone, so a kind that is
+        no string is unknown; a missing field or a value of the wrong JSON
+        type is an input error naming the kind, raised in reading order."""
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            read(spec)
+
 
 class TestPointTuple:
     def test_iteration_and_indexing(self):

@@ -7,7 +7,9 @@ sums are ``oracles.window_sum``'s, which calls ``_window_sum`` on a grid
 of the points; the estimates and bounds are the public entries', whose
 reference runs swap the oracle in for every partition sum.  Both must
 give the same values, float bits included (compared by repr), and
-raise the same error with the same message."""
+raise the same error with the same message.  An exact window whose rows
+are all built directly takes one elimination, every other window two;
+both are checked here against the loop, which takes two."""
 
 import math
 import random
@@ -15,20 +17,23 @@ from fractions import Fraction
 
 import pytest
 
-from chebconvex import variation
+from chebconvex import determinant, variation
 from chebconvex.core import (
     DEFAULT_MIN_GAP,
+    Backend,
     ChebyshevSystem,
     ConstFn,
     CosFn,
     ExpFn,
     Interval,
+    PointTuple,
     PowerFn,
     SampledFn,
     affine,
     system_from_json,
 )
-from chebconvex.divdiff import divided_difference
+from chebconvex.determinant import _PointTable
+from chebconvex.divdiff import _ratio, divided_difference
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system, trig_odd_system
 from chebconvex.variation import RefinementStrategy, check_variation_bound, estimate_variation
@@ -37,6 +42,7 @@ from oracles import (
     collocation_matrix_per_value,
     positivity_tolerance,
     row_det,
+    uniform_partition_points,
     variation_loop,
     window_sum,
 )
@@ -216,6 +222,126 @@ def test_singular_rule_matches_row_elimination():
         assert isinstance(got, str) == singular, (pts, tol_factor)
         seen.add(singular)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the exact window route: rows 0..n built directly in one call, and one
+# elimination of the shared rows 0..n-2 per window for both determinants
+
+def exact_route_functions(rng: random.Random, n: int) -> tuple:
+    """A power, an exact affine combination of powers and constants, and
+    a Fraction constant: f whose rows 0..n an exact table builds
+    directly on poly:n."""
+    coef = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))     # noqa: E731
+    return (PowerFn(n + rng.randint(0, 2)), PowerFn(rng.randint(0, n - 1)),
+            affine((coef(), PowerFn(n + 1)), (rng.randint(-5, 5), PowerFn(max(n - 2, 0))),
+                   (coef(), ConstFn(coef()))),
+            ConstFn(coef()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exact_window_route_matches_oracle(n):
+    """Seeded poly:n systems: the one-elimination route gives the sums of
+    the loop, which takes two eliminations per window, over uniform,
+    jittered and integer partitions (exact), and mixed ones (float, by
+    the two-elimination route, as their float twins), errors included."""
+    system = polynomial_system(n)
+    rng = random.Random(40 + n)
+    m = n + 5
+    base = uniform(Fraction(-3, 2), Fraction(7, 4), m)
+    ints = tuple(range(-3, m - 2))
+    mixed = ints[:2] + (float(ints[2]) + 0.5,) + ints[3:]
+    for f in exact_route_functions(rng, n):
+        for part in (base, jittered(rng, base), ints):
+            assert isinstance(sums_match(system, f, part), Fraction), (f, part)
+        # a mixed partition sums as its float twin; an error names the
+        # points as the partition gives them
+        got = result(window_sum, system, f, mixed)
+        want = result(variation_loop, system, f, tuple(map(float, mixed)))
+        if isinstance(want, str):
+            assert got.split(":")[0] == want.split(":")[0], (f, got, want)
+        else:
+            assert repr(got) == repr(want), f
+
+
+def test_exact_estimates_on_one_scale_match_oracle(same):
+    """estimate_variation's exact partitions are integers over one scale,
+    each column of rows 0..n over that point's own scale; the jittered
+    ones over q * 2**22."""
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4):
+        strategy = RefinementStrategy(initial_intervals=n + 2, rounds=3, perturb_rounds=2,
+                                      seed=n)
+        for f in exact_route_functions(rng, n):
+            assert same(estimate_variation, polynomial_system(n), f, Fraction(-2, 3),
+                        Fraction(11, 7), strategy).best >= 0
+
+
+def test_vanishing_denominator_on_the_exact_route():
+    """(1, x^2) on a window symmetric about 0, with f a power, whose rows
+    are all built directly: the window's residual denominator is 0; and
+    (1, 2, x), whose second row is twice the first, so that a shared
+    row's pivot is zero.  Each raises divided_difference's error at the
+    window's points."""
+    for system, f, pts, window in (
+            (ChebyshevSystem((PowerFn(0), PowerFn(2)), Interval()), PowerFn(3),
+             (-2, -1, 1, 3), (-1, 1)),
+            (ChebyshevSystem((PowerFn(0), PowerFn(2)), Interval()),
+             affine((Fraction(1, 2), PowerFn(3))),
+             uniform(Fraction(-3, 2), Fraction(3, 2), 3), (Fraction(-1, 2), Fraction(1, 2))),
+            (ChebyshevSystem((PowerFn(0), affine((2, PowerFn(0))), PowerFn(1)), Interval()),
+             PowerFn(3), (0, 1, 2, 3), (0, 1, 2))):
+        want = result(divided_difference, system, system.dim, f, window)
+        assert want.startswith("SingularDenominator: ") and want.endswith(f"at {window}")
+        assert result(window_sum, system, f, pts) == want
+
+
+@pytest.mark.parametrize("points, f, per_window", [
+    (uniform(Fraction(-1), Fraction(2), 12), PowerFn(4), 1),
+    (tuple(range(13)), affine((Fraction(1, 3), PowerFn(4)), (-1, ConstFn(2))), 1),
+    (uniform(-1.0, 2.0, 12), PowerFn(4), 2),
+    (uniform(-1.0, 2.0, 12), affine((1, PowerFn(4)), (-1, PowerFn(3))), 2),
+    (uniform(-1.0, 2.0, 12), ExpFn(), 2),
+    (uniform(Fraction(-1), Fraction(2), 12),
+     SampledFn(uniform(Fraction(-1), Fraction(2), 12), tuple(range(13))), 2),
+])
+def test_eliminations_per_window(monkeypatch, points, f, per_window):
+    """One elimination per window on an exact partition whose rows 0..n
+    are all built directly; two, the denominator's and the numerator's,
+    on a float one (partial pivoting over the shared rows would change a
+    float window's bits) and where f is not built directly."""
+    calls = []
+    real = determinant._eliminate
+
+    def counted(cols, k, exact):
+        calls.append(exact)
+        return real(cols, k, exact)
+    monkeypatch.setattr(determinant, "_eliminate", counted)
+    monkeypatch.setattr(variation, "_eliminate", counted)
+    system = polynomial_system(3)
+    window_sum(system, f, points)
+    assert len(calls) == per_window * (len(points) - system.dim + 1)
+
+
+def test_float_windows_stay_divided_differences_bit_for_bit():
+    """Float windows of g - h, whose numerator columns the table builds
+    directly: each window's value is divided_difference's at its points,
+    bit for bit, and so is the partition sum the loop's."""
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        system = polynomial_system(n)
+        f = affine((1, PowerFn(n + 2)), (-1, PowerFn(n + 1)))
+        for part in (uniform_partition_points(0.125, 1.75, 16, Backend.FLOAT),
+                     jittered(rng, uniform(-1.5, 1.0, 16))):
+            sums_match(system, f, part)
+            table = _PointTable(system.basis + (f,), PointTuple(part))
+            num = table.direct(tuple(range(n - 1)) + (n,), range(len(part)))
+            assert num is not None
+            for i in range(len(part) - n + 1):
+                window = range(i, i + n)
+                got = _ratio(table, window, 1e-10, None, num[i:i + n])
+                want = divided_difference(system, n, f, part[i:i + n])
+                assert repr(got[0]) == repr(want.value)
 
 
 # ---------------------------------------------------------------------------
