@@ -527,7 +527,7 @@ def main(argv=None) -> int:
         report["results"], code = args.func(args)
     except (ChebconvexError, OSError, ValueError, OverflowError, MemoryError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 1 if isinstance(exc, BoundViolated) else 2
+        code = 2
     report["timing_seconds"] = time.perf_counter() - started
     return _emit(report, args.out) or code
 

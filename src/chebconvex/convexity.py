@@ -12,8 +12,9 @@ three provably equivalent ways on a grid:
 Each public check, and :func:`cross_mode_agreement` of all of them, is
 one call of :func:`_check_convex`, which checks its base sizes and
 interval indices, sorts the grid once, checks the tolerance factor,
-reads one point table and routes once (determinant._route): a single
-pinned check is the runner with that one mode and no direct verdict.
+reads one point table, routes once (determinant._route) and makes the
+one direct walk that its pinned modes read (below): a single pinned
+check is the runner with that one mode and no direct verdict.
 
 Verdicts are explicitly grid-relative.  On the float backend, values
 inside the tolerance band around zero are reported indeterminate rather
@@ -34,7 +35,8 @@ part of the direct scan's window certificate proves (Fekete's lemma, see
 determinant._certified), each derived minor has the sign of the direct
 minor at sorted(B ∪ T).  An exact check whose bases and inner scans are
 exhaustive therefore reads every base's verdict off one direct walk,
-and scans no base: for each mode the walk records the smallest pair
+the direct mode's scan or, for a pinned check alone, the same walk made
+for it, and scans no base: for each mode the walk records the smallest pair
 (B*, T*) of a violating tuple's base and inner tuple, so B* is the
 mode's first violated base and T* the smallest violating tuple of its
 scan, the witness, whose value, the derived minor at T*, is the
@@ -50,6 +52,7 @@ one whose lower part fails or whose walk raises, scans every base.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,20 +160,21 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
                   seed: int, tol_factor: float) -> list:
     """The verdicts of the direct mode, when ``direct``, and then of the
     pinned modes of each (k, ells) in ``pinned``, in order, by
-    :func:`_check_convex_pinned` (ells None for every mode of k: the
-    induced one, then each interval one), all reading one point table of
-    ``system.basis + (f,)``.  Every k is checked, then every ell, then
-    the grid is sorted (with the minimum gap when ``direct``), then
-    ``tol_factor``.  The direct scan, given each pinned mode's
-    :func:`_cut`, is the walk the pinned modes read, and its errors
-    propagate; without it each k walks on its own (see
-    :func:`_first_violated`).  The check answers on the exact image
-    (determinant._route) when the grid is spaced and its walk and every
-    k's bases are exhaustive."""
+    :func:`_check_convex_pinned` (an ell None for the induced mode),
+    all reading one point table of ``system.basis + (f,)``.  Every k is
+    checked, then every ell, then the grid is sorted (with the minimum
+    gap when ``direct``), then ``tol_factor``.  The check is exhaustive
+    when its walk on every (n+1)-tuple fits ``budget`` and every k's
+    bases fit ``base_budget``; then it answers on the exact image
+    (determinant._route) when the grid is spaced.  Its direct walk,
+    given each pinned mode's :func:`_cut`, is made here once: when
+    ``direct``, the direct mode's scan, whose errors propagate; else,
+    for an exhaustive exact check, the same walk, whose errors the
+    per-base scans meet in their own order, or not.  The pairs of that
+    walk, when the check is exhaustive, are what every k reads."""
     n = system.dim
     for k, _ in pinned:
         _check_base_size(n, k)
-    pinned = [(k, ells or (None, *range(k + 1))) for k, ells in pinned]
     for k, ells in pinned:
         for ell in ells:
             if ell is not None and not 0 <= ell <= k:
@@ -178,22 +182,27 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP if direct else 0.0)
     tol_factor, m = _finite_tol(tol_factor), len(pts)
     cuts = tuple({_cut(n, k, ell) for k, ells in pinned for ell in ells})
+    exhaustive = math.comb(m, n + 1) <= budget and all(math.comb(m, k) <= base_budget
+                                                       for k, _ in pinned)
 
     def run(table):
-        verdicts, scan = [], None
-        if direct:
-            scan = _direct_scan(n, system.domain, range(m), table, budget, seed, tol_factor, cuts)
-            verdicts.append(ConvexityVerdict("direct", scan.verdict or "convex_on_sample",
-                                             scan.tuples_checked, seed, witness=scan.witness,
-                                             witness_value=scan.witness_value,
-                                             indeterminate_count=scan.indeterminate_count))
+        walk = None
+        if direct or exhaustive and table.backend is not Backend.FLOAT:
+            # a pinned check alone leaves its walk's errors to the per-base
+            # scans, which meet them in their own order, or not
+            with contextlib.suppress(*() if direct else (InputError, ArithmeticError)):
+                walk = _direct_scan(n, system.domain, range(m), table, budget, seed, tol_factor,
+                                    cuts)
+        verdicts = [ConvexityVerdict(
+            "direct", walk.verdict or "convex_on_sample", walk.tuples_checked, seed,
+            witness=walk.witness, witness_value=walk.witness_value,
+            indeterminate_count=walk.indeterminate_count)] if direct else []
+        pairs = walk.pairs if walk and exhaustive else None
         return verdicts + [v for k, ells in pinned for v in _check_convex_pinned(
-            system, k, f, ells, base_budget, budget, seed, tol_factor, table, scan)]
+            system, k, ells, base_budget, budget, seed, tol_factor, table, pairs)]
 
     return _route(run, _PointTable(system.basis + (f,), pts), system.domain,
-                  pts.spaced and math.comb(m, n + 1) <= budget
-                  and all(math.comb(m, k) <= base_budget for k, _ in pinned),
-                  tol_factor, _PinnedBase)
+                  pts.spaced and exhaustive, tol_factor, _PinnedBase)
 
 
 def _restricted_points(m: int, base: tuple, ell: int | None) -> list:
@@ -217,31 +226,9 @@ def _cut(n: int, k: int, ell: int | None) -> tuple:
     return (k if ell is None else ell, n - k + 1)
 
 
-def _first_violated(system: ChebyshevSystem, k: int, ell: int | None, table: _PointTable,
-                    budget: int, tol_factor: float, walk: SignScan | None):
-    """By the sign identity (see the module docstring), the first base,
-    in sorted order, whose exhaustive pinned scan is violated and the
-    witness of that scan, its smallest violating inner tuple, as a pair
-    of position tuples, or () when no base is violated, read off the
-    exact direct ``walk`` on every position of the grid of ``table``
-    (made here, within ``budget``, when None), which records only that
-    pair (see :func:`_cut`); None when the identity cannot say: a float
-    table, a failed lower part, or any error while walking, which the
-    per-base scans then meet, or not, as they would."""
-    cut = _cut(system.dim, k, ell)
-    try:
-        if table.backend is Backend.FLOAT:
-            return None
-        walk = walk or _direct_scan(system.dim, system.domain, range(len(table.grid)), table,
-                                    budget, DEFAULT_SEED, tol_factor, (cut,))
-    except (InputError, ArithmeticError):   # the per-base scans meet it in their order, or not
-        return None
-    return None if walk.pairs is None else walk.pairs.get(cut, ())
-
-
 def _read_off(table: _PointTable, k: int, base: tuple, inner: tuple) -> dict:
     """The violated verdict's (witness, value, base) of a pinned mode
-    read off the walk (:func:`_first_violated`'s pair): the points of
+    read off the walk (the pair of its cut, see :func:`_cut`): the points of
     ``inner`` and ``base``, and the derived minor at inner, by the
     identity from the exact parent ``table``, whose minors there are all
     nonzero (see the module docstring)."""
@@ -251,10 +238,9 @@ def _read_off(table: _PointTable, k: int, base: tuple, inner: tuple) -> dict:
     return {"violated": (tuple(pts[j] for j in inner), value, tuple(pts[j] for j in base))}
 
 
-def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec, ells: tuple,
-                         base_budget: int, budget: int, seed: int,
-                         tol_factor: float, table: _PointTable,
-                         walk: SignScan | None = None) -> list:
+def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budget: int,
+                         budget: int, seed: int, tol_factor: float, table: _PointTable,
+                         pairs: dict | None) -> list:
     """The verdicts of the pinned modes ``ells`` of base size k on the
     sorted grid of ``table``, in their order: the induced mode for ``None``,
     else the interval mode of that ell.  The modes take the same bases,
@@ -267,12 +253,11 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec, ells:
     the order of ``ells``.  A mode that raises stops there, with every
     later mode, and the first mode's error is raised once the bases are
     done: the error that the modes, each run alone in turn, would meet
-    first.  When the table is exact and the walk on every (n+1)-tuple
-    fits ``budget`` and the bases are exhaustive, the
-    sign identity reads each mode's verdict off that one direct walk
-    (``walk``, the direct mode's scan given each mode's :func:`_cut`
-    when the check runs that mode, else made by :func:`_first_violated`
-    for each mode): a violated mode's witness, value and base by
+    first.  Given ``pairs``, those of the exact direct walk of an
+    exhaustive check (see :func:`_check_convex`), the sign identity
+    reads each mode's verdict off that one walk, the first violated
+    base and its witness being the pair of the mode's :func:`_cut`, or
+    none when it has none: a violated mode's witness, value and base by
     :func:`_read_off`, and every checked base's tuples counted
     unscanned.  No base is pinned then, and no check of a base's scan
     is skipped that could fail (see the module docstring); the loop
@@ -280,15 +265,13 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, f: FunctionSpec, ells:
     :func:`_check_convex`, its one caller, checks k and ``ells``."""
     n, pts = system.dim, table.grid
     m = len(pts)
-    bases, every = increasing_tuples(range(m), k, budget=base_budget, seed=seed)
+    bases = increasing_tuples(range(m), k, budget=base_budget, seed=seed)[0]
     # by mode: its ell; the walk's pair, or None to scan every base (the walk,
     # and with it every base's scan, C(m-k, n-k+1) <= C(m, n+1), is exhaustive);
     # its counts; by verdict, the (witness, value, base) of its first base
-    walked = every and math.comb(m, n + 1) <= budget
     modes = [(ell, read, dict.fromkeys(_COUNTS, 0), _read_off(table, k, *read) if read
               else {}) for ell in ells
-             for read in [_first_violated(system, k, ell, table, budget, tol_factor, walk)
-                          if walked else None]]
+             for read in [None if pairs is None else pairs.get(_cut(n, k, ell), ())]]
     error = None
     for base in sorted(bases):
         pinned = None
@@ -445,12 +428,14 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
     exhaustive float check of rational input on a spaced grid answers on
     the exact engine (determinant._route), with 0 indeterminate tuples,
     or keeps the float walk for every mode."""
-    if k_list is None:
-        k_list = list(range(1, system.dim))
-    verdicts = _check_convex(system, f, grid, True, [(k, None) for k in k_list], base_budget,
-                             budget, seed, tol_factor)
+    n = system.dim
+    # the induced mode, then each interval mode; a k past n - 1 is
+    # rejected (_check_convex) before its ells are read
+    pinned = [(k, (None, *range(min(k, n) + 1)))
+              for k in (range(1, n) if k_list is None else k_list)]
+    verdicts = _check_convex(system, f, grid, True, pinned, base_budget, budget, seed, tol_factor)
     labels = ["direct"] + [f"induced:k={k}" if ell is None else f"interval:k={k}:ell={ell}"
-                           for k in k_list for ell in (None, *range(k + 1))]
+                           for k, ells in pinned for ell in ells]
     labeled: list[tuple[str, ConvexityVerdict]] = list(zip(labels, verdicts))
     definite = [(label, v.verdict) for label, v in labeled
                 if v.verdict != "indeterminate"]

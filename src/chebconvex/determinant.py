@@ -704,12 +704,13 @@ class SignScan:
     #: For each (cut, width) the scan was given (``cuts``), the smallest
     #: pair (base, inner) over violating index tuples t of its base
     #: t[:cut] + t[cut + width:] and its inner tuple t[cut:cut + width],
-    #: absent when none is: of an exhaustive scan that its windows pass
-    #: ({}), or of an exact one whose windows' lower part holds (see
-    #: :func:`_certified`), else None; not part of the outcome, which is
-    #: the same either way.  A walk that stops at its first violation t,
-    #: its cuts all prefix cuts, reads each pair (t[:cut], t[cut:]) there,
-    #: the smallest of them all, since the pair orders as t does.
+    #: absent when none is, of an exact exhaustive scan that its windows
+    #: pass ({}) or whose windows' lower part holds (see
+    #: :func:`_certified`), else None, on every float scan too; not part
+    #: of the outcome, which is the same either way.  A walk that stops
+    #: at its first violation t, its cuts all prefix cuts, reads each pair
+    #: (t[:cut], t[cut:]) there, the smallest of them all, since the pair
+    #: orders as t does.
     pairs: dict | None = field(default=None, compare=False, repr=False)
 
 
@@ -820,7 +821,7 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
     if ints is not None and _certified(ints, n, positive):
-        return SignScan(checked, exhaustive, pairs={})
+        return SignScan(checked, exhaustive, pairs={} if exact else None)
     if cols is None:
         _scan_each(forms, tuples, tally)
     elif not exact:

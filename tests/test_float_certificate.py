@@ -11,7 +11,8 @@ and walks its tuples only when they fail.
 * A positive scan, a ``tol_factor`` <= 0 and a column at the overflow
   bound 2^(1023/n - n/2) still walk, and report or raise as the walk
   does.
-* A certified scan calls no float elimination.
+* A certified scan calls no float elimination, and reports no
+  ``SignScan.pairs``: those are read only off an exact scan.
 """
 
 import itertools
@@ -200,6 +201,14 @@ def test_a_column_under_the_overflow_bound_is_certified(walks):
     big = 2.0 ** 510
     got, walked, want = walk_and_scan(walks, [[big, -big], [big, big]], False, 1e-10)
     assert not walked and got == want == passed(2, 2)
+
+
+def test_a_certified_float_scan_reports_no_pairs(walks):
+    # pairs are read only off an exact scan, so a float one has none,
+    # though it was given a cut and its windows pass
+    got = _sign_scan(table_of(ROUNDED), (0, 1, 2), range(4), 10 ** 6, 0, 1e-10, False,
+                     cuts=((1, 2),))
+    assert not walks and got.verdict is None and got.pairs is None
 
 
 def test_a_certified_scan_calls_no_float_elimination(monkeypatch):

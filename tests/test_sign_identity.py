@@ -145,22 +145,70 @@ def test_the_cases_reach_every_path():
     assert any(verdict == "error" for *_, verdict in seen)
 
 
+def whole_grid_walks(monkeypatch, m: int) -> list:
+    """The position ranges of the calls of ``convexity._direct_scan``
+    over all m positions of a check's grid from here on, each recorded
+    before its scan runs, so a scan that raises counts too."""
+    from chebconvex import convexity
+
+    real, walks = convexity._direct_scan, []
+
+    def direct_scan(n, domain, js, *rest):
+        if len(js) == m:
+            walks.append(js)
+        return real(n, domain, js, *rest)
+    monkeypatch.setattr(convexity, "_direct_scan", direct_scan)
+    return walks
+
+
 def test_no_walk_past_the_tuple_budget(monkeypatch):
     """A check whose direct walk would pass the tuple budget scans every
     base, though each base's own scan is exhaustive: C(12, 3) = 220 >
     100 >= C(11, 2).  So does agreement, whose direct scan is sampled."""
-    from chebconvex import convexity
-
     grid = [Fraction(-i, 4) for i in range(12, 0, -1)]
     system, f = polynomial_system(2), PowerFn(3)        # x^3 is concave on x < 0
     want = pinned_loop(system, 1, f, grid, budget=100)
     intervals = [pinned_loop(system, 1, f, grid, ell, budget=100) for ell in (0, 1)]
-
-    def refuse(*args):
-        raise AssertionError("walked past the budget")
-
-    monkeypatch.setattr(convexity, "_first_violated", refuse)
+    walks = whole_grid_walks(monkeypatch, len(grid))
     assert want.verdict == "violated"
     assert repr(check_convex_induced(system, 1, f, grid, budget=100)) == repr(want)
+    assert walks == [], "walked past the budget"
     got = cross_mode_agreement(system, f, grid, budget=100).verdicts
+    assert len(walks) == 1 and got[0][1].tuples_checked == 100     # the sampled direct scan
     assert repr([v for _, v in got[1:]]) == repr([want, *intervals])
+
+
+def test_one_walk_per_exact_exhaustive_check(monkeypatch):
+    """An exact check whose walk and bases are exhaustive walks the
+    whole grid once, standalone or in agreement; a float check of
+    transcendental input, and one whose bases are sampled, never."""
+    system, grid = polynomial_system(3), [Fraction(i) for i in range(7)]
+    walks = whole_grid_walks(monkeypatch, len(grid))
+    checks = {
+        "induced": lambda: check_convex_induced(system, 1, PowerFn(4), grid),
+        "interval, ell < k": lambda: check_convex_interval(system, 2, 1, PowerFn(4), grid),
+        "interval, ell = k": lambda: check_convex_interval(system, 2, 2, PowerFn(4), grid),
+        "agreement": lambda: cross_mode_agreement(system, PowerFn(4), grid),
+        "float, exp": lambda: check_convex_induced(system, 1, ExpFn(), list(map(float, grid))),
+        "sampled bases": lambda: check_convex_induced(system, 1, PowerFn(4), grid,
+                                                      base_budget=6),
+    }
+    counts = {}
+    for name, check in checks.items():
+        walks.clear()
+        check()
+        counts[name] = len(walks)
+    assert counts == {"induced": 1, "interval, ell < k": 1, "interval, ell = k": 1,
+                      "agreement": 1, "float, exp": 0, "sampled bases": 0}
+
+
+def test_a_walk_error_is_met_in_the_per_base_order():
+    """The walk of a standalone pinned check meets -1 outside the
+    domain of (1, x^2) as a grid point; the check raises what the
+    per-base loop meets first, its base point -1."""
+    system, f, grid = one_xsq_system(), PowerFn(4), [-1, 1, 2, 3]
+    want = "InputError: base point -1 is outside the parent domain"
+    assert result(pinned_loop, system, 1, f, grid) == result(pinned_loop, system, 1, f, grid, 1) \
+        == want
+    assert result(check_convex_induced, system, 1, f, grid) == want
+    assert result(check_convex_interval, system, 1, 1, f, grid) == want
