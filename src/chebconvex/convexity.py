@@ -46,8 +46,16 @@ _PinnedBase.identity computes too).  No check that the base's scan
 would make can fail there: every k- and (k+1)-prefix minor is positive,
 so no denominator vanishes; an exact grid has no two equal points, so
 (B..., x) passes the ordering check; every point passed the walk's
-domain check; and every inner scan is exhaustive.  Any other check, or
-one whose lower part fails or whose walk raises, scans every base.
+domain check; and every inner scan is exhaustive.  Such a check lists
+no base either: each mode's counts are closed forms in m, n and k (see
+_check_convex_pinned).  Any other check, or one whose lower part fails
+or whose walk raises, scans every base, and one scan of a base serves
+all of its modes when they are the induced mode and its gaps and the
+induced scan is exhaustive: each gap is a range of the positions off
+the base.  A float walk of those positions tallies every mode's tuples,
+each by its own tolerance, and an exact gap walks its own range, as an
+exact walk stops at its first violation; a gap whose windows pass, as
+every gap's do when the whole's do, is not walked.
 """
 
 from __future__ import annotations
@@ -73,7 +81,6 @@ from .determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
-    SignScan,
     _PointTable,
     _finite_tol,
     _route,
@@ -122,18 +129,20 @@ class ConvexityVerdict:
 
 
 def _direct_scan(n: int, domain: Domain, js, table, budget: int, seed: int, tol_factor: float,
-                 cuts: tuple = ()) -> SignScan:
+                 cuts: tuple = (), parts: list | None = None):
     """Sign scan of the extended determinant on increasing (n+1)-tuples
     of the increasing positions ``js`` of the sorted grid of ``table``,
     for a system of dimension n on ``domain``, whose extended columns
     ``table`` gives: negative values are violations, or near zero inside
     the float tolerance band; with the smallest (base, inner) pairs of
-    its violating tuples for ``cuts`` (see :attr:`SignScan.pairs`)."""
+    its violating tuples for ``cuts`` (see :attr:`SignScan.pairs`), and,
+    given ``parts``, a list of its scan and one per range of the indices
+    of ``js`` (see :func:`determinant._sign_scan`)."""
     if len(js) < n + 1:
         raise InsufficientGrid(f"grid has {len(js)} points, need at least {n + 1}")
     _check_domain(domain, table.grid, "grid point", js)
     return _sign_scan(table, tuple(range(n + 1)), js, budget, seed, tol_factor, positive=False,
-                      cuts=cuts)
+                      cuts=cuts, parts=parts)
 
 
 def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
@@ -166,12 +175,14 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
     gap when ``direct``), then ``tol_factor``.  The check is exhaustive
     when its walk on every (n+1)-tuple fits ``budget`` and every k's
     bases fit ``base_budget``; then it answers on the exact image
-    (determinant._route) when the grid is spaced.  Its direct walk,
-    given each pinned mode's :func:`_cut`, is made here once: when
-    ``direct``, the direct mode's scan, whose errors propagate; else,
-    for an exhaustive exact check, the same walk, whose errors the
-    per-base scans meet in their own order, or not.  The pairs of that
-    walk, when the check is exhaustive, are what every k reads."""
+    (determinant._route) when the grid is spaced.  Its direct walk is
+    made here once: when ``direct``, the direct mode's scan, whose
+    errors propagate; else, for an exhaustive exact check, the same
+    walk, whose errors the per-base scans meet in their own order, or
+    not.  Only an exhaustive check's walk is given each pinned mode's
+    :func:`_cut`, and its pairs are what every k reads; a check whose
+    bases are sampled reads none, so its walk keeps no cut that could
+    keep it from stopping at its first violation."""
     n = system.dim
     for k, _ in pinned:
         _check_base_size(n, k)
@@ -192,7 +203,7 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
             # scans, which meet them in their own order, or not
             with contextlib.suppress(*() if direct else (InputError, ArithmeticError)):
                 walk = _direct_scan(n, system.domain, range(m), table, budget, seed, tol_factor,
-                                    cuts)
+                                    cuts if exhaustive else ())
         verdicts = [ConvexityVerdict(
             "direct", walk.verdict or "convex_on_sample", walk.tuples_checked, seed,
             witness=walk.witness, witness_value=walk.witness_value,
@@ -205,16 +216,14 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
                   pts.spaced and exhaustive, tol_factor, _PinnedBase)
 
 
-def _restricted_points(m: int, base: tuple, ell: int | None) -> list:
-    """The positions of an m-point increasing grid off the base
-    positions, optionally restricted to the single gap selected by ell
-    (0 = below the base, k = above it)."""
-    off = [j for j in range(m) if j not in base]
-    if ell is None:
-        return off
-    lo = base[ell - 1] if ell > 0 else -1
-    hi = base[ell] if ell < len(base) else m
-    return [j for j in off if lo < j < hi]
+def _span(m: int, base: tuple, ell: int | None) -> tuple:
+    """The range (a, b) of the indices, in the increasing list of the
+    positions of an m-point grid off the increasing base positions, of
+    the positions that the induced mode (``ell`` None) scans, all m - k of
+    them, or the interval mode of that ell, those in its gap (0 = below
+    the base, k = above it): base[i] has base[i] - i of them below it."""
+    return (base[ell - 1] - ell + 1 if ell else 0,
+            m - len(base) if ell in (None, len(base)) else base[ell] - ell)
 
 
 def _cut(n: int, k: int, ell: int | None) -> tuple:
@@ -244,63 +253,82 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budg
     """The verdicts of the pinned modes ``ells`` of base size k on the
     sorted grid of ``table``, in their order: the induced mode for ``None``,
     else the interval mode of that ell.  The modes take the same bases,
-    in sorted order, and each base is pinned once, as the derived table
-    (:class:`_PinnedBase`) that every mode scanning it reads, and dropped
-    before the next base; all of them read ``table``, the point table of
+    in sorted order; all of them read ``table``, the point table of
     ``system.basis + (f,)``, which the direct mode and every k of one
-    check share.  Each base's scan is a direct check of the
-    (n-k)-dimensional induced system; within a base the modes run in
-    the order of ``ells``.  A mode that raises stops there, with every
-    later mode, and the first mode's error is raised once the bases are
-    done: the error that the modes, each run alone in turn, would meet
-    first.  Given ``pairs``, those of the exact direct walk of an
-    exhaustive check (see :func:`_check_convex`), the sign identity
-    reads each mode's verdict off that one walk, the first violated
-    base and its witness being the pair of the mode's :func:`_cut`, or
-    none when it has none: a violated mode's witness, value and base by
-    :func:`_read_off`, and every checked base's tuples counted
-    unscanned.  No base is pinned then, and no check of a base's scan
-    is skipped that could fail (see the module docstring); the loop
-    over the bases still counts them and checks their points' domain.
-    :func:`_check_convex`, its one caller, checks k and ``ells``."""
+    check share.  :func:`_check_convex`, its one caller, checks k and
+    ``ells``.
+
+    Given ``pairs``, those of the exact direct walk of an exhaustive
+    check (see :func:`_check_convex`), the sign identity reads each
+    mode's verdict off that one walk, the first violated base and its
+    witness being the pair of the mode's :func:`_cut`, or none when it
+    has none: a violated mode's witness, value and base by
+    :func:`_read_off`.  No base is pinned or listed then, and no check
+    of a base's scan is skipped that could fail (see the module
+    docstring): the bases are all C(m, k) of them, and the walk found
+    every grid point in the domain, so every base passes its domain
+    check.  Each mode's counts are closed forms, with r = n - k + 1: the
+    induced mode checks every base, and C(m, k)·C(m - k, r) tuples; an
+    interval mode checks the C(m - r, k) bases that leave r points or
+    more in its gap (C(m - g - 1, k - 1) bases leave g there, summed
+    over g >= r), skips the rest, and checks C(m, k + r) tuples, each
+    k + r positions read as a base and the r points of its gap.
+
+    Otherwise every base is scanned: a direct check of the
+    (n-k)-dimensional induced system on the positions off the base, or
+    on those in one gap (:func:`_span`), on the derived table
+    (:class:`_PinnedBase`) of the base, pinned once per scan.  When the
+    first mode's positions hold every other mode's (it is the induced
+    one, or alone) and its scan is exhaustive, so that every mode's is,
+    one scan of its positions serves every mode, each mode a range of
+    them (determinant._sign_scan's ``parts``), and every mode's counts
+    and witnesses are those its own scan would give.  Else, as when the
+    induced scan is sampled and each mode draws its sample from its own
+    positions, each mode scans alone.  The modes that one scan serves, a
+    unit, run over every base before the next unit, in the order of
+    ``ells``, and a scan's error is raised at once.  That is the error
+    that the modes, each run alone in turn, would meet first: the first
+    mode's first error in base order, for the one scan of a unit reads
+    exactly the first mode's positions, columns and tuples, in its
+    order, and meets exactly the errors that its own scan meets."""
     n, pts = system.dim, table.grid
-    m = len(pts)
-    bases = increasing_tuples(range(m), k, budget=base_budget, seed=seed)[0]
-    # by mode: its ell; the walk's pair, or None to scan every base (the walk,
-    # and with it every base's scan, C(m-k, n-k+1) <= C(m, n+1), is exhaustive);
-    # its counts; by verdict, the (witness, value, base) of its first base
-    modes = [(ell, read, dict.fromkeys(_COUNTS, 0), _read_off(table, k, *read) if read
-              else {}) for ell in ells
-             for read in [None if pairs is None else pairs.get(_cut(n, k, ell), ())]]
-    error = None
-    for base in sorted(bases):
-        pinned = None
-        for i, (ell, read, count, first) in enumerate(modes):
-            try:
-                local = _restricted_points(m, base, ell)
-                if len(local) < n - k + 1:
-                    count["bases_skipped"] += 1
-                    continue
+    m, r = len(pts), n - k + 1
+    if pairs is not None:
+        total = math.comb(m, k)
+        return [_pinned_verdict(ell, seed, dict(
+            tuples_checked=total * math.comb(m - k, r) if ell is None else math.comb(m, k + r),
+            bases_checked=c, bases_skipped=total - c, indeterminate_count=0),
+            _read_off(table, k, *pair) if (pair := pairs.get(_cut(n, k, ell))) else {})
+            for ell in ells for c in [total if ell is None else math.comb(m - r, k)]]
+    # by mode: its ell, its counts and, by verdict, the (witness, value, base)
+    # of its first base
+    modes = [(ell, dict.fromkeys(_COUNTS, 0), {}) for ell in ells]
+    bases = sorted(increasing_tuples(range(m), k, budget=base_budget, seed=seed)[0])
+    for unit in [modes] if len(ells) == 1 or ells[0] is None and math.comb(m - k, r) <= budget \
+            else [[mode] for mode in modes]:
+        for base in bases:
+            # the modes of the unit that check this base, each with its range
+            live = [(mode, (a, b)) for mode in unit for a, b in [_span(m, base, mode[0])]
+                    if b - a >= r]
+            if not live:
+                continue
+            _check_base(system.domain, (pts[j] for j in base))
+            # the induced system's punctured domain holds the points off the
+            # base that the system's domain holds; a unit of several modes
+            # starts with the induced one, whose range starts at 0
+            off = [j for j in range(m) if j not in base]
+            scans = _direct_scan(n - k, system.domain, off[slice(*live[0][1])],
+                                 _PinnedBase(table, k, base, tol_factor), budget, seed,
+                                 tol_factor, (), [span for _, span in live[1:]])
+            for ((_, count, first), _), scan in zip(live, scans):
                 count["bases_checked"] += 1
-                _check_base(system.domain, (pts[j] for j in base))
-                if read is not None:
-                    count["tuples_checked"] += math.comb(len(local), n - k + 1)
-                    continue
-                pinned = pinned or _PinnedBase(table, k, base, tol_factor)
-                # the induced system's punctured domain holds the points of
-                # local (all off the base) that the system's domain holds
-                scan = _direct_scan(n - k, system.domain, local, pinned, budget, seed, tol_factor)
-            except Exception as exc:    # raised below, unless an earlier mode fails later
-                error, modes = exc, modes[:i]
-                break
-            count["tuples_checked"] += scan.tuples_checked
-            count["indeterminate_count"] += scan.indeterminate_count
-            if scan.verdict is not None and scan.verdict not in first:
-                first[scan.verdict] = (scan.witness, scan.witness_value,
-                                       tuple(pts[j] for j in base))
-    if error is not None:
-        raise error
-    return [_pinned_verdict(ell, seed, count, first) for ell, _, count, first in modes]
+                count["tuples_checked"] += scan.tuples_checked
+                count["indeterminate_count"] += scan.indeterminate_count
+                if scan.verdict is not None and scan.verdict not in first:
+                    first[scan.verdict] = (scan.witness, scan.witness_value,
+                                           tuple(pts[j] for j in base))
+    return [_pinned_verdict(ell, seed, {**count, "bases_skipped": len(bases) - count[
+        "bases_checked"]}, first) for ell, count, first in modes]
 
 
 def _pinned_verdict(ell: int | None, seed: int, counts: dict, first: dict) -> ConvexityVerdict:

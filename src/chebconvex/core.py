@@ -163,11 +163,19 @@ class PointTuple:
                 if not keys[i] < keys[i + 1]:
                     raise OrderingViolation(i, i + 1,
                                             f"points[{i}]={self[i]} !< points[{i + 1}]={self[i + 1]}")
-        elif ordering is OrderingClass.PAIRWISE_DISTINCT:
-            for i in range(len(keys)):
-                for j in range(i + 1, len(keys)):
-                    if keys[i] == keys[j]:
-                        raise OrderingViolation(i, j, f"points[{i}] == points[{j}] == {self[i]}")
+        elif ordering is OrderingClass.PAIRWISE_DISTINCT and len(set(keys)) < len(keys):
+            # equal numbers hash alike, so only a tuple with an equal pair, or
+            # a NaN object twice, has fewer distinct keys; the first equal pair
+            # (i, j) in lexicographic order is then, in one pass, the smallest
+            # (first position of x, j) over the points x at j after their
+            # value's first, a NaN, equal to nothing, skipped (a dict or a set
+            # matches it to itself)
+            first: dict = {}
+            pair = min(((i, j) for j, x in enumerate(keys) if x == x
+                        for i in [first.setdefault(x, j)] if i != j), default=None)
+            if pair:
+                raise OrderingViolation(*pair, f"points[{pair[0]}] == points[{pair[1]}] == "
+                                               f"{self[pair[0]]}")
 
     def __len__(self) -> int:
         return len(self._xs)

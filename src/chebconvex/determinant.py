@@ -678,8 +678,11 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # certified scan's does.  A float scan for nonnegative determinants
 # reads the windows of its columns' exact values first (_dyadic), unless
 # it is one they cannot stand in for, and walks when they fail; a float
-# walk never stops: its near-zero count reads every tuple.  A sampled
-# scan, and a
+# walk never stops: its near-zero count reads every tuple.  The modes of
+# one pinned base are ranges of one scan's positions (its parts): a
+# float walk of the whole records each part's tuples too, and an exact
+# part walks its own range, stopping at its own first violation.  A
+# sampled scan, and a
 # scan of one-point tuples, exhaustive or not, calls det's elimination
 # on each tuple's prepared columns and _Tally.add on each (_scan_each).
 # Every exact scan tallies the integer determinants of its columns'
@@ -693,7 +696,10 @@ _NEAR_ZERO, _VIOLATION = "indeterminate", "violated"
 class SignScan:
     """Outcome of one sign scan.  ``verdict`` is "violated" or
     "indeterminate", with the lexicographically smallest such tuple as
-    witness, or ``None`` when every tuple passed."""
+    witness, or ``None`` when every tuple passed.  A scan given parts
+    (see :func:`_sign_scan`) gives one per part too, each the outcome
+    that a scan of the part's positions alone would give, with ``pairs``
+    None."""
 
     tuples_checked: int
     exhaustive: bool
@@ -725,10 +731,15 @@ class _Tally:
     violating tuple less its ``width`` entries after the first ``cut``,
     its base, and those entries, its inner tuple, of a scan whose values
     are exact or float (``exact``); ``at(t)`` gives the points of index
-    tuple t.  With ``stop`` set, :meth:`add` raises
-    :class:`_Stop` at the first violation it records: a walk that gives
-    it the tuples in order has its witness and the smallest pair of each
-    prefix cut then."""
+    tuple t.  ``parts`` (none unless set) holds an (a, b, tally) for each
+    tally, of the same rule, that records the tuples of the indices a <=
+    j < b as a scan of those alone would: the modes of one pinned base
+    that one float walk serves (see :func:`_sign_scan`).  Every tuple
+    this tally records whose first and last index lie in a part's range
+    goes to that part's :meth:`add` too.  With ``stop`` set, :meth:`add`
+    raises :class:`_Stop` at the first violation it records: a walk that
+    gives it the tuples in order has its witness and the smallest pair
+    of each prefix cut then."""
 
     def __init__(self, positive: bool, exact: bool, at, tol_factor: float):
         self.positive, self.exact, self.at, self.tol_factor = positive, exact, at, tol_factor
@@ -737,6 +748,7 @@ class _Tally:
         self.cuts: tuple = ()
         self.pairs: dict[tuple, tuple] = {}
         self.stop = False
+        self.parts: list = []
 
     def add(self, t: tuple, value: Scalar, biggest: float | None = None) -> None:
         """The sign rule of every scan.  ``positive`` asks for value > 0:
@@ -744,7 +756,8 @@ class _Tally:
         Otherwise value >= 0 is asked: below -tol is a violation, below 0
         near zero.  A float value gets tol from ``biggest``, the largest
         |entry| of its matrix; an exact one has tol = 0, so nothing is
-        near zero."""
+        near zero.  A tuple's tol reads its own matrix alone, so a part
+        classifies it as a scan of the part's range alone would."""
         tol = 0
         if not self.exact:
             if not math.isfinite(value):
@@ -764,8 +777,26 @@ class _Tally:
         best = self.first.get(kind)
         if best is None or t < best[0]:
             self.first[kind] = (t, value)
+        if self.parts:      # tested first: an empty loop costs each recorded tuple 8%
+            for a, b, part in self.parts:
+                if a <= t[0] and t[-1] < b:
+                    part.add(t, value, biggest)
         if self.stop and kind is _VIOLATION:
             raise _Stop
+
+    def scan(self, checked: int, exhaustive: bool, forms: dict, pairs=None) -> SignScan:
+        """The outcome of a scan of ``checked`` tuples that this tally
+        recorded: its smallest violating tuple, else its smallest near-zero
+        one, as the witness, with its value, an exact one once scaled by
+        its columns' scales (``forms`` by index); else no verdict."""
+        for verdict in (_VIOLATION, _NEAR_ZERO):
+            if verdict in self.first:
+                t, value = self.first[verdict]
+                if self.exact:
+                    value = Fraction(value, math.prod(forms[j][1] for j in t))
+                return SignScan(checked, exhaustive, verdict, self.at(t), value, self.near_zero,
+                                pairs)
+        return SignScan(checked, exhaustive, pairs=pairs)
 
     def row(self, t: tuple, js, values: list, top=0.0, base=0.0, colmax=()) -> None:
         """:meth:`add` of the tuples t + (j,), j in ``js``, with their
@@ -791,7 +822,7 @@ class _Tally:
 
 
 def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_factor: float,
-               positive: bool, cuts: tuple = ()) -> SignScan:
+               positive: bool, cuts: tuple = (), parts: list | None = None):
     """Classify the determinants of the columns of ``rows`` in ``table``
     for the increasing len(rows)-tuples of the increasing positions
     ``js`` of its sorted grid (exhaustive within ``budget``, else
@@ -809,7 +840,20 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     ``tuples_checked`` is C(m, n) either way.  Every column is read
     before the windows or the walk, and neither exact walk arithmetic
     nor a float walk under :func:`_dyadic`'s bound can raise, so no
-    window pass and no stop skips an error."""
+    window pass and no stop skips an error.
+
+    Given ``parts``, ranges (a, b) of the indices of ``js`` of an
+    exhaustive scan of two points or more, it returns a list: its own
+    :class:`SignScan`, then for each range the scan that the positions
+    js[a:b] alone would give, from the columns read once.  A range's
+    windows are a run of the whole's, cut short at b, so when the
+    whole's pass, every range's do; else each range reads its own, on
+    its own columns' exact values where :func:`_dyadic` refuses the
+    whole's, and one whose windows fail is walked: on a float scan by
+    the one walk of the whole, whose tuples it records too
+    (:attr:`_Tally.parts`), each with its own tolerance, so that every
+    count and witness is its own; on an exact one by its own walk of its
+    columns, which stops at its own first violation."""
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
@@ -817,30 +861,35 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     forms = _scan_columns(table, rows, js, [range(n)] + [(j,) for j in range(n, m)]
                           if exhaustive else tuples)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
+    spans = [(a, b, _Tally(positive, exact, tally.at, tol_factor))
+             for a, b in parts] if parts else ()
     pairs = None
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
     if ints is not None and _certified(ints, n, positive):
-        return SignScan(checked, exhaustive, pairs={} if exact else None)
-    if cols is None:
+        pairs = {} if exact else None
+    elif cols is None:
         _scan_each(forms, tuples, tally)
-    elif not exact:
-        _walk_float(cols, n, tally)
     else:
-        if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
-            tally.cuts, pairs = cuts, tally.pairs
-        tally.stop = all(c + w == n for c, w in tally.cuts)
-        with contextlib.suppress(_Stop):
-            _walk_exact(ints, n, tally)
-
-    for verdict in (_VIOLATION, _NEAR_ZERO):
-        if verdict in tally.first:
-            t, value = tally.first[verdict]
-            if exact:
-                value = Fraction(value, math.prod(forms[j][1] for j in t))
-            return SignScan(checked, exhaustive, verdict, tally.at(t), value, tally.near_zero,
-                            pairs)
-    return SignScan(checked, exhaustive, pairs=pairs)
+        # the parts whose own windows fail, each a range of the walk's columns
+        walking = [(a, b, part) for a, b, part in spans
+                   for own in [ints[a:b] if ints is not None
+                               else _dyadic(cols[a:b], n, positive, tol_factor)]
+                   if own is None or not _certified(own, n, positive)]
+        if not exact:
+            tally.parts = walking
+            _walk_float(cols, n, tally)
+        else:
+            if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
+                tally.cuts, pairs = cuts, tally.pairs
+            # an exact walk stops at its first violation, so each part walks its own
+            for a, b, walker in [(0, m, tally)] + walking:
+                walker.stop = all(c + w == n for c, w in walker.cuts)
+                with contextlib.suppress(_Stop):
+                    _walk_exact(ints[a:b], n, walker, a)
+    scan = tally.scan(checked, exhaustive, forms, pairs)
+    return scan if parts is None else [scan] + [
+        part.scan(math.comb(b - a, n), True, forms) for a, b, part in spans]
 
 
 def _scan_columns(table: _PointTable, rows: tuple, js, touched) -> dict:
@@ -883,9 +932,11 @@ def _scan_each(forms: dict, tuples, tally: _Tally) -> None:
             tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
 
 
-def _walk(cols: list, n: int, root, pivot, reduce, pair, zero, tally: _Tally) -> None:
-    """Depth-first walk over the increasing n-tuples of column indices
-    in lexicographic order.  Level d < n - 2 eliminates the tuple's d-th
+def _walk(cols: list, n: int, root, pivot, reduce, pair, zero, tally: _Tally,
+          start: int = 0) -> None:
+    """Depth-first walk over the increasing n-tuples of column indices,
+    column i of ``cols`` having index start + i, in lexicographic order.
+    Level d < n - 2 eliminates the tuple's d-th
     column: ``pivot(state, j, c)`` pivots on column j (``c``, already
     reduced by the prefix) and returns the new state and the step that
     ``reduce(rest, step)`` applies to the later columns, or ``None``
@@ -917,7 +968,7 @@ def _walk(cols: list, n: int, root, pivot, reduce, pair, zero, tally: _Tally) ->
                 u = t + tail
                 tally.add(u, *zero(u))
 
-    visit(0, (), root, range(len(cols)), cols)
+    visit(0, (), root, range(start, start + len(cols)), cols)
 
 
 def _walk_float(cols: list, n: int, tally: _Tally) -> None:
@@ -951,12 +1002,13 @@ def _walk_float(cols: list, n: int, tally: _Tally) -> None:
           lambda t: (0.0, max(colmax[j] for j in t)), tally)
 
 
-def _walk_exact(ints, n: int, tally: _Tally) -> None:
+def _walk_exact(ints, n: int, tally: _Tally, start: int = 0) -> None:
     """Bareiss elimination one column at a time over the columns scaled
-    to integers by the lcm of their denominators (``ints``), so the walk
-    records integer determinants of the scaled matrix, which carry the
-    sign.  A pair's values are :func:`_exact_pivot`'s and
-    :func:`_exact_reduce`'s operations on (a, b) and each later (x, y)."""
+    to integers by the lcm of their denominators (``ints``, of indices
+    from ``start`` on), so the walk records integer determinants of the
+    scaled matrix, which carry the sign.  A pair's values are
+    :func:`_exact_pivot`'s and :func:`_exact_reduce`'s operations on (a,
+    b) and each later (x, y)."""
 
     def pair(state, j, c, later):
         sign, prev = state
@@ -968,7 +1020,7 @@ def _walk_exact(ints, n: int, tally: _Tally) -> None:
         return None
 
     _walk(ints, n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
-          _exact_reduce, pair, lambda t: (0,), tally)
+          _exact_reduce, pair, lambda t: (0,), tally, start)
 
 
 def _certified(ints: list, n: int, positive: bool) -> bool:

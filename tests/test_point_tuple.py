@@ -8,7 +8,9 @@ The regressions check that each point is read once, that a sorted grid
 sorted again is itself, and that domains reject mixed backends."""
 
 import math
+import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -208,3 +210,44 @@ def test_an_interval_reads_the_ends_of_a_sorted_grid_of_integers():
     assert domain.asked == 2 + 2001
     with pytest.raises(EvaluationOutsideSupport, match=r"^grid point 0 is outside"):
         _check_domain(Interval(0, 2), grid, "grid point", range(len(grid)))
+
+
+# ---------------------------------------------------------------------------
+# the pairwise-distinct check in one pass
+
+def test_pairwise_distinct_reports_the_first_equal_pair_as_the_pairwise_loop():
+    """Seeded lists with repeats against the pairwise loop
+    (``oracles.check_ordering``): the same first pair (i, j) in
+    lexicographic order, not the first one met left to right, and the
+    same message.  A NaN equals nothing, not even the same object; -0.0
+    equals 0.0, and 1 equals Fraction(1) and 1.0."""
+    nan = math.nan
+    fixed = [[2, 5, 5, 2], [nan, nan], [nan, 1.0, float("nan"), 1.0], [-0.0, 0.0],
+             [0.0, 1.0, -0.0], [1, Fraction(1)], [Fraction(1, 2), 3, Fraction(1, 2), 3],
+             [1.0, 1], [3, 1, 2, 1, 3], [BIG, 1, BIG + 1, BIG]]
+    pools = [[0.0, -0.0, 1.0, 2.5, nan, -3.0], [0, 1, 2, Fraction(1), Fraction(5, 2), BIG],
+             [1, 2, 2.0, 1.0, nan, -0.0, 0]]
+    rng = random.Random(17)
+    drawn = [[rng.choice(pool) for _ in range(rng.randint(0, 8))]
+             for pool in pools for _ in range(200)]
+    differ = []
+    for xs in fixed + drawn:
+        got = outcome(lambda: PointTuple(xs, OrderingClass.PAIRWISE_DISTINCT).points)
+        want = outcome(lambda: OraclePointTuple(tuple(xs), OrderingClass.PAIRWISE_DISTINCT).points)
+        differ += [] if got[0] == want[0] == "ok" or got == want else [(xs, got, want)]
+    assert not differ
+    assert outcome(lambda: PointTuple([2, 5, 5, 2], OrderingClass.PAIRWISE_DISTINCT))[2:] \
+        == (0, 3)
+
+
+def test_a_large_sampled_table_checks_its_points_in_one_pass():
+    """SampledFn checks its points pairwise distinct; 20,000 of them take
+    one pass, not 2·10^8 comparisons."""
+    points = tuple(i / 8 for i in range(20_000))
+    start = time.perf_counter()
+    f = SampledFn(points, points)
+    assert time.perf_counter() - start < 1.0
+    assert f.required_backend() is Backend.FLOAT
+    with pytest.raises(OrderingViolation) as raised:
+        SampledFn(points + (points[7],), points + (0.0,))
+    assert (raised.value.i, raised.value.j) == (7, 20_000)

@@ -4,8 +4,8 @@ twice agrees on a round of ``short``, and of several workloads and seeds
 in one command, and a tree whose report differs in one field is caught,
 by request id; ``--slot``, which times only the slots it names; and
 ``--metrics``, which judges every request of a timed run's rounds on
-each tree as bench/run.py does and prints its latency metrics.  It reads
-bench/ only."""
+each tree as bench/run.py does and prints its latency metrics and
+``requests_per_s``.  It reads bench/ only."""
 
 import contextlib
 import dataclasses
@@ -163,6 +163,8 @@ def test_metrics_judge_each_tree_as_bench_run_does(monkeypatch):
     own = [[(2 * i + 1 + (i % 2 != t)) / 1000 for i in range(len(requests))] for t in (0, 1)]
     for tree, seconds in zip(found, own):
         assert tree["busy_s"] == pytest.approx(sum(seconds))
+    for tree, seconds in zip(found, own):   # bench/run.py's (attempted - failed) / busy seconds
+        assert tree["requests_per_s"] == (len(requests) - tree["failed"]) / sum(seconds)
     latency = [math.inf if r.id in failed else s for r, s in zip(requests, own[1])]
     assert found[1]["request_s.p90"] == slots.bench_run.percentile(latency, 0.9)
     assert found[1]["float.request_s.p50"] == slots.bench_run.percentile(
@@ -177,7 +179,7 @@ def test_metrics_run_the_rounds_of_a_timed_run(capsys, monkeypatch):
 
     def recorded(clis, warmup, rounds, goldens):
         seen.update(trees=len(clis), warmup=len(warmup), rounds=len(rounds))
-        return [dict.fromkeys((*slots.LATENCIES, "busy_s", "failed"), 1.0 + t)
+        return [dict.fromkeys((*slots.LATENCIES, "busy_s", "failed", "requests_per_s"), 1.0 + t)
                 for t in range(len(clis))]
     short = slots.workloads.WORKLOADS["short"]
     monkeypatch.setitem(slots.workloads.WORKLOADS, "short",
@@ -188,6 +190,7 @@ def test_metrics_run_the_rounds_of_a_timed_run(capsys, monkeypatch):
     rows = {line.split()[0]: line.split()[-3:] for line in capsys.readouterr().out.splitlines()}
     assert rows["request_s.p90"] == ["1000", "2000", "2.000"]
     assert rows["busy_s"] == ["1", "2", "2.000"]
+    assert rows["requests_per_s"] == ["1", "2", "2.000"]
 
 
 def test_metrics_take_neither_compare_nor_slot(capsys):

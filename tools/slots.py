@@ -35,9 +35,10 @@ one request to the next, and judges each tree's rounds as bench/run.py
 does (bench/check.py; a failed request, the recorded defect included,
 takes +inf seconds).  For each tree it prints bench/run.py's latency
 metrics, through its own ``percentile``, in milliseconds (unscaled wall
-times, which the alternation keeps comparable), the busy seconds and the
-failed requests; with two trees, also the ratio of the second to the
-first:
+times, which the alternation keeps comparable), the busy seconds, the
+failed requests and ``requests_per_s`` as bench/run.py computes it,
+(attempted - failed) / busy seconds; with two trees, also the ratio of
+the second to the first:
 
     python3 tools/slots.py --metrics --workload short --seed 1 PARENT_TREE .
 """
@@ -174,8 +175,9 @@ LATENCIES = ("request_s.p50", "request_s.p90", "exact.request_s.p50", "float.req
 
 
 def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
-    """For each tree, bench/run.py's latency metrics (seconds), its busy
-    seconds and its failed requests over the requests of ``rounds`` (one
+    """For each tree, bench/run.py's latency metrics (seconds) and
+    ``requests_per_s``, its busy seconds and its failed requests over the
+    requests of ``rounds`` (one
     list of requests per round), each run once on every tree, the first
     tree alternating from one request to the next, after the ``warmup``
     requests, which are not measured, and judged round by round against
@@ -199,7 +201,7 @@ def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
     out = []
     for tree_seconds, tree_failed in zip(seconds, failed):
         found = bench_run.end_to_end_metrics(done, tree_seconds, tree_failed, 0.0, 0.0)
-        out.append({**{name: found[name][0] for name in LATENCIES},
+        out.append({**{name: found[name][0] for name in (*LATENCIES, "requests_per_s")},
                     "busy_s": sum(tree_seconds), "failed": len(tree_failed)})
     return out
 
@@ -207,9 +209,9 @@ def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
 def report_metrics(trees: list, found: list, requests: int) -> None:
     print(f"{'metric':<24}" + "".join(f" {'tree ' + str(i):>10}" for i in range(len(trees)))
           + ("    ratio" if len(trees) == 2 else ""))
-    for name in (*LATENCIES, "busy_s", "failed"):
+    for name in (*LATENCIES, "busy_s", "failed", "requests_per_s"):
         scale = 1e3 if name in LATENCIES else 1
-        unit = " (ms)" if name in LATENCIES else " (s)" if name == "busy_s" else ""
+        unit = {"busy_s": " (s)", "failed": "", "requests_per_s": " (1/s)"}.get(name, " (ms)")
         values = [tree[name] for tree in found]
         cells = "".join(f" {v * scale:>10.4g}" for v in values)
         ratio = f" {values[1] / values[0]:>8.3f}" if len(values) == 2 and values[0] else ""
