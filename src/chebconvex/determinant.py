@@ -202,86 +202,22 @@ def det(m: Matrix) -> Scalar:
 # ---------------------------------------------------------------------------
 # column-step elimination
 #
-# Every determinant in the package is eliminated here, one column at a
-# time: a pivot step on a column records what reduces every later column
-# of the same matrix.  A column keeps only its rows not yet pivoted.
-# Float: partial pivoting (the first largest |entry| on ties), with the
-# pivot product negated on each row swap.  Exact: fraction-free
-# (Bareiss, Math. Comp. 22, 1968) elimination with the first nonzero
-# pivot, on columns scaled to integers.  Grid scans share the steps of a
-# tuple prefix between its extensions (see _walk).
-
-def _below(c: list, p: int) -> list:
-    """The rows of ``c`` after row 0 once rows 0 and p are swapped."""
-    rest = c[1:]
-    if p:
-        rest[p - 1] = c[0]
-    return rest
-
-
-def _float_pivot(result: float, c: list):
-    """Pivot on the float column ``c``: the row p of its largest |entry|.
-    Returns ``None`` when c[p] is zero, else the pivot product
-    ``result`` times c[p], negated on a row swap, and the step that
-    :func:`_float_reduce` applies."""
-    p, best = 0, abs(c[0])
-    for r in range(1, len(c)):
-        if abs(c[r]) > best:
-            p, best = r, abs(c[r])
-    pivot = c[p]
-    if pivot == 0.0:
-        return None
-    factors = [(i, v / pivot) for i, v in enumerate(_below(c, p))]
-    return (-result if p else result) * pivot, (p, factors)
-
-
-def _float_reduce(cols: list, step) -> list:
-    """The columns ``cols`` after one :func:`_float_pivot` step: rows 0
-    and p swapped, then the rows below row 0 less their multiple of it."""
-    p, factors = step
-    out = []
-    for c in cols:
-        top, r = c[p], c[1:]        # _below, inlined in this hot loop
-        if p:
-            r[p - 1] = c[0]
-        for i, f in factors:
-            r[i] -= f * top
-        out.append(r)
-    return out
-
+# Every determinant in the package is eliminated by one kernel,
+# _eliminate, one column at a time: a pivot step on a column records what
+# reduces every later column of the same matrix, and a column keeps only
+# its rows not yet pivoted.  Float: partial pivoting (the first largest
+# |entry| on ties), with the pivot product negated on each row swap.
+# Exact: fraction-free (Bareiss, Math. Comp. 22, 1968) elimination with
+# the first nonzero pivot, on columns scaled to integers.  The kernel
+# starts from its caller's pivot state where it has one (a level of a
+# grid scan's walk, which shares a tuple prefix's steps between its
+# extensions, see _walk), and re-applies kept steps to new columns (a
+# pinned base's appended point, see induced._PinnedBase.minor).
 
 def _float_last(result: float, v: float) -> float:
     """The last level: the pivot product times the last reduced entry,
     or 0.0 when that entry is zero."""
     return result * v if v != 0.0 else 0.0
-
-
-def _exact_pivot(state: tuple, c: list):
-    """Bareiss pivot on the integer column ``c``; ``state`` is (swap
-    sign, previous pivot).  Returns ``None`` when c is zero, else the
-    new state and the step that :func:`_exact_reduce` applies."""
-    sign, prev = state
-    p = next((r for r, v in enumerate(c) if v), None)
-    if p is None:
-        return None
-    pivot = c[p]
-    below = list(enumerate(_below(c, p)))
-    return (-sign if p else sign, pivot), (p, pivot, prev, below)
-
-
-def _exact_reduce(cols: list, step) -> list:
-    """The columns ``cols`` after one :func:`_exact_pivot` step."""
-    p, pivot, prev, below = step
-    out = []
-    for c in cols:
-        top, r = c[p], c[1:]        # _below, inlined in this hot loop
-        if p:
-            r[p - 1] = c[0]
-        for i, a in below:
-            # Bareiss step: the division by the previous pivot is exact.
-            r[i] = (pivot * r[i] - a * top) // prev
-        out.append(r)
-    return out
 
 
 def _form(c, exact: bool) -> tuple[list, int]:
@@ -294,23 +230,61 @@ def _form(c, exact: bool) -> tuple[list, int]:
     return [x.numerator * (lcm // x.denominator) for x in c], lcm
 
 
-def _eliminate(cols: list, k: int, exact: bool):
+def _eliminate(cols: list, k: int, exact: bool, state=None, steps: list | None = None):
     """Pivot on the first k of the prepared columns ``cols`` in turn,
-    each step reducing the later columns, which are left unchanged.
-    Returns the pivot state, the k steps and the reduced later columns,
-    or ``None`` when a pivot column is zero, so that every determinant
-    with these k leading columns is zero."""
-    state = (1, 1) if exact else 1.0
-    pivot, reduce = (_exact_pivot, _exact_reduce) if exact else (_float_pivot, _float_reduce)
-    steps = []
-    for _ in range(k):
-        pivoted = pivot(state, cols[0])
-        if pivoted is None:
-            return None
-        state, step = pivoted
-        steps.append(step)
-        cols = reduce(cols[1:], step)
-    return state, steps, cols
+    each step reducing the later columns; or, given kept ``steps``,
+    reduce every column of ``cols`` by them in turn instead.  The
+    columns given are left unchanged.  ``state`` is the pivot state the
+    steps start from, by default that of no step: float, the pivot
+    product with its swap signs (0.0 when it underflows, still a state);
+    exact, (swap sign, previous pivot).  Returns the state, the steps
+    and the reduced later columns, or ``None`` when a pivot column is
+    zero, so that every determinant with these k leading columns is zero.
+    A float step is (p, factors): rows 0 and p swapped, then row i + 1
+    less factor i times row 0; an exact one is (p, pivot, previous pivot,
+    the rows below row 0 after the swap), each row made (pivot * row -
+    below * row 0) // previous, a division that is exact."""
+    if state is None:
+        state = (1, 1) if exact else 1.0
+    made = []
+    for step in steps or [None] * k:
+        if step is None:
+            c, cols = cols[0], cols[1:]
+            # exact, the first nonzero entry; float, the first largest |entry|
+            pivot = next(filter(None, c), 0) if exact else max(c, key=abs)
+            if not pivot:
+                return None
+            p, below = c.index(pivot), c[1:]
+            if p:
+                below[p - 1] = c[0]
+            if exact:
+                step = p, pivot, state[1], list(enumerate(below))
+                state = (-state[0] if p else state[0]), pivot
+            else:
+                step = p, [(i, v / pivot) for i, v in enumerate(below)]
+                state = (-state if p else state) * pivot
+            made.append(step)
+        out = []
+        if exact:
+            p, pivot, prev, below = step
+            for c in cols:
+                top, r = c[p], c[1:]
+                if p:
+                    r[p - 1] = c[0]
+                for i, a in below:
+                    r[i] = (pivot * r[i] - a * top) // prev
+                out.append(r)
+        else:
+            p, factors = step
+            for c in cols:
+                top, r = c[p], c[1:]
+                if p:
+                    r[p - 1] = c[0]
+                for i, f in factors:
+                    r[i] -= f * top
+                out.append(r)
+        cols = out
+    return state, steps or made, cols
 
 
 def _prepared_det(forms: list, exact: bool) -> float | tuple[int, int]:
@@ -847,9 +821,12 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     :class:`SignScan`, then for each range the scan that the positions
     js[a:b] alone would give, from the columns read once.  A range's
     windows are a run of the whole's, cut short at b, so when the
-    whole's pass, every range's do; else each range reads its own, on
-    its own columns' exact values where :func:`_dyadic` refuses the
-    whole's, and one whose windows fail is walked: on a float scan by
+    whole's pass, every range's do; else each range reads its own: on
+    the whole's columns only from the whole's first failing window f on,
+    since every window before f passed, and none where its window at f
+    holds the columns of the whole's, which failed; on its own columns'
+    exact values, all of them, where :func:`_dyadic` refuses the
+    whole's.  One whose windows fail is walked: on a float scan by
     the one walk of the whole, whose tuples it records too
     (:attr:`_Tally.parts`), each with its own tolerance, so that every
     count and witness is its own; on an exact one by its own walk of its
@@ -866,21 +843,26 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     pairs = None
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
-    if ints is not None and _certified(ints, n, positive):
+    passed = 0 if ints is None else _certified(ints, n, positive)  # f, or m when all pass
+    if ints is not None and passed == m:
         pairs = {} if exact else None
     elif cols is None:
         _scan_each(forms, tuples, tally)
     else:
-        # the parts whose own windows fail, each a range of the walk's columns
+        # the parts whose own windows fail, each a range of the walk's columns.  On the
+        # whole's columns, a part's windows before the whole's first failing one pass,
+        # and one that holds that window's columns fails there
         walking = [(a, b, part) for a, b, part in spans
-                   for own in [ints[a:b] if ints is not None
+                   for own in [ints[max(a, passed):b] if ints is not None
                                else _dyadic(cols[a:b], n, positive, tol_factor)]
-                   if own is None or not _certified(own, n, positive)]
+                   if own is None or ints is not None and a <= passed
+                   and min(b, passed + n) == min(m, passed + n)
+                   or _certified(own, n, positive) < len(own)]
         if not exact:
             tally.parts = walking
             _walk_float(cols, n, tally)
         else:
-            if cuts and _certified(ints, n - 1, True):      # the lower part, read on its own
+            if cuts and _certified(ints, n - 1, True) == m:     # the lower part, on its own
                 tally.cuts, pairs = cuts, tally.pairs
             # an exact walk stops at its first violation, so each part walks its own
             for a, b, walker in [(0, m, tally)] + walking:
@@ -932,35 +914,37 @@ def _scan_each(forms: dict, tuples, tally: _Tally) -> None:
             tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
 
 
-def _walk(cols: list, n: int, root, pivot, reduce, pair, zero, tally: _Tally,
-          start: int = 0) -> None:
+def _walk(cols: list, n: int, exact: bool, pair, zero, tally: _Tally, start: int = 0,
+          colmax: list | None = None) -> None:
     """Depth-first walk over the increasing n-tuples of column indices,
     column i of ``cols`` having index start + i, in lexicographic order.
-    Level d < n - 2 eliminates the tuple's d-th
-    column: ``pivot(state, j, c)`` pivots on column j (``c``, already
-    reduced by the prefix) and returns the new state and the step that
-    ``reduce(rest, step)`` applies to the later columns, or ``None``
-    when the pivot column is zero, which makes every extension's
-    determinant zero.  Levels n - 2 and n - 1 are one pass:
-    ``pair(state, j, c, later)`` pivots on column j (``c``, two entries)
-    and gives the determinants of the tuples that end in j and one of the
-    ``later`` columns, with the rest of :meth:`_Tally.row`'s arguments,
-    or ``None`` when c is zero.  ``zero(t)`` gives the arguments of
-    :meth:`_Tally.add` after a tuple whose determinant is zero.  It
-    takes n >= 2: a scan of one-point tuples is :func:`_scan_each`'s."""
+    Level d < n - 2 eliminates the tuple's d-th column (already reduced
+    by the prefix) by one step of :func:`_eliminate` from the prefix's
+    state, which reduces the later columns, or finds it zero, which makes
+    every extension's determinant zero.  Levels n - 2 and n - 1 are one
+    pass: ``pair(state, big, j, c, later)`` pivots on column j (``c``,
+    two entries) and gives the determinants of the tuples that end in j
+    and one of the ``later`` columns, with the rest of
+    :meth:`_Tally.row`'s arguments, or ``None`` when c is zero; ``big``
+    is the largest of ``colmax`` (the largest |entry| of each float
+    column) over the prefix's columns, None when colmax is.  ``zero(t)``
+    gives the arguments of :meth:`_Tally.add` after a tuple whose
+    determinant is zero.  It takes n >= 2: a scan of one-point tuples is
+    :func:`_scan_each`'s."""
     last = n - 1
 
-    def visit(d, prefix, state, idx, cands):
+    def visit(d, prefix, state, big, idx, cands):
         for pos in range(len(cands) - (last - d)):
-            j, c = idx[pos], cands[pos]
+            j = idx[pos]
             t = prefix + (j,)
             if d < last - 1:
-                pivoted = pivot(state, j, c)
-                if pivoted is not None:
-                    visit(d + 1, t, pivoted[0], idx[pos + 1:], reduce(cands[pos + 1:], pivoted[1]))
+                done = _eliminate(cands[pos:], 1, exact, state)
+                if done is not None:
+                    visit(d + 1, t, done[0], colmax and max(big, colmax[j]), idx[pos + 1:],
+                          done[2])
                     continue
             else:
-                row = pair(state, j, c, cands[pos + 1:])
+                row = pair(state, big, j, cands[pos], cands[pos + 1:])
                 if row is not None:
                     tally.row(t, idx[pos + 1:], *row)
                     continue
@@ -968,24 +952,18 @@ def _walk(cols: list, n: int, root, pivot, reduce, pair, zero, tally: _Tally,
                 u = t + tail
                 tally.add(u, *zero(u))
 
-    visit(0, (), root, range(start, start + len(cols)), cols)
+    visit(0, (), (1, 1) if exact else 1.0, colmax and 0.0, range(start, start + len(cols)), cols)
 
 
 def _walk_float(cols: list, n: int, tally: _Tally) -> None:
     """Partial pivoting one column at a time over the float columns
-    ``cols``.  The state is (running pivot product with swap signs, max
-    |entry| of the prefix's columns).  A pair's values are
-    :func:`_float_pivot`'s, :func:`_float_reduce`'s and
-    :func:`_float_last`'s operations on (a, b) and each later (x, y)."""
+    ``cols``, the state the running pivot product with swap signs.  A
+    pair's values are :func:`_eliminate`'s and :func:`_float_last`'s
+    operations on (a, b) and each later (x, y)."""
     colmax = [max(map(abs, c)) for c in cols]
     sufmax = list(itertools.accumulate(reversed(colmax), max))[::-1]   # max of colmax[j:]
 
-    def pivot(state, j, c):
-        pivoted = _float_pivot(state[0], c)
-        return pivoted and ((pivoted[0], max(state[1], colmax[j])), pivoted[1])
-
-    def pair(state, j, c, later):
-        result, biggest = state
+    def pair(result, biggest, j, c, later):
         a, b = c
         if abs(b) > abs(a):
             r, f = -result * b, a / b
@@ -998,8 +976,8 @@ def _walk_float(cols: list, n: int, tally: _Tally) -> None:
         biggest = max(biggest, colmax[j])
         return values, max(biggest, sufmax[j + 1]), biggest, colmax
 
-    _walk(cols, n, (1.0, 0.0), pivot, _float_reduce, pair,
-          lambda t: (0.0, max(colmax[j] for j in t)), tally)
+    _walk(cols, n, False, pair, lambda t: (0.0, max(colmax[j] for j in t)), tally,
+          colmax=colmax)
 
 
 def _walk_exact(ints, n: int, tally: _Tally, start: int = 0) -> None:
@@ -1007,10 +985,9 @@ def _walk_exact(ints, n: int, tally: _Tally, start: int = 0) -> None:
     to integers by the lcm of their denominators (``ints``, of indices
     from ``start`` on), so the walk records integer determinants of the
     scaled matrix, which carry the sign.  A pair's values are
-    :func:`_exact_pivot`'s and :func:`_exact_reduce`'s operations on (a,
-    b) and each later (x, y)."""
+    :func:`_eliminate`'s operations on (a, b) and each later (x, y)."""
 
-    def pair(state, j, c, later):
+    def pair(state, big, j, c, later):
         sign, prev = state
         a, b = c
         if a:
@@ -1019,20 +996,22 @@ def _walk_exact(ints, n: int, tally: _Tally, start: int = 0) -> None:
             return [-sign * (b * x // prev) for x, y in later],
         return None
 
-    _walk(ints, n, (1, 1), lambda state, j, c: _exact_pivot(state, c),
-          _exact_reduce, pair, lambda t: (0,), tally, start)
+    _walk(ints, n, True, pair, lambda t: (0,), tally, start)
 
 
-def _certified(ints: list, n: int, positive: bool) -> bool:
-    """Whether the windows of consecutive columns certify that every
-    increasing n-tuple of the integer columns ``ints``, on their rows
-    0..n-1, has a determinant > 0 (``positive``) or >= 0 (see the module
-    docstring).  Window s holds the columns s..s+w-1, w = min(n, m - s),
-    and Bareiss elimination on them without pivoting makes its pivot at
-    step d (from 0) the leading (d+1)-minor: every pivot must be > 0,
-    except that a nonnegative scan allows a last pivot of 0 at step n -
-    1.  Rows past n - 1 are reduced but never pivot, so the lower part of
-    an n-row certificate, its steps 0..n-2 on every window, is itself the
+def _certified(ints: list, n: int, positive: bool) -> int:
+    """The first of the windows of consecutive columns that fails to
+    certify that every increasing n-tuple of the integer columns
+    ``ints``, on their rows 0..n-1, has a determinant > 0 (``positive``)
+    or >= 0 (see the module docstring), or len(ints) when none fails, and
+    the certificate holds.  Window s holds the columns s..s+w-1, w =
+    min(n, m - s), and Bareiss elimination on them without pivoting makes
+    its pivot at step d (from 0) the leading (d+1)-minor: every pivot
+    must be > 0, except that a nonnegative scan allows a last pivot of 0
+    at step n - 1.  So window s of the columns s..b-1 alone, b > s, is a
+    prefix of window s of ``ints``, and passes where that one does.  Rows
+    past n - 1 are reduced but never pivot, so the lower part of an n-row
+    certificate, its steps 0..n-2 on every window, is itself the
     certificate ``_certified(ints, n - 1, True)``: read on its own, it
     cannot stop at a last step that fails in a window before the one
     where a lower step fails."""
@@ -1041,11 +1020,10 @@ def _certified(ints: list, n: int, positive: bool) -> bool:
         for d in range(len(cols)):
             v = cols[0][0]
             if v < 0 or v == 0 and (positive or d < n - 1):
-                return False
+                return s
             if len(cols) > 1:
-                state, step = _exact_pivot(state, cols[0])
-                cols = _exact_reduce(cols[1:], step)
-    return True
+                state, _, cols = _eliminate(cols, 1, True, state)
+    return len(ints)
 
 
 def _dyadic(cols: list, n: int, positive: bool, tol_factor: float) -> list | None:

@@ -13,15 +13,17 @@ Both determinants read the point table of the points
 table and the points' positions on its grid, eliminates each
 determinant's prepared columns
 (determinant._prepared_det), and checks the denominator.  It serves
-every one-off value: divided_difference, each float variation window,
-each exact one whose f is not built directly, and each value of a
-derived function (induced.DerivedFn).  A variation window hands it
-slices of the columns its partition made in one call, where they are
-built directly; the step asks the table for the others.  An exact
-window whose rows are all built directly eliminates its shared rows
-once for both determinants (variation._shared_ratio) and takes the
-same denominator check (determinant.check_denominator), so the
-singular-denominator rule has one copy.  The pinned bases
+every one-off value: divided_difference, each variation window whose
+rows are not all built directly, and each value of a derived function
+(induced.DerivedFn).  Such a window hands it slices of the columns its
+partition made in one call, where some are built directly; the step
+asks the table for the others.  The windows of a partition whose rows
+are all built directly are computed in the partition's one pass
+(variation._window_sum): an exact one eliminates its shared rows once
+for both determinants, a float one eliminates its two slices with this
+step's checks and quotient inline, and either raises through the same
+denominator check (determinant.check_denominator) and :func:`_finite`,
+so the singular-denominator rule has one copy.  The pinned bases
 of the induced module, which share one eliminated base between many
 values, take the same checks.  An exact ratio stays in integers up to
 its one Fraction (:func:`_quotient`, which the pinned bases share).

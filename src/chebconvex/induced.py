@@ -62,9 +62,7 @@ from .determinant import (
     _At,
     _PointTable,
     _eliminate,
-    _exact_reduce,
     _float_last,
-    _float_reduce,
     _positivity,
     _scalar,
     check_denominator,
@@ -172,10 +170,12 @@ class _PinnedBase(_PointTable):
         (base..., x_j): its det, a float or, exact, the (det, scale) pair
         that determinant._prepared_det gives, and its prepared columns.
         Target t's first minor reads the base columns with x_j's in one
-        :meth:`_PointTable.columns` call, eliminates them and keeps their
-        prepared forms, pivot steps and scale, with the rows and the
-        parent's forms of them by position; a later one reads only x_j's
-        form and reduces it by the kept steps, as det does."""
+        :meth:`_PointTable.columns` call, eliminates the base columns and
+        keeps their prepared forms, pivot state and steps and scale, with
+        the rows and the parent's forms of them by position; every minor
+        reduces x_j's form (a later one reads only that) by the kept
+        steps, in one call of the kernel (determinant._eliminate), with
+        det's operations."""
         exact = self.backend is not Backend.FLOAT
         if self.kept[t] is None:
             rows = (*range(self.k), self.k + t)
@@ -192,10 +192,8 @@ class _PinnedBase(_PointTable):
         if done is None:    # a base pivot column is zero
             return ((0, 1) if exact else 0.0), forms
         state, steps, _ = done
-        col = [form[0]]
-        for step in steps:
-            col = (_exact_reduce if exact else _float_reduce)(col, step)
-        v = col[0][0]   # _prepared_det's last level
+        (col,) = _eliminate([form[0]], 0, exact, state, steps)[2]
+        v = col[0]      # _prepared_det's last level
         return ((state[0] * v, scale * form[1]) if exact else _float_last(state, v)), forms
 
     def denominator(self, j: int) -> list:

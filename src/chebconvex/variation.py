@@ -18,13 +18,16 @@ one running best.  Each window's divided difference reads the point
 table of its partition's grid: the rounds share the finest partition's,
 and each jittered partition reads its own.  A table makes a partition's
 directly built columns in one call per row set and the others window
-by window.  An exact window whose rows 0..n (the basis and f) are all
-built directly takes one elimination for both of its determinants,
-which share their rows 0..n-2 (Sylvester's identity, in Bareiss's
-fraction-free form); every other window is divided_difference's own
-ratio step (divdiff._ratio), two eliminations, so that a float window
-keeps divided_difference's bits.  An exact partition sum adds only the
-window values where the sum turns.
+by window.  A partition sum is one pass over its windows
+(:func:`_window_sum`).  An exact window whose rows 0..n (the basis and
+f) are all built directly is one elimination for both of its
+determinants, which share their rows 0..n-2 (Sylvester's identity, in
+Bareiss's fraction-free form), and stays a pair of integers: the sum
+compares windows by cross-multiplication and makes a Fraction only
+where it turns.  A float window whose rows are built directly takes
+two eliminations, so that it keeps divided_difference's bits, with
+that function's checks and quotient inline; every other window is
+divided_difference's own ratio step (divdiff._ratio).
 
 The one entry to partition sums is estimate_variation, which builds
 every partition it sums, so a partition's points are checked once, where
@@ -35,6 +38,7 @@ ends of int endpoints, which it checks once.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -55,7 +59,8 @@ from .core import (
     validate_tuple,
 )
 from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _PointTable, _finite_tol
-from .determinant import _check_points, _eliminate, _uniform_grid, check_denominator
+from .determinant import _check_points, _eliminate, _prepared_det, _tolerance, _uniform_grid
+from .determinant import check_denominator
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
     AnchorInfeasible,
@@ -103,64 +108,88 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: flo
     """The partition sum of f over the partition whose points are at
     the increasing positions ``js`` of the grid of ``table``: the
     absolute changes of the divided difference across consecutive
-    n-point windows, added up.  ``table`` holds the system's basis and f
-    and may be shared between the partitions its grid nests.  The
-    caller has checked the partition's points (at least n intervals, the
-    minimum gap, the domain), so each window's divided difference is
-    divided_difference's from its ratio step on.  On an exact table
-    whose rows 0..n are all built directly (exact polynomials), their
-    columns are made in one call for the whole partition
-    (:meth:`_PointTable.direct`), one scale per point, and each window
-    is :func:`_shared_ratio` of its slice: one elimination for both
-    determinants.  Otherwise each window is the shared ratio step,
-    divdiff._ratio: the columns of the denominator's rows and of the
-    numerator's rows that are built directly (float powers and affine
-    combinations of them, exact polynomials) are made in one call each
-    for the whole partition, and each window eliminates its slice of
-    them, bit for bit what divided_difference computes at its points; a
-    row set of another kind, or one whose one call raised, is asked for
-    window by window, after the window's denominator for the numerator,
-    so the first error met is the same.  Float windows keep two
-    eliminations: pivoting over the shared rows would change their
-    bits.  The sum is exact or float as the table's backend."""
+    n-point windows, added up in one pass over the windows.  ``table``
+    holds the system's basis and f and may be shared between the
+    partitions its grid nests.  The caller has checked the partition's
+    points (at least n intervals, the minimum gap, the domain), so each
+    window's divided difference is divided_difference's from its ratio
+    step on.
+
+    On an exact table whose rows 0..n are all built directly (exact
+    polynomials), their columns are made in one call for the whole
+    partition (:meth:`_PointTable.direct`), one scale per point, and a
+    window is one Bareiss elimination of its slice of the rows as
+    vectors over the points, pivoting on the shared rows 0..n-2: it
+    leaves the denominator (rows 0..n-1) and the numerator (rows 0..n-2
+    and n) as the residual entries of rows n-1 and n, each times one sign
+    and one scale, which cancel (Sylvester's identity).  The window is
+    that integer pair, its denominator made positive; a zero pivot means
+    the denominator vanishes, and :func:`check_denominator` raises as
+    divided_difference does.  On a float table whose denominator's rows
+    (0..n-1) and numerator's rows (0..n-2 and n) are built directly (float
+    powers and affine combinations of them), a window eliminates its
+    slices of the two, with divided_difference's checks and quotient
+    inline, bit for bit, and makes an :class:`_At` and calls
+    check_denominator or divdiff._finite only to raise.  Its tolerance
+    reads the largest |entry| of its denominator's columns from each
+    column's own, which is the same value: a NaN, the one entry that max
+    may skip, makes the denominator NaN or 0.0, which fails a check, and
+    check_denominator reads every entry again.  Every other window is
+    divdiff._ratio, which takes the slices of the rows built directly
+    and asks the table for the others window by window, after the
+    window's denominator for the numerator, so the first error met is the
+    same.  Float windows keep two eliminations: pivoting over the shared
+    rows would change their bits.
+
+    The float sum adds the changes in order.  The exact sum is that of
+    v[i]·(s[i-1] - s[i]), s[i] the sign of v[i+1] - v[i] (0 beyond both
+    ends), by cross-multiplication of the windows' integer pairs, with a
+    Fraction made only at a window where the sum turns."""
     n = system.dim
     m = len(js) - 1
     rows = tuple(range(n))
-    exact = table.backend is not Backend.FLOAT
+    grid, exact = table.grid, table.backend is not Backend.FLOAT
     both = exact and table.direct(rows + (n,), js)
     if both:
-        values = [_shared_ratio(both[i:i + n], _At(table.grid, js[i:i + n]), tol_factor)
-                  for i in range(m - n + 2)]
+        vecs = [list(r) for r in zip(*(c for c, _ in both))]
     else:
         den, num = (table.direct(r, js) for r in (rows, rows[:-1] + (n,)))
-        values = [_ratio(table, js[i:i + n], tol_factor, den and den[i:i + n],
-                         num and num[i:i + n])[0] for i in range(m - n + 2)]
-    if not exact:
-        total = 0.0
-        for i in range(m - n + 1):
-            total += abs(values[i + 1] - values[i])
-    else:   # exactly, as the sum of v[i]·(s[i-1] - s[i]), s[i] the sign of v[i+1] - v[i]
-        s = [0] + [1 if b > a else 0 if b == a else -1 for a, b in zip(values, values[1:])] + [0]
-        total = sum((v * (s[i] - s[i + 1]) for i, v in enumerate(values) if s[i] != s[i + 1]),
-                    values[0] - values[0])
-    return _finite(total, f"partition sum over {m} intervals", _At(table.grid, (js[0], js[-1])))
-
-
-def _shared_ratio(forms: list, at: _At, tol_factor: float) -> Fraction:
-    """The divided difference of row n of the exact prepared columns
-    ``forms`` of rows 0..n at n points, whose rows share one scale per
-    point, with respect to rows 0..n-1, at the points ``at``: one
-    Bareiss elimination of the rows as vectors over the points, pivoting
-    on the shared rows 0..n-2, leaves the denominator (rows 0..n-1) and
-    the numerator (rows 0..n-2 and n) as the residual entries of rows
-    n-1 and n, each times one sign and one scale, which cancel
-    (Sylvester's identity).  A zero pivot means the denominator
-    vanishes; :func:`check_denominator` then raises as
-    divided_difference does."""
-    done = _eliminate([list(r) for r in zip(*(c for c, _ in forms))], len(forms) - 1, True)
-    den, num = (0, 0) if done is None else (r[0] for r in done[2])
-    check_denominator((den, 1), forms, Backend.EXACT, at, tol_factor)
-    return Fraction(num, den)
+        inline = not exact and den and num
+        colmax = inline and [max(map(abs, c)) for c, _ in den]
+    total, turn = Fraction(0) if exact else 0.0, 0
+    for i in range(m - n + 2):
+        if both:
+            done = _eliminate([r[i:i + n] for r in vecs], n - 1, True)
+            d, v = (0, 0) if done is None else (r[0] for r in done[2])
+            if d == 0:
+                check_denominator((0, 1), both[i:i + n], Backend.EXACT, _At(grid, js[i:i + n]),
+                                  tol_factor)
+            value = (-v, -d) if d < 0 else (v, d)
+        elif inline:
+            d = _prepared_det(den[i:i + n], False)
+            if not (math.isfinite(d) and abs(d) > _tolerance(max(colmax[i:i + n]), n, tol_factor)
+                    and d != 0):
+                check_denominator(d, den[i:i + n], Backend.FLOAT, _At(grid, js[i:i + n]),
+                                  tol_factor)
+            value = _prepared_det(num[i:i + n], False) / d
+            if not math.isfinite(value):
+                _finite(value, "divided difference", _At(grid, js[i:i + n]))
+        else:
+            value = _ratio(table, js[i:i + n], tol_factor, den and den[i:i + n],
+                           num and num[i:i + n])[0]
+            if exact:
+                value = value.numerator, value.denominator
+        if i and not exact:
+            total += abs(value - prev)
+        elif i:     # s, the sign of v[i] - v[i-1]; where it changes, v[i-1]'s weight
+            s = ((c := value[0] * prev[1] - prev[0] * value[1]) > 0) - (c < 0)
+            if s != turn:
+                total += Fraction(*prev) * (turn - s)
+                turn = s
+        prev = value
+    if exact and turn:
+        total += Fraction(*prev) * turn
+    return _finite(total, f"partition sum over {m} intervals", _At(grid, (js[0], js[-1])))
 
 
 def _uniform_partition(a: Scalar, b: Scalar, m: int, backend: Backend) -> PointTuple:

@@ -11,6 +11,9 @@ package uses, so matching values certify both sides:
   that the package once exported, as they were before they read the
   table);
 * row-wise vs column-step elimination (``row_det``);
+* a pivot and a reduce function per backend, called per step, vs the
+  one elimination kernel with its own loops (``eliminate``,
+  ``reapply``, ``prepared_det``);
 * monomial enumeration vs accumulation (``homogeneous_by_enumeration``);
 * unsorted two-ended recursion vs the Newton table (``recursive_divdiff``);
 * one row-wise determinant per tuple vs prefix-shared elimination
@@ -231,6 +234,128 @@ def _det_float(rows: list[list]) -> float:
             for j in range(k + 1, n):
                 row_i[j] -= factor * row_k[j]
     return result
+
+
+# ---------------------------------------------------------------------------
+# the column-step elimination as the package ran it before its one
+# kernel, kept unchanged as a reference: a pivot function and a reduce
+# function per backend, each step a call of each.  ``eliminate`` takes a
+# starting state and ``reapply`` re-applies kept steps, as the kernel's
+# callers do; the rest is the package's old code.
+
+def _below(c: list, p: int) -> list:
+    """The rows of ``c`` after row 0 once rows 0 and p are swapped."""
+    rest = c[1:]
+    if p:
+        rest[p - 1] = c[0]
+    return rest
+
+
+def _float_pivot(result: float, c: list):
+    """Pivot on the float column ``c``: the row p of its largest |entry|.
+    Returns ``None`` when c[p] is zero, else the pivot product
+    ``result`` times c[p], negated on a row swap, and the step that
+    :func:`_float_reduce` applies."""
+    p, best = 0, abs(c[0])
+    for r in range(1, len(c)):
+        if abs(c[r]) > best:
+            p, best = r, abs(c[r])
+    pivot = c[p]
+    if pivot == 0.0:
+        return None
+    factors = [(i, v / pivot) for i, v in enumerate(_below(c, p))]
+    return (-result if p else result) * pivot, (p, factors)
+
+
+def _float_reduce(cols: list, step) -> list:
+    """The columns ``cols`` after one :func:`_float_pivot` step: rows 0
+    and p swapped, then the rows below row 0 less their multiple of it."""
+    p, factors = step
+    out = []
+    for c in cols:
+        top, r = c[p], c[1:]        # _below, inlined in this hot loop
+        if p:
+            r[p - 1] = c[0]
+        for i, f in factors:
+            r[i] -= f * top
+        out.append(r)
+    return out
+
+
+def _exact_pivot(state: tuple, c: list):
+    """Bareiss pivot on the integer column ``c``; ``state`` is (swap
+    sign, previous pivot).  Returns ``None`` when c is zero, else the
+    new state and the step that :func:`_exact_reduce` applies."""
+    sign, prev = state
+    p = next((r for r, v in enumerate(c) if v), None)
+    if p is None:
+        return None
+    pivot = c[p]
+    below = list(enumerate(_below(c, p)))
+    return (-sign if p else sign, pivot), (p, pivot, prev, below)
+
+
+def _exact_reduce(cols: list, step) -> list:
+    """The columns ``cols`` after one :func:`_exact_pivot` step."""
+    p, pivot, prev, below = step
+    out = []
+    for c in cols:
+        top, r = c[p], c[1:]        # _below, inlined in this hot loop
+        if p:
+            r[p - 1] = c[0]
+        for i, a in below:
+            # Bareiss step: the division by the previous pivot is exact.
+            r[i] = (pivot * r[i] - a * top) // prev
+        out.append(r)
+    return out
+
+
+def eliminate(cols: list, k: int, exact: bool, state=None):
+    """Pivot on the first k of the prepared columns ``cols`` in turn from
+    ``state`` (by default that of no step), each step reducing the later
+    columns.  Returns the pivot state, the k steps and the reduced later
+    columns, or ``None`` when a pivot column is zero."""
+    if state is None:
+        state = (1, 1) if exact else 1.0
+    pivot, reduce = (_exact_pivot, _exact_reduce) if exact else (_float_pivot, _float_reduce)
+    steps = []
+    for _ in range(k):
+        pivoted = pivot(state, cols[0])
+        if pivoted is None:
+            return None
+        state, step = pivoted
+        steps.append(step)
+        cols = reduce(cols[1:], step)
+    return state, steps, cols
+
+
+def reapply(cols: list, steps: list, exact: bool) -> list:
+    """The columns ``cols`` reduced by the kept ``steps`` in turn."""
+    for step in steps:
+        cols = (_exact_reduce if exact else _float_reduce)(cols, step)
+    return cols
+
+
+def prepared_det(forms: list, exact: bool):
+    """det of the columns of the prepared forms ``forms``, as
+    determinant._prepared_det gives it: a float, or the exact pair (det
+    of the integer columns, product of the scales)."""
+    done = eliminate([c for c, _ in forms], len(forms) - 1, exact)
+    if done is None:
+        return (0, 1) if exact else 0.0
+    state, _, (last,) = done
+    if exact:
+        return state[0] * last[0], math.prod(s for _, s in forms)
+    return state * last[0] if last[0] != 0.0 else 0.0
+
+
+def partition_sum(values: list):
+    """The partition sum of the window values ``values``: the absolute
+    changes between neighbours, added in order from zero."""
+    total = values[0] - values[0]   # zero of the right backend
+    for a, b in zip(values, values[1:]):
+        total += abs(b - a)
+    return total
 
 
 def homogeneous_by_enumeration(degree, points):

@@ -71,6 +71,12 @@ def holds(rows: list, positive: bool) -> bool:
     return all(v > 0 if positive else v >= 0 for v in minors(rows))
 
 
+def certified(cols: list, n: int, positive: bool) -> bool:
+    """Whether every window of ``cols`` passes: _certified's first failing
+    window is past the last."""
+    return _certified(cols, n, positive) == len(cols)
+
+
 def table_of(rows: list, dens: list) -> _PointTable:
     """A table whose function i takes row i over the denominators at
     the points 0..m-1."""
@@ -83,7 +89,7 @@ def table_of(rows: list, dens: list) -> _PointTable:
 @given(st.randoms(use_true_random=False))
 def test_a_passing_certificate_holds_on_every_tuple(rng):
     rows, _, positive = matrix(rng)
-    if _certified([list(c) for c in zip(*rows)], len(rows), positive):
+    if certified([list(c) for c in zip(*rows)], len(rows), positive):
         assert holds(rows, positive)
 
 
@@ -103,7 +109,7 @@ def test_the_sample_meets_and_misses_each_hypothesis():
     for seed in range(400):
         rows, _, positive = matrix(random.Random(seed))
         cols = [list(c) for c in zip(*rows)]
-        seen.add((positive, _certified(cols, len(rows), positive), holds(rows, positive)))
+        seen.add((positive, certified(cols, len(rows), positive), holds(rows, positive)))
     # certified; uncertified yet holding; failing, for each form
     for positive in (True, False):
         assert {(positive, True, True), (positive, False, True),
@@ -120,7 +126,7 @@ def test_the_sample_meets_and_misses_each_hypothesis():
 ])
 def test_windows_that_a_weaker_rule_would_pass(rows, positive):
     assert not holds(rows, positive)
-    assert not _certified([list(c) for c in zip(*rows)], len(rows), positive)
+    assert not certified([list(c) for c in zip(*rows)], len(rows), positive)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ def test_last_row_fails_while_the_lower_part_holds():
     # 1, x, then x^2 moved up at 2: window (1, 2, 3) fails its last step
     rows = [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 1, 6, 9, 16]]
     cols = [list(c) for c in zip(*rows)]
-    assert not _certified(cols, 3, False) and _certified(cols, 2, True)
+    assert not certified(cols, 3, False) and certified(cols, 2, True)
     negative = [t for t in itertools.combinations(range(5), 3)
                 if cofactor_det([[r[j] for j in t] for r in rows]) < 0]
     got = lower_scan(rows)
@@ -236,8 +242,8 @@ def test_lower_step_failing_after_the_first_failing_last_row():
     # miss that the lower part fails
     rows = [[1, 1, 1, -1], [1, 0, 2, 5]]
     cols = [list(c) for c in zip(*rows)]
-    assert not _certified(cols, 2, False) and not _certified(cols, 1, True)
-    assert _certified(cols[:3], 1, True)
+    assert not certified(cols, 2, False) and not certified(cols, 1, True)
+    assert certified(cols[:3], 1, True)
     got = lower_scan(rows, ((0, 1),))
     assert got.verdict == "violated" and got.pairs is None
 

@@ -219,6 +219,10 @@ def test_a_certified_scan_calls_no_float_elimination(monkeypatch):
     monkeypatch.setattr(determinant, "_walk_float", refuse)
     got = check_convex_induced(system, 1, ExpFn(), grid)
     assert got.verdict == "convex_on_sample" and got.indeterminate_count == 0
-    monkeypatch.setattr(determinant, "_float_pivot", refuse)
+    kernel = determinant._eliminate
+
+    def exact_only(cols, k, exact, *kept):
+        return kernel(cols, k, exact, *kept) if exact else refuse()
+    monkeypatch.setattr(determinant, "_eliminate", exact_only)
     got = check_convex_direct(system, ExpFn(), grid)
     assert got.verdict == "convex_on_sample" and got.tuples_checked == math.comb(12, 4)

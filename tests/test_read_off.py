@@ -86,7 +86,7 @@ def lower_holds(system: ChebyshevSystem, grid: list) -> bool:
     every window, holds: the condition of the read-off."""
     pts = sorted_grid(grid)
     cols = _PointTable(system.basis, pts).columns(tuple(range(system.dim)), range(len(pts)))
-    return _certified([c for c, _ in cols], system.dim, True)
+    return _certified([c for c, _ in cols], system.dim, True) == len(cols)
 
 
 def outcome(fn, *args):

@@ -13,7 +13,7 @@ windows pass where the whole's fail, a whole whose float windows
 error at a point inside one gap.  Guards count the scans: one per base
 on a float agreement, none and no listed base on an exact one that reads
 the walk, and a sampled-base agreement's direct walk that stops at its
-first violation."""
+first violation; and the windows a float agreement's parts read."""
 
 import math
 import random
@@ -111,8 +111,9 @@ def seen(monkeypatch):
     def spy(name, fn):
         def wrapped(*args):
             out = fn(*args)
-            if calls and calls[-1] is not None:
-                calls[-1].append((name, out is not None and out is not False))
+            if calls and calls[-1] is not None:     # a certificate holds past its last window
+                calls[-1].append((name, out is not None if name == "dyadic"
+                                  else out == len(args[0])))
             return out
         return wrapped
     monkeypatch.setattr(convexity, "_sign_scan", sign_scan)
@@ -200,6 +201,19 @@ def test_a_part_whose_windows_pass_is_not_walked(monkeypatch):
     whole, part = _sign_scan(table, (0, 1, 2), range(5), 10 ** 6, 0, 1e-10, False, (), [(0, 4)])
     assert whole.verdict == "violated" and whole.indeterminate_count == 1
     assert part.verdict is None and part.indeterminate_count == 0
+
+
+def test_a_part_reads_no_window_before_the_wholes_first_failing_one(monkeypatch):
+    """ROUNDED's windows pass, and a fifth column breaks the whole's at
+    window 2: the part of the first four reads only its windows 2 and 3,
+    the first a prefix of the whole's window 2, and passes."""
+    reads = []
+    real = determinant._certified
+    monkeypatch.setattr(determinant, "_certified",
+                        lambda ints, *a: reads.append((len(ints), real(ints, *a))) or reads[-1][1])
+    table = table_of(ROUNDED + [[1.0, 5.5, -13.0]], False)
+    whole, part = _sign_scan(table, (0, 1, 2), range(5), 10 ** 6, 0, 1e-10, False, (), [(0, 4)])
+    assert reads == [(5, 2), (2, 2)] and part.verdict is None
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +312,22 @@ def test_one_scan_per_base_on_a_float_agreement(monkeypatch):
     report = cross_mode_agreement(TRIG, f, grid)
     assert len(report.verdicts) == 1 + (1 + 2) + (1 + 3)
     assert len(calls) == 1 + math.comb(8, 1) + math.comb(8, 2)
+
+
+def test_a_float_agreement_reads_no_window_the_whole_settled(monkeypatch):
+    """The windows _certified reads on a float agreement kinked at 6: a
+    part read on the whole's columns starts at the whole's first failing
+    window f, and one whose window at f holds the whole's columns, which
+    failed, is not read.  Every part that read its windows from its own
+    start made 91 reads of 426 windows here."""
+    reads = []
+    real = determinant._certified
+    monkeypatch.setattr(determinant, "_certified",
+                        lambda ints, *a: reads.append(len(ints)) or real(ints, *a))
+    grid = [-3.0 + 0.35 * j for j in range(8)]
+    report = cross_mode_agreement(TRIG, kinked(grid, 6, 3.0), grid)
+    assert {v.verdict for _, v in report.verdicts} >= {"violated"}
+    assert (len(reads), sum(reads)) == (65, 324)
 
 
 def test_an_exact_read_off_lists_no_base(monkeypatch):

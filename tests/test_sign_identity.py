@@ -106,7 +106,7 @@ def lower_part(system: ChebyshevSystem, grid: list) -> str | None:
     except InputError:
         return None
     ints = [c for c, _ in cols]
-    runs = [_certified(ints[s:s + n], n, True) for s in range(len(ints))]
+    runs = [_certified(w, n, True) == len(w) for s in range(len(ints)) for w in [ints[s:s + n]]]
     return "holds" if all(runs) else "partial" if any(runs) else "fails"
 
 

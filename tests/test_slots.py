@@ -5,7 +5,8 @@ in one command, and a tree whose report differs in one field is caught,
 by request id; ``--slot``, which times only the slots it names; and
 ``--metrics``, which judges every request of a timed run's rounds on
 each tree as bench/run.py does and prints its latency metrics and
-``requests_per_s``.  It reads bench/ only."""
+``requests_per_s``, over ``--repeat`` passes with each tree's spread and
+wins.  It reads bench/ only."""
 
 import contextlib
 import dataclasses
@@ -191,6 +192,35 @@ def test_metrics_run_the_rounds_of_a_timed_run(capsys, monkeypatch):
     assert rows["request_s.p90"] == ["1000", "2000", "2.000"]
     assert rows["busy_s"] == ["1", "2", "2.000"]
     assert rows["requests_per_s"] == ["1", "2", "2.000"]
+
+
+def test_metrics_repeat_reports_the_spread_and_the_wins(capsys, monkeypatch):
+    """``--repeat N`` makes N passes, the first tree alternating pass by
+    pass; each metric is the median over the passes, and each tree's
+    requests_per_s gets its median, interquartile range and wins."""
+    rates = {0: [10, 11, 14, 12, 30], 1: [12, 10, 15, 13, 20]}      # by tree, by pass
+    orders = []
+
+    def recorded(clis, warmup, rounds, goldens):
+        trees = [int(cli.__name__.split(".")[0][-1]) for cli in clis]   # chebconvex_tree<i>.cli
+        orders.append(trees)
+        return [dict.fromkeys((*slots.LATENCIES, "busy_s", "failed"), 1.0 + t)
+                | {"requests_per_s": rates[t][len(orders) - 1]} for t in trees]
+    short = slots.workloads.WORKLOADS["short"]
+    monkeypatch.setitem(slots.workloads.WORKLOADS, "short",
+                        dataclasses.replace(short, max_rounds=1))
+    monkeypatch.setattr(slots, "metrics", recorded)
+    argv = ["--metrics", "--repeat", "5", "--workload", "short", str(ROOT), str(ROOT)]
+    assert slots.main(argv) == 0
+    assert orders == [[0, 1], [1, 0], [0, 1], [1, 0], [0, 1]]
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[-3:] for line in lines}
+    assert rows["requests_per_s"] == ["12", "13", "1.083"]
+    assert rows["busy_s"] == ["1", "2", "2.000"]
+    # inclusive quartiles: tree 0 reads 11 and 14, tree 1 reads 12 and 15
+    assert lines[-2:] == [
+        "tree 0: requests_per_s median 12, interquartile range 3, won 2 of 5 passes",
+        "tree 1: requests_per_s median 13, interquartile range 3, won 3 of 5 passes"]
 
 
 def test_metrics_take_neither_compare_nor_slot(capsys):

@@ -100,8 +100,9 @@ def test_every_exact_walk_reports_as_a_walk_of_every_tuple():
         want, pairs = full_walk_scan(table, tuple(range(n)), range(m), positive, cuts)
         assert got == want, seed
         cols = [list(c) for c in zip(*rows)]
-        lower = _certified(cols, n - 1, True) and not _certified(cols, n, positive)
-        assert got.pairs == ({} if _certified(cols, n, positive) else
+        held, whole = (_certified(cols, r, p) == m for r, p in ((n - 1, True), (n, positive)))
+        lower = held and not whole
+        assert got.pairs == ({} if whole else
                              pairs if cuts and lower else None), seed
         # what each case reaches
         kind = "none" if not cuts else "prefix" if all(sum(c) == n for c in cuts) else "mixed"

@@ -41,6 +41,15 @@ failed requests and ``requests_per_s`` as bench/run.py computes it,
 the second to the first:
 
     python3 tools/slots.py --metrics --workload short --seed 1 PARENT_TREE .
+
+With ``--repeat N`` it makes N such passes, the tree that runs first
+alternating from one pass to the next, and prints each metric's median
+over the passes; then, for each tree, the median and interquartile range
+(inclusive quartiles) of ``requests_per_s`` over the passes and the
+number of passes in which it read highest, so that a gain can be set
+against the spread of a tree's own passes before the benchmark runs:
+
+    python3 tools/slots.py --metrics --repeat 10 --workload short --seed 1 PARENT_TREE .
 """
 
 import argparse
@@ -206,19 +215,30 @@ def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
     return out
 
 
-def report_metrics(trees: list, found: list, requests: int) -> None:
+def report_metrics(trees: list, passes: list, requests: int) -> None:
+    """Each metric's median over ``passes`` (each a list of each tree's
+    metrics), and with more than one pass, each tree's spread and wins
+    in ``requests_per_s``."""
     print(f"{'metric':<24}" + "".join(f" {'tree ' + str(i):>10}" for i in range(len(trees)))
           + ("    ratio" if len(trees) == 2 else ""))
     for name in (*LATENCIES, "busy_s", "failed", "requests_per_s"):
         scale = 1e3 if name in LATENCIES else 1
         unit = {"busy_s": " (s)", "failed": "", "requests_per_s": " (1/s)"}.get(name, " (ms)")
-        values = [tree[name] for tree in found]
+        values = [statistics.median(found[t][name] for found in passes)
+                  for t in range(len(trees))]
         cells = "".join(f" {v * scale:>10.4g}" for v in values)
         ratio = f" {values[1] / values[0]:>8.3f}" if len(values) == 2 and values[0] else ""
         print(f"{name + unit:<24}{cells}{ratio}")
-    print(f"{requests} requests on each tree")
+    print(f"{requests} requests on each tree, {len(passes)} passes")
     for i, tree in enumerate(trees):
         print(f"tree {i}: {tree}")
+    for t in range(len(trees) if len(passes) > 1 else 0):
+        rates = [found[t]["requests_per_s"] for found in passes]
+        q1, q2, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+        won = sum(max(range(len(trees)), key=lambda i: found[i]["requests_per_s"]) == t
+                  for found in passes)
+        print(f"tree {t}: requests_per_s median {q2:.4g}, interquartile range {q3 - q1:.4g}, "
+              f"won {won} of {len(passes)} passes")
 
 
 def main(argv: list) -> int:
@@ -228,7 +248,8 @@ def main(argv: list) -> int:
     parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--rounds", type=int,
                         help="rounds 0..ROUNDS-1 (default 6; with --metrics, max_rounds)")
-    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--repeat", type=int,
+                        help="repetitions (default 5; with --metrics, passes, default 1)")
     parser.add_argument("--compare", action="store_true")
     parser.add_argument("--metrics", action="store_true")
     parser.add_argument("--slot", action="append", metavar="NAME",
@@ -248,10 +269,15 @@ def main(argv: list) -> int:
             rounds = [w.make_round(seeds[0], r, work)
                       for r in range(w.max_rounds if args.rounds is None else args.rounds)]
             warmup = w.make_round(seeds[0], -1, work)[:2]     # as bench/run.py warms up
-            found = metrics(clis, warmup, rounds, bench_run.golden_rounds(w.name, seeds[0]))
-        report_metrics(trees, found, sum(map(len, rounds)))
+            passes = []
+            for r in range(args.repeat or 1):       # the first tree alternates pass by pass
+                order = clis if r % 2 == 0 else clis[::-1]
+                found = metrics(order, warmup, rounds, bench_run.golden_rounds(w.name, seeds[0]))
+                passes.append(found if r % 2 == 0 else found[::-1])
+        report_metrics(trees, passes, sum(map(len, rounds)))
         return 0
     args.rounds = 6 if args.rounds is None else args.rounds
+    args.repeat = 5 if args.repeat is None else args.repeat
     with tempfile.TemporaryDirectory() as work:
         # each workload and seed writes its input files under its own directory
         runs = [(name, seed, workloads.generate(workloads.WORKLOADS[name], seed,
