@@ -632,8 +632,9 @@ def _index_tuples(m: int, k: int, budget: int, seed: int) -> tuple:
 # A scan reads its columns from a point table, at each grid point it
 # touches: in one call where they are built directly (_scan_columns),
 # else group by group in the order a per-tuple scan meets them.  An
-# exhaustive scan of tuples of two points or more then
-# walks the increasing tuples depth first in lexicographic order and
+# exhaustive scan of tuples of two points or more then walks the
+# increasing tuples depth first in lexicographic order (_walk, one walk
+# for both backends, which reads the backend off its tally) and
 # eliminates one tuple point (one matrix column) per level, so all
 # extensions of a prefix share its pivot steps, which are those of det:
 # its determinants are bit-identical to det's of each tuple; an exact
@@ -826,11 +827,12 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     since every window before f passed, and none where its window at f
     holds the columns of the whole's, which failed; on its own columns'
     exact values, all of them, where :func:`_dyadic` refuses the
-    whole's.  One whose windows fail is walked: on a float scan by
-    the one walk of the whole, whose tuples it records too
+    whole's.  One whose windows fail is walked (:func:`_walk`): on a
+    float scan by the one walk of the whole, whose tuples it records too
     (:attr:`_Tally.parts`), each with its own tolerance, so that every
     count and witness is its own; on an exact one by its own walk of its
-    columns, which stops at its own first violation."""
+    columns, from its range's first index, which stops at its own first
+    violation."""
     m, n = len(js), len(rows)
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
@@ -860,7 +862,7 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
                    or _certified(own, n, positive) < len(own)]
         if not exact:
             tally.parts = walking
-            _walk_float(cols, n, tally)
+            _walk(cols, n, tally)
         else:
             if cuts and _certified(ints, n - 1, True) == m:     # the lower part, on its own
                 tally.cuts, pairs = cuts, tally.pairs
@@ -868,7 +870,7 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
             for a, b, walker in [(0, m, tally)] + walking:
                 walker.stop = all(c + w == n for c, w in walker.cuts)
                 with contextlib.suppress(_Stop):
-                    _walk_exact(ints[a:b], n, walker, a)
+                    _walk(ints[a:b], n, walker, a)
     scan = tally.scan(checked, exhaustive, forms, pairs)
     return scan if parts is None else [scan] + [
         part.scan(math.comb(b - a, n), True, forms) for a, b, part in spans]
@@ -914,24 +916,29 @@ def _scan_each(forms: dict, tuples, tally: _Tally) -> None:
             tally.add(t, _prepared_det(matrix, exact=False), _biggest(matrix))
 
 
-def _walk(cols: list, n: int, exact: bool, pair, zero, tally: _Tally, start: int = 0,
-          colmax: list | None = None) -> None:
+def _walk(cols: list, n: int, tally: _Tally, start: int = 0) -> None:
     """Depth-first walk over the increasing n-tuples of column indices,
-    column i of ``cols`` having index start + i, in lexicographic order.
-    Level d < n - 2 eliminates the tuple's d-th column (already reduced
-    by the prefix) by one step of :func:`_eliminate` from the prefix's
-    state, which reduces the later columns, or finds it zero, which makes
-    every extension's determinant zero.  Levels n - 2 and n - 1 are one
-    pass: ``pair(state, big, j, c, later)`` pivots on column j (``c``,
-    two entries) and gives the determinants of the tuples that end in j
-    and one of the ``later`` columns, with the rest of
-    :meth:`_Tally.row`'s arguments, or ``None`` when c is zero; ``big``
-    is the largest of ``colmax`` (the largest |entry| of each float
-    column) over the prefix's columns, None when colmax is.  ``zero(t)``
-    gives the arguments of :meth:`_Tally.add` after a tuple whose
-    determinant is zero.  It takes n >= 2: a scan of one-point tuples is
-    :func:`_scan_each`'s."""
-    last = n - 1
+    column i of ``cols`` having index start + i, in lexicographic order,
+    at the backend of ``tally``: exact, Bareiss elimination over columns
+    scaled to integers by the lcm of their denominators, so the walk
+    records integer determinants of the scaled matrix, which carry the
+    sign; float, partial pivoting, the state the running pivot product
+    with swap signs.  Level d < n - 2 eliminates the tuple's d-th column
+    (already reduced by the prefix) by one step of :func:`_eliminate`
+    from the prefix's state, which reduces the later columns, or finds
+    it zero, which makes every extension's determinant zero.  Levels
+    n - 2 and n - 1 are one pass: a pivot on column j, of two entries
+    (a, b), gives the determinants of the tuples that end in j and one
+    later column (x, y) by :func:`_eliminate`'s operations, and
+    :func:`_float_last`'s on a float walk, for :meth:`_Tally.row`; where
+    (a, b) is zero, each tuple goes to :meth:`_Tally.add` with value 0.
+    A float walk reads the largest |entry| of each column, by its index,
+    so it starts at 0: it is always the whole scan's, whose parts it
+    records through :attr:`_Tally.parts`.  It takes n >= 2: a scan of
+    one-point tuples is :func:`_scan_each`'s."""
+    exact, last = tally.exact, n - 1
+    colmax = None if exact else [max(map(abs, c)) for c in cols]
+    sufmax = colmax and list(itertools.accumulate(reversed(colmax), max))[::-1]  # max(colmax[j:])
 
     def visit(d, prefix, state, big, idx, cands):
         for pos in range(len(cands) - (last - d)):
@@ -944,59 +951,28 @@ def _walk(cols: list, n: int, exact: bool, pair, zero, tally: _Tally, start: int
                           done[2])
                     continue
             else:
-                row = pair(state, big, j, cands[pos], cands[pos + 1:])
-                if row is not None:
-                    tally.row(t, idx[pos + 1:], *row)
+                (a, b), later = cands[pos], cands[pos + 1:]
+                if exact and (a or b):      # Bareiss: the first nonzero entry pivots
+                    sign, prev = state
+                    tally.row(t, idx[pos + 1:],
+                              [sign * ((a * y - b * x) // prev) for x, y in later] if a
+                              else [-sign * (b * x // prev) for x, y in later])
+                    continue
+                if not exact and ((swap := abs(b) > abs(a)) or a != 0.0):   # pivots on a at a tie
+                    if swap:
+                        r, f = -state * b, a / b
+                        values = [r * v if (v := x - f * y) != 0.0 else 0.0 for x, y in later]
+                    else:
+                        r, f = state * a, b / a
+                        values = [r * v if (v := y - f * x) != 0.0 else 0.0 for x, y in later]
+                    top = max(big, colmax[j])
+                    tally.row(t, idx[pos + 1:], values, max(top, sufmax[j + 1]), top, colmax)
                     continue
             for tail in itertools.combinations(idx[pos + 1:], last - d):
                 u = t + tail
-                tally.add(u, *zero(u))
+                tally.add(u, 0 if exact else 0.0, colmax and max(colmax[i] for i in u))
 
     visit(0, (), (1, 1) if exact else 1.0, colmax and 0.0, range(start, start + len(cols)), cols)
-
-
-def _walk_float(cols: list, n: int, tally: _Tally) -> None:
-    """Partial pivoting one column at a time over the float columns
-    ``cols``, the state the running pivot product with swap signs.  A
-    pair's values are :func:`_eliminate`'s and :func:`_float_last`'s
-    operations on (a, b) and each later (x, y)."""
-    colmax = [max(map(abs, c)) for c in cols]
-    sufmax = list(itertools.accumulate(reversed(colmax), max))[::-1]   # max of colmax[j:]
-
-    def pair(result, biggest, j, c, later):
-        a, b = c
-        if abs(b) > abs(a):
-            r, f = -result * b, a / b
-            values = [r * v if (v := x - f * y) != 0.0 else 0.0 for x, y in later]
-        elif a != 0.0:
-            r, f = result * a, b / a
-            values = [r * v if (v := y - f * x) != 0.0 else 0.0 for x, y in later]
-        else:
-            return None
-        biggest = max(biggest, colmax[j])
-        return values, max(biggest, sufmax[j + 1]), biggest, colmax
-
-    _walk(cols, n, False, pair, lambda t: (0.0, max(colmax[j] for j in t)), tally,
-          colmax=colmax)
-
-
-def _walk_exact(ints, n: int, tally: _Tally, start: int = 0) -> None:
-    """Bareiss elimination one column at a time over the columns scaled
-    to integers by the lcm of their denominators (``ints``, of indices
-    from ``start`` on), so the walk records integer determinants of the
-    scaled matrix, which carry the sign.  A pair's values are
-    :func:`_eliminate`'s operations on (a, b) and each later (x, y)."""
-
-    def pair(state, big, j, c, later):
-        sign, prev = state
-        a, b = c
-        if a:
-            return [sign * ((a * y - b * x) // prev) for x, y in later],
-        if b:
-            return [-sign * (b * x // prev) for x, y in later],
-        return None
-
-    _walk(ints, n, True, pair, lambda t: (0,), tally, start)
 
 
 def _certified(ints: list, n: int, positive: bool) -> int:

@@ -15,9 +15,9 @@ determinant's prepared columns
 (determinant._prepared_det), and checks the denominator.  It serves
 every one-off value: divided_difference, each variation window whose
 rows are not all built directly, and each value of a derived function
-(induced.DerivedFn).  Such a window hands it slices of the columns its
-partition made in one call, where some are built directly; the step
-asks the table for the others.  The windows of a partition whose rows
+(induced.DerivedFn).  It asks the table for every column, so such a
+window reads back the columns its partition built directly in one
+call.  The windows of a partition whose rows
 are all built directly are computed in the partition's one pass
 (variation._window_sum): an exact one eliminates its shared rows once
 for both determinants, a float one eliminates its two slices with this
@@ -132,8 +132,7 @@ def _finite(value: Scalar, what: str, at: tuple) -> Scalar:
     return value
 
 
-def _ratio(table: _PointTable, js, tol_factor: float, den_forms: list | None = None,
-           num_forms: list | None = None) -> tuple:
+def _ratio(table: _PointTable, js, tol_factor: float) -> tuple:
     """The divided difference of function k of ``table`` with respect to
     its functions 0..k-1 at the k positions ``js`` of its grid, with its
     numerator and denominator, each as :func:`determinant._prepared_det`
@@ -141,18 +140,17 @@ def _ratio(table: _PointTable, js, tol_factor: float, den_forms: list | None = N
     denominator's determinant, its checks (:func:`check_denominator`),
     the numerator's, then their :func:`_quotient`.  The prepared columns
     of the denominator (rows 0..k-1) and of the numerator (rows 0..k-2
-    and k) are ``den_forms`` and ``num_forms`` where the caller has them,
-    made without error in one call for a whole variation partition
-    (:meth:`determinant._PointTable.direct`), else the table's.  The
-    table is not asked for f's values or the numerator's columns before
-    the denominator passes."""
+    and k) are the table's, each made once: those a variation partition
+    made in one call (:meth:`determinant._PointTable.direct`) are read
+    back.  The table is not asked for f's values or the numerator's
+    columns before the denominator passes."""
     k, at = len(js), _At(table.grid, js)
     rows = tuple(range(k))
-    forms = den_forms or table.columns(rows, js)
+    forms = table.columns(rows, js)
     exact = table.backend is not Backend.FLOAT
     den = _prepared_det(forms, exact)
     check_denominator(den, forms, table.backend, at, tol_factor)
-    num = _prepared_det(num_forms or table.columns(rows[:-1] + (k,), js), exact)
+    num = _prepared_det(table.columns(rows[:-1] + (k,), js), exact)
     return _quotient(num, den, at), num, den
 
 

@@ -135,8 +135,8 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: flo
     column's own, which is the same value: a NaN, the one entry that max
     may skip, makes the denominator NaN or 0.0, which fails a check, and
     check_denominator reads every entry again.  Every other window is
-    divdiff._ratio, which takes the slices of the rows built directly
-    and asks the table for the others window by window, after the
+    divdiff._ratio, which reads the rows built directly back from the
+    table and asks it for the others window by window, after the
     window's denominator for the numerator, so the first error met is the
     same.  Float windows keep two eliminations: pivoting over the shared
     rows would change their bits.
@@ -175,8 +175,7 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: flo
             if not math.isfinite(value):
                 _finite(value, "divided difference", _At(grid, js[i:i + n]))
         else:
-            value = _ratio(table, js[i:i + n], tol_factor, den and den[i:i + n],
-                           num and num[i:i + n])[0]
+            value = _ratio(table, js[i:i + n], tol_factor)[0]
             if exact:
                 value = value.numerator, value.denominator
         if i and not exact:

@@ -137,12 +137,13 @@ def test_windows_that_a_weaker_rule_would_pass(rows, positive):
 def walks(monkeypatch):
     """The number of walks of exact exhaustive scans so far."""
     count = []
-    walk = determinant._walk_exact
+    walk = determinant._walk
 
-    def counted(*args):
-        count.append(1)
-        return walk(*args)
-    monkeypatch.setattr(determinant, "_walk_exact", counted)
+    def counted(cols, n, tally, *rest):
+        if tally.exact:
+            count.append(1)
+        return walk(cols, n, tally, *rest)
+    monkeypatch.setattr(determinant, "_walk", counted)
     return count
 
 

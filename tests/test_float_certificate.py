@@ -71,9 +71,13 @@ def near_zero_tuples(table, rows: tuple, grid, tol_factor: float) -> list:
 @pytest.fixture
 def walks(monkeypatch) -> list:
     """One entry for each float walk run from here on."""
-    walked, walk = [], determinant._walk_float
-    monkeypatch.setattr(determinant, "_walk_float",
-                        lambda *args: walked.append(True) or walk(*args))
+    walked, walk = [], determinant._walk
+
+    def counted(cols, n, tally, *rest):
+        if not tally.exact:
+            walked.append(True)
+        return walk(cols, n, tally, *rest)
+    monkeypatch.setattr(determinant, "_walk", counted)
     return walked
 
 
@@ -216,7 +220,9 @@ def test_a_certified_scan_calls_no_float_elimination(monkeypatch):
         raise AssertionError("a certified scan eliminated")
     system = trig_odd_system(1, -math.pi, 0.0)
     grid = [-3.0 + 2.8 * i / 11 for i in range(12)]
-    monkeypatch.setattr(determinant, "_walk_float", refuse)
+    walk = determinant._walk
+    monkeypatch.setattr(determinant, "_walk", lambda cols, n, tally, *rest: walk(
+        cols, n, tally, *rest) if tally.exact else refuse())
     got = check_convex_induced(system, 1, ExpFn(), grid)
     assert got.verdict == "convex_on_sample" and got.indeterminate_count == 0
     kernel = determinant._eliminate

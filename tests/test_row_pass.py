@@ -1,9 +1,11 @@
-"""The exhaustive walk finishes the last two elimination levels of each
-prefix in one pass: one list of determinants per pivot column, cleared
-by one comparison with the row's bound (``determinant._walk`` and
-``_Tally.row``).  Checked against one determinant per tuple
-(``oracles.walk_scan`` and ``float_walk_scan``): the same SignScan, by
-repr, or the same exception, by type and message."""
+"""The exhaustive walk, one function for both backends
+(``determinant._walk``), finishes the last two elimination levels of
+each prefix in one inline pass: one list of determinants per nonzero
+pivot column, cleared by one comparison with the row's bound
+(``_Tally.row``), and for a zero one each tuple at value 0.  Checked
+against one determinant per tuple (``oracles.walk_scan`` and
+``float_walk_scan``): the same SignScan, by repr, or the same
+exception, by type and message."""
 
 import contextlib
 from fractions import Fraction

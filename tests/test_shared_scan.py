@@ -193,8 +193,13 @@ def test_a_part_whose_windows_pass_is_not_walked(monkeypatch):
     walks and counts the rounded zero, and the part of the four passes
     with none, as its scan alone does."""
     walks = []
-    walk = determinant._walk_float
-    monkeypatch.setattr(determinant, "_walk_float", lambda *a: walks.append(a) or walk(*a))
+    walk = determinant._walk
+
+    def counted(cols, n, tally, *rest):
+        if not tally.exact:
+            walks.append(cols)
+        return walk(cols, n, tally, *rest)
+    monkeypatch.setattr(determinant, "_walk", counted)
     table = table_of(ROUNDED + [[1.0, 5.5, -13.0]], False)
     got, want = scans(table, (0, 1, 2), 5, [(0, 4)], 1e-10)
     assert got == want and len(walks) == 2     # the whole, given the part and alone

@@ -339,7 +339,7 @@ def test_float_windows_stay_divided_differences_bit_for_bit():
             assert num is not None
             for i in range(len(part) - n + 1):
                 window = range(i, i + n)
-                got = _ratio(table, window, 1e-10, None, num[i:i + n])
+                got = _ratio(table, window, 1e-10)
                 want = divided_difference(system, n, f, part[i:i + n])
                 assert repr(got[0]) == repr(want.value)
 
