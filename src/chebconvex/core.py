@@ -513,12 +513,6 @@ class SampledFn(FunctionSpec):
     def required_backend(self):
         return self._backend
 
-    def contains_point(self, p) -> bool:
-        try:
-            return p in self._table
-        except TypeError:
-            return False
-
     def _eval(self, x, backend):
         try:
             value = self._table[x]
@@ -573,7 +567,7 @@ def _check_evaluable(fn: FunctionSpec, domain: Domain) -> None:
             raise InputError(
                 "a sampled basis function is only evaluable on a finite-set domain")
         for p in domain.points:
-            if not fn.contains_point(p):
+            if p not in fn._table:
                 raise InputError(f"sampled basis function has no value at domain point {p}")
     elif isinstance(fn, AffineFn):
         for _, s in fn.terms:

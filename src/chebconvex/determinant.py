@@ -15,10 +15,11 @@ differences and variation windows) reads one point table, the table of
 one grid, which evaluates each function once per point, reads its
 backend once and builds columns of polynomials with exact coefficients
 from an exact point's integers, and float columns of powers and of
-affine combinations of powers by evaluate's own operations.  Grid scans
-share the elimination steps of a common tuple prefix, and a pinned base
-(induced._PinnedBase) keeps the steps of its base columns and reduces
-only each appended point's column by them.
+affine combinations of powers by evaluate's own operations, with a
+sampled function's values, looked up once per table by grid position,
+beside either.  Grid scans share the elimination steps of a common tuple
+prefix, and a pinned base (induced._PinnedBase) keeps the steps of its
+base columns and reduces only each appended point's column by them.
 
 A grid is a point tuple (:class:`core.PointTuple`), the one that
 validate_tuple or :func:`sorted_grid` returned.  A table is made for
@@ -89,6 +90,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
+    _BACKEND_TYPES,
     DEFAULT_MIN_GAP,
     AffineFn,
     Backend,
@@ -372,9 +374,10 @@ class _PointTable:
     the float or integer-scaled one the table's :attr:`backend` asks
     for.  Both are lists by grid position: a caller passes positions,
     never points.  Every value is read through :meth:`_value`, except in
-    the columns built directly (see :meth:`_kind`); a function whose
-    requirement clashes with the backend raises :class:`BackendMismatch`
-    at its first value."""
+    the columns built directly (see :meth:`_kind`), whose sampled
+    functions' values are looked up once per table (see :meth:`_row`); a
+    function whose requirement clashes with the backend raises
+    :class:`BackendMismatch` at its first value."""
 
     def __init__(self, fns: tuple, grid: PointTuple):
         self.fns, self.grid = fns, grid
@@ -394,22 +397,42 @@ class _PointTable:
 
     def _kind(self, rows: tuple):
         """How columns of ``rows`` are built directly, or None
-        (:func:`_direct_kind`), read once per rows tuple."""
+        (:func:`_direct_kind`, given each sampled function as :meth:`_row`
+        gives it), read once per rows tuple."""
         if rows not in self._kinds:
-            self._kinds[rows] = _direct_kind([self.fns[i] for i in rows], self.backend)
+            self._kinds[rows] = _direct_kind([self._row(i) if type(self.fns[i]) is SampledFn
+                                              else self.fns[i] for i in rows], self.backend)
         return self._kinds[rows]
+
+    def _row(self, i: int):
+        """The sampled function fns[i] as :func:`_direct_kind` takes it:
+        where its requirement does not clash with the backend and its table
+        holds every point of the grid, its values in the table, a list by
+        position with no None, looked up once per table as its _eval looks
+        them up and read at the backend; else f itself, whose values the
+        value path reads (a later rows tuple tries its lookup again)."""
+        f, values = self.fns[i], self._by_position(i)
+        if f.required_backend() in (None, self.backend) and any(v is None for v in values):
+            # a point off f's table is None, which the conversion refuses, and a value
+            # past the float range raises: the value path meets either, in its order
+            with contextlib.suppress(TypeError, ArithmeticError):
+                values[:] = map(_BACKEND_TYPES[self.backend], [f._table.get(x) for x in self.grid])
+        return f if any(v is None for v in values) else values
 
     def columns(self, rows: tuple, js) -> list:
         """The prepared forms of the columns of ``rows`` at the positions
         ``js``, each made once.  Values not computed yet are computed row
         by row over the positions, the order in which a matrix of these
         columns built row by row first needs them, and so are the float
-        columns built directly with an affine row, each value by
-        AffineFn's own operations in order (from 0.0, + float(c) * x ** k
-        term by term); float columns of powers alone are built point by
-        point.  A column built directly reads no function value; only a
-        float one can raise, OverflowError where a point, a power or a
-        coefficient leaves the float range (see :meth:`direct`)."""
+        columns built directly with an affine or a sampled row, each
+        affine value by AffineFn's own operations in order (from 0.0,
+        + float(c) * x ** k term by term), each sampled one the value the
+        table looked up (:meth:`_row`); float columns of powers alone are
+        built point by point, and exact ones by :func:`_polynomial_column`,
+        with the sampled rows' values put in afterwards.  A column built
+        directly evaluates no function; only a float one can raise,
+        OverflowError where a point, a power or a coefficient leaves the
+        float range (see :meth:`direct`)."""
         cols = self._by_position(rows)
         slow = [j for j in js if cols[j] is None]
         if not slow:
@@ -425,14 +448,23 @@ class _PointTable:
             for j in slow:
                 cols[j] = _form([row[j] for row in values], exact)
         elif backend is Backend.EXACT:
+            d, lcm, terms, samples = kind
             for j in slow:
-                cols[j] = _polynomial_column(*grid.pq(j), *kind)
+                cols[j] = _polynomial_column(*grid.pq(j), d, lcm, terms)
+            for j in slow if samples else ():
+                # the polynomial rows' reduced integers v over their scale s, and each
+                # sample's a/b at j: every entry at _form's one scale, lcm(s, b, ...)
+                (ints, s), vs = cols[j], {r: v[j] for r, v in samples.items()}
+                big = math.lcm(s, *(v.denominator for v in vs.values()))
+                cols[j] = [vs[r].numerator * (big // vs[r].denominator) if r in vs
+                           else v * (big // s) for r, v in enumerate(ints)], big
         elif all(type(k) is int for k in kind):     # powers alone, point by point
             for j in slow:
                 cols[j] = [x ** k for x in (float(grid[j]),) for k in kind], 1
-        else:   # with an affine row: row by row, in the value path's order
-            values = [[x ** k if type(k) is int else functools.reduce(
-                lambda s, t: s + float(t[0]) * x ** t[1], k, 0.0)
+        else:   # with an affine or sampled row: row by row, in the value path's order
+            values = [[k[j] for j in slow] if type(k) is list else [
+                x ** k if type(k) is int else functools.reduce(
+                    lambda s, t: s + float(t[0]) * x ** t[1], k, 0.0)
                 for x in map(float, map(grid.__getitem__, slow))] for k in kind]
             for j, *col in zip(slow, *values):
                 cols[j] = col, 1
@@ -478,32 +510,38 @@ class _PointTable:
 
 def _direct_kind(fns: list, backend: Backend):
     """How columns of the functions ``fns`` are built directly on a table
-    of ``backend``, or None: float, when every function is a power or an
-    affine combination of powers with int or float coefficients (a list
-    of :func:`_float_row`'s k or (c, k) pairs), as evaluate computes
-    their values; exact, by :func:`_polynomial_column` when all are
-    polynomials with exact coefficients (its arguments d, L and terms)."""
+    of ``backend``, or None.  A sampled function that the table builds
+    directly is given as its values by position, a list (see
+    :meth:`_PointTable._row`).  Float: when every function is a power, an
+    affine combination of powers with int or float coefficients or such a
+    list, the list of :func:`_float_row`'s k, (c, k) pairs and lists, as
+    evaluate computes their values.  Exact: when all are polynomials with
+    exact coefficients or such lists, :func:`_polynomial_column`'s
+    arguments d, L and terms (a list's row has no term), then the lists
+    by row, or None where there are none."""
     floats = [_float_row(f) for f in fns]
     if backend is Backend.FLOAT:
         return None if None in floats else floats
     if all(type(k) is int for k in floats):     # powers alone
-        return max(floats), 1, floats
-    polys = [_polynomial(f) for f in fns]
+        return max(floats), 1, floats, None
+    samples = {r: f for r, f in enumerate(fns) if type(f) is list} or None
+    polys = [{} if type(f) is list else _polynomial(f) for f in fns]
     if None in polys:
         return None
     lcm = math.lcm(*(c.denominator for poly in polys for c in poly.values()))
     terms = [[(k, int(c * lcm)) for k, c in poly.items() if c] for poly in polys]
-    return max((k for row in terms for k, _ in row), default=0), lcm, terms
+    return max((k for row in terms for k, _ in row), default=0), lcm, terms, samples
 
 
 def _float_row(f) -> int | tuple | None:
     """f's k if f is a power x ** k; the pairs (c, k) of its terms if f is
     an affine combination of powers with int or float coefficients, which
-    a float table reads with no requirement clash; else None."""
+    a float table reads with no requirement clash; f itself if it is a
+    sampled function's values by position (a list); else None."""
     if type(f) is AffineFn and all(type(s) is PowerFn and type(c) in (int, float)
                                    for c, s in f.terms):
         return tuple((c, s.k) for c, s in f.terms)
-    return f.k if type(f) is PowerFn else None
+    return f.k if type(f) is PowerFn else f if type(f) is list else None
 
 
 def _polynomial(f) -> dict | None:
@@ -531,7 +569,9 @@ def _polynomial_column(p: int, q: int, d: int, lcm: int, terms: list) -> tuple[l
     whose coefficients' denominators have the lcm L, in its prepared form:
     for each row's nonzero terms (k, c * L) in ``terms``, the sum of
     c * L * p^k * q^(d-k), and the scale q^d * L, both over their gcd,
-    as :func:`_form` makes them, with p/q in lowest terms.  Rows x^k,
+    as :func:`_form` makes them, with p/q in lowest terms.  A sampled
+    row has no term, so it is 0 here and leaves the gcd as it is;
+    :meth:`_PointTable.columns` puts its value in afterwards.  Rows x^k,
     given as their exponents k, need no gcd: that of x^d, p^d, is prime
     to q^d."""
     g = math.gcd(p, q)
@@ -1154,8 +1194,10 @@ def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
         ratios = [x.as_integer_ratio() for x in grid]
     except (ValueError, OverflowError):     # a NaN or infinite point
         return None
-    fns = [_image_fn(f, grid) for f in table.fns]
-    if None in fns:
+    # the functions' images up to the first that has none
+    fns = tuple(itertools.takewhile(lambda f: f is not None,
+                                    (_image_fn(f, grid) for f in table.fns)))
+    if len(fns) < len(table.fns):
         return None
     q = max((d for _, d in ratios), default=1)
     nums = [p * (q // d) for p, d in ratios]
@@ -1166,8 +1208,8 @@ def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
         _scan_columns(table, tuple(range(len(fns))), range(len(grid)), [range(len(grid))])
     except (ChebconvexError, ArithmeticError):  # the float check meets it, in its own order
         return None
-    return _PointTable(tuple(fns), PointTuple(ordering=OrderingClass.STRICTLY_INCREASING,
-                                              nums=nums, q=q))
+    return _PointTable(fns, PointTuple(ordering=OrderingClass.STRICTLY_INCREASING,
+                                       nums=nums, q=q))
 
 
 def _route(run, table: _PointTable, domain: Domain, exhaustive: bool, tol_factor: float,

@@ -116,8 +116,8 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: flo
     step on.
 
     On an exact table whose rows 0..n are all built directly (exact
-    polynomials), their columns are made in one call for the whole
-    partition (:meth:`_PointTable.direct`), one scale per point, and a
+    polynomials and samples), their columns are made in one call for the
+    whole partition (:meth:`_PointTable.direct`), one scale per point, and a
     window is one Bareiss elimination of its slice of the rows as
     vectors over the points, pivoting on the shared rows 0..n-2: it
     leaves the denominator (rows 0..n-1) and the numerator (rows 0..n-2
@@ -127,8 +127,8 @@ def _window_sum(table: _PointTable, system: ChebyshevSystem, js, tol_factor: flo
     the denominator vanishes, and :func:`check_denominator` raises as
     divided_difference does.  On a float table whose denominator's rows
     (0..n-1) and numerator's rows (0..n-2 and n) are built directly (float
-    powers and affine combinations of them), a window eliminates its
-    slices of the two, with divided_difference's checks and quotient
+    powers, affine combinations of them and samples), a window eliminates
+    its slices of the two, with divided_difference's checks and quotient
     inline, bit for bit, and makes an :class:`_At` and calls
     check_denominator or divdiff._finite only to raise.  Its tolerance
     reads the largest |entry| of its denominator's columns from each

@@ -6,7 +6,7 @@ by request id; ``--slot``, which times only the slots it names; and
 ``--metrics``, which judges every request of a timed run's rounds on
 each tree as bench/run.py does and prints its latency metrics and
 ``requests_per_s``, over ``--repeat`` passes with each tree's spread and
-wins.  It reads bench/ only."""
+wins in each of them.  It reads bench/ only."""
 
 import contextlib
 import dataclasses
@@ -196,16 +196,19 @@ def test_metrics_run_the_rounds_of_a_timed_run(capsys, monkeypatch):
 
 def test_metrics_repeat_reports_the_spread_and_the_wins(capsys, monkeypatch):
     """``--repeat N`` makes N passes, the first tree alternating pass by
-    pass; each metric is the median over the passes, and each tree's
-    requests_per_s gets its median, interquartile range and wins."""
+    pass; each metric is the median over the passes, and each tree gets
+    its median, interquartile range and wins in every latency metric (in
+    ms, the lowest winning) and in requests_per_s (the highest winning)."""
     rates = {0: [10, 11, 14, 12, 30], 1: [12, 10, 15, 13, 20]}      # by tree, by pass
+    p90s = {0: [10, 12, 9, 11, 30], 1: [9, 10, 10, 8, 10]}          # ms
     orders = []
 
     def recorded(clis, warmup, rounds, goldens):
         trees = [int(cli.__name__.split(".")[0][-1]) for cli in clis]   # chebconvex_tree<i>.cli
         orders.append(trees)
         return [dict.fromkeys((*slots.LATENCIES, "busy_s", "failed"), 1.0 + t)
-                | {"requests_per_s": rates[t][len(orders) - 1]} for t in trees]
+                | {"request_s.p90": p90s[t][len(orders) - 1] / 1e3,
+                   "requests_per_s": rates[t][len(orders) - 1]} for t in trees]
     short = slots.workloads.WORKLOADS["short"]
     monkeypatch.setitem(slots.workloads.WORKLOADS, "short",
                         dataclasses.replace(short, max_rounds=1))
@@ -217,10 +220,18 @@ def test_metrics_repeat_reports_the_spread_and_the_wins(capsys, monkeypatch):
     rows = {line.split()[0]: line.split()[-3:] for line in lines}
     assert rows["requests_per_s"] == ["12", "13", "1.083"]
     assert rows["busy_s"] == ["1", "2", "2.000"]
+    assert rows["request_s.p90"] == ["11", "10", "0.909"]
     # inclusive quartiles: tree 0 reads 11 and 14, tree 1 reads 12 and 15
     assert lines[-2:] == [
         "tree 0: requests_per_s median 12, interquartile range 3, won 2 of 5 passes",
         "tree 1: requests_per_s median 13, interquartile range 3, won 3 of 5 passes"]
+    # p90: tree 0 reads 10 and 12, tree 1 reads 9 and 10; equal latencies are
+    # the first tree's win
+    assert lines[-8:-4] == [
+        "tree 0: request_s.p90 (ms) median 11, interquartile range 2, won 1 of 5 passes",
+        "tree 1: request_s.p90 (ms) median 10, interquartile range 1, won 4 of 5 passes",
+        "tree 0: exact.request_s.p50 (ms) median 1000, interquartile range 0, won 5 of 5 passes",
+        "tree 1: exact.request_s.p50 (ms) median 2000, interquartile range 0, won 0 of 5 passes"]
 
 
 def test_metrics_take_neither_compare_nor_slot(capsys):

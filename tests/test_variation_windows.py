@@ -303,13 +303,15 @@ def test_vanishing_denominator_on_the_exact_route():
     (uniform(-1.0, 2.0, 12), affine((1, PowerFn(4)), (-1, PowerFn(3))), 2),
     (uniform(-1.0, 2.0, 12), ExpFn(), 2),
     (uniform(Fraction(-1), Fraction(2), 12),
-     SampledFn(uniform(Fraction(-1), Fraction(2), 12), tuple(range(13))), 2),
+     SampledFn(uniform(Fraction(-1), Fraction(2), 12), tuple(range(13))), 1),
+    (uniform(-1.0, 2.0, 12), SampledFn(uniform(-1.0, 2.0, 12), tuple(range(13))), 2),
 ])
 def test_eliminations_per_window(monkeypatch, points, f, per_window):
     """One elimination per window on an exact partition whose rows 0..n
-    are all built directly; two, the denominator's and the numerator's,
-    on a float one (partial pivoting over the shared rows would change a
-    float window's bits) and where f is not built directly."""
+    are all built directly, a sample that holds every point among them;
+    two, the denominator's and the numerator's, on a float one (partial
+    pivoting over the shared rows would change a float window's bits),
+    a sample's too, and where f is not built directly."""
     calls = []
     real = determinant._eliminate
 

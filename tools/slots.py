@@ -44,9 +44,10 @@ the second to the first:
 
 With ``--repeat N`` it makes N such passes, the tree that runs first
 alternating from one pass to the next, and prints each metric's median
-over the passes; then, for each tree, the median and interquartile range
-(inclusive quartiles) of ``requests_per_s`` over the passes and the
-number of passes in which it read highest, so that a gain can be set
+over the passes; then, for each latency metric and ``requests_per_s``
+and each tree, the median and interquartile range (inclusive quartiles)
+over the passes and the number of passes in which it read best (lowest
+latency, highest rate), so that a gain in any of them can be set
 against the spread of a tree's own passes before the benchmark runs:
 
     python3 tools/slots.py --metrics --repeat 10 --workload short --seed 1 PARENT_TREE .
@@ -218,7 +219,7 @@ def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
 def report_metrics(trees: list, passes: list, requests: int) -> None:
     """Each metric's median over ``passes`` (each a list of each tree's
     metrics), and with more than one pass, each tree's spread and wins
-    in ``requests_per_s``."""
+    in each latency metric (ms) and in ``requests_per_s``."""
     print(f"{'metric':<24}" + "".join(f" {'tree ' + str(i):>10}" for i in range(len(trees)))
           + ("    ratio" if len(trees) == 2 else ""))
     for name in (*LATENCIES, "busy_s", "failed", "requests_per_s"):
@@ -232,13 +233,15 @@ def report_metrics(trees: list, passes: list, requests: int) -> None:
     print(f"{requests} requests on each tree, {len(passes)} passes")
     for i, tree in enumerate(trees):
         print(f"tree {i}: {tree}")
-    for t in range(len(trees) if len(passes) > 1 else 0):
-        rates = [found[t]["requests_per_s"] for found in passes]
-        q1, q2, q3 = statistics.quantiles(rates, n=4, method="inclusive")
-        won = sum(max(range(len(trees)), key=lambda i: found[i]["requests_per_s"]) == t
-                  for found in passes)
-        print(f"tree {t}: requests_per_s median {q2:.4g}, interquartile range {q3 - q1:.4g}, "
-              f"won {won} of {len(passes)} passes")
+    for name in (*LATENCIES, "requests_per_s") if len(passes) > 1 else ():
+        best, scale, unit = (max, 1, "") if name == "requests_per_s" else (min, 1e3, " (ms)")
+        for t in range(len(trees)):
+            values = [found[t][name] * scale for found in passes]
+            q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            won = sum(best(range(len(trees)), key=lambda i: found[i][name]) == t
+                      for found in passes)
+            print(f"tree {t}: {name}{unit} median {q2:.4g}, interquartile range "
+                  f"{q3 - q1:.4g}, won {won} of {len(passes)} passes")
 
 
 def main(argv: list) -> int:
