@@ -29,6 +29,10 @@ from fractions import Fraction
 
 from . import __version__
 from .core import (
+    DEFAULT_SEED,
+    DEFAULT_TOL_FACTOR,
+    DEFAULT_TUPLE_BUDGET,
+    IDENTITY_SUITES,
     Backend,
     ChebyshevSystem,
     ConstFn,
@@ -40,29 +44,11 @@ from .core import (
     scalar_to_json,
     system_from_json,
 )
-from .determinant import (
-    DEFAULT_SEED,
-    DEFAULT_TOL_FACTOR,
-    DEFAULT_TUPLE_BUDGET,
-    _check_points,
-    _uniform_grid,
-    is_positive_chebyshev,
-)
-from .divdiff import classical_divided_difference, divided_difference
-from .convexity import (
-    check_convex_direct,
-    check_convex_induced,
-    check_convex_interval,
-    cross_mode_agreement,
-)
 from .errors import BoundViolated, ChebconvexError, InputError
-from .identities import IDENTITY_SUITES, run_suite
-from .systems import _system_from_id
-from .variation import (
-    RefinementStrategy,
-    check_variation_bound,
-    estimate_variation,
-)
+
+# The engine's modules are imported where a command or a reader first
+# calls them, not here: building the parser, and a command, loads only
+# what that command runs.
 
 class _JsonArgumentParser(argparse.ArgumentParser):
     """Argument errors come back as structured JSON, never bare text."""
@@ -154,6 +140,7 @@ def _csv_rows(path: str):
 
 
 def _parse_system(spec: str, backend: Backend, unsafe_domain: str | None) -> ChebyshevSystem:
+    from .systems import _system_from_id
     if spec is None:
         raise InputError("--system is required")
     if os.path.exists(spec):
@@ -239,6 +226,7 @@ def _sampled_from_csv(path: str, backend: Backend) -> SampledFn:
 
 
 def _parse_grid(spec: str, backend: Backend) -> PointTuple:
+    from .determinant import _check_points, _uniform_grid
     if spec is None:
         raise InputError("--grid is required")
     if spec.startswith("uniform:"):
@@ -337,6 +325,7 @@ def _emit(report: dict, out_path: str | None) -> int | None:
 # subcommands; each returns (results dict, exit code)
 
 def _cmd_chebcheck(args) -> tuple[dict, int]:
+    from .determinant import is_positive_chebyshev
     backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     grid = _parse_grid(args.grid, backend)
@@ -347,24 +336,26 @@ def _cmd_chebcheck(args) -> tuple[dict, int]:
 
 
 def _cmd_divdiff(args) -> tuple[dict, int]:
+    from .divdiff import classical_divided_difference, divided_difference
     backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     f = _parse_function(args.function, backend)
     points = _parse_grid(args.grid, backend)
     k = args.k if args.k is not None else len(points)
     dd = divided_difference(system, k, f, points, tol_factor=args.tol)
-    classical = classical_divided_difference(f, points)
     return {
         "order": dd.order,
         "points": _jsonify(dd.points.points),
         "value": _jsonify(dd.value),
         "numerator": _jsonify(dd.numerator),
         "denominator": _jsonify(dd.denominator),
-        "classical_value": _jsonify(classical),
+        "classical_value": _jsonify(classical_divided_difference(f, points)),
     }, 0
 
 
 def _cmd_convexity(args) -> tuple[dict, int]:
+    from .convexity import (check_convex_direct, check_convex_induced, check_convex_interval,
+                            cross_mode_agreement)
     if args.ell is not None and args.mode != "interval":
         raise InputError(f"--ell is read by mode interval only, not {args.mode}")
     if args.k is not None and args.mode == "direct":
@@ -398,6 +389,7 @@ def _cmd_convexity(args) -> tuple[dict, int]:
 
 
 def _cmd_identities(args) -> tuple[dict, int]:
+    from .identities import run_suite
     backend = Backend(args.backend)
     suites = IDENTITY_SUITES if args.suite == "all" else (args.suite,)
     if args.suite != "all" and args.suite not in IDENTITY_SUITES:
@@ -408,6 +400,7 @@ def _cmd_identities(args) -> tuple[dict, int]:
 
 
 def _cmd_variation(args) -> tuple[dict, int]:
+    from .variation import RefinementStrategy, check_variation_bound, estimate_variation
     decomposed = args.g is not None or args.h is not None
     if args.anchors is not None and not decomposed:
         raise InputError("--anchors is read with --g/--h only")

@@ -68,6 +68,9 @@ from typing import Iterable, Sequence
 
 from .core import (
     DEFAULT_MIN_GAP,
+    DEFAULT_SEED,
+    DEFAULT_TOL_FACTOR,
+    DEFAULT_TUPLE_BUDGET,
     Backend,
     ChebyshevSystem,
     Domain,
@@ -78,9 +81,6 @@ from .core import (
     validate_tuple,
 )
 from .determinant import (
-    DEFAULT_SEED,
-    DEFAULT_TOL_FACTOR,
-    DEFAULT_TUPLE_BUDGET,
     _PointTable,
     _finite_tol,
     _route,

@@ -55,6 +55,21 @@ Scalar = Union[int, Fraction, float]
 #: produce denominators too ill-conditioned to trust.
 DEFAULT_MIN_GAP = 1e-9
 
+#: Default scale factor of the positivity tolerance: a float determinant
+#: counts as positive only above ``tol_factor * (max |entry|) ** n``.
+DEFAULT_TOL_FACTOR = 1e-10
+
+#: Default number of tuples enumerated exhaustively before the checker
+#: switches to seeded random sampling.
+DEFAULT_TUPLE_BUDGET = 200_000
+
+DEFAULT_SEED = 0
+
+#: The names of the seeded fuzz suites over the determinant identities
+#: (see identities.py), in the order ``--suite all`` runs them.
+IDENTITY_SUITES = ("sylvester", "induced-det", "convexity-det", "slope-diff", "power-sum",
+                   "trig-cot")
+
 
 class Backend(enum.Enum):
     EXACT = "exact"

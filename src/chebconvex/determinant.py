@@ -92,6 +92,9 @@ from typing import Iterable, Sequence
 from .core import (
     _BACKEND_TYPES,
     DEFAULT_MIN_GAP,
+    DEFAULT_SEED,
+    DEFAULT_TOL_FACTOR,
+    DEFAULT_TUPLE_BUDGET,
     AffineFn,
     Backend,
     ChebyshevSystem,
@@ -118,16 +121,6 @@ from .errors import (
     NonSquareMatrix,
     SingularDenominator,
 )
-
-#: Default scale factor of the positivity tolerance: a float determinant
-#: counts as positive only above ``tol_factor * (max |entry|) ** n``.
-DEFAULT_TOL_FACTOR = 1e-10
-
-#: Default number of tuples enumerated exhaustively before the checker
-#: switches to seeded random sampling.
-DEFAULT_TUPLE_BUDGET = 200_000
-
-DEFAULT_SEED = 0
 
 #: The most points a uniform grid or a variation partition may hold,
 #: checked before any point is made (:func:`_check_points`): no scan of
@@ -375,15 +368,17 @@ class _PointTable:
     for.  Both are lists by grid position: a caller passes positions,
     never points.  Every value is read through :meth:`_value`, except in
     the columns built directly (see :meth:`_kind`), whose sampled
-    functions' values are looked up once per table (see :meth:`_row`); a
-    function whose requirement clashes with the backend raises
-    :class:`BackendMismatch` at its first value."""
+    functions' values are looked up once per table (see :meth:`_row`),
+    or given as ``values``, {i: the values of fns[i] by position}, which
+    fns[i] is not asked for; a function whose requirement clashes with
+    the backend raises :class:`BackendMismatch` at its first value."""
 
-    def __init__(self, fns: tuple, grid: PointTuple):
+    def __init__(self, fns: tuple, grid: PointTuple, values: dict | None = None):
         self.fns, self.grid = fns, grid
         self._kinds: dict = {}      # rows -> _kind(rows)
-        self._rows: set = set()     # i where fns[i]'s requirement was found to hold
-        self._lists: dict = {}      # rows or i -> columns or values of fns[i], by position
+        # i where fns[i]'s requirement was found to hold, or its values were given
+        self._rows: set = set(values or ())
+        self._lists: dict = dict(values or ())  # rows or i -> columns or values of fns[i]
 
     @functools.cached_property
     def backend(self) -> Backend:
@@ -1158,20 +1153,23 @@ def _rational(c) -> Fraction | None:
 def _image_fn(f, grid: PointTuple):
     """The function whose values at the exact values of the float points
     of ``grid`` are f's true values there, or None: a power as it is; a
-    constant, affine combination or sampled function (at the grid's
-    points) with its scalars made Fractions by :func:`_rational`."""
+    constant or affine combination with its scalars made Fractions by
+    :func:`_rational`.  A sampled function's image is its values so made
+    at the grid's points, a list by position, which an exact image table
+    is given (see :func:`_exact_image`); in an affine combination, the
+    sampled function of those values at the exact points."""
     if type(f) is PowerFn:
         return f
     if type(f) is ConstFn:
         scalars, make = [f.c], lambda cs: ConstFn(cs[0])
     elif type(f) is AffineFn:
-        inner = [_image_fn(s, grid) for _, s in f.terms]
+        inner = [SampledFn(tuple(map(Fraction, grid)), tuple(g)) if type(g) is list else g
+                 for g in (_image_fn(s, grid) for _, s in f.terms)]
         if None in inner:
             return None
         scalars, make = [c for c, _ in f.terms], lambda cs: AffineFn(tuple(zip(cs, inner)))
     elif type(f) is SampledFn:
-        scalars, make = [f._table.get(x) for x in grid], \
-            lambda vs: SampledFn(tuple(map(Fraction, grid)), tuple(vs))
+        scalars, make = [f._table.get(x) for x in grid], list
     else:
         return None
     rs = [None if c is None else _rational(c) for c in scalars]
@@ -1181,7 +1179,9 @@ def _image_fn(f, grid: PointTuple):
 def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
     """The exact image of a float check of ``table``'s functions on its
     sorted grid: the point table of :func:`_image_fn`'s functions on the
-    grid's one-scale integer form, or None when the table reads its grid
+    grid's one-scale integer form, given each sampled function's image as
+    its values (the table keeps the sampled function itself, which it
+    does not ask for them), or None when the table reads its grid
     exactly, a function has no image, an integer would pass
     MAX_IMAGE_BITS, or the float input fails a check: a point that is
     not finite or lies outside ``domain``, or a function value that
@@ -1208,8 +1208,10 @@ def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
         _scan_columns(table, tuple(range(len(fns))), range(len(grid)), [range(len(grid))])
     except (ChebconvexError, ArithmeticError):  # the float check meets it, in its own order
         return None
-    return _PointTable(fns, PointTuple(ordering=OrderingClass.STRICTLY_INCREASING,
-                                       nums=nums, q=q))
+    return _PointTable(tuple(f if type(image) is list else image
+                             for f, image in zip(table.fns, fns)),
+                       PointTuple(ordering=OrderingClass.STRICTLY_INCREASING, nums=nums, q=q),
+                       {i: image for i, image in enumerate(fns) if type(image) is list})
 
 
 def _route(run, table: _PointTable, domain: Domain, exhaustive: bool, tol_factor: float,
@@ -1258,10 +1260,11 @@ def _float_witness(v, table: _PointTable, tol_factor: float, derived) -> tuple:
     if v.verdict != _VIOLATION:
         return v, True
     grid = table.grid
-    at = {x: j for j, x in enumerate(grid)}     # a Fraction finds the float equal to it
-    t, spelled = tuple(at[x] for x in v.witness), {}
+    # a point's position by its integer ratio in lowest terms, a float's or a Fraction's alike
+    at = {x.as_integer_ratio(): j for j, x in enumerate(grid)}
+    t, spelled = tuple(at[x.as_integer_ratio()] for x in v.witness), {}
     if getattr(v, "witness_base", None) is not None:
-        base = tuple(at[x] for x in v.witness_base)
+        base = tuple(at[x.as_integer_ratio()] for x in v.witness_base)
         table = derived(table, len(base), base, tol_factor)
         spelled["witness_base"] = tuple(grid[j] for j in base)
     forms = table.columns(tuple(range(len(t))), t)

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .core import (
+    DEFAULT_TOL_FACTOR,
     Backend,
     ChebyshevSystem,
     FunctionSpec,
@@ -51,7 +52,6 @@ from .core import (
     validate_tuple,
 )
 from .determinant import (
-    DEFAULT_TOL_FACTOR,
     _At,
     _PointTable,
     _finite_tol,

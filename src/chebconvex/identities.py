@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 
 from .convexity import _convexity_identity
-from .core import Backend, PowerFn
+from .core import IDENTITY_SUITES, Backend, PowerFn
 from .determinant import Matrix, matrix_from_rows, sylvester_check
 from .divdiff import power_divdiff_check
 from .errors import InputError
@@ -133,9 +133,7 @@ def _trig_cot(rng, backend, seed):
     return rel <= 1e-12, abs(lhs - rhs), rel, {"x": x, "y": y, "lhs": lhs, "rhs": rhs}
 
 
-_TRIALS = {"sylvester": _sylvester, "induced-det": _induced_det,
-           "convexity-det": _convexity_det, "slope-diff": partial(_convexity_det, slopes=True),
-           "power-sum": _power_sum, "trig-cot": _trig_cot}
-
-#: The suite names, in the order ``--suite all`` runs them.
-IDENTITY_SUITES = tuple(_TRIALS)
+#: Each suite's trial function, by the suite's name in core.IDENTITY_SUITES.
+_TRIALS = dict(zip(IDENTITY_SUITES, (
+    _sylvester, _induced_det, _convexity_det, partial(_convexity_det, slopes=True),
+    _power_sum, _trig_cot), strict=True))

@@ -41,6 +41,9 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_SEED,
+    DEFAULT_TOL_FACTOR,
+    DEFAULT_TUPLE_BUDGET,
     Backend,
     ChebyshevSystem,
     Domain,
@@ -55,9 +58,6 @@ from .core import (
     validate_tuple,
 )
 from .determinant import (
-    DEFAULT_SEED,
-    DEFAULT_TOL_FACTOR,
-    DEFAULT_TUPLE_BUDGET,
     PositivityReport,
     _At,
     _PointTable,

@@ -51,6 +51,8 @@ from .core import (
     PointTuple,
     Scalar,
     DEFAULT_MIN_GAP,
+    DEFAULT_SEED,
+    DEFAULT_TOL_FACTOR,
     _BACKEND_TYPES,
     _check_domain,
     affine,
@@ -58,9 +60,17 @@ from .core import (
     scalar_backend,
     validate_tuple,
 )
-from .determinant import DEFAULT_SEED, DEFAULT_TOL_FACTOR, _At, _PointTable, _finite_tol
-from .determinant import _check_points, _eliminate, _prepared_det, _tolerance, _uniform_grid
-from .determinant import check_denominator
+from .determinant import (
+    _At,
+    _PointTable,
+    _check_points,
+    _eliminate,
+    _finite_tol,
+    _prepared_det,
+    _tolerance,
+    _uniform_grid,
+    check_denominator,
+)
 from .divdiff import _finite, _ratio, divided_difference
 from .errors import (
     AnchorInfeasible,

@@ -1,6 +1,6 @@
 """Every public name of the package has a caller.
 
-A name that ``chebconvex/__init__.py`` imports must be referenced
+A name that ``chebconvex/__init__.py`` maps to its module must be referenced
 outside its own definition: in the package's code (as a name, an
 attribute or an import in ``src/chebconvex/``), in README.md or in
 ``bench/``.  Tests do not count, so a name that only tests call is
@@ -10,15 +10,15 @@ import ast
 import re
 from pathlib import Path
 
+import chebconvex
+
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "chebconvex"
 
 
 def exported() -> list:
-    """The names that the package's ``__init__.py`` imports."""
-    tree = ast.parse((PKG / "__init__.py").read_text())
-    return sorted(alias.asname or alias.name for node in tree.body
-                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+    """The names that the package's ``__init__.py`` maps to their modules."""
+    return sorted(chebconvex._MODULE_OF)
 
 
 def code_references(path: Path) -> set:

@@ -7,7 +7,7 @@ scale), float ones against evaluate() bit for bit.  A sample that misses
 a point or whose requirement clashes keeps the value path, and meets its
 error, with its message, at the same point as before.  Also the exact
 image of a float check, which is not made past the first function that
-has none, and the domain check of a sampled basis function."""
+has none and takes a sample's values by position, and the domain check of a sampled basis function."""
 
 import math
 import struct
@@ -282,6 +282,47 @@ def test_the_image_is_not_made_past_the_first_function_without_one(monkeypatch):
         "ConvexityVerdict(mode='direct', verdict='violated', tuples_checked=330, seed=0, "
         "ell=None, witness=(-1.25, -1.0, -0.75, -0.5), witness_value=-0.00041842582212233564, "
         "witness_base=None, bases_checked=0, bases_skipped=0, indeterminate_count=0)")
+
+
+# ---------------------------------------------------------------------------
+# the exact image of a float check takes a sample's values by position
+
+def exact_twin(f):
+    """f with its float scalars, and a sample's float points, made exact."""
+    if type(f) is SampledFn:
+        return SampledFn(tuple(map(Fraction, f.points)), tuple(map(Fraction, f.values)))
+    if type(f) is AffineFn:
+        return AffineFn(tuple((Fraction(c), exact_twin(s)) for c, s in f.terms))
+    return f
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_the_image_is_given_a_samples_values_by_position(monkeypatch, nested):
+    """A sampled f's image is its values, made Fractions, at the grid's
+    positions: no sampled function is made for it, the table keeps f,
+    asks f for no value and reads its requirement as met.  In an affine
+    combination the sample's image is still a sampled function.  Either
+    way the image's columns are those of the exact twins of the float
+    input."""
+    xs = [i / 8 - 0.5 for i in range(10)]
+    sample = SampledFn(tuple(xs), tuple(x ** 3 - 0.375 * x for x in xs))
+    f = affine((0.5, sample), (-3, PowerFn(1))) if nested else sample
+    fns = (*polynomial_system(3).basis, f)
+    table = _PointTable(fns, PointTuple(xs))
+    made = []
+    real = SampledFn.__post_init__
+    monkeypatch.setattr(SampledFn, "__post_init__", lambda g: made.append(g) or real(g))
+    image = determinant._exact_image(table, Interval())
+    monkeypatch.undo()
+    if nested:
+        assert len(made) == 1 and 3 not in image._lists
+    else:
+        assert made == [] and image.fns[3] is f
+        assert image._lists[3] == [Fraction(v) for v in sample.values]
+        assert image.row_backend(3) is Backend.EXACT
+    rows, js = (0, 1, 2, 3), range(len(xs))
+    twin = _PointTable(tuple(map(exact_twin, fns)), image.grid)
+    assert image.columns(rows, js) == twin.columns(rows, js)
 
 
 # ---------------------------------------------------------------------------
