@@ -20,11 +20,11 @@ _MODULE_OF = {name: module for module, names in {
         "PuncturedInterval", "SampledFn", "SinFn", "affine", "evaluate", "function_from_json",
         "puncture", "system_from_json", "to_exact", "to_float", "validate_tuple"),
     "determinant": (
-        "Matrix", "PositivityReport", "SylvesterReport", "bordered_minor", "det",
-        "is_positive_chebyshev", "matrix_from_rows", "sylvester_check"),
+        "Matrix", "PositivityReport", "ResidualReport", "SylvesterReport", "bordered_minor",
+        "det", "is_positive_chebyshev", "matrix_from_rows", "sylvester_check"),
     "divdiff": (
-        "DividedDifference", "ResidualReport", "classical_divided_difference",
-        "complete_homogeneous", "divided_difference", "power_divdiff_check"),
+        "DividedDifference", "classical_divided_difference", "complete_homogeneous",
+        "divided_difference", "power_divdiff_check"),
     "induced": ("DerivedFn", "verify_induced_system"),
     "convexity": (
         "AgreementReport", "ConvexityVerdict", "check_convex_direct", "check_convex_induced",

@@ -322,11 +322,11 @@ def _emit(report: dict, out_path: str | None) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (results dict, exit code)
+# subcommands; each takes the parsed arguments and their backend, read once
+# by main, and returns (results dict, exit code)
 
-def _cmd_chebcheck(args) -> tuple[dict, int]:
+def _cmd_chebcheck(args, backend: Backend) -> tuple[dict, int]:
     from .determinant import is_positive_chebyshev
-    backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     grid = _parse_grid(args.grid, backend)
     k = args.k if args.k is not None else system.dim
@@ -335,9 +335,8 @@ def _cmd_chebcheck(args) -> tuple[dict, int]:
     return {"positivity": _jsonify(report)}, 0 if report.is_positive else 1
 
 
-def _cmd_divdiff(args) -> tuple[dict, int]:
+def _cmd_divdiff(args, backend: Backend) -> tuple[dict, int]:
     from .divdiff import classical_divided_difference, divided_difference
-    backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     f = _parse_function(args.function, backend)
     points = _parse_grid(args.grid, backend)
@@ -353,14 +352,13 @@ def _cmd_divdiff(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_convexity(args) -> tuple[dict, int]:
+def _cmd_convexity(args, backend: Backend) -> tuple[dict, int]:
     from .convexity import (check_convex_direct, check_convex_induced, check_convex_interval,
                             cross_mode_agreement)
     if args.ell is not None and args.mode != "interval":
         raise InputError(f"--ell is read by mode interval only, not {args.mode}")
     if args.k is not None and args.mode == "direct":
         raise InputError("--k is not read by mode direct")
-    backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     f = _parse_function(args.function, backend)
     grid = _parse_grid(args.grid, backend)
@@ -388,9 +386,8 @@ def _cmd_convexity(args) -> tuple[dict, int]:
     return {"check": _jsonify(verdict)}, 1 if verdict.verdict == "violated" else 0
 
 
-def _cmd_identities(args) -> tuple[dict, int]:
+def _cmd_identities(args, backend: Backend) -> tuple[dict, int]:
     from .identities import run_suite
-    backend = Backend(args.backend)
     suites = IDENTITY_SUITES if args.suite == "all" else (args.suite,)
     if args.suite != "all" and args.suite not in IDENTITY_SUITES:
         raise InputError(f"unknown suite {args.suite!r}; known: {IDENTITY_SUITES} or all")
@@ -399,14 +396,13 @@ def _cmd_identities(args) -> tuple[dict, int]:
     return {"suites": _jsonify(results), "failed": failures_total}, 1 if failures_total else 0
 
 
-def _cmd_variation(args) -> tuple[dict, int]:
+def _cmd_variation(args, backend: Backend) -> tuple[dict, int]:
     from .variation import RefinementStrategy, check_variation_bound, estimate_variation
     decomposed = args.g is not None or args.h is not None
     if args.anchors is not None and not decomposed:
         raise InputError("--anchors is read with --g/--h only")
     if args.function is not None and decomposed:
         raise InputError("--function is not read with --g/--h, whose f is g - h")
-    backend = Backend(args.backend)
     system = _parse_system(args.system, backend, args.unsafe_domain)
     if args.a is None or args.b is None:
         raise InputError("--a and --b are required")
@@ -517,7 +513,7 @@ def main(argv=None) -> int:
     report = {"version": __version__, "command": args.command,
               "config": {k: _jsonify(v) for k, v in sorted(vars(args).items()) if k != "func"}}
     try:
-        report["results"], code = args.func(args)
+        report["results"], code = args.func(args, Backend(args.backend))
     except (ChebconvexError, OSError, ValueError, OverflowError, MemoryError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2

@@ -81,6 +81,7 @@ from .core import (
     validate_tuple,
 )
 from .determinant import (
+    ResidualReport,
     _PointTable,
     _finite_tol,
     _route,
@@ -89,7 +90,6 @@ from .determinant import (
     increasing_tuples,
     sorted_grid,
 )
-from .divdiff import ResidualReport
 from .errors import (
     DimensionMismatch,
     InputError,

@@ -1293,19 +1293,32 @@ def bordered_minor(a: Matrix, k: int, i: int, j: int) -> Scalar:
 
 
 @dataclass(frozen=True)
-class SylvesterReport:
-    """Both sides of Sylvester's determinant identity for one (A, k)."""
+class ResidualReport:
+    """Both sides of an identity, each computed on its own, and their
+    absolute difference: exactly zero on the exact backend when the
+    identity holds.  Sylvester's identity (:func:`sylvester_check`), the
+    factorization behind the induced and convexity checks and the
+    power-sum identity report through it."""
 
-    n: int
-    k: int
-    lhs: Scalar        # det of the matrix of bordered minors
-    rhs: Scalar        # (leading k-minor) ** (n-k-1) * det(A)
-    residual: Scalar   # |lhs - rhs|; exactly zero on the exact backend
+    lhs: Scalar
+    rhs: Scalar
+    residual: Scalar   # |lhs - rhs|
 
     @property
     def relative_residual(self) -> float:
+        """The residual over the larger of 1 and the two sides' sizes."""
         denom = max(1.0, abs(float(self.lhs)), abs(float(self.rhs)))
         return float(self.residual) / denom
+
+
+@dataclass(frozen=True)
+class SylvesterReport(ResidualReport):
+    """Sylvester's identity for one (A, k): ``lhs`` is the det of the
+    matrix of bordered minors, ``rhs`` (leading k-minor) ** (n-k-1) *
+    det(A), for the n x n matrix A."""
+
+    n: int
+    k: int
 
 
 def sylvester_check(a: Matrix, k: int) -> SylvesterReport:
@@ -1325,4 +1338,4 @@ def sylvester_check(a: Matrix, k: int) -> SylvesterReport:
     lhs = det(matrix_from_rows(b))
     leading = det(matrix_from_rows([[a[r, c] for c in range(k)] for r in range(k)]))
     rhs = leading ** (n - k - 1) * det(a)
-    return SylvesterReport(n, k, lhs, rhs, abs(lhs - rhs))
+    return SylvesterReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), n=n, k=k)

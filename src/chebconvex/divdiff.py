@@ -52,6 +52,7 @@ from .core import (
     validate_tuple,
 )
 from .determinant import (
+    ResidualReport,
     _At,
     _PointTable,
     _finite_tol,
@@ -77,20 +78,6 @@ class DividedDifference:
     denominator: Scalar
     order: int
     points: PointTuple
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Two independently computed values and their absolute difference."""
-
-    lhs: Scalar
-    rhs: Scalar
-    residual: Scalar
-
-    @property
-    def relative_residual(self) -> float:
-        denom = max(1.0, abs(float(self.lhs)), abs(float(self.rhs)))
-        return float(self.residual) / denom
 
 
 def divided_difference(system: ChebyshevSystem, k: int, f: FunctionSpec,

@@ -54,11 +54,15 @@ def _rand_matrix(rng: random.Random, n: int, backend: Backend) -> Matrix:
     return matrix_from_rows([[draw() for _ in range(n)] for _ in range(n)])
 
 
-def _rand_distinct_fractions(rng: random.Random, count: int) -> tuple:
+def _rand_points(rng: random.Random, count: int, backend: Backend) -> list:
+    """``count`` distinct rationals p/q, |p| and q at most 9, made float
+    on the float backend.  The draws do not depend on the backend, and
+    converting such rationals keeps them distinct and in order, so both
+    backends' trials sort and shuffle the same points."""
     pool: set[Fraction] = set()
     while len(pool) < count:
         pool.add(_rand_fraction(rng))
-    return tuple(pool)
+    return [float(p) for p in pool] if backend is Backend.FLOAT else list(pool)
 
 
 def _holds(residual, relative: float, backend: Backend, tol: float) -> bool:
@@ -76,9 +80,7 @@ def _sylvester(rng, backend, seed):
 def _power_sum(rng, backend, seed):
     degree = rng.randint(1, 8)
     k = rng.randint(1, min(6, degree + 1))
-    pts = _rand_distinct_fractions(rng, k)
-    if backend is Backend.FLOAT:
-        pts = tuple(float(p) for p in pts)
+    pts = tuple(_rand_points(rng, k, backend))
     rep = power_divdiff_check(degree, pts)
     return (_holds(rep.residual, rep.relative_residual, backend, 1e-9), float(rep.residual),
             rep.relative_residual, {"degree": degree, "points": pts, "residual": rep.residual})
@@ -87,9 +89,7 @@ def _power_sum(rng, backend, seed):
 def _induced_det(rng, backend, seed):
     n = rng.randint(3, 5)
     k = rng.randint(1, n - 1)
-    pts = sorted(_rand_distinct_fractions(rng, n))
-    if backend is Backend.FLOAT:
-        pts = [float(p) for p in pts]
+    pts = sorted(_rand_points(rng, n, backend))
     rep = verify_induced_system(polynomial_system(n), k, tuple(pts[:k]), tuple(pts[k:]),
                                 seed=seed)
     return (_holds(rep.max_abs_residual, rep.max_rel_residual, backend, 1e-8),
@@ -103,10 +103,8 @@ def _convexity_det(rng, backend, seed, slopes: bool = False):
     the last two, read from the identity's cells."""
     n = rng.randint(2, 5)
     k = n - 1 if slopes else rng.randint(1, n - 1)
-    pts = list(_rand_distinct_fractions(rng, n + 1))
+    pts = _rand_points(rng, n + 1, backend)
     rng.shuffle(pts)
-    if backend is Backend.FLOAT:
-        pts = [float(p) for p in pts]
     degree = rng.randint(0, n + 1)
     rep, cells = _convexity_identity(polynomial_system(n), k, PowerFn(degree), tuple(pts))
     ok = _holds(rep.residual, rep.relative_residual, backend, 1e-8)

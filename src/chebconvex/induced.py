@@ -59,6 +59,7 @@ from .core import (
 )
 from .determinant import (
     PositivityReport,
+    ResidualReport,
     _At,
     _PointTable,
     _eliminate,
@@ -69,7 +70,7 @@ from .determinant import (
     increasing_tuples,
     sorted_grid,
 )
-from .divdiff import ResidualReport, _checked_points, _quotient, _ratio
+from .divdiff import _checked_points, _quotient, _ratio
 from .errors import DimensionMismatch, InputError
 
 

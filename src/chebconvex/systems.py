@@ -55,20 +55,21 @@ def trig_even_system(n: int, lo: Scalar, hi: Scalar) -> ChebyshevSystem:
 def _trig_system(n: int, lo: Scalar, hi: Scalar, max_length: float,
                  basis: list) -> ChebyshevSystem:
     """``basis`` then cos mx, sin mx for m = 1..n on the open interval
-    (lo, hi), once n >= 1, lo and hi are scalars, lo < hi and the
-    interval's length is at most ``max_length``."""
+    (lo, hi), once n >= 1, lo and hi are scalars, lo < hi (the check of
+    :class:`Interval`, built first: the length of an empty interval with
+    an exact end past the float range cannot be read) and the interval's
+    length is at most ``max_length``."""
     if n < 1:
         raise InputError(f"trig order must be >= 1, got {n}")
     scalar_backend(lo)
     scalar_backend(hi)
-    if not lo < hi:
-        raise InputError(f"empty interval: lo={lo}, hi={hi}")
+    domain = Interval(lo, hi)
     if float(hi) - float(lo) > max_length:
         raise DomainTooLong(
             f"interval length {float(hi) - float(lo)} exceeds the admissible {max_length}")
     for m in range(1, n + 1):
         basis += [CosFn(m), SinFn(m)]
-    return ChebyshevSystem(tuple(basis), Interval(lo, hi))
+    return ChebyshevSystem(tuple(basis), domain)
 
 
 def one_xsq_system(domain: Domain | None = None,

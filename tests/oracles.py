@@ -115,6 +115,7 @@ from chebconvex.determinant import (
     DEFAULT_TUPLE_BUDGET,
     Matrix,
     PositivityReport,
+    ResidualReport,
     SignScan,
     _PointTable,
     _Tally,
@@ -129,7 +130,6 @@ from chebconvex.determinant import (
     sylvester_check,
 )
 from chebconvex.divdiff import (
-    ResidualReport,
     _finite,
     _homogeneous_sums,
     divided_difference,

@@ -115,6 +115,15 @@ class TestChebcheck:
         assert rep["error"] == {"type": "InputError",
                                 "message": f"tuple budget must be >= 1, got {budget}"}
 
+    @pytest.mark.parametrize("spec, message", [
+        ("trig-odd:1:1.0,0.5", "empty interval: lo=1.0, hi=0.5"),
+        ("trig-even:1:0.5,0.5", "empty interval: lo=0.5, hi=0.5"),
+        ("trig-odd:1:nan,0.5", "empty interval: lo=nan, hi=0.5")])
+    def test_an_empty_trig_interval_is_input_error(self, capsys, spec, message):
+        code, rep = run_cli(capsys, "chebcheck", "--system", spec, "--grid", "list:0,1")
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message": message}
+
     def test_a_grid_too_large_to_allocate_is_a_structured_error(self, capsys, monkeypatch):
         # exit 1 would read as "violation found"; the point cap refuses the grid first
         argv = ["chebcheck", "--system", "poly:2", "--grid", "uniform:0,1,1152921504606846977"]

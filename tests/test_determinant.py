@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chebconvex.core import Interval
 from chebconvex.determinant import (
     Matrix,
+    ResidualReport,
     bordered_minor,
     det,
     increasing_tuples,
@@ -287,6 +288,20 @@ class TestSylvester:
             m = matrix_from_rows(rows)
             for k in range(1, n):
                 assert sylvester_check(m, k).relative_residual <= 1e-9
+
+    @pytest.mark.parametrize("draw", [lambda rng: rand_fraction(rng),
+                                      lambda rng: rng.uniform(-1, 1)], ids=["exact", "float"])
+    def test_the_report_is_a_residual_report_of_its_inputs(self, draw):
+        rng = random.Random(15)
+        for n in range(2, 6):
+            m = matrix_from_rows([[draw(rng) for _ in range(n)] for _ in range(n)])
+            for k in range(1, n):
+                rep = sylvester_check(m, k)
+                assert isinstance(rep, ResidualReport)
+                assert (rep.n, rep.k) == (n, k)
+                assert rep.residual == abs(rep.lhs - rep.rhs)
+                assert rep.relative_residual == \
+                    float(rep.residual) / max(1.0, abs(float(rep.lhs)), abs(float(rep.rhs)))
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=60, deadline=None)

@@ -99,6 +99,10 @@ def test_every_public_name_resolves_in_its_module_and_is_listed():
     assert set(names) <= set(namespace)
 
 
+def test_the_residual_report_is_the_determinant_modules():
+    assert loaded_after("import chebconvex; chebconvex.ResidualReport") == {"determinant"}
+
+
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'chebconvex' has no attribute 'nope'"):
         chebconvex.nope    # noqa: B018

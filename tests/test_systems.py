@@ -86,6 +86,15 @@ class TestTrigEven:
         assert is_positive_chebyshev(s, 2, grid).is_positive
 
 
+@pytest.mark.parametrize("build", [trig_odd_system, trig_even_system])
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.5), (0.5, 0.5), (math.nan, 0.5), (0.5, math.nan),
+                                    (Fraction(1, 2), Fraction(1, 2)),
+                                    (Fraction(10 ** 400), Fraction(0))])
+def test_an_empty_trig_interval_is_named(build, lo, hi):
+    with pytest.raises(InputError, match=f"^empty interval: lo={lo}, hi={hi}$"):
+        build(1, lo, hi)
+
+
 class TestOneXsq:
     def test_closed_form_value(self):
         assert collocation_det_per_value(one_xsq_system(), 2, (1, 2)) == 3
