@@ -20,8 +20,8 @@ _MODULE_OF = {name: module for module, names in {
         "PuncturedInterval", "SampledFn", "SinFn", "affine", "evaluate", "function_from_json",
         "puncture", "system_from_json", "to_exact", "to_float", "validate_tuple"),
     "determinant": (
-        "Matrix", "PositivityReport", "ResidualReport", "SylvesterReport", "bordered_minor",
-        "det", "is_positive_chebyshev", "matrix_from_rows", "sylvester_check"),
+        "PositivityReport", "ResidualReport", "SylvesterReport", "det",
+        "is_positive_chebyshev", "sylvester_check"),
     "divdiff": (
         "DividedDifference", "classical_divided_difference", "complete_homogeneous",
         "divided_difference", "power_divdiff_check"),

@@ -270,7 +270,7 @@ def _increasing(points) -> PointTuple:
 @dataclass(frozen=True)
 class Interval:
     """A real interval; ``None`` endpoints mean unbounded.  NaN lies in
-    no interval."""
+    no interval, and a NaN end makes an empty one."""
 
     lo: Scalar | None = None
     hi: Scalar | None = None
@@ -278,7 +278,9 @@ class Interval:
     hi_open: bool = True
 
     def __post_init__(self):
-        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
+        # a NaN end is the one that differs from itself
+        if self.lo != self.lo or self.hi != self.hi or \
+                self.lo is not None and self.hi is not None and not self.lo < self.hi:
             raise InputError(f"empty interval: lo={self.lo}, hi={self.hi}")
 
     def contains(self, x: Scalar) -> bool:
@@ -618,6 +620,14 @@ def scalar_from_json(v) -> Scalar:
     raise InputError(f"cannot parse scalar from {v!r}")
 
 
+def _scalars_from_json(v) -> tuple:
+    """The JSON array ``v`` as a tuple of scalars; any other JSON value
+    raises TypeError, which :func:`_from_json` reports as a bad spec."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a JSON array, got {type(v).__name__}")
+    return tuple(map(scalar_from_json, v))
+
+
 #: Each JSON function kind's spec, built from its JSON object.
 _FUNCTION_KINDS = {
     "power": lambda d: PowerFn(d["k"]),
@@ -628,8 +638,8 @@ _FUNCTION_KINDS = {
     "negcot": lambda d: NegCotFn(scalar_from_json(d["shift"])),
     "affine": lambda d: AffineFn(tuple((scalar_from_json(t["coef"]), function_from_json(t["spec"]))
                                        for t in d["terms"])),
-    "sampled": lambda d: SampledFn(tuple(scalar_from_json(p) for p in d["points"]),
-                                   tuple(scalar_from_json(v) for v in d["values"])),
+    "sampled": lambda d: SampledFn(_scalars_from_json(d["points"]),
+                                   _scalars_from_json(d["values"])),
 }
 
 
@@ -679,9 +689,9 @@ _DOMAIN_KINDS = {
     "interval": lambda d: Interval(*(None if d.get(end) is None else scalar_from_json(d[end])
                                      for end in ("lo", "hi")),
                                    _json_flag(d, "lo_open"), _json_flag(d, "hi_open")),
-    "finite_set": lambda d: FiniteSet(tuple(scalar_from_json(p) for p in d["points"])),
+    "finite_set": lambda d: FiniteSet(_scalars_from_json(d["points"])),
     "punctured_interval": lambda d: PuncturedInterval(
-        domain_from_json(d["base"]), tuple(scalar_from_json(p) for p in d["excluded"])),
+        domain_from_json(d["base"]), _scalars_from_json(d["excluded"])),
 }
 
 

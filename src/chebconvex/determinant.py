@@ -9,7 +9,9 @@ Float determinants use Gaussian elimination with partial pivoting.
 Inside the package a column is its prepared form (its entries and a
 scale) and an exact determinant is a pair of integers, the det of the
 integer columns and the product of their scales; it becomes a Fraction
-(:func:`_scalar`) only where a result carries it.
+(:func:`_scalar`) only where a result carries it.  A matrix given to
+:func:`det` or :func:`sylvester_check` enters as its rows, read once
+into its backend and prepared columns.
 Every collocation determinant (grid scans, pinned bases, divided
 differences and variation windows) reads one point table, the table of
 one grid, which evaluates each function once per point, reads its
@@ -137,61 +139,31 @@ MAX_GRID_POINTS = 10 ** 6
 MAX_TUPLE_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """A dense row-major matrix whose entries share one backend."""
-
-    rows: int
-    cols: int
-    entries: tuple
-    _backend: Backend | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.rows <= 0 or self.cols <= 0:
-            raise InputError(f"matrix dimensions must be positive: {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}")
-        object.__setattr__(self, "_backend", collection_backend(self.entries))
-
-    def __getitem__(self, ij) -> Scalar:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def backend(self) -> Backend:
-        """The entries' backend, exact when every entry is an int."""
-        return Backend.EXACT if self._backend is None else self._backend
-
-
-def matrix_from_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise InputError("matrix needs at least one row")
-    ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise InputError("ragged rows in matrix")
-    return Matrix(len(rows), ncols, tuple(itertools.chain.from_iterable(rows)))
-
-
 # ---------------------------------------------------------------------------
-# determinants
+# determinants of a given matrix
 
-def det(m: Matrix) -> Scalar:
-    """Determinant of a square matrix, by the column-step elimination
-    below.
+def _given(rows: Sequence[Sequence[Scalar]]) -> tuple[list, bool]:
+    """The square matrix ``rows`` read once, where it enters: its
+    columns' prepared forms (see :func:`_form`) and whether it is exact
+    (every entry a Fraction or an int)."""
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise NonSquareMatrix(f"not a square matrix: rows of lengths {[len(r) for r in rows]}")
+    exact = collection_backend([v for r in rows for v in r]) is not Backend.FLOAT
+    return [_form(c, exact) for c in zip(*rows)], exact
+
+
+def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of the square matrix given as its ``rows``, by the
+    column-step elimination below.  The entries' backend and columns are
+    read once, here: the matrix is exact when every entry is a Fraction
+    or an int, and mixing Fractions with floats raises
+    :class:`BackendMismatch`.
 
     Exact backend: fraction-free elimination over the integers after
     clearing denominators column by column, so the result is exact.
     Float backend: Gaussian elimination with partial pivoting.
     """
-    if m.rows != m.cols:
-        raise NonSquareMatrix(f"determinant of a {m.rows}x{m.cols} matrix")
-    exact = m.backend() is not Backend.FLOAT
-    return _scalar(_prepared_det([_form(m.entries[j::m.cols], exact) for j in range(m.cols)],
-                                 exact))
+    return _scalar(_prepared_det(*_given(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -1278,20 +1250,6 @@ def _float_witness(v, table: _PointTable, tol_factor: float, derived) -> tuple:
 # ---------------------------------------------------------------------------
 # Sylvester's determinant identity
 
-def bordered_minor(a: Matrix, k: int, i: int, j: int) -> Scalar:
-    """det of the (k+1)x(k+1) submatrix of ``a`` on rows {1..k, i} and
-    columns {1..k, j}; indices are 1-based and k+1 <= i, j <= n."""
-    if a.rows != a.cols:
-        raise NonSquareMatrix(f"{a.rows}x{a.cols} matrix in bordered minor")
-    n = a.rows
-    if not 1 <= k <= n - 1:
-        raise IndexOutOfRange(f"k={k} outside 1..{n - 1}")
-    if not (k + 1 <= i <= n and k + 1 <= j <= n):
-        raise IndexOutOfRange(f"(i, j)=({i}, {j}) outside {k + 1}..{n}")
-    rows, cols = [*range(k), i - 1], [*range(k), j - 1]
-    return det(matrix_from_rows([[a[r, c] for c in cols] for r in rows]))
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Both sides of an identity, each computed on its own, and their
@@ -1321,21 +1279,28 @@ class SylvesterReport(ResidualReport):
     k: int
 
 
-def sylvester_check(a: Matrix, k: int) -> SylvesterReport:
-    """Verify det(B_k) == (det A_k)**(n-k-1) * det(A) where B_k collects
-    the bordered minors of the leading k x k block.
+def sylvester_check(rows: Sequence[Sequence[Scalar]], k: int) -> SylvesterReport:
+    """Verify det(B) == (det A_k)**(n-k-1) * det(A) for the n x n matrix
+    A given as its ``rows``, where A_k is its leading k x k block and B
+    the matrix of its bordered minors: entry (i, j), for k <= i, j < n,
+    is the minor of A on rows 0..k-1, i and columns 0..k-1, j.
 
-    Both sides are computed directly; no division is performed, so a
-    singular leading block is handled like any other matrix.
+    A is read once, as :func:`det` reads it, and every minor is
+    eliminated from those columns; B is a matrix of scalars, passed to
+    :func:`det`.  Both sides are computed directly; no division is
+    performed, so a singular leading block is handled like any other
+    matrix.  ``k`` outside 1..n-1 raises :class:`IndexOutOfRange`.
     """
-    if a.rows != a.cols:
-        raise NonSquareMatrix(f"{a.rows}x{a.cols} matrix in Sylvester check")
-    n = a.rows
+    forms, exact = _given(rows)
+    n = len(forms)
     if not 1 <= k <= n - 1:
         raise IndexOutOfRange(f"k={k} outside 1..{n - 1}")
-    b = [[bordered_minor(a, k, i, j) for j in range(k + 1, n + 1)]
-         for i in range(k + 1, n + 1)]
-    lhs = det(matrix_from_rows(b))
-    leading = det(matrix_from_rows([[a[r, c] for c in range(k)] for r in range(k)]))
-    rhs = leading ** (n - k - 1) * det(a)
+
+    def minor(rs, js) -> Scalar:
+        """The minor of A on rows ``rs`` and columns ``js``."""
+        return _scalar(_prepared_det([([forms[j][0][r] for r in rs], forms[j][1]) for j in js],
+                                     exact))
+
+    lhs = det([[minor([*range(k), i], [*range(k), j]) for j in range(k, n)] for i in range(k, n)])
+    rhs = minor(range(k), range(k)) ** (n - k - 1) * minor(range(n), range(n))
     return SylvesterReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), n=n, k=k)

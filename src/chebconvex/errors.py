@@ -43,7 +43,7 @@ class DimensionMismatch(InputError):
 
 
 class IndexOutOfRange(InputError):
-    """A bordered-minor index is outside its admissible range."""
+    """Sylvester's k is outside 1..n-1 for an n x n matrix."""
 
 
 class InsufficientGrid(InputError):

@@ -16,7 +16,7 @@ from functools import partial
 
 from .convexity import _convexity_identity
 from .core import IDENTITY_SUITES, Backend, PowerFn
-from .determinant import Matrix, matrix_from_rows, sylvester_check
+from .determinant import sylvester_check
 from .divdiff import power_divdiff_check
 from .errors import InputError
 from .induced import verify_induced_system
@@ -48,10 +48,12 @@ def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def _rand_matrix(rng: random.Random, n: int, backend: Backend) -> Matrix:
+def _rand_matrix(rng: random.Random, n: int, backend: Backend) -> list:
+    """The rows of an n x n matrix of random p/q (|p|, q <= 9), or on
+    the float backend of uniform floats in [-1, 1)."""
     draw = (lambda: _rand_fraction(rng)) if backend is Backend.EXACT \
         else (lambda: rng.uniform(-1.0, 1.0))
-    return matrix_from_rows([[draw() for _ in range(n)] for _ in range(n)])
+    return [[draw() for _ in range(n)] for _ in range(n)]
 
 
 def _rand_points(rng: random.Random, count: int, backend: Backend) -> list:

@@ -10,7 +10,10 @@ package uses, so matching values certify both sides:
   ``collocation_det_per_value``, the collocation matrix and determinant
   that the package once exported, as they were before they read the
   table);
-* row-wise vs column-step elimination (``row_det``);
+* row-wise vs column-step elimination (``row_det``), and every minor
+  of Sylvester's identity as its own row-wise determinant vs minors
+  eliminated from one read of the matrix's columns
+  (``sylvester_by_rows``);
 * a pivot and a reduce function per backend, called per step, vs the
   one elimination kernel with its own loops (``eliminate``,
   ``reapply``, ``prepared_det``);
@@ -113,7 +116,6 @@ from chebconvex.determinant import (
     DEFAULT_SEED,
     DEFAULT_TOL_FACTOR,
     DEFAULT_TUPLE_BUDGET,
-    Matrix,
     PositivityReport,
     ResidualReport,
     SignScan,
@@ -126,8 +128,6 @@ from chebconvex.determinant import (
     det,
     increasing_tuples,
     is_positive_chebyshev,
-    matrix_from_rows,
-    sylvester_check,
 )
 from chebconvex.divdiff import (
     _finite,
@@ -171,10 +171,34 @@ def cofactor_det(rows):
 # reference for the package's column-step kernel.  Exact clears row
 # denominators and runs Bareiss; float pivots partially, row by row.
 
-def row_det(m):
-    """det of the Matrix ``m`` by the row-wise elimination below."""
-    rows = [list(m.entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
-    return _det_float(rows) if m.backend() is Backend.FLOAT else _det_exact(rows)
+def float_rows(rows) -> bool:
+    """Whether the matrix given as its ``rows`` is a float one, read
+    from its entries' backend (mixed entries raise BackendMismatch)."""
+    return collection_backend([v for r in rows for v in r]) is Backend.FLOAT
+
+
+def row_det(rows):
+    """det of the matrix given as its ``rows`` by the row-wise
+    elimination below."""
+    return _det_float(rows) if float_rows(rows) else _det_exact(rows)
+
+
+def sylvester_by_rows(rows, k: int) -> ResidualReport:
+    """Sylvester's identity for the n x n matrix ``rows`` and k, every
+    determinant a :func:`row_det` of its own submatrix: the left side is
+    the det of the matrix of the minors on rows 0..k-1, i and columns
+    0..k-1, j (k <= i, j < n), the right side the leading k x k minor to
+    the power n-k-1 times det(A).  Every determinant takes the backend
+    of the whole matrix, as :func:`row_det` reads it from A's entries."""
+    n, head = len(rows), list(range(k))
+    by_rows = _det_float if float_rows(rows) else _det_exact
+
+    def minor(rs, cs):
+        return by_rows([[rows[r][c] for c in cs] for r in rs])
+
+    lhs = by_rows([[minor(head + [i], head + [j]) for j in range(k, n)] for i in range(k, n)])
+    rhs = minor(head, head) ** (n - k - 1) * by_rows(rows)
+    return ResidualReport(lhs, rhs, abs(lhs - rhs))
 
 
 def _det_exact(rows: list[list]) -> Fraction:
@@ -448,13 +472,16 @@ def evaluate_columns(fns, rows: tuple, xs) -> list:
     return [OracleColumn([values[i, j] for i in rows]) for j in range(len(xs))]
 
 
-def collocation_matrix_per_value(fns, points) -> Matrix:
-    """The square matrix with entry (i, j) = fns[i](points[j])."""
+def collocation_matrix_per_value(fns, points) -> list:
+    """The rows of the square matrix with entry (i, j) =
+    fns[i](points[j]); exact and float entries in it raise
+    BackendMismatch."""
     if len(fns) != len(points):
         raise DimensionMismatch(
             f"{len(fns)} functions vs {len(points)} points")
     rows = [[evaluate(fn, x) for x in points] for fn in fns]
-    return matrix_from_rows(rows)
+    float_rows(rows)    # read for its check: the rows' backend, which mixed entries lack
+    return rows
 
 
 def collocation_det_per_value(system: ChebyshevSystem, k: int, points):
@@ -474,9 +501,9 @@ def collocation_det_per_value(system: ChebyshevSystem, k: int, points):
 # kept unchanged as references.  Each tuple builds its own matrix,
 # evaluates every entry and takes a pivoted determinant.
 
-def positivity_tolerance(m, tol_factor):
-    """tol_factor * (max |entry|)**n for the n x n Matrix ``m``."""
-    return tol_factor * max(abs(float(e)) for e in m.entries) ** m.rows
+def positivity_tolerance(rows, tol_factor):
+    """tol_factor * (max |entry|)**n for the n x n matrix ``rows``."""
+    return tol_factor * max(abs(float(e)) for r in rows for e in r) ** len(rows)
 
 
 def _increasing_tuples(sorted_points, k, budget, seed):
@@ -511,7 +538,7 @@ def positivity_loop(system, k, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_S
     for t in tuples:
         m = collocation_matrix_per_value(fns, t)
         value = row_det(m)
-        if m.backend() is Backend.FLOAT:
+        if float_rows(m):
             tol = positivity_tolerance(m, tol_factor)
             if value <= -tol:
                 violations.append(t)
@@ -553,7 +580,7 @@ def direct_loop(system, f, grid, budget=DEFAULT_TUPLE_BUDGET, seed=DEFAULT_SEED,
     for t in tuples:
         m = collocation_matrix_per_value(fns, t)
         value = row_det(m)
-        if m.backend() is Backend.FLOAT:
+        if float_rows(m):
             tol = positivity_tolerance(m, tol_factor)
             if value < -tol:
                 violations.append(t)
@@ -905,15 +932,16 @@ def convexity_identity_loop(system: ChebyshevSystem, k: int, f: FunctionSpec,
         denom = det(den_matrix)
         # all entries as one prepared column: the rule reads their largest |entry|;
         # an exact determinant as the rule takes it, a (det, scale) pair
+        entries = [v for r in den_matrix for v in r]
         check_denominator((denom.numerator, denom.denominator) if type(denom) is Fraction
-                          else denom, [(den_matrix.entries, 1)], den_matrix.backend(),
+                          else denom, [(entries, 1)], collection_backend(entries),
                           head + (x,), name="(k+1)-prefix determinant", show_value=False)
         lhs = lhs / denom
 
     targets = system.basis[k:] + (f,)
     rows = [[divided_difference(system, k + 1, target, head + (x,)).value
              for x in tail] for target in targets]
-    rhs = det(matrix_from_rows(rows))
+    rhs = det(rows)
     return ResidualReport(lhs, rhs, abs(lhs - rhs))
 
 
@@ -921,12 +949,10 @@ def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def _rand_matrix(rng: random.Random, n: int, backend: Backend) -> Matrix:
+def _rand_matrix(rng: random.Random, n: int, backend: Backend) -> list:
     if backend is Backend.EXACT:
-        return matrix_from_rows([[_rand_fraction(rng) for _ in range(n)]
-                                 for _ in range(n)])
-    return matrix_from_rows([[rng.uniform(-1.0, 1.0) for _ in range(n)]
-                             for _ in range(n)])
+        return [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+    return [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
 
 
 def _rand_distinct_fractions(rng: random.Random, count: int) -> tuple:
@@ -955,7 +981,7 @@ def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) ->
         if suite == "sylvester":
             n = rng.randint(2, 6)
             k = rng.randint(1, n - 1)
-            rep = sylvester_check(_rand_matrix(rng, n, backend), k)
+            rep = sylvester_by_rows(_rand_matrix(rng, n, backend), k)
             abs_res = float(rep.residual)
             rel_res = rep.relative_residual
             ok = rep.residual == 0 if backend is Backend.EXACT else rel_res <= 1e-9

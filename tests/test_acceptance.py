@@ -29,7 +29,6 @@ from chebconvex.core import (
 )
 from chebconvex.determinant import (
     is_positive_chebyshev,
-    matrix_from_rows,
     sylvester_check,
 )
 from chebconvex.divdiff import (
@@ -71,8 +70,7 @@ def test_criterion_1_sylvester_identity():
     exact_bad = 0
     for trial in range(1000):
         n = 2 + trial % 7  # cycles through 2..8
-        m = matrix_from_rows([[rand_fraction(rng) for _ in range(n)]
-                              for _ in range(n)])
+        m = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
         for k in range(1, n):
             if sylvester_check(m, k).residual != 0:
                 exact_bad += 1
@@ -80,8 +78,7 @@ def test_criterion_1_sylvester_identity():
     worst_rel = 0.0
     for trial in range(200):
         n = 2 + trial % 5  # cycles through 2..6
-        m = matrix_from_rows([[rng.uniform(-1.0, 1.0) for _ in range(n)]
-                              for _ in range(n)])
+        m = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
         for k in range(1, n):
             worst_rel = max(worst_rel, sylvester_check(m, k).relative_residual)
 

@@ -124,6 +124,16 @@ class TestChebcheck:
         assert code == 2
         assert rep["error"] == {"type": "InputError", "message": message}
 
+    @pytest.mark.parametrize("ends, message", [
+        ("nan,", "empty interval: lo=nan, hi=None"),
+        (",nan", "empty interval: lo=None, hi=nan")])
+    def test_a_nan_domain_end_is_input_error(self, capsys, ends, message):
+        # once the check ran on the whole line, where (1, x^2) fails: exit 1
+        code, rep = run_cli(capsys, "chebcheck", "--system", "one-xsq", "--unsafe-domain", ends,
+                            "--grid", "list:-1,1", "--backend", "float")
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message": message}
+
     def test_a_grid_too_large_to_allocate_is_a_structured_error(self, capsys, monkeypatch):
         # exit 1 would read as "violation found"; the point cap refuses the grid first
         argv = ["chebcheck", "--system", "poly:2", "--grid", "uniform:0,1,1152921504606846977"]
@@ -177,6 +187,16 @@ class TestDivdiff:
         assert code == 2
         assert rep["error"] == {"type": "NonFiniteValue",
                                 "message": "divided difference at (1.0, 2.0, 3.0) is nan"}
+
+    def test_sampled_scalars_must_be_json_arrays(self, capsys, tmp_path):
+        # a string was once read character by character: points (1, 2), values (3, 5)
+        spec = tmp_path / "chars.json"
+        spec.write_text('{"kind": "sampled", "points": "12", "values": "35"}')
+        code, rep = run_cli(capsys, "divdiff", "--system", "poly:2", "--grid", "list:1,2",
+                            "--function", str(spec))
+        assert code == 2
+        assert rep["error"] == {"type": "InputError", "message":
+                                "bad function spec 'sampled': expected a JSON array, got str"}
 
     def test_non_finite_denominator_is_input_error(self, capsys):
         code, rep = run_cli(capsys, "divdiff", "--system", "poly:2", "--function", "power:2",

@@ -29,7 +29,7 @@ from chebconvex.core import (
     SampledFn,
     affine,
 )
-from chebconvex.determinant import _PointTable, matrix_from_rows
+from chebconvex.determinant import _PointTable
 from chebconvex.errors import InputError
 from chebconvex.systems import polynomial_system, trig_odd_system
 
@@ -47,10 +47,11 @@ def outcome(fn, *args) -> tuple:
 
 
 def table_matrix(fns, pts):
-    """The matrix of a point table's columns of ``fns`` at ``pts``."""
+    """The rows of the matrix of a point table's columns of ``fns`` at
+    ``pts``."""
     table = _PointTable(tuple(fns), PointTuple(pts))
     columns = table.columns(tuple(range(len(fns))), range(len(pts)))
-    return matrix_from_rows(list(zip(*map(column_values, columns))))
+    return [list(row) for row in zip(*map(column_values, columns))]
 
 
 def table_det(fns, pts):

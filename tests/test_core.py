@@ -218,6 +218,17 @@ class TestDomains:
         with pytest.raises(InputError):
             Interval(2, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(math.nan, None), (None, math.nan), (math.nan, 1),
+                                        (0, math.nan), (math.nan, math.nan)])
+    def test_a_nan_end_is_refused(self, lo, hi):
+        """A NaN end is no bound: as an interval's end it once made that
+        side unbounded.  A JSON NaN end is read the same way."""
+        message = f"^empty interval: lo={lo}, hi={hi}$"
+        with pytest.raises(InputError, match=message):
+            Interval(lo, hi)
+        with pytest.raises(InputError, match=message):
+            domain_from_json({"kind": "interval", "lo": lo, "hi": hi})
+
 
 class TestSystems:
     def test_with_appended(self):
@@ -394,6 +405,28 @@ class TestJsonRoundTrip:
         type is an input error naming the kind, raised in reading order."""
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             read(spec)
+
+    @pytest.mark.parametrize("kind, field, spec", [
+        ("function", "points", {"kind": "sampled", "points": "12", "values": ["3", "5"]}),
+        ("function", "values", {"kind": "sampled", "points": ["1", "2"], "values": "35"}),
+        ("domain", "points", {"kind": "finite_set", "points": "12"}),
+        ("domain", "excluded", {"kind": "punctured_interval", "base": {"kind": "interval"},
+                                "excluded": "12"}),
+    ])
+    @pytest.mark.parametrize("value, got", [("12", "str"), ({"1": 0, "2": 0}, "dict"),
+                                            (7, "int"), (None, "NoneType")])
+    def test_scalar_lists_are_json_arrays(self, kind, field, spec, value, got):
+        """A string once gave its characters and an object its keys."""
+        spec = {**spec, field: value}
+        message = f"bad {kind} spec {spec['kind']!r}: expected a JSON array, got {got}"
+        if kind == "function":
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                function_from_json(spec)
+            system = {"basis": [spec], "domain": {"kind": "finite_set", "points": [1, 2]}}
+        else:
+            system = {"basis": [{"kind": "power", "k": 0}], "domain": spec}
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            system_from_json(system)
 
 
 class TestPointTuple:

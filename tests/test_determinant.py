@@ -7,17 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from chebconvex.core import Interval
 from chebconvex.determinant import (
-    Matrix,
     ResidualReport,
-    bordered_minor,
     det,
     increasing_tuples,
     is_positive_chebyshev,
-    matrix_from_rows,
     sorted_grid,
     sylvester_check,
 )
 from chebconvex.errors import (
+    BackendMismatch,
     IndexOutOfRange,
     InputError,
     InsufficientGrid,
@@ -33,6 +31,7 @@ from oracles import (
     rand_increasing_fractions,
     row_det,
     sorted_grid_formula,
+    sylvester_by_rows,
 )
 
 
@@ -78,14 +77,13 @@ class TestDetMatchesRowElimination:
                 rows = [[float_entry(rng) for _ in range(n)] for _ in range(n)]
                 if all(isinstance(v, int) for row in rows for v in row):
                     rows[0][0] = float(rows[0][0])
-                m = matrix_from_rows(rows)
-                assert repr(det(m)) == repr(row_det(m)), rows
+                assert repr(det(rows)) == repr(row_det(rows)), rows
 
     def test_exact(self):
         rng = random.Random(12)
         for n in range(1, 8):
             for _ in range(300):
-                m = matrix_from_rows(exact_matrix(rng, n))
+                m = exact_matrix(rng, n)
                 got = det(m)
                 assert isinstance(got, Fraction)
                 assert got == row_det(m), m
@@ -93,38 +91,43 @@ class TestDetMatchesRowElimination:
 
 class TestDet:
     def test_identity(self):
-        assert det(matrix_from_rows(identity_rows(3))) == 1
+        assert det(identity_rows(3)) == 1
 
     def test_two_by_two(self):
-        assert det(matrix_from_rows([[1, 1], [1, 2]])) == 1
+        assert det([[1, 1], [1, 2]]) == 1
 
     def test_matches_cofactor_oracle_exact(self):
         rng = random.Random(101)
         for n in range(1, 7):
             for _ in range(12):
                 rows = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-                assert det(matrix_from_rows(rows)) == cofactor_det(rows)
+                assert det(rows) == cofactor_det(rows)
 
     def test_matches_cofactor_oracle_float(self):
         rng = random.Random(102)
         for n in range(1, 7):
             for _ in range(12):
                 rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
-                got = det(matrix_from_rows(rows))
+                got = det(rows)
                 want = cofactor_det(rows)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_singular_exact_zero(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert det(matrix_from_rows(rows)) == 0
+        assert det(rows) == 0
 
     def test_zero_pivot_needs_row_swap(self):
         rows = [[0, 1], [1, 0]]
-        assert det(matrix_from_rows(rows)) == -1
+        assert det(rows) == -1
 
     def test_non_square_rejected(self):
-        with pytest.raises(NonSquareMatrix):
-            det(Matrix(2, 3, (1, 2, 3, 4, 5, 6)))
+        """Non-square, ragged and empty matrices alike, for det and for
+        sylvester_check, before its k is read."""
+        for rows in [[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]], []:
+            with pytest.raises(NonSquareMatrix, match="not a square matrix"):
+                det(rows)
+            with pytest.raises(NonSquareMatrix, match="not a square matrix"):
+                sylvester_check(rows, 0)
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=40, deadline=None)
@@ -132,7 +135,7 @@ class TestDet:
         rows = [[Fraction(data.draw(st.integers(-5, 5))) for _ in range(n)]
                 for _ in range(n)]
         t = [[rows[j][i] for j in range(n)] for i in range(n)]
-        assert det(matrix_from_rows(rows)) == det(matrix_from_rows(t))
+        assert det(rows) == det(t)
 
 
 class TestCollocation:
@@ -234,42 +237,38 @@ class TestPositivity:
 
 class TestSylvester:
     def test_identity_matrix(self):
-        m = matrix_from_rows(identity_rows(5))
+        m = identity_rows(5)
         for k in range(1, 5):
             rep = sylvester_check(m, k)
             assert rep.lhs == 1 and rep.rhs == 1 and rep.residual == 0
 
-    def test_bordered_minor_identity(self):
-        m = matrix_from_rows(identity_rows(4))
-        assert bordered_minor(m, 2, 3, 3) == 1
-        assert bordered_minor(m, 2, 3, 4) == 0
+    @pytest.mark.parametrize("draw", [lambda rng: rand_fraction(rng),
+                                      lambda rng: rng.uniform(-1, 1)], ids=["exact", "float"])
+    def test_both_sides_match_row_determinants(self, draw):
+        """Both sides equal, by repr, those of every minor taken as its
+        own row-wise determinant (oracles.sylvester_by_rows); small
+        entries of the float draws are exact zeros or ties too."""
+        rng = random.Random(16)
+        for n in range(2, 7):
+            for _ in range(25):
+                rows = [[draw(rng) if rng.random() < 0.8 else rng.choice((0, 1))
+                         for _ in range(n)] for _ in range(n)]
+                for k in range(1, n):
+                    got, want = sylvester_check(rows, k), sylvester_by_rows(rows, k)
+                    assert repr((got.lhs, got.rhs)) == repr((want.lhs, want.rhs)), (rows, k)
 
-    def test_bordered_minor_matches_cofactor(self):
-        rng = random.Random(11)
-        rows = [[rand_fraction(rng) for _ in range(4)] for _ in range(4)]
-        m = matrix_from_rows(rows)
-        for i in (3, 4):
-            for j in (3, 4):
-                sub = [[rows[r][c] for c in (0, 1, j - 1)] for r in (0, 1, i - 1)]
-                assert bordered_minor(m, 2, i, j) == cofactor_det(sub)
-
-    def test_bordered_minor_range_checks(self):
-        m = matrix_from_rows(identity_rows(4))
-        with pytest.raises(IndexOutOfRange):
-            bordered_minor(m, 0, 1, 1)
-        with pytest.raises(IndexOutOfRange):
-            bordered_minor(m, 2, 2, 3)
-        with pytest.raises(IndexOutOfRange):
-            bordered_minor(m, 2, 3, 5)
+    @pytest.mark.parametrize("k", [0, 4, -1])
+    def test_k_outside_range(self, k):
+        with pytest.raises(IndexOutOfRange, match=f"k={k} outside 1..3"):
+            sylvester_check(identity_rows(4), k)
 
     def test_random_rational_residual_exactly_zero(self):
         rng = random.Random(12)
         for _ in range(30):
             n = rng.randint(2, 6)
             rows = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-            m = matrix_from_rows(rows)
             for k in range(1, n):
-                assert sylvester_check(m, k).residual == 0
+                assert sylvester_check(rows, k).residual == 0
 
     def test_degenerate_leading_block(self):
         # Zero leading 2x2 block: both sides still computed, no division.
@@ -277,7 +276,7 @@ class TestSylvester:
                                      for i in range(2)] for _ in range(2)]
         rows += [[rand_fraction(random.Random(17 + i + j)) for j in range(4)]
                  for i in range(2)]
-        rep = sylvester_check(matrix_from_rows(rows), 2)
+        rep = sylvester_check(rows, 2)
         assert rep.residual == 0
 
     def test_float_relative_residual(self):
@@ -285,16 +284,15 @@ class TestSylvester:
         for _ in range(20):
             n = rng.randint(2, 6)
             rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
-            m = matrix_from_rows(rows)
             for k in range(1, n):
-                assert sylvester_check(m, k).relative_residual <= 1e-9
+                assert sylvester_check(rows, k).relative_residual <= 1e-9
 
     @pytest.mark.parametrize("draw", [lambda rng: rand_fraction(rng),
                                       lambda rng: rng.uniform(-1, 1)], ids=["exact", "float"])
     def test_the_report_is_a_residual_report_of_its_inputs(self, draw):
         rng = random.Random(15)
         for n in range(2, 6):
-            m = matrix_from_rows([[draw(rng) for _ in range(n)] for _ in range(n)])
+            m = [[draw(rng) for _ in range(n)] for _ in range(n)]
             for k in range(1, n):
                 rep = sylvester_check(m, k)
                 assert isinstance(rep, ResidualReport)
@@ -307,9 +305,8 @@ class TestSylvester:
     @settings(max_examples=60, deadline=None)
     def test_integer_matrices_property(self, n, data):
         rows = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
-        m = matrix_from_rows(rows)
         k = data.draw(st.integers(1, n - 1))
-        assert sylvester_check(m, k).residual == 0
+        assert sylvester_check(rows, k).residual == 0
 
 
 class TestPhiExamples:
@@ -333,22 +330,21 @@ class TestPhiExamples:
 
 def evaluate_det_equals(system):
     m = collocation_matrix_per_value(system.basis[:2], (3, 10))
-    return det(m) == 7 and m[0, 1] == 1 and m[1, 0] == 3
+    return det(m) == 7 and m[0][1] == 1 and m[1][0] == 3
 
 
 class TestMatrixType:
+    """A given matrix is its rows, whose entries det reads once."""
+
     def test_entry_count_checked(self):
-        with pytest.raises(Exception):
-            Matrix(2, 2, (1, 2, 3))
+        with pytest.raises(NonSquareMatrix):
+            det([[1, 2], [3]])
 
     def test_mixed_backend_rejected(self):
-        from chebconvex.errors import BackendMismatch
         with pytest.raises(BackendMismatch):
-            Matrix(1, 2, (Fraction(1), 2.0))
-
-    def test_indexing(self):
-        m = matrix_from_rows([[1, 2], [3, 4]])
-        assert m[0, 1] == 2 and m[1, 0] == 3
+            det([[Fraction(1), 2.0], [0, 1]])
+        with pytest.raises(BackendMismatch):
+            sylvester_check([[Fraction(1), 2.0], [0, 1]], 1)
 
 
 # ---------------------------------------------------------------------------

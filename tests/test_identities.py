@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from chebconvex import identities
 from chebconvex.cli import _jsonify
 from chebconvex.convexity import convexity_identity_check
 from chebconvex.core import Backend, ExpFn, Interval, PowerFn, SampledFn, affine
@@ -217,13 +219,37 @@ def test_identity_checks_are_one_factorization(exact):
 # ---------------------------------------------------------------------------
 # the suites
 
+def draws(monkeypatch, module, name: str, made) -> list:
+    """Replace ``module.name`` by a spy that records ``made`` of each of
+    its results (a new list, made when the result is returned), in call
+    order; returns the record."""
+    seen, fn = [], getattr(module, name)
+
+    def spy(*args):
+        out = fn(*args)
+        seen.append(made(out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
 @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
 @pytest.mark.parametrize("suite", IDENTITY_SUITES)
-def test_suites_match_oracle(suite, backend):
+def test_suites_match_oracle(suite, backend, monkeypatch):
+    """The same reports, and every trial draws the same points, in the
+    same order, made float on the float backend: an exact identity holds
+    with residual 0 whatever its points, so its report cannot show
+    them."""
+    convert = float if backend is Backend.FLOAT else Fraction
+    got_points = draws(monkeypatch, identities, "_rand_points", list)
+    want_points = draws(monkeypatch, oracles, "_rand_distinct_fractions",
+                        lambda pts: [convert(p) for p in pts])
     for seed in range(21):
         want = result(identity_suite_loop, suite, 4, seed, backend)
         got = result(run_suite, suite, 4, seed, backend)
         assert repr(_jsonify(got) if isinstance(got, dict) else got) == repr(want)
+    assert repr(got_points) == repr(want_points)
 
 
 def test_suite_errors():

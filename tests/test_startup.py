@@ -85,7 +85,7 @@ def test_the_help_texts_are_unchanged(capsys, monkeypatch, argv):
 
 def test_every_public_name_resolves_in_its_module_and_is_listed():
     names = chebconvex.__all__
-    assert len(names) == 59 and set(names) <= set(dir(chebconvex))     # the errors module too
+    assert len(names) == 56 and set(names) <= set(dir(chebconvex))     # the errors module too
     for name in names:
         module = chebconvex._MODULE_OF[name]
         value = getattr(chebconvex, name)
