@@ -242,6 +242,28 @@ class TestSylvester:
             rep = sylvester_check(m, k)
             assert rep.lhs == 1 and rep.rhs == 1 and rep.residual == 0
 
+    @staticmethod
+    def bordered_minors(rows, k, monkeypatch):
+        """The matrix of bordered minors that sylvester_check passes to det."""
+        seen = []
+        monkeypatch.setattr("chebconvex.determinant.det", lambda b: seen.append(b) or det(b))
+        sylvester_check(rows, k)
+        monkeypatch.undo()
+        assert len(seen) == 1
+        return seen[0]
+
+    def test_bordered_minor_identity(self, monkeypatch):
+        assert self.bordered_minors(identity_rows(4), 2, monkeypatch) == [[1, 0], [0, 1]]
+
+    def test_bordered_minor_matches_cofactor(self, monkeypatch):
+        rng = random.Random(11)
+        rows = [[rand_fraction(rng) for _ in range(4)] for _ in range(4)]
+        minors = self.bordered_minors(rows, 2, monkeypatch)
+        for i in (2, 3):
+            for j in (2, 3):
+                sub = [[rows[r][c] for c in (0, 1, j)] for r in (0, 1, i)]
+                assert minors[i - 2][j - 2] == cofactor_det(sub)
+
     @pytest.mark.parametrize("draw", [lambda rng: rand_fraction(rng),
                                       lambda rng: rng.uniform(-1, 1)], ids=["exact", "float"])
     def test_both_sides_match_row_determinants(self, draw):
