@@ -98,12 +98,12 @@ def _parse_scalar(text: str, backend: Backend):
 
 def _read_grid(items, backend: Backend, header: bool = False) -> PointTuple:
     """The grid of the scalars of ``backend`` that ``items`` spell, as
-    strings or as JSON numbers (read as their decimal literals), in
-    their order, read in one pass (:func:`_read`).  With ``header``,
-    items that do not read before the first one that does are a header,
-    and skipped.  Exact points p/q are the integers over one scale, the
-    largest q, when every other q divides it (a power of ten for
-    decimals), else Fractions."""
+    strings (a JSON number with a fraction or an exponent among them, as
+    written) or as other JSON values, in their order, read in one pass
+    (:func:`_read`).  With ``header``, items that do not read before the
+    first one that does are a header, and skipped.  Exact points p/q
+    are the integers over one scale, the largest q, when every other q
+    divides it (a power of ten for decimals), else Fractions."""
     texts, out, i = [str(item).strip() for item in items], [], 0
     while header and not out and i < len(texts):
         with contextlib.suppress(InputError):
@@ -118,12 +118,14 @@ def _read_grid(items, backend: Backend, header: bool = False) -> PointTuple:
     return PointTuple([Fraction(p, d) for p, d in out])
 
 
-def _load_json(path: str):
-    """The JSON value in the file at ``path``; one nested past the
-    decoder's recursion limit is an input error naming the file."""
+def _load_json(path: str, parse_float=float):
+    """The JSON value in the file at ``path``, each number with a
+    fraction or an exponent read by ``parse_float`` from its literal
+    (``str`` keeps a grid's or an anchor's as written); one nested past
+    the decoder's recursion limit is an input error naming the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=parse_float)
         except RecursionError:
             raise InputError(f"JSON in {path!r} is nested too deeply to read") from None
 
@@ -251,10 +253,9 @@ def _parse_grid(spec: str, backend: Backend) -> PointTuple:
             finally:    # what the items before a reader error raise is raised first
                 grid = _read_grid(firsts, backend, header=True)
             return grid
-        data = _load_json(spec)
+        data = _load_json(spec, str)
         if not isinstance(data, list):
             raise InputError(f"grid JSON must be a list, got {type(data).__name__}")
-        # JSON floats in an exact grid are read as decimal literals
         return _read_grid(data, backend)
     raise InputError(f"grid {spec!r} is neither a file nor uniform:a,b,m nor list:v1,v2,...")
 
@@ -262,7 +263,7 @@ def _parse_grid(spec: str, backend: Backend) -> PointTuple:
 def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
     """Either a JSON file {"a": [...], "b": [...]} or inline a1,a2;b1,b2."""
     if os.path.exists(spec):
-        data = _load_json(spec)
+        data = _load_json(spec, str)
         try:
             if not all(isinstance(data[side], list) for side in "ab"):
                 raise TypeError("each must be a JSON array")

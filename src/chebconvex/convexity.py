@@ -73,7 +73,6 @@ from .core import (
     DEFAULT_TUPLE_BUDGET,
     Backend,
     ChebyshevSystem,
-    Domain,
     FunctionSpec,
     OrderingClass,
     Scalar,
@@ -90,11 +89,7 @@ from .determinant import (
     increasing_tuples,
     sorted_grid,
 )
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    InsufficientGrid,
-)
+from .errors import DimensionMismatch, InputError
 from .induced import _PinnedBase, _check_base, _check_base_size, _sylvester_side
 
 #: The counts of a pinned mode's verdict.
@@ -126,23 +121,6 @@ class ConvexityVerdict:
     @property
     def is_convex(self) -> bool:
         return self.verdict == "convex_on_sample"
-
-
-def _direct_scan(n: int, domain: Domain, js, table, budget: int, seed: int, tol_factor: float,
-                 cuts: tuple = (), parts: list | None = None):
-    """Sign scan of the extended determinant on increasing (n+1)-tuples
-    of the increasing positions ``js`` of the sorted grid of ``table``,
-    for a system of dimension n on ``domain``, whose extended columns
-    ``table`` gives: negative values are violations, or near zero inside
-    the float tolerance band; with the smallest (base, inner) pairs of
-    its violating tuples for ``cuts`` (see :attr:`SignScan.pairs`), and,
-    given ``parts``, a list of its scan and one per range of the indices
-    of ``js`` (see :func:`determinant._sign_scan`)."""
-    if len(js) < n + 1:
-        raise InsufficientGrid(f"grid has {len(js)} points, need at least {n + 1}")
-    _check_domain(domain, table.grid, "grid point", js)
-    return _sign_scan(table, tuple(range(n + 1)), js, budget, seed, tol_factor, positive=False,
-                      cuts=cuts, parts=parts)
 
 
 def check_convex_direct(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scalar],
@@ -202,8 +180,8 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
             # a pinned check alone leaves its walk's errors to the per-base
             # scans, which meet them in their own order, or not
             with contextlib.suppress(*() if direct else (InputError, ArithmeticError)):
-                walk = _direct_scan(n, system.domain, range(m), table, budget, seed, tol_factor,
-                                    cuts if exhaustive else ())
+                walk = _sign_scan(system.domain, n + 1, range(m), table, budget, seed,
+                                  tol_factor, False, cuts if exhaustive else ())[0]
         verdicts = [ConvexityVerdict(
             "direct", walk.verdict or "convex_on_sample", walk.tuples_checked, seed,
             witness=walk.witness, witness_value=walk.witness_value,
@@ -212,8 +190,8 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
         return verdicts + [v for k, ells in pinned for v in _check_convex_pinned(
             system, k, ells, base_budget, budget, seed, tol_factor, table, pairs)]
 
-    return _route(run, _PointTable(system.basis + (f,), pts), system.domain,
-                  pts.spaced and exhaustive, tol_factor, _PinnedBase)
+    return _route(run, _PointTable(system.basis + (f,), pts), pts.spaced and exhaustive,
+                  tol_factor, _PinnedBase)
 
 
 def _span(m: int, base: tuple, ell: int | None) -> tuple:
@@ -317,9 +295,9 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budg
             # base that the system's domain holds; a unit of several modes
             # starts with the induced one, whose range starts at 0
             off = [j for j in range(m) if j not in base]
-            scans = _direct_scan(n - k, system.domain, off[slice(*live[0][1])],
-                                 _PinnedBase(table, k, base, tol_factor), budget, seed,
-                                 tol_factor, (), [span for _, span in live[1:]])
+            scans = _sign_scan(system.domain, r, off[slice(*live[0][1])],
+                               _PinnedBase(table, k, base, tol_factor), budget, seed,
+                               tol_factor, False, (), [span for _, span in live[1:]])
             for ((_, count, first), _), scan in zip(live, scans):
                 count["bases_checked"] += 1
                 count["tuples_checked"] += scan.tuples_checked

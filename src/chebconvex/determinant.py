@@ -803,13 +803,18 @@ class _Tally:
                 self.add(t + (j,), v, max(base, colmax[j]) if colmax else None)
 
 
-def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_factor: float,
-               positive: bool, cuts: tuple = (), parts: list | None = None):
-    """Classify the determinants of the columns of ``rows`` in ``table``
-    for the increasing len(rows)-tuples of the increasing positions
+def _sign_scan(domain: Domain, n: int, js, table: _PointTable, budget: int, seed: int,
+               tol_factor: float, positive: bool, cuts: tuple = (), parts=()) -> list:
+    """Classify the determinants of the columns of the first n functions
+    of ``table`` for the increasing n-tuples of the increasing positions
     ``js`` of its sorted grid (exhaustive within ``budget``, else
     ``budget`` seeded samples) by the rule of :meth:`_Tally.add`, at the
-    table's one backend.  An exhaustive scan of
+    table's one backend: the one entry to every grid scan, positivity's
+    and each convexity mode's.  Its checks come first, in this order:
+    at least n positions (:class:`InsufficientGrid`), every point at
+    ``js`` in ``domain``, 1 <= n <= len(table.fns)
+    (:class:`DimensionMismatch`), and a finite ``tol_factor``
+    (:func:`_finite_tol`).  An exhaustive scan of
     tuples of two points or more first reads its windows
     (:func:`_certified`): an exact one's, or a float nonnegative one's on
     its columns' exact values, where :func:`_dyadic` lets them stand in
@@ -824,10 +829,10 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     nor a float walk under :func:`_dyadic`'s bound can raise, so no
     window pass and no stop skips an error.
 
-    Given ``parts``, ranges (a, b) of the indices of ``js`` of an
-    exhaustive scan of two points or more, it returns a list: its own
-    :class:`SignScan`, then for each range the scan that the positions
-    js[a:b] alone would give, from the columns read once.  A range's
+    It returns a list: its own :class:`SignScan`, then, for each of
+    ``parts``, ranges (a, b) of the indices of ``js`` of an exhaustive
+    scan of two points or more, the scan that the positions js[a:b]
+    alone would give, from the columns read once.  A range's
     windows are a run of the whole's, cut short at b, so when the
     whole's pass, every range's do; else each range reads its own: on
     the whole's columns only from the whole's first failing window f on,
@@ -840,7 +845,12 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
     count and witness is its own; on an exact one by its own walk of its
     columns, from its range's first index, which stops at its own first
     violation."""
-    m, n = len(js), len(rows)
+    if len(js) < n:
+        raise InsufficientGrid(f"grid has {len(js)} points, need at least {n}")
+    _check_domain(domain, table.grid, "grid point", js)
+    if not 1 <= n <= len(table.fns):
+        raise DimensionMismatch(f"prefix size {n} outside 1..{len(table.fns)}")
+    tol_factor, m, rows = _finite_tol(tol_factor), len(js), tuple(range(n))
     tuples, exhaustive = _index_tuples(m, n, budget, seed)
     checked = math.comb(m, n) if exhaustive else len(tuples)
     exact, grid = table.backend is not Backend.FLOAT, table.grid
@@ -848,7 +858,7 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
                           if exhaustive else tuples)
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     spans = [(a, b, _Tally(positive, exact, tally.at, tol_factor))
-             for a, b in parts] if parts else ()
+             for a, b in parts]
     pairs = None
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
@@ -878,8 +888,7 @@ def _sign_scan(table: _PointTable, rows: tuple, js, budget: int, seed: int, tol_
                 walker.stop = all(c + w == n for c, w in walker.cuts)
                 with contextlib.suppress(_Stop):
                     _walk(ints[a:b], n, walker, a)
-    scan = tally.scan(checked, exhaustive, forms, pairs)
-    return scan if parts is None else [scan] + [
+    return [tally.scan(checked, exhaustive, forms, pairs)] + [
         part.scan(math.comb(b - a, n), True, forms) for a, b, part in spans]
 
 
@@ -1065,26 +1074,20 @@ def is_positive_chebyshev(system: ChebyshevSystem, k: int, grid: Iterable[Scalar
     governs only its witness's float value.
     """
     pts = sorted_grid(grid)
-    return _route(lambda table: [_positivity(system.domain, system.dim, k, range(len(pts)),
-                                             table, budget, seed, tol_factor)],
-                  _PointTable(system.basis, pts), system.domain,
+    return _route(lambda table: [_positivity(system.domain, k, range(len(pts)), table, budget,
+                                             seed, tol_factor)],
+                  _PointTable(system.basis, pts),
                   0 <= k and math.comb(len(pts), k) <= budget, tol_factor)[0]
 
 
-def _positivity(domain: Domain, dim: int, k: int, js, table: _PointTable, budget: int,
-                seed: int, tol_factor: float) -> PositivityReport:
-    """:func:`is_positive_chebyshev` of a system of dimension ``dim`` on
-    ``domain`` at the increasing positions ``js`` of the sorted grid of
-    ``table``, which gives the basis values: its function i is the
-    system's basis function i."""
-    if len(js) < k:
-        raise InsufficientGrid(f"grid has {len(js)} points, need at least {k}")
-    _check_domain(domain, table.grid, "grid point", js)
-    if not 1 <= k <= dim:
-        raise DimensionMismatch(f"prefix size {k} outside 1..{dim}")
-
-    scan = _sign_scan(table, tuple(range(k)), js, budget, seed, _finite_tol(tol_factor),
-                      positive=True)
+def _positivity(domain: Domain, k: int, js, table: _PointTable, budget: int, seed: int,
+                tol_factor: float) -> PositivityReport:
+    """:func:`is_positive_chebyshev` on ``domain`` at the increasing
+    positions ``js`` of the sorted grid of ``table``, whose functions are
+    exactly the system's basis: the report of one positive
+    :func:`_sign_scan`, which makes every check, so k past the basis is
+    its :class:`DimensionMismatch`."""
+    scan = _sign_scan(domain, k, js, table, budget, seed, tol_factor, positive=True)[0]
     return PositivityReport(scan.verdict or "positive_on_grid", k, scan.tuples_checked,
                             scan.exhaustive, seed, scan.witness, scan.witness_value,
                             scan.indeterminate_count)
@@ -1148,7 +1151,7 @@ def _image_fn(f, grid: PointTuple):
     return None if None in rs else make(rs)
 
 
-def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
+def _exact_image(table: _PointTable) -> _PointTable | None:
     """The exact image of a float check of ``table``'s functions on its
     sorted grid: the point table of :func:`_image_fn`'s functions on the
     grid's one-scale integer form, given each sampled function's image as
@@ -1156,9 +1159,12 @@ def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
     does not ask for them), or None when the table reads its grid
     exactly, a function has no image, an integer would pass
     MAX_IMAGE_BITS, or the float input fails a check: a point that is
-    not finite or lies outside ``domain``, or a function value that
-    raises or is not finite.  The table keeps the float values, which
-    the witnesses' float values and a float walk read again."""
+    not finite, or a function value that raises or is not finite.  The
+    image's grid holds the exact values of the float points, so its
+    scan's domain check (:func:`_sign_scan`) fails exactly where the
+    float check's does, and :func:`_route` then answers on the float
+    table.  The table keeps the float values, which the witnesses'
+    float values and a float walk read again."""
     if table.backend is not Backend.FLOAT:
         return None
     grid = table.grid
@@ -1176,7 +1182,6 @@ def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
     if max(q, *map(abs, nums)).bit_length() > MAX_IMAGE_BITS:
         return None
     try:
-        _check_domain(domain, grid)
         _scan_columns(table, tuple(range(len(fns))), range(len(grid)), [range(len(grid))])
     except (ChebconvexError, ArithmeticError):  # the float check meets it, in its own order
         return None
@@ -1186,7 +1191,7 @@ def _exact_image(table: _PointTable, domain: Domain) -> _PointTable | None:
                        {i: image for i, image in enumerate(fns) if type(image) is list})
 
 
-def _route(run, table: _PointTable, domain: Domain, exhaustive: bool, tol_factor: float,
+def _route(run, table: _PointTable, exhaustive: bool, tol_factor: float,
            derived=None) -> list:
     """The verdicts ``run(table)`` gives (positivity reports or
     convexity verdicts) of a check whose scans are all ``exhaustive``,
@@ -1198,11 +1203,12 @@ def _route(run, table: _PointTable, domain: Domain, exhaustive: bool, tol_factor
     whose float value is no definite violation by :meth:`_Tally.add`'s
     float rule, where the float walk may meet another witness first, is
     the float walk's verdict when that is violated too, and the exact
-    one when the float walk raises.  When the image's check or a float
-    witness value raises, the check is the float walk's, which meets its
-    own error or none; input errors are met on the float input before
+    one when the float walk raises.  When a check on the image (its
+    domain check among them) or a float witness value raises, the check
+    is the float walk's, which meets its own error, with its own
+    message, or none; input errors are met on the float input before
     the image is made."""
-    image = _exact_image(table, domain) if exhaustive else None
+    image = _exact_image(table) if exhaustive else None
     if image is None:
         return run(table)
     derived = derived and functools.cache(derived)     # one pinned base per witness base
@@ -1264,9 +1270,10 @@ class ResidualReport:
 
     @property
     def relative_residual(self) -> float:
-        """The residual over the larger of 1 and the two sides' sizes."""
-        denom = max(1.0, abs(float(self.lhs)), abs(float(self.rhs)))
-        return float(self.residual) / denom
+        """The residual over the larger of 1 and the two sides' sizes, as
+        a float: an exact quotient, rounded once, so sides past the float
+        range give it too; a float one is the float division's."""
+        return float(self.residual / max(1, abs(self.lhs), abs(self.rhs)))
 
 
 @dataclass(frozen=True)

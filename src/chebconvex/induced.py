@@ -307,7 +307,7 @@ def verify_induced_system(parent: ChebyshevSystem, k: int, base, grid,
     joined = PointTuple(base.points + tuple(pts))
     js = range(k, len(joined))
     pinned = _PinnedBase(_PointTable(parent.basis, joined), k, tuple(range(k)), tol_factor)
-    positivity = _positivity(domain, dim, dim, js, pinned, budget, seed, tol_factor)
+    positivity = _positivity(domain, dim, js, pinned, budget, seed, tol_factor)
 
     tuples, exhaustive = increasing_tuples(js, dim, budget=budget, seed=seed)
     max_abs = 0.0

@@ -241,7 +241,8 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
     partition supremum, never an upper bound.
 
     ``converged`` is a heuristic: the last doubling improved the maximum
-    by less than 1e-6 (relatively).
+    by less than 1e-6 (relatively), compared in the backend's own
+    scalars, so exactly, at any size, on the exact backend.
     """
     _finite_tol(tol_factor)
     strategy = strategy or RefinementStrategy()
@@ -287,7 +288,7 @@ def estimate_variation(system: ChebyshevSystem, f: FunctionSpec,
         if best is None or value > best:
             best, best_partition = value, (table.grid, part)
         if 0 < r <= last:
-            converged = float(best) - float(prev) < 1e-6 * max(1.0, abs(float(best)))
+            converged = best - prev < _BACKEND_TYPES[backend]("1e-6") * max(1, abs(best))
 
     grid, part = best_partition
     return VariationEstimate(tuple(partial_sums), best, tuple(grid[j] for j in part), converged)

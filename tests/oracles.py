@@ -1308,10 +1308,10 @@ def parse_grid(spec: str, backend: Backend) -> tuple:
                 except csv.Error as exc:
                     raise InputError(f"bad CSV file {spec!r}: {exc}") from None
         with open(spec) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=str)
         if not isinstance(data, list):
             raise InputError(f"grid JSON must be a list, got {type(data).__name__}")
-        # JSON floats in an exact grid are read as decimal literals
+        # a JSON number is read as its literal, as a list: item is
         return read_scalars(data, backend)
     raise InputError(f"grid {spec!r} is neither a file nor uniform:a,b,m nor list:v1,v2,...")
 

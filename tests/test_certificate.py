@@ -98,8 +98,8 @@ def test_a_passing_certificate_holds_on_every_tuple(rng):
 def test_scan_equals_the_walk(rng):
     rows, dens, positive = matrix(rng)
     n, m = len(rows), len(dens)
-    got = _sign_scan(table_of(rows, dens), tuple(range(n)), range(m), 10 ** 6, 0,
-                     DEFAULT_TOL_FACTOR, positive)
+    got = _sign_scan(Interval(), n, range(m), table_of(rows, dens), 10 ** 6, 0,
+                     DEFAULT_TOL_FACTOR, positive)[0]
     assert got == walk_scan(table_of(rows, dens), tuple(range(n)), range(m), positive)
     assert got.tuples_checked == math.comb(m, n) and got.exhaustive
 
@@ -215,8 +215,8 @@ CUTS = ((0, 2), (1, 2), (1, 1))
 
 def lower_scan(rows: list, cuts: tuple = CUTS):
     m = len(rows[0])
-    return _sign_scan(table_of(rows, [1] * m), tuple(range(len(rows))), range(m), 10 ** 6, 0,
-                      DEFAULT_TOL_FACTOR, False, cuts)
+    return _sign_scan(Interval(), len(rows), range(m), table_of(rows, [1] * m), 10 ** 6, 0,
+                      DEFAULT_TOL_FACTOR, False, cuts)[0]
 
 
 def smallest_pairs(negative: list, cuts: tuple = CUTS) -> dict:
@@ -253,8 +253,8 @@ def test_bases_only_where_read():
     rows = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 9]]    # x^2: every window passes
     assert lower_scan(rows).pairs == {}
     rows[2][3] = 5      # the last row fails, and a scan given no cuts reads no lower part
-    plain = _sign_scan(table_of(rows, [1] * 4), (0, 1, 2), range(4), 10 ** 6, 0,
-                       DEFAULT_TOL_FACTOR, False)
+    plain = _sign_scan(Interval(), 3, range(4), table_of(rows, [1] * 4), 10 ** 6, 0,
+                       DEFAULT_TOL_FACTOR, False)[0]
     assert plain.pairs is None
     assert lower_scan(rows).pairs == smallest_pairs([(0, 2, 3), (1, 2, 3)])
     assert plain == lower_scan(rows)        # the pairs are not part of the outcome
@@ -276,7 +276,8 @@ def test_a_walk_of_violations_keeps_no_list_of_them(monkeypatch, cuts):
     grid = PointTuple([Fraction(-i, 7) for i in range(40, 0, -1)])
     system = polynomial_system(2)
     table = _PointTable(system.basis + (PowerFn(3),), grid)   # x^3 is concave on x < 0
-    got = _sign_scan(table, (0, 1, 2), range(40), 10 ** 6, 0, DEFAULT_TOL_FACTOR, False, cuts)
+    (got,) = _sign_scan(Interval(), 3, range(40), table, 10 ** 6, 0, DEFAULT_TOL_FACTOR, False,
+                        cuts)
     assert got.verdict == "violated" and got.witness == grid[:3]
     assert got.pairs == (None if not cuts else {
         (c, w): ((0, 1, 2)[:c] + (0, 1, 2)[c + w:], (0, 1, 2)[c:c + w]) for c, w in cuts})

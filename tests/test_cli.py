@@ -390,6 +390,22 @@ class TestVariation:
         assert rep["results"]["bound"] == "-3"
         assert rep["results"]["certificate"]["partition"]
 
+    @pytest.mark.parametrize("argv", [["--function", "power:400"],
+                                      ["--g", "power:400", "--h", "power:2"]])
+    def test_exact_sums_past_the_float_range(self, capsys, argv):
+        """Partition sums of x^400 on [1, 10] pass the float range; the
+        estimate's convergence is the exact comparison of its last
+        doubling's improvement with 1e-6 of its best."""
+        from fractions import Fraction
+        code, rep = run_cli(capsys, "variation", "--system", "poly:2", *argv,
+                            "--a", "1", "--b", "10")
+        assert code == 0
+        est = rep["results"]["estimate"]
+        sums = [Fraction(v) for _, v in est["partial_sums"][:rep["config"]["rounds"]]]
+        prev, best = max(sums[:-1]), max(sums)
+        assert best > 2 ** 1024     # past the largest float
+        assert est["converged"] is (best - prev < Fraction(1, 10 ** 6) * max(1, best))
+
     def test_default_anchors_path(self, capsys):
         code, rep = run_cli(capsys, "variation", "--system", "poly:2",
                             "--g", "power:2", "--h", "const:0",
@@ -574,6 +590,48 @@ class TestFileInputs:
                             "--m0", "4", "--rounds", "1", "--perturb-rounds", "0")
         assert code == 0
         assert rep["results"]["bound"] == "3"
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("argv, texts, field, exact", [
+        (["chebcheck", "--system", "poly:2"], "1.00000000000000001,1.00000000000000002,3",
+         "positivity", "positive_on_grid"),
+        (["divdiff", "--system", "poly:2", "--function", "power:2"],
+         "12345678901234567891.5,12345678901234567892",
+         "points", ["24691357802469135783/2", "12345678901234567892"]),
+    ], ids=["dup", "big"])
+    def test_a_json_grid_number_is_read_as_written(self, capsys, tmp_path, backend, argv, texts,
+                                                   field, exact):
+        """A JSON grid's numbers read as the same texts given as list:
+        items do: exactly on the exact backend, where a double would merge
+        two points or round one, and as the same doubles on the float
+        backend, which merge there."""
+        path = tmp_path / "grid.json"
+        path.write_text(f"[{texts}]")
+        got = run_cli(capsys, *argv, "--grid", str(path), "--backend", backend)
+        want = run_cli(capsys, *argv, "--grid", f"list:{texts}", "--backend", backend)
+        for _, rep in (got, want):
+            del rep["timing_seconds"], rep["config"]["grid"]
+        assert got == want
+        code, rep = got
+        if backend == "exact":
+            got = rep["results"][field]
+            assert code == 0 and (got["verdict"] if field == "positivity" else got) == exact
+        else:
+            assert code == 2 and rep["error"]["type"] == "OrderingViolation"
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_a_json_anchor_number_is_read_as_written(self, capsys, tmp_path, backend):
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text('{"a": [0.79999999999999999999, 1], "b": [2, 2.5]}')
+        argv = ["variation", "--system", "poly:2", "--g", "power:2", "--a", "1", "--b", "2",
+                "--m0", "4", "--rounds", "1", "--perturb-rounds", "0", "--backend", backend]
+        got = run_cli(capsys, *argv, "--anchors", str(anchors))
+        want = run_cli(capsys, *argv, "--anchors=0.79999999999999999999,1;2,2.5")
+        for _, rep in (got, want):
+            del rep["timing_seconds"], rep["config"]["anchors"]
+        assert got == want and got[0] == 0
+        assert got[1]["results"]["anchors"]["a"][0] == (
+            "79999999999999999999/100000000000000000000" if backend == "exact" else 0.8)
 
     def test_bad_json_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

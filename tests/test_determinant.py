@@ -309,6 +309,23 @@ class TestSylvester:
             for k in range(1, n):
                 assert sylvester_check(rows, k).relative_residual <= 1e-9
 
+    def test_exact_relative_residual_past_the_float_range(self):
+        rep = sylvester_check([[10 ** 400, 1], [2, 3]], 1)
+        assert rep.residual == 0 and rep.relative_residual == 0.0
+
+    def test_float_relative_residual_is_the_float_division(self):
+        """Bit for bit: the residual over the larger of 1.0 and the two
+        sides' sizes, each a float."""
+        rng = random.Random(16)
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            rows = [[rng.uniform(-1, 1) * 10 ** rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(n)]
+            for k in range(1, n):
+                rep = sylvester_check(rows, k)
+                want = rep.residual / max(1.0, abs(rep.lhs), abs(rep.rhs))
+                assert repr(rep.relative_residual) == repr(want)
+
     @pytest.mark.parametrize("draw", [lambda rng: rand_fraction(rng),
                                       lambda rng: rng.uniform(-1, 1)], ids=["exact", "float"])
     def test_the_report_is_a_residual_report_of_its_inputs(self, draw):

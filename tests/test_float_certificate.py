@@ -97,8 +97,8 @@ def scans(system, f, pts: list, tol_factor: float, walks: list) -> list:
     for rows, positive in [(tuple(range(k)), True) for k in range(2, system.dim + 1)] \
             + [(tuple(range(system.dim + 1)), False)]:
         walks.clear()
-        got = outcome(_sign_scan, table, rows, range(len(grid)), 10 ** 6, 0, tol_factor,
-                      positive)
+        got = outcome(lambda: _sign_scan(REAL_LINE, len(rows), range(len(grid)), table, 10 ** 6,
+                                         0, tol_factor, positive)[0])
         want = outcome(float_walk_scan, table, rows, range(len(grid)), positive, tol_factor)
         out.append((got, want, not walks, table, rows, grid))
     return out
@@ -158,8 +158,8 @@ def walk_and_scan(walks: list, columns: list, positive: bool, tol_factor: float)
     m, n = len(columns), len(columns[0])
     rows = tuple(range(n))
     walks.clear()
-    got = outcome(_sign_scan, table_of(columns), rows, range(m), 10 ** 6, 0, tol_factor,
-                  positive)
+    got = outcome(lambda: _sign_scan(REAL_LINE, n, range(m), table_of(columns), 10 ** 6, 0,
+                                     tol_factor, positive)[0])
     return got, bool(walks), outcome(float_walk_scan, table_of(columns), rows, range(m),
                                      positive, tol_factor)
 
@@ -210,8 +210,8 @@ def test_a_column_under_the_overflow_bound_is_certified(walks):
 def test_a_certified_float_scan_reports_no_pairs(walks):
     # pairs are read only off an exact scan, so a float one has none,
     # though it was given a cut and its windows pass
-    got = _sign_scan(table_of(ROUNDED), (0, 1, 2), range(4), 10 ** 6, 0, 1e-10, False,
-                     cuts=((1, 2),))
+    (got,) = _sign_scan(REAL_LINE, 3, range(4), table_of(ROUNDED), 10 ** 6, 0, 1e-10, False,
+                        cuts=((1, 2),))
     assert not walks and got.verdict is None and got.pairs is None
 
 

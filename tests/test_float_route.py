@@ -278,10 +278,8 @@ def test_the_bit_bound_is_inclusive(monkeypatch):
     system = polynomial_system(2)
     at_bound = determinant.sorted_grid([0.0, 0.5, 1.0, 1.875])       # 0/8 .. 15/8
     past = determinant.sorted_grid([0.0, 0.5, 1.0, 1.9375])          # 31/16
-    assert determinant._exact_image(determinant._PointTable(system.basis, at_bound),
-                                    system.domain) is not None
-    assert determinant._exact_image(determinant._PointTable(system.basis, past),
-                                    system.domain) is None
+    assert determinant._exact_image(determinant._PointTable(system.basis, at_bound)) is not None
+    assert determinant._exact_image(determinant._PointTable(system.basis, past)) is None
 
 
 @pytest.mark.parametrize("grid", [[1e150, 2e150, 3e150, 4e150], [0.0, 1.0, 2.0, 3.0]])
@@ -375,7 +373,7 @@ def test_transcendental_functions_have_no_image():
     and an exact grid is read exactly as before."""
     grid = determinant.sorted_grid([0.0, 0.5, 1.0])
     table = determinant._PointTable(polynomial_system(2).basis + (ExpFn(),), grid)
-    assert determinant._exact_image(table, Interval()) is None
+    assert determinant._exact_image(table) is None
     exact = determinant.sorted_grid([Fraction(0), Fraction(1, 2), Fraction(1)])
-    assert determinant._exact_image(determinant._PointTable(polynomial_system(2).basis, exact),
-                                    Interval()) is None
+    assert determinant._exact_image(determinant._PointTable(polynomial_system(2).basis,
+                                                            exact)) is None

@@ -77,6 +77,16 @@ def test_verify_induced_matches_oracle(system, exact):
                 assert not report.exhaustive and report.identity_checked == 2
 
 
+def test_verify_induced_past_the_float_range():
+    """Points of size 10^200 make sides past the float range; the exact
+    identity holds, and its relative residual is an exact 0, as a float."""
+    report = verify_induced_system(polynomial_system(4), 1, (Fraction(10 ** 200),),
+                                   (2 * 10 ** 200, 3 * 10 ** 200, 4 * 10 ** 200))
+    assert report.positivity.is_positive and report.identity_checked == 1
+    assert report.max_rel_residual == 0.0 and type(report.max_rel_residual) is float
+    assert abs(report.worst.lhs) > 2 ** 1024
+
+
 def test_verify_induced_errors():
     base = (Fraction(-1), Fraction(1, 2))
     grid = [Fraction(i, 4) for i in range(-8, 9, 3)]

@@ -138,11 +138,11 @@ def refuse_pinned(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pinned base was built")
 
-    def direct_scan(n, domain, js, table, *rest):
+    def sign_scan(domain, n, js, table, *rest):
         assert not isinstance(table, _PinnedBase), "a pinned base was scanned"
-        return real(n, domain, js, table, *rest)
-    real = convexity._direct_scan
-    monkeypatch.setattr(convexity, "_direct_scan", direct_scan)
+        return real(domain, n, js, table, *rest)
+    real = convexity._sign_scan
+    monkeypatch.setattr(convexity, "_sign_scan", sign_scan)
     monkeypatch.setattr(convexity, "_PinnedBase", refuse)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chebconvex import determinant
-from chebconvex.core import PointTuple, SampledFn
+from chebconvex.core import REAL_LINE, PointTuple, SampledFn
 from chebconvex.determinant import _PointTable, _sign_scan, is_positive_chebyshev
 from chebconvex.errors import ChebconvexError
 from chebconvex.systems import polynomial_system
@@ -47,8 +47,8 @@ def scan_and_oracle(columns: list, exact: bool, positive: bool, tol_factor: floa
     m, n = len(columns), len(columns[0])
     rows = tuple(range(n))
     with mode():
-        got = outcome(_sign_scan, table_of(columns, exact), rows, range(m), 10 ** 6, 0,
-                      tol_factor, positive)
+        got = outcome(lambda: _sign_scan(REAL_LINE, n, range(m), table_of(columns, exact),
+                                         10 ** 6, 0, tol_factor, positive)[0])
     if exact:
         want = outcome(walk_scan, table_of(columns, exact), rows, range(m), positive)
     else:

@@ -312,7 +312,7 @@ def test_the_image_is_given_a_samples_values_by_position(monkeypatch, nested):
     made = []
     real = SampledFn.__post_init__
     monkeypatch.setattr(SampledFn, "__post_init__", lambda g: made.append(g) or real(g))
-    image = determinant._exact_image(table, Interval())
+    image = determinant._exact_image(table)
     monkeypatch.undo()
     if nested:
         assert len(made) == 1 and 3 not in image._lists

@@ -12,12 +12,14 @@ import pytest
 from chebconvex import determinant
 from chebconvex.convexity import (check_convex_direct, check_convex_induced,
                                   check_convex_interval, cross_mode_agreement)
-from chebconvex.core import ConstFn, ExpFn, Interval, PowerFn, SampledFn, affine
+from chebconvex.core import (POSITIVE_HALF_LINE, ChebyshevSystem, ConstFn, ExpFn, Interval,
+                             PowerFn, SampledFn, affine)
 from chebconvex.determinant import increasing_tuples, is_positive_chebyshev
 from chebconvex.divdiff import divided_difference
 from chebconvex.induced import verify_induced_system
 from chebconvex.variation import check_variation_bound, estimate_variation, variation_bound
-from chebconvex.errors import DimensionMismatch, InputError, NonFiniteValue, OrderingViolation
+from chebconvex.errors import (DimensionMismatch, EvaluationOutsideSupport, InputError,
+                               InsufficientGrid, NonFiniteValue, OrderingViolation)
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
 from oracles import direct_loop, positivity_loop
@@ -199,18 +201,21 @@ def test_non_finite_tol_factor_is_refused(name, exact):
 
 
 # ---------------------------------------------------------------------------
-# the first error of a convexity check whose input has two defects: the
-# induced and interval checks read tol_factor first, the direct mode and
-# agreement sort the grid with the minimum gap first, and every base
-# size is checked before any interval index
+# the first error of a check whose input has two defects: the induced and
+# interval checks read tol_factor first, the direct mode and agreement
+# sort the grid with the minimum gap first, and every base size is
+# checked before any interval index; positivity checks the grid's size,
+# then its domain, then k, as the per-tuple loop does
 
 CLOSE, FEW = [0.0, 0.5, 0.5 + 1e-12, 1.0, 1.5, 2.0], [0.0, 1.0]
 
 
-def convexity_calls() -> dict:
-    """Calls of the convexity checks with two defects each, by name, with
-    the error each meets first and a pattern of its message."""
+def first_error_calls() -> dict:
+    """Calls of the checks with two defects each, by name, with the error
+    each meets first, a pattern of its message and, for positivity, the
+    per-tuple loop's call, which must meet the same error."""
     line, cubic, nan = polynomial_system(2), polynomial_system(3), math.nan
+    half = ChebyshevSystem(line.basis, POSITIVE_HALF_LINE)
     tol = "tol_factor must be finite"
     return {
         "direct, close, NaN tol": (lambda: check_convex_direct(
@@ -230,15 +235,27 @@ def convexity_calls() -> dict:
         "agreement, k_list=[7], NaN tol": (lambda: cross_mode_agreement(
             cubic, PowerFn(3), CLOSE, k_list=[7], tol_factor=nan), DimensionMismatch,
             "base size 7"),
+        "positivity k=3, two points, one outside": (
+            lambda: is_positive_chebyshev(half, 3, [-1, 1]), InsufficientGrid,
+            r"^grid has 2 points, need at least 3$", lambda: positivity_loop(half, 3, [-1, 1])),
+        "positivity k=0, outside": (
+            lambda: is_positive_chebyshev(half, 0, [-1, 1]), EvaluationOutsideSupport,
+            r"^grid point -1 is outside the system domain$",
+            lambda: positivity_loop(half, 0, [-1, 1])),
+        "positivity k=3, three points, NaN tol": (
+            lambda: is_positive_chebyshev(line, 3, [0, 1, 2], tol_factor=nan), DimensionMismatch,
+            r"^prefix size 3 outside 1\.\.2$",
+            lambda: positivity_loop(line, 3, [0, 1, 2], tol_factor=nan)),
     }
 
 
-@pytest.mark.parametrize("name", sorted(convexity_calls()))
+@pytest.mark.parametrize("name", sorted(first_error_calls()))
 def test_first_error_of_two_defects(name):
-    call, error, match = convexity_calls()[name]
-    with pytest.raises(error, match=match) as raised:
-        call()
-    assert type(raised.value) is error
+    call, error, match, *oracle = first_error_calls()[name]
+    for fn in (call, *oracle):
+        with pytest.raises(error, match=match) as raised:
+            fn()
+        assert type(raised.value) is error
 
 
 @pytest.mark.parametrize("dip", [False, True])

@@ -40,6 +40,7 @@ from chebconvex.core import (
 )
 from chebconvex.determinant import _PointTable, _sign_scan
 from chebconvex.errors import InputError, NonFiniteValue
+from chebconvex.induced import _PinnedBase
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
 from oracles import pinned_loop
@@ -90,15 +91,16 @@ def seen(monkeypatch):
         determinant._dyadic
     calls: list = []
 
-    def sign_scan(table, rows, js, budget, seed, tol_factor, positive, cuts=(), parts=None):
-        if parts is not None and not parts and math.comb(len(js), len(rows)) <= budget < \
-                math.comb(len(table.grid) - len(table.base), len(rows)):
+    def sign_scan(domain, n, js, table, budget, seed, tol_factor, positive, cuts=(), parts=()):
+        pinned = isinstance(table, _PinnedBase)
+        if pinned and not parts and math.comb(len(js), n) <= budget < \
+                math.comb(len(table.grid) - len(table.base), n):
             found.add("sampled")
         calls.append([] if parts else None)
         try:
-            return scan(table, rows, js, budget, seed, tol_factor, positive, cuts, parts)
+            return scan(domain, n, js, table, budget, seed, tol_factor, positive, cuts, parts)
         except Exception:
-            if parts is not None:
+            if pinned:
                 found.add("error")
             raise
         finally:
@@ -140,17 +142,18 @@ def table_of(columns: list, exact: bool) -> _PointTable:
                        PointTuple(points))
 
 
-def scans(table, rows: tuple, m: int, parts: list, tol_factor: float) -> tuple:
-    """The scan of all m points given ``parts``, and the scans of all m
-    points and of each part's range, each alone."""
-    def run(js, *parts):
+def scans(table, n: int, m: int, parts: list, tol_factor: float) -> tuple:
+    """The scans of n-tuples of all m points given ``parts``, and the
+    scans of all m points and of each part's range, each alone."""
+    def run(js, parts=()):
         try:
-            return repr(_sign_scan(table, rows, js, 10 ** 6, 0, tol_factor, False, (), *parts))
+            return repr(_sign_scan(REAL_LINE, n, js, table, 10 ** 6, 0, tol_factor, False, (),
+                                   parts))
         except NonFiniteValue as exc:
             return f"NonFiniteValue: {exc}"
     alone = [run(range(m))] + [run(range(a, b)) for a, b in parts]
-    return run(range(m), parts), alone if alone[0].startswith("NonFinite") else \
-        "[" + ", ".join(alone) + "]"
+    return run(range(m), parts), alone[0] if alone[0].startswith("NonFinite") else \
+        "[" + ", ".join(scan[1:-1] for scan in alone) + "]"   # each alone a list of one
 
 
 def test_parts_scan_as_their_ranges_alone(scan_modes):
@@ -174,7 +177,7 @@ def test_parts_scan_as_their_ranges_alone(scan_modes):
                 cuts = sorted(rng.sample(range(m + 1), 2))
                 parts = [(0, cuts[0]), (cuts[0], cuts[1]), (cuts[1], m)]
                 parts = [(a, b) for a, b in parts if b - a >= n][:rng.randint(0, 3)]
-                got, want = scans(table_of(columns, exact), tuple(range(n)), m, parts,
+                got, want = scans(table_of(columns, exact), n, m, parts,
                                   rng.choice((1e-10, 0.05, 0.0)))
                 assert got == want
                 seen |= {v for v in ("violated", "indeterminate") if v in got}
@@ -201,9 +204,10 @@ def test_a_part_whose_windows_pass_is_not_walked(monkeypatch):
         return walk(cols, n, tally, *rest)
     monkeypatch.setattr(determinant, "_walk", counted)
     table = table_of(ROUNDED + [[1.0, 5.5, -13.0]], False)
-    got, want = scans(table, (0, 1, 2), 5, [(0, 4)], 1e-10)
+    got, want = scans(table, 3, 5, [(0, 4)], 1e-10)
     assert got == want and len(walks) == 2     # the whole, given the part and alone
-    whole, part = _sign_scan(table, (0, 1, 2), range(5), 10 ** 6, 0, 1e-10, False, (), [(0, 4)])
+    whole, part = _sign_scan(REAL_LINE, 3, range(5), table, 10 ** 6, 0, 1e-10, False, (),
+                             [(0, 4)])
     assert whole.verdict == "violated" and whole.indeterminate_count == 1
     assert part.verdict is None and part.indeterminate_count == 0
 
@@ -217,7 +221,8 @@ def test_a_part_reads_no_window_before_the_wholes_first_failing_one(monkeypatch)
     monkeypatch.setattr(determinant, "_certified",
                         lambda ints, *a: reads.append((len(ints), real(ints, *a))) or reads[-1][1])
     table = table_of(ROUNDED + [[1.0, 5.5, -13.0]], False)
-    whole, part = _sign_scan(table, (0, 1, 2), range(5), 10 ** 6, 0, 1e-10, False, (), [(0, 4)])
+    whole, part = _sign_scan(REAL_LINE, 3, range(5), table, 10 ** 6, 0, 1e-10, False, (),
+                             [(0, 4)])
     assert reads == [(5, 2), (2, 2)] and part.verdict is None
 
 

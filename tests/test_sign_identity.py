@@ -146,18 +146,18 @@ def test_the_cases_reach_every_path():
 
 
 def whole_grid_walks(monkeypatch, m: int) -> list:
-    """The position ranges of the calls of ``convexity._direct_scan``
+    """The position ranges of the calls of ``convexity._sign_scan``
     over all m positions of a check's grid from here on, each recorded
     before its scan runs, so a scan that raises counts too."""
     from chebconvex import convexity
 
-    real, walks = convexity._direct_scan, []
+    real, walks = convexity._sign_scan, []
 
-    def direct_scan(n, domain, js, *rest):
+    def sign_scan(domain, n, js, *rest):
         if len(js) == m:
             walks.append(js)
-        return real(n, domain, js, *rest)
-    monkeypatch.setattr(convexity, "_direct_scan", direct_scan)
+        return real(domain, n, js, *rest)
+    monkeypatch.setattr(convexity, "_sign_scan", sign_scan)
     return walks
 
 

@@ -108,13 +108,18 @@ def test_an_unknown_name_raises_attribute_error():
         chebconvex.nope    # noqa: B018
 
 
-def test_the_startup_tool_times_every_case_in_one_pass(capsys):
-    """``tools/startup.py --runs 1`` on this tree: one median for each
-    case, the benchmark's set-up and a request of every subcommand."""
+def load_startup_tool():
     spec = importlib.util.spec_from_file_location(
         "startup", Path(__file__).resolve().parent.parent / "tools" / "startup.py")
     startup = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(startup)
+    return startup
+
+
+def test_the_startup_tool_times_every_case_in_one_pass(capsys):
+    """``tools/startup.py --runs 1`` on this tree: one median for each
+    case, the benchmark's set-up and a request of every subcommand."""
+    startup = load_startup_tool()
     assert set(startup.CASES) == {"setup", *COMMANDS}
     assert startup.main(["--runs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -122,3 +127,31 @@ def test_the_startup_tool_times_every_case_in_one_pass(capsys):
     assert rows.keys() == startup.CASES.keys()
     assert all(float(median) > 0 and float(iqr) == 0 for median, iqr in rows.values())
     assert lines[-2] == "1 runs of each case on each tree"
+
+
+def test_each_tree_reads_bytecode_from_a_private_empty_cache(monkeypatch, tmp_path):
+    """The environment of every interpreter the tool starts: each tree
+    has its own PYTHONPYCACHEPREFIX, outside both trees, empty before its
+    first run and removed after the last, where bytecode may be written,
+    so no tree's own ``__pycache__`` is read."""
+    startup = load_startup_tool()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    trees = [tmp_path / "a", tmp_path / "b"]
+    seen = []
+
+    def run(argv, env, stdout):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        tree = Path(env["PYTHONPATH"].split(os.pathsep)[0]).parent
+        seen.append((tree, cache, not any(cache.iterdir()), "PYTHONDONTWRITEBYTECODE" in env))
+        (cache / "written").touch()
+        return subprocess.CompletedProcess(argv, 0)
+    monkeypatch.setattr(startup.subprocess, "run", run)
+    startup.times(trees, 2)
+    assert len(seen) == 3 * len(startup.CASES) * len(trees)     # one unmeasured, two timed
+    caches = {tree: {cache for t, cache, *_ in seen if t == tree} for tree in trees}
+    assert all(len(c) == 1 for c in caches.values()) and caches[trees[0]] != caches[trees[1]]
+    for tree in trees:
+        (cache,) = caches[tree]
+        first = next(empty for t, _, empty, _ in seen if t == tree)
+        assert first and tmp_path not in cache.parents and not cache.exists()
+    assert not any(kept for *_, kept in seen)

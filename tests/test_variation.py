@@ -149,6 +149,18 @@ class TestEstimate:
         assert converged.converged and converged == refinement_loop(SLOPE_SYSTEM, PowerFn(1),
                                                                     a, b, strategy)
 
+    def test_convergence_past_the_float_range(self):
+        """Sums past the float range are compared exactly: 10^400·|x - 1/2|
+        kinks at a point of every round's partition, so each round sums
+        to 2·10^400 and the estimate converges; x^400 on [1, 10] does not."""
+        xs = tuple(Fraction(i, 64) for i in range(65))
+        kink = SampledFn(xs, tuple(10 ** 400 * abs(x - Fraction(1, 2)) for x in xs))
+        strategy = RefinementStrategy(initial_intervals=8, rounds=4, perturb_rounds=0)
+        est = estimate_variation(SLOPE_SYSTEM, kink, Fraction(0), Fraction(1), strategy)
+        assert est.converged and est.best == 2 * 10 ** 400
+        est = estimate_variation(SLOPE_SYSTEM, PowerFn(400), Fraction(1), Fraction(10), strategy)
+        assert not est.converged and est.best > 2 ** 1024
+
     def test_float_backend(self):
         strategy = RefinementStrategy(initial_intervals=8, rounds=2,
                                       perturb_rounds=1, seed=3)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from chebconvex import determinant
 from chebconvex.convexity import check_convex_direct
-from chebconvex.core import PointTuple, PowerFn, SampledFn, affine
+from chebconvex.core import Interval, PointTuple, PowerFn, SampledFn, affine
 from chebconvex.determinant import DEFAULT_TOL_FACTOR, _certified, _PointTable, _sign_scan
 from chebconvex.systems import polynomial_system
 
@@ -95,8 +95,8 @@ def test_every_exact_walk_reports_as_a_walk_of_every_tuple():
         rows, positive, cuts = case(random.Random(seed))
         n, m = len(rows), len(rows[0])
         table = table_of(rows)
-        got = _sign_scan(table, tuple(range(n)), range(m), 10 ** 6, 0, DEFAULT_TOL_FACTOR,
-                         positive, cuts)
+        (got,) = _sign_scan(Interval(), n, range(m), table, 10 ** 6, 0, DEFAULT_TOL_FACTOR,
+                            positive, cuts)
         want, pairs = full_walk_scan(table, tuple(range(n)), range(m), positive, cuts)
         assert got == want, seed
         cols = [list(c) for c in zip(*rows)]

@@ -8,8 +8,13 @@ the benchmark's ``setup_s`` times), and each subcommand runs ``python
 milliseconds, so its time is that process's start-up and the modules
 the command loads.  Every run times each case on each tree, the trees
 in alternating order from one case to the next; before the timed runs
-each case runs once on each tree, unmeasured.  For each case and tree
-the script prints the median and the interquartile range (inclusive
+each case runs once on each tree, unmeasured.  Each tree's interpreters
+read and write bytecode under a private ``PYTHONPYCACHEPREFIX`` of that
+tree alone, empty at the start and removed at the end, with
+``PYTHONDONTWRITEBYTECODE`` cleared: the unmeasured runs compile into
+it, so every timed run reads bytecode compiled from its own tree's
+sources, never a stale ``__pycache__`` left in a working tree.  For each
+case and tree the script prints the median and the interquartile range (inclusive
 quartiles) of the runs' wall times in milliseconds; with two trees,
 also the ratio of the second tree's median to the first's:
 
@@ -20,11 +25,13 @@ this machine, unscaled; runs alternate so that two trees compare.
 """
 
 import argparse
+import contextlib
 import importlib
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,12 +56,13 @@ CASES = {
 }
 
 
-def timed(tree: Path, args: list) -> float:
+def timed(tree: Path, args: list, cache: str) -> float:
     """Wall seconds of one interpreter with ``args`` on the package of
-    ``tree``, its output discarded; a nonzero exit other than 1 (a
-    violation) raises."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    ``tree``, its bytecode under ``cache`` alone, its output discarded;
+    a nonzero exit other than 1 (a violation) raises."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONPATH=os.pathsep.join(
         p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     t0 = time.perf_counter()
     code = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL).returncode
     seconds = time.perf_counter() - t0
@@ -64,18 +72,22 @@ def timed(tree: Path, args: list) -> float:
 
 
 def times(trees: list, runs: int) -> dict:
-    """{case: [[seconds of each run] for each tree]}."""
+    """{case: [[seconds of each run] for each tree]}, each tree's runs
+    with their own bytecode cache."""
     found = {case: [[] for _ in trees] for case in CASES}
-    for case, args in CASES.items():
-        for tree in trees:
-            timed(tree, args)       # unmeasured
-    flip = False
-    for _ in range(runs):
+    with contextlib.ExitStack() as stack:
+        caches = [stack.enter_context(tempfile.TemporaryDirectory(prefix="pycache-"))
+                  for _ in trees]
         for case, args in CASES.items():
-            order = list(enumerate(trees))
-            for t, tree in order[::-1] if flip else order:
-                found[case][t].append(timed(tree, args))
-            flip = not flip
+            for tree, cache in zip(trees, caches):
+                timed(tree, args, cache)        # unmeasured: fills the tree's cache
+        flip = False
+        for _ in range(runs):
+            for case, args in CASES.items():
+                order = list(enumerate(zip(trees, caches)))
+                for t, (tree, cache) in order[::-1] if flip else order:
+                    found[case][t].append(timed(tree, args, cache))
+                flip = not flip
     return found
 
 
