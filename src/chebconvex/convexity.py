@@ -48,11 +48,22 @@ so no denominator vanishes; an exact grid has no two equal points, so
 (B..., x) passes the ordering check; every point passed the walk's
 domain check; and every inner scan is exhaustive.  Such a check lists
 no base either: each mode's counts are closed forms in m, n and k (see
-_check_convex_pinned).  Any other check, or one whose lower part fails
-or whose walk raises, scans every base, and one scan of a base serves
-all of its modes when they are the induced mode and its gaps and the
-induced scan is exhaustive: each gap is a range of the positions off
-the base.  A float walk of those positions tallies every mode's tuples,
+_check_convex_pinned).  A float check reads the whole certificate on
+its float values taken as exact (determinant._dyadic): when every window
+passes, every (n+1)-minor is >= 0 and every k- and (k+1)-prefix minor
+> 0 there, so every derived minor is >= 0, and every pinned mode is
+convex, with the same closed-form counts, no tuple near zero and no
+base pinned.  Its scan checks what the per-base scans would: every
+point in the domain and every value finite, and the check is
+exhaustive on a spaced grid, so no (B..., x) meets the ordering check.
+A float mode whose bases' scans would meet a denominator inside the
+float band answers there.  Where the windows fail, a float mode scans
+every base: its witness is its own walk's first definite violation,
+which the direct walk cannot name.  Any other check, or one whose lower
+part fails or whose walk raises, scans every base, and one scan of a
+base serves all of its modes when they are the induced mode and its
+gaps and the induced scan is exhaustive: each gap is a range of the
+positions off the base.  A float walk of those positions tallies every mode's tuples,
 each by its own tolerance, and an exact gap walks its own range, as an
 exact walk stops at its first violation; a gap whose windows pass, as
 every gap's do when the whole's do, is not walked.
@@ -153,14 +164,18 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
     gap when ``direct``), then ``tol_factor``.  The check is exhaustive
     when its walk on every (n+1)-tuple fits ``budget`` and every k's
     bases fit ``base_budget``; then it answers on the exact image
-    (determinant._route) when the grid is spaced.  Its direct walk is
+    (determinant._route) when the grid is spaced.  Its direct scan is
     made here once: when ``direct``, the direct mode's scan, whose
-    errors propagate; else, for an exhaustive exact check, the same
-    walk, whose errors the per-base scans meet in their own order, or
-    not.  Only an exhaustive check's walk is given each pinned mode's
-    :func:`_cut`, and its pairs are what every k reads; a check whose
-    bases are sampled reads none, so its walk keeps no cut that could
-    keep it from stopping at its first violation."""
+    errors propagate; else, for an exhaustive check on a spaced grid,
+    the same scan, whose errors the per-base scans meet in their own
+    order, or not.  Only an exhaustive check's scan is given each pinned
+    mode's :func:`_cut`, and its pairs are what every k reads; a check
+    whose bases are sampled reads none, so its walk keeps no cut that
+    could keep it from stopping at its first violation.  A float scan
+    has pairs only when its windows pass, and then none: it is given the
+    cuts only when there is no direct mode, so that one whose windows
+    fail does not walk, and agreement's float walk, which the direct
+    verdict needs, keeps none."""
     n = system.dim
     for k, _ in pinned:
         _check_base_size(n, k)
@@ -176,12 +191,13 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
 
     def run(table):
         walk = None
-        if direct or exhaustive and table.backend is not Backend.FLOAT:
+        if direct or exhaustive and pts.spaced:
             # a pinned check alone leaves its walk's errors to the per-base
             # scans, which meet them in their own order, or not
             with contextlib.suppress(*() if direct else (InputError, ArithmeticError)):
                 walk = _sign_scan(system.domain, n + 1, range(m), table, budget, seed,
-                                  tol_factor, False, cuts if exhaustive else ())[0]
+                                  tol_factor, False, () if not exhaustive or direct
+                                  and table.backend is Backend.FLOAT else cuts)[0]
         verdicts = [ConvexityVerdict(
             "direct", walk.verdict or "convex_on_sample", walk.tuples_checked, seed,
             witness=walk.witness, witness_value=walk.witness_value,
@@ -236,12 +252,13 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budg
     check share.  :func:`_check_convex`, its one caller, checks k and
     ``ells``.
 
-    Given ``pairs``, those of the exact direct walk of an exhaustive
-    check (see :func:`_check_convex`), the sign identity reads each
-    mode's verdict off that one walk, the first violated base and its
-    witness being the pair of the mode's :func:`_cut`, or none when it
-    has none: a violated mode's witness, value and base by
-    :func:`_read_off`.  No base is pinned or listed then, and no check
+    Given ``pairs``, those of the direct scan of an exhaustive check
+    (see :func:`_check_convex`), the sign identity reads each mode's
+    verdict off that one scan, the first violated base and its witness
+    being the pair of the mode's :func:`_cut`, or none when it has none:
+    a violated mode's witness, value and base by :func:`_read_off`.  A
+    float scan's pairs are always empty: its windows passed, and every
+    mode is convex.  No base is pinned or listed then, and no check
     of a base's scan is skipped that could fail (see the module
     docstring): the bases are all C(m, k) of them, and the walk found
     every grid point in the domain, so every base passes its domain
@@ -337,7 +354,9 @@ def check_convex_induced(system: ChebyshevSystem, k: int, f: FunctionSpec,
     with this one mode and no direct verdict, once ``tol_factor`` is
     found finite.  An exhaustive float check of rational input answers
     on the exact engine (determinant._route), with 0 indeterminate
-    tuples."""
+    tuples.  Any other exhaustive float check on a spaced grid passes,
+    scanning no base, when the windows of its direct scan pass
+    (determinant._dyadic)."""
     return _check_convex(system, f, grid, False, ((k, (None,)),), base_budget, budget, seed,
                          _finite_tol(tol_factor))[0]
 
@@ -355,7 +374,9 @@ def check_convex_interval(system: ChebyshevSystem, k: int, ell: int, f: Function
     :func:`_check_convex` with this one mode and no direct verdict, once
     ``tol_factor`` is found finite.  An exhaustive float check of
     rational input answers on the exact engine (determinant._route),
-    with 0 indeterminate tuples."""
+    with 0 indeterminate tuples.  Any other exhaustive float check on a
+    spaced grid passes, scanning no base, when the windows of its direct
+    scan pass (determinant._dyadic)."""
     return _check_convex(system, f, grid, False, ((k, (ell,)),), base_budget, budget, seed,
                          _finite_tol(tol_factor))[0]
 
@@ -433,7 +454,9 @@ def cross_mode_agreement(system: ChebyshevSystem, f: FunctionSpec,
     walk records one base and inner tuple for each mode's cut.  An
     exhaustive float check of rational input on a spaced grid answers on
     the exact engine (determinant._route), with 0 indeterminate tuples,
-    or keeps the float walk for every mode."""
+    or keeps the float walk for every mode; a float pinned mode reads a
+    convex verdict off the direct scan's windows when they pass, and
+    scans no base then."""
     n = system.dim
     # the induced mode, then each interval mode; a k past n - 1 is
     # rejected (_check_convex) before its ells are read

@@ -692,13 +692,13 @@ class SignScan:
     #: For each (cut, width) the scan was given (``cuts``), the smallest
     #: pair (base, inner) over violating index tuples t of its base
     #: t[:cut] + t[cut + width:] and its inner tuple t[cut:cut + width],
-    #: absent when none is, of an exact exhaustive scan that its windows
-    #: pass ({}) or whose windows' lower part holds (see
-    #: :func:`_certified`), else None, on every float scan too; not part
-    #: of the outcome, which is the same either way.  A walk that stops
-    #: at its first violation t, its cuts all prefix cuts, reads each pair
-    #: (t[:cut], t[cut:]) there, the smallest of them all, since the pair
-    #: orders as t does.
+    #: absent when none is, of an exhaustive scan that its windows pass
+    #: ({}, on either backend) or of an exact one whose windows' lower
+    #: part holds (see :func:`_certified`), else None, on a float walk
+    #: too; not part of the outcome, which is the same either way.  A
+    #: walk that stops at its first violation t, its cuts all prefix
+    #: cuts, reads each pair (t[:cut], t[cut:]) there, the smallest of
+    #: them all, since the pair orders as t does.
     pairs: dict | None = field(default=None, compare=False, repr=False)
 
 
@@ -819,11 +819,14 @@ def _sign_scan(domain: Domain, n: int, js, table: _PointTable, budget: int, seed
     (:func:`_certified`): an exact one's, or a float nonnegative one's on
     its columns' exact values, where :func:`_dyadic` lets them stand in
     for the float walk; when they pass, so does the scan, with
-    ``tuples_checked`` C(m, n) and no tuple near zero.  An exact
-    exhaustive scan given ``cuts`` that walks reads its windows' lower
-    part, for its :attr:`SignScan.pairs` of a base and an inner tuple.
-    An exact walk stops at its first violation, the witness, when every
-    cut it keeps is a prefix cut (cut + width == n), or it keeps none; its
+    ``tuples_checked`` C(m, n) and no tuple near zero, and its
+    :attr:`SignScan.pairs` are empty.  An exact exhaustive scan given
+    ``cuts`` that walks reads its windows' lower part, for its pairs of
+    a base and an inner tuple.  A float scan is given ``cuts`` only for
+    its pairs, which only its windows give, so one whose windows fail
+    does not walk, and its outcome is no verdict.  An exact walk stops
+    at its first violation, the witness, when every cut it keeps is a
+    prefix cut (cut + width == n), or it keeps none; its
     ``tuples_checked`` is C(m, n) either way.  Every column is read
     before the windows or the walk, and neither exact walk arithmetic
     nor a float walk under :func:`_dyadic`'s bound can raise, so no
@@ -859,15 +862,13 @@ def _sign_scan(domain: Domain, n: int, js, table: _PointTable, budget: int, seed
     tally = _Tally(positive, exact, lambda t: tuple(grid[js[j]] for j in t), tol_factor)
     spans = [(a, b, _Tally(positive, exact, tally.at, tol_factor))
              for a, b in parts]
-    pairs = None
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
     passed = 0 if ints is None else _certified(ints, n, positive)  # f, or m when all pass
-    if ints is not None and passed == m:
-        pairs = {} if exact else None
-    elif cols is None:
+    pairs = {} if passed == m else None
+    if cols is None:
         _scan_each(forms, tuples, tally)
-    else:
+    elif passed < m and (exact or not cuts):    # a float scan given cuts reads only windows
         # the parts whose own windows fail, each a range of the walk's columns.  On the
         # whole's columns, a part's windows before the whole's first failing one pass,
         # and one that holds that window's columns fails there

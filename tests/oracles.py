@@ -824,7 +824,8 @@ def refinement_loop(system, f, a, b, strategy, tol_factor=DEFAULT_TOL_FACTOR):
     doubling size, each made anew by uniform_partition_points, then the
     seeded jitters of the finest by jittered_points, every partition
     summed by variation_loop; the running best and the convergence
-    heuristic of the last doubling, kept across both loops."""
+    heuristic of the last doubling, kept across both loops and compared
+    in the backend's scalars, so exact sums past the float range compare."""
     backend = combine_backends(scalar_backend(a), scalar_backend(b), f.required_backend(),
                                system.required_backend(), default=Backend.EXACT)
     m0 = strategy.initial_intervals if strategy.initial_intervals is not None \
@@ -838,8 +839,8 @@ def refinement_loop(system, f, a, b, strategy, tol_factor=DEFAULT_TOL_FACTOR):
         if best is None or value > best:
             best, best_partition = value, tuple(pts)
         if prev_best is not None:
-            improvement = float(best) - float(prev_best)
-            converged = improvement < 1e-6 * max(1.0, abs(float(best)))
+            step = Fraction(1, 10 ** 6) if backend is Backend.EXACT else 1e-6
+            converged = best - prev_best < step * max(1, abs(best))
         prev_best = best
     rng = random.Random(strategy.seed)
     for _ in range(strategy.perturb_rounds):

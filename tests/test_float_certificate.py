@@ -11,8 +11,11 @@ and walks its tuples only when they fail.
 * A positive scan, a ``tol_factor`` <= 0 and a column at the overflow
   bound 2^(1023/n - n/2) still walk, and report or raise as the walk
   does.
-* A certified scan calls no float elimination, and reports no
-  ``SignScan.pairs``: those are read only off an exact scan.
+* A certified scan calls no float elimination, and reports its
+  ``SignScan.pairs`` empty, as an exact one does: a scan whose windows
+  pass has no violating tuple.  A scan given cuts whose windows fail
+  reports none, and does not walk: a float scan is given cuts only for
+  its pairs.
 """
 
 import itertools
@@ -208,11 +211,14 @@ def test_a_column_under_the_overflow_bound_is_certified(walks):
 
 
 def test_a_certified_float_scan_reports_no_pairs(walks):
-    # pairs are read only off an exact scan, so a float one has none,
-    # though it was given a cut and its windows pass
+    # its windows pass, so no tuple violates: its pairs are empty
     (got,) = _sign_scan(REAL_LINE, 3, range(4), table_of(ROUNDED), 10 ** 6, 0, 1e-10, False,
                         cuts=((1, 2),))
-    assert not walks and got.verdict is None and got.pairs is None
+    assert not walks and got.verdict is None and got.pairs == {}
+    # at tol_factor 0 its windows do not stand in for the walk: no pairs, and no walk
+    (got,) = _sign_scan(REAL_LINE, 3, range(4), table_of(ROUNDED), 10 ** 6, 0, 0.0, False,
+                        cuts=((1, 2),))
+    assert not walks and got.pairs is None
 
 
 def test_a_certified_scan_calls_no_float_elimination(monkeypatch):

@@ -311,17 +311,23 @@ def test_a_non_finite_value_inside_one_gap(seen):
 # guards on the number of scans
 
 def test_one_scan_per_base_on_a_float_agreement(monkeypatch):
-    """A float agreement of transcendental input makes one sign scan for
-    its direct mode and one per base of each k, for all of its modes."""
+    """A float agreement of transcendental input whose windows fail
+    makes one sign scan for its direct mode and one per base of each k,
+    for all of its modes; one whose windows pass, its direct scan alone."""
     calls = []
     real = convexity._sign_scan
     monkeypatch.setattr(convexity, "_sign_scan",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     grid = [-3.0 + 0.4 * j for j in range(8)]
-    f = affine((1.0, PowerFn(2)), (0.5, PowerFn(3)))
+    f = affine((1.0, PowerFn(2)), (-0.5, PowerFn(3)))
     report = cross_mode_agreement(TRIG, f, grid)
     assert len(report.verdicts) == 1 + (1 + 2) + (1 + 3)
+    assert {v.verdict for _, v in report.verdicts} == {"violated"}
     assert len(calls) == 1 + math.comb(8, 1) + math.comb(8, 2)
+    calls.clear()
+    report = cross_mode_agreement(TRIG, affine((1.0, PowerFn(2)), (0.5, PowerFn(3))), grid)
+    assert {v.verdict for _, v in report.verdicts} == {"convex_on_sample"}
+    assert len(calls) == 1
 
 
 def test_a_float_agreement_reads_no_window_the_whole_settled(monkeypatch):

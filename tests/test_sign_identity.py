@@ -180,8 +180,9 @@ def test_no_walk_past_the_tuple_budget(monkeypatch):
 
 def test_one_walk_per_exact_exhaustive_check(monkeypatch):
     """An exact check whose walk and bases are exhaustive walks the
-    whole grid once, standalone or in agreement; a float check of
-    transcendental input, and one whose bases are sampled, never."""
+    whole grid once, standalone or in agreement, and so does a float
+    check of transcendental input, whose scan reads its windows; one
+    whose bases are sampled, never."""
     system, grid = polynomial_system(3), [Fraction(i) for i in range(7)]
     walks = whole_grid_walks(monkeypatch, len(grid))
     checks = {
@@ -199,7 +200,7 @@ def test_one_walk_per_exact_exhaustive_check(monkeypatch):
         check()
         counts[name] = len(walks)
     assert counts == {"induced": 1, "interval, ell < k": 1, "interval, ell = k": 1,
-                      "agreement": 1, "float, exp": 0, "sampled bases": 0}
+                      "agreement": 1, "float, exp": 1, "sampled bases": 0}
 
 
 def test_a_walk_error_is_met_in_the_per_base_order():

@@ -125,7 +125,7 @@ class TestEstimate:
         """The uniform rounds and the jitters, each on the table of its
         own partition, against the oracle's two loops over partitions
         made anew: the same sums, best, best partition and convergence,
-        floats by repr."""
+        floats by repr; exact sums past the float range too."""
         a, b = (Fraction(-1), Fraction(1)) if exact else (-1.0, 1.0)
         strategy = RefinementStrategy(initial_intervals=3, rounds=rounds,
                                       perturb_rounds=perturb_rounds, seed=7)
@@ -133,6 +133,11 @@ class TestEstimate:
         for f in (PowerFn(3), quartic, PowerFn(1)) + (() if exact else (ExpFn(),)):
             got = estimate_variation(SLOPE_SYSTEM, f, a, b, strategy)
             assert repr(got) == repr(refinement_loop(SLOPE_SYSTEM, f, a, b, strategy))
+        if exact:   # x^400 on [1, 10] sums past the float range
+            strategy = RefinementStrategy(initial_intervals=8, rounds=rounds,
+                                          perturb_rounds=perturb_rounds, seed=7)
+            args = (SLOPE_SYSTEM, PowerFn(400), Fraction(1), Fraction(10), strategy)
+            assert repr(estimate_variation(*args)) == repr(refinement_loop(*args))
 
     def test_one_loop_keeps_a_jittered_best_and_convergence(self):
         """A jittered partition that beats every uniform one is the best
