@@ -42,13 +42,17 @@ mode's first violated base and T* the smallest violating tuple of its
 scan, the witness, whose value, the derived minor at T*, is the
 identity's left side above at (B*, T*), computed exactly from the
 parent table's determinants (induced._sylvester_side, which
-_PinnedBase.identity computes too).  No check that the base's scan
-would make can fail there: every k- and (k+1)-prefix minor is positive,
-so no denominator vanishes; an exact grid has no two equal points, so
-(B..., x) passes the ordering check; every point passed the walk's
-domain check; and every inner scan is exhaustive.  Such a check lists
-no base either: each mode's counts are closed forms in m, n and k (see
-_check_convex_pinned).  A float check reads the whole certificate on
+_PinnedBase.identity computes too).  A float check of rational input
+answers on its exact image (determinant._route), which gives it its
+verdicts, witnesses and bases, while the float walk gives its values
+(determinant._float_witness): there the walk's pair gives the witness
+and base alone, and no identity value is computed.  No check that the
+base's scan would make can fail there: every k- and (k+1)-prefix minor
+is positive, so no denominator vanishes; an exact grid has no two equal
+points, so (B..., x) passes the ordering check; every point passed the
+walk's domain check; and every inner scan is exhaustive.  Such a check
+lists no base either: each mode's counts are closed forms in m, n and k
+(see _check_convex_pinned).  A float check reads the whole certificate on
 its float values taken as exact (determinant._dyadic): when every window
 passes, every (n+1)-minor is >= 0 and every k- and (k+1)-prefix minor
 > 0 there, so every derived minor is >= 0, and every pinned mode is
@@ -164,7 +168,9 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
     gap when ``direct``), then ``tol_factor``.  The check is exhaustive
     when its walk on every (n+1)-tuple fits ``budget`` and every k's
     bases fit ``base_budget``; then it answers on the exact image
-    (determinant._route) when the grid is spaced.  Its direct scan is
+    (determinant._route) when the grid is spaced, on a table whose grid
+    is not the sorted grid here: its pinned modes then read no value off
+    the walk (:func:`_read_off`).  Its direct scan is
     made here once: when ``direct``, the direct mode's scan, whose
     errors propagate; else, for an exhaustive check on a spaced grid,
     the same scan, whose errors the per-base scans meet in their own
@@ -179,10 +185,9 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
     n = system.dim
     for k, _ in pinned:
         _check_base_size(n, k)
-    for k, ells in pinned:
-        for ell in ells:
-            if ell is not None and not 0 <= ell <= k:
-                raise InputError(f"interval index {ell} outside 0..{k}")
+    for k, ell in [(k, ell) for k, ells in pinned for ell in ells if ell is not None]:
+        if not 0 <= ell <= k:
+            raise InputError(f"interval index {ell} outside 0..{k}")
     pts = sorted_grid(grid, min_gap=DEFAULT_MIN_GAP if direct else 0.0)
     tol_factor, m = _finite_tol(tol_factor), len(pts)
     cuts = tuple({_cut(n, k, ell) for k, ells in pinned for ell in ells})
@@ -202,9 +207,11 @@ def _check_convex(system: ChebyshevSystem, f: FunctionSpec, grid: Iterable[Scala
             "direct", walk.verdict or "convex_on_sample", walk.tuples_checked, seed,
             witness=walk.witness, witness_value=walk.witness_value,
             indeterminate_count=walk.indeterminate_count)] if direct else []
-        pairs = walk.pairs if walk and exhaustive else None
+        # on the exact image, whose grid is not pts, a float check's values are
+        # the float walk's (determinant._float_witness)
         return verdicts + [v for k, ells in pinned for v in _check_convex_pinned(
-            system, k, ells, base_budget, budget, seed, tol_factor, table, pairs)]
+            system, k, ells, base_budget, budget, seed, tol_factor, table,
+            walk.pairs if walk and exhaustive else None, table.grid is pts)]
 
     return _route(run, _PointTable(system.basis + (f,), pts), pts.spaced and exhaustive,
                   tol_factor, _PinnedBase)
@@ -229,21 +236,26 @@ def _cut(n: int, k: int, ell: int | None) -> tuple:
     return (k if ell is None else ell, n - k + 1)
 
 
-def _read_off(table: _PointTable, k: int, base: tuple, inner: tuple) -> dict:
+def _read_off(table: _PointTable, k: int, base: tuple, inner: tuple, valued: bool) -> dict:
     """The violated verdict's (witness, value, base) of a pinned mode
     read off the walk (the pair of its cut, see :func:`_cut`): the points of
-    ``inner`` and ``base``, and the derived minor at inner, by the
-    identity from the exact parent ``table``, whose minors there are all
-    nonzero (see the module docstring)."""
-    value = _sylvester_side(table, k, base, inner,
-                            lambda j: table.det(tuple(range(k + 1)), base + (j,)))
-    pts = table.grid
-    return {"violated": (tuple(pts[j] for j in inner), value, tuple(pts[j] for j in base))}
+    ``inner`` and ``base``, and, when ``valued``, the derived minor at
+    inner, by the identity from the exact parent ``table``, whose minors
+    there are all nonzero (see the module docstring).  A float check on
+    its exact image is not valued: it reads the witness and base here,
+    and its value is the float walk's (determinant._float_witness), so
+    the value is None, which no report shows."""
+    pts, rows = table.grid, tuple(range(k + 1))
+    return {"violated": (
+        tuple(pts[j] for j in inner),
+        _sylvester_side(table, k, base, inner, lambda j: table.det(rows, base + (j,)))
+        if valued else None,
+        tuple(pts[j] for j in base))}
 
 
 def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budget: int,
                          budget: int, seed: int, tol_factor: float, table: _PointTable,
-                         pairs: dict | None) -> list:
+                         pairs: dict | None, valued: bool) -> list:
     """The verdicts of the pinned modes ``ells`` of base size k on the
     sorted grid of ``table``, in their order: the induced mode for ``None``,
     else the interval mode of that ell.  The modes take the same bases,
@@ -256,14 +268,16 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budg
     (see :func:`_check_convex`), the sign identity reads each mode's
     verdict off that one scan, the first violated base and its witness
     being the pair of the mode's :func:`_cut`, or none when it has none:
-    a violated mode's witness, value and base by :func:`_read_off`.  A
-    float scan's pairs are always empty: its windows passed, and every
-    mode is convex.  No base is pinned or listed then, and no check
-    of a base's scan is skipped that could fail (see the module
-    docstring): the bases are all C(m, k) of them, and the walk found
-    every grid point in the domain, so every base passes its domain
-    check.  Each mode's counts are closed forms, with r = n - k + 1: the
-    induced mode checks every base, and C(m, k)·C(m - k, r) tuples; an
+    a violated mode's witness, value and base by :func:`_read_off`, the
+    value only when ``valued``, which a float check on its exact image
+    is not (see :func:`_check_convex`).  A float scan's pairs are always
+    empty: its windows passed, and every mode is convex.  No base is
+    pinned or listed then, and no check of a base's scan is skipped that
+    could fail (see the module docstring): the bases are all C(m, k) of
+    them, and the walk found every grid point in the domain, so every
+    base passes its domain check.  Each mode's counts are closed forms,
+    with r = n - k + 1: the induced mode checks every base, and
+    C(m, k)·C(m - k, r) tuples; an
     interval mode checks the C(m - r, k) bases that leave r points or
     more in its gap (C(m - g - 1, k - 1) bases leave g there, summed
     over g >= r), skips the rest, and checks C(m, k + r) tuples, each
@@ -293,7 +307,7 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budg
         return [_pinned_verdict(ell, seed, dict(
             tuples_checked=total * math.comb(m - k, r) if ell is None else math.comb(m, k + r),
             bases_checked=c, bases_skipped=total - c, indeterminate_count=0),
-            _read_off(table, k, *pair) if (pair := pairs.get(_cut(n, k, ell))) else {})
+            _read_off(table, k, *pair, valued) if (pair := pairs.get(_cut(n, k, ell))) else {})
             for ell in ells for c in [total if ell is None else math.comb(m - r, k)]]
     # by mode: its ell, its counts and, by verdict, the (witness, value, base)
     # of its first base
@@ -311,8 +325,8 @@ def _check_convex_pinned(system: ChebyshevSystem, k: int, ells: tuple, base_budg
             # the induced system's punctured domain holds the points off the
             # base that the system's domain holds; a unit of several modes
             # starts with the induced one, whose range starts at 0
-            off = [j for j in range(m) if j not in base]
-            scans = _sign_scan(system.domain, r, off[slice(*live[0][1])],
+            scans = _sign_scan(system.domain, r,
+                               [j for j in range(m) if j not in base][slice(*live[0][1])],
                                _PinnedBase(table, k, base, tol_factor), budget, seed,
                                tol_factor, False, (), [span for _, span in live[1:]])
             for ((_, count, first), _), scan in zip(live, scans):

@@ -818,7 +818,9 @@ def _sign_scan(domain: Domain, n: int, js, table: _PointTable, budget: int, seed
     tuples of two points or more first reads its windows
     (:func:`_certified`): an exact one's, or a float nonnegative one's on
     its columns' exact values, where :func:`_dyadic` lets them stand in
-    for the float walk; when they pass, so does the scan, with
+    for the float walk, each column scaled to integers once, window 0's
+    before the rest, so a scan whose window 0 fails scales only n
+    columns; when they pass, so does the scan, with
     ``tuples_checked`` C(m, n) and no tuple near zero, and its
     :attr:`SignScan.pairs` are empty.  An exact exhaustive scan given
     ``cuts`` that walks reads its windows' lower part, for its pairs of
@@ -864,7 +866,8 @@ def _sign_scan(domain: Domain, n: int, js, table: _PointTable, budget: int, seed
              for a, b in parts]
     cols = [forms[j][0] for j in range(m)] if exhaustive and n > 1 else None
     ints = cols if exact or cols is None else _dyadic(cols, n, positive, tol_factor)
-    passed = 0 if ints is None else _certified(ints, n, positive)  # f, or m when all pass
+    # f, or m when all pass; a float scan's windows scale its columns into ints
+    passed = 0 if ints is None else _certified(ints, n, positive, () if exact else cols)
     pairs = {} if passed == m else None
     if cols is None:
         _scan_each(forms, tuples, tally)
@@ -873,11 +876,12 @@ def _sign_scan(domain: Domain, n: int, js, table: _PointTable, budget: int, seed
         # whole's columns, a part's windows before the whole's first failing one pass,
         # and one that holds that window's columns fails there
         walking = [(a, b, part) for a, b, part in spans
-                   for own in [ints[max(a, passed):b] if ints is not None
+                   for lo in [a if ints is None else max(a, passed)]
+                   for own in [ints[lo:b] if ints is not None
                                else _dyadic(cols[a:b], n, positive, tol_factor)]
                    if own is None or ints is not None and a <= passed
                    and min(b, passed + n) == min(m, passed + n)
-                   or _certified(own, n, positive) < len(own)]
+                   or _certified(own, n, positive, () if exact else cols[lo:b]) < b - lo]
         if not exact:
             tally.parts = walking
             _walk(cols, n, tally)
@@ -992,7 +996,7 @@ def _walk(cols: list, n: int, tally: _Tally, start: int = 0) -> None:
     visit(0, (), (1, 1) if exact else 1.0, colmax and 0.0, range(start, start + len(cols)), cols)
 
 
-def _certified(ints: list, n: int, positive: bool) -> int:
+def _certified(ints: list, n: int, positive: bool, floats=()) -> int:
     """The first of the windows of consecutive columns that fails to
     certify that every increasing n-tuple of the integer columns
     ``ints``, on their rows 0..n-1, has a determinant > 0 (``positive``)
@@ -1007,12 +1011,19 @@ def _certified(ints: list, n: int, positive: bool) -> int:
     certificate, its steps 0..n-2 on every window, is itself the
     certificate ``_certified(ints, n - 1, True)``: read on its own, it
     cannot stop at a last step that fails in a window before the one
-    where a lower step fails."""
-    for s in range(len(ints)):
+    where a lower step fails.  Given a float scan's columns ``floats``,
+    ``ints`` holds those of them already scaled to integers
+    (:func:`_integers`), a prefix, to which it appends, in place, the
+    columns not scaled yet: window 0's before reading it, and the rest
+    before window 1, each column once.  So a scan whose window 0 fails
+    scales only its first n columns, and one that reads on scales the
+    rest in one pass, with no work per window."""
+    for s in range(len(floats or ints)):
+        if len(ints) < len(floats):
+            ints += map(_integers, floats[len(ints):n if s == 0 else None])
         cols, state = ints[s:s + n], (1, 1)
         for d in range(len(cols)):
-            v = cols[0][0]
-            if v < 0 or v == 0 and (positive or d < n - 1):
+            if (v := cols[0][0]) < 0 or v == 0 and (positive or d < n - 1):
                 return s
             if len(cols) > 1:
                 state, _, cols = _eliminate(cols, 1, True, state)
@@ -1020,21 +1031,32 @@ def _certified(ints: list, n: int, positive: bool) -> int:
 
 
 def _dyadic(cols: list, n: int, positive: bool, tol_factor: float) -> list | None:
-    """The float columns ``cols`` of a scan of n-tuples, each scaled to
-    integers by its largest power-of-two denominator, which keeps every
-    determinant's sign on the floats' exact values: what :func:`_certified`
-    reads in place of the float walk.  None where the windows cannot
-    stand in for the walk: a positive scan, whose two-sided band they
-    cannot clear; ``tol_factor`` <= 0, where the walk calls a zero that
-    rounds negative a violation; or an entry at or past 2^(1023/n - n/2),
+    """The float columns ``cols`` of a scan of n-tuples as the integer
+    columns that :func:`_certified` reads in place of the float walk,
+    each column scaled by its largest power-of-two denominator
+    (:func:`_integers`), which keeps every determinant's sign on the
+    floats' exact values: an empty list, to which :func:`_certified`,
+    given ``cols``, appends window 0's columns before reading it and the
+    rest before window 1.  None where the windows cannot stand in for
+    the walk: a positive scan, whose two-sided band they cannot clear;
+    ``tol_factor`` <= 0, where the walk calls a zero that rounds negative
+    a violation; or an entry, of any column, at or past 2^(1023/n - n/2),
     where the walk's determinants (at most 2^(n(n-1)/2) times the n-th
     power of the largest |entry|, by partial pivoting's growth) or its
-    tolerances may overflow, which it raises."""
-    if positive or tol_factor <= 0 or max(map(abs, itertools.chain.from_iterable(cols))) \
-            >= 2.0 ** (1023 / n - n / 2):
-        return None
-    ratios = [[v.as_integer_ratio() for v in c] for c in cols]
-    return [[p * (q // d) for p, d in c] for c in ratios for q in [max(d for _, d in c)]]
+    tolerances may overflow, which it raises.  That bound reads every
+    column up front: a column past it that no window reaches is still a
+    float walk's overflow."""
+    return None if positive or tol_factor <= 0 or max(
+        map(abs, itertools.chain.from_iterable(cols))) >= 2.0 ** (1023 / n - n / 2) else []
+
+
+def _integers(col: list) -> list:
+    """The float column ``col`` scaled to integers by its largest
+    power-of-two denominator q: every finite float is a dyadic rational
+    p/d, d a power of two dividing q, so it scales to p * (q // d)."""
+    ratios = list(map(float.as_integer_ratio, col))
+    return [p << (bits - d.bit_length()) for bits in [max([d for _, d in ratios]).bit_length()]
+            for p, d in ratios]
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1222,10 @@ def _route(run, table: _PointTable, exhaustive: bool, tol_factor: float,
     with an :func:`_exact_image` answers on the image, each verdict
     spelled in float by :func:`_float_witness` (``derived`` makes the
     pinned base a verdict's witness base reads, once for every verdict
-    of that base).  A violated verdict
+    of that base): the image gives the check its verdicts, witnesses
+    and bases, and the float walk gives its values, so ``run(image)``
+    need give a violated verdict no value (a pinned one read off the
+    direct walk has None, see convexity._read_off).  A violated verdict
     whose float value is no definite violation by :meth:`_Tally.add`'s
     float rule, where the float walk may meet another witness first, is
     the float walk's verdict when that is violated too, and the exact
@@ -1217,14 +1242,12 @@ def _route(run, table: _PointTable, exhaustive: bool, tol_factor: float,
         verdicts = [_float_witness(v, table, tol_factor, derived) for v in run(image)]
     except (ChebconvexError, ArithmeticError):
         return run(table)
-    if all(definite for _, definite in verdicts):
-        return [v for v, _ in verdicts]
-    try:
-        walk = run(table)
-    except (ChebconvexError, ArithmeticError):  # a float error alone: the exact verdicts stand
-        return [v for v, _ in verdicts]
-    return [w if not definite and w.verdict == _VIOLATION else v
-            for (v, definite), w in zip(verdicts, walk)]
+    if not all(definite for _, definite in verdicts):
+        # a float error alone leaves the exact verdicts standing
+        with contextlib.suppress(ChebconvexError, ArithmeticError):
+            return [w if not definite and w.verdict == _VIOLATION else v
+                    for (v, definite), w in zip(verdicts, run(table))]
+    return [v for v, _ in verdicts]
 
 
 def _float_witness(v, table: _PointTable, tol_factor: float, derived) -> tuple:
@@ -1234,8 +1257,10 @@ def _float_witness(v, table: _PointTable, tol_factor: float, derived) -> tuple:
     the det of the float columns of ``table`` (of ``derived(table, k,
     base, tol_factor)`` for a pinned base, which :func:`_route` makes once for
     every verdict of that base), bit-identical to the walk's: a pinned
-    base's values do not depend on the order it makes them in.  A
-    verdict that is not violated is definite."""
+    base's values do not depend on the order it makes them in.  The
+    image gives the verdict, witness and base, and this the value, the
+    only one the report shows: ``v``'s own value is not read, and may be
+    None.  A verdict that is not violated is definite."""
     if v.verdict != _VIOLATION:
         return v, True
     grid = table.grid

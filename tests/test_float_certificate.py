@@ -16,6 +16,8 @@ and walks its tuples only when they fail.
   pass has no violating tuple.  A scan given cuts whose windows fail
   reports none, and does not walk: a float scan is given cuts only for
   its pairs.
+* Each column is scaled to integers once, window 0's first: a scan
+  whose window 0 fails scales only that window's columns.
 """
 
 import itertools
@@ -32,7 +34,7 @@ from chebconvex.core import (REAL_LINE, ChebyshevSystem, ExpFn, PointTuple, Powe
 from chebconvex.determinant import (SignScan, _form, _PointTable, _prepared_det, _sign_scan,
                                     _tolerance)
 from chebconvex.errors import NonFiniteValue
-from chebconvex.systems import trig_even_system, trig_odd_system
+from chebconvex.systems import polynomial_system, trig_even_system, trig_odd_system
 
 from oracles import float_walk_scan
 
@@ -238,3 +240,24 @@ def test_a_certified_scan_calls_no_float_elimination(monkeypatch):
     monkeypatch.setattr(determinant, "_eliminate", exact_only)
     got = check_convex_direct(system, ExpFn(), grid)
     assert got.verdict == "convex_on_sample" and got.tuples_checked == math.comb(12, 4)
+
+
+def test_window_0s_columns_are_scaled_first_and_each_column_once(monkeypatch):
+    """The direct scan of (1, x) and f on 8 points: concave f fails at
+    window 0, its first 3 columns, and only those are scaled
+    (determinant._integers); where window 0 passes, the rest are scaled
+    in one pass before window 1, each column once, though every window
+    but the last two reads 3 of them: convex f's windows all pass, and
+    3x^2 - x^3 + e^x / 1000, convex up to x = 1, fails at a later
+    window (e^x keeps it off the exact image)."""
+    scaled = []
+    real = determinant._integers
+    monkeypatch.setattr(determinant, "_integers", lambda c: scaled.append(c[1]) or real(c))
+    system, grid = polynomial_system(2), [i / 4 for i in range(8)]
+    got = check_convex_direct(system, affine((-1.0, ExpFn())), grid)
+    assert got.verdict == "violated" and scaled == grid[:3]     # row 1 of a column is x
+    kinked = affine((3.0, PowerFn(2)), (-1.0, PowerFn(3)), (1e-3, ExpFn()))
+    for f, verdict in ((ExpFn(), "convex_on_sample"), (kinked, "violated")):
+        scaled.clear()
+        assert check_convex_direct(system, f, grid).verdict == verdict
+        assert scaled == grid

@@ -60,8 +60,9 @@ def failing_windows(system, f, grid, tol_factor) -> list | None:
     table = _PointTable(system.basis + (f,), sorted_grid(grid))
     n, m = system.dim + 1, len(grid)
     forms = _scan_columns(table, tuple(range(n)), range(m), [range(m)])
-    ints = _dyadic([forms[j][0] for j in range(m)], n, False, tol_factor)
-    return None if ints is None else [s for s in range(m) if _certified(ints[s:], n, False) == 0]
+    cols = [forms[j][0] for j in range(m)]
+    return None if _dyadic(cols, n, False, tol_factor) is None else [
+        s for s in range(m) if _certified([], n, False, cols[s:]) == 0]
 
 
 def base_counts(m: int, n: int, k: int, ell) -> dict:

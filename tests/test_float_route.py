@@ -12,6 +12,10 @@ spells its report in float.
 * Every definite float-walk verdict is the routed one, with its witness,
   witness base and witness value, except a float pass whose check the
   exact engine finds violated: the float value has the wrong sign there.
+* A float pinned check on its image reads its witnesses and bases there
+  and computes no identity value (convexity._read_off): its report is
+  the float walk's, by repr, witness value bits included, outside the
+  float walk's count of tuples near zero.
 * Input errors are the float walk's; a grid or function whose exact
   integers pass MAX_IMAGE_BITS, and every sampled scan, divided
   difference, variation estimate and identity suite, stay on the float
@@ -19,6 +23,7 @@ spells its report in float.
 """
 
 import contextlib
+import dataclasses
 import json
 import math
 import random
@@ -26,7 +31,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebconvex import determinant
+from chebconvex import convexity, determinant
 from chebconvex.cli import main
 from chebconvex.convexity import (check_convex_direct, check_convex_induced,
                                   check_convex_interval, cross_mode_agreement)
@@ -190,6 +195,70 @@ def test_a_routed_violation_spells_its_witness_in_float(monkeypatch):
     assert (induced.verdict, induced.witness_base, induced.indeterminate_count) == \
         ("violated", (0,), 0)
     assert type(induced.witness_value) is float
+
+
+# ---------------------------------------------------------------------------
+# a float pinned check on its image: witnesses and bases from the image,
+# values from the float walk
+
+def pinned_checks(system, f, grid) -> dict:
+    """The induced, interval and agreement entries of ``checks``."""
+    return {name: call for name, call in checks(system, f, grid).items()
+            if name.startswith(("induced", "interval", "agreement"))}
+
+
+def violated_cases(rng: random.Random, count: int) -> list:
+    """``count`` float (1, x, x^2) checks of rational input whose direct
+    check is violated, so that its windows fail and its pinned modes are
+    violated too: 6-8 points i/7, and f an affine combination of x^3 and
+    x^4 with coefficients c/3 or x^3 sampled with steps d/10."""
+    system, cases = polynomial_system(3), []
+    while len(cases) < count:
+        grid = [i / 7 for i in sorted(rng.sample(range(-14, 15), rng.randint(6, 8)))]
+        coef = lambda: rng.randint(-12, 12) / 3
+        f = affine((coef(), PowerFn(3)), (coef(), PowerFn(4)), (0.5, ConstFn(0.25))) \
+            if rng.random() < 0.5 else \
+            SampledFn(tuple(grid), tuple(x ** 3 + rng.randint(-8, 8) / 10 for x in grid))
+        if check_convex_direct(system, f, grid).verdict == "violated":
+            cases.append((f, grid))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_pinned_checks_on_the_image_are_the_float_walks(seed, monkeypatch):
+    """Every induced, interval and agreement check of a violated case,
+    by repr, is the float walk's, whose witnesses it reads off the exact
+    image and whose witness values are the float walk's, bit for bit;
+    the walk alone counts tuples near zero, which the image has none of."""
+    violated = 0
+    for f, grid in violated_cases(random.Random(seed), 3):
+        for name, call in pinned_checks(polynomial_system(3), f, grid).items():
+            got, walk = call(), walked(call, monkeypatch)
+            assert all(v.indeterminate_count == 0 for v in got), name
+            assert repr(got) == repr([dataclasses.replace(w, indeterminate_count=0)
+                                      for w in walk]), name
+            violated += sum(v.verdict == "violated" for v in got)
+    assert violated >= 20
+
+
+def test_a_float_check_on_the_image_computes_no_identity_value(monkeypatch):
+    """No float pinned check on its image calls _sylvester_side, whose
+    value _float_witness would replace; its exact twin calls it once for
+    each violated mode, and reports that value."""
+    values = []
+    real = convexity._sylvester_side
+    monkeypatch.setattr(convexity, "_sylvester_side",
+                        lambda *args: values.append(real(*args)) or values[-1])
+    for f, grid in violated_cases(random.Random(7), 3):
+        exact = pinned_checks(polynomial_system(3), exact_twin(f), list(map(Fraction, grid)))
+        for name, call in pinned_checks(polynomial_system(3), f, grid).items():
+            got = call()
+            assert any(v.verdict == "violated" for v in got) and values == [], name
+            twin = exact[name]()
+            assert values == [v.witness_value for v in twin if v.mode != "direct"
+                              and v.verdict == "violated"] != [], name
+            assert all(type(v) is Fraction for v in values), name
+            values.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,8 @@ def test_a_part_reads_no_window_before_the_wholes_first_failing_one(monkeypatch)
     the first a prefix of the whole's window 2, and passes."""
     reads = []
     real = determinant._certified
-    monkeypatch.setattr(determinant, "_certified",
-                        lambda ints, *a: reads.append((len(ints), real(ints, *a))) or reads[-1][1])
+    monkeypatch.setattr(determinant, "_certified", lambda ints, n, positive, floats=(): reads.append(
+        (len(floats or ints), real(ints, n, positive, floats))) or reads[-1][1])
     table = table_of(ROUNDED + [[1.0, 5.5, -13.0]], False)
     whole, part = _sign_scan(REAL_LINE, 3, range(5), table, 10 ** 6, 0, 1e-10, False, (),
                              [(0, 4)])
@@ -338,8 +338,8 @@ def test_a_float_agreement_reads_no_window_the_whole_settled(monkeypatch):
     start made 91 reads of 426 windows here."""
     reads = []
     real = determinant._certified
-    monkeypatch.setattr(determinant, "_certified",
-                        lambda ints, *a: reads.append(len(ints)) or real(ints, *a))
+    monkeypatch.setattr(determinant, "_certified", lambda ints, n, positive, floats=():
+                        reads.append(len(floats or ints)) or real(ints, n, positive, floats))
     grid = [-3.0 + 0.35 * j for j in range(8)]
     report = cross_mode_agreement(TRIG, kinked(grid, 6, 3.0), grid)
     assert {v.verdict for _, v in report.verdicts} >= {"violated"}

@@ -6,8 +6,10 @@ by request id; ``--slot``, which times only the slots it names; and
 ``--metrics``, which judges every request of a timed run's rounds on
 each tree as bench/run.py does and prints its latency metrics and
 ``requests_per_s``, over ``--repeat`` passes with each tree's spread and
-wins in each of them.  It reads bench/ only."""
+wins in each of them, and the slots whose requests lie within 5% of p50
+and of p90.  It reads bench/ only."""
 
+import collections
 import contextlib
 import dataclasses
 import importlib.util
@@ -172,6 +174,26 @@ def test_metrics_judge_each_tree_as_bench_run_does(monkeypatch):
         [s for s, r in zip(latency, requests) if r.backend == "float"], 0.5)
 
 
+#: The bands of one tree in one pass, as --metrics' mocked metrics give them.
+BANDS = {"p50": collections.Counter({"P1.exact": 1, "P6.float": 3}),
+         "p90": collections.Counter()}
+
+
+def test_bands_count_each_slots_requests_near_p50_and_p90():
+    """A synthetic timing list of 40 requests: bench/run.py's windowed
+    percentiles read 1.0 (p50) and 3.0 (p90); a request within 5% of one
+    counts for its slot, a failed one (+inf) for none."""
+    Request = dataclasses.make_dataclass("Request", ["id"])
+    times = {"A.float": [1.0] * 24, "B.exact": [1.04] * 2, "D.float": [2.9],
+             "C.exact": [3.0] * 12, "E.float": [3.0]}
+    requests = [Request(f"r{i}.{slot}") for slot, ts in times.items() for i in range(len(ts))]
+    seconds = [t for ts in times.values() for t in ts]
+    found = slots.bands(requests, seconds, {"r0.E.float"})
+    assert slots.bench_run.percentile([*seconds[:-1], math.inf], 0.5) == 1.0
+    assert slots.bench_run.percentile([*seconds[:-1], math.inf], 0.9) == 3.0
+    assert found == {"p50": {"A.float": 24, "B.exact": 2}, "p90": {"C.exact": 12, "D.float": 1}}
+
+
 def test_metrics_run_the_rounds_of_a_timed_run(capsys, monkeypatch):
     """Without --rounds, every round that bench/run.py generates for a
     timed run (``Workload.max_rounds``); each tree's metrics are printed,
@@ -181,15 +203,20 @@ def test_metrics_run_the_rounds_of_a_timed_run(capsys, monkeypatch):
     def recorded(clis, warmup, rounds, goldens):
         seen.update(trees=len(clis), warmup=len(warmup), rounds=len(rounds))
         return [dict.fromkeys((*slots.LATENCIES, "busy_s", "failed", "requests_per_s"), 1.0 + t)
-                for t in range(len(clis))]
+                | {"bands": BANDS} for t in range(len(clis))]
     short = slots.workloads.WORKLOADS["short"]
     monkeypatch.setitem(slots.workloads.WORKLOADS, "short",
                         dataclasses.replace(short, max_rounds=2))
     monkeypatch.setattr(slots, "metrics", recorded)
     assert slots.main(["--metrics", "--workload", "short", str(ROOT), str(ROOT)]) == 0
     assert seen == {"trees": 2, "warmup": 2, "rounds": 2}
-    rows = {line.split()[0]: line.split()[-3:] for line in capsys.readouterr().out.splitlines()}
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[-3:] for line in lines}
     assert rows["request_s.p90"] == ["1000", "2000", "2.000"]
+    assert lines[-4:] == ["tree 0: within 5% of p50: P6.float 3, P1.exact 1",
+                          "tree 0: within 5% of p90: no request",
+                          "tree 1: within 5% of p50: P6.float 3, P1.exact 1",
+                          "tree 1: within 5% of p90: no request"]
     assert rows["busy_s"] == ["1", "2", "2.000"]
     assert rows["requests_per_s"] == ["1", "2", "2.000"]
 
@@ -208,7 +235,7 @@ def test_metrics_repeat_reports_the_spread_and_the_wins(capsys, monkeypatch):
         orders.append(trees)
         return [dict.fromkeys((*slots.LATENCIES, "busy_s", "failed"), 1.0 + t)
                 | {"request_s.p90": p90s[t][len(orders) - 1] / 1e3,
-                   "requests_per_s": rates[t][len(orders) - 1]} for t in trees]
+                   "requests_per_s": rates[t][len(orders) - 1], "bands": BANDS} for t in trees]
     short = slots.workloads.WORKLOADS["short"]
     monkeypatch.setitem(slots.workloads.WORKLOADS, "short",
                         dataclasses.replace(short, max_rounds=1))
@@ -222,6 +249,11 @@ def test_metrics_repeat_reports_the_spread_and_the_wins(capsys, monkeypatch):
     assert rows["busy_s"] == ["1", "2", "2.000"]
     assert rows["request_s.p90"] == ["11", "10", "0.909"]
     # inclusive quartiles: tree 0 reads 11 and 14, tree 1 reads 12 and 15
+    # the bands, summed over the passes, come before the spreads
+    assert lines[-14:-10] == ["tree 0: within 5% of p50: P6.float 15, P1.exact 5",
+                              "tree 0: within 5% of p90: no request",
+                              "tree 1: within 5% of p50: P6.float 15, P1.exact 5",
+                              "tree 1: within 5% of p90: no request"]
     assert lines[-2:] == [
         "tree 0: requests_per_s median 12, interquartile range 3, won 2 of 5 passes",
         "tree 1: requests_per_s median 13, interquartile range 3, won 3 of 5 passes"]

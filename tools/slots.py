@@ -38,7 +38,9 @@ metrics, through its own ``percentile``, in milliseconds (unscaled wall
 times, which the alternation keeps comparable), the busy seconds, the
 failed requests and ``requests_per_s`` as bench/run.py computes it,
 (attempted - failed) / busy seconds; with two trees, also the ratio of
-the second to the first:
+the second to the first.  For each tree it also prints, by slot, how
+many requests took within 5% (``BAND``) of its p50 and of its p90,
+summed over the passes: which slots hold each percentile:
 
     python3 tools/slots.py --metrics --workload short --seed 1 PARENT_TREE .
 
@@ -54,12 +56,14 @@ against the spread of a tree's own passes before the benchmark runs:
 """
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import importlib
 import importlib.util
 import io
 import json
+import math
 import statistics
 import sys
 import tempfile
@@ -183,11 +187,29 @@ def compare(clis: list, requests: list) -> int:
 #: The end-to-end metrics of bench/run.py that --metrics prints, in ms.
 LATENCIES = ("request_s.p50", "request_s.p90", "exact.request_s.p50", "float.request_s.p50")
 
+#: The half-width of a percentile's band (:func:`bands`), as a share of
+#: the percentile.
+BAND = 0.05
+
+
+def bands(requests: list, seconds: list, failed: set) -> dict:
+    """For ``p50`` and ``p90`` of the requests' times, as bench/run.py
+    computes ``request_s`` (its ``percentile``, a failed request taking
+    +inf seconds), a Counter of the slots of the requests whose time lies
+    within BAND of that percentile."""
+    latency = [math.inf if r.id in failed else t for r, t in zip(requests, seconds)]
+    out = {}
+    for name, q in (("p50", 0.5), ("p90", 0.9)):
+        p = bench_run.percentile(latency, q)
+        out[name] = collections.Counter(slot_of(r) for r, t in zip(requests, latency)
+                                        if abs(t - p) <= BAND * p)
+    return out
+
 
 def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
     """For each tree, bench/run.py's latency metrics (seconds) and
-    ``requests_per_s``, its busy seconds and its failed requests over the
-    requests of ``rounds`` (one
+    ``requests_per_s``, its busy seconds, its failed requests and its
+    percentile :func:`bands` over the requests of ``rounds`` (one
     list of requests per round), each run once on every tree, the first
     tree alternating from one request to the next, after the ``warmup``
     requests, which are not measured, and judged round by round against
@@ -212,14 +234,17 @@ def metrics(clis: list, warmup: list, rounds: list, goldens) -> list:
     for tree_seconds, tree_failed in zip(seconds, failed):
         found = bench_run.end_to_end_metrics(done, tree_seconds, tree_failed, 0.0, 0.0)
         out.append({**{name: found[name][0] for name in (*LATENCIES, "requests_per_s")},
-                    "busy_s": sum(tree_seconds), "failed": len(tree_failed)})
+                    "busy_s": sum(tree_seconds), "failed": len(tree_failed),
+                    "bands": bands(done, tree_seconds, tree_failed)})
     return out
 
 
 def report_metrics(trees: list, passes: list, requests: int) -> None:
     """Each metric's median over ``passes`` (each a list of each tree's
     metrics), and with more than one pass, each tree's spread and wins
-    in each latency metric (ms) and in ``requests_per_s``."""
+    in each latency metric (ms) and in ``requests_per_s``; and each
+    tree's percentile bands, by slot, the most requests first, summed
+    over the passes."""
     print(f"{'metric':<24}" + "".join(f" {'tree ' + str(i):>10}" for i in range(len(trees)))
           + ("    ratio" if len(trees) == 2 else ""))
     for name in (*LATENCIES, "busy_s", "failed", "requests_per_s"):
@@ -233,6 +258,12 @@ def report_metrics(trees: list, passes: list, requests: int) -> None:
     print(f"{requests} requests on each tree, {len(passes)} passes")
     for i, tree in enumerate(trees):
         print(f"tree {i}: {tree}")
+    for t in range(len(trees)):
+        for name in ("p50", "p90"):
+            held = sum((found[t]["bands"][name] for found in passes), collections.Counter())
+            print(f"tree {t}: within {BAND:.0%} of {name}: "
+                  + (", ".join(f"{slot} {count}" for slot, count in held.most_common())
+                     or "no request"))
     for name in (*LATENCIES, "requests_per_s") if len(passes) > 1 else ():
         best, scale, unit = (max, 1, "") if name == "requests_per_s" else (min, 1e3, " (ms)")
         for t in range(len(trees)):
