@@ -26,6 +26,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .core import (
@@ -54,9 +55,8 @@ class _JsonArgumentParser(argparse.ArgumentParser):
     """Argument errors come back as structured JSON, never bare text."""
 
     def error(self, message):
-        _emit({"version": __version__, "command": "argparse",
-               "error": {"type": "ArgumentError", "message": message}}, None)
-        raise SystemExit(2)
+        raise SystemExit(_emit({"version": __version__, "command": "argparse",
+                                "error": {"type": "ArgumentError", "message": message}}, None))
 
 
 # ---------------------------------------------------------------------------
@@ -280,46 +280,59 @@ def _parse_anchors(spec: str, backend: Backend) -> tuple[tuple, tuple]:
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _jsonify(value):
-    """JSON form of a report value; a report dataclass becomes the dict
-    of all its fields, and a NaN or infinite float, which strict JSON has
-    no number for, or a Fraction, its str() ("nan", "inf", "-inf",
-    "p/q", as :func:`core.scalar_to_json` spells a Fraction)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if value is None or isinstance(value, (bool, str, int, float)):
-        return value
+#: The JSON text of a scalar of each type that a report holds, as
+#: json.dumps writes it; a NaN or infinite float, which strict JSON has
+#: no number for, is the string of its str(): "nan", "inf" or "-inf".
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda value: "null",
+            float: lambda value: float.__repr__(value) if math.isfinite(value) else f'"{value}"'}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """The JSON text of a report value, at the indentation ``pad``, as
+    ``json.dumps(value, sort_keys=True, indent=2)`` writes it, in one pass
+    over the report's own objects: a scalar by :data:`_SCALARS`, a list
+    or a tuple as an array, a dict (whose keys are str) or a report
+    dataclass, the dict of all its fields, as an object, and any other
+    value, such as a Fraction, as the string of its str() ("p/q", as
+    :func:`core.scalar_to_json` spells a Fraction)."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = pad + "  "
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        return (f"[{inner}" + f",{inner}".join([_json(v, inner) for v in value]) + f"{pad}]"
+                if value else "[]")
     if dataclasses.is_dataclass(value):
-        return {f.name: _jsonify(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    return str(value)
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return (f"{{{inner}" + f",{inner}".join([f"{_quote(k)}: {_json(value[k], inner)}"
+                                                 for k in sorted(value)]) + f"{pad}}}"
+                if value else "{}")
+    return _quote(str(value))
 
 
 def _estimate_dict(est) -> dict:
-    return {"partial_sums": _jsonify(est.partial_sums), "best": _jsonify(est.best),
-            "converged": est.converged}
+    return {"partial_sums": est.partial_sums, "best": est.best, "converged": est.converged}
 
 
-def _emit(report: dict, out_path: str | None) -> int | None:
-    """Write ``report`` to ``out_path``, else to stdout.  When out_path
-    cannot be written, the report goes to stdout with that error in place
-    of its results or error, and the exit code 2 is returned."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if not out_path:
+def _emit(report: dict, out_path: str | None, code: int = 2) -> int:
+    """Write ``report`` to ``out_path``, else to stdout, and return the
+    exit code ``code``.  When out_path cannot be written, the report goes
+    to stdout with that error in place of its results or error, and the
+    exit code is 2."""
+    text = _json(report) + "\n"
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            report.pop("results", None)
+            report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            return _emit(report, None)
+    else:
         sys.stdout.write(text)
-        return None
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        report.pop("results", None)
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, None)
-        return 2
-    return None
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +346,7 @@ def _cmd_chebcheck(args, backend: Backend) -> tuple[dict, int]:
     k = args.k if args.k is not None else system.dim
     report = is_positive_chebyshev(system, k, grid, budget=args.budget,
                                    seed=args.seed, tol_factor=args.tol)
-    return {"positivity": _jsonify(report)}, 0 if report.is_positive else 1
+    return {"positivity": report}, 0 if report.is_positive else 1
 
 
 def _cmd_divdiff(args, backend: Backend) -> tuple[dict, int]:
@@ -345,11 +358,11 @@ def _cmd_divdiff(args, backend: Backend) -> tuple[dict, int]:
     dd = divided_difference(system, k, f, points, tol_factor=args.tol)
     return {
         "order": dd.order,
-        "points": _jsonify(dd.points.points),
-        "value": _jsonify(dd.value),
-        "numerator": _jsonify(dd.numerator),
-        "denominator": _jsonify(dd.denominator),
-        "classical_value": _jsonify(classical_divided_difference(f, points)),
+        "points": dd.points.points,
+        "value": dd.value,
+        "numerator": dd.numerator,
+        "denominator": dd.denominator,
+        "classical_value": classical_divided_difference(f, points),
     }, 0
 
 
@@ -368,8 +381,8 @@ def _cmd_convexity(args, backend: Backend) -> tuple[dict, int]:
         k_list = [args.k] if args.k is not None else None
         rep = cross_mode_agreement(system, f, grid, k_list=k_list, **common)
         results = {
-            "verdicts": {label: _jsonify(v) for label, v in rep.verdicts},
-            "disagreements": _jsonify(rep.disagreements),
+            "verdicts": dict(rep.verdicts),
+            "disagreements": rep.disagreements,
             "agreed": rep.agreed,
         }
         any_violated = any(v.verdict == "violated" for _, v in rep.verdicts)
@@ -384,7 +397,7 @@ def _cmd_convexity(args, backend: Backend) -> tuple[dict, int]:
         if args.k is None or args.ell is None:
             raise InputError("--k and --ell are required for mode interval")
         verdict = check_convex_interval(system, args.k, args.ell, f, grid, **common)
-    return {"check": _jsonify(verdict)}, 1 if verdict.verdict == "violated" else 0
+    return {"check": verdict}, 1 if verdict.verdict == "violated" else 0
 
 
 def _cmd_identities(args, backend: Backend) -> tuple[dict, int]:
@@ -394,7 +407,7 @@ def _cmd_identities(args, backend: Backend) -> tuple[dict, int]:
         raise InputError(f"unknown suite {args.suite!r}; known: {IDENTITY_SUITES} or all")
     results = {suite: run_suite(suite, args.trials, args.seed, backend) for suite in suites}
     failures_total = sum(len(rep["failures"]) for rep in results.values())
-    return {"suites": _jsonify(results), "failed": failures_total}, 1 if failures_total else 0
+    return {"suites": results, "failed": failures_total}, 1 if failures_total else 0
 
 
 def _cmd_variation(args, backend: Backend) -> tuple[dict, int]:
@@ -423,19 +436,19 @@ def _cmd_variation(args, backend: Backend) -> tuple[dict, int]:
         except BoundViolated as exc:
             return {
                 "bound_holds": False,
-                "best": _jsonify(exc.best),
-                "bound": _jsonify(exc.bound),
+                "best": exc.best,
+                "bound": exc.bound,
                 "certificate": {
-                    "partition": _jsonify(exc.partition),
-                    "anchors": _jsonify(exc.anchors),
+                    "partition": exc.partition,
+                    "anchors": exc.anchors,
                 },
             }, 1
         return {
             "bound_holds": True,
             "estimate": _estimate_dict(report.estimate),
-            "bound": _jsonify(report.bound),
-            "margin": _jsonify(report.margin),
-            "anchors": {"a": _jsonify(report.a_anchors), "b": _jsonify(report.b_anchors)},
+            "bound": report.bound,
+            "margin": report.margin,
+            "anchors": {"a": report.a_anchors, "b": report.b_anchors},
         }, 0
 
     if args.function is None:
@@ -450,7 +463,9 @@ def _cmd_variation(args, backend: Backend) -> tuple[dict, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it
-    unchanged, so every main() call reuses it.  A plain function over
+    unchanged, so every main() call reuses it.  Its ``commands`` is its
+    subparsers action, whose ``choices`` map each command name to the
+    command's own parser.  A plain function over
     the cached builder, so that bench/tracer.py, which wraps only plain
     functions, traces it."""
     return _cached_parser()
@@ -460,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cached_parser() -> argparse.ArgumentParser:
     parser = _JsonArgumentParser(prog="chebconvex")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, text):
         """The subparser of ``name``, with the arguments every subcommand takes."""
-        p = sub.add_parser(name, help=text)
+        p = parser.commands.add_parser(name, help=text)
         p.add_argument("--system", help="catalog id (poly:N, trig-odd:N[:lo,hi], "
                                         "trig-even:N[:lo,hi], one-xsq) or JSON path")
         p.add_argument("--function", help="builtin (power:k, cos[:m], sin[:m], exp, "
@@ -480,7 +495,7 @@ def _cached_parser() -> argparse.ArgumentParser:
         p.add_argument("--unsafe-domain", default=None,
                        help="override the one-xsq domain: 'full' or 'lo,hi'")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=name)
         return p
 
     command("chebcheck", _cmd_chebcheck, "grid positivity of a system prefix")
@@ -509,17 +524,21 @@ def _cached_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # a command's own parser reads the arguments after it, as the main
+    # parser's subparsers action would; any other argv (none, -h,
+    # --version, an unknown command, an option first) is the main parser's
+    own = build_parser().commands.choices.get(argv[0] if argv else None)
+    args = own.parse_args(argv[1:]) if own else build_parser().parse_args(argv)
     started = time.perf_counter()
     report = {"version": __version__, "command": args.command,
-              "config": {k: _jsonify(v) for k, v in sorted(vars(args).items()) if k != "func"}}
+              "config": {k: v for k, v in vars(args).items() if k != "func"}}
     try:
         report["results"], code = args.func(args, Backend(args.backend))
     except (ChebconvexError, OSError, ValueError, OverflowError, MemoryError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2
     report["timing_seconds"] = time.perf_counter() - started
-    return _emit(report, args.out) or code
+    return _emit(report, args.out, code)
 
 
 if __name__ == "__main__":

@@ -284,7 +284,7 @@ class Interval:
             raise InputError(f"empty interval: lo={self.lo}, hi={self.hi}")
 
     def contains(self, x: Scalar) -> bool:
-        if isinstance(x, float) and math.isnan(x):
+        if isinstance(x, float) and not math.isfinite(x):
             return False
         if self.lo is not None and (x < self.lo or (self.lo_open and x == self.lo)):
             return False

@@ -61,7 +61,10 @@ package uses, so matching values certify both sides:
   scalars sorted by value and restricted grids selected by value vs
   integer grids over one scale, grids sorted and validated as integers
   and points passed by position (``parse_scalar``, ``read_scalars``,
-  ``parse_grid``, ``sorted_grid``, ``restricted_points``).
+  ``parse_grid``, ``sorted_grid``, ``restricted_points``);
+* a report copied into a tree of JSON values, written by
+  ``json.dumps(sort_keys=True, indent=2)``, vs the CLI's one writer over
+  the report's own objects (``jsonify``).
 
 The closed forms that the package once exported, kept here because only
 tests read them, check its general routes on special cases:
@@ -81,10 +84,9 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from chebconvex.cli import _jsonify
 from chebconvex.convexity import (
     DEFAULT_BASE_BUDGET,
     ConvexityVerdict,
@@ -148,6 +150,24 @@ from chebconvex.errors import (
 from chebconvex.induced import DerivedFn, InducedCheckReport
 from chebconvex.systems import polynomial_system
 from chebconvex.variation import VariationEstimate, _window_sum
+
+
+def jsonify(value):
+    """JSON form of a report value, as the CLI built it before it wrote
+    reports in one pass: a report dataclass becomes the dict of all its
+    fields, and a NaN or infinite float, which strict JSON has no number
+    for, or a Fraction, its str() ("nan", "inf", "-inf", "p/q")."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if value is None or isinstance(value, (bool, str, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonify(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: jsonify(getattr(value, f.name)) for f in fields(value)}
+    return str(value)
 
 
 def cofactor_det(rows):
@@ -987,7 +1007,7 @@ def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) ->
             rel_res = rep.relative_residual
             ok = rep.residual == 0 if backend is Backend.EXACT else rel_res <= 1e-9
             record(ok, abs_res, rel_res, {"trial": trial, "n": n, "k": k,
-                                          "residual": _jsonify(rep.residual)})
+                                          "residual": jsonify(rep.residual)})
         elif suite == "power-sum":
             degree = rng.randint(1, 8)
             k = rng.randint(1, min(6, degree + 1))
@@ -998,8 +1018,8 @@ def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) ->
             ok = rep.residual == 0 if backend is Backend.EXACT \
                 else rep.relative_residual <= 1e-9
             record(ok, float(rep.residual), rep.relative_residual,
-                   {"trial": trial, "degree": degree, "points": _jsonify(pts),
-                    "residual": _jsonify(rep.residual)})
+                   {"trial": trial, "degree": degree, "points": jsonify(pts),
+                    "residual": jsonify(rep.residual)})
         elif suite == "induced-det":
             n = rng.randint(3, 5)
             k = rng.randint(1, n - 1)
@@ -1012,7 +1032,7 @@ def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) ->
             ok = rep.max_abs_residual == 0 if backend is Backend.EXACT \
                 else rep.max_rel_residual <= 1e-8
             record(ok, rep.max_abs_residual, rep.max_rel_residual,
-                   {"trial": trial, "n": n, "k": k, "base": _jsonify(pts[:k])})
+                   {"trial": trial, "n": n, "k": k, "base": jsonify(pts[:k])})
         elif suite in ("convexity-det", "slope-diff"):
             n = rng.randint(2, 5)
             k = n - 1 if suite == "slope-diff" else rng.randint(1, n - 1)
@@ -1027,7 +1047,7 @@ def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) ->
             ok = rep.residual == 0 if backend is Backend.EXACT \
                 else rep.relative_residual <= 1e-8
             detail = {"trial": trial, "n": n, "k": k, "degree": degree,
-                      "points": _jsonify(pts), "residual": _jsonify(rep.residual)}
+                      "points": jsonify(pts), "residual": jsonify(rep.residual)}
             if ok and suite == "slope-diff":
                 # rhs must equal the difference of the two slope values
                 head = tuple(pts[:n - 1])
@@ -1037,7 +1057,7 @@ def identity_suite_loop(suite: str, trials: int, seed: int, backend: Backend) ->
                 res2 = abs(rep.rhs - diff)
                 ok = res2 == 0 if backend is Backend.EXACT \
                     else float(res2) <= 1e-8 * max(1.0, abs(float(diff)))
-                detail["slope_difference"] = _jsonify(diff)
+                detail["slope_difference"] = jsonify(diff)
             record(ok, float(rep.residual), rep.relative_residual, detail)
         elif suite == "trig-cot":
             while True:

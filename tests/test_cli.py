@@ -200,11 +200,11 @@ class TestDivdiff:
 
     def test_non_finite_denominator_is_input_error(self, capsys):
         code, rep = run_cli(capsys, "divdiff", "--system", "poly:2", "--function", "power:2",
-                            "--grid", "list:inf,1", "--backend", "float")
+                            "--grid", "list:1e308,-1e308", "--backend", "float")
         assert code == 2
         assert rep["error"] == {
             "type": "NonFiniteValue",
-            "message": "prefix collocation determinant at (inf, 1.0) is -inf"}
+            "message": "prefix collocation determinant at (1e+308, -1e+308) is -inf"}
 
 
 class TestConvexity:
@@ -477,6 +477,25 @@ class TestVariation:
         code, rep = run_cli(capsys, *argv)
         assert code == 2
         assert rep["error"] == {"type": "MemoryError", "message": ""}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["chebcheck", "--system", "poly:1", "--grid", "list:1,2,inf"],
+     ("EvaluationOutsideSupport", "grid point inf is outside the system domain")),
+    (["divdiff", "--system", "poly:1", "--function", "const:1", "--grid", "list:inf"],
+     ("EvaluationOutsideSupport", "point inf is outside the system domain")),
+    (["variation", "--system", "poly:2", "--function", "power:3", "--a", "0", "--b", "inf"],
+     ("InputError", "endpoint inf is outside the system domain")),
+    (["convexity", "--system", "poly:2", "--function", "power:3", "--grid", "list:0,1,2,-inf",
+      "--mode", "induced", "--k", "1"],
+     ("InputError", "base point -inf is outside the parent domain"))])
+def test_an_infinite_float_point_is_in_no_domain(capsys, argv, error):
+    """An infinite point once passed the domain check: the first case
+    exited 0 positive_on_grid, the second with points ["inf"]."""
+    code, rep = run_cli(capsys, *argv, "--backend", "float")
+    assert code == 2
+    assert rep["error"] == dict(zip(("type", "message"), error))
+    assert "results" not in rep
 
 
 class TestReportContract:

@@ -237,10 +237,13 @@ def scan(fn, *args):
      "indeterminate_count=0)"),
     (polynomial_system(3), 3, [0.0, 1.0, 1e200],
      "OverflowError: (34, 'Numerical result out of range')"),
-    (polynomial_system(3), 3, [0.0, 1.0, float("inf")],
-     "NonFiniteValue: function value inf at grid point inf"),
+    (ChebyshevSystem((PowerFn(0), PowerFn(1), affine((2.0, PowerFn(2)))), Interval()), 3,
+     [0.0, 1.0, 1e154], "NonFiniteValue: function value inf at grid point 1e+154"),
     (ChebyshevSystem((PowerFn(0), affine((1e300, PowerFn(2)))), Interval()), 2,
      [0.0, 1.0, 1e10], "NonFiniteValue: function value inf at grid point 10000000000.0"),
+    # an infinite point is in no domain
+    (polynomial_system(3), 3, [0.0, 1.0, float("inf")],
+     "EvaluationOutsideSupport: grid point inf is outside the system domain"),
 ])
 def test_scan_outcomes_as_recorded(system, k, grid, expected):
     assert scan(is_positive_chebyshev, system, k, grid) == expected

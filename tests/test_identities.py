@@ -14,7 +14,6 @@ import pytest
 
 import oracles
 from chebconvex import identities
-from chebconvex.cli import _jsonify
 from chebconvex.convexity import convexity_identity_check
 from chebconvex.core import Backend, ExpFn, Interval, PowerFn, SampledFn, affine
 from chebconvex.errors import InputError
@@ -22,7 +21,7 @@ from chebconvex.identities import IDENTITY_SUITES, run_suite
 from chebconvex.induced import verify_induced_system
 from chebconvex.systems import one_xsq_system, polynomial_system, trig_odd_system
 
-from oracles import convexity_identity_loop, identity_suite_loop, induced_identity_loop
+from oracles import convexity_identity_loop, identity_suite_loop, induced_identity_loop, jsonify
 
 TRIG = trig_odd_system(1, -math.pi, 0.0)
 ONE_XSQ = one_xsq_system(Interval(), allow_unsafe_domain=True)
@@ -258,7 +257,7 @@ def test_suites_match_oracle(suite, backend, monkeypatch):
     for seed in range(21):
         want = result(identity_suite_loop, suite, 4, seed, backend)
         got = result(run_suite, suite, 4, seed, backend)
-        assert repr(_jsonify(got) if isinstance(got, dict) else got) == repr(want)
+        assert repr(jsonify(got) if isinstance(got, dict) else got) == repr(want)
     assert repr(got_points) == repr(want_points)
 
 

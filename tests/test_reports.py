@@ -231,12 +231,14 @@ CASES = [
        "list:0,1,2,3,4,5,6", *mode] for mode in (
         ["--mode", "agreement"], ["--mode", "interval", "--k", "2", "--ell", "1"],
         ["--mode", "agreement", "--backend", "float"])),
-    # the first error that a directly built float column meets: -inf before a
-    # power of 1e200 that overflows, in an exhaustive and a sampled scan; a
-    # window's singular denominator before a later point's square overflows
-    ["chebcheck", "--system", "poly:3", "--backend", "float", "--grid", "list:-inf,1,2,1e200"],
-    ["chebcheck", "--system", "poly:3", "--backend", "float", "--budget", "3", "--seed", "1",
-     "--grid", "list:-inf,1,2,3,4,5,1e200"],
+    # the first error that a directly built float column meets: 2x^2 at -1e154,
+    # which overflows to inf, before a power of 1e200 that raises, in an
+    # exhaustive and a sampled scan; a window's singular denominator before a
+    # later point's square overflows
+    ["chebcheck", "--system", "doubled_square_system.json", "--backend", "float", "--grid",
+     "list:-1e154,1,2,1e200"],
+    ["chebcheck", "--system", "doubled_square_system.json", "--backend", "float", "--budget",
+     "3", "--seed", "1", "--grid", "list:-1e154,1,2,3,4,5,1e200"],
     ["variation", "--system", "poly:2", "--function", "power:2", "--backend", "float",
      "--a", "0", "--b", "6.4e154"],
 ]

@@ -1,8 +1,8 @@
 """``tools/slots.py --compare``, the check that two source trees give
 the same report and exit code on every benchmark request: the same tree
 twice agrees on a round of ``short``, and of several workloads and seeds
-in one command, and a tree whose report differs in one field is caught,
-by request id; ``--slot``, which times only the slots it names; and
+in one command, and a tree whose report differs in one field, or only in
+its text, is caught, by request id; ``--slot``, which times only the slots it names; and
 ``--metrics``, which judges every request of a timed run's rounds on
 each tree as bench/run.py does and prints its latency metrics and
 ``requests_per_s``, over ``--repeat`` passes with each tree's spread and
@@ -29,19 +29,23 @@ _SPEC.loader.exec_module(slots)
 
 class Edited:
     """A cli whose report for the request ``argv`` is edited in place by
-    ``edit``; by default it carries one field more."""
+    ``edit`` and written by ``dump``; by default it carries one field more.
+    Every other report is written as the cli wrote it."""
 
-    def __init__(self, cli, argv: list, edit=lambda report: report["results"].update(extra=1)):
-        self.cli, self.argv, self.edit = cli, argv, edit
+    def __init__(self, cli, argv: list, edit=lambda report: report["results"].update(extra=1),
+                 dump=json.dumps):
+        self.cli, self.argv, self.edit, self.dump = cli, argv, edit, dump
 
     def main(self, argv: list) -> int:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = self.cli.main(argv)
+        if argv != self.argv:
+            print(out.getvalue(), end="")
+            return code
         report = json.loads(out.getvalue())
-        if argv == self.argv:
-            self.edit(report)
-        print(json.dumps(report))
+        self.edit(report)
+        print(self.dump(report))
         return code
 
 
@@ -77,6 +81,38 @@ def test_compare_prints_the_fields_that_differ(capsys):
     assert lines[1] == (f"    results.positivity.indeterminate_count "
                         f"{before['indeterminate_count']} -> -1, "
                         f"results.positivity.verdict {before['verdict']} -> edited")
+
+
+@pytest.mark.parametrize("dump, line", [
+    (lambda report: json.dumps(report, sort_keys=True, indent=4), lambda lines: 2),
+    (lambda report: json.dumps(report, sort_keys=True, indent=2, separators=(", ", ": ")),
+     lambda lines: 2),
+    (lambda report: json.dumps(report, sort_keys=True, indent=2) + "\n",
+     lambda lines: len(lines) + 1)])
+def test_compare_finds_a_report_whose_text_alone_differs(capsys, dump, line):
+    """A synthetic pair of trees whose reports agree in every field: the
+    second writes one report with another indent, with a space after each
+    comma, or with a blank line after it, and only that request differs,
+    at the first line whose text differs; every other request agrees,
+    though each run reads its own timing_seconds."""
+    with tempfile.TemporaryDirectory() as work:
+        requests = slots.workloads.generate(slots.workloads.WORKLOADS["short"], 1, range(1),
+                                            work)
+        cli = slots.load_cli(ROOT, "chebconvex_text")
+        odd = requests[len(requests) // 2]
+        lines = slots.run(cli, odd.argv)[2].splitlines()
+        capsys.readouterr()
+        rewritten = Edited(cli, odd.argv, edit=lambda report: None, dump=dump)
+        assert slots.compare([cli, rewritten], requests) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs on tree 1: {odd.id} {' '.join(odd.argv)}",
+        f"    text differs at line {line(lines)}", f"{len(requests)} requests, 1 differ"]
+
+
+def test_first_difference_is_the_first_unequal_line():
+    assert slots.first_difference(["a", "b", "c"], ["a", "x", "c"]) == 1
+    assert slots.first_difference(["a", "b"], ["a", "b", ""]) == 2
+    assert slots.first_difference(["a"], ["a"]) == 1
 
 
 def test_changes_compares_objects_key_by_key():

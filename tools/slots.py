@@ -14,11 +14,14 @@ ratio of the second to the first.
 
 TREE is the root of a checkout (default: this one).  ``--compare``
 instead checks that every request gives the same exit code and report,
-outside ``timing_seconds``, on each tree as on the first; it takes
-``--workload`` and ``--seed`` more than once, and checks the requests of
-every workload and seed given; for each request that differs it prints
-the fields that differ, such as ``results.check.verdict indeterminate
--> convex_on_sample, results.check.indeterminate_count 3 -> 0``:
+outside ``timing_seconds``, on each tree as on the first, field by field
+and byte by byte; it takes ``--workload`` and ``--seed`` more than once,
+and checks the requests of every workload and seed given; for each
+request that differs it prints the fields that differ, such as
+``results.check.verdict indeterminate -> convex_on_sample,
+results.check.indeterminate_count 3 -> 0``, or, where every field
+agrees, ``text differs at line N``, the first line of the report text
+that differs, the value of the ``timing_seconds`` line aside:
 
     python3 tools/slots.py --compare --workload scan --workload pinned \
         --workload short --seed 1 --seed 2 PARENT_TREE .
@@ -146,6 +149,10 @@ def report(trees: list, medians: list) -> None:
 
 _ABSENT = "(absent)"
 
+#: How the line of a report's timing field begins, past its indentation;
+#: :func:`compare` reads the line as this alone.
+TIMING = '"timing_seconds":'
+
 
 def changes(a, b, path: str = "") -> list:
     """Each field, by its dotted path, where the JSON values ``a`` and
@@ -162,24 +169,36 @@ def changes(a, b, path: str = "") -> list:
     return [f"{path} {shown[0]} -> {shown[1]}"]
 
 
+def first_difference(a: list, b: list) -> int:
+    """The index of the first line where the lists of lines ``a`` and
+    ``b`` differ, or the length of the shorter where one extends the
+    other."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def compare(clis: list, requests: list) -> int:
     """The number of requests whose exit code or report, outside
-    timing_seconds, differs from the first tree's.  Each such request is
-    printed, with the fields that differ (see :func:`changes`)."""
+    timing_seconds, differs from the first tree's, in its fields or in
+    its text.  Each such request is printed, with the fields that differ
+    (see :func:`changes`), or where they all agree, the first line of
+    the text that differs."""
     def outcome(cli, argv):
         _, code, text = run(cli, argv)
         doc = json.loads(text)
         doc.pop("timing_seconds", None)
-        return {"code": code, **doc}
+        lines = [TIMING if line.lstrip().startswith(TIMING) else line
+                 for line in text.splitlines()]
+        return {"code": code, **doc}, lines
     differ = 0
     for req in requests:
-        first = outcome(clis[0], req.argv)
+        first, first_lines = outcome(clis[0], req.argv)
         for i, cli in enumerate(clis[1:], 1):
-            got = outcome(cli, req.argv)
-            if got != first:
+            got, lines = outcome(cli, req.argv)
+            if got != first or lines != first_lines:
                 differ += 1
                 print(f"differs on tree {i}: {req.id} {' '.join(req.argv)}")
-                print(f"    {', '.join(changes(first, got))}")
+                print(f"    {', '.join(changes(first, got))}" if got != first else
+                      f"    text differs at line {first_difference(first_lines, lines) + 1}")
     print(f"{len(requests)} requests, {differ} differ")
     return 1 if differ else 0
 
